@@ -6,8 +6,8 @@ Verbs::
     tfdyn sweep  --config cfg.ini --out outdir    # parameter grid of quenches
     tfdyn verify [--config cfg.ini] [--out outdir]  # acceptance suite
 
-Exit statuses: 0 success, 2 malformed config, 3 integration failure,
-4 truncation refusal, 5 verification failure.
+Exit statuses: 0 success, 2 malformed or out-of-range config, 3 integration
+failure, 4 truncation refusal, 5 verification failure.
 """
 
 from __future__ import annotations

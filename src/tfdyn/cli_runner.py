@@ -8,8 +8,10 @@ exist:
   (coefficients and conserved-quantity deviations), ``observables.csv``
   (occupations and moments, plus brute-force oracle columns when enabled) and
   a ``manifest.json``;
-* ``sweep`` -- repeat a quench over a one-dimensional parameter grid, each
-  entry fully isolated, with a deterministic summary in grid order;
+* ``sweep`` -- repeat a quench over a one-dimensional parameter grid: every
+  entry's derived config is parsed once, up front, and each entry then runs
+  in isolation; the summary is assembled in grid order from the entries'
+  final values;
 * ``verify`` -- execute the acceptance suite and record every check.
 
 Numeric CSV cells use 17 significant digits, which round-trips doubles
@@ -26,7 +28,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -36,23 +38,12 @@ from . import bogoliubov, fock_oracle, thermal_observables, verification
 from ._version import __version__
 from .errors import ConfigError
 from .mode_solver import (
-    BosonModeTrajectory,
-    FermionModeTrajectory,
     IntegratorConfig,
-    OscillatorModeTrajectory,
     solve_boson_mode,
     solve_fermion_modes,
     solve_oscillator_mode,
 )
-from .protocols import (
-    BosonProtocol,
-    OscillatorProtocol,
-    Protocol,
-    evaluate,
-    from_config,
-    statistics_of,
-    validate,
-)
+from .protocols import Protocol, evaluate, from_config, statistics_of, validate
 
 __all__ = [
     "RunConfig",
@@ -121,11 +112,7 @@ def _parse_ini(text: str) -> configparser.ConfigParser:
     return parser
 
 
-def canonical_config_text(text: str) -> str:
-    """Normalized rendering of a config: sorted sections and keys, one
-    ``key = value`` per line.  The manifest digest hashes this form, so
-    comment and ordering changes do not alter a run's identity."""
-    parser = _parse_ini(text)
+def _render(parser: configparser.ConfigParser) -> str:
     lines: list[str] = []
     for section in sorted(parser.sections()):
         lines.append(f"[{section}]")
@@ -133,6 +120,13 @@ def canonical_config_text(text: str) -> str:
             value = " ".join(parser[section][key].split())
             lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"
+
+
+def canonical_config_text(text: str) -> str:
+    """Normalized rendering of a config: sorted sections and keys, one
+    ``key = value`` per line.  The manifest digest hashes this form, so
+    comment and ordering changes do not alter a run's identity."""
+    return _render(_parse_ini(text))
 
 
 def _digest(canonical: str) -> str:
@@ -227,27 +221,43 @@ def parse_config(text: str, kind: str) -> RunConfig:
     if max_step == 0.0:
         max_step = math.inf
     defaults = IntegratorConfig()
-    integrator = IntegratorConfig(
-        rel_tol=_get_float("integrator", integ_sec, "rel_tol", defaults.rel_tol),
-        abs_tol=_get_float("integrator", integ_sec, "abs_tol", defaults.abs_tol),
-        max_step=max_step,
-        grid_points=_get_int("integrator", integ_sec, "grid_points", defaults.grid_points),
-    )
-    if integrator.grid_points < 2:
-        raise ConfigError("[integrator] grid_points must be at least 2")
+    try:
+        integrator = IntegratorConfig(
+            rel_tol=_get_float("integrator", integ_sec, "rel_tol", defaults.rel_tol),
+            abs_tol=_get_float("integrator", integ_sec, "abs_tol", defaults.abs_tol),
+            max_step=max_step,
+            grid_points=_get_int("integrator", integ_sec, "grid_points", defaults.grid_points),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"[integrator] {exc}") from exc
 
     oracle_sec = parser["oracle"] if parser.has_section("oracle") else {}
     oracle_enabled = _get_bool("oracle", oracle_sec, "enabled", True)
     oracle_defaults = fock_oracle.OracleConfig()
-    oracle = fock_oracle.OracleConfig(
-        n_levels=_get_int("oracle", oracle_sec, "n_levels", oracle_defaults.n_levels),
-        substeps_per_unit=_get_float(
-            "oracle", oracle_sec, "substeps_per_unit", oracle_defaults.substeps_per_unit
-        ),
-        grid_points=integrator.grid_points,  # oracle samples share the mode grid
-        hbar=hbar,
-        tail_abort=_get_float("oracle", oracle_sec, "tail_abort", oracle_defaults.tail_abort),
-    )
+    try:
+        oracle = fock_oracle.OracleConfig(
+            n_levels=_get_int("oracle", oracle_sec, "n_levels", oracle_defaults.n_levels),
+            substeps_per_unit=_get_float(
+                "oracle", oracle_sec, "substeps_per_unit", oracle_defaults.substeps_per_unit
+            ),
+            grid_points=integrator.grid_points,  # oracle samples share the mode grid
+            hbar=hbar,
+            tail_abort=_get_float(
+                "oracle", oracle_sec, "tail_abort", oracle_defaults.tail_abort
+            ),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"[oracle] {exc}") from exc
+
+    # The thermal state at t_i is built at the initial frame frequency; a
+    # fermion run needs it only for the oracle.
+    if protocol is not None and (oracle_enabled or protocol.kind != "fermion"):
+        omega_i = _initial_frame(protocol)[1]
+        if not omega_i > 0.0:
+            raise ConfigError(
+                f"the initial frame frequency must be positive for a thermal state, "
+                f"got {omega_i}"
+            )
 
     sweep_key: str | None = None
     sweep_values: tuple[float, ...] = ()
@@ -348,18 +358,17 @@ def _manifest_skeleton(config: RunConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 def _initial_frame(protocol: Protocol) -> tuple[float, float]:
-    """(mass, omega) of the static frame at t_i (mass 1 for abstract bosons)."""
+    """(mass, omega) of the static frame at t_i (mass 1 for abstract modes)."""
     s0 = evaluate(protocol, protocol.t_i)
-    if isinstance(protocol, BosonProtocol):
-        return 1.0, s0.omega0
-    if isinstance(protocol, OscillatorProtocol):
+    if protocol.kind == "oscillator":
         return s0.mass, s0.omega
     return 1.0, s0.omega0
 
 
 def _mode_columns(traj) -> list[tuple[str, np.ndarray]]:
     t_col = ("t [time]", traj.t)
-    if isinstance(traj, BosonModeTrajectory):
+    kind = traj.protocol.kind
+    if kind == "boson":
         return [
             t_col,
             ("re_f_minus [1]", traj.f_minus.real),
@@ -368,7 +377,7 @@ def _mode_columns(traj) -> list[tuple[str, np.ndarray]]:
             ("im_f_plus [1]", traj.f_plus.imag),
             ("commutator_deviation [1]", traj.commutator_deviation()),
         ]
-    if isinstance(traj, OscillatorModeTrajectory):
+    if kind == "oscillator":
         return [
             t_col,
             ("re_v [1/sqrt(mass*freq)]", traj.v.real),
@@ -395,12 +404,9 @@ def _mode_columns(traj) -> list[tuple[str, np.ndarray]]:
     return columns
 
 
-def _boson_observables(
-    config: RunConfig, traj
-) -> tuple[list[tuple[str, np.ndarray]], np.ndarray]:
+def _boson_observables(config: RunConfig, traj) -> list[tuple[str, np.ndarray]]:
     """Analytic observable columns for boson/oscillator runs.
 
-    Returns the columns plus the |nu(t)|^2 series (reused by the summary).
     Every quantity refers to the final static frame: for oscillator
     protocols nu comes from the mode-function overlap (NaN where the mass
     differs from its final value, since the overlap is frame-bound), for
@@ -418,7 +424,7 @@ def _boson_observables(
     q2 = np.empty(n_pts)
     q4 = np.empty(n_pts)
 
-    if isinstance(traj, OscillatorModeTrajectory):
+    if protocol.kind == "oscillator":
         s_f = evaluate(protocol, protocol.t_f)
         ref = bogoliubov.ReferenceMode(s_f.mass, s_f.omega, protocol.t_f)
         for k in range(n_pts):
@@ -441,7 +447,7 @@ def _boson_observables(
             q4[k] = thermal_observables.q_moment(2, v, theta, hbar)
 
     occupation[:] = nu_sq + (1.0 + 2.0 * nu_sq) * n_eq
-    columns = [
+    return [
         ("t [time]", traj.t),
         ("occupation_equilibrium [1]", np.full(n_pts, n_eq)),
         ("nu_sq [1]", nu_sq),
@@ -449,11 +455,10 @@ def _boson_observables(
         ("q2 [length^2]", q2),
         ("q4 [length^4]", q4),
     ]
-    return columns, nu_sq
 
 
 def _boson_oracle_columns(
-    config: RunConfig, columns: list[tuple[str, np.ndarray]]
+    config: RunConfig, traj, columns: list[tuple[str, np.ndarray]]
 ) -> fock_oracle.DoubledTrajectory:
     """Append oracle occupation/moment columns (with absolute differences)."""
     protocol, hbar = config.protocol, config.hbar
@@ -461,7 +466,7 @@ def _boson_oracle_columns(
     n = config.oracle.n_levels
     m_i, omega_i = _initial_frame(protocol)
     s_f = evaluate(protocol, protocol.t_f)
-    if isinstance(protocol, OscillatorProtocol):
+    if protocol.kind == "oscillator":
         a_f = fock_oracle.frame_annihilation(s_f.mass, s_f.omega, n, m_i, omega_i, hbar)
     else:
         a_f = fock_oracle.frame_annihilation(1.0, omega_i, n, 1.0, omega_i, hbar)
@@ -507,7 +512,7 @@ def _fermion_oracle_columns(
 ) -> fock_oracle.DoubledTrajectory:
     protocol, hbar = config.protocol, config.hbar
     doubled = fock_oracle.evolve_doubled_thermal(protocol, config.beta, config.oracle)
-    omega_i = evaluate(protocol, protocol.t_i).omega0
+    _, omega_i = _initial_frame(protocol)
     theta = thermal_observables.theta(config.beta, omega_i, hbar, "fermion")
     ops = fock_oracle.build_fermion_space(doubled=True)
     basis = fock_oracle.fermion_doubled()
@@ -532,10 +537,25 @@ def _fermion_oracle_columns(
     return doubled
 
 
+# kind -> (mode solver, analytic observable columns, oracle column builder).
+# The solver is named, not held, and looked up among the module globals on
+# each call, so a rebinding of it (bench/tracer.py wraps each layer that way)
+# takes effect.
+_SOLVERS = {
+    "boson": ("solve_boson_mode", _boson_observables, _boson_oracle_columns),
+    "oscillator": ("solve_oscillator_mode", _boson_observables, _boson_oracle_columns),
+    "fermion": ("solve_fermion_modes", _fermion_observables, _fermion_oracle_columns),
+}
+
+# observables whose final values the manifest reports (and a sweep summarises)
+_FINAL_COLUMNS = ("nu_sq", "occupation_evolved", "production_a", "production_b")
+
+
 def run_quench(config: RunConfig, out_dir: str | Path) -> dict:
     """Execute one quench run and write its artifact set.
 
-    Returns the manifest (also written to ``manifest.json``).  May raise
+    Returns the manifest (also written to ``manifest.json``); its ``finals``
+    block holds the last row of the final-value observables.  May raise
     ``IntegrationError`` or ``TruncationError``; nothing is written in that
     case beyond the output directory itself.
     """
@@ -545,22 +565,10 @@ def run_quench(config: RunConfig, out_dir: str | Path) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
 
-    if config.statistics == "fermion":
-        traj = solve_fermion_modes(config.protocol, config.integrator)
-        observables = _fermion_observables(config, traj)
-    elif isinstance(config.protocol, OscillatorProtocol):
-        traj = solve_oscillator_mode(config.protocol, config.integrator)
-        observables, _ = _boson_observables(config, traj)
-    else:
-        traj = solve_boson_mode(config.protocol, config.integrator)
-        observables, _ = _boson_observables(config, traj)
-
-    doubled = None
-    if config.oracle_enabled:
-        if config.statistics == "fermion":
-            doubled = _fermion_oracle_columns(config, traj, observables)
-        else:
-            doubled = _boson_oracle_columns(config, observables)
+    solver, observe, oracle_columns = _SOLVERS[config.protocol.kind]
+    traj = globals()[solver](config.protocol, config.integrator)
+    observables = observe(config, traj)
+    doubled = oracle_columns(config, traj, observables) if config.oracle_enabled else None
 
     manifest = _manifest_skeleton(config)
     manifest.update(
@@ -571,6 +579,11 @@ def run_quench(config: RunConfig, out_dir: str | Path) -> dict:
             "protocol_warnings": list(config.protocol_warnings),
             "integrator_stats": asdict(traj.stats),
             "drift": {k: float(v) for k, v in traj.drift.items()},
+            "finals": {
+                name.split(" [")[0]: float(values[-1])
+                for name, values in observables
+                if name.split(" [")[0] in _FINAL_COLUMNS
+            },
             "checks": [],
             "outputs": ["modes.csv", "observables.csv"],
         }
@@ -609,48 +622,26 @@ def _entry_text(base_text: str, sweep_key: str, value: float) -> str:
     if not parser.has_section(section):
         parser.add_section(section)
     parser.set(section, key, _fmt(value))
-    lines = []
-    for name in sorted(parser.sections()):
-        lines.append(f"[{name}]")
-        for k in sorted(parser[name]):
-            lines.append(f"{k} = {parser[name][k]}")
-    return "\n".join(lines) + "\n"
+    return _render(parser)
 
 
-def _run_sweep_entry(entry_text: str, entry_dir: str) -> dict:
-    """Worker body: re-parse the derived config and run it in isolation."""
-    entry_config = parse_config(entry_text, "quench")
+def _run_sweep_entry(entry_config: RunConfig, entry_dir: str) -> dict:
+    """Worker body: run one parsed grid point in isolation."""
     manifest = run_quench(entry_config, entry_dir)
-    observables = _read_csv_columns(Path(entry_dir) / "observables.csv")
-    finals = {
-        name.split(" [")[0]: values[-1]
-        for name, values in observables.items()
-        if name.split(" [")[0]
-        in ("nu_sq", "occupation_evolved", "production_a", "production_b")
-    }
     return {
-        "config_digest": manifest["config_digest"],
-        "drift": manifest["drift"],
-        "finals": finals,
-        "duration_seconds": manifest["duration_seconds"],
+        key: manifest[key]
+        for key in ("config_digest", "drift", "finals", "duration_seconds")
     }
-
-
-def _read_csv_columns(path: Path) -> dict[str, np.ndarray]:
-    lines = path.read_text().splitlines()
-    header = lines[0].split(",")
-    body = np.array(
-        [[float(cell) for cell in line.split(",")] for line in lines[1:]]
-    )
-    return {name: body[:, k] for k, name in enumerate(header)}
 
 
 def run_sweep(config: RunConfig, out_dir: str | Path) -> dict:
     """Run the parameter grid and assemble the summary in grid order.
 
+    Every entry's derived config is parsed once, before any work is
+    scheduled, so an invalid grid value fails the sweep with no entry run.
     Worker count comes from the ``TFDYN_WORKERS`` environment variable
-    (default 1, serial); each entry re-parses its own derived config, so
-    entries share no state and the artifacts are identical however the grid
+    (default 1, serial), clamped to the number of entries and of CPUs;
+    entries share no state, so the artifacts are identical however the grid
     is scheduled.
     """
     if config.kind != "sweep":
@@ -662,24 +653,26 @@ def run_sweep(config: RunConfig, out_dir: str | Path) -> dict:
     entries = []
     for index, value in enumerate(config.sweep_values):
         text = _entry_text(config.canonical_text, config.sweep_key, value)
-        parse_config(text, "quench")  # fail before any work is scheduled
-        entries.append((index, value, text, str(out / f"entry_{index:03d}")))
+        entry_config = parse_config(text, "quench")  # fail before any work is scheduled
+        entries.append((index, value, entry_config, str(out / f"entry_{index:03d}")))
 
     workers_raw = os.environ.get(WORKERS_ENV_VAR, "1")
     try:
-        workers = max(1, int(workers_raw))
+        requested = int(workers_raw)
     except ValueError as exc:
         raise ConfigError(f"{WORKERS_ENV_VAR} must be an integer, got '{workers_raw}'") from exc
+    # a fork-based pool starts every requested worker at the first submit
+    workers = max(1, min(requested, len(entries), os.cpu_count() or 1))
 
     results: list[dict | None] = [None] * len(entries)
-    if workers == 1 or len(entries) == 1:
-        for index, _, text, entry_dir in entries:
-            results[index] = _run_sweep_entry(text, entry_dir)
+    if workers == 1:
+        for index, _, entry_config, entry_dir in entries:
+            results[index] = _run_sweep_entry(entry_config, entry_dir)
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {
-                pool.submit(_run_sweep_entry, text, entry_dir): index
-                for index, _, text, entry_dir in entries
+                pool.submit(_run_sweep_entry, entry_config, entry_dir): index
+                for index, _, entry_config, entry_dir in entries
             }
             for future, index in futures.items():
                 results[index] = future.result()
@@ -730,36 +723,26 @@ def run_sweep(config: RunConfig, out_dir: str | Path) -> dict:
 def run_verify(
     config: RunConfig | None, out_dir: str | Path | None = None
 ) -> tuple[dict, list[verification.CheckResult]]:
-    """Execute the acceptance suite; manifest lists every check exactly once."""
-    if config is not None and config.kind != "verify":
+    """Execute the acceptance suite; manifest lists every check exactly once.
+
+    ``config=None`` runs the empty verify config, i.e. the default settings.
+    """
+    if config is None:
+        config = parse_config("", "verify")
+    if config.kind != "verify":
         raise ValueError(f"run_verify got a '{config.kind}' config")
     started = time.perf_counter()
-    if config is None:
-        settings = verification.VerificationSettings()
-        digest = _digest(canonical_config_text(""))
-        skeleton = {
-            "tool": "tfdyn",
-            "version": __version__,
-            "kind": "verify",
-            "config_digest": digest,
-            "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        }
-    else:
-        settings = verification.VerificationSettings(
-            rel_tol=config.integrator.rel_tol,
-            abs_tol=config.integrator.abs_tol,
-            oracle_enabled=config.oracle_enabled,
-            n_levels=config.oracle.n_levels,
-            substeps_per_unit=config.oracle.substeps_per_unit,
-            hbar=config.hbar,
-        )
-        skeleton = _manifest_skeleton(config)
+    settings = verification.VerificationSettings(
+        rel_tol=config.integrator.rel_tol,
+        abs_tol=config.integrator.abs_tol,
+        oracle_enabled=config.oracle_enabled,
+        n_levels=config.oracle.n_levels,
+        substeps_per_unit=config.oracle.substeps_per_unit,
+        hbar=config.hbar,
+    )
+    skeleton = _manifest_skeleton(config)
 
     results = verification.run_all(settings)
-    names = [r.name for r in results]
-    if sorted(names) != sorted(verification.CHECK_NAMES) or len(set(names)) != len(names):
-        raise RuntimeError("verification suite did not report every check exactly once")
-
     skeleton["checks"] = [
         {
             "name": r.name,

@@ -86,6 +86,9 @@ TAIL_REFUSAL = 1e-8
 # n^4 entries -- only the latter needs a tight cap.
 _MAX_DOUBLED_LEVELS = 256
 _MAX_DOUBLED_DENSITY_LEVELS = 64  # keeps doubled density matrices at <= 4096^2
+# Substeps whose propagators are built by one batched eigh; bounds the memory
+# of the Hamiltonian stack.
+_CHUNK = 512
 
 
 # ---------------------------------------------------------------------------
@@ -768,13 +771,15 @@ class OracleConfig:
     grid_points: int = 201
     hbar: float = 1.0
     tail_abort: float = 1e-6
-    chunk: int = 512
 
     def __post_init__(self) -> None:
+        boson_doubled(self.n_levels)  # raises for an unsupported level count
         if self.grid_points < 2:
             raise ValueError("grid_points must be at least 2")
-        if self.substeps_per_unit <= 0:
-            raise ValueError("substeps_per_unit must be positive")
+        if not 0.0 < self.substeps_per_unit < math.inf:
+            raise ValueError("substeps_per_unit must be positive and finite")
+        if not self.tail_abort > 0:
+            raise ValueError("tail_abort must be positive")
 
 
 @dataclass
@@ -908,7 +913,7 @@ def evolve_doubled_thermal(
         n_sub = max(1, math.ceil(config.substeps_per_unit * span))
         done = 0
         while done < n_sub:
-            take = min(config.chunk, n_sub - done)
+            take = min(_CHUNK, n_sub - done)
             dt = span / n_sub
             mids = left + (done + np.arange(take) + 0.5) * dt
             if stats == "fermion":

@@ -26,7 +26,7 @@ quantities.  Drift is reported, never renormalised away.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -34,10 +34,11 @@ from scipy.integrate import DOP853
 
 from .errors import IntegrationError
 from .protocols import (
+    INITIAL_DIAGONAL_TOL,
     BosonProtocol,
     FermionProtocol,
     OscillatorProtocol,
-    Protocol,
+    check_initial_state,
     evaluate,
 )
 
@@ -59,12 +60,6 @@ __all__ = [
 ]
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
-# The initial Hamiltonian must be diagonal for the standard initial data;
-# couplings below this magnitude at t_i are treated as zero.
-INITIAL_DIAGONAL_TOL = 1e-6
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -151,22 +146,6 @@ class FermionModeState:
     f_b_plus: complex
     g_b_minus: complex
     g_b_plus: complex
-
-    @property
-    def W_a(self) -> np.ndarray:
-        return np.array([self.f_a_minus + self.f_a_plus, self.f_a_minus - self.f_a_plus]) / _SQRT2
-
-    @property
-    def Z_a(self) -> np.ndarray:
-        return np.array([self.g_a_minus + self.g_a_plus, self.g_a_minus - self.g_a_plus]) / _SQRT2
-
-    @property
-    def W_b(self) -> np.ndarray:
-        return np.array([self.f_b_minus + self.f_b_plus, self.f_b_minus - self.f_b_plus]) / _SQRT2
-
-    @property
-    def Z_b(self) -> np.ndarray:
-        return np.array([self.g_b_minus + self.g_b_plus, self.g_b_minus - self.g_b_plus]) / _SQRT2
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +268,10 @@ def _integrate(
     if filled == grid.size - 1:  # end point not caught by the tolerance window
         out[-1] = y
         filled += 1
-    assert filled == grid.size
+    if filled != grid.size:
+        raise IntegrationError(
+            f"integration ended with {filled} of {grid.size} grid points sampled"
+        )
     out[-1] = y  # exact final state, not the interpolant
 
     attempts = max(accepted, (nfev - 2 - 3 * dense_calls) // 12)
@@ -422,12 +404,7 @@ def solve_boson_mode(
     ``INITIAL_DIAGONAL_TOL``.
     """
     config = config or IntegratorConfig()
-    s0 = evaluate(protocol, protocol.t_i)
-    if abs(s0.omega_plus) > INITIAL_DIAGONAL_TOL:
-        raise ValueError(
-            f"omega_plus(t_i) = {s0.omega_plus} is not zero; the initial Hamiltonian "
-            "must be diagonal for V(t_i) = (1, 0)"
-        )
+    check_initial_state(protocol)
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         s = evaluate(protocol, t)
@@ -456,15 +433,8 @@ def solve_oscillator_mode(
     mass_dot(t_i) = 0 and w(t_i) > 0.
     """
     config = config or IntegratorConfig()
+    check_initial_state(protocol)
     s0 = evaluate(protocol, protocol.t_i)
-    if abs(s0.mass_dot) > INITIAL_DIAGONAL_TOL * max(1.0, s0.mass):
-        raise ValueError(
-            f"mass_dot(t_i) = {s0.mass_dot} is not zero; the adiabatic initial "
-            "condition requires a stationary mass at t_i"
-        )
-    if s0.omega <= 0.0:
-        raise ValueError(f"omega(t_i) = {s0.omega} must be positive")
-
     v0 = 1.0 / math.sqrt(2.0 * s0.mass * s0.omega)
     y0 = np.array([v0, -1j * s0.omega * v0], dtype=complex)
 
@@ -498,13 +468,7 @@ def solve_fermion_modes(
     ``INITIAL_DIAGONAL_TOL``.
     """
     config = config or IntegratorConfig()
-    s0 = evaluate(protocol, protocol.t_i)
-    for name, value in (("omega_plus", s0.omega_plus), ("omega_minus", s0.omega_minus)):
-        if abs(value) > INITIAL_DIAGONAL_TOL:
-            raise ValueError(
-                f"{name}(t_i) = {value} is not zero; the initial Hamiltonian must "
-                "be diagonal for the standard initial data"
-            )
+    check_initial_state(protocol)
 
     # y = (W_a, Z_a, W_b, Z_b) flattened; both channels obey the same system.
     y0 = np.zeros(8, dtype=complex)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, ClassVar, Mapping
 
 from .errors import ConfigError
 
@@ -34,12 +34,15 @@ __all__ = [
     "FermionSample",
     "Finding",
     "ValidationReport",
+    "KINDS",
     "evaluate",
     "make_tanh_ramp",
+    "check_initial_state",
     "validate",
     "from_config",
     "statistics_of",
     "FD_STEP",
+    "INITIAL_DIAGONAL_TOL",
 ]
 
 # Step used for finite-difference fallbacks (mass_dot) and for the
@@ -51,6 +54,10 @@ FD_STEP = 1e-6
 _JUMP_THRESHOLD = 1e-3
 
 _MAX_FINDINGS = 50
+
+# The mode solvers' standard initial data needs a diagonal Hamiltonian at
+# t_i; couplings below this magnitude at t_i are treated as zero.
+INITIAL_DIAGONAL_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +182,12 @@ def _check_window(t_i: float, t_f: float, jump_times: tuple[float, ...]) -> tupl
 class BosonProtocol:
     """Abstract single-mode boson Hamiltonian coefficients (w0, w+)."""
 
+    # kind name, coefficient channels, and the channel a config's profile
+    # family drives by default
+    kind: ClassVar[str] = "boson"
+    channels: ClassVar[tuple[str, ...]] = ("omega0", "omega_plus")
+    drive: ClassVar[str] = "omega0"
+
     omega0: Callable[[float], float]
     omega_plus: Callable[[float], complex]
     t_i: float
@@ -194,6 +207,10 @@ class OscillatorProtocol:
     boundaries).  Solvers require ``mass_dot(t_i) == 0``.
     """
 
+    kind: ClassVar[str] = "oscillator"
+    channels: ClassVar[tuple[str, ...]] = ("mass", "omega")
+    drive: ClassVar[str] = "omega"
+
     mass: Callable[[float], float]
     omega: Callable[[float], float]
     t_i: float
@@ -209,6 +226,10 @@ class OscillatorProtocol:
 class FermionProtocol:
     """Two-mode fermion Hamiltonian coefficients (w0, w+, w-)."""
 
+    kind: ClassVar[str] = "fermion"
+    channels: ClassVar[tuple[str, ...]] = ("omega0", "omega_plus", "omega_minus")
+    drive: ClassVar[str] = "omega_plus"
+
     omega0: Callable[[float], float]
     omega_plus: Callable[[float], complex]
     omega_minus: Callable[[float], complex]
@@ -221,6 +242,10 @@ class FermionProtocol:
 
 
 Protocol = BosonProtocol | OscillatorProtocol | FermionProtocol
+
+KINDS: dict[str, type[Protocol]] = {
+    cls.kind: cls for cls in (BosonProtocol, OscillatorProtocol, FermionProtocol)
+}
 
 
 @dataclass(frozen=True)
@@ -245,7 +270,7 @@ class FermionSample:
 
 def statistics_of(protocol: Protocol) -> str:
     """Return ``"boson"`` or ``"fermion"`` for the protocol's statistics."""
-    return "fermion" if isinstance(protocol, FermionProtocol) else "boson"
+    return "fermion" if protocol.kind == "fermion" else "boson"
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +340,33 @@ def evaluate(protocol: Protocol, t: float):
     raise TypeError(f"not a protocol: {protocol!r}")
 
 
+def check_initial_state(protocol: Protocol) -> None:
+    """Raise ``ValueError`` unless the mode solvers' standard initial data
+    applies at ``t_i``.
+
+    Bosons and fermions need a diagonal initial Hamiltonian (every coupling
+    within ``INITIAL_DIAGONAL_TOL`` of zero); oscillators need a stationary
+    mass and a positive frequency.
+    """
+    s0 = evaluate(protocol, protocol.t_i)
+    if protocol.kind == "oscillator":
+        if abs(s0.mass_dot) > INITIAL_DIAGONAL_TOL * max(1.0, s0.mass):
+            raise ValueError(
+                f"mass_dot(t_i) = {s0.mass_dot} is not zero; the adiabatic initial "
+                "condition requires a stationary mass at t_i"
+            )
+        if s0.omega <= 0.0:
+            raise ValueError(f"omega(t_i) = {s0.omega} must be positive")
+        return
+    for name in protocol.channels:
+        value = getattr(s0, name)
+        if name in _COMPLEX_CHANNELS and abs(value) > INITIAL_DIAGONAL_TOL:
+            raise ValueError(
+                f"{name}(t_i) = {value} is not zero; the initial Hamiltonian must "
+                "be diagonal for the standard initial data"
+            )
+
+
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
@@ -345,18 +397,6 @@ class ValidationReport:
         return [f"{f.severity}: {f.message}" for f in self.findings]
 
 
-def _channels(protocol: Protocol) -> dict[str, Callable[[float], complex]]:
-    if isinstance(protocol, BosonProtocol):
-        return {"omega0": protocol.omega0, "omega_plus": protocol.omega_plus}
-    if isinstance(protocol, OscillatorProtocol):
-        return {"mass": protocol.mass, "omega": protocol.omega}
-    return {
-        "omega0": protocol.omega0,
-        "omega_plus": protocol.omega_plus,
-        "omega_minus": protocol.omega_minus,
-    }
-
-
 def validate(protocol: Protocol, samples: int = 2001) -> ValidationReport:
     """Probe the protocol on a uniform grid and report diagnostics.
 
@@ -366,8 +406,8 @@ def validate(protocol: Protocol, samples: int = 2001) -> ValidationReport:
       (mass positivity included) -- violations are errors;
     * a finite-difference probe flags the largest suspected undeclared
       discontinuity per coefficient channel as a warning;
-    * ``mass_dot(t_i)`` is warned about when nonzero, since the oscillator
-      solver requires it to vanish.
+    * :func:`check_initial_state` -- initial data the mode solvers cannot
+      start from is an error.
     """
     findings: list[Finding] = []
     t_i, t_f = protocol.t_i, protocol.t_f
@@ -386,7 +426,8 @@ def validate(protocol: Protocol, samples: int = 2001) -> ValidationReport:
     # Undeclared-discontinuity probe: symmetric difference over 2*FD_STEP,
     # skipping the neighbourhood of declared jumps.
     h = FD_STEP
-    for name, fn in _channels(protocol).items():
+    for name in protocol.channels:
+        fn = getattr(protocol, name)
         worst: tuple[float, float] | None = None  # (delta_rel, t)
         for t in grid[1:-1]:
             if any(abs(t - tj) <= 2.0 * h for tj in protocol.jump_times):
@@ -413,17 +454,11 @@ def validate(protocol: Protocol, samples: int = 2001) -> ValidationReport:
                 )
             )
 
-    if isinstance(protocol, OscillatorProtocol) and first_error is None:
-        mdot = _mass_dot(protocol, t_i)
-        if abs(mdot) > 1e-8:
-            findings.append(
-                Finding(
-                    "warning",
-                    f"mass_dot(t_i) = {mdot:.3g} is nonzero; the oscillator mode "
-                    "solver requires it to vanish",
-                    t_i,
-                )
-            )
+    if first_error is None:
+        try:
+            check_initial_state(protocol)
+        except ValueError as exc:
+            findings.append(Finding("error", str(exc), t_i))
 
     return ValidationReport(findings=tuple(findings[:_MAX_FINDINGS]))
 
@@ -439,15 +474,7 @@ _FAMILY_KEYS = {
     "sudden": ("value_initial", "value_final", "t_jump"),
 }
 
-_KIND_CHANNELS = {
-    "boson": ("omega0", "omega_plus"),
-    "oscillator": ("mass", "omega"),
-    "fermion": ("omega0", "omega_plus", "omega_minus"),
-}
-
 _COMPLEX_CHANNELS = {"omega_plus", "omega_minus"}
-
-_DEFAULT_DRIVE = {"boson": "omega0", "oscillator": "omega", "fermion": "omega_plus"}
 
 
 def _cfg_float(section: Mapping[str, str], key: str) -> float:
@@ -477,7 +504,7 @@ def from_config(section: Mapping[str, str]) -> Protocol:
             raise ConfigError(f"protocol section is missing required key '{key}'")
 
     kind = section.pop("kind").strip().lower()
-    if kind not in _KIND_CHANNELS:
+    if kind not in KINDS:
         raise ConfigError(f"unknown protocol kind '{kind}' (expected boson, oscillator or fermion)")
     family = section.pop("family").strip().lower()
     if family not in _FAMILY_KEYS:
@@ -486,8 +513,9 @@ def from_config(section: Mapping[str, str]) -> Protocol:
     t_f = _cfg_float(section, "t_f")
     section.pop("t_i"), section.pop("t_f")
 
-    channels = _KIND_CHANNELS[kind]
-    drive = section.pop("drive", _DEFAULT_DRIVE[kind]).strip().lower()
+    cls = KINDS[kind]
+    channels = cls.channels
+    drive = section.pop("drive", cls.drive).strip().lower()
     if drive not in channels:
         raise ConfigError(f"drive '{drive}' is not a coefficient of kind '{kind}' {channels}")
 
@@ -547,22 +575,12 @@ def from_config(section: Mapping[str, str]) -> Protocol:
         unknown = ", ".join(sorted(section))
         raise ConfigError(f"unknown protocol key(s): {unknown}")
 
-    if kind == "boson":
-        return BosonProtocol(
-            omega0=built["omega0"], omega_plus=built["omega_plus"],
-            t_i=t_i, t_f=t_f, jump_times=jump_times,
-        )
     if kind == "oscillator":
-        mass = built["mass"]
-        mass_dot = mass.derivative if hasattr(mass, "derivative") else None
-        return OscillatorProtocol(
-            mass=mass, omega=built["omega"], t_i=t_i, t_f=t_f,
-            mass_dot=mass_dot, jump_times=jump_times,
-        )
-    return FermionProtocol(
-        omega0=built["omega0"], omega_plus=built["omega_plus"],
-        omega_minus=built["omega_minus"], t_i=t_i, t_f=t_f, jump_times=jump_times,
-    )
+        built["mass_dot"] = getattr(built["mass"], "derivative", None)
+    try:
+        return cls(**built, t_i=t_i, t_f=t_f, jump_times=jump_times)
+    except ValueError as exc:  # empty window or misplaced jump
+        raise ConfigError(str(exc)) from exc
 
 
 @dataclass(frozen=True)

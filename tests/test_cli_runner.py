@@ -2,11 +2,13 @@
 
 import json
 import math
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
 from tfdyn import ConfigError, canonical_config_text, parse_config, run_quench, run_sweep, run_verify
+from tfdyn import cli_runner
 from tfdyn.cli import main
 from tfdyn.cli_runner import WORKERS_ENV_VAR, _fmt
 
@@ -210,6 +212,15 @@ class TestRunQuench:
         assert manifest["drift"]["commutator"] < 1e-9
         assert len(manifest["config_digest"]) == 64
 
+    def test_finals_are_last_observables_row(self, quench_out):
+        out, manifest = quench_out
+        rows = _read_csv(out / "observables.csv")
+        assert manifest["finals"] == {
+            "nu_sq": rows["nu_sq [1]"][-1],
+            "occupation_evolved": rows["occupation_evolved [1]"][-1],
+        }
+        assert _read_manifest(out)["finals"] == manifest["finals"]
+
     def test_reruns_are_byte_identical(self, quench_out, tmp_path):
         out, manifest = quench_out
         config = parse_config(QUENCH_CONSTANT.format(beta=math.log(2.0)), "quench")
@@ -239,6 +250,45 @@ class TestRunSweep:
         assert list(width) == [1.0, 2.0]
         assert nu_sq[0] > nu_sq[1] > 0.0
         assert np.max(rows["max_wronskian_deviation [1]"]) < 1e-8
+
+    def test_invalid_grid_value_fails_before_any_entry(self, tmp_path):
+        text = SWEEP_TEXT.replace("values = 1.0, 2.0", "values = 1.0, -1")
+        config = parse_config(text, "sweep")
+        with pytest.raises(ConfigError, match="width"):
+            run_sweep(config, tmp_path)
+        assert not (tmp_path / "entry_000").exists()
+
+    @pytest.mark.parametrize(
+        "requested, cpus, pool_size",
+        [("2", 8, 2), ("64", 8, 3), ("64", 2, 2), ("64", 1, None), ("0", 8, None)],
+    )
+    def test_worker_count_clamped(self, tmp_path, monkeypatch, requested, cpus, pool_size):
+        """The pool never exceeds the entry count or the CPU count; a
+        recording stand-in runs the entries in-process instead of forking."""
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(cli_runner, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli_runner.os, "cpu_count", lambda: cpus)
+        monkeypatch.setenv(WORKERS_ENV_VAR, requested)
+        text = SWEEP_TEXT.replace("values = 1.0, 2.0", "values = 1.0, 2.0, 3.0")
+        manifest = run_sweep(parse_config(text, "sweep"), tmp_path)
+        assert len(manifest["entries"]) == 3
+        assert sizes == ([] if pool_size is None else [pool_size])
 
     def test_parallel_workers_bitwise_match_serial(self, tmp_path, monkeypatch):
         config = parse_config(SWEEP_TEXT, "sweep")
@@ -294,11 +344,40 @@ class TestCliMain:
         assert code == 0
         assert "quench done" in capsys.readouterr().out
 
-    def test_config_error_exit_code(self, tmp_path, capsys):
-        cfg = self._write(tmp_path, QUENCH_CONSTANT.format(beta=1.0).replace("beta", "betta"))
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("beta", "betta"),
+            ("grid_points = 9", "grid_points = 1"),
+            ("grid_points = 9", "grid_points = 9\nrel_tol = 0"),
+            ("substeps_per_unit = 200", "substeps_per_unit = 0"),
+            ("substeps_per_unit = 200", "substeps_per_unit = nan"),
+            ("t_f = 2.0", "t_f = -1.0"),
+            ("n_levels = 32", "n_levels = 1"),
+            ("n_levels = 32", "n_levels = 300"),
+            ("n_levels = 32", "n_levels = 32\ntail_abort = -1"),
+            # omega0 omitted defaults to 0
+            ("value = 1.0", "value = 0.0\ndrive = omega_plus"),
+            ("kind = boson\nfamily = constant\nvalue = 1.0",
+             "kind = fermion\nfamily = constant\nvalue = 0.0\nomega0 = 0"),
+            # coupling above INITIAL_DIAGONAL_TOL at t_i
+            ("value = 1.0", "value = 1.0\nomega_plus = 1e-4"),
+        ],
+        ids=[
+            "unknown_key", "grid_points_1", "rel_tol_0", "substeps_0", "substeps_nan",
+            "empty_window", "n_levels_1",
+            "n_levels_300", "tail_abort_negative", "boson_omega0_omitted",
+            "fermion_omega0_zero_oracle_on", "coupling_at_t_i",
+        ],
+    )
+    def test_config_error_exit_code(self, tmp_path, capsys, old, new):
+        text = QUENCH_CONSTANT.format(beta=1.0)
+        assert old in text
+        cfg = self._write(tmp_path, text.replace(old, new))
         code = main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_file_exit_code(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "absent.ini"), "--out", str(tmp_path / "out")])
