@@ -248,6 +248,15 @@ def parse_config(text: str, kind: str) -> RunConfig:
         )
     except ValueError as exc:
         raise ConfigError(f"[oracle] {exc}") from exc
+    if kind == "verify" and oracle_enabled:
+        wide = verification.WIDE_BOX_FACTOR * oracle.n_levels
+        try:
+            fock_oracle.boson_doubled(wide)
+        except ValueError as exc:
+            raise ConfigError(
+                f"[oracle] n_levels = {oracle.n_levels}: verify runs check c07c at "
+                f"{wide} levels, and {exc}"
+            ) from exc
 
     # The thermal state at t_i is built at the initial frame frequency; a
     # fermion run needs it only for the oracle.

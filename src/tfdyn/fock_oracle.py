@@ -16,14 +16,26 @@ The doubled space carries a copy of the system with conjugated coefficients;
 the physical generator is H_hat = H - H_tilde.  For bosons H_tilde acts on
 the second tensor factor with the complex-conjugate matrix, so a state
 reshaped to an (n x n) coefficient matrix C evolves by C -> U C U^dag per
-substep -- the full n^2-dimensional exponential is never materialised.
+step -- the full n^2-dimensional exponential is never materialised.
+
+Time evolution uses the fourth-order commutator-free Magnus scheme (CFM4):
+each step samples H at its two Gauss-Legendre nodes and applies two
+exponentials of fixed combinations of the samples (Blanes & Moan, Appl.
+Numer. Math. 56, 1519 (2006); Alvermann & Fehske, J. Comput. Phys. 230,
+5930 (2011)).  It is exact for constant H.  Quadratic Hamiltonians conserve
+parity, and the doubled evolution uses it: boson H couples |n> only to
+|n +- 2>, so C stays block-diagonal in (even, odd) number states, and the
+doubled fermion generator keeps the thermal vacuum in two 4-dimensional
+sectors of the 16-dimensional space.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 from scipy.linalg import expm
@@ -86,9 +98,20 @@ TAIL_REFUSAL = 1e-8
 # n^4 entries -- only the latter needs a tight cap.
 _MAX_DOUBLED_LEVELS = 256
 _MAX_DOUBLED_DENSITY_LEVELS = 64  # keeps doubled density matrices at <= 4096^2
-# Substeps whose propagators are built by one batched eigh; bounds the memory
-# of the Hamiltonian stack.
+# Exponentials built by one batched eigh; bounds the memory of the
+# Hamiltonian stack.
 _CHUNK = 512
+# CFM4: Gauss-Legendre nodes of a step, as fractions of the step, and the
+# weights of the two node Hamiltonians in the first (row 0) and the second
+# exponential applied; each row sums to 1/2.
+_CFM4_NODES = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
+_CFM4_WEIGHTS = np.array([[3.0 + 2.0 * math.sqrt(3.0), 3.0 - 2.0 * math.sqrt(3.0)],
+                          [3.0 - 2.0 * math.sqrt(3.0), 3.0 + 2.0 * math.sqrt(3.0)]]) / 12.0
+# The doubled fermion generator conserves the parity of the system modes and
+# that of the tilde modes.  The thermal vacuum lives in the (even, even) and
+# (odd, odd) sectors; index bits are the occupations a, b, a~, b~, most
+# significant first.
+_FERMION_SECTORS = (np.array([0, 3, 12, 15]), np.array([5, 6, 9, 10]))
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +248,12 @@ class TruncationReport:
 # boson operators
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=8)
 def build_boson_ladder(n_levels: int) -> tuple[OperatorMatrix, OperatorMatrix]:
-    """Truncated annihilation/creation pair: a[n-1, n] = sqrt(n)."""
+    """Truncated annihilation/creation pair: a[n-1, n] = sqrt(n).
+
+    Built once per level count; the matrices are read-only, so callers share them.
+    """
     basis = boson_single(n_levels)
     a = np.zeros((n_levels, n_levels), dtype=complex)
     for n in range(1, n_levels):
@@ -328,11 +355,13 @@ def _jw_annihilators(n_modes: int) -> list[np.ndarray]:
     return ops
 
 
-def build_fermion_space(doubled: bool = False) -> dict[str, OperatorMatrix]:
+@functools.lru_cache(maxsize=4)
+def build_fermion_space(doubled: bool = False) -> Mapping[str, OperatorMatrix]:
     """Annihilation operators on the exact fermion space.
 
     Mode order is a, b (single, dim 4) or a, b, a~, b~ (doubled, dim 16);
-    daggers come from ``.dag``.
+    daggers come from ``.dag``.  Built once per space and returned as a
+    read-only mapping of read-only matrices, so callers share them.
     """
     if doubled:
         basis = fermion_doubled()
@@ -341,7 +370,9 @@ def build_fermion_space(doubled: bool = False) -> dict[str, OperatorMatrix]:
         basis = fermion_single()
         names = ("a", "b")
     mats = _jw_annihilators(len(names))
-    return {name: OperatorMatrix(m, basis, name) for name, m in zip(names, mats)}
+    return MappingProxyType(
+        {name: OperatorMatrix(m, basis, name) for name, m in zip(names, mats)}
+    )
 
 
 class FermionDoubledHamiltonians(NamedTuple):
@@ -351,7 +382,7 @@ class FermionDoubledHamiltonians(NamedTuple):
 
 
 def _fermion_h(
-    ops: dict[str, OperatorMatrix],
+    ops: Mapping[str, OperatorMatrix],
     a_name: str,
     b_name: str,
     omega0: float,
@@ -583,10 +614,36 @@ def expectation_single_factor(
 
 
 def _expi_neg_hermitian(h: np.ndarray, dt: float, hbar: float) -> np.ndarray:
-    """exp(-i H dt / hbar) for Hermitian H via spectral decomposition."""
+    """exp(-i H dt / hbar) for a Hermitian H, or a stack of them, via spectral
+    decomposition.  A real symmetric H takes the real eigensolver, and its
+    exponential Q diag(phases) Q^T is then assembled by a real product."""
     w, q = np.linalg.eigh(h)
     phases = np.exp(-1j * w * (dt / hbar))
-    return (q * phases) @ q.conj().T
+    if np.isrealobj(q):
+        # Q times the interleaved (real, imaginary) columns of diag(phases) Q^T
+        right = np.multiply(phases[..., :, None], q.swapaxes(-1, -2), order="C")
+        return (q @ right.view(float)).view(complex)
+    return (q * phases[..., None, :]) @ q.conj().swapaxes(-1, -2)
+
+
+def _cfm4_steps(exponent_h: np.ndarray, step: float, hbar: float) -> np.ndarray:
+    """CFM4 propagators of a stack of steps.
+
+    ``exponent_h[j]`` is the j-th exponent applied in each step: the node
+    Hamiltonians weighted by row j of ``_CFM4_WEIGHTS``.  Its shape is
+    (2, ..., n, n); the result has shape (..., n, n).  For constant H the two
+    exponentials commute and multiply to exp(-i H step / hbar) exactly.
+    """
+    e = _expi_neg_hermitian(exponent_h, step, hbar)
+    return e[1] @ e[0]
+
+
+def _ordered_product(u: np.ndarray) -> np.ndarray:
+    """u[-1] @ ... @ u[1] @ u[0], by rounds of pairwise batched products."""
+    while len(u) > 1:
+        paired = u[1::2] @ u[:-1:2]
+        u = np.concatenate([paired, u[-1:]]) if len(u) % 2 else paired
+    return u[0]
 
 
 def evolve_unitary(
@@ -596,34 +653,40 @@ def evolve_unitary(
     substeps: int | None = None,
     hbar: float = 1.0,
 ) -> OperatorMatrix:
-    """Ordered product of exp(-i H(t_k) dt / hbar) over midpoint-sampled substeps.
+    """Ordered product of CFM4 steps from t_i to t_f.
 
-    Default resolution is 2000 substeps per unit time; for a constant H any
-    count is exact.  Each factor is unitary to round-off, so U is as well.
+    ``substeps`` counts exponentials, two per step (rounded up to an even
+    count); the default is ``OracleConfig.substeps_per_unit`` per unit time.
+    For a constant H any count is exact.  Each factor is unitary to
+    round-off, so U is as well.
     """
     span = t_f - t_i
     if span < 0:
         raise ValueError("t_f must not precede t_i")
     if substeps is None:
-        substeps = max(1, math.ceil(2000 * span))
+        substeps = max(1, math.ceil(OracleConfig.substeps_per_unit * span))
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
+    steps = math.ceil(substeps / 2)
+    step = span / steps
 
-    first = h_of_t(t_i + 0.5 * span / substeps)
-    basis = first.basis if isinstance(first, OperatorMatrix) else None
-    dim = (first.matrix if basis else np.asarray(first)).shape[0]
-
-    u = np.eye(dim, dtype=complex)
-    dt = span / substeps
-    for k in range(substeps):
-        h = h_of_t(t_i + (k + 0.5) * dt)
-        mat = h.matrix if isinstance(h, OperatorMatrix) else np.asarray(h, dtype=complex)
-        if not np.all(np.isfinite(mat)):
-            raise ValueError(f"non-finite Hamiltonian at t = {t_i + (k + 0.5) * dt}")
-        u = _expi_neg_hermitian(mat, dt, hbar) @ u
-    if basis is None:
-        basis = BasisDescriptor("anonymous", dim)
-    return OperatorMatrix(u, basis, "U")
+    u: np.ndarray | None = None
+    basis: BasisDescriptor | None = None
+    for k in range(steps):
+        nodes = []
+        for t in t_i + (k + _CFM4_NODES) * step:
+            h = h_of_t(float(t))
+            if isinstance(h, OperatorMatrix):
+                basis = basis or h.basis
+                h = h.matrix
+            mat = np.asarray(h, dtype=complex)
+            if not np.all(np.isfinite(mat)):
+                raise ValueError(f"non-finite Hamiltonian at t = {t}")
+            nodes.append(mat)
+        exponents = np.tensordot(_CFM4_WEIGHTS, np.stack(nodes), axes=1)
+        factor = _cfm4_steps(exponents, step, hbar)
+        u = factor if u is None else factor @ u
+    return OperatorMatrix(u, basis or BasisDescriptor("anonymous", u.shape[0]), "U")
 
 
 # ---------------------------------------------------------------------------
@@ -738,6 +801,15 @@ def thermal_state_condition_residual(
     return out
 
 
+@functools.lru_cache(maxsize=8)
+def _commutator_defect(n_levels: int) -> float:
+    """max |[a, a^dag] - 1| on the lower 90% of the retained levels."""
+    cutoff = int(math.floor(0.9 * n_levels))
+    a_op, ad_op = build_boson_ladder(n_levels)
+    a, ad = a_op.matrix, ad_op.matrix
+    return float(np.max(np.abs((a @ ad - ad @ a - np.eye(n_levels))[:cutoff, :cutoff])))
+
+
 def truncation_report(psi: StateVector) -> TruncationReport:
     """Tail population and edge-restricted commutator defect for a state."""
     kind = psi.basis.kind
@@ -751,11 +823,7 @@ def truncation_report(psi: StateVector) -> TruncationReport:
         c = psi.c_matrix()
         weight = np.abs(c) ** 2
         tail = float(weight[cutoff:, :].sum() + weight[:cutoff, cutoff:].sum())
-    a_op, ad_op = build_boson_ladder(n)
-    defect_block = (a_op.matrix @ ad_op.matrix - ad_op.matrix @ a_op.matrix - np.eye(n))[
-        :cutoff, :cutoff
-    ]
-    return TruncationReport(tail, float(np.max(np.abs(defect_block))))
+    return TruncationReport(tail, _commutator_defect(n))
 
 
 # ---------------------------------------------------------------------------
@@ -764,10 +832,14 @@ def truncation_report(psi: StateVector) -> TruncationReport:
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Resolution knobs for brute-force evolution."""
+    """Resolution knobs for brute-force evolution.
+
+    ``substeps_per_unit`` counts matrix exponentials per unit time; a CFM4
+    step spends two.
+    """
 
     n_levels: int = DEFAULT_N_LEVELS
-    substeps_per_unit: float = 2000.0
+    substeps_per_unit: float = 500.0
     grid_points: int = 201
     hbar: float = 1.0
     tail_abort: float = 1e-6
@@ -796,64 +868,45 @@ class DoubledTrajectory:
     protocol: Protocol
 
 
-def _boson_h_stack(
-    protocol: Protocol, times: np.ndarray, n_levels: int, hbar: float
-) -> np.ndarray:
-    """Stack of single-system Hamiltonians H(t_k) for a boson or oscillator protocol."""
-    a_op, ad_op = build_boson_ladder(n_levels)
-    number = ad_op.matrix @ a_op.matrix
-    raise_sq = ad_op.matrix @ ad_op.matrix
-    lower_sq = a_op.matrix @ a_op.matrix
+def _boson_coefficients(protocol: Protocol, times: np.ndarray) -> np.ndarray:
+    """(w0, Re w+, Im w+) of a boson or oscillator protocol at each of ``times``."""
+    samples = [evaluate(protocol, float(t)) for t in times.ravel()]
     if isinstance(protocol, BosonProtocol):
-        samples = [evaluate(protocol, float(t)) for t in times]
-        w0 = np.array([s.omega0 for s in samples])
-        wp = np.array([complex(s.omega_plus) for s in samples])
+        w = [(s.omega0, s.omega_plus.real, s.omega_plus.imag) for s in samples]
     else:
         s0 = evaluate(protocol, protocol.t_i)
-        samples = [evaluate(protocol, float(t)) for t in times]
-        pairs = [
-            oscillator_boson_coefficients(s.mass, s.omega, s0.mass, s0.omega)
+        w = [
+            oscillator_boson_coefficients(s.mass, s.omega, s0.mass, s0.omega) + (0.0,)
             for s in samples
         ]
-        w0 = np.array([p[0] for p in pairs])
-        wp = np.array([complex(p[1]) for p in pairs])
-    return hbar * (
-        w0[:, None, None] * number
-        + 0.5 * wp[:, None, None] * raise_sq
-        + 0.5 * np.conj(wp)[:, None, None] * lower_sq
-    )
+    return np.array(w).reshape(times.shape + (3,))
 
 
-def _fermion_hhat_stack(protocol: FermionProtocol, times: np.ndarray, hbar: float) -> np.ndarray:
-    """Stack of doubled generators H_hat(t_k) assembled from fixed bilinears."""
-    ops = build_fermion_space(doubled=True)
-    blocks = {}
-    for tag, x_name, y_name in (("", "a", "b"), ("t", "a_tilde", "b_tilde")):
-        x, y = ops[x_name].matrix, ops[y_name].matrix
-        blocks["num" + tag] = x.conj().T @ x - y.conj().T @ y
-        blocks["pair" + tag] = x.conj().T @ y.conj().T
-        blocks["mix" + tag] = x @ y.conj().T
-    samples = [evaluate(protocol, float(t)) for t in times]
-    w0 = np.array([s.omega0 for s in samples])[:, None, None]
-    wp = np.array([complex(s.omega_plus) for s in samples])[:, None, None]
-    wm = np.array([complex(s.omega_minus) for s in samples])[:, None, None]
-
-    def quad(num, pair, mix, w_plus, w_minus):
-        return (
-            w0 * num
-            + w_plus * pair - np.conj(w_plus) * pair.conj().swapaxes(-1, -2)
-            + w_minus * mix - np.conj(w_minus) * mix.conj().swapaxes(-1, -2)
-        )
-
-    h = quad(blocks["num"], blocks["pair"], blocks["mix"], wp, wm)
-    h_t = quad(blocks["numt"], blocks["pairt"], blocks["mixt"], np.conj(wp), np.conj(wm))
-    return hbar * (h - h_t)
+def _fermion_coefficients(protocol: FermionProtocol, times: np.ndarray) -> np.ndarray:
+    """(w0, Re w+, Im w+, Re w-, Im w-) at each of ``times``."""
+    samples = [evaluate(protocol, float(t)) for t in times.ravel()]
+    w = [
+        (s.omega0, s.omega_plus.real, s.omega_plus.imag, s.omega_minus.real, s.omega_minus.imag)
+        for s in samples
+    ]
+    return np.array(w).reshape(times.shape + (5,))
 
 
-def _batched_propagators(h_stack: np.ndarray, dt: float, hbar: float) -> np.ndarray:
-    w, q = np.linalg.eigh(h_stack)
-    phases = np.exp(-1j * w * (dt / hbar))
-    return (q * phases[:, None, :]) @ np.conj(np.swapaxes(q, 1, 2))
+def _generator_stacks(coeffs: np.ndarray, bases: list[np.ndarray]) -> list[np.ndarray]:
+    """sum_j coeffs[..., j] B_j for each block's stack of operators B.
+
+    Terms whose coefficient vanishes throughout are left out; when the rest
+    are real matrices the result is real symmetric and takes the real
+    eigensolver (always for oscillators, and for real couplings).
+    """
+    live = np.any(coeffs != 0.0, axis=tuple(range(coeffs.ndim - 1)))
+    stacks = []
+    for basis in bases:
+        terms = basis[live]
+        if not np.any(terms.imag):
+            terms = terms.real
+        stacks.append(np.tensordot(coeffs[..., live], terms, axes=1))
+    return stacks
 
 
 def evolve_doubled_thermal(
@@ -862,36 +915,61 @@ def evolve_doubled_thermal(
     """Evolve the thermal vacuum under H_hat(t) = H(t) - H~(t).
 
     Starts from the squeezed construction of |0(beta)> at the initial
-    frequency and marches midpoint-sampled substeps, restarting cleanly at
-    declared jumps.  Boson states are advanced on their coefficient matrix
-    (C -> U C U^dag); the 16-dimensional fermion space is evolved directly.
-    Aborts with a diagnostic if the measured truncation tail passes
-    ``config.tail_abort``.
+    frequency and marches CFM4 steps, ``config.substeps_per_unit``
+    exponentials per unit time (two per step), restarting cleanly at every
+    output time and declared jump.  Boson states are advanced on the even
+    and the odd block of their coefficient matrix (C_b -> U_b C_b U_b^dag);
+    fermion states on the two 4-dimensional parity sectors that hold the
+    thermal vacuum.  The full state is assembled only at output times, where
+    it is validated and its truncation tail measured: the evolution aborts
+    with a diagnostic if the tail passes ``config.tail_abort``.
     """
     config = config or OracleConfig()
     hbar = config.hbar
-    stats = statistics_of(protocol)
     s0 = evaluate(protocol, protocol.t_i)
 
     grid = np.linspace(protocol.t_i, protocol.t_f, config.grid_points)
     cuts = sorted(set(grid.tolist()) | set(protocol.jump_times))
 
-    if stats == "fermion":
-        basis = fermion_doubled()
-        _, psi0 = build_thermal_state_doubled(beta, s0.omega0, hbar, basis)
-        state: np.ndarray = psi0.vector.copy()
-    else:
+    # H (boson) and H_hat (fermion) are linear in the real coefficients, so
+    # each block's generator is sum_j c_j B_j, with B_j the generator at the
+    # j-th unit coefficient restricted to the block.
+    boson = statistics_of(protocol) != "fermion"
+    if boson:
         omega_i = s0.omega0 if isinstance(protocol, BosonProtocol) else s0.omega
-        basis = boson_doubled(config.n_levels)
-        _, psi0 = build_thermal_state_doubled(beta, omega_i, hbar, basis)
-        state = psi0.c_matrix().copy()
+        n = config.n_levels
+        basis, shape = boson_doubled(n), (n, n)
+        sectors = [np.arange(p, n, 2) for p in (0, 1)]  # even and odd number states
+        index = [np.ix_(idx, idx) for idx in sectors]
+        coefficients = _boson_coefficients
+        unit_generators = [
+            build_boson_hamiltonian(*w, n).matrix for w in ((1, 0), (0, 1), (0, 1j))
+        ]
+    else:
+        omega_i = s0.omega0
+        basis, shape = fermion_doubled(), (16,)
+        sectors = index = _FERMION_SECTORS
+        coefficients = _fermion_coefficients
+        unit_generators = [
+            build_fermion_hamiltonian(*w, doubled=True).h_hat.matrix
+            for w in ((1, 0, 0), (0, 1, 0), (0, 1j, 0), (0, 0, 1), (0, 0, 1j))
+        ]
+    bases = [np.stack(unit_generators)[:, idx[:, None], idx] for idx in sectors]
+    _, psi0 = build_thermal_state_doubled(beta, omega_i, hbar, basis)
+    blocks = [psi0.vector.reshape(shape)[idx] for idx in index]
+
+    def assemble() -> np.ndarray:
+        full = np.zeros(shape, dtype=complex)
+        for idx, block in zip(index, blocks):
+            full[idx] = block
+        return full.reshape(-1)
 
     states: list[StateVector] = []
     norm_dev: list[float] = []
     tails: list[float] = []
 
     def record(time: float) -> None:
-        vec = state.reshape(-1) if stats != "fermion" else state
+        vec = assemble()
         norm = float(np.linalg.norm(vec))
         psi = StateVector(vec / norm if abs(norm - 1.0) > 1e-10 else vec, basis)
         report = truncation_report(psi)
@@ -909,22 +987,15 @@ def evolve_doubled_thermal(
     grid_set = {float(t) for t in grid[1:]}
 
     for left, right in zip(cuts[:-1], cuts[1:]):
-        span = right - left
-        n_sub = max(1, math.ceil(config.substeps_per_unit * span))
-        done = 0
-        while done < n_sub:
-            take = min(_CHUNK, n_sub - done)
-            dt = span / n_sub
-            mids = left + (done + np.arange(take) + 0.5) * dt
-            if stats == "fermion":
-                h_stack = _fermion_hhat_stack(protocol, mids, hbar)
-                for u in _batched_propagators(h_stack, dt, hbar):
-                    state = u @ state
-            else:
-                h_stack = _boson_h_stack(protocol, mids, config.n_levels, hbar)
-                for u in _batched_propagators(h_stack, dt, hbar):
-                    state = u @ state @ u.conj().T
-            done += take
+        steps = max(1, math.ceil(config.substeps_per_unit * (right - left) / 2.0))
+        step = (right - left) / steps
+        for first in range(0, steps, _CHUNK // 2):
+            k = np.arange(first, min(first + _CHUNK // 2, steps))
+            times = left + (k + _CFM4_NODES[:, None]) * step
+            exponents = np.tensordot(_CFM4_WEIGHTS, hbar * coefficients(protocol, times), axes=1)
+            for b, h in enumerate(_generator_stacks(exponents, bases)):
+                u = _ordered_product(_cfm4_steps(h, step, hbar))
+                blocks[b] = u @ blocks[b] @ u.conj().T if boson else u @ blocks[b]
         if float(right) in grid_set:
             record(float(right))
 

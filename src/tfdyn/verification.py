@@ -28,6 +28,8 @@ from .protocols import (
 __all__ = ["CheckResult", "VerificationSettings", "run_all", "CHECK_NAMES"]
 
 LN2 = math.log(2.0)
+# c07c runs a box this many times wider than ``VerificationSettings.n_levels``.
+WIDE_BOX_FACTOR = 2
 
 
 @dataclass(frozen=True)
@@ -59,8 +61,8 @@ class VerificationSettings:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     oracle_enabled: bool = True
-    n_levels: int = 60
-    substeps_per_unit: float = 2000.0
+    n_levels: int = fock_oracle.DEFAULT_N_LEVELS
+    substeps_per_unit: float = fock_oracle.OracleConfig.substeps_per_unit
     hbar: float = 1.0
 
 
@@ -203,7 +205,7 @@ def run_all(settings: VerificationSettings | None = None) -> list[CheckResult]:
 
     # -- criterion 3: thermal-state conditions along evolved trajectories -
     beta = 1.0 / hbar
-    # piecewise-constant drive: substep products are exact, so the residual
+    # piecewise-constant drive: CFM4 steps are exact, so the residual
     # floor is set by the mode integration, run tight here (c09b reuses it)
     fermion_pulse = FermionProtocol(
         omega0=Constant(1.0),
@@ -261,7 +263,8 @@ def run_all(settings: VerificationSettings | None = None) -> list[CheckResult]:
         const_proto = BosonProtocol(
             omega0=Constant(1.0), omega_plus=Constant(0.0), t_i=0.0, t_f=10.0
         )
-        # constant H: midpoint factors commute, so any substep count is exact
+        # constant H: the two CFM4 exponentials of a step commute, so any
+        # substep count is exact
         const_cfg = fock_oracle.OracleConfig(
             n_levels=s.n_levels, substeps_per_unit=200.0, grid_points=101, hbar=hbar
         )
@@ -353,7 +356,7 @@ def run_all(settings: VerificationSettings | None = None) -> list[CheckResult]:
         dev = abs(predicted - traced)
         results.append(
             CheckResult(
-                "c06_evolved_distribution", dev <= 1e-4, dev, 1e-4,
+                "c06_evolved_distribution", dev <= 1e-6, dev, 1e-6,
                 f"nu*nu + (1+2 nu*nu) n_eq = {predicted:.8f} vs trace {traced:.8f}",
             )
         )
@@ -390,14 +393,14 @@ def run_all(settings: VerificationSettings | None = None) -> list[CheckResult]:
         )
         results.append(
             CheckResult(
-                "c07b_q_moments_midquench", dev_mid <= 1e-4, dev_mid, 1e-4,
+                "c07b_q_moments_midquench", dev_mid <= 1e-6, dev_mid, 1e-6,
                 f"n = 1, 2 at t = {dt_q.t[k_mid]:.2f}",
             )
         )
         # The ratio probes Gaussianity, which quadratic propagation preserves
         # at any step size; its error floor is set purely by the basis edge,
         # so run a wider box with coarse steps.
-        n_wide = 2 * s.n_levels
+        n_wide = WIDE_BOX_FACTOR * s.n_levels
         q_wide = fock_oracle.position_operator(n_wide, 1.0, 1.0, hbar)
         q2_wide = fock_oracle.OperatorMatrix(q_wide.matrix @ q_wide.matrix, q_wide.basis)
         q4_wide = fock_oracle.OperatorMatrix(q2_wide.matrix @ q2_wide.matrix, q_wide.basis)

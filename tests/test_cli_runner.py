@@ -66,6 +66,14 @@ kind = verify
 enabled = false
 """
 
+VERIFY_ORACLE = """
+[run]
+kind = verify
+
+[oracle]
+n_levels = 32
+"""
+
 
 def _read_manifest(out_dir):
     with open(out_dir / "manifest.json") as fh:
@@ -345,38 +353,42 @@ class TestCliMain:
         assert "quench done" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
-        "old, new",
+        "verb, old, new",
         [
-            ("beta", "betta"),
-            ("grid_points = 9", "grid_points = 1"),
-            ("grid_points = 9", "grid_points = 9\nrel_tol = 0"),
-            ("substeps_per_unit = 200", "substeps_per_unit = 0"),
-            ("substeps_per_unit = 200", "substeps_per_unit = nan"),
-            ("t_f = 2.0", "t_f = -1.0"),
-            ("n_levels = 32", "n_levels = 1"),
-            ("n_levels = 32", "n_levels = 300"),
-            ("n_levels = 32", "n_levels = 32\ntail_abort = -1"),
+            ("run", "beta", "betta"),
+            ("run", "grid_points = 9", "grid_points = 1"),
+            ("run", "grid_points = 9", "grid_points = 9\nrel_tol = 0"),
+            ("run", "substeps_per_unit = 200", "substeps_per_unit = 0"),
+            ("run", "substeps_per_unit = 200", "substeps_per_unit = nan"),
+            ("run", "t_f = 2.0", "t_f = -1.0"),
+            ("run", "n_levels = 32", "n_levels = 1"),
+            ("run", "n_levels = 32", "n_levels = 300"),
+            ("run", "n_levels = 32", "n_levels = 32\ntail_abort = -1"),
             # omega0 omitted defaults to 0
-            ("value = 1.0", "value = 0.0\ndrive = omega_plus"),
-            ("kind = boson\nfamily = constant\nvalue = 1.0",
+            ("run", "value = 1.0", "value = 0.0\ndrive = omega_plus"),
+            ("run", "kind = boson\nfamily = constant\nvalue = 1.0",
              "kind = fermion\nfamily = constant\nvalue = 0.0\nomega0 = 0"),
             # coupling above INITIAL_DIAGONAL_TOL at t_i
-            ("value = 1.0", "value = 1.0\nomega_plus = 1e-4"),
+            ("run", "value = 1.0", "value = 1.0\nomega_plus = 1e-4"),
+            # c07c would run 2 * 129 levels, past the 256-level cap
+            ("verify", "n_levels = 32", "n_levels = 129"),
         ],
         ids=[
             "unknown_key", "grid_points_1", "rel_tol_0", "substeps_0", "substeps_nan",
             "empty_window", "n_levels_1",
             "n_levels_300", "tail_abort_negative", "boson_omega0_omitted",
-            "fermion_omega0_zero_oracle_on", "coupling_at_t_i",
+            "fermion_omega0_zero_oracle_on", "coupling_at_t_i", "verify_wide_box_over_cap",
         ],
     )
-    def test_config_error_exit_code(self, tmp_path, capsys, old, new):
-        text = QUENCH_CONSTANT.format(beta=1.0)
+    def test_config_error_exit_code(self, tmp_path, capsys, verb, old, new):
+        text = {"run": QUENCH_CONSTANT.format(beta=1.0), "verify": VERIFY_ORACLE}[verb]
         assert old in text
         cfg = self._write(tmp_path, text.replace(old, new))
-        code = main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+        code = main([verb, "--config", cfg, "--out", str(tmp_path / "out")])
         assert code == 2
-        assert "config error" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "config error" in captured.err
+        assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
     def test_missing_config_file_exit_code(self, tmp_path, capsys):

@@ -5,19 +5,25 @@ operator algebra on small spaces; the oracle must stand on its own feet
 before it is allowed to referee the analytic modules.
 """
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import tfdyn.fock_oracle
 from tfdyn import (
     BosonProtocol,
     Constant,
     FermionProtocol,
     OscillatorProtocol,
+    Step,
     TruncationError,
     equilibrium_occupation,
+    evaluate,
+    make_tanh_ramp,
     theta,
 )
 from tfdyn.fock_oracle import (
@@ -54,6 +60,34 @@ from tfdyn.fock_oracle import (
 from tfdyn.mode_solver import BosonModeVector
 
 LN2 = math.log(2.0)
+SQRT3 = math.sqrt(3.0)
+# Two-exponential commutator-free Magnus step at the Gauss-Legendre nodes.
+CFM4_NODES = (0.5 - SQRT3 / 6.0, 0.5 + SQRT3 / 6.0)
+CFM4_A1, CFM4_A2 = (3.0 - 2.0 * SQRT3) / 12.0, (3.0 + 2.0 * SQRT3) / 12.0
+
+
+def dense_cfm4(h_of_t, cuts, substeps_per_unit):
+    """Reference propagator: dense expm CFM4 steps, two exponentials per
+    step, ceil(substeps_per_unit * span / 2) steps between consecutive cuts."""
+    u = None
+    for left, right in zip(cuts[:-1], cuts[1:]):
+        steps = max(1, math.ceil(substeps_per_unit * (right - left) / 2.0))
+        h = (right - left) / steps
+        for k in range(steps):
+            h1, h2 = (h_of_t(left + (k + c) * h) for c in CFM4_NODES)
+            step = expm(-1j * h * (CFM4_A1 * h1 + CFM4_A2 * h2)) @ expm(
+                -1j * h * (CFM4_A2 * h1 + CFM4_A1 * h2)
+            )
+            u = step if u is None else step @ u
+    return u
+
+
+def complex_coupling_ramp(t_f=1.0):
+    """Boson protocol whose w+ switches on with a fixed complex phase."""
+    ramp = make_tanh_ramp(0.0, 0.3, 0.5 * t_f, 0.1 * t_f)
+    return BosonProtocol(
+        Constant(1.0), lambda t: ramp(t) * np.exp(0.7j), t_i=0.0, t_f=t_f
+    )
 
 
 class TestBases:
@@ -466,8 +500,9 @@ class TestTruncationReport:
 
 class TestDoubledEvolution:
     def test_fermion_constant_protocol_matches_expm(self):
-        """Midpoint products for a constant generator are the exact
-        exponential, so the doubled trajectory must match expm to round-off."""
+        """The two CFM4 exponentials of a constant generator commute and
+        multiply to the exact exponential, so the doubled trajectory must
+        match expm to round-off."""
         p = FermionProtocol(Constant(1.0), Constant(0.0), Constant(0.0), t_i=0.0, t_f=2.0)
         beta = LN2
         cfg = OracleConfig(substeps_per_unit=50.0, grid_points=5)
@@ -503,3 +538,113 @@ class TestDoubledEvolution:
         traj = evolve_doubled_thermal(p, 1.0, cfg)
         assert len(traj.states) == 3
         assert traj.basis.kind == "boson_doubled"
+
+
+class TestPropagationKernel:
+    """The parity-block CFM4 kernel against dense references."""
+
+    def test_fourth_order_convergence(self):
+        """Halving the step cuts the final-state error by ~16 (at least 12)."""
+        p = complex_coupling_ramp()
+
+        def final(spu):
+            cfg = OracleConfig(n_levels=30, substeps_per_unit=spu, grid_points=2)
+            return evolve_doubled_thermal(p, 1.0, cfg).states[-1].vector
+
+        ref = final(2560.0)
+        coarse = np.linalg.norm(final(40.0) - ref)
+        fine = np.linalg.norm(final(80.0) - ref)
+        assert coarse / fine >= 12.0
+
+    def _boson_dense(self, protocol, h_of_t, n, spu):
+        cfg = OracleConfig(n_levels=n, substeps_per_unit=spu, grid_points=2)
+        traj = evolve_doubled_thermal(protocol, 1.0, cfg)
+        cuts = sorted({protocol.t_i, protocol.t_f, *protocol.jump_times})
+        u = dense_cfm4(h_of_t, cuts, spu)
+        c0 = traj.states[0].c_matrix()
+        return traj.states[-1].c_matrix(), u @ c0 @ u.conj().T
+
+    def test_oscillator_step_blocks_match_dense(self):
+        p = OscillatorProtocol(
+            Constant(1.0), Step(1.0, 1.5, 0.37), t_i=0.0, t_f=1.0, jump_times=(0.37,)
+        )
+        n = 30
+
+        def h_of_t(t):
+            s = evaluate(p, t)
+            w0, wp = oscillator_boson_coefficients(s.mass, s.omega, 1.0, 1.0)
+            return build_boson_hamiltonian(w0, wp, n).matrix
+
+        got, want = self._boson_dense(p, h_of_t, n, 40.0)
+        assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_complex_coupling_blocks_match_dense(self):
+        p = complex_coupling_ramp()
+        n = 30
+
+        def h_of_t(t):
+            s = evaluate(p, t)
+            return build_boson_hamiltonian(s.omega0, s.omega_plus, n).matrix
+
+        got, want = self._boson_dense(p, h_of_t, n, 40.0)
+        assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_fermion_sectors_match_dense(self):
+        """Both couplings complex: the sector generators equal H_hat."""
+        up = make_tanh_ramp(0.0, 0.4, 0.5, 0.1)
+        p = FermionProtocol(
+            Constant(1.0),
+            lambda t: up(t) * np.exp(0.3j),
+            lambda t: up(t - 0.2) * np.exp(-1.1j),
+            t_i=0.0, t_f=1.0,
+        )
+        traj = evolve_doubled_thermal(p, LN2, OracleConfig(substeps_per_unit=40.0, grid_points=2))
+
+        def h_of_t(t):
+            s = evaluate(p, t)
+            triple = build_fermion_hamiltonian(
+                s.omega0, s.omega_plus, s.omega_minus, doubled=True
+            )
+            return triple.h_hat.matrix
+
+        want = dense_cfm4(h_of_t, [0.0, 1.0], 40.0) @ traj.states[0].vector
+        assert np.max(np.abs(traj.states[-1].vector - want)) < 1e-12
+
+    def test_states_stay_in_parity_sectors(self):
+        """H couples no parity sectors, and the evolved state has exactly
+        zero weight outside those of the thermal vacuum."""
+        n = 20
+        odd = np.add.outer(np.arange(n), np.arange(n)) % 2 == 1
+        h = build_boson_hamiltonian(1.0, 0.3 + 0.2j, n).matrix
+        assert np.all(h[odd] == 0.0)
+        cfg = OracleConfig(n_levels=n, substeps_per_unit=40.0, grid_points=3)
+        for psi in evolve_doubled_thermal(complex_coupling_ramp(), 2.0, cfg).states:
+            assert np.all(psi.c_matrix()[odd] == 0.0)
+
+        vacuum_sectors = [0, 3, 12, 15, 5, 6, 9, 10]
+        outside = np.setdiff1d(np.arange(16), vacuum_sectors)
+        h_hat = build_fermion_hamiltonian(1.0, 0.3 + 0.2j, 0.1 - 0.4j, doubled=True).h_hat
+        assert np.all(h_hat.matrix[np.ix_(outside, vacuum_sectors)] == 0.0)
+        p = FermionProtocol(
+            Constant(1.0), make_tanh_ramp(0.0, 0.5, 1.0, 0.2), Constant(0.0),
+            t_i=0.0, t_f=2.0,
+        )
+        traj = evolve_doubled_thermal(p, LN2, OracleConfig(substeps_per_unit=40.0, grid_points=3))
+        for psi in traj.states:
+            assert np.all(psi.vector[outside] == 0.0)
+
+
+def test_oracle_shares_no_solver_code():
+    """fock_oracle may take the two coefficient containers from mode_solver
+    and nothing else: that independence is what makes their agreement
+    evidence."""
+    tree = ast.parse(Path(tfdyn.fock_oracle.__file__).read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("mode_solver"):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported += [
+                "the module itself" for alias in node.names if alias.name.endswith("mode_solver")
+            ]
+    assert sorted(imported) == ["BosonModeVector", "FermionModeState"]
