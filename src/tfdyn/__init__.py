@@ -27,14 +27,12 @@ from .protocols import (
     validate,
 )
 from .mode_solver import (
-    BosonModeTrajectory,
     BosonModeVector,
     FermionModeState,
-    FermionModeTrajectory,
     IntegratorConfig,
     IntegratorStats,
+    ModeTrajectory,
     OscillatorMode,
-    OscillatorModeTrajectory,
     build_boson_generator,
     build_fermion_generator,
     solve_boson_mode,

@@ -43,7 +43,7 @@ from .mode_solver import (
     solve_fermion_modes,
     solve_oscillator_mode,
 )
-from .protocols import Protocol, evaluate, from_config, statistics_of, validate
+from .protocols import Protocol, evaluate, from_config, initial_frame, statistics_of, validate
 
 __all__ = [
     "RunConfig",
@@ -261,7 +261,7 @@ def parse_config(text: str, kind: str) -> RunConfig:
     # The thermal state at t_i is built at the initial frame frequency; a
     # fermion run needs it only for the oracle.
     if protocol is not None and (oracle_enabled or protocol.kind != "fermion"):
-        omega_i = _initial_frame(protocol)[1]
+        omega_i = initial_frame(protocol)[1]
         if not omega_i > 0.0:
             raise ConfigError(
                 f"the initial frame frequency must be positive for a thermal state, "
@@ -366,50 +366,21 @@ def _manifest_skeleton(config: RunConfig) -> dict:
 # quench runs
 # ---------------------------------------------------------------------------
 
-def _initial_frame(protocol: Protocol) -> tuple[float, float]:
-    """(mass, omega) of the static frame at t_i (mass 1 for abstract modes)."""
-    s0 = evaluate(protocol, protocol.t_i)
-    if protocol.kind == "oscillator":
-        return s0.mass, s0.omega
-    return 1.0, s0.omega0
+# unit tags of the modes.csv columns that are not dimensionless
+_MODE_UNITS = {"v": "1/sqrt(mass*freq)", "v_dot": "sqrt(freq/mass)", "mass": "mass"}
 
 
 def _mode_columns(traj) -> list[tuple[str, np.ndarray]]:
-    t_col = ("t [time]", traj.t)
-    kind = traj.protocol.kind
-    if kind == "boson":
-        return [
-            t_col,
-            ("re_f_minus [1]", traj.f_minus.real),
-            ("im_f_minus [1]", traj.f_minus.imag),
-            ("re_f_plus [1]", traj.f_plus.real),
-            ("im_f_plus [1]", traj.f_plus.imag),
-            ("commutator_deviation [1]", traj.commutator_deviation()),
-        ]
-    if kind == "oscillator":
-        return [
-            t_col,
-            ("re_v [1/sqrt(mass*freq)]", traj.v.real),
-            ("im_v [1/sqrt(mass*freq)]", traj.v.imag),
-            ("re_v_dot [sqrt(freq/mass)]", traj.v_dot.real),
-            ("im_v_dot [sqrt(freq/mass)]", traj.v_dot.imag),
-            ("mass [mass]", traj.mass),
-            ("wronskian_deviation [1]", traj.wronskian_deviation()),
-        ]
-    columns: list[tuple[str, np.ndarray]] = [t_col]
-    for name in (
-        "f_a_minus", "f_a_plus", "g_a_minus", "g_a_plus",
-        "f_b_minus", "f_b_plus", "g_b_minus", "g_b_plus",
-    ):
-        series = getattr(traj, name)
-        columns.append((f"re_{name} [1]", series.real))
-        columns.append((f"im_{name} [1]", series.imag))
-    columns += [
-        ("norm_a_deviation [1]", traj.norm_a_deviation()),
-        ("norm_b_deviation [1]", traj.norm_b_deviation()),
-        ("anticommutator_ab_deviation [1]", traj.anticommutator_ab_deviation()),
-        ("anticommutator_adag_b_deviation [1]", traj.anticommutator_adag_b_deviation()),
-    ]
+    """t, then each coefficient (re_/im_ parts when complex), then each meter."""
+    columns = [("t [time]", traj.t)]
+    for name, series in traj.columns.items():
+        unit = _MODE_UNITS.get(name, "1")
+        if np.iscomplexobj(series):
+            columns += [(f"re_{name} [{unit}]", series.real), (f"im_{name} [{unit}]", series.imag)]
+        else:
+            columns.append((f"{name} [{unit}]", series))
+    for meter in traj.drift:
+        columns.append((f"{meter}_deviation [1]", traj.deviation(meter)))
     return columns
 
 
@@ -423,7 +394,7 @@ def _boson_observables(config: RunConfig, traj) -> list[tuple[str, np.ndarray]]:
     """
     beta, hbar = config.beta, config.hbar
     protocol = config.protocol
-    m_i, omega_i = _initial_frame(protocol)
+    m_i, omega_i = initial_frame(protocol)
     theta = thermal_observables.theta(beta, omega_i, hbar, "boson")
     n_eq = thermal_observables.equilibrium_occupation(beta, omega_i, hbar, "boson")
 
@@ -473,7 +444,7 @@ def _boson_oracle_columns(
     protocol, hbar = config.protocol, config.hbar
     doubled = fock_oracle.evolve_doubled_thermal(protocol, config.beta, config.oracle)
     n = config.oracle.n_levels
-    m_i, omega_i = _initial_frame(protocol)
+    m_i, omega_i = initial_frame(protocol)
     s_f = evaluate(protocol, protocol.t_f)
     if protocol.kind == "oscillator":
         a_f = fock_oracle.frame_annihilation(s_f.mass, s_f.omega, n, m_i, omega_i, hbar)
@@ -521,7 +492,7 @@ def _fermion_oracle_columns(
 ) -> fock_oracle.DoubledTrajectory:
     protocol, hbar = config.protocol, config.hbar
     doubled = fock_oracle.evolve_doubled_thermal(protocol, config.beta, config.oracle)
-    _, omega_i = _initial_frame(protocol)
+    _, omega_i = initial_frame(protocol)
     theta = thermal_observables.theta(config.beta, omega_i, hbar, "fermion")
     ops = fock_oracle.build_fermion_space(doubled=True)
     basis = fock_oracle.fermion_doubled()

@@ -42,14 +42,7 @@ from scipy.linalg import expm
 
 from .errors import TruncationError
 from .mode_solver import BosonModeVector, FermionModeState
-from .protocols import (
-    BosonProtocol,
-    FermionProtocol,
-    OscillatorProtocol,
-    Protocol,
-    evaluate,
-    statistics_of,
-)
+from .protocols import FermionProtocol, Protocol, evaluate, initial_frame, statistics_of
 from .thermal_observables import EXP_ARG_MAX, theta as thermal_theta
 
 __all__ = [
@@ -868,17 +861,16 @@ class DoubledTrajectory:
     protocol: Protocol
 
 
-def _boson_coefficients(protocol: Protocol, times: np.ndarray) -> np.ndarray:
-    """(w0, Re w+, Im w+) of a boson or oscillator protocol at each of ``times``."""
+def _boson_coefficients(
+    protocol: Protocol, times: np.ndarray, frame: tuple[float, float]
+) -> np.ndarray:
+    """(w0, Re w+, Im w+) of a boson or oscillator protocol at each of ``times``;
+    an oscillator's are taken in the static ``frame`` (mass, omega)."""
     samples = [evaluate(protocol, float(t)) for t in times.ravel()]
-    if isinstance(protocol, BosonProtocol):
-        w = [(s.omega0, s.omega_plus.real, s.omega_plus.imag) for s in samples]
+    if protocol.kind == "oscillator":
+        w = [oscillator_boson_coefficients(s.mass, s.omega, *frame) + (0.0,) for s in samples]
     else:
-        s0 = evaluate(protocol, protocol.t_i)
-        w = [
-            oscillator_boson_coefficients(s.mass, s.omega, s0.mass, s0.omega) + (0.0,)
-            for s in samples
-        ]
+        w = [(s.omega0, s.omega_plus.real, s.omega_plus.imag) for s in samples]
     return np.array(w).reshape(times.shape + (3,))
 
 
@@ -926,7 +918,7 @@ def evolve_doubled_thermal(
     """
     config = config or OracleConfig()
     hbar = config.hbar
-    s0 = evaluate(protocol, protocol.t_i)
+    frame = initial_frame(protocol)
 
     grid = np.linspace(protocol.t_i, protocol.t_f, config.grid_points)
     cuts = sorted(set(grid.tolist()) | set(protocol.jump_times))
@@ -936,17 +928,15 @@ def evolve_doubled_thermal(
     # j-th unit coefficient restricted to the block.
     boson = statistics_of(protocol) != "fermion"
     if boson:
-        omega_i = s0.omega0 if isinstance(protocol, BosonProtocol) else s0.omega
         n = config.n_levels
         basis, shape = boson_doubled(n), (n, n)
         sectors = [np.arange(p, n, 2) for p in (0, 1)]  # even and odd number states
         index = [np.ix_(idx, idx) for idx in sectors]
-        coefficients = _boson_coefficients
+        coefficients = functools.partial(_boson_coefficients, frame=frame)
         unit_generators = [
             build_boson_hamiltonian(*w, n).matrix for w in ((1, 0), (0, 1), (0, 1j))
         ]
     else:
-        omega_i = s0.omega0
         basis, shape = fermion_doubled(), (16,)
         sectors = index = _FERMION_SECTORS
         coefficients = _fermion_coefficients
@@ -955,7 +945,7 @@ def evolve_doubled_thermal(
             for w in ((1, 0, 0), (0, 1, 0), (0, 1j, 0), (0, 0, 1), (0, 0, 1j))
         ]
     bases = [np.stack(unit_generators)[:, idx[:, None], idx] for idx in sectors]
-    _, psi0 = build_thermal_state_doubled(beta, omega_i, hbar, basis)
+    _, psi0 = build_thermal_state_doubled(beta, frame[1], hbar, basis)
     blocks = [psi0.vector.reshape(shape)[idx] for idx in index]
 
     def assemble() -> np.ndarray:

@@ -19,14 +19,15 @@ linear ODE systems:
 
 All solvers integrate with an adaptive explicit Runge-Kutta scheme (DOP853)
 with an embedded error estimate, restart at declared jump times, and return
-samples on a uniform grid together with a drift report for the conserved
-quantities.  Drift is reported, never renormalised away.
+one ``ModeTrajectory`` for every kind: named samples on a uniform grid
+together with a drift report for the kind's conserved quantities.  Drift is
+reported, never renormalised away.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -38,6 +39,7 @@ from .protocols import (
     BosonProtocol,
     FermionProtocol,
     OscillatorProtocol,
+    Protocol,
     check_initial_state,
     evaluate,
 )
@@ -48,9 +50,7 @@ __all__ = [
     "BosonModeVector",
     "OscillatorMode",
     "FermionModeState",
-    "BosonModeTrajectory",
-    "OscillatorModeTrajectory",
-    "FermionModeTrajectory",
+    "ModeTrajectory",
     "build_boson_generator",
     "build_fermion_generator",
     "solve_boson_mode",
@@ -198,13 +198,11 @@ def build_fermion_generator(
 
 def _integrate(
     rhs: Callable[[float, np.ndarray], np.ndarray],
-    t_i: float,
-    t_f: float,
+    protocol: Protocol,
     y0: np.ndarray,
-    jump_times: tuple[float, ...],
-    config: IntegratorConfig,
+    config: IntegratorConfig | None,
 ) -> tuple[np.ndarray, np.ndarray, IntegratorStats]:
-    """Integrate across [t_i, t_f], restarting at declared jumps.
+    """Integrate across the protocol window, restarting at declared jumps.
 
     Returns the uniform sample grid, the state at each grid point, and the
     integrator statistics.  Coefficients are never evaluated exactly at a
@@ -212,13 +210,15 @@ def _integrate(
     right-continuous there, which would leak the wrong side into the last
     Runge-Kutta stage); the evaluation time is nudged left by ~1e-12 instead.
     """
+    config = config or IntegratorConfig()
+    t_i, t_f = protocol.t_i, protocol.t_f
     grid = np.linspace(t_i, t_f, config.grid_points)
     y = np.asarray(y0, dtype=complex)
     out = np.empty((config.grid_points, y.size), dtype=complex)
     out[0] = y
     filled = 1
 
-    bounds = [t_i, *jump_times, t_f]
+    bounds = [t_i, *protocol.jump_times, t_f]
     accepted = 0
     nfev = 0
     dense_calls = 0
@@ -288,152 +288,145 @@ def _integrate(
 # trajectories
 # ---------------------------------------------------------------------------
 
+def _commutator(traj: ModeTrajectory) -> np.ndarray:
+    return np.abs(np.abs(traj.f_minus) ** 2 - np.abs(traj.f_plus) ** 2 - 1.0)
+
+
+def _wronskian(traj: ModeTrajectory) -> np.ndarray:
+    w = traj.mass * (np.conj(traj.v_dot) * traj.v - traj.v_dot * np.conj(traj.v))
+    return np.abs(w - 1j)
+
+
+def _norm_a(traj: ModeTrajectory) -> np.ndarray:
+    return np.abs(
+        np.abs(traj.f_a_minus) ** 2 + np.abs(traj.f_a_plus) ** 2
+        + np.abs(traj.g_a_minus) ** 2 + np.abs(traj.g_a_plus) ** 2 - 1.0
+    )
+
+
+def _norm_b(traj: ModeTrajectory) -> np.ndarray:
+    return np.abs(
+        np.abs(traj.f_b_minus) ** 2 + np.abs(traj.f_b_plus) ** 2
+        + np.abs(traj.g_b_minus) ** 2 + np.abs(traj.g_b_plus) ** 2 - 1.0
+    )
+
+
+def _anticommutator_ab(traj: ModeTrajectory) -> np.ndarray:
+    """|{a(t), b(t)}| = |fa- fb+ + fa+ fb- + ga- gb+ + ga+ gb-|, conserved at 0."""
+    return np.abs(
+        traj.f_a_minus * traj.f_b_plus + traj.f_a_plus * traj.f_b_minus
+        + traj.g_a_minus * traj.g_b_plus + traj.g_a_plus * traj.g_b_minus
+    )
+
+
+def _anticommutator_adag_b(traj: ModeTrajectory) -> np.ndarray:
+    """|{a(t)^dag, b(t)}|, conserved at 0."""
+    return np.abs(
+        np.conj(traj.f_a_minus) * traj.f_b_minus + np.conj(traj.f_a_plus) * traj.f_b_plus
+        + np.conj(traj.g_a_minus) * traj.g_b_minus + np.conj(traj.g_a_plus) * traj.g_b_plus
+    )
+
+
+# kind -> (sample type, conserved-quantity meters).  A sample type's fields
+# after ``t`` name the kind's columns, in modes.csv order.
+_KINDS: dict[str, tuple[type, dict[str, Callable[[ModeTrajectory], np.ndarray]]]] = {
+    "boson": (BosonModeVector, {"commutator": _commutator}),
+    "oscillator": (OscillatorMode, {"wronskian": _wronskian}),
+    "fermion": (
+        FermionModeState,
+        {
+            "norm_a": _norm_a,
+            "norm_b": _norm_b,
+            "anticommutator_ab": _anticommutator_ab,
+            "anticommutator_adag_b": _anticommutator_adag_b,
+        },
+    ),
+}
+
+
 @dataclass
-class BosonModeTrajectory:
+class ModeTrajectory:
+    """One solve of any kind: named coefficient series on the sample grid.
+
+    ``columns`` holds the kind's series in modes.csv order (``f_minus,
+    f_plus``; ``v, v_dot, mass``; or the eight fermion coefficients), and
+    each reads as an attribute (``traj.f_minus``, ``traj.v``).  ``drift``
+    maps every conserved-quantity meter of the kind to its largest deviation.
+    """
+
     t: np.ndarray
-    f_minus: np.ndarray
-    f_plus: np.ndarray
-    drift: dict[str, float]
+    columns: dict[str, np.ndarray]
     stats: IntegratorStats
-    protocol: BosonProtocol
+    protocol: Protocol
+    drift: dict[str, float] = field(init=False)
 
-    def commutator_deviation(self) -> np.ndarray:
-        return np.abs(np.abs(self.f_minus) ** 2 - np.abs(self.f_plus) ** 2 - 1.0)
+    def __post_init__(self) -> None:
+        meters = _KINDS[self.protocol.kind][1]
+        self.drift = {name: float(np.max(self.deviation(name))) for name in meters}
 
-    def sample(self, k: int) -> BosonModeVector:
-        return BosonModeVector(float(self.t[k]), complex(self.f_minus[k]), complex(self.f_plus[k]))
+    def __getattr__(self, name: str) -> np.ndarray:
+        try:
+            return self.__dict__["columns"][name]
+        except KeyError:
+            raise AttributeError(name) from None
+
+    def deviation(self, meter: str) -> np.ndarray:
+        """The deviation of one conserved quantity at every grid point."""
+        return _KINDS[self.protocol.kind][1][meter](self)
+
+    def sample(self, k: int) -> BosonModeVector | OscillatorMode | FermionModeState:
+        sample_type = _KINDS[self.protocol.kind][0]
+        return sample_type(
+            float(self.t[k]), **{name: s[k].item() for name, s in self.columns.items()}
+        )
 
     @property
-    def final(self) -> BosonModeVector:
+    def final(self) -> BosonModeVector | OscillatorMode | FermionModeState:
         return self.sample(-1)
-
-
-@dataclass
-class OscillatorModeTrajectory:
-    t: np.ndarray
-    v: np.ndarray
-    v_dot: np.ndarray
-    mass: np.ndarray
-    drift: dict[str, float]
-    stats: IntegratorStats
-    protocol: OscillatorProtocol
-
-    def wronskian_deviation(self) -> np.ndarray:
-        w = self.mass * (np.conj(self.v_dot) * self.v - self.v_dot * np.conj(self.v))
-        return np.abs(w - 1j)
-
-    def sample(self, k: int) -> OscillatorMode:
-        return OscillatorMode(
-            float(self.t[k]), complex(self.v[k]), complex(self.v_dot[k]), float(self.mass[k])
-        )
-
-    @property
-    def final(self) -> OscillatorMode:
-        return self.sample(-1)
-
-
-_FERMION_FIELDS = (
-    "f_a_minus", "f_a_plus", "g_a_minus", "g_a_plus",
-    "f_b_minus", "f_b_plus", "g_b_minus", "g_b_plus",
-)
-
-
-@dataclass
-class FermionModeTrajectory:
-    t: np.ndarray
-    f_a_minus: np.ndarray
-    f_a_plus: np.ndarray
-    g_a_minus: np.ndarray
-    g_a_plus: np.ndarray
-    f_b_minus: np.ndarray
-    f_b_plus: np.ndarray
-    g_b_minus: np.ndarray
-    g_b_plus: np.ndarray
-    drift: dict[str, float]
-    stats: IntegratorStats
-    protocol: FermionProtocol
-
-    def sample(self, k: int) -> FermionModeState:
-        return FermionModeState(
-            float(self.t[k]),
-            *(complex(getattr(self, name)[k]) for name in _FERMION_FIELDS),
-        )
-
-    @property
-    def final(self) -> FermionModeState:
-        return self.sample(-1)
-
-    def norm_a_deviation(self) -> np.ndarray:
-        return np.abs(
-            np.abs(self.f_a_minus) ** 2 + np.abs(self.f_a_plus) ** 2
-            + np.abs(self.g_a_minus) ** 2 + np.abs(self.g_a_plus) ** 2 - 1.0
-        )
-
-    def norm_b_deviation(self) -> np.ndarray:
-        return np.abs(
-            np.abs(self.f_b_minus) ** 2 + np.abs(self.f_b_plus) ** 2
-            + np.abs(self.g_b_minus) ** 2 + np.abs(self.g_b_plus) ** 2 - 1.0
-        )
-
-    def anticommutator_ab_deviation(self) -> np.ndarray:
-        """|{a(t), b(t)}| = |fa- fb+ + fa+ fb- + ga- gb+ + ga+ gb-|, conserved at 0."""
-        return np.abs(
-            self.f_a_minus * self.f_b_plus + self.f_a_plus * self.f_b_minus
-            + self.g_a_minus * self.g_b_plus + self.g_a_plus * self.g_b_minus
-        )
-
-    def anticommutator_adag_b_deviation(self) -> np.ndarray:
-        """|{a(t)^dag, b(t)}|, conserved at 0."""
-        return np.abs(
-            np.conj(self.f_a_minus) * self.f_b_minus + np.conj(self.f_a_plus) * self.f_b_plus
-            + np.conj(self.g_a_minus) * self.g_b_minus + np.conj(self.g_a_plus) * self.g_b_plus
-        )
 
 
 # ---------------------------------------------------------------------------
 # solvers
 # ---------------------------------------------------------------------------
 
+def _require(protocol: Protocol, kind: str) -> None:
+    """Refuse another kind's protocol, then non-standard initial data."""
+    got = getattr(protocol, "kind", type(protocol).__name__)
+    if got != kind:
+        raise TypeError(f"the {kind} mode solver needs a {kind} protocol, got {got}")
+    check_initial_state(protocol)
+
+
 def solve_boson_mode(
     protocol: BosonProtocol, config: IntegratorConfig | None = None
-) -> BosonModeTrajectory:
+) -> ModeTrajectory:
     """Integrate the boson mode vector V = (f-, f+) from V(t_i) = (1, 0).
 
     The initial condition identifies a(t_i) with the static operator a, which
     requires the initial Hamiltonian to be diagonal: |w+(t_i)| must not exceed
     ``INITIAL_DIAGONAL_TOL``.
     """
-    config = config or IntegratorConfig()
-    check_initial_state(protocol)
+    _require(protocol, "boson")
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         s = evaluate(protocol, t)
         m = build_boson_generator(s.omega0, s.omega_plus)
         return 1j * (m @ y)
 
-    grid, out, stats = _integrate(
-        rhs, protocol.t_i, protocol.t_f, np.array([1.0, 0.0], dtype=complex),
-        protocol.jump_times, config,
-    )
-    traj = BosonModeTrajectory(
-        t=grid, f_minus=out[:, 0], f_plus=out[:, 1],
-        drift={}, stats=stats, protocol=protocol,
-    )
-    traj.drift = {"commutator": float(np.max(traj.commutator_deviation()))}
-    return traj
+    grid, out, stats = _integrate(rhs, protocol, np.array([1.0, 0.0], dtype=complex), config)
+    return ModeTrajectory(grid, {"f_minus": out[:, 0], "f_plus": out[:, 1]}, stats, protocol)
 
 
 def solve_oscillator_mode(
     protocol: OscillatorProtocol, config: IntegratorConfig | None = None
-) -> OscillatorModeTrajectory:
+) -> ModeTrajectory:
     """Integrate v'' + (m'/m) v' + w^2 v = 0 from the adiabatic initial data.
 
     v(t_i) = 1/sqrt(2 m w), v'(t_i) = -i w v(t_i) (both evaluated at t_i),
     which makes the conserved Wronskian m (v'* v - v' v*) exactly i.  Requires
     mass_dot(t_i) = 0 and w(t_i) > 0.
     """
-    config = config or IntegratorConfig()
-    check_initial_state(protocol)
+    _require(protocol, "oscillator")
     s0 = evaluate(protocol, protocol.t_i)
     v0 = 1.0 / math.sqrt(2.0 * s0.mass * s0.omega)
     y0 = np.array([v0, -1j * s0.omega * v0], dtype=complex)
@@ -445,21 +438,15 @@ def solve_oscillator_mode(
             [v_dot, -(s.mass_dot / s.mass) * v_dot - s.omega**2 * v], dtype=complex
         )
 
-    grid, out, stats = _integrate(
-        rhs, protocol.t_i, protocol.t_f, y0, protocol.jump_times, config
-    )
+    grid, out, stats = _integrate(rhs, protocol, y0, config)
     mass = np.array([evaluate(protocol, float(t)).mass for t in grid])
-    traj = OscillatorModeTrajectory(
-        t=grid, v=out[:, 0], v_dot=out[:, 1], mass=mass,
-        drift={}, stats=stats, protocol=protocol,
-    )
-    traj.drift = {"wronskian": float(np.max(traj.wronskian_deviation()))}
-    return traj
+    columns = {"v": out[:, 0], "v_dot": out[:, 1], "mass": mass}
+    return ModeTrajectory(grid, columns, stats, protocol)
 
 
 def solve_fermion_modes(
     protocol: FermionProtocol, config: IntegratorConfig | None = None
-) -> FermionModeTrajectory:
+) -> ModeTrajectory:
     """Integrate both fermion invariant operators from the static initial data.
 
     fa-(t_i) = 1 and gb-(t_i) = 1 (all other coefficients zero), i.e.
@@ -467,8 +454,7 @@ def solve_fermion_modes(
     diagonal initial Hamiltonian: |w+(t_i)| and |w-(t_i)| below
     ``INITIAL_DIAGONAL_TOL``.
     """
-    config = config or IntegratorConfig()
-    check_initial_state(protocol)
+    _require(protocol, "fermion")
 
     # y = (W_a, Z_a, W_b, Z_b) flattened; both channels obey the same system.
     y0 = np.zeros(8, dtype=complex)
@@ -483,28 +469,12 @@ def solve_fermion_modes(
         dy[4:] = -1j * (gen @ y[4:])
         return dy
 
-    grid, out, stats = _integrate(
-        rhs, protocol.t_i, protocol.t_f, y0, protocol.jump_times, config
-    )
-
-    def coeff(w1, w2):
-        return (w1 + w2) / _SQRT2, (w1 - w2) / _SQRT2
-
-    f_a_minus, f_a_plus = coeff(out[:, 0], out[:, 1])
-    g_a_minus, g_a_plus = coeff(out[:, 2], out[:, 3])
-    f_b_minus, f_b_plus = coeff(out[:, 4], out[:, 5])
-    g_b_minus, g_b_plus = coeff(out[:, 6], out[:, 7])
-
-    traj = FermionModeTrajectory(
-        t=grid,
-        f_a_minus=f_a_minus, f_a_plus=f_a_plus, g_a_minus=g_a_minus, g_a_plus=g_a_plus,
-        f_b_minus=f_b_minus, f_b_plus=f_b_plus, g_b_minus=g_b_minus, g_b_plus=g_b_plus,
-        drift={}, stats=stats, protocol=protocol,
-    )
-    traj.drift = {
-        "norm_a": float(np.max(traj.norm_a_deviation())),
-        "norm_b": float(np.max(traj.norm_b_deviation())),
-        "anticommutator_ab": float(np.max(traj.anticommutator_ab_deviation())),
-        "anticommutator_adag_b": float(np.max(traj.anticommutator_adag_b_deviation())),
-    }
-    return traj
+    grid, out, stats = _integrate(rhs, protocol, y0, config)
+    # each pair (w1, w2) of y holds (c- + c+, c- - c+)/sqrt(2) for the next
+    # two coefficients, in FermionModeState order
+    series = []
+    for j in range(0, 8, 2):
+        w1, w2 = out[:, j], out[:, j + 1]
+        series += [(w1 + w2) / _SQRT2, (w1 - w2) / _SQRT2]
+    names = [f.name for f in fields(FermionModeState)[1:]]
+    return ModeTrajectory(grid, dict(zip(names, series)), stats, protocol)

@@ -38,6 +38,7 @@ __all__ = [
     "evaluate",
     "make_tanh_ramp",
     "check_initial_state",
+    "initial_frame",
     "validate",
     "from_config",
     "statistics_of",
@@ -365,6 +366,14 @@ def check_initial_state(protocol: Protocol) -> None:
                 f"{name}(t_i) = {value} is not zero; the initial Hamiltonian must "
                 "be diagonal for the standard initial data"
             )
+
+
+def initial_frame(protocol: Protocol) -> tuple[float, float]:
+    """(mass, omega) of the static frame at t_i (mass 1 for abstract modes)."""
+    s0 = evaluate(protocol, protocol.t_i)
+    if protocol.kind == "oscillator":
+        return s0.mass, s0.omega
+    return 1.0, s0.omega0
 
 
 # ---------------------------------------------------------------------------

@@ -164,44 +164,38 @@ def run_all(settings: VerificationSettings | None = None) -> list[CheckResult]:
         results.append(_skip("c01d_equilibrium_fermion_oracle"))
 
     # -- criterion 2: conservation laws over tanh quenches on [0, 10] -----
-    boson_quench = BosonProtocol(
-        omega0=Constant(1.0), omega_plus=make_tanh_ramp(0.0, 0.5, 5.0, 0.5),
-        t_i=0.0, t_f=10.0,
-    )
-    boson_traj = mode_solver.solve_boson_mode(boson_quench, mode_cfg)
-    dev = boson_traj.drift["commutator"]
-    results.append(
-        CheckResult(
-            "c02a_boson_commutator_conservation", dev < 1e-9, dev, 1e-9,
-            "max | |f-|^2 - |f+|^2 - 1 |",
-        )
-    )
-
+    # each check reports the worst of its kind's meters
     osc_quench = OscillatorProtocol(
         mass=Constant(1.0), omega=make_tanh_ramp(1.0, 2.0, 5.0, 0.5),
         t_i=0.0, t_f=10.0,
     )
-    osc_traj = mode_solver.solve_oscillator_mode(osc_quench, mode_cfg)
-    dev = osc_traj.drift["wronskian"]
-    results.append(
-        CheckResult(
-            "c02b_oscillator_wronskian_conservation", dev < 1e-9, dev, 1e-9,
-            "max | m (v'* v - v' v*) - i |",
-        )
-    )
-
-    fermion_quench = FermionProtocol(
-        omega0=Constant(1.0), omega_plus=make_tanh_ramp(0.0, 0.5, 5.0, 0.5),
-        omega_minus=Constant(0.0), t_i=0.0, t_f=10.0,
-    )
-    fermion_traj = mode_solver.solve_fermion_modes(fermion_quench, mode_cfg)
-    dev = max(fermion_traj.drift.values())
-    results.append(
-        CheckResult(
-            "c02c_fermion_anticommutator_conservation", dev < 1e-9, dev, 1e-9,
+    conserved = {}
+    for name, solve, quench, detail in (
+        (
+            "c02a_boson_commutator_conservation", mode_solver.solve_boson_mode,
+            BosonProtocol(
+                omega0=Constant(1.0), omega_plus=make_tanh_ramp(0.0, 0.5, 5.0, 0.5),
+                t_i=0.0, t_f=10.0,
+            ),
+            "max | |f-|^2 - |f+|^2 - 1 |",
+        ),
+        (
+            "c02b_oscillator_wronskian_conservation", mode_solver.solve_oscillator_mode,
+            osc_quench, "max | m (v'* v - v' v*) - i |",
+        ),
+        (
+            "c02c_fermion_anticommutator_conservation", mode_solver.solve_fermion_modes,
+            FermionProtocol(
+                omega0=Constant(1.0), omega_plus=make_tanh_ramp(0.0, 0.5, 5.0, 0.5),
+                omega_minus=Constant(0.0), t_i=0.0, t_f=10.0,
+            ),
             "max over W^dag W + Z^dag Z - 1 and cross anticommutators",
-        )
-    )
+        ),
+    ):
+        traj = conserved[quench.kind] = solve(quench, mode_cfg)
+        dev = max(traj.drift.values())
+        results.append(CheckResult(name, dev < 1e-9, dev, 1e-9, detail))
+    osc_traj = conserved["oscillator"]
 
     # -- criterion 3: thermal-state conditions along evolved trajectories -
     beta = 1.0 / hbar

@@ -58,6 +58,26 @@ key = protocol.width
 values = 1.0, 2.0
 """
 
+MODES_HEADERS = {
+    "boson": (
+        "t [time],re_f_minus [1],im_f_minus [1],re_f_plus [1],im_f_plus [1],"
+        "commutator_deviation [1]"
+    ),
+    "oscillator": (
+        "t [time],re_v [1/sqrt(mass*freq)],im_v [1/sqrt(mass*freq)],"
+        "re_v_dot [sqrt(freq/mass)],im_v_dot [sqrt(freq/mass)],mass [mass],"
+        "wronskian_deviation [1]"
+    ),
+    "fermion": (
+        "t [time],re_f_a_minus [1],im_f_a_minus [1],re_f_a_plus [1],im_f_a_plus [1],"
+        "re_g_a_minus [1],im_g_a_minus [1],re_g_a_plus [1],im_g_a_plus [1],"
+        "re_f_b_minus [1],im_f_b_minus [1],re_f_b_plus [1],im_f_b_plus [1],"
+        "re_g_b_minus [1],im_g_b_minus [1],re_g_b_plus [1],im_g_b_plus [1],"
+        "norm_a_deviation [1],norm_b_deviation [1],anticommutator_ab_deviation [1],"
+        "anticommutator_adag_b_deviation [1]"
+    ),
+}
+
 VERIFY_FAST = """
 [run]
 kind = verify
@@ -240,6 +260,17 @@ class TestRunQuench:
         for volatile in ("created_utc", "duration_seconds"):
             a.pop(volatile), b.pop(volatile)
         assert a == b
+
+    @pytest.mark.parametrize("kind", sorted(MODES_HEADERS))
+    def test_modes_csv_header(self, tmp_path, kind):
+        """The modes.csv schema of each kind: column names, order and units."""
+        text = QUENCH_CONSTANT.format(beta=1.0).replace("n_levels = 32", "enabled = false")
+        # a constant fermion drive would couple the modes at t_i
+        drive = "\ndrive = omega0" if kind == "fermion" else ""
+        text = text.replace("kind = boson", f"kind = {kind}{drive}")
+        run_quench(parse_config(text, "quench"), tmp_path)
+        header = (tmp_path / "modes.csv").read_text().splitlines()[0]
+        assert header == MODES_HEADERS[kind]
 
 
 class TestRunSweep:

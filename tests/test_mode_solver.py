@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tfdyn import (
     BosonProtocol,
@@ -96,7 +97,7 @@ class TestBosonMode:
             Constant(1.0), make_tanh_ramp(0.0, 0.5, 5.0, 0.5), t_i=0.0, t_f=10.0
         )
         traj = solve_boson_mode(p, TIGHT)
-        assert np.max(traj.commutator_deviation()) < 1e-10
+        assert np.max(traj.deviation("commutator")) < 1e-10
         assert traj.drift["commutator"] < 1e-10
 
     def test_nondiagonal_initial_hamiltonian_refused(self):
@@ -117,7 +118,7 @@ class TestBosonMode:
             t_i=0.0, t_f=10.0,
         )
         traj = solve_boson_mode(p, TIGHT)
-        assert np.max(traj.commutator_deviation()) < 1e-9
+        assert np.max(traj.deviation("commutator")) < 1e-9
 
     def test_operator_identity_against_truncated_unitary(self):
         """a(t) = U a U^dag, checked entry-wise away from the truncation edge.
@@ -169,7 +170,7 @@ class TestOscillatorMode:
             Constant(1.0), make_tanh_ramp(1.0, 2.0, 5.0, 0.5), t_i=0.0, t_f=10.0
         )
         traj = solve_oscillator_mode(p, TIGHT)
-        assert np.max(traj.wronskian_deviation()) < 1e-10
+        assert np.max(traj.deviation("wronskian")) < 1e-10
 
     def test_wronskian_conserved_through_mass_ramp(self):
         ramp = make_tanh_ramp(1.0, 2.0, 5.0, 0.5)
@@ -178,7 +179,7 @@ class TestOscillatorMode:
             t_i=0.0, t_f=10.0,
         )
         traj = solve_oscillator_mode(p, TIGHT)
-        assert np.max(traj.wronskian_deviation()) < 1e-10
+        assert np.max(traj.deviation("wronskian")) < 1e-10
         assert traj.mass[-1] == pytest.approx(2.0, rel=1e-8)
 
     def test_declared_jump_reproduces_sudden_matching(self):
@@ -301,6 +302,63 @@ class TestFermionModes:
             lhs = u @ bare.matrix @ u.conj().T
             rhs = invariant_operator_matrix(final, fermion_single(), channel=channel).matrix
             assert np.max(np.abs(lhs - rhs)) < 1e-10, channel
+
+
+SOLVERS = {
+    "boson": solve_boson_mode,
+    "oscillator": solve_oscillator_mode,
+    "fermion": solve_fermion_modes,
+}
+
+STATIC = {
+    "boson": BosonProtocol(Constant(1.0), Constant(0.0), t_i=0.0, t_f=1.0),
+    "oscillator": OscillatorProtocol(Constant(1.0), Constant(1.0), t_i=0.0, t_f=1.0),
+    "fermion": FermionProtocol(Constant(1.0), Constant(0.0), Constant(0.0), t_i=0.0, t_f=1.0),
+}
+
+
+def _complex_coupling(re, im):
+    return lambda t: complex(re(t), im(t))
+
+
+def _oscillator(mass, omega, **window):
+    # the analytic mass_dot, as configs supply it; the finite-difference
+    # fallback alone leaves a ~5e-10 Wronskian drift on these ramps
+    return OscillatorProtocol(mass, omega, mass_dot=mass.derivative, **window)
+
+
+# Tanh ramps centred at 4.5..5.5 with widths up to 0.5 are below 1e-7 at
+# t_i = 0, so every drawn coupling passes the diagonal-initial-Hamiltonian
+# check; |w+| < 0.43 < w0 keeps the boson drive stable.
+_centers, _widths = st.floats(4.5, 5.5), st.floats(0.3, 0.5)
+_level = st.builds(make_tanh_ramp, st.floats(0.5, 2.0), st.floats(0.5, 2.0), _centers, _widths)
+_part = st.builds(make_tanh_ramp, st.just(0.0), st.floats(-0.3, 0.3), _centers, _widths)
+_coupling = st.builds(_complex_coupling, _part, _part)
+_window = {"t_i": st.just(0.0), "t_f": st.just(10.0)}
+RAMPS = {
+    "boson": st.builds(BosonProtocol, _level, _coupling, **_window),
+    "oscillator": st.builds(_oscillator, _level, _level, **_window),
+    "fermion": st.builds(FermionProtocol, _level, _coupling, _coupling, **_window),
+}
+
+
+class TestModeTrajectory:
+    @pytest.mark.parametrize(
+        "solver_kind, protocol_kind",
+        [(a, b) for a in SOLVERS for b in SOLVERS if a != b],
+    )
+    def test_solver_refuses_another_kinds_protocol(self, solver_kind, protocol_kind):
+        with pytest.raises(TypeError, match=f"{solver_kind} protocol, got {protocol_kind}"):
+            SOLVERS[solver_kind](STATIC[protocol_kind])
+
+    @pytest.mark.parametrize("kind", sorted(RAMPS))
+    @settings(derandomize=True, database=None, max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_meters_hold_for_random_complex_ramps(self, kind, data):
+        traj = SOLVERS[kind](data.draw(RAMPS[kind]), TIGHT)
+        for meter, drift in traj.drift.items():
+            assert drift == np.max(traj.deviation(meter))
+            assert drift <= 1e-10, f"{meter} drift {drift}"
 
 
 class TestIntegratorConfig:
