@@ -42,7 +42,7 @@ from scipy.linalg import expm
 
 from .errors import TruncationError
 from .mode_solver import BosonModeVector, FermionModeState
-from .protocols import FermionProtocol, Protocol, evaluate, initial_frame, statistics_of
+from .protocols import Protocol, evaluate, initial_frame, statistics_of
 from .thermal_observables import EXP_ARG_MAX, theta as thermal_theta
 
 __all__ = [
@@ -861,27 +861,22 @@ class DoubledTrajectory:
     protocol: Protocol
 
 
-def _boson_coefficients(
+def _coefficients(
     protocol: Protocol, times: np.ndarray, frame: tuple[float, float]
 ) -> np.ndarray:
-    """(w0, Re w+, Im w+) of a boson or oscillator protocol at each of ``times``;
-    an oscillator's are taken in the static ``frame`` (mass, omega)."""
+    """The real coefficients of H at each of ``times``: ``omega0``, then the
+    real and imaginary part of each coupling channel.  An oscillator gives
+    (w0, w+, 0) in the static ``frame`` (mass, omega)."""
     samples = [evaluate(protocol, float(t)) for t in times.ravel()]
     if protocol.kind == "oscillator":
         w = [oscillator_boson_coefficients(s.mass, s.omega, *frame) + (0.0,) for s in samples]
     else:
-        w = [(s.omega0, s.omega_plus.real, s.omega_plus.imag) for s in samples]
-    return np.array(w).reshape(times.shape + (3,))
-
-
-def _fermion_coefficients(protocol: FermionProtocol, times: np.ndarray) -> np.ndarray:
-    """(w0, Re w+, Im w+, Re w-, Im w-) at each of ``times``."""
-    samples = [evaluate(protocol, float(t)) for t in times.ravel()]
-    w = [
-        (s.omega0, s.omega_plus.real, s.omega_plus.imag, s.omega_minus.real, s.omega_minus.imag)
-        for s in samples
-    ]
-    return np.array(w).reshape(times.shape + (5,))
+        couplings = protocol.channels[1:]
+        w = [
+            (s.omega0, *(x for c in couplings for x in (getattr(s, c).real, getattr(s, c).imag)))
+            for s in samples
+        ]
+    return np.array(w).reshape(times.shape + (-1,))
 
 
 def _generator_stacks(coeffs: np.ndarray, bases: list[np.ndarray]) -> list[np.ndarray]:
@@ -932,14 +927,12 @@ def evolve_doubled_thermal(
         basis, shape = boson_doubled(n), (n, n)
         sectors = [np.arange(p, n, 2) for p in (0, 1)]  # even and odd number states
         index = [np.ix_(idx, idx) for idx in sectors]
-        coefficients = functools.partial(_boson_coefficients, frame=frame)
         unit_generators = [
             build_boson_hamiltonian(*w, n).matrix for w in ((1, 0), (0, 1), (0, 1j))
         ]
     else:
         basis, shape = fermion_doubled(), (16,)
         sectors = index = _FERMION_SECTORS
-        coefficients = _fermion_coefficients
         unit_generators = [
             build_fermion_hamiltonian(*w, doubled=True).h_hat.matrix
             for w in ((1, 0, 0), (0, 1, 0), (0, 1j, 0), (0, 0, 1), (0, 0, 1j))
@@ -982,7 +975,8 @@ def evolve_doubled_thermal(
         for first in range(0, steps, _CHUNK // 2):
             k = np.arange(first, min(first + _CHUNK // 2, steps))
             times = left + (k + _CFM4_NODES[:, None]) * step
-            exponents = np.tensordot(_CFM4_WEIGHTS, hbar * coefficients(protocol, times), axes=1)
+            coeffs = _coefficients(protocol, times, frame)
+            exponents = np.tensordot(_CFM4_WEIGHTS, hbar * coeffs, axes=1)
             for b, h in enumerate(_generator_stacks(exponents, bases)):
                 u = _ordered_product(_cfm4_steps(h, step, hbar))
                 blocks[b] = u @ blocks[b] @ u.conj().T if boson else u @ blocks[b]

@@ -109,11 +109,6 @@ class BosonModeVector:
     f_minus: complex
     f_plus: complex
 
-    @property
-    def commutator_deviation(self) -> float:
-        """| |f-|^2 - |f+|^2 - 1 |, zero when [a(t), a(t)^dag] = 1."""
-        return abs(abs(self.f_minus) ** 2 - abs(self.f_plus) ** 2 - 1.0)
-
 
 @dataclass(frozen=True)
 class OscillatorMode:

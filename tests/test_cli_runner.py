@@ -78,6 +78,26 @@ MODES_HEADERS = {
     ),
 }
 
+OBSERVABLES_HEADERS = {
+    ("boson", False): (
+        "t [time],occupation_equilibrium [1],nu_sq [1],occupation_evolved [1],"
+        "q2 [length^2],q4 [length^4]"
+    ),
+    ("fermion", False): "t [time],production_a [1],production_b [1]",
+    ("boson", True): (
+        "t [time],occupation_equilibrium [1],nu_sq [1],occupation_evolved [1],"
+        "q2 [length^2],q4 [length^4],oracle_occupation [1],occupation_abs_diff [1],"
+        "oracle_q2 [length^2],q2_abs_diff [length^2],oracle_q4 [length^4],"
+        "q4_abs_diff [length^4],oracle_tail_weight [1]"
+    ),
+    ("fermion", True): (
+        "t [time],production_a [1],production_b [1],oracle_occupation_a [1],"
+        "oracle_occupation_b [1],oracle_condition_residual_max [1],oracle_tail_weight [1]"
+    ),
+}
+OBSERVABLES_HEADERS["oscillator", False] = OBSERVABLES_HEADERS["boson", False]
+OBSERVABLES_HEADERS["oscillator", True] = OBSERVABLES_HEADERS["boson", True]
+
 VERIFY_FAST = """
 [run]
 kind = verify
@@ -263,14 +283,21 @@ class TestRunQuench:
 
     @pytest.mark.parametrize("kind", sorted(MODES_HEADERS))
     def test_modes_csv_header(self, tmp_path, kind):
-        """The modes.csv schema of each kind: column names, order and units."""
-        text = QUENCH_CONSTANT.format(beta=1.0).replace("n_levels = 32", "enabled = false")
-        # a constant fermion drive would couple the modes at t_i
-        drive = "\ndrive = omega0" if kind == "fermion" else ""
-        text = text.replace("kind = boson", f"kind = {kind}{drive}")
-        run_quench(parse_config(text, "quench"), tmp_path)
-        header = (tmp_path / "modes.csv").read_text().splitlines()[0]
-        assert header == MODES_HEADERS[kind]
+        """The modes.csv and observables.csv schema of each kind, with the
+        oracle off and on: column names, order and units."""
+        for oracle in (False, True):
+            text = QUENCH_CONSTANT.format(beta=1.0)
+            if not oracle:
+                text = text.replace("n_levels = 32", "enabled = false")
+            # a constant fermion drive would couple the modes at t_i
+            drive = "\ndrive = omega0" if kind == "fermion" else ""
+            text = text.replace("kind = boson", f"kind = {kind}{drive}")
+            out = tmp_path / f"oracle_{oracle}"
+            run_quench(parse_config(text, "quench"), out)
+            header = (out / "modes.csv").read_text().splitlines()[0]
+            assert header == MODES_HEADERS[kind]
+            header = (out / "observables.csv").read_text().splitlines()[0]
+            assert header == OBSERVABLES_HEADERS[kind, oracle]
 
 
 class TestRunSweep:

@@ -9,7 +9,7 @@ import math
 
 import pytest
 
-from tfdyn import CheckResult, VerificationSettings, run_all
+from tfdyn import CheckResult, VerificationSettings, run_all, verification
 from tfdyn.verification import CHECK_NAMES
 
 
@@ -32,12 +32,33 @@ class TestSuiteContract:
     def test_oracle_checks_skip_cleanly(self, fast_results):
         skipped = {r.name for r in fast_results if r.skipped}
         # Every oracle-dependent criterion must be marked, never silently passed.
-        assert "c01c_equilibrium_boson_oracle" in skipped
-        assert "c05c_sudden_production_oracle" in skipped
+        assert skipped == {
+            "c01c_equilibrium_boson_oracle",
+            "c01d_equilibrium_fermion_oracle",
+            "c03a_thermal_condition_boson",
+            "c03b_thermal_condition_fermion",
+            "c04_constant_distribution",
+            "c05c_sudden_production_oracle",
+            "c06_evolved_distribution",
+            "c07a_q_moments_equilibrium",
+            "c07b_q_moments_midquench",
+            "c07c_q_moment_ratio",
+            "c08a_thermal_constructions_boson",
+            "c08b_thermal_constructions_fermion",
+        }
+        reported = [r.name for r in fast_results if not r.skipped]
+        assert len(reported) == 10
+        assert set(reported) == set(CHECK_NAMES) - skipped
         for r in fast_results:
             if r.skipped:
                 assert math.isnan(r.measured)
                 assert r.detail != ""
+
+    def test_unexpected_check_set_raises(self, monkeypatch):
+        # a check that reports without being expected stops the suite
+        monkeypatch.setattr(verification, "ANALYTIC_CHECKS", verification.ANALYTIC_CHECKS[:-1])
+        with pytest.raises(RuntimeError, match="expected set of checks"):
+            run_all(VerificationSettings(oracle_enabled=False))
 
     def test_analytic_checks_pass_without_oracle(self, fast_results):
         for r in fast_results:
