@@ -9,14 +9,11 @@ pieces of both.
 from .errors import ConfigError, IntegrationError, TruncationError
 from .protocols import (
     BosonProtocol,
-    BosonSample,
     Constant,
     FermionProtocol,
-    FermionSample,
     Finding,
     LinearRamp,
     OscillatorProtocol,
-    OscillatorSample,
     Step,
     TanhRamp,
     ValidationReport,

@@ -70,6 +70,12 @@ _SECTION_KEYS = {
 }
 _ALL_SECTIONS = set(_SECTION_KEYS) | {"protocol"}
 
+# Keys a verify run would ignore: the suite pins its own beta, grids and steps.
+_NOT_FOR_VERIFY = (
+    ("run", "beta"), ("integrator", "grid_points"), ("integrator", "max_step"),
+    ("oracle", "tail_abort"),
+)
+
 _BOOLEANS = {
     "true": True, "yes": True, "on": True, "1": True,
     "false": False, "no": False, "off": False, "0": False,
@@ -178,6 +184,11 @@ def parse_config(text: str, kind: str) -> RunConfig:
                 raise ConfigError(
                     f"unknown key(s) in [{section}]: {', '.join(unknown)}"
                 )
+
+    if kind == "verify":
+        for section, key in _NOT_FOR_VERIFY:
+            if parser.has_section(section) and key in parser[section]:
+                raise ConfigError(f"[{section}] {key} does not apply to a verify run")
 
     run_sec = parser["run"] if parser.has_section("run") else {}
     declared = run_sec.get("kind", "").strip().lower() if run_sec else ""

@@ -9,8 +9,9 @@ linear ODE systems:
 * boson:      a(t) = f-(t) a + f+(t) a^dag, with  i dV/dt + M V = 0,
               V = (f-, f+),  M = [[w0, -w+*], [w+, -w0]];
 * oscillator: a(t) = (i/sqrt(hbar)) [v* p - m v'* q], where the mode function
-              solves  v'' + (m'/m) v' + w^2 v = 0  with unit Wronskian
-              m (v'* v - v' v*) = i;
+              and its momentum pi = m v' solve  v' = pi/m,  pi' = -m w^2 v
+              with unit Wronskian  pi* v - pi v* = i; v and pi, not v', stay
+              continuous across a sudden jump of m or w;
 * fermion:    a(t) = fa- a + fa+ a^dag + ga- b + ga+ b^dag (and likewise
               b(t)), organised into W = (f- + f+, f- - f+)/sqrt(2) and
               Z = (g- + g+, g- - g+)/sqrt(2) which obey
@@ -118,10 +119,6 @@ class OscillatorMode:
     v: complex
     v_dot: complex
     mass: float
-
-    @property
-    def wronskian(self) -> complex:
-        return self.mass * (np.conj(self.v_dot) * self.v - self.v_dot * np.conj(self.v))
 
 
 @dataclass(frozen=True)
@@ -415,27 +412,26 @@ def solve_boson_mode(
 def solve_oscillator_mode(
     protocol: OscillatorProtocol, config: IntegratorConfig | None = None
 ) -> ModeTrajectory:
-    """Integrate v'' + (m'/m) v' + w^2 v = 0 from the adiabatic initial data.
+    """Integrate v' = pi/m, pi' = -m w^2 v from the adiabatic initial data.
 
     v(t_i) = 1/sqrt(2 m w), v'(t_i) = -i w v(t_i) (both evaluated at t_i),
-    which makes the conserved Wronskian m (v'* v - v' v*) exactly i.  Requires
-    mass_dot(t_i) = 0 and w(t_i) > 0.
+    which makes the conserved Wronskian m (v'* v - v' v*) exactly i.  The
+    state (v, pi) carries over a declared jump unchanged, and the ``v_dot``
+    column is pi/m.  Requires mass_dot(t_i) = 0 and w(t_i) > 0.
     """
     _require(protocol, "oscillator")
     s0 = evaluate(protocol, protocol.t_i)
     v0 = 1.0 / math.sqrt(2.0 * s0.mass * s0.omega)
-    y0 = np.array([v0, -1j * s0.omega * v0], dtype=complex)
+    y0 = np.array([v0, s0.mass * (-1j * s0.omega * v0)], dtype=complex)
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         s = evaluate(protocol, t)
-        v, v_dot = y
-        return np.array(
-            [v_dot, -(s.mass_dot / s.mass) * v_dot - s.omega**2 * v], dtype=complex
-        )
+        v, pi = y
+        return np.array([pi / s.mass, -s.mass * s.omega**2 * v], dtype=complex)
 
     grid, out, stats = _integrate(rhs, protocol, y0, config)
     mass = np.array([evaluate(protocol, float(t)).mass for t in grid])
-    columns = {"v": out[:, 0], "v_dot": out[:, 1], "mass": mass}
+    columns = {"v": out[:, 0], "v_dot": out[:, 1] / mass, "mass": mass}
     return ModeTrajectory(grid, columns, stats, protocol)
 
 

@@ -11,6 +11,12 @@ the time window on which they are defined.  Three kinds are supported:
   ``H(t) = hbar*[w0 (a^dag a - b^dag b) + w+ a^dag b^dag - w+* a b
   + w- a b^dag - w-* a^dag b]``
 
+Each kind is stated once, on its class: ``kind``, the coefficient
+``channels`` and the channel a config's profile family ``drive``s by default.
+:func:`evaluate` returns one attribute per channel, plus ``mass_dot`` for
+oscillators; ``omega_plus`` and ``omega_minus`` are complex, every other
+channel is real.
+
 Coefficient callables must be pure: deterministic and side-effect free.
 Discontinuities are allowed only at declared jump times; a callable must be
 right-continuous there, so that evaluation at a jump returns the right-sided
@@ -19,8 +25,11 @@ limit.  Profiles built by this module follow that convention.
 
 from __future__ import annotations
 
+import bisect
+import cmath
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, ClassVar, Mapping
 
 from .errors import ConfigError
@@ -29,9 +38,6 @@ __all__ = [
     "BosonProtocol",
     "OscillatorProtocol",
     "FermionProtocol",
-    "BosonSample",
-    "OscillatorSample",
-    "FermionSample",
     "Finding",
     "ValidationReport",
     "KINDS",
@@ -54,7 +60,8 @@ FD_STEP = 1e-6
 # difference larger than this fraction of the local scale is suspicious.
 _JUMP_THRESHOLD = 1e-3
 
-_MAX_FINDINGS = 50
+# validate() probes the window at this many equally spaced points.
+_PROBE_POINTS = 2001
 
 # The mode solvers' standard initial data needs a diagonal Hamiltonian at
 # t_i; couplings below this magnitude at t_i are treated as zero.
@@ -161,6 +168,17 @@ def make_tanh_ramp(start: float, end: float, center: float, width: float) -> Tan
     return TanhRamp(float(start), float(end), float(center), float(width))
 
 
+@dataclass(frozen=True)
+class _OffsetImag:
+    """Real profile with a constant imaginary offset."""
+
+    profile: Callable[[float], float]
+    imag: float
+
+    def __call__(self, t: float) -> complex:
+        return complex(self.profile(t), self.imag)
+
+
 # ---------------------------------------------------------------------------
 # protocol kinds
 # ---------------------------------------------------------------------------
@@ -179,8 +197,15 @@ def _check_window(t_i: float, t_f: float, jump_times: tuple[float, ...]) -> tupl
     return jumps
 
 
+class _Windowed:
+    """Checks the window and sorts the declared jumps of a protocol."""
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "jump_times", _check_window(self.t_i, self.t_f, self.jump_times))
+
+
 @dataclass(frozen=True)
-class BosonProtocol:
+class BosonProtocol(_Windowed):
     """Abstract single-mode boson Hamiltonian coefficients (w0, w+)."""
 
     # kind name, coefficient channels, and the channel a config's profile
@@ -195,17 +220,15 @@ class BosonProtocol:
     t_f: float
     jump_times: tuple[float, ...] = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "jump_times", _check_window(self.t_i, self.t_f, self.jump_times))
-
 
 @dataclass(frozen=True)
-class OscillatorProtocol:
+class OscillatorProtocol(_Windowed):
     """Harmonic oscillator with time-dependent mass and frequency.
 
-    ``mass_dot`` is part of the protocol; if ``None`` it is obtained by a
-    symmetric finite difference with step ``FD_STEP`` (one-sided at the window
-    boundaries).  Solvers require ``mass_dot(t_i) == 0``.
+    ``mass_dot`` is part of the protocol.  If ``None``, it is the mass
+    profile's ``derivative`` when it has one; otherwise (a bare callable) it
+    is a finite difference with step ``FD_STEP`` that never crosses a window
+    boundary or a declared jump.  Solvers require ``mass_dot(t_i) == 0``.
     """
 
     kind: ClassVar[str] = "oscillator"
@@ -220,11 +243,13 @@ class OscillatorProtocol:
     jump_times: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "jump_times", _check_window(self.t_i, self.t_f, self.jump_times))
+        super().__post_init__()
+        if self.mass_dot is None:
+            object.__setattr__(self, "mass_dot", getattr(self.mass, "derivative", None))
 
 
 @dataclass(frozen=True)
-class FermionProtocol:
+class FermionProtocol(_Windowed):
     """Two-mode fermion Hamiltonian coefficients (w0, w+, w-)."""
 
     kind: ClassVar[str] = "fermion"
@@ -238,9 +263,6 @@ class FermionProtocol:
     t_f: float
     jump_times: tuple[float, ...] = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "jump_times", _check_window(self.t_i, self.t_f, self.jump_times))
-
 
 Protocol = BosonProtocol | OscillatorProtocol | FermionProtocol
 
@@ -248,25 +270,8 @@ KINDS: dict[str, type[Protocol]] = {
     cls.kind: cls for cls in (BosonProtocol, OscillatorProtocol, FermionProtocol)
 }
 
-
-@dataclass(frozen=True)
-class BosonSample:
-    omega0: float
-    omega_plus: complex
-
-
-@dataclass(frozen=True)
-class OscillatorSample:
-    mass: float
-    mass_dot: float
-    omega: float
-
-
-@dataclass(frozen=True)
-class FermionSample:
-    omega0: float
-    omega_plus: complex
-    omega_minus: complex
+# The coupling channels; every other channel is real.
+_COMPLEX_CHANNELS = frozenset({"omega_plus", "omega_minus"})
 
 
 def statistics_of(protocol: Protocol) -> str:
@@ -278,67 +283,54 @@ def statistics_of(protocol: Protocol) -> str:
 # evaluation
 # ---------------------------------------------------------------------------
 
-def _real_coefficient(name: str, value: complex | float, t: float) -> float:
-    if isinstance(value, complex):
-        if value.imag != 0.0:
-            raise ValueError(f"{name}({t}) = {value} must be real")
-        value = value.real
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name}({t}) = {value} is not finite")
-    return value
-
-
-def _complex_coefficient(name: str, value: complex | float, t: float) -> complex:
-    value = complex(value)
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+def _coefficient(name: str, value: complex | float, t: float) -> complex | float:
+    """``value`` as a finite complex for a coupling, else as a finite real."""
+    if name in _COMPLEX_CHANNELS:
+        value = complex(value)
+    else:
+        if isinstance(value, complex):
+            if value.imag != 0.0:
+                raise ValueError(f"{name}({t}) = {value} must be real")
+            value = value.real
+        value = float(value)
+    if not cmath.isfinite(value):
         raise ValueError(f"{name}({t}) = {value} is not finite")
     return value
 
 
 def _mass_dot(protocol: OscillatorProtocol, t: float) -> float:
     if protocol.mass_dot is not None:
-        return _real_coefficient("mass_dot", protocol.mass_dot(t), t)
-    h = FD_STEP
-    lo = max(t - h, protocol.t_i)
-    hi = min(t + h, protocol.t_f)
+        return _coefficient("mass_dot", protocol.mass_dot(t), t)
+    # Finite difference inside t's segment; a jump time belongs to its right.
+    jumps = protocol.jump_times
+    k = bisect.bisect_right(jumps, t)
+    lo = max(t - FD_STEP, jumps[k - 1] if k else protocol.t_i)
+    hi = min(t + FD_STEP, math.nextafter(jumps[k], -math.inf) if k < len(jumps) else protocol.t_f)
     return (float(protocol.mass(hi)) - float(protocol.mass(lo))) / (hi - lo)
 
 
-def evaluate(protocol: Protocol, t: float):
+def evaluate(protocol: Protocol, t: float) -> SimpleNamespace:
     """Sample the protocol coefficients at time ``t``.
 
-    ``t`` must lie inside ``[t_i, t_f]``; at a declared jump time the
-    right-sided limit is returned (protocol callables are right-continuous by
-    contract).  Raises ``ValueError`` for out-of-domain times or invalid
-    coefficient values (non-finite, complex where real is required,
-    non-positive mass).
+    Returns one attribute per channel of the protocol's kind, plus
+    ``mass_dot`` for oscillators.  ``t`` must lie inside ``[t_i, t_f]``; at a
+    declared jump time the right-sided limit is returned (protocol callables
+    are right-continuous by contract).  Raises ``ValueError`` for
+    out-of-domain times or invalid coefficient values (non-finite, complex
+    where real is required, non-positive mass).
     """
     if not (protocol.t_i <= t <= protocol.t_f):
         raise ValueError(
             f"time {t} outside protocol domain [{protocol.t_i}, {protocol.t_f}]"
         )
-    if isinstance(protocol, BosonProtocol):
-        return BosonSample(
-            omega0=_real_coefficient("omega0", protocol.omega0(t), t),
-            omega_plus=_complex_coefficient("omega_plus", protocol.omega_plus(t), t),
-        )
-    if isinstance(protocol, OscillatorProtocol):
-        m = _real_coefficient("mass", protocol.mass(t), t)
-        if m <= 0.0:
-            raise ValueError(f"mass({t}) = {m} must be positive")
-        return OscillatorSample(
-            mass=m,
-            mass_dot=_mass_dot(protocol, t),
-            omega=_real_coefficient("omega", protocol.omega(t), t),
-        )
-    if isinstance(protocol, FermionProtocol):
-        return FermionSample(
-            omega0=_real_coefficient("omega0", protocol.omega0(t), t),
-            omega_plus=_complex_coefficient("omega_plus", protocol.omega_plus(t), t),
-            omega_minus=_complex_coefficient("omega_minus", protocol.omega_minus(t), t),
-        )
-    raise TypeError(f"not a protocol: {protocol!r}")
+    s = SimpleNamespace(
+        **{name: _coefficient(name, getattr(protocol, name)(t), t) for name in protocol.channels}
+    )
+    if protocol.kind == "oscillator":
+        if s.mass <= 0.0:
+            raise ValueError(f"mass({t}) = {s.mass} must be positive")
+        s.mass_dot = _mass_dot(protocol, t)
+    return s
 
 
 def check_initial_state(protocol: Protocol) -> None:
@@ -406,8 +398,9 @@ class ValidationReport:
         return [f"{f.severity}: {f.message}" for f in self.findings]
 
 
-def validate(protocol: Protocol, samples: int = 2001) -> ValidationReport:
-    """Probe the protocol on a uniform grid and report diagnostics.
+def validate(protocol: Protocol) -> ValidationReport:
+    """Probe the protocol on a uniform grid of ``_PROBE_POINTS`` and report
+    diagnostics.
 
     Checks performed:
 
@@ -420,17 +413,15 @@ def validate(protocol: Protocol, samples: int = 2001) -> ValidationReport:
     """
     findings: list[Finding] = []
     t_i, t_f = protocol.t_i, protocol.t_f
-    span = t_f - t_i
-    grid = [t_i + span * k / (samples - 1) for k in range(samples)]
+    grid = [t_i + (t_f - t_i) * k / (_PROBE_POINTS - 1) for k in range(_PROBE_POINTS)]
 
-    first_error: str | None = None
-    for t in grid:
+    for t in grid:  # only the first failure is reported
         try:
             evaluate(protocol, t)
         except ValueError as exc:
-            if first_error is None:
-                first_error = str(exc)
+            if not findings:
                 findings.append(Finding("error", str(exc), t))
+    evaluates = not findings
 
     # Undeclared-discontinuity probe: symmetric difference over 2*FD_STEP,
     # skipping the neighbourhood of declared jumps.
@@ -439,55 +430,61 @@ def validate(protocol: Protocol, samples: int = 2001) -> ValidationReport:
         fn = getattr(protocol, name)
         worst: tuple[float, float] | None = None  # (delta_rel, t)
         for t in grid[1:-1]:
-            if any(abs(t - tj) <= 2.0 * h for tj in protocol.jump_times):
-                continue
-            if t - h < t_i or t + h > t_f:
+            near_jump = any(abs(t - tj) <= 2.0 * h for tj in protocol.jump_times)
+            if near_jump or t - h < t_i or t + h > t_f:
                 continue
             try:
                 lo = complex(fn(t - h))
                 hi = complex(fn(t + h))
             except Exception:
                 continue
-            delta = abs(hi - lo)
-            scale = 1.0 + max(abs(lo), abs(hi))
-            rel = delta / scale
+            rel = abs(hi - lo) / (1.0 + max(abs(lo), abs(hi)))
             if rel > _JUMP_THRESHOLD and (worst is None or rel > worst[0]):
                 worst = (rel, t)
         if worst is not None:
-            findings.append(
-                Finding(
-                    "warning",
-                    f"possible undeclared discontinuity in {name} near t={worst[1]:.6g} "
-                    f"(relative step {worst[0]:.3g} over {2 * h:.1g})",
-                    worst[1],
-                )
+            message = (
+                f"possible undeclared discontinuity in {name} near t={worst[1]:.6g} "
+                f"(relative step {worst[0]:.3g} over {2 * h:.1g})"
             )
+            findings.append(Finding("warning", message, worst[1]))
 
-    if first_error is None:
+    if evaluates:
         try:
             check_initial_state(protocol)
         except ValueError as exc:
             findings.append(Finding("error", str(exc), t_i))
 
-    return ValidationReport(findings=tuple(findings[:_MAX_FINDINGS]))
+    return ValidationReport(findings=tuple(findings))
 
 
 # ---------------------------------------------------------------------------
 # construction from flat config
 # ---------------------------------------------------------------------------
 
-_FAMILY_KEYS = {
-    "constant": ("value",),
-    "linear": ("value_initial", "value_final"),
-    "tanh": ("value_initial", "value_final", "center", "width"),
-    "sudden": ("value_initial", "value_final", "t_jump"),
+# profile family -> (its parameter keys, builder(t_i, t_f, *values) ->
+# (profile, declared jump times))
+_FAMILIES = {
+    "constant": (("value",), lambda t_i, t_f, value: (Constant(value), ())),
+    "linear": (
+        ("value_initial", "value_final"),
+        lambda t_i, t_f, start, end: (LinearRamp(start, end, t_i, t_f), ()),
+    ),
+    "tanh": (
+        ("value_initial", "value_final", "center", "width"),
+        lambda t_i, t_f, *values: (make_tanh_ramp(*values), ()),
+    ),
+    "sudden": (
+        ("value_initial", "value_final", "t_jump"),
+        lambda t_i, t_f, before, after, t_jump: (Step(before, after, t_jump), (t_jump,)),
+    ),
 }
 
-_COMPLEX_CHANNELS = {"omega_plus", "omega_minus"}
 
-
-def _cfg_float(section: Mapping[str, str], key: str) -> float:
-    raw = section[key]
+def _take(section: dict[str, str], key: str, default: float | None = None) -> float | None:
+    """Parse and remove ``key``, or return ``default`` when it is absent."""
+    raw = section.pop(key, None)
+    if raw is None:
+        return default
     try:
         return float(raw)
     except ValueError as exc:
@@ -516,96 +513,41 @@ def from_config(section: Mapping[str, str]) -> Protocol:
     if kind not in KINDS:
         raise ConfigError(f"unknown protocol kind '{kind}' (expected boson, oscillator or fermion)")
     family = section.pop("family").strip().lower()
-    if family not in _FAMILY_KEYS:
+    if family not in _FAMILIES:
         raise ConfigError(f"unknown profile family '{family}' (expected constant, sudden, linear or tanh)")
-    t_i = _cfg_float(section, "t_i")
-    t_f = _cfg_float(section, "t_f")
-    section.pop("t_i"), section.pop("t_f")
+    t_i, t_f = _take(section, "t_i"), _take(section, "t_f")
 
     cls = KINDS[kind]
-    channels = cls.channels
     drive = section.pop("drive", cls.drive).strip().lower()
-    if drive not in channels:
-        raise ConfigError(f"drive '{drive}' is not a coefficient of kind '{kind}' {channels}")
+    if drive not in cls.channels:
+        raise ConfigError(f"drive '{drive}' is not a coefficient of kind '{kind}' {cls.channels}")
 
-    # Driven channel: build the profile from the family parameters.
-    jump_times: tuple[float, ...] = ()
-    for key in _FAMILY_KEYS[family]:
+    keys, build = _FAMILIES[family]
+    for key in keys:
         if key not in section:
             raise ConfigError(f"family '{family}' requires protocol key '{key}'")
-    if family == "constant":
-        profile: Callable[[float], float] = Constant(_cfg_float(section, "value"))
-        section.pop("value")
-    elif family == "linear":
-        profile = LinearRamp(
-            _cfg_float(section, "value_initial"), _cfg_float(section, "value_final"), t_i, t_f
-        )
-        section.pop("value_initial"), section.pop("value_final")
-    elif family == "tanh":
-        try:
-            profile = make_tanh_ramp(
-                _cfg_float(section, "value_initial"),
-                _cfg_float(section, "value_final"),
-                _cfg_float(section, "center"),
-                _cfg_float(section, "width"),
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        for key in _FAMILY_KEYS["tanh"]:
-            section.pop(key)
-    else:  # sudden
-        t_jump = _cfg_float(section, "t_jump")
-        profile = Step(_cfg_float(section, "value_initial"), _cfg_float(section, "value_final"), t_jump)
-        jump_times = (t_jump,)
-        for key in _FAMILY_KEYS["sudden"]:
-            section.pop(key)
+    values = [_take(section, key) for key in keys]
+    try:
+        profile, jump_times = build(t_i, t_f, *values)
+    except ValueError as exc:  # a non-positive tanh width
+        raise ConfigError(str(exc)) from exc
 
-    # Remaining channels: constants (with optional *_imag companions).
-    # Couplings default to zero; an unspecified oscillator mass defaults to one.
-    built: dict[str, Callable[[float], complex]] = {drive: profile}
-    for name in channels:
-        if name == drive:
-            continue
+    # The other channels are constants (couplings default to 0, mass to 1).
+    # Any coupling, driven or not, takes an imaginary part from its *_imag key.
+    built: dict[str, Callable[[float], complex]] = {}
+    for name in cls.channels:
         default = 1.0 if name == "mass" else 0.0
-        real = _cfg_float(section, name) if name in section else default
-        section.pop(name, None)
-        imag = 0.0
-        if name in _COMPLEX_CHANNELS and f"{name}_imag" in section:
-            imag = _cfg_float(section, f"{name}_imag")
-            section.pop(f"{name}_imag")
-        built[name] = Constant(real) if imag == 0.0 else _ComplexConstant(complex(real, imag))
-    if drive in _COMPLEX_CHANNELS and f"{drive}_imag" in section:
-        imag = _cfg_float(section, f"{drive}_imag")
-        section.pop(f"{drive}_imag")
-        if imag != 0.0:
-            built[drive] = _OffsetImag(profile, imag)
+        built[name] = profile if name == drive else Constant(_take(section, name, default))
+        if name in _COMPLEX_CHANNELS:
+            imag = _take(section, f"{name}_imag", 0.0)
+            if imag != 0.0:
+                built[name] = _OffsetImag(built[name], imag)
 
     if section:
         unknown = ", ".join(sorted(section))
         raise ConfigError(f"unknown protocol key(s): {unknown}")
 
-    if kind == "oscillator":
-        built["mass_dot"] = getattr(built["mass"], "derivative", None)
     try:
         return cls(**built, t_i=t_i, t_f=t_f, jump_times=jump_times)
     except ValueError as exc:  # empty window or misplaced jump
         raise ConfigError(str(exc)) from exc
-
-
-@dataclass(frozen=True)
-class _ComplexConstant:
-    value: complex
-
-    def __call__(self, t: float) -> complex:
-        return self.value
-
-
-@dataclass(frozen=True)
-class _OffsetImag:
-    """Real profile with a constant imaginary offset."""
-
-    profile: Callable[[float], float]
-    imag: float
-
-    def __call__(self, t: float) -> complex:
-        return complex(self.profile(t), self.imag)

@@ -98,6 +98,29 @@ OBSERVABLES_HEADERS = {
 OBSERVABLES_HEADERS["oscillator", False] = OBSERVABLES_HEADERS["boson", False]
 OBSERVABLES_HEADERS["oscillator", True] = OBSERVABLES_HEADERS["boson", True]
 
+MASS_JUMP = """
+[run]
+kind = quench
+beta = 1.0
+
+[protocol]
+kind = oscillator
+family = sudden
+drive = mass
+value_initial = 1.0
+value_final = 2.0
+t_jump = 1.0
+omega = 1.0
+t_i = 0.0
+t_f = 2.0
+
+[integrator]
+grid_points = 101
+
+[oracle]
+n_levels = 60
+"""
+
 VERIFY_FAST = """
 [run]
 kind = verify
@@ -281,6 +304,17 @@ class TestRunQuench:
             a.pop(volatile), b.pop(volatile)
         assert a == b
 
+    def test_sudden_mass_jump_agrees_with_the_oracle(self, tmp_path):
+        """v and m v' carry over a mass jump; before the jump the mode's mass
+        differs from the final frame's, so nu_sq (and the occupation diff) is
+        NaN there by design."""
+        manifest = run_quench(parse_config(MASS_JUMP, "quench"), tmp_path)
+        assert manifest["drift"]["wronskian"] < 1e-9
+        rows = _read_csv(tmp_path / "observables.csv")
+        after = rows["t [time]"] >= 1.0
+        assert np.max(rows["occupation_abs_diff [1]"][after]) < 1e-6
+        assert np.max(rows["q2_abs_diff [length^2]"]) < 1e-6
+
     @pytest.mark.parametrize("kind", sorted(MODES_HEADERS))
     def test_modes_csv_header(self, tmp_path, kind):
         """The modes.csv and observables.csv schema of each kind, with the
@@ -446,6 +480,23 @@ class TestCliMain:
         assert code == 2
         captured = capsys.readouterr()
         assert "config error" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "section, line",
+        [("run", "beta = 1.0"), ("integrator", "grid_points = 11"),
+         ("integrator", "max_step = 0.1"), ("oracle", "tail_abort = 1e-6")],
+        ids=["beta", "grid_points", "max_step", "tail_abort"],
+    )
+    def test_verify_refuses_keys_it_would_ignore(self, tmp_path, capsys, section, line):
+        sections = {"run": "kind = verify", "integrator": "rel_tol = 1e-10", "oracle": "enabled = false"}
+        sections[section] += "\n" + line
+        cfg = self._write(tmp_path, "".join(f"[{k}]\n{v}\n" for k, v in sections.items()))
+        code = main(["verify", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"[{section}] {line.split()[0]}" in captured.err
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
 

@@ -20,7 +20,11 @@ from tfdyn import (
     statistics_of,
     validate,
 )
-from tfdyn.protocols import FD_STEP
+from tfdyn.protocols import FD_STEP, KINDS
+
+# a valid constant value for every channel of every kind (ints on purpose:
+# evaluate coerces them)
+CHANNEL_VALUES = {"omega0": 1, "omega_plus": 0, "omega_minus": 0, "mass": 2, "omega": 1}
 
 
 class TestProfiles:
@@ -105,9 +109,24 @@ class TestEvaluate:
 
     def test_oscillator_mass_dot_finite_difference_fallback(self):
         ramp = make_tanh_ramp(1.0, 2.0, center=5.0, width=0.5)
-        p = OscillatorProtocol(mass=ramp, omega=Constant(1.0), t_i=0.0, t_f=10.0)
+        # a bare callable has no derivative, so mass_dot falls back to the FD
+        p = OscillatorProtocol(mass=lambda t: ramp(t), omega=Constant(1.0), t_i=0.0, t_f=10.0)
         s = evaluate(p, 5.0)
         assert s.mass_dot == pytest.approx(ramp.derivative(5.0), rel=1e-6)
+
+    def test_oscillator_mass_dot_defaults_to_the_profile_derivative(self):
+        ramp = make_tanh_ramp(1.0, 2.0, center=5.0, width=0.5)
+        p = OscillatorProtocol(mass=ramp, omega=Constant(1.0), t_i=0.0, t_f=10.0)
+        assert evaluate(p, 5.3).mass_dot == ramp.derivative(5.3)
+
+    def test_oscillator_mass_dot_fallback_stays_on_its_side_of_a_jump(self):
+        # a jump time belongs to its right side; no stencil may straddle it
+        p = OscillatorProtocol(
+            mass=lambda t: 1.0 if t < 5.0 else 2.0, omega=Constant(1.0),
+            t_i=0.0, t_f=10.0, jump_times=(5.0,),
+        )
+        for t in (5.0 - 5e-7, 5.0, 5.0 + 5e-7):
+            assert evaluate(p, t).mass_dot == 0.0
 
     def test_oscillator_mass_dot_one_sided_at_boundaries(self):
         # The fallback must not sample outside the declared window.
@@ -144,6 +163,34 @@ class TestEvaluate:
 
     def test_fd_step_exported(self):
         assert 0.0 < FD_STEP < 1e-3
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+class TestGenericSampler:
+    """evaluate is one loop over the kind's channels."""
+
+    @staticmethod
+    def _protocol(kind, **override):
+        cls = KINDS[kind]
+        profiles = {name: Constant(CHANNEL_VALUES[name]) for name in cls.channels}
+        return cls(**{**profiles, **override}, t_i=0.0, t_f=1.0)
+
+    def test_returns_exactly_the_kinds_channels(self, kind):
+        s = evaluate(self._protocol(kind), 0.5)
+        extra = ["mass_dot"] if kind == "oscillator" else []
+        assert list(vars(s)) == [*KINDS[kind].channels, *extra]
+
+    def test_real_channels_are_float_and_couplings_complex(self, kind):
+        s = evaluate(self._protocol(kind), 0.5)
+        for name, value in vars(s).items():
+            coupling = name in ("omega_plus", "omega_minus")
+            assert type(value) is (complex if coupling else float), name
+
+    def test_nonfinite_value_names_its_channel(self, kind):
+        for name in KINDS[kind].channels:
+            p = self._protocol(kind, **{name: lambda t: math.nan})
+            with pytest.raises(ValueError, match=rf"^{name}\(0\.5\) = .* is not finite"):
+                evaluate(p, 0.5)
 
 
 class TestValidate:
@@ -234,6 +281,34 @@ class TestFromConfig:
         s = evaluate(p, 1.0)
         assert s.omega_plus == 0.25j
         assert s.omega_minus == 0.0
+
+    @pytest.mark.parametrize("kind", ["boson", "fermion"])
+    def test_imaginary_part_on_the_driven_coupling(self, kind):
+        p = from_config({
+            "kind": kind, "family": "linear", "drive": "omega_plus",
+            "value_initial": "0.0", "value_final": "0.5", "omega_plus_imag": "0.25",
+            "omega0": "1.0", "t_i": "0.0", "t_f": "10.0",
+        })
+        assert evaluate(p, 5.0).omega_plus == complex(0.25, 0.25)
+        assert evaluate(p, 10.0).omega_plus == complex(0.5, 0.25)
+
+    @pytest.mark.parametrize(
+        "family, params, profile",
+        [
+            ("constant", {"value": "1.5"}, Constant(1.5)),
+            ("linear", {"value_initial": "1.0", "value_final": "2.0"},
+             LinearRamp(1.0, 2.0, t_start=0.0, t_end=10.0)),
+            ("tanh", {"value_initial": "1.0", "value_final": "2.0", "center": "4.0", "width": "0.5"},
+             make_tanh_ramp(1.0, 2.0, center=4.0, width=0.5)),
+            ("sudden", {"value_initial": "1.0", "value_final": "2.0", "t_jump": "4.0"},
+             Step(1.0, 2.0, t_jump=4.0)),
+        ],
+    )
+    def test_family_matches_its_constructor(self, family, params, profile):
+        p = from_config({"kind": "oscillator", "family": family, **params, "t_i": "0.0", "t_f": "10.0"})
+        assert p.jump_times == ((4.0,) if family == "sudden" else ())
+        for t in (0.0, 3.0, 4.0 - 1e-9, 4.0, 7.5, 10.0):
+            assert evaluate(p, t).omega == profile(t)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
