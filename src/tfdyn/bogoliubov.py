@@ -27,13 +27,10 @@ __all__ = [
     "fermion_frame_coeffs",
     "production_number",
     "FRAME_DIAGONAL_TOL",
-    "MASS_MATCH_TOL",
 ]
 
-# A frame extraction silently mixing two different masses (or a non-diagonal
-# fermion Hamiltonian) would produce coefficients that satisfy no constraint;
-# such requests are rejected outright.
-MASS_MATCH_TOL = 1e-9
+# A fermion frame extraction at a non-diagonal Hamiltonian would produce
+# coefficients that satisfy no constraint; such requests are rejected outright.
 FRAME_DIAGONAL_TOL = 1e-6
 
 
@@ -89,22 +86,18 @@ class BogoliubovCoefficients:
 def boson_overlap(mode: OscillatorMode, ref: ReferenceMode) -> BogoliubovCoefficients:
     """Project an oscillator mode onto a static reference frame.
 
-    mu = i*m*(v* u' - v'* u) and nu = i*m*(v* u'* - v'* u*), evaluated at
-    mode.t.  Both mode and reference must carry the same mass there; the
-    Wronskian normalisations otherwise refer to different momenta and the
-    result would not be a Bogoliubov transformation.
+    mu = i*(m_ref v* u' - m v'* u) and nu = i*(m_ref v* u'* - m v'* u*),
+    evaluated at mode.t.  Each term pairs a position amplitude with a
+    momentum amplitude (m v' for the mode, m_ref u' for the frame), so the
+    result is a Bogoliubov transformation, |mu|^2 - |nu|^2 = 1, whether or
+    not the two masses agree.
     """
-    if abs(mode.mass - ref.m_ref) > MASS_MATCH_TOL * max(1.0, ref.m_ref):
-        raise ValueError(
-            f"mode mass {mode.mass} differs from reference mass {ref.m_ref} at "
-            f"t = {mode.t}; refusing to mix frames"
-        )
     u = ref.u(mode.t)
     u_dot = ref.u_dot(mode.t)
     v_c = np.conj(mode.v)
-    v_dot_c = np.conj(mode.v_dot)
-    mu = 1j * mode.mass * (v_c * u_dot - v_dot_c * u)
-    nu = 1j * mode.mass * (v_c * np.conj(u_dot) - v_dot_c * np.conj(u))
+    p_c = mode.mass * np.conj(mode.v_dot)
+    mu = 1j * (ref.m_ref * v_c * u_dot - p_c * u)
+    nu = 1j * (ref.m_ref * v_c * np.conj(u_dot) - p_c * np.conj(u))
     return BogoliubovCoefficients(complex(mu), complex(nu), "boson")
 
 

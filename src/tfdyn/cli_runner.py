@@ -6,8 +6,9 @@ exist:
 
 * ``quench`` -- solve the mode equations for one protocol, write ``modes.csv``
   (coefficients and conserved-quantity deviations), ``observables.csv``
-  (occupations and moments, plus brute-force oracle columns when enabled) and
-  a ``manifest.json``;
+  (occupations and moments, plus brute-force oracle columns when enabled;
+  built by ``verification.quench_observables``, which the acceptance suite's
+  oracle checks read too) and a ``manifest.json``;
 * ``sweep`` -- repeat a quench over a one-dimensional parameter grid: every
   entry's derived config is parsed once, up front, and each entry then runs
   in isolation; the summary is assembled in grid order from the entries'
@@ -34,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bogoliubov, fock_oracle, thermal_observables, verification
+from . import fock_oracle, verification
 from ._version import __version__
 from .errors import ConfigError
 from .mode_solver import (
@@ -43,7 +44,7 @@ from .mode_solver import (
     solve_fermion_modes,
     solve_oscillator_mode,
 )
-from .protocols import Protocol, evaluate, from_config, initial_frame, statistics_of, validate
+from .protocols import Protocol, from_config, initial_frame, statistics_of, validate
 
 __all__ = [
     "RunConfig",
@@ -395,147 +396,13 @@ def _mode_columns(traj) -> list[tuple[str, np.ndarray]]:
     return columns
 
 
-def _boson_observables(config: RunConfig, traj) -> list[tuple[str, np.ndarray]]:
-    """Analytic observable columns for boson/oscillator runs.
-
-    Every quantity refers to the final static frame: for oscillator
-    protocols nu comes from the mode-function overlap (NaN where the mass
-    differs from its final value, since the overlap is frame-bound), for
-    abstract bosons it is |f+(t)|^2 directly.
-    """
-    beta, hbar = config.beta, config.hbar
-    protocol = config.protocol
-    m_i, omega_i = initial_frame(protocol)
-    theta = thermal_observables.theta(beta, omega_i, hbar, "boson")
-    n_eq = thermal_observables.equilibrium_occupation(beta, omega_i, hbar, "boson")
-
-    n_pts = len(traj.t)
-    nu_sq = np.empty(n_pts)
-    occupation = np.empty(n_pts)
-    q2 = np.empty(n_pts)
-    q4 = np.empty(n_pts)
-
-    if protocol.kind == "oscillator":
-        s_f = evaluate(protocol, protocol.t_f)
-        ref = bogoliubov.ReferenceMode(s_f.mass, s_f.omega, protocol.t_f)
-        for k in range(n_pts):
-            mode = traj.sample(k)
-            try:
-                coeffs = bogoliubov.boson_overlap(mode, ref)
-                nu_sq[k] = coeffs.production
-            except ValueError:
-                nu_sq[k] = math.nan
-            v = mode.v
-            q2[k] = thermal_observables.q_moment(1, v, theta, hbar)
-            q4[k] = thermal_observables.q_moment(2, v, theta, hbar)
-    else:
-        scale = 1.0 / math.sqrt(2.0 * m_i * omega_i)
-        for k in range(n_pts):
-            mode = traj.sample(k)
-            nu_sq[k] = abs(mode.f_plus) ** 2
-            v = np.conj(mode.f_minus - mode.f_plus) * scale
-            q2[k] = thermal_observables.q_moment(1, v, theta, hbar)
-            q4[k] = thermal_observables.q_moment(2, v, theta, hbar)
-
-    occupation[:] = nu_sq + (1.0 + 2.0 * nu_sq) * n_eq
-    return [
-        ("t [time]", traj.t),
-        ("occupation_equilibrium [1]", np.full(n_pts, n_eq)),
-        ("nu_sq [1]", nu_sq),
-        ("occupation_evolved [1]", occupation),
-        ("q2 [length^2]", q2),
-        ("q4 [length^4]", q4),
-    ]
-
-
-def _boson_oracle_columns(
-    config: RunConfig, traj, columns: list[tuple[str, np.ndarray]]
-) -> fock_oracle.DoubledTrajectory:
-    """Append oracle occupation/moment columns (with absolute differences)."""
-    protocol, hbar = config.protocol, config.hbar
-    doubled = fock_oracle.evolve_doubled_thermal(protocol, config.beta, config.oracle)
-    n = config.oracle.n_levels
-    m_i, omega_i = initial_frame(protocol)
-    s_f = evaluate(protocol, protocol.t_f)
-    if protocol.kind == "oscillator":
-        a_f = fock_oracle.frame_annihilation(s_f.mass, s_f.omega, n, m_i, omega_i, hbar)
-    else:
-        a_f = fock_oracle.frame_annihilation(1.0, omega_i, n, 1.0, omega_i, hbar)
-    n_f = fock_oracle.OperatorMatrix(a_f.dag.matrix @ a_f.matrix, a_f.basis)
-    q_op = fock_oracle.position_operator(n, m_i, omega_i, hbar)
-    q2_op = fock_oracle.OperatorMatrix(q_op.matrix @ q_op.matrix, q_op.basis)
-    q4_op = fock_oracle.OperatorMatrix(q2_op.matrix @ q2_op.matrix, q_op.basis)
-
-    n_pts = len(doubled.t)
-    oracle_occ = np.empty(n_pts)
-    oracle_q2 = np.empty(n_pts)
-    oracle_q4 = np.empty(n_pts)
-    for k, state in enumerate(doubled.states):
-        oracle_occ[k] = fock_oracle.expectation_single_factor(state, n_f).real
-        oracle_q2[k] = fock_oracle.expectation_single_factor(state, q2_op).real
-        oracle_q4[k] = fock_oracle.expectation_single_factor(state, q4_op).real
-
-    by_name = dict(columns)
-    columns += [
-        ("oracle_occupation [1]", oracle_occ),
-        ("occupation_abs_diff [1]", np.abs(by_name["occupation_evolved [1]"] - oracle_occ)),
-        ("oracle_q2 [length^2]", oracle_q2),
-        ("q2_abs_diff [length^2]", np.abs(by_name["q2 [length^2]"] - oracle_q2)),
-        ("oracle_q4 [length^4]", oracle_q4),
-        ("q4_abs_diff [length^4]", np.abs(by_name["q4 [length^4]"] - oracle_q4)),
-        ("oracle_tail_weight [1]", doubled.tail_weight),
-    ]
-    return doubled
-
-
-def _fermion_observables(config: RunConfig, traj) -> list[tuple[str, np.ndarray]]:
-    production_a = np.abs(traj.f_a_plus) ** 2 + np.abs(traj.g_a_plus) ** 2
-    production_b = np.abs(traj.f_b_plus) ** 2 + np.abs(traj.g_b_plus) ** 2
-    return [
-        ("t [time]", traj.t),
-        ("production_a [1]", production_a),
-        ("production_b [1]", production_b),
-    ]
-
-
-def _fermion_oracle_columns(
-    config: RunConfig, traj, columns: list[tuple[str, np.ndarray]]
-) -> fock_oracle.DoubledTrajectory:
-    protocol, hbar = config.protocol, config.hbar
-    doubled = fock_oracle.evolve_doubled_thermal(protocol, config.beta, config.oracle)
-    _, omega_i = initial_frame(protocol)
-    theta = thermal_observables.theta(config.beta, omega_i, hbar, "fermion")
-    ops = fock_oracle.build_fermion_space(doubled=True)
-    basis = fock_oracle.fermion_doubled()
-    num_a = fock_oracle.OperatorMatrix(ops["a"].dag.matrix @ ops["a"].matrix, basis)
-    num_b = fock_oracle.OperatorMatrix(ops["b"].dag.matrix @ ops["b"].matrix, basis)
-
-    n_pts = len(doubled.t)
-    occ_a = np.empty(n_pts)
-    occ_b = np.empty(n_pts)
-    residual = np.empty(n_pts)
-    for k, state in enumerate(doubled.states):
-        occ_a[k] = fock_oracle.expectation(state, num_a).real
-        occ_b[k] = fock_oracle.expectation(state, num_b).real
-        res = fock_oracle.thermal_state_condition_residual(state, traj.sample(k), theta)
-        residual[k] = max(res.values())
-    columns += [
-        ("oracle_occupation_a [1]", occ_a),
-        ("oracle_occupation_b [1]", occ_b),
-        ("oracle_condition_residual_max [1]", residual),
-        ("oracle_tail_weight [1]", doubled.tail_weight),
-    ]
-    return doubled
-
-
-# kind -> (mode solver, analytic observable columns, oracle column builder).
-# The solver is named, not held, and looked up among the module globals on
-# each call, so a rebinding of it (bench/tracer.py wraps each layer that way)
-# takes effect.
+# kind -> mode solver.  The solver is named, not held, and looked up among
+# the module globals on each call, so a rebinding of it (bench/tracer.py wraps
+# each layer that way) takes effect.
 _SOLVERS = {
-    "boson": ("solve_boson_mode", _boson_observables, _boson_oracle_columns),
-    "oscillator": ("solve_oscillator_mode", _boson_observables, _boson_oracle_columns),
-    "fermion": ("solve_fermion_modes", _fermion_observables, _fermion_oracle_columns),
+    "boson": "solve_boson_mode",
+    "oscillator": "solve_oscillator_mode",
+    "fermion": "solve_fermion_modes",
 }
 
 # observables whose final values the manifest reports (and a sweep summarises)
@@ -556,10 +423,11 @@ def run_quench(config: RunConfig, out_dir: str | Path) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
 
-    solver, observe, oracle_columns = _SOLVERS[config.protocol.kind]
-    traj = globals()[solver](config.protocol, config.integrator)
-    observables = observe(config, traj)
-    doubled = oracle_columns(config, traj, observables) if config.oracle_enabled else None
+    traj = globals()[_SOLVERS[config.protocol.kind]](config.protocol, config.integrator)
+    observables, doubled = verification.quench_observables(
+        config.protocol, traj, config.beta, config.hbar,
+        config.oracle if config.oracle_enabled else None,
+    )
 
     manifest = _manifest_skeleton(config)
     manifest.update(

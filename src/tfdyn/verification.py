@@ -7,6 +7,12 @@ evolutions are shared between the checks that need them.
 
 The checks that need the oracle (``ORACLE_CHECKS``) are skipped (not
 silently passed) when the oracle is disabled.
+
+``quench_observables`` builds the analytic observables of one quench and,
+with an oracle configuration, their brute-force counterparts.  It is the one
+definition of that comparison: ``tfdyn run`` writes its columns to
+``observables.csv``, and the oracle checks of criteria 3, 4, 6 and 7 read
+the same columns.
 """
 
 from __future__ import annotations
@@ -22,6 +28,9 @@ from .protocols import (
     Constant,
     FermionProtocol,
     OscillatorProtocol,
+    Protocol,
+    evaluate,
+    initial_frame,
     make_tanh_ramp,
 )
 
@@ -29,6 +38,8 @@ __all__ = [
     "CheckResult",
     "VerificationSettings",
     "run_all",
+    "quench_observables",
+    "condition_residuals",
     "ANALYTIC_CHECKS",
     "ORACLE_CHECKS",
     "CHECK_NAMES",
@@ -105,6 +116,141 @@ CHECK_NAMES = tuple(sorted(ANALYTIC_CHECKS + ORACLE_CHECKS))
 
 def _skip(name: str) -> CheckResult:
     return CheckResult(name, True, math.nan, math.nan, "oracle disabled", skipped=True)
+
+
+# ---------------------------------------------------------------------------
+# observables of one quench: the columns of observables.csv
+# ---------------------------------------------------------------------------
+
+Columns = list[tuple[str, np.ndarray]]
+
+
+def _boson_columns(protocol: Protocol, traj, beta: float, hbar: float, doubled) -> Columns:
+    """Occupation and position moments of a boson or oscillator run.
+
+    The occupation refers to the protocol's final static frame: for
+    oscillator protocols nu comes from the mode-function overlap with that
+    frame, for abstract bosons it is |f+(t)|^2 directly.  The q moments refer
+    to the initial frame, in which the thermal state is prepared.  With a
+    doubled trajectory, each quantity is also traced in the same frame and
+    differenced against its analytic value.
+    """
+    m_i, omega_i = initial_frame(protocol)
+    theta = thermal_observables.theta(beta, omega_i, hbar, "boson")
+    n_eq = thermal_observables.equilibrium_occupation(beta, omega_i, hbar, "boson")
+    frame = (m_i, omega_i)
+    if protocol.kind == "oscillator":
+        s_f = evaluate(protocol, protocol.t_f)
+        frame = (s_f.mass, s_f.omega)
+        ref = bogoliubov.ReferenceMode(*frame, protocol.t_f)
+    scale = 1.0 / math.sqrt(2.0 * m_i * omega_i)
+
+    n_pts = len(traj.t)
+    nu_sq, q2, q4 = np.empty(n_pts), np.empty(n_pts), np.empty(n_pts)
+    for k in range(n_pts):
+        mode = traj.sample(k)
+        if protocol.kind == "oscillator":
+            nu_sq[k] = bogoliubov.boson_overlap(mode, ref).production
+            v = mode.v
+        else:
+            nu_sq[k] = abs(mode.f_plus) ** 2
+            v = np.conj(mode.f_minus - mode.f_plus) * scale
+        q2[k] = thermal_observables.q_moment(1, v, theta, hbar)
+        q4[k] = thermal_observables.q_moment(2, v, theta, hbar)
+    analytic = {"occupation": nu_sq + (1.0 + 2.0 * nu_sq) * n_eq, "q2": q2, "q4": q4}
+    columns = [
+        ("t [time]", traj.t),
+        ("occupation_equilibrium [1]", np.full(n_pts, n_eq)),
+        ("nu_sq [1]", nu_sq),
+        ("occupation_evolved [1]", analytic["occupation"]),
+        ("q2 [length^2]", q2),
+        ("q4 [length^4]", q4),
+    ]
+    if doubled is None:
+        return columns
+
+    n = doubled.states[0].basis.n_levels
+    a_f = fock_oracle.frame_annihilation(*frame, n, m_i, omega_i, hbar).matrix
+    q_op = fock_oracle.position_operator(n, m_i, omega_i, hbar)
+    q2_op = q_op.matrix @ q_op.matrix
+    ops = {"occupation": a_f.conj().T @ a_f, "q2": q2_op, "q4": q2_op @ q2_op}
+    for name, unit in (("occupation", "1"), ("q2", "length^2"), ("q4", "length^4")):
+        op = fock_oracle.OperatorMatrix(ops[name], q_op.basis)
+        traced = np.array(
+            [fock_oracle.expectation_single_factor(st, op).real for st in doubled.states]
+        )
+        columns += [
+            (f"oracle_{name} [{unit}]", traced),
+            (f"{name}_abs_diff [{unit}]", np.abs(analytic[name] - traced)),
+        ]
+    return columns
+
+
+def _fermion_columns(protocol: Protocol, traj, beta: float, hbar: float, doubled) -> Columns:
+    """Pair production |f+|^2 + |g+|^2 of each channel; with a doubled
+    trajectory, also the traced occupation of each channel and the worst
+    thermal-vacuum condition residual of the mode solution on each row."""
+    columns = [
+        ("t [time]", traj.t),
+        ("production_a [1]", np.abs(traj.f_a_plus) ** 2 + np.abs(traj.g_a_plus) ** 2),
+        ("production_b [1]", np.abs(traj.f_b_plus) ** 2 + np.abs(traj.g_b_plus) ** 2),
+    ]
+    if doubled is None:
+        return columns
+
+    ops = fock_oracle.build_fermion_space(doubled=True)
+    for channel in ("a", "b"):
+        c = ops[channel]
+        num = fock_oracle.OperatorMatrix(c.dag.matrix @ c.matrix, c.basis)
+        traced = np.array([fock_oracle.expectation(st, num).real for st in doubled.states])
+        columns.append((f"oracle_occupation_{channel} [1]", traced))
+    theta = thermal_observables.theta(beta, initial_frame(protocol)[1], hbar, "fermion")
+    columns.append(
+        ("oracle_condition_residual_max [1]", condition_residuals(doubled, traj, theta))
+    )
+    return columns
+
+
+def condition_residuals(doubled: fock_oracle.DoubledTrajectory, traj, theta: float) -> np.ndarray:
+    """Worst thermal-vacuum condition residual on each row: the oracle's
+    evolved state against the invariant operators of the mode solution."""
+    return np.array(
+        [
+            max(fock_oracle.thermal_state_condition_residual(st, traj.sample(k), theta).values())
+            for k, st in enumerate(doubled.states)
+        ]
+    )
+
+
+def _unitless(columns: Columns) -> dict[str, np.ndarray]:
+    """Columns keyed by name without the unit tag."""
+    return {name.split(" [")[0]: values for name, values in columns}
+
+
+def quench_observables(
+    protocol: Protocol,
+    traj,
+    beta: float,
+    hbar: float,
+    oracle: fock_oracle.OracleConfig | None = None,
+) -> tuple[Columns, fock_oracle.DoubledTrajectory | None]:
+    """The ``observables.csv`` columns of one quench, and the oracle's run.
+
+    ``traj`` is the protocol's mode trajectory, on the output grid the
+    oracle samples too.  Without an oracle configuration only the analytic
+    columns are built and no doubled trajectory is returned; with one, the
+    doubled thermal state is evolved at inverse temperature ``beta`` and
+    each analytic quantity gets its traced counterpart, followed by the
+    oracle's tail weight.
+    """
+    doubled = None
+    if oracle is not None:
+        doubled = fock_oracle.evolve_doubled_thermal(protocol, beta, oracle)
+    build = _fermion_columns if protocol.kind == "fermion" else _boson_columns
+    columns = build(protocol, traj, beta, hbar, doubled)
+    if doubled is not None:
+        columns.append(("oracle_tail_weight [1]", doubled.tail_weight))
+    return columns, doubled
 
 
 def _coupling_pulse(amplitude: float, width: float):
@@ -193,8 +339,10 @@ def run_all(settings: VerificationSettings | None = None) -> list[CheckResult]:
         t_i=0.0, t_f=10.0,
     )
     narrow_traj = mode_solver.solve_oscillator_mode(narrow, mode_cfg)
+    s_f = evaluate(narrow, narrow.t_f)
+    frame_i, frame_f = initial_frame(narrow), (s_f.mass, s_f.omega)
     nu_sq = bogoliubov.boson_overlap(
-        narrow_traj.final, bogoliubov.ReferenceMode(1.0, 4.0, 10.0)
+        narrow_traj.final, bogoliubov.ReferenceMode(*frame_f, narrow.t_f)
     ).production
     dev = abs(nu_sq - 0.5625)
     record(
@@ -203,7 +351,7 @@ def run_all(settings: VerificationSettings | None = None) -> list[CheckResult]:
     )
 
     # -- criterion 9: Bogoliubov constraints on every verification run -----
-    # the 1 -> 2 tanh quench at beta = 1 (criteria 6 and 7 reuse its overlaps)
+    # the 1 -> 2 tanh quench, projected on the exact omega = 2 frame
     nu_grid = [
         bogoliubov.boson_overlap(
             osc_traj.sample(k), bogoliubov.ReferenceMode(1.0, 2.0, 10.0)
@@ -287,28 +435,20 @@ def run_all(settings: VerificationSettings | None = None) -> list[CheckResult]:
             omega0=Constant(1.0), omega_plus=_coupling_pulse(0.25, 0.4),
             t_i=0.0, t_f=10.0,
         )
-        worst, tail = {}, {}
-        for statistics, proto, traj in (
-            ("boson", pulse_proto, mode_solver.solve_boson_mode(pulse_proto, mode_cfg)),
-            ("fermion", fermion_pulse, fp_traj),
-        ):
-            th = thermal_observables.theta(beta, 1.0, hbar, statistics)
-            dt = fock_oracle.evolve_doubled_thermal(proto, beta, oracle_cfg)
-            worst[statistics] = 0.0
-            for k in range(len(dt.t)):
-                res = fock_oracle.thermal_state_condition_residual(
-                    dt.states[k], traj.sample(k), th
-                )
-                worst[statistics] = max(worst[statistics], *res.values())
-            tail[statistics] = float(dt.tail_weight.max())
+        pulse_traj = mode_solver.solve_boson_mode(pulse_proto, mode_cfg)
+        _, dt = quench_observables(pulse_proto, pulse_traj, beta, hbar, oracle_cfg)
+        th = thermal_observables.theta(beta, initial_frame(pulse_proto)[1], hbar, "boson")
+        worst = float(np.max(condition_residuals(dt, pulse_traj, th)))
+        tail = float(dt.tail_weight.max())
         record(
-            "c03a_thermal_condition_boson",
-            worst["boson"] <= 1e-6 and tail["boson"] <= 1e-8, worst["boson"], 1e-6,
-            f"coupling pulse 0->0.25->0, N = {n}, max tail {tail['boson']:.1e}",
+            "c03a_thermal_condition_boson", worst <= 1e-6 and tail <= 1e-8, worst, 1e-6,
+            f"coupling pulse 0->0.25->0, N = {n}, max tail {tail:.1e}",
         )
+        columns, _ = quench_observables(fermion_pulse, fp_traj, beta, hbar, oracle_cfg)
+        worst = float(np.max(_unitless(columns)["oracle_condition_residual_max"]))
         record(
-            "c03b_thermal_condition_fermion", worst["fermion"] < 1e-10, worst["fermion"],
-            1e-10, "coupling pulse 0->0.5->0 (jumps), exact 16-dim space",
+            "c03b_thermal_condition_fermion", worst < 1e-10, worst, 1e-10,
+            "coupling pulse 0->0.5->0 (jumps), exact 16-dim space",
         )
 
         # -- criterion 4: constant Hamiltonian keeps the distribution -------
@@ -320,10 +460,11 @@ def run_all(settings: VerificationSettings | None = None) -> list[CheckResult]:
         const_cfg = fock_oracle.OracleConfig(
             n_levels=n, substeps_per_unit=200.0, grid_points=101, hbar=hbar
         )
-        dt_c = fock_oracle.evolve_doubled_thermal(const_proto, beta, const_cfg)
-        occ = np.array(
-            [fock_oracle.expectation_single_factor(st, num_b).real for st in dt_c.states]
+        columns, _ = quench_observables(
+            const_proto, mode_solver.solve_boson_mode(const_proto, mode_cfg), beta, hbar,
+            const_cfg,
         )
+        occ = _unitless(columns)["oracle_occupation"]
         dev = float(np.max(np.abs(occ - occ[0])))
         record(
             "c04_constant_distribution", dev < 1e-9, dev, 1e-9,
@@ -331,14 +472,15 @@ def run_all(settings: VerificationSettings | None = None) -> list[CheckResult]:
         )
 
         # -- criterion 5, brute force: sudden 1 -> 4 from the vacuum --------
-        h_before = fock_oracle.build_oscillator_hamiltonian(1.0, 1.0, n, 1.0, 1.0, hbar)
-        h_after = fock_oracle.build_oscillator_hamiltonian(1.0, 4.0, n, 1.0, 1.0, hbar)
+        # c05b's 1 -> 4 quench with its ramp made a jump, in its frames
+        h_before = fock_oracle.build_oscillator_hamiltonian(*frame_i, n, *frame_i, hbar)
+        h_after = fock_oracle.build_oscillator_hamiltonian(*frame_f, n, *frame_i, hbar)
         u1 = fock_oracle.evolve_unitary(lambda t: h_before, 0.0, 5.0, substeps=1, hbar=hbar)
         u2 = fock_oracle.evolve_unitary(lambda t: h_after, 5.0, 10.0, substeps=1, hbar=hbar)
         vac = np.zeros(n, dtype=complex)
         vac[0] = 1.0
         psi = fock_oracle.StateVector(u2.matrix @ (u1.matrix @ vac), h_before.basis)
-        a_f = fock_oracle.frame_annihilation(1.0, 4.0, n, 1.0, 1.0, hbar)
+        a_f = fock_oracle.frame_annihilation(*frame_f, n, *frame_i, hbar)
         n_f = fock_oracle.OperatorMatrix(a_f.dag.matrix @ a_f.matrix, a_f.basis)
         produced = fock_oracle.expectation(psi, n_f).real
         dev = abs(produced - 0.5625)
@@ -348,39 +490,26 @@ def run_all(settings: VerificationSettings | None = None) -> list[CheckResult]:
         )
 
         # -- criteria 6 + 7: the 1 -> 2 tanh quench at beta = 1 -------------
-        dt_q = fock_oracle.evolve_doubled_thermal(osc_quench, beta, oracle_cfg)
-        a_f = fock_oracle.frame_annihilation(1.0, 2.0, n, 1.0, 1.0, hbar)
-        n_f_op = fock_oracle.OperatorMatrix(a_f.dag.matrix @ a_f.matrix, a_f.basis)
-        predicted = thermal_observables.evolved_occupation_boson(
-            nu_grid[-1].nu, beta, 1.0, hbar
-        )
-        traced = fock_oracle.expectation_single_factor(dt_q.states[-1], n_f_op).real
-        dev = abs(predicted - traced)
+        q = _unitless(quench_observables(osc_quench, osc_traj, beta, hbar, oracle_cfg)[0])
+        dev = float(q["occupation_abs_diff"][-1])
         record(
             "c06_evolved_distribution", dev <= 1e-6, dev, 1e-6,
-            f"nu*nu + (1+2 nu*nu) n_eq = {predicted:.8f} vs trace {traced:.8f}",
+            f"nu*nu + (1+2 nu*nu) n_eq = {q['occupation_evolved'][-1]:.8f} "
+            f"vs trace {q['oracle_occupation'][-1]:.8f}",
         )
 
-        th_b = thermal_observables.theta(beta, 1.0, hbar, "boson")
-        q_op = fock_oracle.position_operator(n, 1.0, 1.0, hbar)
-        q2_op = fock_oracle.OperatorMatrix(q_op.matrix @ q_op.matrix, q_op.basis)
-        q4_op = fock_oracle.OperatorMatrix(q2_op.matrix @ q2_op.matrix, q_op.basis)
-        k_mid = len(dt_q.t) // 2
-        for name, k, detail in (
-            ("c07a_q_moments_equilibrium", 0, "n = 1, 2 at t_i"),
-            ("c07b_q_moments_midquench", k_mid, f"n = 1, 2 at t = {dt_q.t[k_mid]:.2f}"),
+        k_mid = len(q["t"]) // 2
+        for name, k, tol, detail in (
+            ("c07a_q_moments_equilibrium", 0, 1e-12, "n = 1, 2 at t_i"),
+            ("c07b_q_moments_midquench", k_mid, 1e-6, f"n = 1, 2 at t = {q['t'][k_mid]:.2f}"),
         ):
-            q2 = fock_oracle.expectation_single_factor(dt_q.states[k], q2_op).real
-            q4 = fock_oracle.expectation_single_factor(dt_q.states[k], q4_op).real
-            v = osc_traj.sample(k).v
-            dev = max(
-                abs(thermal_observables.q_moment(1, v, th_b, hbar) - q2),
-                abs(thermal_observables.q_moment(2, v, th_b, hbar) - q4),
-            )
-            record(name, dev <= 1e-6, dev, 1e-6, detail)
+            dev = float(max(q["q2_abs_diff"][k], q["q4_abs_diff"][k]))
+            record(name, dev <= tol, dev, tol, detail)
         # The ratio probes Gaussianity, which quadratic propagation preserves
         # at any step size; its error floor is set purely by the basis edge,
-        # so run a wider box with coarse steps.
+        # so run a wider box with coarse steps.  The ratio is the same for
+        # every multiple of a + a^dag, so the unit normalisation of q below
+        # is not a frame choice.
         n_wide = WIDE_BOX_FACTOR * n
         q_wide = fock_oracle.position_operator(n_wide, 1.0, 1.0, hbar)
         q2_wide = fock_oracle.OperatorMatrix(q_wide.matrix @ q_wide.matrix, q_wide.basis)

@@ -121,11 +121,15 @@ class TestBosonOverlap:
             productions.append(c.production)
         assert productions[0] > productions[1] > productions[2]
 
-    def test_mass_mismatch_refused(self):
+    def test_unequal_masses_give_a_bogoliubov_transformation(self):
+        """Projecting a mass-1 mode on a frame of another mass pairs position
+        with momentum amplitudes, so |mu|^2 - |nu|^2 = 1 still holds."""
         p = OscillatorProtocol(Constant(1.0), Constant(2.0), t_i=0.0, t_f=1.0)
         traj = solve_oscillator_mode(p, TIGHT)
-        with pytest.raises(ValueError, match="mass"):
-            boson_overlap(traj.final, ReferenceMode(2.0, 2.0))
+        for m_ref in (0.5, 2.0, 3.7):
+            c = boson_overlap(traj.final, ReferenceMode(m_ref, 2.0))
+            assert c.constraint_deviation < 1e-12
+            assert c.production > 1e-3  # a real change of frame, not the identity
 
     def test_statistics_validated(self):
         with pytest.raises(ValueError):

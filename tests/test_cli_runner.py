@@ -305,15 +305,15 @@ class TestRunQuench:
         assert a == b
 
     def test_sudden_mass_jump_agrees_with_the_oracle(self, tmp_path):
-        """v and m v' carry over a mass jump; before the jump the mode's mass
-        differs from the final frame's, so nu_sq (and the occupation diff) is
-        NaN there by design."""
+        """v and m v' carry over a mass jump.  The occupation is projected on
+        the final frame on every row, before the jump too, where the mode's
+        mass differs from the frame's."""
         manifest = run_quench(parse_config(MASS_JUMP, "quench"), tmp_path)
         assert manifest["drift"]["wronskian"] < 1e-9
         rows = _read_csv(tmp_path / "observables.csv")
-        after = rows["t [time]"] >= 1.0
-        assert np.max(rows["occupation_abs_diff [1]"][after]) < 1e-6
-        assert np.max(rows["q2_abs_diff [length^2]"]) < 1e-6
+        for name in ("occupation_abs_diff [1]", "q2_abs_diff [length^2]"):
+            assert np.all(np.isfinite(rows[name]))
+            assert np.max(rows[name]) < 1e-6
 
     @pytest.mark.parametrize("kind", sorted(MODES_HEADERS))
     def test_modes_csv_header(self, tmp_path, kind):
