@@ -52,7 +52,7 @@ from .thermal_observables import (
     q_moment,
     theta,
 )
-from .verification import CheckResult, VerificationSettings, run_all
+from .verification import CheckResult, run_all
 from .cli_runner import (
     RunConfig,
     canonical_config_text,

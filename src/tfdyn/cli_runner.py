@@ -61,13 +61,13 @@ WORKERS_ENV_VAR = "TFDYN_WORKERS"
 
 _RUN_KINDS = ("quench", "sweep", "verify")
 
-# Sections with a fixed key vocabulary ([protocol] is validated by
-# protocols.from_config, which also rejects unknown keys).
+# Sections with a fixed key vocabulary, each key with its type ([protocol] is
+# validated by protocols.from_config, which also rejects unknown keys).
 _SECTION_KEYS = {
-    "run": {"kind", "beta", "hbar"},
-    "integrator": {"rel_tol", "abs_tol", "grid_points", "max_step"},
-    "oracle": {"enabled", "n_levels", "substeps_per_unit", "tail_abort"},
-    "sweep": {"key", "values"},
+    "run": {"kind": str, "hbar": float, "beta": float},
+    "integrator": {"rel_tol": float, "abs_tol": float, "grid_points": int, "max_step": float},
+    "oracle": {"enabled": bool, "n_levels": int, "substeps_per_unit": float, "tail_abort": float},
+    "sweep": {"key": str, "values": str},
 }
 _ALL_SECTIONS = set(_SECTION_KEYS) | {"protocol"}
 
@@ -81,6 +81,7 @@ _BOOLEANS = {
     "true": True, "yes": True, "on": True, "1": True,
     "false": False, "no": False, "off": False, "0": False,
 }
+_TYPE_NAMES = {float: "a number", int: "an integer", bool: "a boolean"}
 
 
 @dataclass(frozen=True)
@@ -91,10 +92,8 @@ class RunConfig:
     beta: float | None
     hbar: float
     protocol: Protocol | None
-    statistics: str | None
     integrator: IntegratorConfig
-    oracle_enabled: bool
-    oracle: fock_oracle.OracleConfig
+    oracle: fock_oracle.OracleConfig | None  # None: the oracle is off
     sweep_key: str | None
     sweep_values: tuple[float, ...]
     canonical_text: str
@@ -140,33 +139,20 @@ def _digest(canonical: str) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _get_float(section: str, mapping, key: str, default: float | None) -> float | None:
-    if key not in mapping:
-        return default
-    raw = mapping[key]
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: cannot parse '{raw}' as a number") from exc
-
-
-def _get_int(section: str, mapping, key: str, default: int) -> int:
-    if key not in mapping:
-        return default
-    raw = mapping[key]
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: cannot parse '{raw}' as an integer") from exc
-
-
-def _get_bool(section: str, mapping, key: str, default: bool) -> bool:
-    if key not in mapping:
-        return default
-    raw = mapping[key].strip().lower()
-    if raw not in _BOOLEANS:
-        raise ConfigError(f"[{section}] {key}: cannot parse '{mapping[key]}' as a boolean")
-    return _BOOLEANS[raw]
+def _section(parser: configparser.ConfigParser, section: str) -> dict:
+    """The keys given in a section, each converted to its type."""
+    if not parser.has_section(section):
+        return {}
+    values = {}
+    for key, raw in parser[section].items():
+        kind = _SECTION_KEYS[section][key]
+        try:
+            values[key] = _BOOLEANS[raw.strip().lower()] if kind is bool else kind(raw)
+        except (KeyError, ValueError) as exc:
+            raise ConfigError(
+                f"[{section}] {key}: cannot parse '{raw}' as {_TYPE_NAMES[kind]}"
+            ) from exc
+    return values
 
 
 def parse_config(text: str, kind: str) -> RunConfig:
@@ -180,7 +166,7 @@ def parse_config(text: str, kind: str) -> RunConfig:
             raise ConfigError(f"unknown config section '[{section}]'")
         allowed = _SECTION_KEYS.get(section)
         if allowed is not None:
-            unknown = sorted(set(parser[section]) - allowed)
+            unknown = sorted(set(parser[section]).difference(allowed))
             if unknown:
                 raise ConfigError(
                     f"unknown key(s) in [{section}]: {', '.join(unknown)}"
@@ -191,19 +177,19 @@ def parse_config(text: str, kind: str) -> RunConfig:
             if parser.has_section(section) and key in parser[section]:
                 raise ConfigError(f"[{section}] {key} does not apply to a verify run")
 
-    run_sec = parser["run"] if parser.has_section("run") else {}
-    declared = run_sec.get("kind", "").strip().lower() if run_sec else ""
+    run = _section(parser, "run")
+    declared = run.get("kind", "").strip().lower()
     if declared and declared != kind:
         raise ConfigError(
             f"config declares kind '{declared}' but was invoked as '{kind}'"
         )
 
-    hbar = _get_float("run", run_sec, "hbar", 1.0)
+    hbar = run.get("hbar", 1.0)
     if not hbar > 0.0:
         raise ConfigError(f"[run] hbar must be positive, got {hbar}")
 
     needs_protocol = kind in ("quench", "sweep")
-    beta = _get_float("run", run_sec, "beta", None)
+    beta = run.get("beta")
     if needs_protocol:
         if beta is None:
             raise ConfigError(f"[run] beta is required for a {kind} run")
@@ -228,39 +214,24 @@ def parse_config(text: str, kind: str) -> RunConfig:
     elif parser.has_section("protocol"):
         raise ConfigError("a verify run takes no [protocol] section")
 
-    integ_sec = parser["integrator"] if parser.has_section("integrator") else {}
-    max_step = _get_float("integrator", integ_sec, "max_step", math.inf)
-    if max_step == 0.0:
-        max_step = math.inf
-    defaults = IntegratorConfig()
+    integrator_values = _section(parser, "integrator")
+    if integrator_values.get("max_step") == 0.0:
+        integrator_values["max_step"] = math.inf
     try:
-        integrator = IntegratorConfig(
-            rel_tol=_get_float("integrator", integ_sec, "rel_tol", defaults.rel_tol),
-            abs_tol=_get_float("integrator", integ_sec, "abs_tol", defaults.abs_tol),
-            max_step=max_step,
-            grid_points=_get_int("integrator", integ_sec, "grid_points", defaults.grid_points),
-        )
+        integrator = IntegratorConfig(**integrator_values)
     except ValueError as exc:
         raise ConfigError(f"[integrator] {exc}") from exc
 
-    oracle_sec = parser["oracle"] if parser.has_section("oracle") else {}
-    oracle_enabled = _get_bool("oracle", oracle_sec, "enabled", True)
-    oracle_defaults = fock_oracle.OracleConfig()
+    oracle_values = _section(parser, "oracle")
+    enabled = oracle_values.pop("enabled", True)
+    # validated even when disabled; oracle samples share the mode grid
     try:
-        oracle = fock_oracle.OracleConfig(
-            n_levels=_get_int("oracle", oracle_sec, "n_levels", oracle_defaults.n_levels),
-            substeps_per_unit=_get_float(
-                "oracle", oracle_sec, "substeps_per_unit", oracle_defaults.substeps_per_unit
-            ),
-            grid_points=integrator.grid_points,  # oracle samples share the mode grid
-            hbar=hbar,
-            tail_abort=_get_float(
-                "oracle", oracle_sec, "tail_abort", oracle_defaults.tail_abort
-            ),
-        )
+        oracle = fock_oracle.OracleConfig(**oracle_values, grid_points=integrator.grid_points)
     except ValueError as exc:
         raise ConfigError(f"[oracle] {exc}") from exc
-    if kind == "verify" and oracle_enabled:
+    if not enabled:
+        oracle = None
+    if kind == "verify" and oracle is not None:
         wide = verification.WIDE_BOX_FACTOR * oracle.n_levels
         try:
             fock_oracle.boson_doubled(wide)
@@ -272,7 +243,7 @@ def parse_config(text: str, kind: str) -> RunConfig:
 
     # The thermal state at t_i is built at the initial frame frequency; a
     # fermion run needs it only for the oracle.
-    if protocol is not None and (oracle_enabled or protocol.kind != "fermion"):
+    if protocol is not None and (oracle is not None or protocol.kind != "fermion"):
         omega_i = initial_frame(protocol)[1]
         if not omega_i > 0.0:
             raise ConfigError(
@@ -285,10 +256,10 @@ def parse_config(text: str, kind: str) -> RunConfig:
     if kind == "sweep":
         if not parser.has_section("sweep"):
             raise ConfigError("a sweep run needs a [sweep] section")
-        sweep_sec = parser["sweep"]
-        if "key" not in sweep_sec or "values" not in sweep_sec:
+        sweep = _section(parser, "sweep")
+        if "key" not in sweep or "values" not in sweep:
             raise ConfigError("[sweep] needs both 'key' and 'values'")
-        sweep_key = sweep_sec["key"].strip().lower()
+        sweep_key = sweep["key"].strip().lower()
         if sweep_key.count(".") != 1:
             raise ConfigError(
                 f"[sweep] key must look like 'section.key', got '{sweep_key}'"
@@ -301,7 +272,7 @@ def parse_config(text: str, kind: str) -> RunConfig:
             raise ConfigError(f"[sweep] key targets unknown key '{key}' in [{section}]")
         try:
             sweep_values = tuple(
-                float(v) for v in sweep_sec["values"].split(",") if v.strip()
+                float(v) for v in sweep["values"].split(",") if v.strip()
             )
         except ValueError as exc:
             raise ConfigError(f"[sweep] values must be numbers: {exc}") from exc
@@ -316,9 +287,7 @@ def parse_config(text: str, kind: str) -> RunConfig:
         beta=beta,
         hbar=hbar,
         protocol=protocol,
-        statistics=statistics_of(protocol) if protocol is not None else None,
         integrator=integrator,
-        oracle_enabled=oracle_enabled,
         oracle=oracle,
         sweep_key=sweep_key,
         sweep_values=sweep_values,
@@ -425,14 +394,13 @@ def run_quench(config: RunConfig, out_dir: str | Path) -> dict:
 
     traj = globals()[_SOLVERS[config.protocol.kind]](config.protocol, config.integrator)
     observables, doubled = verification.quench_observables(
-        config.protocol, traj, config.beta, config.hbar,
-        config.oracle if config.oracle_enabled else None,
+        config.protocol, traj, config.beta, config.hbar, config.oracle
     )
 
     manifest = _manifest_skeleton(config)
     manifest.update(
         {
-            "statistics": config.statistics,
+            "statistics": statistics_of(config.protocol),
             "beta": config.beta,
             "hbar": config.hbar,
             "protocol_warnings": list(config.protocol_warnings),
@@ -591,17 +559,9 @@ def run_verify(
     if config.kind != "verify":
         raise ValueError(f"run_verify got a '{config.kind}' config")
     started = time.perf_counter()
-    settings = verification.VerificationSettings(
-        rel_tol=config.integrator.rel_tol,
-        abs_tol=config.integrator.abs_tol,
-        oracle_enabled=config.oracle_enabled,
-        n_levels=config.oracle.n_levels,
-        substeps_per_unit=config.oracle.substeps_per_unit,
-        hbar=config.hbar,
-    )
     skeleton = _manifest_skeleton(config)
 
-    results = verification.run_all(settings)
+    results = verification.run_all(config.integrator, config.oracle, config.hbar)
     skeleton["checks"] = [
         {
             "name": r.name,

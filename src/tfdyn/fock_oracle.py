@@ -453,6 +453,21 @@ def tilde_swap(basis: BasisDescriptor) -> OperatorMatrix:
 # thermal states
 # ---------------------------------------------------------------------------
 
+def _boltzmann_ratio(beta: float, omega: float, hbar: float, n_levels: int) -> float:
+    """x = e^{-beta hbar w}, after refusing a box of ``n_levels`` whose
+    geometric tail x^N (the Gibbs weight beyond the box) exceeds
+    ``TAIL_REFUSAL``."""
+    x = math.exp(-min(beta * hbar * omega, EXP_ARG_MAX))
+    if x > 0.0 and x**n_levels > TAIL_REFUSAL:
+        required = max(2, math.ceil(math.log(TAIL_REFUSAL) / math.log(x)) + 1)
+        raise TruncationError(
+            f"geometric tail x^N = {x**n_levels:.3e} exceeds {TAIL_REFUSAL:.0e} at "
+            f"N = {n_levels}; use at least {required} levels for "
+            f"beta*hbar*omega = {beta * hbar * omega:.4g}"
+        )
+    return x
+
+
 def thermal_density(
     beta: float, omega: float, hbar: float = 1.0, basis: BasisDescriptor | None = None
 ) -> DensityMatrix:
@@ -461,10 +476,12 @@ def thermal_density(
     The number operator is a^dag a for bosons and a^dag a - b^dag b for the
     fermion pair (the b mode carries negative energy); weights are shifted by
     the ground energy before exponentiation so large beta never overflows.
+    A boson box whose geometric tail exceeds ``TAIL_REFUSAL`` is refused.
     """
     if basis is None:
         basis = boson_single(DEFAULT_N_LEVELS)
     if basis.kind == "boson_single":
+        _boltzmann_ratio(beta, omega, hbar, basis.n_levels)
         energies = np.arange(basis.n_levels, dtype=float)
     elif basis.kind == "fermion_single":
         ops = build_fermion_space(doubled=False)
@@ -496,10 +513,6 @@ def doubled_density(rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(np.kron(rho.matrix, rho.matrix.conj()), basis)
 
 
-def _required_levels(x: float) -> int:
-    return max(2, math.ceil(math.log(TAIL_REFUSAL) / math.log(x)) + 1)
-
-
 def build_thermal_state_doubled(
     beta: float,
     omega: float,
@@ -519,13 +532,7 @@ def build_thermal_state_doubled(
         basis = boson_doubled(DEFAULT_N_LEVELS)
     if basis.kind == "boson_doubled":
         n = basis.n_levels
-        x = math.exp(-min(beta * hbar * omega, EXP_ARG_MAX))
-        if x > 0.0 and x**n > TAIL_REFUSAL:
-            raise TruncationError(
-                f"geometric tail x^N = {x**n:.3e} exceeds {TAIL_REFUSAL:.0e} at "
-                f"N = {n}; use at least {_required_levels(x)} levels for "
-                f"beta*hbar*omega = {beta * hbar * omega:.4g}"
-            )
+        x = _boltzmann_ratio(beta, omega, hbar, n)
         levels = np.arange(n)
         amps = x ** (0.5 * levels)
         amps /= np.linalg.norm(amps)
@@ -825,7 +832,8 @@ def truncation_report(psi: StateVector) -> TruncationReport:
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Resolution knobs for brute-force evolution.
+    """Resolution settings for brute-force evolution, and only those: hbar,
+    like beta, is an argument of ``evolve_doubled_thermal``.
 
     ``substeps_per_unit`` counts matrix exponentials per unit time; a CFM4
     step spends two.
@@ -834,7 +842,6 @@ class OracleConfig:
     n_levels: int = DEFAULT_N_LEVELS
     substeps_per_unit: float = 500.0
     grid_points: int = 201
-    hbar: float = 1.0
     tail_abort: float = 1e-6
 
     def __post_init__(self) -> None:
@@ -897,7 +904,7 @@ def _generator_stacks(coeffs: np.ndarray, bases: list[np.ndarray]) -> list[np.nd
 
 
 def evolve_doubled_thermal(
-    protocol: Protocol, beta: float, config: OracleConfig | None = None
+    protocol: Protocol, beta: float, config: OracleConfig | None = None, hbar: float = 1.0
 ) -> DoubledTrajectory:
     """Evolve the thermal vacuum under H_hat(t) = H(t) - H~(t).
 
@@ -912,7 +919,6 @@ def evolve_doubled_thermal(
     with a diagnostic if the tail passes ``config.tail_abort``.
     """
     config = config or OracleConfig()
-    hbar = config.hbar
     frame = initial_frame(protocol)
 
     grid = np.linspace(protocol.t_i, protocol.t_f, config.grid_points)

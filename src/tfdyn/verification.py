@@ -18,7 +18,7 @@ the same columns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from .protocols import (
 
 __all__ = [
     "CheckResult",
-    "VerificationSettings",
     "run_all",
     "quench_observables",
     "condition_residuals",
@@ -46,7 +45,7 @@ __all__ = [
 ]
 
 LN2 = math.log(2.0)
-# c07c runs a box this many times wider than ``VerificationSettings.n_levels``.
+# c07c runs a box this many times wider than the oracle's ``n_levels``.
 WIDE_BOX_FACTOR = 2
 
 
@@ -70,18 +69,6 @@ class CheckResult:
             f"vs tolerance {self.tolerance:.0e}"
             + (f"  [{self.detail}]" if self.detail else "")
         )
-
-
-@dataclass(frozen=True)
-class VerificationSettings:
-    """Integrator/oracle knobs for the suite (tolerances of the checks are fixed)."""
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    oracle_enabled: bool = True
-    n_levels: int = fock_oracle.DEFAULT_N_LEVELS
-    substeps_per_unit: float = fock_oracle.OracleConfig.substeps_per_unit
-    hbar: float = 1.0
 
 
 ANALYTIC_CHECKS = (
@@ -245,7 +232,7 @@ def quench_observables(
     """
     doubled = None
     if oracle is not None:
-        doubled = fock_oracle.evolve_doubled_thermal(protocol, beta, oracle)
+        doubled = fock_oracle.evolve_doubled_thermal(protocol, beta, oracle, hbar)
     build = _fermion_columns if protocol.kind == "fermion" else _boson_columns
     columns = build(protocol, traj, beta, hbar, doubled)
     if doubled is not None:
@@ -259,10 +246,17 @@ def _coupling_pulse(amplitude: float, width: float):
     return lambda t: up(t) - down(t)
 
 
-def run_all(settings: VerificationSettings | None = None) -> list[CheckResult]:
-    """Execute the full acceptance suite and return one result per check."""
-    s = settings or VerificationSettings()
-    hbar = s.hbar
+def run_all(
+    integrator: mode_solver.IntegratorConfig | None = None,
+    oracle: fock_oracle.OracleConfig | None = fock_oracle.OracleConfig(),
+    hbar: float = 1.0,
+) -> list[CheckResult]:
+    """Execute the full acceptance suite and return one result per check.
+
+    The suite reads the integrator's tolerances and the oracle's ``n_levels``
+    and ``substeps_per_unit``; it pins its own grids, temperatures, step caps
+    and tail threshold.  ``oracle=None`` skips the oracle checks.
+    """
     reported: dict[str, CheckResult] = {}
 
     def record(name: str, passed: bool, measured: float, tolerance: float, detail: str) -> None:
@@ -270,14 +264,8 @@ def run_all(settings: VerificationSettings | None = None) -> list[CheckResult]:
             raise RuntimeError(f"verification check {name} reported twice")
         reported[name] = CheckResult(name, passed, measured, tolerance, detail)
 
-    mode_cfg = mode_solver.IntegratorConfig(
-        rel_tol=s.rel_tol, abs_tol=s.abs_tol, grid_points=101
-    )
-    oracle_cfg = fock_oracle.OracleConfig(
-        n_levels=s.n_levels,
-        substeps_per_unit=s.substeps_per_unit,
-        grid_points=101,
-        hbar=hbar,
+    mode_cfg = replace(
+        integrator or mode_solver.IntegratorConfig(), grid_points=101, max_step=math.inf
     )
 
     # -- criterion 1: equilibrium distributions ---------------------------
@@ -409,9 +397,12 @@ def run_all(settings: VerificationSettings | None = None) -> list[CheckResult]:
         "widths (1, 2, 4, 8) -> |nu|^2 = " + ", ".join(f"{p:.3e}" for p in productions),
     )
 
-    if s.oracle_enabled:
-        n = s.n_levels
+    if oracle is not None:
+        n = oracle.n_levels
         beta = 1.0 / hbar
+        oracle_cfg = fock_oracle.OracleConfig(
+            n_levels=n, substeps_per_unit=oracle.substeps_per_unit, grid_points=101
+        )
 
         # -- criterion 1, brute force: traces over the thermal density ------
         a_op, ad_op = fock_oracle.build_boson_ladder(n)
@@ -457,9 +448,7 @@ def run_all(settings: VerificationSettings | None = None) -> list[CheckResult]:
         )
         # constant H: the two CFM4 exponentials of a step commute, so any
         # substep count is exact
-        const_cfg = fock_oracle.OracleConfig(
-            n_levels=n, substeps_per_unit=200.0, grid_points=101, hbar=hbar
-        )
+        const_cfg = replace(oracle_cfg, substeps_per_unit=200.0)
         columns, _ = quench_observables(
             const_proto, mode_solver.solve_boson_mode(const_proto, mode_cfg), beta, hbar,
             const_cfg,
@@ -515,9 +504,9 @@ def run_all(settings: VerificationSettings | None = None) -> list[CheckResult]:
         q2_wide = fock_oracle.OperatorMatrix(q_wide.matrix @ q_wide.matrix, q_wide.basis)
         q4_wide = fock_oracle.OperatorMatrix(q2_wide.matrix @ q2_wide.matrix, q_wide.basis)
         wide_cfg = fock_oracle.OracleConfig(
-            n_levels=n_wide, substeps_per_unit=100.0, grid_points=5, hbar=hbar
+            n_levels=n_wide, substeps_per_unit=100.0, grid_points=5
         )
-        dt_wide = fock_oracle.evolve_doubled_thermal(osc_quench, beta, wide_cfg)
+        dt_wide = fock_oracle.evolve_doubled_thermal(osc_quench, beta, wide_cfg, hbar)
         ratio_dev = 0.0
         for st in dt_wide.states:
             m2 = fock_oracle.expectation_single_factor(st, q2_wide).real
@@ -548,7 +537,7 @@ def run_all(settings: VerificationSettings | None = None) -> list[CheckResult]:
             "exact 16-dim space",
         )
 
-    expected = CHECK_NAMES if s.oracle_enabled else ANALYTIC_CHECKS
+    expected = CHECK_NAMES if oracle is not None else ANALYTIC_CHECKS
     if set(reported) != set(expected):
         raise RuntimeError("verification suite did not report the expected set of checks")
     return [reported[name] if name in reported else _skip(name) for name in CHECK_NAMES]

@@ -13,7 +13,7 @@ the matching test with that line as the message.
 import numpy as np
 import pytest
 
-from tfdyn import VerificationSettings, parse_config, run_all, run_quench
+from tfdyn import parse_config, run_all, run_quench
 from tfdyn.verification import CHECK_NAMES
 
 # The oscillator quench of criteria 6 and 7, as a `tfdyn run` config at the
@@ -41,7 +41,7 @@ grid_points = 101
 @pytest.fixture(scope="module")
 def results():
     """Full verification run at default tolerances, keyed by criterion."""
-    found = run_all(VerificationSettings())
+    found = run_all()
     return {result.name: result for result in found}
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from tfdyn import ConfigError, canonical_config_text, parse_config, run_quench, run_sweep, run_verify
+from tfdyn import statistics_of
 from tfdyn import cli_runner
 from tfdyn.cli import main
 from tfdyn.cli_runner import WORKERS_ENV_VAR, _fmt
@@ -154,7 +155,7 @@ class TestParseConfig:
     def test_minimal_quench_accepted(self):
         cfg = parse_config(QUENCH_CONSTANT.format(beta=math.log(2.0)), "quench")
         assert cfg.kind == "quench"
-        assert cfg.statistics == "boson"
+        assert statistics_of(cfg.protocol) == "boson"
         assert cfg.integrator.grid_points == 9
         assert cfg.oracle.n_levels == 32
         assert cfg.oracle.grid_points == 9  # oracle samples share the mode grid
@@ -198,6 +199,26 @@ class TestParseConfig:
         text = SWEEP_TEXT.replace("values = 1.0, 2.0", "values = 1.0, fast")
         with pytest.raises(ConfigError, match="number"):
             parse_config(text, "sweep")
+
+    @pytest.mark.parametrize(
+        "section, key, expected",
+        [
+            ("integrator", "rel_tol", "a number"),
+            ("integrator", "abs_tol", "a number"),
+            ("integrator", "grid_points", "an integer"),
+            ("integrator", "max_step", "a number"),
+            ("oracle", "n_levels", "an integer"),
+            ("oracle", "substeps_per_unit", "a number"),
+            ("oracle", "tail_abort", "a number"),
+        ],
+    )
+    def test_unparsable_value_names_its_section_once(self, section, key, expected):
+        lines = QUENCH_CONSTANT.format(beta=1.0).splitlines()
+        text = "\n".join(line for line in lines if not line.startswith(f"{key} ="))
+        text = text.replace(f"[{section}]", f"[{section}]\n{key} = x")
+        with pytest.raises(ConfigError) as info:
+            parse_config(text, "quench")
+        assert str(info.value) == f"[{section}] {key}: cannot parse 'x' as {expected}"
 
     def test_invalid_protocol_value_is_config_error(self):
         text = QUENCH_CONSTANT.format(beta=1.0).replace("value = 1.0", "value = much")

@@ -301,8 +301,15 @@ class TestThermalStates:
         got = expectation(rho, number).real
         assert got == pytest.approx(1.0 / 3.0, rel=1e-14)
 
+    def test_hot_truncated_box_refused(self):
+        """At beta*hbar*omega = 0.05 a 10-level box would keep 7.9 % of the
+        population in its top level and report Tr rho a^dag a = 4.09, not
+        19.5: the single-system builder refuses it like the doubled one."""
+        with pytest.raises(TruncationError, match="use at least 370 levels"):
+            thermal_density(0.05, 1.0, basis=boson_single(10))
+
     def test_doubled_density_structure(self):
-        rho = thermal_density(1.0, 1.0, basis=boson_single(8))
+        rho = thermal_density(3.0, 1.0, basis=boson_single(8))
         rho2 = doubled_density(rho)
         assert rho2.basis.kind == "boson_doubled"
         assert np.allclose(rho2.matrix, np.kron(rho.matrix, rho.matrix.conj()), atol=0)
@@ -393,7 +400,7 @@ class TestExpectations:
         )
 
     def test_basis_mismatch_rejected(self):
-        rho = thermal_density(1.0, 1.0, basis=boson_single(5))
+        rho = thermal_density(4.0, 1.0, basis=boson_single(5))
         a_op, _ = build_boson_ladder(6)
         with pytest.raises(ValueError, match="basis"):
             expectation(rho, a_op)

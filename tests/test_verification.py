@@ -7,22 +7,31 @@ cheaply by disabling the brute-force oracle.
 
 import math
 
+import numpy as np
 import pytest
 
-from tfdyn import CheckResult, VerificationSettings, run_all, verification
-from tfdyn.verification import CHECK_NAMES
+from tfdyn import (
+    BosonProtocol,
+    CheckResult,
+    Constant,
+    IntegratorConfig,
+    OracleConfig,
+    make_tanh_ramp,
+    run_all,
+    solve_boson_mode,
+    verification,
+)
+from tfdyn.verification import CHECK_NAMES, quench_observables
 
 
 @pytest.fixture(scope="module")
 def fast_results():
-    return run_all(VerificationSettings(oracle_enabled=False))
+    return run_all(oracle=None)
 
 
 @pytest.fixture(scope="module")
 def loose_results():
-    return run_all(
-        VerificationSettings(rel_tol=1e-3, abs_tol=1e-6, oracle_enabled=False)
-    )
+    return run_all(IntegratorConfig(rel_tol=1e-3, abs_tol=1e-6), oracle=None)
 
 
 class TestSuiteContract:
@@ -58,7 +67,7 @@ class TestSuiteContract:
         # a check that reports without being expected stops the suite
         monkeypatch.setattr(verification, "ANALYTIC_CHECKS", verification.ANALYTIC_CHECKS[:-1])
         with pytest.raises(RuntimeError, match="expected set of checks"):
-            run_all(VerificationSettings(oracle_enabled=False))
+            run_all(oracle=None)
 
     def test_analytic_checks_pass_without_oracle(self, fast_results):
         for r in fast_results:
@@ -94,6 +103,23 @@ class TestHonestFailure:
         for r in failed:
             assert math.isfinite(r.measured)
             assert r.measured > r.tolerance
+
+
+class TestQuenchObservables:
+    def test_hbar_reaches_the_oracle(self):
+        """The analytic columns and the oracle's evolution read the same
+        hbar.  The thermal angle depends on beta*hbar*omega, so an oracle
+        left at hbar = 1 would miss by O(1) at hbar = 2."""
+        protocol = BosonProtocol(
+            omega0=Constant(1.0), omega_plus=make_tanh_ramp(0.0, 0.3, 1.0, 0.1),
+            t_i=0.0, t_f=2.0,
+        )
+        traj = solve_boson_mode(protocol, IntegratorConfig(grid_points=11))
+        oracle = OracleConfig(n_levels=40, substeps_per_unit=100.0, grid_points=11)
+        columns, _ = quench_observables(protocol, traj, 1.0, 2.0, oracle)
+        diffs = {name.split(" [")[0]: values for name, values in columns}
+        for name in ("occupation_abs_diff", "q2_abs_diff", "q4_abs_diff"):
+            assert np.max(diffs[name]) < 1e-6, name
 
 
 class TestCheckResult:
