@@ -11,12 +11,11 @@ flip for fermions).
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
 from tfdyn import (
-    BosonModeVector,
-    FermionModeState,
     OperatorMatrix,
     boson_doubled,
     build_boson_ladder,
@@ -59,7 +58,9 @@ print(f"  <a^dag a> = {n_sys:.12f}, mirror copy {n_mirror:.12f}, "
       f"Gibbs value {equilibrium_occupation(BETA, OMEGA):.12f}")
 
 # Defining eigenvalue condition and truncation health.
-residuals = thermal_state_condition_residual(squeeze, BosonModeVector(0.0, 1.0, 0.0), th)
+residuals = thermal_state_condition_residual(
+    squeeze, SimpleNamespace(t=0.0, f_minus=1.0, f_plus=0.0), th
+)
 print(f"  eigenvalue-condition residuals: "
       + ", ".join(f"{k} = {v:.2e}" for k, v in residuals.items()))
 report = truncation_report(squeeze)
@@ -78,7 +79,11 @@ a_d = ops["a"]
 n_a = OperatorMatrix(a_d.dag.matrix @ a_d.matrix, a_d.basis, "a^dag a")
 print(f"  <a^dag a> = {expectation(squeeze_f, n_a).real:.12f} "
       f"(Gibbs value {equilibrium_occupation(BETA_F, OMEGA, statistics='fermion'):.12f}, exact 1/3)")
-static = FermionModeState(0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0)
+# The static invariant operators a(t) = a, b(t) = b: fa- = gb- = 1, the rest 0.
+static = SimpleNamespace(
+    t=0.0, f_a_minus=1.0, f_a_plus=0.0, g_a_minus=0.0, g_a_plus=0.0,
+    f_b_minus=0.0, f_b_plus=0.0, g_b_minus=1.0, g_b_plus=0.0,
+)
 residuals_f = thermal_state_condition_residual(squeeze_f, static, th_f)
 print(f"  eigenvalue-condition residuals: "
       + ", ".join(f"{k} = {v:.2e}" for k, v in residuals_f.items()))

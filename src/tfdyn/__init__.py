@@ -24,12 +24,9 @@ from .protocols import (
     validate,
 )
 from .mode_solver import (
-    BosonModeVector,
-    FermionModeState,
     IntegratorConfig,
     IntegratorStats,
     ModeTrajectory,
-    OscillatorMode,
     build_boson_generator,
     build_fermion_generator,
     solve_boson_mode,

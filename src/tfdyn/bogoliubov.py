@@ -13,10 +13,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from .mode_solver import FermionModeState, OscillatorMode
 from .protocols import FermionProtocol, evaluate
 
 __all__ = [
@@ -83,8 +83,9 @@ class BogoliubovCoefficients:
         return abs(abs(self.mu) ** 2 + sign * abs(self.nu) ** 2 - 1.0)
 
 
-def boson_overlap(mode: OscillatorMode, ref: ReferenceMode) -> BogoliubovCoefficients:
-    """Project an oscillator mode onto a static reference frame.
+def boson_overlap(mode: SimpleNamespace, ref: ReferenceMode) -> BogoliubovCoefficients:
+    """Project an oscillator mode sample (any record with ``t, v, v_dot,
+    mass``) onto a static reference frame.
 
     mu = i*(m_ref v* u' - m v'* u) and nu = i*(m_ref v* u'* - m v'* u*),
     evaluated at mode.t.  Each term pairs a position amplitude with a
@@ -117,7 +118,7 @@ def sudden_coeffs(omega_i: float, omega_f: float) -> BogoliubovCoefficients:
 
 
 def fermion_frame_coeffs(
-    state: FermionModeState,
+    state: SimpleNamespace,
     omega0_f: float,
     *,
     protocol: FermionProtocol | None = None,
@@ -125,6 +126,8 @@ def fermion_frame_coeffs(
 ) -> np.ndarray:
     """4x4 matrix B expressing (a_i, a_i^dag, b_i, b_i^dag) in the final frame.
 
+    ``state`` is any record with ``t`` and the eight fermion coefficients
+    (``f_a_minus`` ... ``g_b_plus``), such as a fermion trajectory's sample.
     Valid only when the Hamiltonian is diagonal at state.t, where the
     coefficients rotate with the free phases exp(+/- i*omega0_f*t); those are
     stripped relative to ``phase_time`` (default: state.t) so that B is
@@ -148,17 +151,15 @@ def fermion_frame_coeffs(
         phase_time = state.t
     phase = cmath.exp(1j * omega0_f * (state.t - phase_time))
 
-    def row(f_minus: complex, f_plus: complex, g_minus: complex, g_plus: complex):
-        # f- and g+ rotate as e^{+i w0 t}, f+ and g- as e^{-i w0 t}.
-        return [f_minus / phase, f_plus * phase, g_minus * phase, g_plus / phase]
-
-    r_a = row(state.f_a_minus, state.f_a_plus, state.g_a_minus, state.g_a_plus)
-    r_b = row(state.f_b_minus, state.f_b_plus, state.g_b_minus, state.g_b_plus)
     b = np.empty((4, 4), dtype=complex)
-    b[0] = r_a
-    b[1] = [np.conj(r_a[1]), np.conj(r_a[0]), np.conj(r_a[3]), np.conj(r_a[2])]
-    b[2] = r_b
-    b[3] = [np.conj(r_b[1]), np.conj(r_b[0]), np.conj(r_b[3]), np.conj(r_b[2])]
+    for i, channel in enumerate(("a", "b")):
+        f_minus, f_plus, g_minus, g_plus = (
+            getattr(state, f"{c}_{channel}_{s}") for c in "fg" for s in ("minus", "plus")
+        )
+        # f- and g+ rotate as e^{+i w0 t}, f+ and g- as e^{-i w0 t}.
+        r = [f_minus / phase, f_plus * phase, g_minus * phase, g_plus / phase]
+        b[2 * i] = r
+        b[2 * i + 1] = np.conj([r[1], r[0], r[3], r[2]])
     return b
 
 

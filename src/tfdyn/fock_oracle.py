@@ -34,14 +34,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from types import MappingProxyType
+from types import MappingProxyType, SimpleNamespace
 from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 from scipy.linalg import expm
 
 from .errors import TruncationError
-from .mode_solver import BosonModeVector, FermionModeState
 from .protocols import Protocol, evaluate, initial_frame, statistics_of
 from .thermal_observables import EXP_ARG_MAX, theta as thermal_theta
 
@@ -459,11 +458,15 @@ def _boltzmann_ratio(beta: float, omega: float, hbar: float, n_levels: int) -> f
     ``TAIL_REFUSAL``."""
     x = math.exp(-min(beta * hbar * omega, EXP_ARG_MAX))
     if x > 0.0 and x**n_levels > TAIL_REFUSAL:
-        required = max(2, math.ceil(math.log(TAIL_REFUSAL) / math.log(x)) + 1)
+        hint = "no finite box holds this state"
+        if x < 1.0:
+            required = max(2, math.floor(math.log(TAIL_REFUSAL) / math.log(x)))
+            while x**required > TAIL_REFUSAL:  # x^N decides, not the rounded logs
+                required += 1
+            hint = f"use at least {required} levels"
         raise TruncationError(
             f"geometric tail x^N = {x**n_levels:.3e} exceeds {TAIL_REFUSAL:.0e} at "
-            f"N = {n_levels}; use at least {required} levels for "
-            f"beta*hbar*omega = {beta * hbar * omega:.4g}"
+            f"N = {n_levels}; {hint} for beta*hbar*omega = {beta * hbar * omega:.4g}"
         )
     return x
 
@@ -693,54 +696,63 @@ def evolve_unitary(
 # invariant operators and thermal-state conditions
 # ---------------------------------------------------------------------------
 
-def _boson_invariant_factor(coeffs: BosonModeVector, n_levels: int, tilde: bool) -> np.ndarray:
-    a_op, ad_op = build_boson_ladder(n_levels)
+def _named_coefficients(
+    coeffs: SimpleNamespace, names: tuple[str, ...], basis: BasisDescriptor
+) -> list:
+    """The named coefficients of a mode sample, refusing one that lacks any."""
+    missing = [name for name in names if not hasattr(coeffs, name)]
+    if missing:
+        raise ValueError(
+            f"an invariant operator on basis {basis.kind} needs the coefficients "
+            f"{', '.join(missing)}, which the sample lacks"
+        )
+    return [getattr(coeffs, name) for name in names]
+
+
+def _boson_invariant_factor(
+    coeffs: SimpleNamespace, basis: BasisDescriptor, tilde: bool
+) -> np.ndarray:
+    f_minus, f_plus = _named_coefficients(coeffs, ("f_minus", "f_plus"), basis)
+    a_op, ad_op = build_boson_ladder(basis.n_levels)
     if tilde:  # a~(t) = f-* a~ + f+* a~^dag
-        return np.conj(coeffs.f_minus) * a_op.matrix + np.conj(coeffs.f_plus) * ad_op.matrix
-    return coeffs.f_minus * a_op.matrix + coeffs.f_plus * ad_op.matrix
+        return np.conj(f_minus) * a_op.matrix + np.conj(f_plus) * ad_op.matrix
+    return f_minus * a_op.matrix + f_plus * ad_op.matrix
 
 
 def invariant_operator_matrix(
-    coeffs: BosonModeVector | FermionModeState,
+    coeffs: SimpleNamespace,
     basis: BasisDescriptor,
     tilde: bool = False,
     channel: str = "a",
 ) -> OperatorMatrix:
     """Invariant annihilation operator as a dense matrix.
 
-    Boson: a(t) = f- a + f+ a^dag (the tilde copy carries conjugated
-    coefficients).  Fermion: a(t) = fa- a + fa+ a^dag + ga- b + ga+ b^dag,
-    channel "b" likewise.  On doubled bases the operator is embedded on its
-    factor.  Note the doubled boson embedding materialises the Kronecker
-    product; prefer the coefficient-matrix helpers at large n_levels.
+    ``coeffs`` is any record carrying the coefficients the basis needs, by
+    name: a boson basis reads ``f_minus, f_plus``, a fermion basis the four
+    ``f_{channel}_minus, f_{channel}_plus, g_{channel}_minus,
+    g_{channel}_plus``.  Boson: a(t) = f- a + f+ a^dag (the tilde copy
+    carries conjugated coefficients).  Fermion: a(t) = fa- a + fa+ a^dag +
+    ga- b + ga+ b^dag, channel "b" likewise.  On doubled bases the operator
+    is embedded on its factor.  Note the doubled boson embedding
+    materialises the Kronecker product; prefer the coefficient-matrix
+    helpers at large n_levels.
     """
-    if isinstance(coeffs, BosonModeVector):
-        if basis.kind == "boson_single":
-            if tilde:
-                raise ValueError("tilde operators need the doubled basis")
-            return OperatorMatrix(
-                _boson_invariant_factor(coeffs, basis.n_levels, False), basis, "a(t)"
-            )
-        if basis.kind == "boson_doubled":
-            n = basis.n_levels
-            eye = np.eye(n, dtype=complex)
-            factor = _boson_invariant_factor(coeffs, n, tilde)
-            mat = np.kron(eye, factor) if tilde else np.kron(factor, eye)
-            return OperatorMatrix(mat, basis, "a~(t)" if tilde else "a(t)")
-        raise ValueError(f"boson coefficients cannot live on basis {basis.kind}")
-
-    if basis.kind not in ("fermion_single", "fermion_doubled"):
-        raise ValueError(f"fermion coefficients cannot live on basis {basis.kind}")
-    if tilde and basis.kind != "fermion_doubled":
+    if basis.kind not in ("boson_single", "boson_doubled", "fermion_single", "fermion_doubled"):
+        raise ValueError(f"no invariant operator on basis {basis.kind}")
+    if tilde and not basis.kind.endswith("_doubled"):
         raise ValueError("tilde operators need the doubled basis")
-    if channel == "a":
-        f_minus, f_plus = coeffs.f_a_minus, coeffs.f_a_plus
-        g_minus, g_plus = coeffs.g_a_minus, coeffs.g_a_plus
-    elif channel == "b":
-        f_minus, f_plus = coeffs.f_b_minus, coeffs.f_b_plus
-        g_minus, g_plus = coeffs.g_b_minus, coeffs.g_b_plus
-    else:
+    if basis.kind == "boson_single":
+        return OperatorMatrix(_boson_invariant_factor(coeffs, basis, False), basis, "a(t)")
+    if basis.kind == "boson_doubled":
+        eye = np.eye(basis.n_levels, dtype=complex)
+        factor = _boson_invariant_factor(coeffs, basis, tilde)
+        mat = np.kron(eye, factor) if tilde else np.kron(factor, eye)
+        return OperatorMatrix(mat, basis, "a~(t)" if tilde else "a(t)")
+
+    if channel not in ("a", "b"):
         raise ValueError(f"channel must be 'a' or 'b', got {channel!r}")
+    names = tuple(f"{c}_{channel}_{s}" for c in "fg" for s in ("minus", "plus"))
+    f_minus, f_plus, g_minus, g_plus = _named_coefficients(coeffs, names, basis)
     ops = build_fermion_space(doubled=basis.kind == "fermion_doubled")
     if tilde:
         f_minus, f_plus = np.conj(f_minus), np.conj(f_plus)
@@ -758,25 +770,24 @@ def invariant_operator_matrix(
 
 def thermal_state_condition_residual(
     psi: StateVector,
-    coeffs: BosonModeVector | FermionModeState,
+    coeffs: SimpleNamespace,
     theta: float,
 ) -> dict[str, float]:
     """Residual norms of the thermal-vacuum eigenvalue conditions.
 
-    Boson: || (a(t) - tanh(theta) a~^dag(t)) psi || and the tilde partner
-    || (a~(t) - tanh(theta) a^dag(t)) psi ||.  Fermion: four residuals with
-    the sign structure a psi = tan(theta) a~^dag psi,
-    a~ psi = -tan(theta) a^dag psi, and the same for the b channel.  All
-    vanish identically for the exact evolved thermal vacuum.
+    ``coeffs`` is any record with the coefficients ``psi``'s basis needs (see
+    ``invariant_operator_matrix``).  Boson: || (a(t) - tanh(theta)
+    a~^dag(t)) psi || and the tilde partner || (a~(t) - tanh(theta)
+    a^dag(t)) psi ||.  Fermion: four residuals with the sign structure
+    a psi = tan(theta) a~^dag psi, a~ psi = -tan(theta) a^dag psi, and the
+    same for the b channel.  All vanish identically for the exact evolved
+    thermal vacuum.
     """
-    if isinstance(coeffs, BosonModeVector):
-        if psi.basis.kind != "boson_doubled":
-            raise ValueError("boson residuals need the doubled boson basis")
+    if psi.basis.kind == "boson_doubled":
         tan = math.tanh(theta)
-        n = psi.basis.n_levels
         c = psi.c_matrix()
-        a_t = _boson_invariant_factor(coeffs, n, tilde=False)
-        at_t = _boson_invariant_factor(coeffs, n, tilde=True)
+        a_t = _boson_invariant_factor(coeffs, psi.basis, tilde=False)
+        at_t = _boson_invariant_factor(coeffs, psi.basis, tilde=True)
         at_t_dag = at_t.conj().T
         # (X (x) I) psi -> X C ; (I (x) Y) psi -> C Y^T
         r_a = a_t @ c - tan * (c @ at_t_dag.T)
@@ -787,7 +798,7 @@ def thermal_state_condition_residual(
         }
 
     if psi.basis.kind != "fermion_doubled":
-        raise ValueError("fermion residuals need the doubled fermion basis")
+        raise ValueError(f"thermal-state residuals need a doubled basis, got {psi.basis.kind}")
     tan = math.tan(theta)
     v = psi.vector
     out: dict[str, float] = {}

@@ -20,15 +20,18 @@ linear ODE systems:
 
 All solvers integrate with an adaptive explicit Runge-Kutta scheme (DOP853)
 with an embedded error estimate, restart at declared jump times, and return
-one ``ModeTrajectory`` for every kind: named samples on a uniform grid
-together with a drift report for the kind's conserved quantities.  Drift is
-reported, never renormalised away.
+one ``ModeTrajectory`` for every kind: named coefficient columns on a uniform
+grid together with a drift report for the kind's conserved quantities.  Drift
+is reported, never renormalised away.  A sample is a plain record of ``t`` and
+the kind's columns; its readers (the oracle, the Bogoliubov projections) take
+any record that carries the coefficients they need, by name.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -48,9 +51,6 @@ from .protocols import (
 __all__ = [
     "IntegratorConfig",
     "IntegratorStats",
-    "BosonModeVector",
-    "OscillatorMode",
-    "FermionModeState",
     "ModeTrajectory",
     "build_boson_generator",
     "build_fermion_generator",
@@ -63,6 +63,13 @@ __all__ = [
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 _SQRT2 = math.sqrt(2.0)
+
+# The fermion columns, in modes.csv order: a(t) = fa- a + fa+ a^dag + ga- b +
+# ga+ b^dag, then b(t) likewise with the (fb, gb) set.
+_FERMION_COLUMNS = (
+    "f_a_minus", "f_a_plus", "g_a_minus", "g_a_plus",
+    "f_b_minus", "f_b_plus", "g_b_minus", "g_b_plus",
+)
 
 
 @dataclass(frozen=True)
@@ -96,48 +103,6 @@ class IntegratorStats:
     rejected_steps: int
     function_evaluations: int
     segments: int
-
-
-# ---------------------------------------------------------------------------
-# mode-state types
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BosonModeVector:
-    """Invariant-operator coefficients a(t) = f- a + f+ a^dag at one time."""
-
-    t: float
-    f_minus: complex
-    f_plus: complex
-
-
-@dataclass(frozen=True)
-class OscillatorMode:
-    """Oscillator mode function sample (v, v') plus the instantaneous mass."""
-
-    t: float
-    v: complex
-    v_dot: complex
-    mass: float
-
-
-@dataclass(frozen=True)
-class FermionModeState:
-    """Coefficients of both fermion invariant operators at one time.
-
-    a(t) = fa- a + fa+ a^dag + ga- b + ga+ b^dag and b(t) likewise with the
-    (fb, gb) set.
-    """
-
-    t: float
-    f_a_minus: complex
-    f_a_plus: complex
-    g_a_minus: complex
-    g_a_plus: complex
-    f_b_minus: complex
-    f_b_plus: complex
-    g_b_minus: complex
-    g_b_plus: complex
 
 
 # ---------------------------------------------------------------------------
@@ -319,20 +284,16 @@ def _anticommutator_adag_b(traj: ModeTrajectory) -> np.ndarray:
     )
 
 
-# kind -> (sample type, conserved-quantity meters).  A sample type's fields
-# after ``t`` name the kind's columns, in modes.csv order.
-_KINDS: dict[str, tuple[type, dict[str, Callable[[ModeTrajectory], np.ndarray]]]] = {
-    "boson": (BosonModeVector, {"commutator": _commutator}),
-    "oscillator": (OscillatorMode, {"wronskian": _wronskian}),
-    "fermion": (
-        FermionModeState,
-        {
-            "norm_a": _norm_a,
-            "norm_b": _norm_b,
-            "anticommutator_ab": _anticommutator_ab,
-            "anticommutator_adag_b": _anticommutator_adag_b,
-        },
-    ),
+# kind -> conserved-quantity meters
+_KINDS: dict[str, dict[str, Callable[[ModeTrajectory], np.ndarray]]] = {
+    "boson": {"commutator": _commutator},
+    "oscillator": {"wronskian": _wronskian},
+    "fermion": {
+        "norm_a": _norm_a,
+        "norm_b": _norm_b,
+        "anticommutator_ab": _anticommutator_ab,
+        "anticommutator_adag_b": _anticommutator_adag_b,
+    },
 }
 
 
@@ -353,7 +314,7 @@ class ModeTrajectory:
     drift: dict[str, float] = field(init=False)
 
     def __post_init__(self) -> None:
-        meters = _KINDS[self.protocol.kind][1]
+        meters = _KINDS[self.protocol.kind]
         self.drift = {name: float(np.max(self.deviation(name))) for name in meters}
 
     def __getattr__(self, name: str) -> np.ndarray:
@@ -364,16 +325,16 @@ class ModeTrajectory:
 
     def deviation(self, meter: str) -> np.ndarray:
         """The deviation of one conserved quantity at every grid point."""
-        return _KINDS[self.protocol.kind][1][meter](self)
+        return _KINDS[self.protocol.kind][meter](self)
 
-    def sample(self, k: int) -> BosonModeVector | OscillatorMode | FermionModeState:
-        sample_type = _KINDS[self.protocol.kind][0]
-        return sample_type(
-            float(self.t[k]), **{name: s[k].item() for name, s in self.columns.items()}
+    def sample(self, k: int) -> SimpleNamespace:
+        """Grid point ``k`` as a record: ``t`` and one scalar per column."""
+        return SimpleNamespace(
+            t=float(self.t[k]), **{name: s[k].item() for name, s in self.columns.items()}
         )
 
     @property
-    def final(self) -> BosonModeVector | OscillatorMode | FermionModeState:
+    def final(self) -> SimpleNamespace:
         return self.sample(-1)
 
 
@@ -462,10 +423,9 @@ def solve_fermion_modes(
 
     grid, out, stats = _integrate(rhs, protocol, y0, config)
     # each pair (w1, w2) of y holds (c- + c+, c- - c+)/sqrt(2) for the next
-    # two coefficients, in FermionModeState order
+    # two coefficients, in _FERMION_COLUMNS order
     series = []
     for j in range(0, 8, 2):
         w1, w2 = out[:, j], out[:, j + 1]
         series += [(w1 + w2) / _SQRT2, (w1 - w2) / _SQRT2]
-    names = [f.name for f in fields(FermionModeState)[1:]]
-    return ModeTrajectory(grid, dict(zip(names, series)), stats, protocol)
+    return ModeTrajectory(grid, dict(zip(_FERMION_COLUMNS, series)), stats, protocol)

@@ -8,6 +8,7 @@ before it is allowed to referee the analytic modules.
 import ast
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -57,7 +58,6 @@ from tfdyn.fock_oracle import (
     tilde_swap,
     truncation_report,
 )
-from tfdyn.mode_solver import BosonModeVector
 
 LN2 = math.log(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -305,8 +305,23 @@ class TestThermalStates:
         """At beta*hbar*omega = 0.05 a 10-level box would keep 7.9 % of the
         population in its top level and report Tr rho a^dag a = 4.09, not
         19.5: the single-system builder refuses it like the doubled one."""
-        with pytest.raises(TruncationError, match="use at least 370 levels"):
+        with pytest.raises(TruncationError, match="use at least 369 levels"):
             thermal_density(0.05, 1.0, basis=boson_single(10))
+
+    @pytest.mark.parametrize(
+        "beta_hbar_omega, required", [(LN2, 27), (0.05, 369), (0.5, 37), (1.0, 19), (3.0, 7)]
+    )
+    def test_truncation_hint_is_the_smallest_accepted_box(self, beta_hbar_omega, required):
+        with pytest.raises(TruncationError, match=f"use at least {required} levels"):
+            thermal_density(beta_hbar_omega, 1.0, basis=boson_single(2))
+        thermal_density(beta_hbar_omega, 1.0, basis=boson_single(required))
+        with pytest.raises(TruncationError, match=f"use at least {required} levels"):
+            thermal_density(beta_hbar_omega, 1.0, basis=boson_single(required - 1))
+
+    @pytest.mark.parametrize("beta", [0.0, -1.0])
+    def test_box_refused_without_hint_when_no_box_suffices(self, beta):
+        with pytest.raises(TruncationError, match="no finite box holds this state"):
+            thermal_density(beta, 1.0, basis=boson_single(10))
 
     def test_doubled_density_structure(self):
         rho = thermal_density(3.0, 1.0, basis=boson_single(8))
@@ -438,9 +453,16 @@ class TestEvolveUnitary:
             evolve_unitary(lambda t: bad, 0.0, 1.0, substeps=1)
 
 
+# The static fermion invariant operators a(t) = a, b(t) = b.
+STATIC_FERMION = SimpleNamespace(
+    t=0.0, f_a_minus=1, f_a_plus=0, g_a_minus=0, g_a_plus=0,
+    f_b_minus=0, f_b_plus=0, g_b_minus=1, g_b_plus=0,
+)
+
+
 class TestInvariantOperatorsAndResiduals:
     def test_boson_embedding_shapes(self):
-        coeffs = BosonModeVector(0.0, 1.0 + 0j, 0.0j)
+        coeffs = SimpleNamespace(t=0.0, f_minus=1.0 + 0j, f_plus=0.0j)
         single = invariant_operator_matrix(coeffs, boson_single(5))
         assert single.matrix.shape == (5, 5)
         doubled = invariant_operator_matrix(coeffs, boson_doubled(5), tilde=True)
@@ -449,7 +471,7 @@ class TestInvariantOperatorsAndResiduals:
             invariant_operator_matrix(coeffs, boson_single(5), tilde=True)
 
     def test_initial_invariant_is_bare_operator(self):
-        coeffs = BosonModeVector(0.0, 1.0 + 0j, 0.0j)
+        coeffs = SimpleNamespace(t=0.0, f_minus=1.0 + 0j, f_plus=0.0j)
         op = invariant_operator_matrix(coeffs, boson_single(6))
         a_op, _ = build_boson_ladder(6)
         assert np.allclose(op.matrix, a_op.matrix, atol=0)
@@ -457,29 +479,48 @@ class TestInvariantOperatorsAndResiduals:
     def test_static_thermal_state_satisfies_conditions_boson(self):
         beta = 1.0
         _, psi = build_thermal_state_doubled(beta, 1.0, basis=boson_doubled(60))
-        coeffs = BosonModeVector(0.0, 1.0 + 0j, 0.0j)
+        coeffs = SimpleNamespace(t=0.0, f_minus=1.0 + 0j, f_plus=0.0j)
         th = theta(beta, 1.0, 1.0, "boson")
         residual = thermal_state_condition_residual(psi, coeffs, th)
         assert residual["a"] < 1e-9
         assert residual["a_tilde"] < 1e-9
 
     def test_static_thermal_state_satisfies_conditions_fermion(self):
-        from tfdyn.mode_solver import FermionModeState
-
         _, psi = build_thermal_state_doubled(LN2, 1.0, basis=fermion_doubled())
-        coeffs = FermionModeState(0.0, 1, 0, 0, 0, 0, 0, 1, 0)
+        coeffs = STATIC_FERMION
         th = theta(LN2, 1.0, 1.0, "fermion")
         residual = thermal_state_condition_residual(psi, coeffs, th)
         for key, value in residual.items():
             assert value < 1e-14, key
 
     def test_wrong_basis_rejected(self):
-        coeffs = BosonModeVector(0.0, 1.0 + 0j, 0.0j)
+        coeffs = SimpleNamespace(t=0.0, f_minus=1.0 + 0j, f_plus=0.0j)
         v = np.zeros(16, dtype=complex)
         v[0] = 1.0
         psi = StateVector(v, fermion_doubled())
         with pytest.raises(ValueError):
             thermal_state_condition_residual(psi, coeffs, 0.5)
+
+    @pytest.mark.parametrize("sample, basis, missing", [
+        (SimpleNamespace(t=0.0, f_minus=1.0, f_plus=0.0), fermion_single(), "f_a_minus"),
+        (STATIC_FERMION, boson_single(4), "f_minus"),
+        (SimpleNamespace(t=0.0, v=0.5, v_dot=-0.5j, mass=1.0), boson_single(4), "f_minus"),
+    ])
+    def test_sample_lacking_a_coefficient_refused_by_name(self, sample, basis, missing):
+        with pytest.raises(ValueError, match=missing):
+            invariant_operator_matrix(sample, basis)
+
+    def test_sample_lacking_a_coefficient_refused_in_residual(self):
+        _, psi = build_thermal_state_doubled(LN2, 1.0, basis=fermion_doubled())
+        with pytest.raises(ValueError, match="f_a_minus"):
+            thermal_state_condition_residual(psi, SimpleNamespace(t=0.0, f_minus=1.0), 0.5)
+        _, psi = build_thermal_state_doubled(1.0, 1.0, basis=boson_doubled(30))
+        with pytest.raises(ValueError, match="f_minus"):
+            thermal_state_condition_residual(psi, STATIC_FERMION, 0.5)
+
+    def test_unknown_channel_refused(self):
+        with pytest.raises(ValueError, match="got 'c'"):
+            invariant_operator_matrix(STATIC_FERMION, fermion_single(), channel="c")
 
 
 class TestTruncationReport:
@@ -642,9 +683,8 @@ class TestPropagationKernel:
 
 
 def test_oracle_shares_no_solver_code():
-    """fock_oracle may take the two coefficient containers from mode_solver
-    and nothing else: that independence is what makes their agreement
-    evidence."""
+    """fock_oracle imports nothing from mode_solver: it reads mode samples by
+    name, and that independence is what makes their agreement evidence."""
     tree = ast.parse(Path(tfdyn.fock_oracle.__file__).read_text())
     imported = []
     for node in ast.walk(tree):
@@ -654,4 +694,4 @@ def test_oracle_shares_no_solver_code():
             imported += [
                 "the module itself" for alias in node.names if alias.name.endswith("mode_solver")
             ]
-    assert sorted(imported) == ["BosonModeVector", "FermionModeState"]
+    assert imported == []

@@ -374,6 +374,16 @@ class TestModeTrajectory:
         with pytest.raises(TypeError, match=f"{solver_kind} protocol, got {protocol_kind}"):
             SOLVERS[solver_kind](STATIC[protocol_kind])
 
+    @pytest.mark.parametrize("kind", sorted(STATIC))
+    def test_sample_is_t_plus_the_kinds_columns(self, kind):
+        traj = SOLVERS[kind](STATIC[kind], IntegratorConfig(grid_points=3))
+        for k in (0, 1, -1):
+            sample = vars(traj.sample(k))
+            assert sample.keys() == {"t"} | traj.columns.keys()
+            assert sample["t"] == traj.t[k]
+            assert all(sample[name] == traj.columns[name][k] for name in traj.columns)
+        assert vars(traj.final) == vars(traj.sample(-1))
+
     @pytest.mark.parametrize("kind", sorted(RAMPS))
     @settings(derandomize=True, database=None, max_examples=10, deadline=None)
     @given(data=st.data())
