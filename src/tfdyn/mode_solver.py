@@ -18,25 +18,28 @@ linear ODE systems:
               i dW/dt = -w0 s1 W + N Z,   i dZ/dt = +w0 s1 Z + N^dag W,
               a Hermitian 4x4 system per channel.
 
-All solvers integrate with an adaptive explicit Runge-Kutta scheme (DOP853)
-with an embedded error estimate, restart at declared jump times, and return
-one ``ModeTrajectory`` for every kind: named coefficient columns on a uniform
-grid together with a drift report for the kind's conserved quantities.  Drift
-is reported, never renormalised away.  A sample is a plain record of ``t`` and
-the kind's columns; its readers (the oracle, the Bogoliubov projections) take
-any record that carries the coefficients they need, by name.
+All solvers integrate with tfdyn's own DOP853 (``_dop853``: the Dormand-Prince
+8(5,3) pair with its embedded error estimate and 7th-degree dense output, in
+the arithmetic of ``scipy.integrate.DOP853`` operation for operation), restart
+at declared jump times, and return one ``ModeTrajectory`` for every kind:
+named coefficient columns on a uniform grid together with a drift report for
+the kind's conserved quantities.  Drift is reported, never renormalised away.
+A sample is a plain record of ``t`` and the kind's columns; its readers (the
+oracle, the Bogoliubov projections) take any record that carries the
+coefficients they need, by name.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import DOP853
 
+from ._dop853 import Dop853
 from .errors import IntegrationError
 from .protocols import (
     INITIAL_DIAGONAL_TOL,
@@ -72,6 +75,11 @@ _FERMION_COLUMNS = (
 )
 
 
+# Below 100 machine epsilons a relative tolerance asks for more digits than
+# the stages' rounding can deliver.
+REL_TOL_FLOOR = 100 * sys.float_info.epsilon
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Tolerances and sampling of the adaptive integrator."""
@@ -84,19 +92,25 @@ class IntegratorConfig:
     def __post_init__(self) -> None:
         if self.grid_points < 2:
             raise ValueError("grid_points must be at least 2")
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise ValueError("tolerances must be positive")
+        if not self.rel_tol >= REL_TOL_FLOOR:
+            raise ValueError(
+                f"rel_tol must be at least {REL_TOL_FLOOR!r} (100 machine epsilons), "
+                f"got {self.rel_tol!r}"
+            )
+        if not self.abs_tol > 0:
+            raise ValueError("abs_tol must be positive")
         if not self.max_step > 0:
             raise ValueError("max_step must be positive")
 
 
 @dataclass(frozen=True)
 class IntegratorStats:
-    """Accepted step count, estimated rejections and RHS evaluations.
+    """Work of one solve, summed over its segments.
 
-    ``rejected_steps`` is reconstructed from the evaluation count (12 stages
-    per DOP853 attempt, 3 extra per dense-output interpolation); the solver
-    does not expose rejections directly, so treat it as an estimate.
+    ``steps`` counts accepted steps and ``rejected_steps`` the attempts the
+    error test refused, both counted by the stepper as it runs.
+    ``function_evaluations`` counts RHS calls: two to start each segment,
+    12 per attempt and 3 per dense-output interpolant.
     """
 
     steps: int
@@ -176,9 +190,7 @@ def _integrate(
     filled = 1
 
     bounds = [t_i, *protocol.jump_times, t_f]
-    accepted = 0
-    nfev = 0
-    dense_calls = 0
+    steps = rejected = nfev = 0
 
     for a, b in zip(bounds[:-1], bounds[1:]):
         if b < t_f:  # interior jump: keep stage evaluations on the left side
@@ -186,39 +198,32 @@ def _integrate(
             seg_rhs = lambda t, yv, _b=b, _d=delta: rhs(min(t, _b - _d), yv)
         else:
             seg_rhs = rhs
-        # Arithmetic blow-ups inside the RHS (overflowing coefficients,
-        # runtime-invalid protocol values) are integration failures, not
-        # programming errors; the config itself was validated before entry.
+        # A collapsing step size and arithmetic blow-ups inside the RHS
+        # (overflowing coefficients, runtime-invalid protocol values) are
+        # integration failures, not programming errors; the config itself was
+        # validated before entry.
+        t_new = a
         try:
-            solver = DOP853(
-                seg_rhs, a, y, b,
-                rtol=config.rel_tol, atol=config.abs_tol, max_step=config.max_step,
+            solver = Dop853(
+                seg_rhs, a, y, b, config.rel_tol, config.abs_tol, config.max_step
             )
-        except (OverflowError, FloatingPointError, ZeroDivisionError, ValueError) as exc:
-            raise IntegrationError(
-                f"cannot start integration on segment [{a}, {b}]: {exc}"
-            ) from exc
-        while solver.status == "running":
-            try:
+            while solver.t < b:
                 solver.step()
-            except (OverflowError, FloatingPointError, ZeroDivisionError, ValueError) as exc:
-                raise IntegrationError(
-                    f"integration failed at t ~ {solver.t:.6g} "
-                    f"(segment [{a}, {b}]): {exc}"
-                ) from exc
-            if solver.status == "failed":
-                raise IntegrationError(
-                    f"integration failed at t ~ {solver.t:.6g} (segment [{a}, {b}])"
-                )
-            accepted += 1
-            t_new = solver.t
-            tol = 1e-12 * (abs(t_new) + 1.0)
-            if filled < grid.size and grid[filled] <= t_new + tol:
-                dense = solver.dense_output()
-                dense_calls += 1
-                while filled < grid.size and grid[filled] <= t_new + tol:
-                    out[filled] = dense(min(grid[filled], t_new))
-                    filled += 1
+                t_new = solver.t
+                tol = 1e-12 * (abs(t_new) + 1.0)
+                if filled < grid.size and grid[filled] <= t_new + tol:
+                    dense = solver.dense_output()
+                    while filled < grid.size and grid[filled] <= t_new + tol:
+                        out[filled] = dense(min(grid[filled], t_new))
+                        filled += 1
+        except (
+            IntegrationError, OverflowError, FloatingPointError, ZeroDivisionError, ValueError
+        ) as exc:
+            raise IntegrationError(
+                f"integration failed at t ~ {t_new:.6g} (segment [{a}, {b}]): {exc}"
+            ) from exc
+        steps += solver.steps
+        rejected += solver.rejected
         nfev += solver.nfev
         y = solver.y.copy()
 
@@ -231,10 +236,9 @@ def _integrate(
         )
     out[-1] = y  # exact final state, not the interpolant
 
-    attempts = max(accepted, (nfev - 2 - 3 * dense_calls) // 12)
     stats = IntegratorStats(
-        steps=accepted,
-        rejected_steps=max(0, attempts - accepted),
+        steps=steps,
+        rejected_steps=rejected,
         function_evaluations=nfev,
         segments=len(bounds) - 1,
     )

@@ -220,6 +220,17 @@ class TestParseConfig:
             parse_config(text, "quench")
         assert str(info.value) == f"[{section}] {key}: cannot parse 'x' as {expected}"
 
+    def test_rel_tol_below_100_machine_epsilons_refused(self):
+        text = QUENCH_CONSTANT.format(beta=1.0).replace(
+            "grid_points = 9", "grid_points = 9\nrel_tol = 1e-17"
+        )
+        with pytest.raises(ConfigError) as info:
+            parse_config(text, "quench")
+        assert str(info.value) == (
+            "[integrator] rel_tol must be at least 2.220446049250313e-14 "
+            "(100 machine epsilons), got 1e-17"
+        )
+
     def test_invalid_protocol_value_is_config_error(self):
         text = QUENCH_CONSTANT.format(beta=1.0).replace("value = 1.0", "value = much")
         with pytest.raises(ConfigError):
@@ -471,6 +482,7 @@ class TestCliMain:
             ("run", "beta", "betta"),
             ("run", "grid_points = 9", "grid_points = 1"),
             ("run", "grid_points = 9", "grid_points = 9\nrel_tol = 0"),
+            ("run", "grid_points = 9", "grid_points = 9\nrel_tol = 1e-17"),
             ("run", "substeps_per_unit = 200", "substeps_per_unit = 0"),
             ("run", "substeps_per_unit = 200", "substeps_per_unit = nan"),
             ("run", "t_f = 2.0", "t_f = -1.0"),
@@ -487,8 +499,8 @@ class TestCliMain:
             ("verify", "n_levels = 32", "n_levels = 129"),
         ],
         ids=[
-            "unknown_key", "grid_points_1", "rel_tol_0", "substeps_0", "substeps_nan",
-            "empty_window", "n_levels_1",
+            "unknown_key", "grid_points_1", "rel_tol_0", "rel_tol_below_floor", "substeps_0",
+            "substeps_nan", "empty_window", "n_levels_1",
             "n_levels_300", "tail_abort_negative", "boson_omega0_omitted",
             "fermion_omega0_zero_oracle_on", "coupling_at_t_i", "verify_wide_box_over_cap",
         ],

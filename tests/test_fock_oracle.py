@@ -683,15 +683,17 @@ class TestPropagationKernel:
 
 
 def test_oracle_shares_no_solver_code():
-    """fock_oracle imports nothing from mode_solver: it reads mode samples by
-    name, and that independence is what makes their agreement evidence."""
+    """fock_oracle imports nothing from mode_solver or its stepper: it reads
+    mode samples by name, and that independence is what makes their agreement
+    evidence."""
+    solver_modules = ("mode_solver", "_dop853")
     tree = ast.parse(Path(tfdyn.fock_oracle.__file__).read_text())
     imported = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("mode_solver"):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith(solver_modules):
             imported += [alias.name for alias in node.names]
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             imported += [
-                "the module itself" for alias in node.names if alias.name.endswith("mode_solver")
+                "the module itself" for alias in node.names if alias.name.endswith(solver_modules)
             ]
     assert imported == []

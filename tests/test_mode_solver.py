@@ -8,10 +8,18 @@ identity directly where the dimension permits.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given, settings, strategies as st
+from scipy.integrate._ivp import dop853_coefficients
+
+import tfdyn
 
 from tfdyn import (
     BosonProtocol,
@@ -34,6 +42,7 @@ from tfdyn.fock_oracle import (
     fermion_single,
     invariant_operator_matrix,
 )
+from tfdyn import _dop853, mode_solver
 from tfdyn.mode_solver import build_boson_generator, build_fermion_generator
 
 TIGHT = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14, grid_points=101)
@@ -398,6 +407,9 @@ class TestIntegratorConfig:
     @pytest.mark.parametrize("kwargs", [
         {"grid_points": 1},
         {"rel_tol": 0.0},
+        {"rel_tol": 1e-17},
+        {"rel_tol": 2.2e-14},
+        {"rel_tol": math.nan},
         {"abs_tol": -1e-12},
         {"max_step": 0.0},
         {"max_step": -1.0},
@@ -420,3 +432,140 @@ class TestIntegratorConfig:
         )
         traj = solve_fermion_modes(p, TIGHT)
         assert traj.stats.segments == 3
+
+    def test_rel_tol_floor_is_100_machine_epsilons_and_accepted(self):
+        assert mode_solver.REL_TOL_FLOOR == 100 * np.finfo(float).eps
+        assert IntegratorConfig(rel_tol=mode_solver.REL_TOL_FLOOR).rel_tol == 2.220446049250313e-14
+
+
+class ScipyDop853:
+    """scipy.integrate.DOP853 behind the private stepper's interface: the
+    reference the private stepper reproduces bit for bit."""
+
+    def __init__(self, fun, t0, y0, t_bound, rtol, atol, max_step):
+        self.solver = scipy.integrate.DOP853(
+            fun, t0, y0, t_bound, rtol=rtol, atol=atol, max_step=max_step
+        )
+        self.steps = self.interpolants = 0
+
+    t = property(lambda self: self.solver.t)
+    y = property(lambda self: self.solver.y)
+    nfev = property(lambda self: self.solver.nfev)
+
+    @property
+    def rejected(self) -> int:
+        # exact on one segment: 2 evaluations to start, 12 per attempt and 3
+        # per interpolant
+        attempts, rest = divmod(self.nfev - 2 - 3 * self.interpolants, 12)
+        assert rest == 0
+        return attempts - self.steps
+
+    def step(self) -> None:
+        message = self.solver.step()
+        if self.solver.status == "failed":
+            raise IntegrationError(message)
+        self.steps += 1
+
+    def dense_output(self):
+        self.interpolants += 1
+        return self.solver.dense_output()
+
+
+def _complex_ramp(re_end, im_end):
+    return _complex_coupling(
+        make_tanh_ramp(0.0, re_end, 5.0, 0.5), make_tanh_ramp(0.0, im_end, 5.0, 0.4)
+    )
+
+
+_BOSON_RAMP = BosonProtocol(Constant(1.0), make_tanh_ramp(0.0, 0.3, 5.0, 0.5), t_i=0.0, t_f=10.0)
+REFERENCE_CASES = {
+    "boson_ramp": (solve_boson_mode, _BOSON_RAMP, IntegratorConfig(grid_points=201)),
+    "oscillator_two_jumps": (
+        solve_oscillator_mode,
+        OscillatorProtocol(
+            Step(1.0, 2.0, 7.0), Step(1.0, 2.0, 3.0), t_i=0.0, t_f=10.0, jump_times=(3.0, 7.0)
+        ),
+        IntegratorConfig(grid_points=201),
+    ),
+    "fermion_complex_couplings": (
+        solve_fermion_modes,
+        FermionProtocol(
+            make_tanh_ramp(1.0, 1.5, 5.0, 0.5), _complex_ramp(0.2, -0.1), _complex_ramp(-0.15, 0.25),
+            t_i=0.0, t_f=10.0,
+        ),
+        TIGHT,
+    ),
+    # sharp enough that one rejected attempt is cut by the largest factor
+    "boson_sharp_ramp": (
+        solve_boson_mode,
+        BosonProtocol(Constant(1.0), make_tanh_ramp(0.0, 0.3, 1.0, 0.02), t_i=0.0, t_f=3.0),
+        IntegratorConfig(grid_points=31),
+    ),
+    "boson_max_step": (
+        solve_boson_mode, _BOSON_RAMP, IntegratorConfig(max_step=0.05, grid_points=37)
+    ),
+    # ten segments with rejected steps in them: rebuilding the rejections from
+    # the total evaluation count would overcount by one here
+    "boson_ramp_ten_segments": (
+        solve_boson_mode,
+        BosonProtocol(
+            Constant(1.0), make_tanh_ramp(0.0, 0.3, 5.0, 0.3), t_i=0.0, t_f=10.0,
+            jump_times=tuple(float(k) for k in range(1, 10)),
+        ),
+        IntegratorConfig(grid_points=201),
+    ),
+}
+
+
+class TestPrivateDop853:
+    """The private stepper against scipy.integrate.DOP853, driven side by side
+    through the same ``_integrate``."""
+
+    def test_tableau_is_scipys(self):
+        for name in ("C", "A", "B", "E3", "E5", "D"):
+            ours, ref = getattr(_dop853, name), getattr(dop853_coefficients, name)
+            assert ours.shape == ref.shape and np.array_equal(ours, ref), name
+
+    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+    def test_same_samples_and_counts_as_scipy(self, case, monkeypatch):
+        solve, protocol, config = REFERENCE_CASES[case]
+        ours = solve(protocol, config)
+        monkeypatch.setattr(mode_solver, "Dop853", ScipyDop853)
+        ref = solve(protocol, config)
+        assert np.array_equal(ours.t, ref.t)
+        assert ours.columns.keys() == ref.columns.keys()
+        for name, series in ours.columns.items():
+            assert np.array_equal(series, ref.columns[name]), name
+        assert ours.stats == ref.stats
+
+    def test_reference_cases_reject_steps(self):
+        """The rejected-step comparison above is not vacuous."""
+        solve, protocol, config = REFERENCE_CASES["boson_ramp_ten_segments"]
+        stats = solve(protocol, config).stats
+        assert stats.segments == 10 and stats.rejected_steps == 7
+
+    def test_step_size_collapse_raises(self, monkeypatch):
+        """An undeclared frequency jump from 1 to 1e9: no step above the
+        ten-ulp floor passes the error test across it."""
+        p = OscillatorProtocol(
+            Constant(1.0), lambda t: 1.0 if t < 0.5 else 1e9, t_i=0.0, t_f=1.0
+        )
+        where = r"at t ~ 0\.5 \(segment \[0\.0, 1\.0\]\)"
+        with pytest.raises(IntegrationError, match=where + ": step size collapsed"):
+            solve_oscillator_mode(p)
+        monkeypatch.setattr(mode_solver, "Dop853", ScipyDop853)
+        with pytest.raises(IntegrationError, match=where):
+            solve_oscillator_mode(p)
+
+
+def test_import_loads_no_scipy_integrate():
+    """``import tfdyn`` stays clear of scipy.integrate, the costliest import
+    the package could pull in."""
+    src = str(Path(tfdyn.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, tfdyn; print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert out.stdout.strip() == "[]"
