@@ -467,9 +467,10 @@ def run_sweep(config: RunConfig, out_dir: str | Path) -> dict:
     Every entry's derived config is parsed once, before any work is
     scheduled, so an invalid grid value fails the sweep with no entry run.
     Worker count comes from the ``TFDYN_WORKERS`` environment variable
-    (default 1, serial), clamped to the number of entries and of CPUs;
-    entries share no state, so the artifacts are identical however the grid
-    is scheduled.
+    (default 1, serial), clamped to the number of entries and of CPUs the
+    process may run on; each worker process gives the oracle its share of
+    those CPUs.  Entries share no state, so the artifacts are identical
+    however the grid is scheduled.
     """
     if config.kind != "sweep":
         raise ValueError(f"run_sweep got a '{config.kind}' config")
@@ -489,14 +490,20 @@ def run_sweep(config: RunConfig, out_dir: str | Path) -> dict:
     except ValueError as exc:
         raise ConfigError(f"{WORKERS_ENV_VAR} must be an integer, got '{workers_raw}'") from exc
     # a fork-based pool starts every requested worker at the first submit
-    workers = max(1, min(requested, len(entries), os.cpu_count() or 1))
+    cpus = fock_oracle._available_cpus()
+    workers = max(1, min(requested, len(entries), cpus))
 
     results: list[dict | None] = [None] * len(entries)
     if workers == 1:
         for index, _, entry_config, entry_dir in entries:
             results[index] = _run_sweep_entry(entry_config, entry_dir)
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # each worker's oracle threads take its share of the CPUs
+        with ProcessPoolExecutor(
+            max_workers=workers,
+            initializer=fock_oracle._set_thread_share,
+            initargs=(max(1, cpus // workers),),
+        ) as pool:
             futures = {
                 pool.submit(_run_sweep_entry, entry_config, entry_dir): index
                 for index, _, entry_config, entry_dir in entries

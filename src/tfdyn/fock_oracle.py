@@ -31,11 +31,13 @@ sectors of the 16-dimensional space.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
+import os
 from dataclasses import dataclass
 from types import MappingProxyType, SimpleNamespace
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 from scipy.linalg import expm
@@ -93,6 +95,12 @@ _MAX_DOUBLED_DENSITY_LEVELS = 64  # keeps doubled density matrices at <= 4096^2
 # Exponentials built by one batched eigh; bounds the memory of the
 # Hamiltonian stack.
 _CHUNK = 512
+# The doubled march hands propagator construction to threads in tasks of
+# about this many generator matrix elements, and builds each piece's
+# exponentials in sub-batches of about _SUB_BATCH elements: fewer elements
+# per task leave the threads idle on Python overhead, more hold more memory.
+_TASK_ELEMENTS = 2**18
+_SUB_BATCH = 2**16
 # CFM4: Gauss-Legendre nodes of a step, as fractions of the step, and the
 # weights of the two node Hamiltonians in the first (row 0) and the second
 # exponential applied; each row sums to 1/2.
@@ -897,21 +905,83 @@ def _coefficients(
     return np.array(w).reshape(times.shape + (-1,))
 
 
-def _generator_stacks(coeffs: np.ndarray, bases: list[np.ndarray]) -> list[np.ndarray]:
-    """sum_j coeffs[..., j] B_j for each block's stack of operators B.
+def _generator_stacks(coeffs: np.ndarray, bases: list[np.ndarray]) -> Iterator[np.ndarray]:
+    """sum_j coeffs[..., j] B_j for each block's stack of operators B, one
+    block at a time.
 
     Terms whose coefficient vanishes throughout are left out; when the rest
     are real matrices the result is real symmetric and takes the real
     eigensolver (always for oscillators, and for real couplings).
     """
     live = np.any(coeffs != 0.0, axis=tuple(range(coeffs.ndim - 1)))
-    stacks = []
     for basis in bases:
         terms = basis[live]
         if not np.any(terms.imag):
             terms = terms.real
-        stacks.append(np.tensordot(coeffs[..., live], terms, axes=1))
-    return stacks
+        yield np.tensordot(coeffs[..., live], terms, axes=1)
+
+
+def _propagators(
+    pieces: list[tuple[np.ndarray, float]], bases: list[np.ndarray], hbar: float
+) -> list[list[np.ndarray]]:
+    """Each piece's propagator on each block: the ordered product of its CFM4
+    steps, from the piece's (exponent coefficients, step) pair.
+
+    The generator stack is formed for the whole piece, as the one-thread
+    march formed it.  The exponentials are built in sub-batches of steps,
+    which bounds the memory of each thread and leaves every bit as it is:
+    eigh and matmul work matrix by matrix.  Pure numpy, so it may run on any
+    thread.
+    """
+    out = []
+    for exponents, step in pieces:
+        per_block = []
+        for h in _generator_stacks(exponents, bases):
+            u = np.empty(h.shape[1:], dtype=complex)
+            size = max(1, _SUB_BATCH // h[0, 0].size)
+            for s in range(0, len(u), size):
+                u[s:s + size] = _cfm4_steps(h[:, s:s + size], step, hbar)
+            per_block.append(_ordered_product(u))
+        out.append(per_block)
+    return out
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, which leaves out CPUs
+    outside its cpuset, where the platform reports one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# Threads a march may use; None for every available CPU.  Each worker process
+# of a parallel sweep sets its share when it starts (``_set_thread_share``).
+_thread_share: int | None = None
+
+
+def _set_thread_share(threads: int) -> None:
+    global _thread_share
+    _thread_share = threads
+
+
+@functools.lru_cache(maxsize=1)
+def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """Getter and setter of the thread count of numpy's bundled OpenBLAS, or
+    None where numpy carries no such library."""
+    import ctypes
+    import glob
+
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        lib = ctypes.CDLL(path)
+        for suffix in ("64_", ""):
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+            put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
 
 
 def evolve_doubled_thermal(
@@ -928,6 +998,14 @@ def evolve_doubled_thermal(
     thermal vacuum.  The full state is assembled only at output times, where
     it is validated and its truncation tail measured: the evolution aborts
     with a diagnostic if the tail passes ``config.tail_abort``.
+
+    The calling thread samples the protocol, in time order, and applies the
+    propagators and records the states, also in order.  When the march
+    forms more than one task of about 2^18 generator elements, a thread pool
+    with one thread per available CPU builds the propagators ahead of it,
+    at most one task more than it has threads, while numpy's OpenBLAS is
+    held at one thread.  Every piece keeps the arithmetic of the one-thread
+    march, so the states are the same to the bit.
     """
     config = config or OracleConfig()
     frame = initial_frame(protocol)
@@ -986,19 +1064,65 @@ def evolve_doubled_thermal(
     record(float(grid[0]))
     grid_set = {float(t) for t in grid[1:]}
 
+    # A piece is one chunk of at most _CHUNK exponentials of one cut
+    # interval: its node times, its step, and the output time its end
+    # reaches, if any.  Consecutive pieces form tasks of about _TASK_ELEMENTS.
+    per_step = 2 * sum(b[0].size for b in bases)
+    tasks: list[list[tuple[np.ndarray, float, float | None]]] = [[]]
+    size = 0
     for left, right in zip(cuts[:-1], cuts[1:]):
         steps = max(1, math.ceil(config.substeps_per_unit * (right - left) / 2.0))
         step = (right - left) / steps
         for first in range(0, steps, _CHUNK // 2):
+            if size >= _TASK_ELEMENTS:
+                tasks.append([])
+                size = 0
             k = np.arange(first, min(first + _CHUNK // 2, steps))
-            times = left + (k + _CFM4_NODES[:, None]) * step
-            coeffs = _coefficients(protocol, times, frame)
-            exponents = np.tensordot(_CFM4_WEIGHTS, hbar * coeffs, axes=1)
-            for b, h in enumerate(_generator_stacks(exponents, bases)):
-                u = _ordered_product(_cfm4_steps(h, step, hbar))
+            end = float(right) if k[-1] == steps - 1 and float(right) in grid_set else None
+            tasks[-1].append((left + (k + _CFM4_NODES[:, None]) * step, step, end))
+            size += per_step * len(k)
+
+    def exponents(task) -> list[tuple[np.ndarray, float]]:
+        return [
+            (np.tensordot(_CFM4_WEIGHTS, hbar * _coefficients(protocol, times, frame), axes=1), step)
+            for times, step, _ in task
+        ]
+
+    def apply(task, propagators: list[list[np.ndarray]]) -> None:
+        for (*_, end), per_block in zip(task, propagators):
+            for b, u in enumerate(per_block):
                 blocks[b] = u @ blocks[b] @ u.conj().T if boson else u @ blocks[b]
-        if float(right) in grid_set:
-            record(float(right))
+            if end is not None:
+                record(end)
+
+    # One thread per available CPU and at most one per task, and one where
+    # OpenBLAS cannot be held at one thread (its threads would contend with
+    # the pool's).  On one thread a task's protocol samples are taken first,
+    # and its pieces are applied one at a time.
+    threads = min(len(tasks), _thread_share or _available_cpus())
+    if threads == 1 or _openblas_threads() is None:
+        for task in tasks:
+            for piece, work in zip(task, exponents(task)):
+                apply([piece], _propagators([work], bases, hbar))
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        get_blas_threads, set_blas_threads = _openblas_threads()
+        blas_threads = get_blas_threads()
+        pool = ThreadPoolExecutor(threads)  # starts its threads at the first submit
+        try:
+            set_blas_threads(1)
+            in_flight: collections.deque = collections.deque()
+            for task in tasks:
+                in_flight.append((task, pool.submit(_propagators, exponents(task), bases, hbar)))
+                if len(in_flight) > threads:
+                    done, future = in_flight.popleft()
+                    apply(done, future.result())
+            for done, future in in_flight:
+                apply(done, future.result())
+        finally:
+            pool.shutdown(cancel_futures=True)
+            set_blas_threads(blas_threads)
 
     return DoubledTrajectory(
         t=grid,

@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tfdyn
 from tfdyn import ConfigError, canonical_config_text, parse_config, run_quench, run_sweep, run_verify
 from tfdyn import statistics_of
 from tfdyn import cli_runner
@@ -395,13 +400,28 @@ class TestRunSweep:
         [("2", 8, 2), ("64", 8, 3), ("64", 2, 2), ("64", 1, None), ("0", 8, None)],
     )
     def test_worker_count_clamped(self, tmp_path, monkeypatch, requested, cpus, pool_size):
-        """The pool never exceeds the entry count or the CPU count; a
-        recording stand-in runs the entries in-process instead of forking."""
+        """The pool never exceeds the entry count or the CPU count, and each
+        worker's oracle gets its share of the CPUs; a recording stand-in runs
+        the entries in-process instead of forking."""
+        monkeypatch.setattr(cli_runner.fock_oracle, "_available_cpus", lambda: cpus)
+        sizes = self._run_recorded(tmp_path, monkeypatch, requested)
+        assert sizes == ([] if pool_size is None else [(pool_size, (cpus // pool_size,))])
+
+    def test_worker_count_clamped_to_affinity_mask(self, tmp_path, monkeypatch):
+        """CPUs outside the process's affinity mask count for nothing."""
+        monkeypatch.setattr(cli_runner.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(cli_runner.os, "sched_getaffinity", lambda pid: {2, 3}, raising=False)
+        assert self._run_recorded(tmp_path, monkeypatch, "64") == [(2, (1,))]
+
+    @staticmethod
+    def _run_recorded(tmp_path, monkeypatch, requested):
+        """Runs a three-entry sweep and returns each pool's (size, initargs)."""
         sizes = []
 
         class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+            def __init__(self, max_workers, initializer, initargs):
+                assert initializer is cli_runner.fock_oracle._set_thread_share
+                sizes.append((max_workers, initargs))
 
             def __enter__(self):
                 return self
@@ -415,12 +435,11 @@ class TestRunSweep:
                 return future
 
         monkeypatch.setattr(cli_runner, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(cli_runner.os, "cpu_count", lambda: cpus)
         monkeypatch.setenv(WORKERS_ENV_VAR, requested)
         text = SWEEP_TEXT.replace("values = 1.0, 2.0", "values = 1.0, 2.0, 3.0")
         manifest = run_sweep(parse_config(text, "sweep"), tmp_path)
         assert len(manifest["entries"]) == 3
-        assert sizes == ([] if pool_size is None else [pool_size])
+        return sizes
 
     def test_parallel_workers_bitwise_match_serial(self, tmp_path, monkeypatch):
         config = parse_config(SWEEP_TEXT, "sweep")
@@ -438,6 +457,90 @@ class TestRunSweep:
                 assert (serial / entry / name).read_bytes() == (
                     parallel / entry / name
                 ).read_bytes()
+
+    def test_parallel_oracle_sweep_after_pooled_quench(self, tmp_path):
+        """A process whose oracle has run its thread pool can still fork
+        sweep workers: the oracle-on sweep finishes, matches the serial sweep
+        byte for byte, and no thread outlives its run.  Runs in a child
+        process, so that a deadlock shows as a timeout."""
+        src = str(Path(tfdyn.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", FORK_AFTER_POOL_SCRIPT, str(tmp_path)],
+            capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert result.returncode == 0, result.stderr
+        report = json.loads(result.stdout.splitlines()[-1])
+        assert report["pool_threads"] >= 1, "the quench's march never left the calling thread"
+        assert report["threads"] == [report["threads"][0]] * 3
+        parallel, serial = tmp_path / "parallel", tmp_path / "serial"
+        names = sorted(p.relative_to(serial) for p in serial.rglob("*.csv"))
+        assert len(names) == 5
+        assert names == sorted(p.relative_to(parallel) for p in parallel.rglob("*.csv"))
+        for name in names:
+            assert (parallel / name).read_bytes() == (serial / name).read_bytes()
+
+
+ORACLE_QUENCH_TEXT = """
+[run]
+kind = quench
+beta = 2.0
+
+[protocol]
+kind = oscillator
+family = tanh
+value_initial = 1.0
+value_final = 1.3
+center = 1.0
+width = 0.3
+t_i = 0.0
+t_f = 2.0
+
+[integrator]
+grid_points = 11
+
+[oracle]
+n_levels = 30
+substeps_per_unit = 200
+"""
+
+ORACLE_SWEEP_TEXT = ORACLE_QUENCH_TEXT.replace("kind = quench", "kind = sweep") + """
+[sweep]
+key = protocol.width
+values = 0.3, 0.5
+"""
+
+# The child forces the pooled march (four CPUs, small tasks) in itself and,
+# inherited through fork, in both sweep workers (two threads each).
+FORK_AFTER_POOL_SCRIPT = f"""
+import json, os, sys, threading
+from pathlib import Path
+from tfdyn import fock_oracle, parse_config, run_quench, run_sweep
+
+fock_oracle._available_cpus = lambda: 4
+fock_oracle._TASK_ELEMENTS = 2**12
+build, builders = fock_oracle._propagators, set()
+
+def recording(*args):
+    builders.add(threading.get_ident())
+    return build(*args)
+
+fock_oracle._propagators = recording
+out = Path(sys.argv[1])
+quench = {ORACLE_QUENCH_TEXT!r}
+sweep = parse_config({ORACLE_SWEEP_TEXT!r}, "sweep")
+threads = [threading.active_count()]
+run_quench(parse_config(quench, "quench"), out / "quench")
+threads.append(threading.active_count())
+os.environ["{WORKERS_ENV_VAR}"] = "2"
+run_sweep(sweep, out / "parallel")
+del os.environ["{WORKERS_ENV_VAR}"]
+run_sweep(sweep, out / "serial")
+threads.append(threading.active_count())
+pool_threads = len(builders - {{threading.get_ident()}})
+print(json.dumps({{"threads": threads, "pool_threads": pool_threads}}))
+"""
 
 
 class TestRunVerify:

@@ -7,6 +7,7 @@ before it is allowed to referee the analytic modules.
 
 import ast
 import math
+import threading
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -680,6 +681,135 @@ class TestPropagationKernel:
         traj = evolve_doubled_thermal(p, LN2, OracleConfig(substeps_per_unit=40.0, grid_points=3))
         for psi in traj.states:
             assert np.all(psi.vector[outside] == 0.0)
+
+
+def _pulse(t):
+    return 0.3 * math.exp(-(((t - 0.6) / 0.15) ** 2))
+
+
+POOLED_CASES = {
+    "oscillator_tanh_ramp": (
+        OscillatorProtocol(Constant(1.0), make_tanh_ramp(1.0, 1.5, 0.6, 0.2), t_i=0.0, t_f=1.2),
+        2.0, OracleConfig(n_levels=30, substeps_per_unit=200.0, grid_points=13),
+    ),
+    "boson_coupling_pulse": (
+        BosonProtocol(Constant(1.0), _pulse, t_i=0.0, t_f=1.2),
+        1.0, OracleConfig(n_levels=24, substeps_per_unit=200.0, grid_points=13),
+    ),
+    "boson_complex_coupling": (
+        complex_coupling_ramp(1.2), 1.0, OracleConfig(n_levels=24, substeps_per_unit=200.0, grid_points=13),
+    ),
+    "oscillator_mass_jump": (
+        OscillatorProtocol(Step(1.0, 1.5, 0.37), Constant(1.0), t_i=0.0, t_f=1.2, jump_times=(0.37,)),
+        1.0, OracleConfig(n_levels=30, substeps_per_unit=200.0, grid_points=13),
+    ),
+    "fermion_pulse_two_jumps": (
+        FermionProtocol(
+            Constant(1.0), lambda t: (0.4 if 0.35 <= t < 0.75 else 0.0) + 1j * _pulse(t),
+            Constant(0.0), t_i=0.0, t_f=1.2, jump_times=(0.35, 0.75),
+        ),
+        LN2, OracleConfig(substeps_per_unit=400.0, grid_points=13),
+    ),
+    "cuts_longer_than_a_chunk": (
+        complex_coupling_ramp(1.2), 1.0, OracleConfig(n_levels=30, substeps_per_unit=1500.0, grid_points=2),
+    ),
+}
+
+
+@pytest.fixture
+def pooled(monkeypatch):
+    """Forces the pooled march onto small boxes: three threads, whatever this
+    host's CPU count, tasks of a few pieces and sub-batches of a few steps.
+    Returns the idents of the threads that built propagators."""
+    oracle = tfdyn.fock_oracle
+    if oracle._openblas_threads() is None:
+        pytest.skip("numpy carries no OpenBLAS of its own, so the march runs on one thread")
+    builders = []
+    build = oracle._propagators
+
+    def recording(*args):
+        builders.append(threading.get_ident())
+        return build(*args)
+
+    monkeypatch.setattr(oracle, "_available_cpus", lambda: 3)
+    monkeypatch.setattr(oracle, "_TASK_ELEMENTS", 2**12)
+    monkeypatch.setattr(oracle, "_SUB_BATCH", 2**9)
+    monkeypatch.setattr(oracle, "_propagators", recording)
+    return builders
+
+
+class TestPooledMarch:
+    """Propagators built on a thread pool leave every state bit as it is on
+    one thread, keep protocol calls on the calling thread and leave no
+    thread or BLAS setting behind."""
+
+    @pytest.mark.parametrize("case", sorted(POOLED_CASES))
+    def test_states_bitwise_match_one_thread(self, case, pooled, monkeypatch):
+        protocol, beta, cfg = POOLED_CASES[case]
+        with monkeypatch.context() as one_thread:
+            one_thread.setattr(tfdyn.fock_oracle, "_thread_share", 1)
+            one_thread.setattr(tfdyn.fock_oracle, "_SUB_BATCH", 2**40)
+            serial = evolve_doubled_thermal(protocol, beta, cfg)
+        pooled.clear()
+        got = evolve_doubled_thermal(protocol, beta, cfg)
+        assert set(pooled) - {threading.get_ident()}, "the march never left the calling thread"
+        for a, b in zip(got.states, serial.states, strict=True):
+            assert np.array_equal(a.vector, b.vector)
+        assert np.array_equal(got.tail_weight, serial.tail_weight)
+        assert np.array_equal(got.norm_deviation, serial.norm_deviation)
+
+    def test_protocol_called_on_the_calling_thread_only(self, pooled):
+        callers = set()
+
+        def coupling(t):
+            callers.add(threading.get_ident())
+            return _pulse(t)
+
+        p = BosonProtocol(Constant(1.0), coupling, t_i=0.0, t_f=1.2)
+        evolve_doubled_thermal(p, 1.0, OracleConfig(n_levels=24, substeps_per_unit=200.0, grid_points=13))
+        assert set(pooled) - {threading.get_ident()}
+        assert callers == {threading.get_ident()}
+
+    def test_truncation_abort_leaves_no_thread_and_restores_blas(self, pooled, monkeypatch):
+        """The tail passes tail_abort at t = 1.4 of 3: the pooled march raises
+        the one-thread march's message, with its pool and BLAS pin undone."""
+        p = BosonProtocol(Constant(1.0), make_tanh_ramp(0.0, 0.8, 1.0, 0.3), t_i=0.0, t_f=3.0)
+        cfg = OracleConfig(n_levels=16, substeps_per_unit=200.0, grid_points=31)
+        with monkeypatch.context() as one_thread:
+            one_thread.setattr(tfdyn.fock_oracle, "_thread_share", 1)
+            with pytest.raises(TruncationError) as serial:
+                evolve_doubled_thermal(p, 2.0, cfg)
+        assert "at t = 1.4;" in str(serial.value)
+
+        get_blas, set_blas = tfdyn.fock_oracle._openblas_threads()
+        blas_before = get_blas()
+        set_blas(2)
+        try:
+            threads_before = threading.active_count()
+            with pytest.raises(TruncationError) as pooled_error:
+                evolve_doubled_thermal(p, 2.0, cfg)
+            assert get_blas() == 2
+            assert threading.active_count() == threads_before
+        finally:
+            set_blas(blas_before)
+        assert set(pooled) - {threading.get_ident()}
+        assert str(pooled_error.value) == str(serial.value)
+
+    def test_one_task_runs_inline(self, pooled):
+        """An evolution that forms a single task never starts a thread."""
+        p = BosonProtocol(Constant(1.0), _pulse, t_i=0.0, t_f=0.1)
+        evolve_doubled_thermal(p, 1.0, OracleConfig(n_levels=20, substeps_per_unit=100.0, grid_points=3))
+        assert set(pooled) == {threading.get_ident()}
+
+
+def test_available_cpus_reads_the_affinity_mask(monkeypatch):
+    """CPUs outside the process's affinity mask are not counted; without a
+    mask to read, the count is the machine's."""
+    monkeypatch.setattr(tfdyn.fock_oracle.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(tfdyn.fock_oracle.os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+    assert tfdyn.fock_oracle._available_cpus() == 2
+    monkeypatch.delattr(tfdyn.fock_oracle.os, "sched_getaffinity")
+    assert tfdyn.fock_oracle._available_cpus() == 8
 
 
 def test_oracle_shares_no_solver_code():
