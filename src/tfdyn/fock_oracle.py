@@ -967,17 +967,21 @@ def _set_thread_share(threads: int) -> None:
 @functools.lru_cache(maxsize=1)
 def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
     """Getter and setter of the thread count of numpy's bundled OpenBLAS, or
-    None where numpy carries no such library."""
+    None where numpy carries no such library.  numpy 2 wheels name its
+    functions ``scipy_openblas_*``, numpy 1 wheels plain ``openblas_*``; both
+    may carry the ``64_`` suffix of the 64-bit-integer build."""
     import ctypes
     import glob
 
     libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
     for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
         lib = ctypes.CDLL(path)
-        for suffix in ("64_", ""):
-            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
-            put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
-            if get is not None and put is not None:
+        for name in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{name}_get_num_threads{suffix}", None)
+                put = getattr(lib, f"{name}_set_num_threads{suffix}", None)
+                if get is None or put is None:
+                    continue
                 get.argtypes, get.restype = [], ctypes.c_int
                 put.argtypes, put.restype = [ctypes.c_int], None
                 return get, put
@@ -1005,7 +1009,11 @@ def evolve_doubled_thermal(
     with one thread per available CPU builds the propagators ahead of it,
     at most one task more than it has threads, while numpy's OpenBLAS is
     held at one thread.  Every piece keeps the arithmetic of the one-thread
-    march, so the states are the same to the bit.
+    march, so the states are the same to the bit.  The protocol is therefore
+    sampled ahead of the output times: up to a task ahead on one thread, up
+    to one more task than the pool has threads with it.  When a protocol call
+    raises, the pieces sampled before it are applied first, so a truncation
+    abort at an earlier output time is raised in its place.
     """
     config = config or OracleConfig()
     frame = initial_frame(protocol)
@@ -1082,11 +1090,19 @@ def evolve_doubled_thermal(
             tasks[-1].append((left + (k + _CFM4_NODES[:, None]) * step, step, end))
             size += per_step * len(k)
 
-    def exponents(task) -> list[tuple[np.ndarray, float]]:
-        return [
-            (np.tensordot(_CFM4_WEIGHTS, hbar * _coefficients(protocol, times, frame), axes=1), step)
-            for times, step, _ in task
-        ]
+    def exponents(task) -> tuple[list[tuple[np.ndarray, float]], Exception | None]:
+        """The task's pieces' (exponents, step), up to the first piece whose
+        protocol sampling raises, and that exception.  The march applies the
+        pieces sampled before it raises it, so that a truncation abort that
+        comes first in time wins."""
+        work = []
+        for times, step, _ in task:
+            try:
+                coeffs = _coefficients(protocol, times, frame)
+            except Exception as exc:
+                return work, exc
+            work.append((np.tensordot(_CFM4_WEIGHTS, hbar * coeffs, axes=1), step))
+        return work, None
 
     def apply(task, propagators: list[list[np.ndarray]]) -> None:
         for (*_, end), per_block in zip(task, propagators):
@@ -1100,10 +1116,14 @@ def evolve_doubled_thermal(
     # the pool's).  On one thread a task's protocol samples are taken first,
     # and its pieces are applied one at a time.
     threads = min(len(tasks), _thread_share or _available_cpus())
+    error = None
     if threads == 1 or _openblas_threads() is None:
         for task in tasks:
-            for piece, work in zip(task, exponents(task)):
-                apply([piece], _propagators([work], bases, hbar))
+            work, error = exponents(task)
+            for piece, piece_work in zip(task, work):
+                apply([piece], _propagators([piece_work], bases, hbar))
+            if error is not None:
+                break
     else:
         from concurrent.futures import ThreadPoolExecutor
 
@@ -1114,7 +1134,10 @@ def evolve_doubled_thermal(
             set_blas_threads(1)
             in_flight: collections.deque = collections.deque()
             for task in tasks:
-                in_flight.append((task, pool.submit(_propagators, exponents(task), bases, hbar)))
+                work, error = exponents(task)
+                in_flight.append((task[:len(work)], pool.submit(_propagators, work, bases, hbar)))
+                if error is not None:
+                    break
                 if len(in_flight) > threads:
                     done, future = in_flight.popleft()
                     apply(done, future.result())
@@ -1123,6 +1146,8 @@ def evolve_doubled_thermal(
         finally:
             pool.shutdown(cancel_futures=True)
             set_blas_threads(blas_threads)
+    if error is not None:
+        raise error
 
     return DoubledTrajectory(
         t=grid,

@@ -795,6 +795,37 @@ class TestPooledMarch:
         assert set(pooled) - {threading.get_ident()}
         assert str(pooled_error.value) == str(serial.value)
 
+    def test_truncation_abort_wins_over_a_later_protocol_error(self, pooled, monkeypatch):
+        """The tail passes tail_abort at t = 1.4; the coupling raises past
+        t = 1.6, within the stretch sampled ahead of the abort by the pool,
+        and by one thread when the whole march is one task.  Both raise the
+        truncation error; a protocol error before the abort still comes out."""
+        ramp = make_tanh_ramp(0.0, 0.8, 1.0, 0.3)
+
+        def coupling_until(t_max):
+            def coupling(t):
+                if t > t_max:
+                    raise ValueError(f"coupling undefined past t = {t_max}")
+                return ramp(t)
+            return coupling
+
+        cfg = OracleConfig(n_levels=16, substeps_per_unit=200.0, grid_points=31)
+        p = BosonProtocol(Constant(1.0), coupling_until(1.6), t_i=0.0, t_f=3.0)
+        threads_before = threading.active_count()
+        with pytest.raises(TruncationError, match="at t = 1.4;"):
+            evolve_doubled_thermal(p, 2.0, cfg)
+        assert set(pooled) - {threading.get_ident()}
+        assert threading.active_count() == threads_before
+        with monkeypatch.context() as one_task:
+            one_task.setattr(tfdyn.fock_oracle, "_thread_share", 1)
+            one_task.setattr(tfdyn.fock_oracle, "_TASK_ELEMENTS", 2**40)
+            with pytest.raises(TruncationError, match="at t = 1.4;"):
+                evolve_doubled_thermal(p, 2.0, cfg)
+        early = BosonProtocol(Constant(1.0), coupling_until(0.5), t_i=0.0, t_f=3.0)
+        with pytest.raises(ValueError, match="past t = 0.5"):
+            evolve_doubled_thermal(early, 2.0, cfg)
+        assert threading.active_count() == threads_before
+
     def test_one_task_runs_inline(self, pooled):
         """An evolution that forms a single task never starts a thread."""
         p = BosonProtocol(Constant(1.0), _pulse, t_i=0.0, t_f=0.1)
@@ -810,6 +841,32 @@ def test_available_cpus_reads_the_affinity_mask(monkeypatch):
     assert tfdyn.fock_oracle._available_cpus() == 2
     monkeypatch.delattr(tfdyn.fock_oracle.os, "sched_getaffinity")
     assert tfdyn.fock_oracle._available_cpus() == 8
+
+
+@pytest.mark.parametrize(
+    "prefix, suffix", [("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")]
+)
+def test_openblas_found_by_either_wheel_naming(monkeypatch, prefix, suffix):
+    """numpy 2 wheels name OpenBLAS's thread functions scipy_openblas_*,
+    numpy 1 wheels plain openblas_*; the lookup takes either."""
+    import ctypes
+    import glob
+
+    def get():
+        return 4
+
+    def put(n):
+        pass
+
+    lib = SimpleNamespace(**{f"{prefix}_get_num_threads{suffix}": get, f"{prefix}_set_num_threads{suffix}": put})
+    monkeypatch.setattr(glob, "glob", lambda pattern: ["libopenblas.so"])
+    monkeypatch.setattr(ctypes, "CDLL", lambda path: lib)
+    lookup = tfdyn.fock_oracle._openblas_threads
+    lookup.cache_clear()
+    try:
+        assert lookup() == (get, put)
+    finally:
+        lookup.cache_clear()
 
 
 def test_oracle_shares_no_solver_code():
