@@ -32,6 +32,7 @@ sectors of the 16-dimensional space.
 from __future__ import annotations
 
 import collections
+import contextlib
 import functools
 import math
 import os
@@ -40,7 +41,6 @@ from types import MappingProxyType, SimpleNamespace
 from typing import Callable, Iterator, Mapping, NamedTuple
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import TruncationError
 from .protocols import Protocol, evaluate, initial_frame, statistics_of
@@ -524,6 +524,88 @@ def doubled_density(rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(np.kron(rho.matrix, rho.matrix.conj()), basis)
 
 
+# Diagonal Pade approximants r_m = V - U over V + U to exp: for each degree m,
+# the largest 1-norm at which r_m meets double-precision unit round-off, and
+# the coefficients b_0 .. b_m (Higham, SIAM J. Matrix Anal. Appl. 26, 1179
+# (2005), Table 2.3 and eq. 2.2).
+_PADE = {
+    3: (1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
+    5: (2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
+    7: (9.504178996162932e-1, (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0,
+                               1512.0, 56.0, 1.0)),
+    9: (2.097847961257068e0, (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0,
+                              30270240.0, 2162160.0, 110880.0, 3960.0, 90.0, 1.0)),
+    13: (5.371920351148152e0, (64764752532480000.0, 32382376266240000.0,
+                               7771770303897600.0, 1187353796428800.0, 129060195264000.0,
+                               10559470521600.0, 670442572800.0, 33522128640.0,
+                               1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)),
+}
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(A) of a square matrix by Pade scaling and squaring (Higham 2005,
+    Algorithm 2.3).
+
+    The smallest degree of 3, 5, 7 and 9 whose bound holds the 1-norm is
+    used unscaled; otherwise A is scaled by 2^-s, with s the least count
+    that brings its 1-norm within the degree-13 bound, and the degree-13
+    approximant is squared s times.
+    """
+    norm = np.linalg.norm(a, 1)
+    eye = np.eye(len(a), dtype=a.dtype)
+    a2 = a @ a
+    for m in (3, 5, 7, 9):
+        bound, b = _PADE[m]
+        if norm <= bound:
+            even = [eye, a2]
+            while len(even) <= m // 2:
+                even.append(even[-1] @ a2)
+            u = a @ sum(b[2 * k + 1] * even[k] for k in range(len(even)))
+            v = sum(b[2 * k] * even[k] for k in range(len(even)))
+            return np.linalg.solve(v - u, v + u)
+    bound, b = _PADE[13]
+    s = max(0, math.ceil(math.log2(norm / bound)))
+    a, a2 = a / 2.0**s, a2 / 4.0**s
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    x = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        x = x @ x
+    return x
+
+
+def _thermal_series(
+    beta: float, omega: float, hbar: float, basis: BasisDescriptor
+) -> StateVector:
+    """Route one of ``build_thermal_state_doubled``: |0(beta)> summed as its
+    series."""
+    if basis.kind == "boson_doubled":
+        n = basis.n_levels
+        x = _boltzmann_ratio(beta, omega, hbar, n)
+        levels = np.arange(n)
+        amps = x ** (0.5 * levels)
+        amps /= np.linalg.norm(amps)
+        c_series = np.zeros((n, n), dtype=complex)
+        c_series[levels, levels] = amps
+        return StateVector(c_series.reshape(-1), basis)
+    if basis.kind == "fermion_doubled":
+        ops = build_fermion_space(doubled=True)
+        a, b = ops["a"].matrix, ops["b"].matrix
+        at, bt = ops["a_tilde"].matrix, ops["b_tilde"].matrix
+        th = thermal_theta(beta, omega, hbar, "fermion")
+        tan = math.tan(th)
+        vac = np.zeros(16, dtype=complex)
+        vac[0] = 1.0
+        eye = np.eye(16, dtype=complex)
+        pair_a = eye + tan * (a.conj().T @ at.conj().T)
+        pair_b = eye + tan * (b.conj().T @ bt.conj().T)
+        return StateVector(math.cos(th) ** 2 * (pair_a @ (pair_b @ vac)), basis)
+    raise ValueError(f"build_thermal_state_doubled needs a doubled basis, got {basis.kind}")
+
+
 def build_thermal_state_doubled(
     beta: float,
     omega: float,
@@ -534,22 +616,19 @@ def build_thermal_state_doubled(
 
     Route one sums the series directly: amplitudes x^{n/2} on the pair states
     |n, n~> (bosons) or the expanded product (1 + tan(theta) a^dag a~^dag)
-    (1 + tan(theta) b^dag b~^dag)|0> (fermions), normalised.  Route two
-    exponentiates the squeeze generator: exp(theta (a^dag a~^dag - a~ a))|0>
-    and its two-channel fermion analogue.  They must agree to truncation
-    tolerance (bosons) or round-off (fermions); returned as (series, squeezed).
+    (1 + tan(theta) b^dag b~^dag)|0> (fermions), normalised.  It is the
+    definition of the thermal vacuum, and ``evolve_doubled_thermal`` starts
+    from it.  Route two exponentiates the squeeze generator, the paper's
+    construction: exp(theta (a^dag a~^dag - a~ a))|0> and its two-channel
+    fermion analogue, by ``_expm``.  They must agree to truncation tolerance
+    (bosons) or round-off (fermions); returned as (series, squeezed).
     """
     if basis is None:
         basis = boson_doubled(DEFAULT_N_LEVELS)
+    series = _thermal_series(beta, omega, hbar, basis)
     if basis.kind == "boson_doubled":
         n = basis.n_levels
         x = _boltzmann_ratio(beta, omega, hbar, n)
-        levels = np.arange(n)
-        amps = x ** (0.5 * levels)
-        amps /= np.linalg.norm(amps)
-        c_series = np.zeros((n, n), dtype=complex)
-        c_series[levels, levels] = amps
-
         th = thermal_theta(beta, omega, hbar, "boson")
         # The squeeze exponential is evaluated on a padded pair ladder and
         # projected back: exponentiating the generator truncated hard at n
@@ -560,37 +639,19 @@ def build_thermal_state_doubled(
         for m in range(m_pad - 1):
             gen[m + 1, m] = th * (m + 1)   # a^dag a~^dag raises the pair level
             gen[m, m + 1] = -th * (m + 1)  # a~ a lowers it
-        pair = expm(gen)[:n, 0]
+        pair = _expm(gen)[:n, 0]
         pair /= np.linalg.norm(pair)
+        levels = np.arange(n)
         c_squeezed = np.zeros((n, n), dtype=complex)
         c_squeezed[levels, levels] = pair
-        return (
-            StateVector(c_series.reshape(-1), basis),
-            StateVector(c_squeezed.reshape(-1), basis),
-        )
+        return series, StateVector(c_squeezed.reshape(-1), basis)
 
-    if basis.kind == "fermion_doubled":
-        ops = build_fermion_space(doubled=True)
-        a = ops["a"].matrix
-        b = ops["b"].matrix
-        at = ops["a_tilde"].matrix
-        bt = ops["b_tilde"].matrix
-        th = thermal_theta(beta, omega, hbar, "fermion")
-        tan = math.tan(th)
-        vac = np.zeros(16, dtype=complex)
-        vac[0] = 1.0
-        eye = np.eye(16, dtype=complex)
-        pair_a = eye + tan * (a.conj().T @ at.conj().T)
-        pair_b = eye + tan * (b.conj().T @ bt.conj().T)
-        series = math.cos(th) ** 2 * (pair_a @ (pair_b @ vac))
-
-        gen = th * (
-            a.conj().T @ at.conj().T - at @ a + b.conj().T @ bt.conj().T - bt @ b
-        )
-        squeezed = expm(gen) @ vac
-        return StateVector(series, basis), StateVector(squeezed, basis)
-
-    raise ValueError(f"build_thermal_state_doubled needs a doubled basis, got {basis.kind}")
+    ops = build_fermion_space(doubled=True)
+    a, b = ops["a"].matrix, ops["b"].matrix
+    at, bt = ops["a_tilde"].matrix, ops["b_tilde"].matrix
+    th = thermal_theta(beta, omega, hbar, "fermion")
+    gen = th * (a.conj().T @ at.conj().T - at @ a + b.conj().T @ bt.conj().T - bt @ b)
+    return series, StateVector(_expm(gen)[:, 0], basis)  # its action on |0>
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +730,8 @@ def evolve_unitary(
     ``substeps`` counts exponentials, two per step (rounded up to an even
     count); the default is ``OracleConfig.substeps_per_unit`` per unit time.
     For a constant H any count is exact.  Each factor is unitary to
-    round-off, so U is as well.
+    round-off, so U is as well.  numpy's OpenBLAS is held at one thread
+    while the product is formed (``_one_blas_thread``).
     """
     span = t_f - t_i
     if span < 0:
@@ -683,20 +745,21 @@ def evolve_unitary(
 
     u: np.ndarray | None = None
     basis: BasisDescriptor | None = None
-    for k in range(steps):
-        nodes = []
-        for t in t_i + (k + _CFM4_NODES) * step:
-            h = h_of_t(float(t))
-            if isinstance(h, OperatorMatrix):
-                basis = basis or h.basis
-                h = h.matrix
-            mat = np.asarray(h, dtype=complex)
-            if not np.all(np.isfinite(mat)):
-                raise ValueError(f"non-finite Hamiltonian at t = {t}")
-            nodes.append(mat)
-        exponents = np.tensordot(_CFM4_WEIGHTS, np.stack(nodes), axes=1)
-        factor = _cfm4_steps(exponents, step, hbar)
-        u = factor if u is None else factor @ u
+    with _one_blas_thread():
+        for k in range(steps):
+            nodes = []
+            for t in t_i + (k + _CFM4_NODES) * step:
+                h = h_of_t(float(t))
+                if isinstance(h, OperatorMatrix):
+                    basis = basis or h.basis
+                    h = h.matrix
+                mat = np.asarray(h, dtype=complex)
+                if not np.all(np.isfinite(mat)):
+                    raise ValueError(f"non-finite Hamiltonian at t = {t}")
+                nodes.append(mat)
+            exponents = np.tensordot(_CFM4_WEIGHTS, np.stack(nodes), axes=1)
+            factor = _cfm4_steps(exponents, step, hbar)
+            u = factor if u is None else factor @ u
     return OperatorMatrix(u, basis or BasisDescriptor("anonymous", u.shape[0]), "U")
 
 
@@ -854,8 +917,10 @@ class OracleConfig:
     """Resolution settings for brute-force evolution, and only those: hbar,
     like beta, is an argument of ``evolve_doubled_thermal``.
 
-    ``substeps_per_unit`` counts matrix exponentials per unit time; a CFM4
-    step spends two.
+    ``substeps_per_unit`` counts matrix exponentials per unit time where H
+    varies; a CFM4 step spends two.  A piece of the march over which every
+    sampled coefficient is the same takes one step whatever its length
+    (``evolve_doubled_thermal``).
     """
 
     n_levels: int = DEFAULT_N_LEVELS
@@ -988,32 +1053,59 @@ def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | Non
     return None
 
 
+@contextlib.contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """Holds numpy's OpenBLAS at one thread, where it can be found, and
+    restores its thread count on exit.  Its threads would otherwise spin
+    against the pool's, or against another process on a busy host, for
+    products far too small to share out."""
+    lookup = _openblas_threads()
+    if lookup is None:
+        yield
+        return
+    get_blas_threads, set_blas_threads = lookup
+    before = get_blas_threads()
+    set_blas_threads(1)
+    try:
+        yield
+    finally:
+        set_blas_threads(before)
+
+
 def evolve_doubled_thermal(
     protocol: Protocol, beta: float, config: OracleConfig | None = None, hbar: float = 1.0
 ) -> DoubledTrajectory:
     """Evolve the thermal vacuum under H_hat(t) = H(t) - H~(t).
 
-    Starts from the squeezed construction of |0(beta)> at the initial
-    frequency and marches CFM4 steps, ``config.substeps_per_unit``
-    exponentials per unit time (two per step), restarting cleanly at every
-    output time and declared jump.  Boson states are advanced on the even
-    and the odd block of their coefficient matrix (C_b -> U_b C_b U_b^dag);
-    fermion states on the two 4-dimensional parity sectors that hold the
-    thermal vacuum.  The full state is assembled only at output times, where
-    it is validated and its truncation tail measured: the evolution aborts
-    with a diagnostic if the tail passes ``config.tail_abort``.
+    Starts from the series construction of |0(beta)> at the initial
+    frequency (route one of ``build_thermal_state_doubled``, so no evolution
+    depends on the squeeze exponential) and marches CFM4 steps,
+    ``config.substeps_per_unit`` exponentials per unit time (two per step),
+    restarting cleanly at every output time and declared jump.  A piece of
+    the march (at most 512 exponentials of one cut interval) whose sampled
+    coefficients are all the same is advanced by one CFM4 step that spans
+    it: for constant H the two exponentials multiply to exp(-i H span /
+    hbar), which in exact arithmetic is the product the configured steps
+    form from the same samples, without their round-off.  Boson states are
+    advanced on the even and the odd block of their coefficient matrix
+    (C_b -> U_b C_b U_b^dag); fermion states on the two 4-dimensional parity
+    sectors that hold the thermal vacuum.  The full state is assembled only
+    at output times, where it is validated and its truncation tail
+    measured: the evolution aborts with a diagnostic if the tail passes
+    ``config.tail_abort``.
 
     The calling thread samples the protocol, in time order, and applies the
     propagators and records the states, also in order.  When the march
     forms more than one task of about 2^18 generator elements, a thread pool
     with one thread per available CPU builds the propagators ahead of it,
-    at most one task more than it has threads, while numpy's OpenBLAS is
-    held at one thread.  Every piece keeps the arithmetic of the one-thread
-    march, so the states are the same to the bit.  The protocol is therefore
-    sampled ahead of the output times: up to a task ahead on one thread, up
-    to one more task than the pool has threads with it.  When a protocol call
-    raises, the pieces sampled before it are applied first, so a truncation
-    abort at an earlier output time is raised in its place.
+    at most one task more than it has threads.  numpy's OpenBLAS is held at
+    one thread throughout, on the pool and on the calling thread alone.
+    Every piece keeps the arithmetic of the one-thread march, so the states
+    are the same to the bit.  The protocol is therefore sampled ahead of the
+    output times: up to a task ahead on one thread, up to one more task than
+    the pool has threads with it.  When a protocol call raises, the pieces
+    sampled before it are applied first, so a truncation abort at an earlier
+    output time is raised in its place.
     """
     config = config or OracleConfig()
     frame = initial_frame(protocol)
@@ -1041,7 +1133,7 @@ def evolve_doubled_thermal(
             for w in ((1, 0, 0), (0, 1, 0), (0, 1j, 0), (0, 0, 1), (0, 0, 1j))
         ]
     bases = [np.stack(unit_generators)[:, idx[:, None], idx] for idx in sectors]
-    _, psi0 = build_thermal_state_doubled(beta, frame[1], hbar, basis)
+    psi0 = _thermal_series(beta, frame[1], hbar, basis)
     blocks = [psi0.vector.reshape(shape)[idx] for idx in index]
 
     def assemble() -> np.ndarray:
@@ -1073,10 +1165,11 @@ def evolve_doubled_thermal(
     grid_set = {float(t) for t in grid[1:]}
 
     # A piece is one chunk of at most _CHUNK exponentials of one cut
-    # interval: its node times, its step, and the output time its end
-    # reaches, if any.  Consecutive pieces form tasks of about _TASK_ELEMENTS.
+    # interval: its node times, its step, its span, and the output time its
+    # end reaches, if any.  Consecutive pieces form tasks of about
+    # _TASK_ELEMENTS.
     per_step = 2 * sum(b[0].size for b in bases)
-    tasks: list[list[tuple[np.ndarray, float, float | None]]] = [[]]
+    tasks: list[list[tuple[np.ndarray, float, float, float | None]]] = [[]]
     size = 0
     for left, right in zip(cuts[:-1], cuts[1:]):
         steps = max(1, math.ceil(config.substeps_per_unit * (right - left) / 2.0))
@@ -1086,8 +1179,10 @@ def evolve_doubled_thermal(
                 tasks.append([])
                 size = 0
             k = np.arange(first, min(first + _CHUNK // 2, steps))
-            end = float(right) if k[-1] == steps - 1 and float(right) in grid_set else None
-            tasks[-1].append((left + (k + _CFM4_NODES[:, None]) * step, step, end))
+            last = k[-1] == steps - 1
+            span = (right if last else left + (k[-1] + 1) * step) - (left + k[0] * step)
+            end = float(right) if last and float(right) in grid_set else None
+            tasks[-1].append((left + (k + _CFM4_NODES[:, None]) * step, step, span, end))
             size += per_step * len(k)
 
     def exponents(task) -> tuple[list[tuple[np.ndarray, float]], Exception | None]:
@@ -1096,11 +1191,13 @@ def evolve_doubled_thermal(
         pieces sampled before it raises it, so that a truncation abort that
         comes first in time wins."""
         work = []
-        for times, step, _ in task:
+        for times, step, span, _ in task:
             try:
                 coeffs = _coefficients(protocol, times, frame)
             except Exception as exc:
                 return work, exc
+            if np.all(coeffs == coeffs[0, 0]):  # constant H: one step spans the piece
+                coeffs, step = coeffs[:, :1], span
             work.append((np.tensordot(_CFM4_WEIGHTS, hbar * coeffs, axes=1), step))
         return work, None
 
@@ -1117,35 +1214,32 @@ def evolve_doubled_thermal(
     # and its pieces are applied one at a time.
     threads = min(len(tasks), _thread_share or _available_cpus())
     error = None
-    if threads == 1 or _openblas_threads() is None:
-        for task in tasks:
-            work, error = exponents(task)
-            for piece, piece_work in zip(task, work):
-                apply([piece], _propagators([piece_work], bases, hbar))
-            if error is not None:
-                break
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        get_blas_threads, set_blas_threads = _openblas_threads()
-        blas_threads = get_blas_threads()
-        pool = ThreadPoolExecutor(threads)  # starts its threads at the first submit
-        try:
-            set_blas_threads(1)
-            in_flight: collections.deque = collections.deque()
+    with _one_blas_thread():
+        if threads == 1 or _openblas_threads() is None:
             for task in tasks:
                 work, error = exponents(task)
-                in_flight.append((task[:len(work)], pool.submit(_propagators, work, bases, hbar)))
+                for piece, piece_work in zip(task, work):
+                    apply([piece], _propagators([piece_work], bases, hbar))
                 if error is not None:
                     break
-                if len(in_flight) > threads:
-                    done, future = in_flight.popleft()
+        else:
+            from concurrent.futures import ThreadPoolExecutor
+
+            pool = ThreadPoolExecutor(threads)  # starts its threads at the first submit
+            in_flight: collections.deque = collections.deque()
+            try:
+                for task in tasks:
+                    work, error = exponents(task)
+                    in_flight.append((task[:len(work)], pool.submit(_propagators, work, bases, hbar)))
+                    if error is not None:
+                        break
+                    if len(in_flight) > threads:
+                        done, future = in_flight.popleft()
+                        apply(done, future.result())
+                for done, future in in_flight:
                     apply(done, future.result())
-            for done, future in in_flight:
-                apply(done, future.result())
-        finally:
-            pool.shutdown(cancel_futures=True)
-            set_blas_threads(blas_threads)
+            finally:
+                pool.shutdown(cancel_futures=True)
     if error is not None:
         raise error
 

@@ -696,3 +696,27 @@ enabled = false
             main(["--version"])
         assert exc.value.code == 0
         assert "tfdyn" in capsys.readouterr().out
+
+
+NO_SCIPY_SCRIPT = """
+import sys
+import tfdyn
+from tfdyn import cli_runner, fock_oracle
+cli_runner.parse_config(sys.stdin.read(), "quench")
+fock_oracle.build_thermal_state_doubled(1.0, 1.0, basis=fock_oracle.boson_doubled(20))
+fock_oracle.build_thermal_state_doubled(1.0, 1.0, basis=fock_oracle.fermion_doubled())
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
+
+
+def test_runtime_loads_no_scipy():
+    """``import tfdyn``, parsing an oracle-on quench config and building both
+    thermal-vacuum routes load no scipy module: numpy is the whole run-time
+    dependency.  Runs in a fresh process, which has imported nothing yet."""
+    src = str(Path(tfdyn.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT], input=QUENCH_CONSTANT.format(beta=1.0),
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert out.stdout.strip() == "[]"

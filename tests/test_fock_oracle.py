@@ -16,6 +16,7 @@ import pytest
 from scipy.linalg import expm
 
 import tfdyn.fock_oracle
+from tfdyn.protocols import initial_frame
 from tfdyn import (
     BosonProtocol,
     Constant,
@@ -681,6 +682,164 @@ class TestPropagationKernel:
         traj = evolve_doubled_thermal(p, LN2, OracleConfig(substeps_per_unit=40.0, grid_points=3))
         for psi in traj.states:
             assert np.all(psi.vector[outside] == 0.0)
+
+
+class TestConstantPieces:
+    """A piece whose sampled coefficients are all the same takes one CFM4
+    step that spans it."""
+
+    @staticmethod
+    def _counting(monkeypatch):
+        """Records how many exponentials each call of the spectral kernel builds."""
+        built = []
+        expi = tfdyn.fock_oracle._expi_neg_hermitian
+
+        def counting(h, dt, hbar):
+            built.append(math.prod(h.shape[:-2]))
+            return expi(h, dt, hbar)
+
+        monkeypatch.setattr(tfdyn.fock_oracle, "_expi_neg_hermitian", counting)
+        return built
+
+    def test_step_protocol_builds_one_step_per_cut_and_matches_expm(self, monkeypatch):
+        n = 30
+        p = OscillatorProtocol(
+            Constant(1.0), Step(1.0, 1.5, 0.37), t_i=0.0, t_f=1.2, jump_times=(0.37,)
+        )
+        built = self._counting(monkeypatch)
+        traj = evolve_doubled_thermal(
+            p, 2.0, OracleConfig(n_levels=n, substeps_per_unit=200.0, grid_points=13)
+        )
+        cuts = sorted({*traj.t.tolist(), 0.37})
+        # two exponentials per step on each of the two parity blocks
+        assert sum(built) == 2 * 2 * (len(cuts) - 1)
+
+        def h(omega):
+            return build_boson_hamiltonian(*oscillator_boson_coefficients(1.0, omega, 1.0, 1.0), n).matrix
+
+        outputs = {t: k for k, t in enumerate(traj.t.tolist())}
+        c = traj.states[0].c_matrix()
+        for left, right in zip(cuts[:-1], cuts[1:]):
+            u = expm(-1j * h(1.0 if right <= 0.37 else 1.5) * (right - left))
+            c = u @ c @ u.conj().T
+            if right in outputs:
+                assert np.max(np.abs(traj.states[outputs[right]].c_matrix() - c)) < 1e-13
+
+    def test_varying_pieces_build_the_configured_count(self, monkeypatch):
+        built = self._counting(monkeypatch)
+        evolve_doubled_thermal(
+            complex_coupling_ramp(), 1.0, OracleConfig(n_levels=20, substeps_per_unit=40.0, grid_points=3)
+        )
+        # 20 exponentials on each of two cut intervals of 0.5, on each of two blocks
+        assert sum(built) == 20 * 2 * 2
+
+    def test_constant_piece_longer_than_a_chunk(self, monkeypatch):
+        """A constant cut interval of 1500 exponentials spans three pieces,
+        each one step."""
+        built = self._counting(monkeypatch)
+        p = FermionProtocol(Constant(1.0), Constant(0.3 + 0.1j), Constant(0.0), t_i=0.0, t_f=2.0)
+        traj = evolve_doubled_thermal(p, LN2, OracleConfig(substeps_per_unit=750.0, grid_points=2))
+        assert sum(built) == 3 * 2 * 2
+        h_hat = build_fermion_hamiltonian(1.0, 0.3 + 0.1j, 0.0, doubled=True).h_hat.matrix
+        want = expm(-2j * h_hat) @ traj.states[0].vector
+        assert np.max(np.abs(traj.states[-1].vector - want)) < 1e-13
+
+
+class TestThermalStart:
+    """Every evolution starts from the series, so none depends on the squeeze
+    exponential."""
+
+    @pytest.mark.parametrize("protocol, beta, cfg", [
+        (OscillatorProtocol(Constant(1.0), make_tanh_ramp(1.3, 2.0, 0.5, 0.1), t_i=0.0, t_f=0.2),
+         1.0, OracleConfig(n_levels=40, substeps_per_unit=50.0, grid_points=2)),
+        (complex_coupling_ramp(0.2), 0.7, OracleConfig(n_levels=40, substeps_per_unit=50.0, grid_points=2)),
+        (FermionProtocol(Constant(1.5), Constant(0.2), Constant(0.1j), t_i=0.0, t_f=0.2),
+         LN2, OracleConfig(substeps_per_unit=50.0, grid_points=2)),
+    ], ids=["oscillator", "boson", "fermion"])
+    def test_first_state_is_the_series_bit_for_bit(self, protocol, beta, cfg, monkeypatch):
+        def refuse(a):
+            raise AssertionError("an evolution exponentiated the squeeze generator")
+
+        series, _ = build_thermal_state_doubled(beta, initial_frame(protocol)[1], basis=(
+            boson_doubled(cfg.n_levels) if protocol.kind != "fermion" else fermion_doubled()
+        ))
+        monkeypatch.setattr(tfdyn.fock_oracle, "_expm", refuse)
+        traj = evolve_doubled_thermal(protocol, beta, cfg)
+        assert np.array_equal(traj.states[0].vector, series.vector)
+
+
+class TestExpm:
+    """tfdyn's Pade exponential against scipy's."""
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0])
+    @pytest.mark.parametrize("basis", [boson_doubled(60), boson_doubled(50), fermion_doubled()],
+                             ids=["boson60", "boson50", "fermion"])
+    def test_squeeze_generators_match_scipy(self, basis, beta, monkeypatch):
+        """The generators c08a and c08b exponentiate, at the suite's beta and
+        level counts."""
+        own = tfdyn.fock_oracle._expm
+        seen = []
+
+        def recording(a):
+            seen.append(a)
+            return own(a)
+
+        monkeypatch.setattr(tfdyn.fock_oracle, "_expm", recording)
+        build_thermal_state_doubled(beta, 1.0, basis=basis)
+        (gen,) = seen
+        want = expm(gen)
+        assert np.linalg.norm(own(gen) - want, 1) <= 5e-13 * np.linalg.norm(want, 1)
+
+    @pytest.mark.parametrize("norm", [1e-2, 0.1, 0.5, 1.5, 4.0, 20.0, 300.0])
+    @pytest.mark.parametrize("kind", ["real_antisymmetric", "complex_hermitian"])
+    def test_random_generators_match_scipy(self, kind, norm):
+        """1-norms that take each Pade degree, unscaled and scaled."""
+        rng = np.random.default_rng(7)
+        g = rng.standard_normal((24, 24))
+        if kind == "real_antisymmetric":
+            g = g - g.T
+        else:
+            g = g + 1j * rng.standard_normal((24, 24))
+            g = -1j * (g + g.conj().T)
+        g *= norm / np.linalg.norm(g, 1)
+        want = expm(g)
+        got = tfdyn.fock_oracle._expm(g)
+        assert got.dtype == want.dtype
+        assert np.linalg.norm(got - want, 1) <= 5e-13 * np.linalg.norm(want, 1)
+
+
+def test_one_thread_marches_hold_blas_at_one_thread(monkeypatch):
+    """The inline doubled march and evolve_unitary run their products with
+    numpy's OpenBLAS at one thread, and restore its count afterwards."""
+    oracle = tfdyn.fock_oracle
+    if oracle._openblas_threads() is None:
+        pytest.skip("numpy carries no OpenBLAS of its own")
+    get_blas, set_blas = oracle._openblas_threads()
+    seen = []
+    build = oracle._propagators
+
+    def recording(*args):
+        seen.append(get_blas())
+        return build(*args)
+
+    def h_of_t(t):
+        seen.append(get_blas())
+        return build_boson_hamiltonian(1.0, 0.3 * math.sin(t), 8)
+
+    monkeypatch.setattr(oracle, "_propagators", recording)
+    monkeypatch.setattr(oracle, "_thread_share", 1)
+    blas_before = get_blas()
+    set_blas(2)
+    try:
+        evolve_doubled_thermal(
+            complex_coupling_ramp(), 1.0, OracleConfig(n_levels=20, substeps_per_unit=40.0, grid_points=3)
+        )
+        assert get_blas() == 2
+        evolve_unitary(h_of_t, 0.0, 1.0, substeps=4)
+        assert get_blas() == 2
+    finally:
+        set_blas(blas_before)
+    assert seen and set(seen) == {1}
 
 
 def _pulse(t):

@@ -8,18 +8,12 @@ identity directly where the dimension permits.
 """
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.integrate
 from hypothesis import given, settings, strategies as st
 from scipy.integrate._ivp import dop853_coefficients
-
-import tfdyn
 
 from tfdyn import (
     BosonProtocol,
@@ -556,16 +550,3 @@ class TestPrivateDop853:
         monkeypatch.setattr(mode_solver, "Dop853", ScipyDop853)
         with pytest.raises(IntegrationError, match=where):
             solve_oscillator_mode(p)
-
-
-def test_import_loads_no_scipy_integrate():
-    """``import tfdyn`` stays clear of scipy.integrate, the costliest import
-    the package could pull in."""
-    src = str(Path(tfdyn.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = "import sys, tfdyn; print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))"
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
-    assert out.stdout.strip() == "[]"
