@@ -180,6 +180,13 @@ D[3, _D_COLUMNS] = [
     -0.39177261675615439165231486172e+2, -0.14972683625798562581422125276e+3,
 ]
 
+# Every product of the weights is with complex stages, so the weights are
+# stored complex: np.dot would otherwise cast them on each call, to the same
+# bits.  The stepper reads A row by row and the nodes as floats.
+A, B, E3, E5, D = (x.astype(complex) for x in (A, B, E3, E5, D))
+_A_ROWS = [A[s, :s] for s in range(N_STAGES_EXTENDED)]
+_C = C.tolist()
+
 
 def _rms(x: np.ndarray) -> float:
     return np.linalg.norm(x) / x.size ** 0.5
@@ -244,8 +251,8 @@ class Dop853:
         t, y, k = self.t, self.y, self._k
         k[0] = self.f
         for s in range(1, N_STAGES):
-            dy = np.dot(k[:s].T, A[s, :s]) * h
-            k[s] = self._rhs(t + C[s] * h, y + dy)
+            dy = np.dot(k[:s].T, _A_ROWS[s]) * h
+            k[s] = self._rhs(t + _C[s] * h, y + dy)
         y_new = y + h * np.dot(k[:N_STAGES].T, B)
         f_new = self._rhs(t + h, y_new)
         k[N_STAGES] = f_new
@@ -300,8 +307,8 @@ class Dop853:
         k, t_old, y_old = self._k, self.t_old, self.y_old
         h = self.t - t_old
         for s in range(N_STAGES + 1, N_STAGES_EXTENDED):
-            dy = np.dot(k[:s].T, A[s, :s]) * h
-            k[s] = self._rhs(t_old + C[s] * h, y_old + dy)
+            dy = np.dot(k[:s].T, _A_ROWS[s]) * h
+            k[s] = self._rhs(t_old + _C[s] * h, y_old + dy)
 
         f_old = k[0]
         delta_y = self.y - y_old

@@ -17,7 +17,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .protocols import FermionProtocol, evaluate
+from .protocols import FermionProtocol, sampler
 
 __all__ = [
     "ReferenceMode",
@@ -136,16 +136,16 @@ def fermion_frame_coeffs(
     drift.
     """
     if protocol is not None:
-        s = evaluate(protocol, state.t)
-        for name, value in (("omega_plus", s.omega_plus), ("omega_minus", s.omega_minus)):
+        omega0, omega_plus, omega_minus = sampler(protocol)(state.t)
+        for name, value in (("omega_plus", omega_plus), ("omega_minus", omega_minus)):
             if abs(value) > FRAME_DIAGONAL_TOL:
                 raise ValueError(
                     f"{name}(t={state.t}) = {value}: the Hamiltonian is not diagonal, "
                     "so no static final frame exists here"
                 )
-        if abs(s.omega0 - omega0_f) > FRAME_DIAGONAL_TOL * max(1.0, abs(omega0_f)):
+        if abs(omega0 - omega0_f) > FRAME_DIAGONAL_TOL * max(1.0, abs(omega0_f)):
             raise ValueError(
-                f"omega0(t={state.t}) = {s.omega0} does not match omega0_f = {omega0_f}"
+                f"omega0(t={state.t}) = {omega0} does not match omega0_f = {omega0_f}"
             )
     if phase_time is None:
         phase_time = state.t

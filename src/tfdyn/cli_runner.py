@@ -28,7 +28,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -498,6 +497,9 @@ def run_sweep(config: RunConfig, out_dir: str | Path) -> dict:
         for index, _, entry_config, entry_dir in entries:
             results[index] = _run_sweep_entry(entry_config, entry_dir)
     else:
+        # imported here: the pool machinery costs every other run its import
+        from concurrent.futures import ProcessPoolExecutor
+
         # each worker's oracle threads take its share of the CPUs
         with ProcessPoolExecutor(
             max_workers=workers,

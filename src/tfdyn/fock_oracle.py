@@ -43,7 +43,7 @@ from typing import Callable, Iterator, Mapping, NamedTuple
 import numpy as np
 
 from .errors import TruncationError
-from .protocols import Protocol, evaluate, initial_frame, statistics_of
+from .protocols import Protocol, initial_frame, sampler, statistics_of
 from .thermal_observables import EXP_ARG_MAX, theta as thermal_theta
 
 __all__ = [
@@ -958,15 +958,12 @@ def _coefficients(
     """The real coefficients of H at each of ``times``: ``omega0``, then the
     real and imaginary part of each coupling channel.  An oscillator gives
     (w0, w+, 0) in the static ``frame`` (mass, omega)."""
-    samples = [evaluate(protocol, float(t)) for t in times.ravel()]
+    sample = sampler(protocol)
+    samples = [sample(t) for t in times.ravel().tolist()]
     if protocol.kind == "oscillator":
-        w = [oscillator_boson_coefficients(s.mass, s.omega, *frame) + (0.0,) for s in samples]
+        w = [oscillator_boson_coefficients(mass, omega, *frame) + (0.0,) for mass, omega in samples]
     else:
-        couplings = protocol.channels[1:]
-        w = [
-            (s.omega0, *(x for c in couplings for x in (getattr(s, c).real, getattr(s, c).imag)))
-            for s in samples
-        ]
+        w = [(s[0], *(x for c in s[1:] for x in (c.real, c.imag))) for s in samples]
     return np.array(w).reshape(times.shape + (-1,))
 
 

@@ -13,9 +13,14 @@ the time window on which they are defined.  Three kinds are supported:
 
 Each kind is stated once, on its class: ``kind``, the coefficient
 ``channels`` and the channel a config's profile family ``drive``s by default.
-:func:`evaluate` returns one attribute per channel, plus ``mass_dot`` for
-oscillators; ``omega_plus`` and ``omega_minus`` are complex, every other
-channel is real.
+Two functions sample the coefficients under one coercion rule:
+``omega_plus`` and ``omega_minus`` are complex, every other channel is real.
+:func:`evaluate` returns a record with one attribute per channel, plus
+``mass_dot`` for oscillators; :func:`sampler` returns a function of ``t``
+that gives the channels as a tuple, without ``mass_dot``, for the inner
+loops of the solvers and the oracle.  :func:`validate` samples whole grids
+at once through the built-in profiles' ``values`` (numpy) methods, which
+serve nothing else.
 
 Coefficient callables must be pure: deterministic and side-effect free.
 Discontinuities are allowed only at declared jump times; a callable must be
@@ -32,6 +37,8 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, ClassVar, Mapping
 
+import numpy as np
+
 from .errors import ConfigError
 
 __all__ = [
@@ -42,6 +49,7 @@ __all__ = [
     "ValidationReport",
     "KINDS",
     "evaluate",
+    "sampler",
     "make_tanh_ramp",
     "check_initial_state",
     "initial_frame",
@@ -81,6 +89,9 @@ class Constant:
     def __call__(self, t: float) -> float:
         return self.value
 
+    def values(self, times: np.ndarray) -> np.ndarray:
+        return np.full(np.shape(times), self.value)
+
     def derivative(self, t: float) -> float:
         return 0.0
 
@@ -106,6 +117,14 @@ class LinearRamp:
         s = (t - self.t_start) / (self.t_end - self.t_start)
         return self.start + (self.end - self.start) * s
 
+    def values(self, times: np.ndarray) -> np.ndarray:
+        ramp = self.start + (self.end - self.start) * (
+            (times - self.t_start) / (self.t_end - self.t_start)
+        )
+        return np.where(
+            times <= self.t_start, self.start, np.where(times >= self.t_end, self.end, ramp)
+        )
+
     def derivative(self, t: float) -> float:
         if self.t_start <= t < self.t_end:
             return (self.end - self.start) / (self.t_end - self.t_start)
@@ -122,6 +141,9 @@ class Step:
 
     def __call__(self, t: float) -> float:
         return self.after if t >= self.t_jump else self.before
+
+    def values(self, times: np.ndarray) -> np.ndarray:
+        return np.where(times >= self.t_jump, self.after, self.before)
 
     def derivative(self, t: float) -> float:
         return 0.0
@@ -143,6 +165,10 @@ class TanhRamp:
     def __call__(self, t: float) -> float:
         z = (t - self.center) / self.width
         return self.start + 0.5 * (self.end - self.start) * (1.0 + math.tanh(z))
+
+    def values(self, times: np.ndarray) -> np.ndarray:
+        z = (times - self.center) / self.width
+        return self.start + 0.5 * (self.end - self.start) * (1.0 + np.tanh(z))
 
     def derivative(self, t: float) -> float:
         z = (t - self.center) / self.width
@@ -177,6 +203,9 @@ class _OffsetImag:
 
     def __call__(self, t: float) -> complex:
         return complex(self.profile(t), self.imag)
+
+    def values(self, times: np.ndarray) -> np.ndarray:
+        return self.profile.values(times) + 1j * self.imag
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +338,38 @@ def _mass_dot(protocol: OscillatorProtocol, t: float) -> float:
     return (float(protocol.mass(hi)) - float(protocol.mass(lo))) / (hi - lo)
 
 
+def sampler(protocol: Protocol) -> Callable[[float], tuple]:
+    """A function of ``t`` that samples the protocol's coefficients.
+
+    It returns one value per channel, in ``protocol.channels`` order, under
+    the rules of :func:`evaluate` (the same domain check, coercion and mass
+    positivity, and the same errors) but builds no record and computes no
+    ``mass_dot``.  Solvers and the oracle sample through it in their inner
+    loops.
+    """
+    t_i, t_f = protocol.t_i, protocol.t_f
+    channels = tuple(
+        (name, getattr(protocol, name), name in _COMPLEX_CHANNELS) for name in protocol.channels
+    )
+    positive_first = protocol.kind == "oscillator"  # its first channel is the mass
+
+    def sample(t: float) -> tuple:
+        if not (t_i <= t <= t_f):
+            raise ValueError(f"time {t} outside protocol domain [{t_i}, {t_f}]")
+        values = []
+        for name, fn, coupling in channels:
+            value = fn(t)
+            if type(value) is float and value - value == 0.0:  # a finite float
+                values.append(complex(value) if coupling else value)
+            else:
+                values.append(_coefficient(name, value, t))
+        if positive_first and values[0] <= 0.0:
+            raise ValueError(f"mass({t}) = {values[0]} must be positive")
+        return tuple(values)
+
+    return sample
+
+
 def evaluate(protocol: Protocol, t: float) -> SimpleNamespace:
     """Sample the protocol coefficients at time ``t``.
 
@@ -319,16 +380,8 @@ def evaluate(protocol: Protocol, t: float) -> SimpleNamespace:
     out-of-domain times or invalid coefficient values (non-finite, complex
     where real is required, non-positive mass).
     """
-    if not (protocol.t_i <= t <= protocol.t_f):
-        raise ValueError(
-            f"time {t} outside protocol domain [{protocol.t_i}, {protocol.t_f}]"
-        )
-    s = SimpleNamespace(
-        **{name: _coefficient(name, getattr(protocol, name)(t), t) for name in protocol.channels}
-    )
+    s = SimpleNamespace(**dict(zip(protocol.channels, sampler(protocol)(t))))
     if protocol.kind == "oscillator":
-        if s.mass <= 0.0:
-            raise ValueError(f"mass({t}) = {s.mass} must be positive")
         s.mass_dot = _mass_dot(protocol, t)
     return s
 
@@ -362,10 +415,10 @@ def check_initial_state(protocol: Protocol) -> None:
 
 def initial_frame(protocol: Protocol) -> tuple[float, float]:
     """(mass, omega) of the static frame at t_i (mass 1 for abstract modes)."""
-    s0 = evaluate(protocol, protocol.t_i)
+    first, *rest = sampler(protocol)(protocol.t_i)
     if protocol.kind == "oscillator":
-        return s0.mass, s0.omega
-    return 1.0, s0.omega0
+        return first, rest[0]
+    return 1.0, first
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +451,33 @@ class ValidationReport:
         return [f"{f.severity}: {f.message}" for f in self.findings]
 
 
+def _probe(
+    fn: Callable[[float], complex], times: np.ndarray, coerce: Callable = complex
+) -> tuple[np.ndarray, np.ndarray]:
+    """``fn`` at each of ``times`` as complex numbers, and where it raised.
+
+    A built-in profile samples every time at once through its ``values``.
+    A bare callable is called point by point and each value passed through
+    ``coerce``: where either raises ``ValueError`` the sample reads NaN, and
+    where either raises any other exception the sample reads NaN and is
+    marked, so that the caller can re-evaluate the point and let that
+    exception propagate.
+    """
+    values = getattr(fn, "values", None)
+    if values is not None:
+        return np.asarray(values(times), dtype=complex), np.zeros(times.shape, dtype=bool)
+    out = np.full(times.shape, complex("nan"))
+    raised = np.zeros(times.shape, dtype=bool)
+    for k, t in enumerate(times.tolist()):
+        try:
+            out[k] = coerce(fn(t))
+        except ValueError:
+            pass
+        except Exception:  # re-raised by the caller's evaluate() at this point
+            raised[k] = True
+    return out, raised
+
+
 def validate(protocol: Protocol) -> ValidationReport:
     """Probe the protocol on a uniform grid of ``_PROBE_POINTS`` and report
     diagnostics.
@@ -410,43 +490,70 @@ def validate(protocol: Protocol) -> ValidationReport:
       discontinuity per coefficient channel as a warning;
     * :func:`check_initial_state` -- initial data the mode solvers cannot
       start from is an error.
+
+    Each channel is sampled as an array on the grid and on the two probe
+    grids.  Only the first failing grid point is reported, with the message
+    :func:`evaluate` gives there; an exception other than ``ValueError``
+    that :func:`evaluate` raises at any grid point propagates.
     """
     findings: list[Finding] = []
     t_i, t_f = protocol.t_i, protocol.t_f
-    grid = [t_i + (t_f - t_i) * k / (_PROBE_POINTS - 1) for k in range(_PROBE_POINTS)]
-
-    for t in grid:  # only the first failure is reported
-        try:
-            evaluate(protocol, t)
-        except ValueError as exc:
-            if not findings:
-                findings.append(Finding("error", str(exc), t))
-    evaluates = not findings
-
-    # Undeclared-discontinuity probe: symmetric difference over 2*FD_STEP,
-    # skipping the neighbourhood of declared jumps.
+    grid = t_i + (t_f - t_i) * np.arange(_PROBE_POINTS) / (_PROBE_POINTS - 1)
     h = FD_STEP
-    for name in protocol.channels:
-        fn = getattr(protocol, name)
-        worst: tuple[float, float] | None = None  # (delta_rel, t)
-        for t in grid[1:-1]:
-            near_jump = any(abs(t - tj) <= 2.0 * h for tj in protocol.jump_times)
-            if near_jump or t - h < t_i or t + h > t_f:
+    # the discontinuity probe's centres: inside the window by h, and away
+    # from the declared jumps
+    centres = grid[1:-1]
+    usable = (centres - h >= t_i) & (centres + h <= t_f)
+    for tj in protocol.jump_times:
+        usable &= ~(np.abs(centres - tj) <= 2.0 * h)
+    centres = centres[usable]
+
+    with np.errstate(all="ignore"):
+        bad = ~((grid >= t_i) & (grid <= t_f))
+        raised = np.zeros(grid.shape, dtype=bool)
+        channels = [(name, getattr(protocol, name)) for name in protocol.channels]
+        checked = list(channels)
+        if protocol.kind == "oscillator" and not (
+            hasattr(protocol.mass, "values")
+            and protocol.mass_dot == getattr(protocol.mass, "derivative", None)
+        ):  # a built-in profile's derivative is finite; any other is probed
+            checked.append(("mass_dot", lambda t: _mass_dot(protocol, t)))
+        for name, fn in checked:
+            values, failed = _probe(fn, grid, lambda v, _n=name: _coefficient(_n, v, 0.0))
+            raised |= failed
+            bad |= ~np.isfinite(values)
+            if name not in _COMPLEX_CHANNELS:
+                bad |= values.imag != 0.0
+            if name == "mass":
+                bad |= ~(values.real > 0.0)
+
+        # evaluate() is the judge: its first ValueError is the finding, and
+        # any other exception it raises at a later point still propagates
+        for k in np.flatnonzero(bad):
+            if findings and not raised[k]:
                 continue
+            t = float(grid[k])
             try:
-                lo = complex(fn(t - h))
-                hi = complex(fn(t + h))
-            except Exception:
-                continue
-            rel = abs(hi - lo) / (1.0 + max(abs(lo), abs(hi)))
-            if rel > _JUMP_THRESHOLD and (worst is None or rel > worst[0]):
-                worst = (rel, t)
-        if worst is not None:
-            message = (
-                f"possible undeclared discontinuity in {name} near t={worst[1]:.6g} "
-                f"(relative step {worst[0]:.3g} over {2 * h:.1g})"
-            )
-            findings.append(Finding("warning", message, worst[1]))
+                evaluate(protocol, t)
+            except ValueError as exc:
+                if not findings:
+                    findings.append(Finding("error", str(exc), t))
+        evaluates = not findings
+
+        # Undeclared-discontinuity probe: symmetric difference over 2*FD_STEP.
+        for name, fn in channels:
+            lo, _ = _probe(fn, centres - h)
+            hi, _ = _probe(fn, centres + h)
+            rel = np.abs(hi - lo) / (1.0 + np.maximum(np.abs(lo), np.abs(hi)))
+            suspects = np.flatnonzero(rel > _JUMP_THRESHOLD)
+            if suspects.size:
+                k = suspects[np.argmax(rel[suspects])]
+                worst, t = float(rel[k]), float(centres[k])
+                message = (
+                    f"possible undeclared discontinuity in {name} near t={t:.6g} "
+                    f"(relative step {worst:.3g} over {2 * h:.1g})"
+                )
+                findings.append(Finding("warning", message, t))
 
     if evaluates:
         try:

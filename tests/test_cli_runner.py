@@ -1,5 +1,6 @@
 """End-to-end tests for config parsing, run artifacts, and the CLI verbs."""
 
+import concurrent.futures
 import json
 import math
 import os
@@ -434,7 +435,8 @@ class TestRunSweep:
                 future.set_result(fn(*args))
                 return future
 
-        monkeypatch.setattr(cli_runner, "ProcessPoolExecutor", RecordingPool)
+        # run_sweep imports the pool class where it uses it
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setenv(WORKERS_ENV_VAR, requested)
         text = SWEEP_TEXT.replace("values = 1.0, 2.0", "values = 1.0, 2.0, 3.0")
         manifest = run_sweep(parse_config(text, "sweep"), tmp_path)
@@ -698,25 +700,41 @@ enabled = false
         assert "tfdyn" in capsys.readouterr().out
 
 
-NO_SCIPY_SCRIPT = """
+RUNTIME_MODULES_SCRIPT = """
+import json
 import sys
 import tfdyn
 from tfdyn import cli_runner, fock_oracle
 cli_runner.parse_config(sys.stdin.read(), "quench")
 fock_oracle.build_thermal_state_doubled(1.0, 1.0, basis=fock_oracle.boson_doubled(20))
 fock_oracle.build_thermal_state_doubled(1.0, 1.0, basis=fock_oracle.fermion_doubled())
-print(sorted(m for m in sys.modules if m.startswith("scipy")))
+print(json.dumps(sorted(sys.modules)))
 """
 
 
-def test_runtime_loads_no_scipy():
-    """``import tfdyn``, parsing an oracle-on quench config and building both
-    thermal-vacuum routes load no scipy module: numpy is the whole run-time
-    dependency.  Runs in a fresh process, which has imported nothing yet."""
+@pytest.fixture(scope="module")
+def runtime_modules():
+    """The modules loaded by ``import tfdyn``, parsing an oracle-on quench
+    config and building both thermal-vacuum routes, in a fresh process that
+    has imported nothing yet."""
     src = str(Path(tfdyn.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
-        [sys.executable, "-c", NO_SCIPY_SCRIPT], input=QUENCH_CONSTANT.format(beta=1.0),
+        [sys.executable, "-c", RUNTIME_MODULES_SCRIPT], input=QUENCH_CONSTANT.format(beta=1.0),
         capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": path},
     )
-    assert out.stdout.strip() == "[]"
+    return json.loads(out.stdout)
+
+
+def test_runtime_loads_no_scipy(runtime_modules):
+    """numpy is the whole run-time dependency."""
+    assert [m for m in runtime_modules if m.startswith("scipy")] == []
+
+
+def test_runtime_loads_no_process_pool(runtime_modules):
+    """Only a sweep with more than one worker imports the process pool."""
+    loaded = [
+        m for m in runtime_modules
+        if m.lstrip("_").startswith("multiprocessing") or m == "concurrent.futures.process"
+    ]
+    assert loaded == []

@@ -1043,3 +1043,48 @@ def test_oracle_shares_no_solver_code():
                 "the module itself" for alias in node.names if alias.name.endswith(solver_modules)
             ]
     assert imported == []
+
+
+def _evaluate_coefficients(protocol, times, frame):
+    """The oracle's coefficient rows as they were built from ``evaluate``
+    records, one per node: the reference for the sampler-based builder."""
+    samples = [evaluate(protocol, float(t)) for t in times.ravel()]
+    if protocol.kind == "oscillator":
+        w = [oscillator_boson_coefficients(s.mass, s.omega, *frame) + (0.0,) for s in samples]
+    else:
+        couplings = protocol.channels[1:]
+        w = [
+            (s.omega0, *(x for c in couplings for x in (getattr(s, c).real, getattr(s, c).imag)))
+            for s in samples
+        ]
+    return np.array(w).reshape(times.shape + (-1,))
+
+
+@pytest.mark.parametrize(
+    "protocol",
+    [
+        BosonProtocol(
+            make_tanh_ramp(1.0, 1.7, 0.6, 0.2), complex_coupling_ramp().omega_plus,
+            t_i=0.0, t_f=1.0,
+        ),
+        OscillatorProtocol(
+            make_tanh_ramp(1.0, 1.5, 0.4, 0.1), Step(1.0, 2.0, 0.5),
+            t_i=0.0, t_f=1.0, jump_times=(0.5,),
+        ),
+        FermionProtocol(
+            Constant(1.2), complex_coupling_ramp().omega_plus,
+            lambda t: 0.1j * t if t > 0.3 else 0.0, t_i=0.0, t_f=1.0,
+        ),
+    ],
+    ids=["boson", "oscillator", "fermion"],
+)
+def test_sampler_coefficients_match_evaluate_reference(protocol):
+    """_coefficients reads protocols.sampler; its rows are the bits the
+    evaluate-based builder gave, at CFM4 nodes of a run of steps."""
+    steps = np.arange(25)
+    times = protocol.t_i + (steps + np.array(CFM4_NODES)[:, None]) * 0.04
+    frame = (1.3, 0.8) if protocol.kind == "oscillator" else initial_frame(protocol)
+    got = tfdyn.fock_oracle._coefficients(protocol, times, frame)
+    want = _evaluate_coefficients(protocol, times, frame)
+    assert got.shape == want.shape == times.shape + (1 + 2 * (len(protocol.channels) - 1),)
+    assert got.tobytes() == want.tobytes()

@@ -7,6 +7,7 @@ e^{-i w (t - t_i)}.  Small exact Fock spaces double-check the operator
 identity directly where the dimension permits.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -550,3 +551,58 @@ class TestPrivateDop853:
         monkeypatch.setattr(mode_solver, "Dop853", ScipyDop853)
         with pytest.raises(IntegrationError, match=where):
             solve_oscillator_mode(p)
+
+
+def _column_digest(traj) -> str:
+    return hashlib.sha256(b"".join(c.tobytes() for c in traj.columns.values())).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "case", ["boson_ramp_ten_segments", "oscillator_two_jumps", "fermion_complex_couplings"]
+)
+def test_tableau_cast_keeps_mode_columns(case, monkeypatch):
+    """The stepper multiplies complex stages by a tableau made complex at
+    import; with the real tableau patched back in, every mode column hashes
+    the same and the work counts agree."""
+    for name in ("A", "B", "E3", "E5", "D"):
+        assert getattr(_dop853, name).dtype == complex, name
+    assert all(row.dtype == complex for row in _dop853._A_ROWS)
+    assert all(type(c) is float for c in _dop853._C)
+
+    solve, protocol, config = REFERENCE_CASES[case]
+    cast = solve(protocol, config)
+    monkeypatch.setattr(_dop853, "_A_ROWS", [row.real for row in _dop853._A_ROWS])
+    for name in ("B", "E3", "E5", "D"):
+        monkeypatch.setattr(_dop853, name, getattr(_dop853, name).real)
+    monkeypatch.setattr(_dop853, "_C", _dop853.C)
+    real = solve(protocol, config)
+    assert _column_digest(cast) == _column_digest(real)
+    assert cast.stats == real.stats
+
+
+class TestRhsEvaluationCap:
+    """MAX_RHS_EVALUATIONS bounds the work of one solve, over all segments."""
+
+    def test_cap_counts_over_segments(self, monkeypatch):
+        solve, protocol, config = REFERENCE_CASES["boson_ramp_ten_segments"]
+        used = solve(protocol, config).stats.function_evaluations
+        monkeypatch.setattr(mode_solver, "MAX_RHS_EVALUATIONS", used)
+        assert solve(protocol, config).stats.function_evaluations == used
+        monkeypatch.setattr(mode_solver, "MAX_RHS_EVALUATIONS", used - 1)
+        with pytest.raises(IntegrationError, match=rf"exceeded {used - 1} right-hand-side"):
+            solve(protocol, config)
+
+    def test_pole_stops_at_the_cap_naming_t(self, monkeypatch):
+        """An undeclared pole shrinks the step towards t = 0.7; the cap ends
+        the solve there, before the step size collapses."""
+        monkeypatch.setattr(mode_solver, "MAX_RHS_EVALUATIONS", 20_000)
+        p = BosonProtocol(
+            Constant(1.0), lambda t: 0.0 if t < 0.5 else 1 / (0.7 - t), t_i=0.0, t_f=1.0
+        )
+        where = r"at t ~ 0\.7 \(segment \[0\.0, 1\.0\]\)"
+        with pytest.raises(IntegrationError, match=where + ": the solve exceeded 20000"):
+            solve_boson_mode(p)
+
+    def test_default_leaves_room_for_the_suites_largest_solve(self):
+        # c10's width-8 oscillator solve takes 25,940 evaluations
+        assert mode_solver.MAX_RHS_EVALUATIONS >= 5 * 25_940

@@ -1,6 +1,10 @@
 """Unit tests for coefficient profiles and protocol containers."""
 
+import bisect
+import cmath
 import math
+import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,13 +18,15 @@ from tfdyn import (
     OscillatorProtocol,
     Step,
     TanhRamp,
+    Finding,
+    ValidationReport,
     evaluate,
     from_config,
     make_tanh_ramp,
     statistics_of,
     validate,
 )
-from tfdyn.protocols import FD_STEP, KINDS
+from tfdyn.protocols import FD_STEP, KINDS, _OffsetImag, check_initial_state, sampler
 
 # a valid constant value for every channel of every kind (ints on purpose:
 # evaluate coerces them)
@@ -343,3 +349,397 @@ class TestFromConfig:
                 "kind": "oscillator", "family": "constant", "drive": "omega_plus",
                 "value": "1.0", "t_i": "0.0", "t_f": "10.0",
             })
+
+
+# ---------------------------------------------------------------------------
+# The array validate and the scalar sampler against frozen copies of the
+# point-by-point code they replace
+# ---------------------------------------------------------------------------
+
+_FROZEN_COMPLEX_CHANNELS = frozenset({"omega_plus", "omega_minus"})
+
+
+def _frozen_coefficient(name, value, t):
+    if name in _FROZEN_COMPLEX_CHANNELS:
+        value = complex(value)
+    else:
+        if isinstance(value, complex):
+            if value.imag != 0.0:
+                raise ValueError(f"{name}({t}) = {value} must be real")
+            value = value.real
+        value = float(value)
+    if not cmath.isfinite(value):
+        raise ValueError(f"{name}({t}) = {value} is not finite")
+    return value
+
+
+def _frozen_mass_dot(protocol, t):
+    if protocol.mass_dot is not None:
+        return _frozen_coefficient("mass_dot", protocol.mass_dot(t), t)
+    jumps = protocol.jump_times
+    k = bisect.bisect_right(jumps, t)
+    lo = max(t - 1e-6, jumps[k - 1] if k else protocol.t_i)
+    hi = min(t + 1e-6, math.nextafter(jumps[k], -math.inf) if k < len(jumps) else protocol.t_f)
+    return (float(protocol.mass(hi)) - float(protocol.mass(lo))) / (hi - lo)
+
+
+def _frozen_evaluate(protocol, t, mass_dot=True):
+    if not (protocol.t_i <= t <= protocol.t_f):
+        raise ValueError(
+            f"time {t} outside protocol domain [{protocol.t_i}, {protocol.t_f}]"
+        )
+    s = SimpleNamespace(
+        **{name: _frozen_coefficient(name, getattr(protocol, name)(t), t)
+           for name in protocol.channels}
+    )
+    if protocol.kind == "oscillator":
+        if s.mass <= 0.0:
+            raise ValueError(f"mass({t}) = {s.mass} must be positive")
+        if mass_dot:
+            s.mass_dot = _frozen_mass_dot(protocol, t)
+    return s
+
+
+def _frozen_validate(protocol):
+    """``validate`` as it was when it evaluated every grid point in turn."""
+    findings = []
+    t_i, t_f = protocol.t_i, protocol.t_f
+    grid = [t_i + (t_f - t_i) * k / (2001 - 1) for k in range(2001)]
+
+    for t in grid:
+        try:
+            _frozen_evaluate(protocol, t)
+        except ValueError as exc:
+            if not findings:
+                findings.append(Finding("error", str(exc), t))
+    evaluates = not findings
+
+    h = 1e-6
+    for name in protocol.channels:
+        fn = getattr(protocol, name)
+        worst = None
+        for t in grid[1:-1]:
+            near_jump = any(abs(t - tj) <= 2.0 * h for tj in protocol.jump_times)
+            if near_jump or t - h < t_i or t + h > t_f:
+                continue
+            try:
+                lo = complex(fn(t - h))
+                hi = complex(fn(t + h))
+            except Exception:
+                continue
+            rel = abs(hi - lo) / (1.0 + max(abs(lo), abs(hi)))
+            if rel > 1e-3 and (worst is None or rel > worst[0]):
+                worst = (rel, t)
+        if worst is not None:
+            message = (
+                f"possible undeclared discontinuity in {name} near t={worst[1]:.6g} "
+                f"(relative step {worst[0]:.3g} over {2 * h:.1g})"
+            )
+            findings.append(Finding("warning", message, worst[1]))
+
+    if evaluates:
+        try:
+            check_initial_state(protocol)
+        except ValueError as exc:
+            findings.append(Finding("error", str(exc), t_i))
+
+    return ValidationReport(findings=tuple(findings))
+
+
+# channel -> range of its built-in profiles' values; the mass range reaches
+# below zero so that some masses turn non-positive
+_VALUE_RANGES = {
+    "omega0": (0.5, 3.0), "omega": (0.5, 3.0), "mass": (-0.5, 2.0),
+    "omega_plus": (-0.5, 0.5), "omega_minus": (-0.5, 0.5),
+}
+
+
+def _random_profile(rng, name, t_i, t_f, jumps):
+    """A built-in profile for channel ``name``; a declared step adds its time to ``jumps``."""
+    lo, hi = _VALUE_RANGES[name]
+    start, end = rng.uniform(lo, hi), rng.uniform(lo, hi)
+    if name == "mass" and rng.random() < 0.7:
+        start, end = abs(start) + 0.5, abs(end) + 0.5  # mostly positive masses
+    # mostly a diagonal initial Hamiltonian: couplings that start at 0 by t_i
+    diagonal = name in _FROZEN_COMPLEX_CHANNELS and rng.random() < 0.85
+    if diagonal:
+        start = 0.0
+    span = t_f - t_i
+
+    def moment(lo, hi):
+        """A time in the window; half the time on (or within 1e-6 of) a probe
+        grid point, where validate's discontinuity probe can see it."""
+        if rng.random() < 0.5:
+            return t_i + rng.uniform(lo, hi) * span
+        k = rng.randrange(int(lo * 2000) + 1, int(hi * 2000))
+        return t_i + span * k / 2000 + rng.choice((0.0, 0.0, 3e-7, -5e-7))
+
+    family = rng.choice(("constant", "linear", "step", "step", "tanh", "tanh"))
+    if family == "constant":
+        profile = Constant(start)
+    elif family == "linear":
+        t_start = t_i + rng.uniform(0.0 if diagonal else -0.2, 0.5) * span
+        profile = LinearRamp(start, end, t_start, t_i + rng.uniform(0.5, 1.2) * span)
+    elif family == "step":
+        t_jump = moment(0.1, 0.9)
+        profile = Step(start, end, t_jump)
+        if rng.random() < 0.3 and t_jump not in jumps:
+            jumps.append(t_jump)
+    else:
+        center = moment(0.2, 0.8)
+        width = rng.choice((1e-4, 1e-4, 1e-2, 0.5, 2.0)) * min(1.0, span)
+        if diagonal:
+            width = min(width, (center - t_i) / 20.0)
+        profile = make_tanh_ramp(start, end, center, width)
+    if name in _FROZEN_COMPLEX_CHANNELS and rng.random() < 0.3:
+        profile = _OffsetImag(profile, rng.choice((0.0, 0.0, 1e-7, 0.2)))
+    elif rng.random() < 0.03:  # a complex built-in profile on a real channel
+        profile = _OffsetImag(profile, 0.25)
+    return profile
+
+
+def _bare(rng, profile, t_bad, coupling):
+    """``profile`` behind a bare callable that may misbehave after ``t_bad``."""
+    fault = rng.choice(("none", "none", "none", "raise", "value_error", "nan", "inf", "complex"))
+    if fault == "complex" and coupling:
+        fault = "nan"
+    error = rng.choice((RuntimeError, ZeroDivisionError))
+
+    def fn(t):
+        if t > t_bad:
+            if fault == "raise":
+                raise error(f"bad coefficient at {t}")
+            if fault == "value_error":
+                raise ValueError(f"no value at {t}")
+            if fault == "nan":
+                return math.nan
+            if fault == "inf":
+                return -math.inf
+            if fault == "complex":
+                return complex(profile(t), 0.25)
+        return profile(t)
+
+    return fn
+
+
+def _seeded_protocols(seed, count):
+    rng = random.Random(seed)
+    protocols = []
+    for _ in range(count):
+        kind = rng.choice(sorted(KINDS))
+        cls = KINDS[kind]
+        # (1.3, 8.32): the grid's last point, 1.3 + (8.32 - 1.3), rounds past t_f
+        t_i, t_f = rng.choice(((0.0, 10.0), (-5.0, 5.0), (0.1, 0.3), (0.0, 64.0)) * 3 + ((1.3, 8.32),))
+        if rng.random() < 0.3:
+            t_i, t_f = t_i + 0.37, t_f + rng.choice((0.2, 3.1))
+        jumps = []
+        channels = {}
+        for name in cls.channels:
+            profile = _random_profile(rng, name, t_i, t_f, jumps)
+            if rng.random() < 0.3:
+                t_bad = t_i + rng.uniform(-0.1, 1.2) * (t_f - t_i)
+                profile = _bare(rng, profile, t_bad, name in _FROZEN_COMPLEX_CHANNELS)
+            channels[name] = profile
+        if rng.random() < 0.2:
+            jumps.append(t_i + rng.uniform(0.05, 0.95) * (t_f - t_i))
+        extra = {}
+        if kind == "oscillator" and rng.random() < 0.3:
+            t_bad = t_i + rng.uniform(0.0, 1.5) * (t_f - t_i)
+            extra["mass_dot"] = rng.choice((
+                None,
+                lambda t: 0.0,
+                lambda t, _b=t_bad: math.nan if t > _b else 0.0,
+                lambda t, _b=t_bad: 1.0 / 0.0 if t > _b else 0.0,
+            ))
+            if extra["mass_dot"] is None:
+                channels["mass"] = _bare(rng, channels["mass"], t_f + 1.0, False)
+        try:
+            protocols.append(cls(**channels, t_i=t_i, t_f=t_f, jump_times=tuple(jumps), **extra))
+        except ValueError:  # two declared jumps coincide
+            continue
+    return protocols
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` gives: its value, or the type and text of what it raised."""
+    try:
+        return "value", fn(*args)
+    except Exception as exc:
+        return "raised", type(exc), str(exc)
+
+
+SEEDED = _seeded_protocols(20260, 330)
+
+
+@pytest.fixture(scope="module")
+def validated():
+    """(protocol, validate's outcome, the frozen validate's outcome) per seeded protocol."""
+    return [(p, _outcome(validate, p), _outcome(_frozen_validate, p)) for p in SEEDED]
+
+
+class TestArrayValidate:
+    """validate probes arrays; every finding and exception is what the
+    point-by-point validate gave."""
+
+    def test_seeded_protocols_match_the_frozen_validate(self, validated):
+        assert len(validated) >= 300
+        tally = {"errors": 0, "warnings": 0, "raised": 0, "clean": 0, "tanh_warnings": 0}
+        for p, got, want in validated:
+            assert got == want, p
+            if want[0] == "raised":
+                tally["raised"] += 1
+                continue
+            findings = want[1].findings
+            tally["clean"] += not findings
+            tally["errors"] += any(f.severity == "error" for f in findings)
+            tally["warnings"] += any(f.severity == "warning" for f in findings)
+            tally["tanh_warnings"] += any(
+                f.severity == "warning" and isinstance(getattr(p, f.message.split()[4]), TanhRamp)
+                for f in findings
+            )
+        # the set exercises every path: clean, failing, warned and raising protocols
+        assert tally["clean"] >= 50 and tally["errors"] >= 50, tally
+        assert tally["warnings"] >= 30 and tally["tanh_warnings"] >= 5, tally
+        assert tally["raised"] >= 5, tally
+
+    def test_error_messages_cover_each_failure(self, validated):
+        messages = " ".join(
+            f.message for _, got, _ in validated if got[0] == "value" for f in got[1].findings
+        )
+        for fragment in (
+            "is not finite", "must be real", "must be positive", "is not zero",
+            "outside protocol domain", "possible undeclared discontinuity",
+        ):
+            assert fragment in messages, fragment
+
+    def test_grid_rounding_past_t_f_is_the_domain_error(self):
+        # 1.3 + (8.32 - 1.3) * 2000 / 2000 is 8.320000000000002
+        p = BosonProtocol(Constant(1.0), Constant(0.0), t_i=1.3, t_f=8.32)
+        report = validate(p)
+        assert report == _frozen_validate(p)
+        assert report.messages() == [
+            "error: time 8.320000000000002 outside protocol domain [1.3, 8.32]"
+        ]
+
+    def test_later_exception_still_propagates_after_a_finding(self):
+        def omega0(t):
+            if t > 7.0:
+                raise RuntimeError("unreachable frequency")
+            return math.nan if t > 3.0 else 1.0
+
+        p = BosonProtocol(omega0, Constant(0.0), t_i=0.0, t_f=10.0)
+        with pytest.raises(RuntimeError, match="unreachable frequency"):
+            _frozen_validate(p)
+        with pytest.raises(RuntimeError, match="unreachable frequency"):
+            validate(p)
+
+    def test_declared_jump_hides_two_probe_steps_either_side(self):
+        """The probe skips a grid point within 2 FD_STEP of a declared jump,
+        even where a ramp narrower than FD_STEP shows between its stencils."""
+        ramp = make_tanh_ramp(0.0, 0.2, 5.0, 1e-8)  # centred on the grid point t = 5
+
+        def protocol(t_jump):
+            return BosonProtocol(Constant(1.0), ramp, t_i=0.0, t_f=10.0, jump_times=(t_jump,))
+
+        near, far = protocol(5.0 + 1.5e-6), protocol(5.0 + 2.5e-6)
+        assert validate(near) == _frozen_validate(near)
+        assert validate(far) == _frozen_validate(far)
+        assert validate(near).findings == ()
+        assert "in omega_plus near t=5 " in validate(far).messages()[0]
+
+    def test_a_bare_mass_dot_is_probed(self):
+        p = OscillatorProtocol(
+            Constant(1.0), Constant(1.0), t_i=0.0, t_f=10.0,
+            mass_dot=lambda t: math.nan if t > 4.0 else 0.0,
+        )
+        report = validate(p)
+        assert report == _frozen_validate(p)
+        assert report.findings[0].message.startswith("mass_dot(4.005) = nan")
+
+
+_H = FD_STEP
+_PROBE = np.linspace(0.0, 10.0, 2001)
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [
+        Constant(1.5),
+        Constant(2),
+        LinearRamp(1.0, -2.0, 1.0, 9.0),
+        LinearRamp(0.5, 0.5, 3.0, 3.0),
+        Step(1.0, 4.0, 5.0),
+        _OffsetImag(LinearRamp(0.0, 0.5, 0.0, 10.0), 0.25),
+        _OffsetImag(Step(0.0, 0.3, 2.5), -0.1),
+    ],
+    ids=repr,
+)
+def test_values_equal_calls_for_exact_families(profile):
+    """Every family but the tanh ramp computes the scalar arithmetic
+    elementwise, so ``values`` equals ``__call__`` bit for bit."""
+    for times in (_PROBE, _PROBE - _H, _PROBE + _H):
+        with np.errstate(all="ignore"):
+            got = np.asarray(profile.values(times))
+        want = np.array([profile(t) for t in times.tolist()])
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("width", [1e-4, 1e-2, 0.5, 3.0])
+@pytest.mark.parametrize("start, end", [(1.0, 2.0), (0.0, 0.5), (-1.0, 1.0), (3.0, 0.25)])
+def test_tanh_values_within_four_ulps_of_the_ramp_scale(start, end, width):
+    """np.tanh differs from math.tanh by up to 2 ulp on some arguments; the
+    ramp's arithmetic at most doubles that, in ulps of max(|start|, |end|)."""
+    ramp = make_tanh_ramp(start, end, 5.0, width)
+    ulp = np.spacing(max(abs(start), abs(end)))
+    for times in (_PROBE, _PROBE - _H, _PROBE + _H):
+        want = np.array([ramp(t) for t in times.tolist()])
+        assert np.max(np.abs(ramp.values(times) - want)) <= 4 * ulp
+
+
+class TestSampler:
+    """sampler(p)(t) is evaluate's channels, bit for bit, and raises what
+    evaluate raises (mass_dot aside, which the sampler does not compute)."""
+
+    @staticmethod
+    def _times(p):
+        span = p.t_f - p.t_i
+        times = [p.t_i + span * k / 40 for k in range(41)]
+        times += list(p.jump_times) + [math.nextafter(p.t_f, math.inf), p.t_i - 1.0]
+        return times
+
+    def test_seeded_protocols_sample_like_evaluate(self):
+        compared = raised = 0
+        for p in SEEDED:
+            sample = sampler(p)
+            for t in self._times(p):
+                got = _outcome(sample, t)
+                want = _outcome(_frozen_evaluate, p, t, False)
+                if want[0] == "value":
+                    want = ("value", tuple(getattr(want[1], c) for c in p.channels))
+                    assert [repr(v) for v in got[1]] == [repr(v) for v in want[1]]
+                    assert [type(v) for v in got[1]] == [type(v) for v in want[1]]
+                    compared += 1
+                else:
+                    raised += 1
+                assert got == want
+        assert compared > 5000 and raised > 500
+
+    def test_evaluate_is_the_sampler_plus_mass_dot(self):
+        for p in SEEDED:
+            for t in self._times(p)[::5]:
+                got, want = _outcome(evaluate, p, t), _outcome(_frozen_evaluate, p, t)
+                if want[0] == "value":
+                    assert {k: repr(v) for k, v in vars(got[1]).items()} == {
+                        k: repr(v) for k, v in vars(want[1]).items()
+                    }
+                else:
+                    assert got == want
+
+    def test_numpy_and_int_values_are_coerced(self):
+        p = FermionProtocol(
+            lambda t: np.float64(1.5), lambda t: 2, lambda t: np.complex128(0.5j),
+            t_i=0.0, t_f=1.0,
+        )
+        values = sampler(p)(0.5)
+        assert values == (1.5, 2 + 0j, 0.5j)
+        assert [type(v) for v in values] == [float, complex, complex]
