@@ -15,6 +15,7 @@ has validated the tolerances.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -188,18 +189,33 @@ _A_ROWS = [A[s, :s] for s in range(N_STAGES_EXTENDED)]
 _C = C.tolist()
 
 
+def _norm(x: np.ndarray) -> float:
+    """np.linalg.norm of a complex vector, by numpy's own formula."""
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
 def _rms(x: np.ndarray) -> float:
-    return np.linalg.norm(x) / x.size ** 0.5
+    return _norm(x) / x.size ** 0.5
 
 
 class Dop853:
     """Forward DOP853 integration of y' = fun(t, y) from ``t0`` to ``t_bound``.
 
-    ``step`` makes one accepted step (``t``, ``y`` move to its end) and
-    ``dense_output`` returns the interpolant over the last one.  ``nfev``,
-    ``steps`` and ``rejected`` count right-hand-side evaluations, accepted
-    steps and rejected attempts.  A step size that falls below ten ulps of
-    ``t`` raises ``IntegrationError``; exceptions from ``fun`` propagate.
+    ``fun(t, y)`` returns a complex ndarray of y's size.  The evaluations
+    the stepper keeps (the first, and f(t + h, y_new) of each attempt) are
+    coerced if they are not; the others are written straight into the
+    complex stage array.  ``step`` makes one accepted step (``t``, ``y`` move
+    to its end) and ``dense_output`` returns the interpolant over the last
+    one.  ``nfev``, ``steps`` and ``rejected`` count right-hand-side
+    evaluations, accepted steps and rejected attempts.  A step size that
+    falls below ten ulps of ``t`` raises ``IntegrationError``; exceptions
+    from ``fun`` propagate.
+
+    The stage sums and the error estimate's weighted sums and norms are
+    numpy and BLAS calls.  The step-size control, the interpolant's first
+    three coefficients and its Horner loop run on Python floats, as the real
+    operations of numpy's complex arithmetic, so the bits stay scipy's.
     """
 
     def __init__(
@@ -222,12 +238,17 @@ class Dop853:
         self.t, self.y = t0, y0
         self.f = self._rhs(t0, y0)
         self.h_abs = self._initial_step()
-        # stages of the last attempt; rows 13-15 are filled by dense_output
+        # stages of the last attempt; rows 13-15 are filled by dense_output.
+        # _kt[s] is the view k[:s].T that stage s combines.
         self._k = np.empty((N_STAGES_EXTENDED, y0.size), dtype=complex)
+        self._kt = [self._k[:s].T for s in range(N_STAGES_EXTENDED)]
 
     def _rhs(self, t: float, y: np.ndarray) -> np.ndarray:
         self.nfev += 1
-        return np.asarray(self._fun(t, y), dtype=complex)
+        f = self._fun(t, y)
+        if type(f) is np.ndarray and f.dtype == complex:
+            return f
+        return np.asarray(f, dtype=complex)
 
     def _initial_step(self) -> float:
         """The starting step of Hairer, Norsett & Wanner, Sec. II.4."""
@@ -248,28 +269,28 @@ class Dop853:
 
     def _attempt(self, h: float) -> tuple[np.ndarray, np.ndarray, float]:
         """One 12-stage step of size h: the new state, f there, the error norm."""
-        t, y, k = self.t, self.y, self._k
+        t, y, k, kt, fun = self.t, self.y, self._k, self._kt, self._fun
         k[0] = self.f
         for s in range(1, N_STAGES):
-            dy = np.dot(k[:s].T, _A_ROWS[s]) * h
-            k[s] = self._rhs(t + _C[s] * h, y + dy)
-        y_new = y + h * np.dot(k[:N_STAGES].T, B)
+            k[s] = fun(t + _C[s] * h, y + kt[s].dot(_A_ROWS[s]) * h)
+        self.nfev += N_STAGES - 1
+        y_new = y + h * kt[N_STAGES].dot(B)
         f_new = self._rhs(t + h, y_new)
         k[N_STAGES] = f_new
 
         scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
-        stages = k[: N_STAGES + 1]
-        err5_norm_2 = np.linalg.norm(np.dot(stages.T, E5) / scale) ** 2
-        err3_norm_2 = np.linalg.norm(np.dot(stages.T, E3) / scale) ** 2
+        stages = kt[N_STAGES + 1]
+        err5_norm_2 = _norm(stages.dot(E5) / scale) ** 2
+        err3_norm_2 = _norm(stages.dot(E3) / scale) ** 2
         if err5_norm_2 == 0 and err3_norm_2 == 0:
             return y_new, f_new, 0.0
         denom = err5_norm_2 + 0.01 * err3_norm_2
-        return y_new, f_new, np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
+        return y_new, f_new, abs(h) * err5_norm_2 / math.sqrt(denom * y.size)
 
     def step(self) -> None:
         """Advance by one accepted step, shrinking the step until one passes."""
         t = self.t
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         if self.h_abs > self.max_step:
             h_abs = self.max_step
         elif self.h_abs < min_step:
@@ -283,7 +304,7 @@ class Dop853:
                 raise IntegrationError(f"step size collapsed below {min_step:.3g}")
             t_new = min(t + h_abs, self.t_bound)
             h = t_new - t
-            h_abs = np.abs(h)
+            h_abs = abs(h)
             y_new, f_new, error_norm = self._attempt(h)
             if error_norm < 1:
                 break
@@ -304,26 +325,50 @@ class Dop853:
 
     def dense_output(self) -> Callable[[float], np.ndarray]:
         """The 7th-degree interpolant over the last accepted step."""
-        k, t_old, y_old = self._k, self.t_old, self.y_old
+        k, kt, fun, t_old, y_old = self._k, self._kt, self._fun, self.t_old, self.y_old
         h = self.t - t_old
         for s in range(N_STAGES + 1, N_STAGES_EXTENDED):
-            dy = np.dot(k[:s].T, _A_ROWS[s]) * h
-            k[s] = self._rhs(t_old + _C[s] * h, y_old + dy)
+            k[s] = fun(t_old + _C[s] * h, y_old + kt[s].dot(_A_ROWS[s]) * h)
+        self.nfev += N_STAGES_EXTENDED - N_STAGES - 1
 
-        f_old = k[0]
-        delta_y = self.y - y_old
-        F = np.empty((INTERPOLATOR_POWER, y_old.size), dtype=complex)
-        F[0] = delta_y
-        F[1] = h * f_old - delta_y
-        F[2] = 2 * delta_y - h * (self.f + f_old)
-        F[3:] = h * np.dot(D, k)
+        # F3..F6 = h * (D k) stay a BLAS product.  F0 = y - y_old,
+        # F1 = h f_old - F0 and F2 = 2 F0 - h (f + f_old) are formed per
+        # component on Python floats, with numpy's product by h + 0j and 2 + 0j.
+        high = h * D.dot(k)
+        components = []
+        for f6_f3_re, f6_f3_im, y1, y0, f0, f1 in zip(
+            high.real[::-1].T.tolist(), high.imag[::-1].T.tolist(),
+            self.y.tolist(), y_old.tolist(), k[0].tolist(), self.f.tolist(),
+        ):
+            d_re, d_im = y1.real - y0.real, y1.imag - y0.imag
+            s_re, s_im = f1.real + f0.real, f1.imag + f0.imag
+            re = [
+                *f6_f3_re,
+                (2 * d_re - 0.0 * d_im) - (h * s_re - 0.0 * s_im),
+                (h * f0.real - 0.0 * f0.imag) - d_re,
+                d_re,
+            ]
+            im = [
+                *f6_f3_im,
+                (2 * d_im + 0.0 * d_re) - (h * s_im + 0.0 * s_re),
+                (h * f0.imag + 0.0 * f0.real) - d_im,
+                d_im,
+            ]
+            components.append((re, im, y0.real, y0.imag))
 
         def interpolate(t: float) -> np.ndarray:
             x = (t - t_old) / h
-            y = np.zeros_like(y_old)
-            for i, f in enumerate(reversed(F)):
-                y += f
-                y *= x if i % 2 == 0 else 1 - x
-            return y + y_old
+            u = 1 - x
+            factors = (x, u, x, u, x, u, x)
+            y = []
+            for terms_re, terms_im, base_re, base_im in components:
+                re = im = 0.0
+                for f_re, f_im, m in zip(terms_re, terms_im, factors):
+                    re += f_re
+                    im += f_im
+                    # numpy's complex product with m + 0j
+                    re, im = re * m - im * 0.0, re * 0.0 + im * m
+                y.append(complex(re + base_re, im + base_im))
+            return np.array(y)
 
         return interpolate

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -310,10 +311,7 @@ def load_config(path: str | Path, kind: str) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 def _fmt(value: float) -> str:
-    value = float(value)
-    if math.isnan(value):
-        return "nan"
-    return format(value, ".17g")
+    return format(float(value), ".17g")
 
 
 def _write_csv(path: Path, columns: list[tuple[str, np.ndarray]]) -> None:
@@ -322,9 +320,11 @@ def _write_csv(path: Path, columns: list[tuple[str, np.ndarray]]) -> None:
     for name, data in columns:
         if len(data) != length:
             raise ValueError(f"column '{name}' has length {len(data)} != {length}")
+    # row by row from one float table, each cell as _fmt writes it
+    table = np.column_stack([np.asarray(data, dtype=float) for _, data in columns])
+    spec = itertools.repeat(".17g")
     lines = [",".join(name for name, _ in columns)]
-    for k in range(length):
-        lines.append(",".join(_fmt(data[k]) for _, data in columns))
+    lines += [",".join(map(format, row.tolist(), spec)) for row in table]
     path.write_text("\n".join(lines) + "\n")
 
 

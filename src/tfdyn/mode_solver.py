@@ -193,6 +193,7 @@ def _integrate(
     config = config or IntegratorConfig()
     t_i, t_f = protocol.t_i, protocol.t_f
     grid = np.linspace(t_i, t_f, config.grid_points)
+    times = grid.tolist()
     y = np.asarray(y0, dtype=complex)
     out = np.empty((config.grid_points, y.size), dtype=complex)
     out[0] = y
@@ -220,10 +221,10 @@ def _integrate(
                 solver.step()
                 t_new = solver.t
                 tol = 1e-12 * (abs(t_new) + 1.0)
-                if filled < grid.size and grid[filled] <= t_new + tol:
+                if filled < grid.size and times[filled] <= t_new + tol:
                     dense = solver.dense_output()
-                    while filled < grid.size and grid[filled] <= t_new + tol:
-                        out[filled] = dense(min(grid[filled], t_new))
+                    while filled < grid.size and times[filled] <= t_new + tol:
+                        out[filled] = dense(min(times[filled], t_new))
                         filled += 1
                 if nfev + solver.nfev > MAX_RHS_EVALUATIONS:
                     raise IntegrationError(
@@ -401,12 +402,22 @@ def solve_oscillator_mode(
     sample = sampler(protocol)
     mass0, omega0 = sample(protocol.t_i)
     v0 = 1.0 / math.sqrt(2.0 * mass0 * omega0)
-    y0 = np.array([v0, mass0 * (-1j * omega0 * v0)], dtype=complex)
+    # pi = m v' = -i m w v, its real part +0.0 as complex arithmetic before
+    # Python 3.14 gave it
+    y0 = np.array([v0, complex(0.0, mass0 * (-omega0 * v0))])
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
+        # (pi / m, -m w^2 v) on Python scalars, in numpy's complex arithmetic:
+        # its division by m + 0j (Smith's formula, ratio 0) and its product
+        # with -m w^2 + 0j, written out in real operations
         mass, omega = sample(t)
-        v, pi = y
-        return np.array([pi / mass, -mass * omega**2 * v], dtype=complex)
+        v, pi = y.tolist()
+        scl = 1.0 / mass
+        c = -mass * omega**2
+        return np.array([
+            complex((pi.real + pi.imag * 0.0) * scl, (pi.imag - pi.real * 0.0) * scl),
+            complex(c * v.real - 0.0 * v.imag, c * v.imag + 0.0 * v.real),
+        ])
 
     grid, out, stats = _integrate(rhs, protocol, y0, config)
     mass = np.array([sample(t)[0] for t in grid.tolist()])

@@ -499,6 +499,7 @@ def validate(protocol: Protocol) -> ValidationReport:
     findings: list[Finding] = []
     t_i, t_f = protocol.t_i, protocol.t_f
     grid = t_i + (t_f - t_i) * np.arange(_PROBE_POINTS) / (_PROBE_POINTS - 1)
+    grid[-1] = t_f  # the formula can round past t_f, out of the window
     h = FD_STEP
     # the discontinuity probe's centres: inside the window by h, and away
     # from the declared jumps

@@ -39,6 +39,7 @@ from tfdyn.fock_oracle import (
 )
 from tfdyn import _dop853, mode_solver
 from tfdyn.mode_solver import build_boson_generator, build_fermion_generator
+from tfdyn.protocols import sampler
 
 TIGHT = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14, grid_points=101)
 
@@ -509,6 +510,23 @@ REFERENCE_CASES = {
         ),
         IntegratorConfig(grid_points=201),
     ),
+    # a mass ramp: the right-hand side divides by masses other than 1
+    "oscillator_mass_ramp": (
+        solve_oscillator_mode,
+        _oscillator(
+            make_tanh_ramp(1.0, 2.5, 5.0, 0.5), make_tanh_ramp(1.0, 0.6, 4.0, 0.7),
+            t_i=0.0, t_f=10.0,
+        ),
+        IntegratorConfig(grid_points=201),
+    ),
+    # a sweep entry's window: the interpolant is built on almost every step
+    "oscillator_long_window": (
+        solve_oscillator_mode,
+        OscillatorProtocol(
+            Constant(1.0), make_tanh_ramp(1.0, 2.0, 0.0, 1.3), t_i=-32.0, t_f=32.0
+        ),
+        IntegratorConfig(grid_points=401),
+    ),
 }
 
 
@@ -527,11 +545,20 @@ class TestPrivateDop853:
         ours = solve(protocol, config)
         monkeypatch.setattr(mode_solver, "Dop853", ScipyDop853)
         ref = solve(protocol, config)
-        assert np.array_equal(ours.t, ref.t)
+        # bytes, not values: -0.0 == 0.0, but the CSVs print them apart
+        assert ours.t.tobytes() == ref.t.tobytes()
         assert ours.columns.keys() == ref.columns.keys()
         for name, series in ours.columns.items():
-            assert np.array_equal(series, ref.columns[name]), name
+            assert series.tobytes() == ref.columns[name].tobytes(), name
         assert ours.stats == ref.stats
+
+    def test_long_window_interpolates_on_almost_every_step(self):
+        """The long window's comparison above covers the interpolant."""
+        solve, protocol, config = REFERENCE_CASES["oscillator_long_window"]
+        stats = solve(protocol, config).stats
+        attempts = stats.steps + stats.rejected_steps
+        interpolants = (stats.function_evaluations - 2 - 12 * attempts) // 3
+        assert interpolants >= 0.9 * stats.steps
 
     def test_reference_cases_reject_steps(self):
         """The rejected-step comparison above is not vacuous."""
@@ -578,6 +605,108 @@ def test_tableau_cast_keeps_mode_columns(case, monkeypatch):
     real = solve(protocol, config)
     assert _column_digest(cast) == _column_digest(real)
     assert cast.stats == real.stats
+
+
+def _signed_parts(rng, size):
+    """Complex components whose parts are +0.0, -0.0 or a number of any scale."""
+    def part():
+        pick = rng.integers(4)
+        if pick < 2:
+            return (0.0, -0.0)[pick]
+        return float(rng.standard_normal() * 10.0 ** rng.uniform(-4, 4))
+    return np.array([complex(part(), part()) for _ in range(size)])
+
+
+def _frozen_oscillator_rhs(sample):
+    """solve_oscillator_mode's right-hand side as it was, on numpy scalars."""
+    def rhs(t, y):
+        mass, omega = sample(t)
+        v, pi = y
+        return np.array([pi / mass, -mass * omega**2 * v], dtype=complex)
+
+    return rhs
+
+
+def _frozen_dense_output(solver):
+    """Dop853.dense_output as it was: numpy stage views and Horner loop."""
+    k, t_old, y_old = solver._k, solver.t_old, solver.y_old
+    h = solver.t - t_old
+    for s in range(_dop853.N_STAGES + 1, _dop853.N_STAGES_EXTENDED):
+        dy = np.dot(k[:s].T, _dop853._A_ROWS[s]) * h
+        k[s] = solver._fun(t_old + _dop853._C[s] * h, y_old + dy)
+
+    f_old = k[0]
+    delta_y = solver.y - y_old
+    F = np.empty((_dop853.INTERPOLATOR_POWER, y_old.size), dtype=complex)
+    F[0] = delta_y
+    F[1] = h * f_old - delta_y
+    F[2] = 2 * delta_y - h * (solver.f + f_old)
+    F[3:] = h * np.dot(_dop853.D, k)
+
+    def interpolate(t):
+        x = (t - t_old) / h
+        y = np.zeros_like(y_old)
+        for i, f in enumerate(reversed(F)):
+            y += f
+            y *= x if i % 2 == 0 else 1 - x
+        return y + y_old
+
+    return interpolate
+
+
+class TestFrozenCopies:
+    """The scalar paths against frozen copies of the numpy code they
+    replaced, byte for byte on seeded inputs with signed zeros."""
+
+    def test_oscillator_rhs(self, monkeypatch):
+        protocol = _oscillator(
+            make_tanh_ramp(0.3, 7.0, 5.0, 0.5), make_tanh_ramp(0.5, 3.0, 4.0, 1.5),
+            t_i=0.0, t_f=10.0,
+        )
+        handed = []
+        integrate = mode_solver._integrate
+        monkeypatch.setattr(
+            mode_solver, "_integrate",
+            lambda rhs, *args: handed.append(rhs) or integrate(rhs, *args),
+        )
+        solve_oscillator_mode(protocol, IntegratorConfig(grid_points=2))
+        rhs, frozen = handed[0], _frozen_oscillator_rhs(sampler(protocol))
+
+        rng = np.random.default_rng(RNG_SEED)
+        masses = set()
+        for t in rng.uniform(0.0, 10.0, 4000).tolist():
+            y = _signed_parts(rng, 2)
+            got, want = rhs(t, y), frozen(t, y)
+            assert got.dtype == complex and got.tobytes() == want.tobytes(), (t, y)
+            masses.add(sampler(protocol)(t)[0])
+        assert len(masses) > 1000 and min(masses) < 0.5 and max(masses) > 6.0
+
+    @pytest.mark.parametrize("size", [2, 8])
+    def test_interpolant(self, size):
+        rng = np.random.default_rng(RNG_SEED + size)
+        rate = _signed_parts(rng, size)
+        solver = _dop853.Dop853(
+            lambda t, y: y * rate, 0.0, np.ones(size, dtype=complex), 1.0, 1e-6, 1e-8, math.inf
+        )
+        solver.step()
+        for _ in range(200):
+            # signed zeros at every place the interpolant reads, and whole
+            # components that are zero, as a mode coefficient that stays 0
+            k = solver._k[: _dop853.N_STAGES + 1]
+            k[:] = [_signed_parts(rng, size) for _ in range(len(k))]
+            solver.y_old, solver.y, solver.f = (_signed_parts(rng, size) for _ in range(3))
+            for j in np.flatnonzero(rng.random(size) < 0.5):
+                for row in (*k, solver.y_old, solver.y, solver.f):
+                    row[j] = complex(*rng.choice((0.0, -0.0), 2))
+            solver.t_old = float(rng.uniform(-5.0, 5.0))
+            solver.t = solver.t_old + float(10.0 ** rng.uniform(-4, 0))
+            got, want = solver.dense_output(), _frozen_dense_output(solver)
+            # past either end a Horner factor is negative and signed zeros
+            # of every term show in the result
+            t_old, h = solver.t_old, solver.t - solver.t_old
+            for x in [0.0, 1.0, -0.5, 1.5, *rng.uniform(0.0, 1.0, 8).tolist()]:
+                t = t_old + x * h
+                assert got(t).tobytes() == want(t).tobytes(), t
 
 
 class TestRhsEvaluationCap:

@@ -405,6 +405,7 @@ def _frozen_validate(protocol):
     findings = []
     t_i, t_f = protocol.t_i, protocol.t_f
     grid = [t_i + (t_f - t_i) * k / (2001 - 1) for k in range(2001)]
+    grid[-1] = t_f
 
     for t in grid:
         try:
@@ -528,7 +529,8 @@ def _seeded_protocols(seed, count):
     for _ in range(count):
         kind = rng.choice(sorted(KINDS))
         cls = KINDS[kind]
-        # (1.3, 8.32): the grid's last point, 1.3 + (8.32 - 1.3), rounds past t_f
+        # (1.3, 8.32): the grid formula's last point, 1.3 + (8.32 - 1.3), rounds
+        # past t_f unless pinned to it
         t_i, t_f = rng.choice(((0.0, 10.0), (-5.0, 5.0), (0.1, 0.3), (0.0, 64.0)) * 3 + ((1.3, 8.32),))
         if rng.random() < 0.3:
             t_i, t_f = t_i + 0.37, t_f + rng.choice((0.2, 3.1))
@@ -608,18 +610,26 @@ class TestArrayValidate:
         )
         for fragment in (
             "is not finite", "must be real", "must be positive", "is not zero",
-            "outside protocol domain", "possible undeclared discontinuity",
+            "possible undeclared discontinuity",
         ):
             assert fragment in messages, fragment
 
-    def test_grid_rounding_past_t_f_is_the_domain_error(self):
-        # 1.3 + (8.32 - 1.3) * 2000 / 2000 is 8.320000000000002
-        p = BosonProtocol(Constant(1.0), Constant(0.0), t_i=1.3, t_f=8.32)
+    def test_last_probe_point_is_t_f(self):
+        # 1.3 + (8.32 - 1.3) * 2000 / 2000 is 8.320000000000002, past t_f
+        assert 1.3 + (8.32 - 1.3) * 2000 / 2000 > 8.32
+        seen = []
+
+        def mass(t):
+            seen.append(t)
+            return 1.0
+
+        p = OscillatorProtocol(mass, Constant(1.0), t_i=1.3, t_f=8.32, mass_dot=Constant(0.0))
         report = validate(p)
         assert report == _frozen_validate(p)
-        assert report.messages() == [
-            "error: time 8.320000000000002 outside protocol domain [1.3, 8.32]"
-        ]
+        assert report.findings == ()
+        assert seen[2000] == 8.32 and max(seen) == 8.32
+        constant = OscillatorProtocol(Constant(1.0), Constant(1.0), t_i=1.3, t_f=8.32)
+        assert validate(constant).findings == ()
 
     def test_later_exception_still_propagates_after_a_finding(self):
         def omega0(t):
