@@ -7,7 +7,9 @@ cross-checks) and turns each criterion into one parametrized test.  Run with
 
 to see one ``PASS``/``SKIP`` line per criterion with the measured value and
 the tolerance it was held to.  Any regression past a stated tolerance fails
-the matching test with that line as the message.
+the matching test with that line as the message.  A second gate holds each
+measured value near its recorded value (``RECORDED``), so a regression that
+stays under its tolerance still fails.
 """
 
 import numpy as np
@@ -37,6 +39,35 @@ t_f = 10.0
 grid_points = 101
 """
 
+# Each check's measured value at the default settings.  The table may only go
+# down: a change that lowers a value may lower its entry to the new value, and
+# no entry is ever raised.
+RECORDED = {
+    "c01a_equilibrium_boson_analytic": 0.0,
+    "c01b_equilibrium_fermion_analytic": 0.0,
+    "c01c_equilibrium_boson_oracle": 0.0,
+    "c01d_equilibrium_fermion_oracle": 0.0,
+    "c02a_boson_commutator_conservation": 3.5434533085521025e-10,
+    "c02b_oscillator_wronskian_conservation": 2.6522239959803073e-10,
+    "c02c_fermion_anticommutator_conservation": 3.4764091605410385e-10,
+    "c03a_thermal_condition_boson": 2.8561868898297015e-08,
+    "c03b_thermal_condition_fermion": 9.239563019619437e-13,
+    "c04_constant_distribution": 1.9984014443252818e-15,
+    "c05a_sudden_production_analytic": 0.0,
+    "c05b_sudden_production_ode": 1.0302521202820714e-07,
+    "c05c_sudden_production_oracle": 4.440892098500626e-16,
+    "c06_evolved_distribution": 6.103249017286316e-10,
+    "c07a_q_moments_equilibrium": 2.220446049250313e-16,
+    "c07b_q_moments_midquench": 6.950080511103351e-10,
+    "c07c_q_moment_ratio": 7.66053886991358e-13,
+    "c08a_thermal_constructions_boson": 2.2797280646442833e-15,
+    "c08b_thermal_constructions_fermion": 1.1102230246251565e-16,
+    "c09a_boson_constraint": 2.652225106203332e-10,
+    "c09b_fermion_frame_unitarity": 8.215650382226158e-14,
+    "c10_adiabatic_trend": 0.002450832336972538,
+}
+EPS = np.finfo(float).eps
+
 
 @pytest.fixture(scope="module")
 def results():
@@ -54,6 +85,25 @@ def test_criterion(results, name):
     result = results[name]
     print(result.line())
     assert result.passed, result.line()
+
+
+def test_recorded_values_cover_every_criterion():
+    assert tuple(RECORDED) == CHECK_NAMES
+
+
+@pytest.mark.parametrize("name", CHECK_NAMES)
+def test_measured_value_ratchet(results, name):
+    """Each measured value stays within 2x of its recorded value, a margin for
+    round-off that differs between hosts; an exact zero stays exactly zero.
+    The bound is max(2x, 4 eps) for the values at round-off (c05c, c07a and
+    c08b, 1-2 eps), which one more rounding could double; for every other
+    value 2x is the larger."""
+    measured, recorded = results[name].measured, RECORDED[name]
+    if recorded == 0.0:
+        assert measured == 0.0, results[name].line()
+    else:
+        bound = max(2.0 * recorded, 4.0 * EPS)
+        assert measured <= bound, f"{results[name].line()}; recorded {recorded:.4e}"
 
 
 def test_run_columns_are_what_the_suite_measures(results, tmp_path):

@@ -6,6 +6,7 @@ cheaply by disabling the brute-force oracle.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,10 +17,11 @@ from tfdyn import (
     Constant,
     IntegratorConfig,
     OracleConfig,
+    fock_oracle,
     make_tanh_ramp,
+    mode_solver,
     run_all,
     solve_boson_mode,
-    verification,
 )
 from tfdyn.verification import CHECK_NAMES, quench_observables
 
@@ -63,12 +65,6 @@ class TestSuiteContract:
                 assert math.isnan(r.measured)
                 assert r.detail != ""
 
-    def test_unexpected_check_set_raises(self, monkeypatch):
-        # a check that reports without being expected stops the suite
-        monkeypatch.setattr(verification, "ANALYTIC_CHECKS", verification.ANALYTIC_CHECKS[:-1])
-        with pytest.raises(RuntimeError, match="expected set of checks"):
-            run_all(oracle=None)
-
     def test_analytic_checks_pass_without_oracle(self, fast_results):
         for r in fast_results:
             if not r.skipped:
@@ -87,6 +83,52 @@ class TestSuiteContract:
             if not r.skipped:
                 assert math.isfinite(r.measured)
                 assert r.measured >= 0.0
+
+
+def _counting(calls: Counter, name: str, real):
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return real(*args, **kwargs)
+
+    return counted
+
+
+class TestSharedRuns:
+    """The runs several checks read are built once per suite run: the suite
+    makes as many mode solves and oracle evolutions as it has distinct runs."""
+
+    @staticmethod
+    def _calls(monkeypatch, **kwargs) -> dict[str, int]:
+        calls = Counter()
+        for module, names in (
+            (mode_solver, ("solve_boson_mode", "solve_oscillator_mode", "solve_fermion_modes")),
+            (fock_oracle, ("evolve_doubled_thermal", "evolve_unitary")),
+        ):
+            for name in names:
+                monkeypatch.setattr(module, name, _counting(calls, name, getattr(module, name)))
+        run_all(**kwargs)
+        return dict(calls)
+
+    def test_oracle_off(self, monkeypatch):
+        # boson c02a; oscillator: the shared 1 -> 2 quench, c05b and c10's four
+        # widths; fermion: c02c and the shared pulse of c03b/c09b
+        assert self._calls(monkeypatch, oracle=None) == {
+            "solve_boson_mode": 1,
+            "solve_oscillator_mode": 6,
+            "solve_fermion_modes": 2,
+        }
+
+    def test_oracle_on(self, monkeypatch):
+        # adds the c03a and c04 boson solves, the doubled evolutions of c03a,
+        # c03b, c04, c06/c07a/c07b and c07c, and c05c's two unitaries
+        oracle = OracleConfig(n_levels=40, substeps_per_unit=20.0)
+        assert self._calls(monkeypatch, oracle=oracle) == {
+            "solve_boson_mode": 3,
+            "solve_oscillator_mode": 6,
+            "solve_fermion_modes": 2,
+            "evolve_doubled_thermal": 5,
+            "evolve_unitary": 2,
+        }
 
 
 class TestHonestFailure:
