@@ -16,7 +16,7 @@ has validated the tolerances.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -202,10 +202,11 @@ def _rms(x: np.ndarray) -> float:
 class Dop853:
     """Forward DOP853 integration of y' = fun(t, y) from ``t0`` to ``t_bound``.
 
-    ``fun(t, y)`` returns a complex ndarray of y's size.  The evaluations
-    the stepper keeps (the first, and f(t + h, y_new) of each attempt) are
-    coerced if they are not; the others are written straight into the
-    complex stage array.  ``step`` makes one accepted step (``t``, ``y`` move
+    ``fun(t, y)`` returns any sequence of y's size: an ndarray, or a tuple
+    or list of numbers, which costs no array build.  The evaluations the
+    stepper keeps (the first, and f(t + h, y_new) of each attempt) are made
+    complex ndarrays; the others are written straight into the complex stage
+    array.  ``step`` makes one accepted step (``t``, ``y`` move
     to its end) and ``dense_output`` returns the interpolant over the last
     one.  ``nfev``, ``steps`` and ``rejected`` count right-hand-side
     evaluations, accepted steps and rejected attempts.  A step size that
@@ -213,14 +214,16 @@ class Dop853:
     from ``fun`` propagate.
 
     The stage sums and the error estimate's weighted sums and norms are
-    numpy and BLAS calls.  The step-size control, the interpolant's first
-    three coefficients and its Horner loop run on Python floats, as the real
-    operations of numpy's complex arithmetic, so the bits stay scipy's.
+    numpy and BLAS calls.  A stage sum is scaled by the complex scalar
+    h + 0j, the value numpy would cast a float step to, so no call casts it.
+    The step-size control, the interpolant's first three coefficients and its
+    Horner loop run on Python floats, as the real operations of numpy's
+    complex arithmetic, so the bits stay scipy's.
     """
 
     def __init__(
         self,
-        fun: Callable[[float, np.ndarray], np.ndarray],
+        fun: Callable[[float, np.ndarray], Sequence[complex]],
         t0: float,
         y0: np.ndarray,
         t_bound: float,
@@ -270,11 +273,12 @@ class Dop853:
     def _attempt(self, h: float) -> tuple[np.ndarray, np.ndarray, float]:
         """One 12-stage step of size h: the new state, f there, the error norm."""
         t, y, k, kt, fun = self.t, self.y, self._k, self._kt, self._fun
+        hc = complex(h)
         k[0] = self.f
         for s in range(1, N_STAGES):
-            k[s] = fun(t + _C[s] * h, y + kt[s].dot(_A_ROWS[s]) * h)
+            k[s] = fun(t + _C[s] * h, y + kt[s].dot(_A_ROWS[s]) * hc)
         self.nfev += N_STAGES - 1
-        y_new = y + h * kt[N_STAGES].dot(B)
+        y_new = y + hc * kt[N_STAGES].dot(B)
         f_new = self._rhs(t + h, y_new)
         k[N_STAGES] = f_new
 
@@ -327,14 +331,15 @@ class Dop853:
         """The 7th-degree interpolant over the last accepted step."""
         k, kt, fun, t_old, y_old = self._k, self._kt, self._fun, self.t_old, self.y_old
         h = self.t - t_old
+        hc = complex(h)
         for s in range(N_STAGES + 1, N_STAGES_EXTENDED):
-            k[s] = fun(t_old + _C[s] * h, y_old + kt[s].dot(_A_ROWS[s]) * h)
+            k[s] = fun(t_old + _C[s] * h, y_old + kt[s].dot(_A_ROWS[s]) * hc)
         self.nfev += N_STAGES_EXTENDED - N_STAGES - 1
 
         # F3..F6 = h * (D k) stay a BLAS product.  F0 = y - y_old,
         # F1 = h f_old - F0 and F2 = 2 F0 - h (f + f_old) are formed per
         # component on Python floats, with numpy's product by h + 0j and 2 + 0j.
-        high = h * D.dot(k)
+        high = hc * D.dot(k)
         components = []
         for f6_f3_re, f6_f3_im, y1, y0, f0, f1 in zip(
             high.real[::-1].T.tolist(), high.imag[::-1].T.tolist(),

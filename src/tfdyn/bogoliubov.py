@@ -23,6 +23,7 @@ __all__ = [
     "ReferenceMode",
     "BogoliubovCoefficients",
     "boson_overlap",
+    "boson_overlaps",
     "sudden_coeffs",
     "fermion_frame_coeffs",
     "production_number",
@@ -93,13 +94,37 @@ def boson_overlap(mode: SimpleNamespace, ref: ReferenceMode) -> BogoliubovCoeffi
     result is a Bogoliubov transformation, |mu|^2 - |nu|^2 = 1, whether or
     not the two masses agree.
     """
-    u = ref.u(mode.t)
-    u_dot = ref.u_dot(mode.t)
-    v_c = np.conj(mode.v)
-    p_c = mode.mass * np.conj(mode.v_dot)
-    mu = 1j * (ref.m_ref * v_c * u_dot - p_c * u)
-    nu = 1j * (ref.m_ref * v_c * np.conj(u_dot) - p_c * np.conj(u))
-    return BogoliubovCoefficients(complex(mu), complex(nu), "boson")
+    return _overlap(ref, -1j * ref.omega_ref, mode.t, mode.v, mode.v_dot, mode.mass)
+
+
+def boson_overlaps(traj, ref: ReferenceMode) -> list[BogoliubovCoefficients]:
+    """``boson_overlap`` at every grid point of an oscillator trajectory."""
+    rate = -1j * ref.omega_ref  # u' = rate * u, as ReferenceMode.u_dot forms it
+    return [
+        _overlap(ref, rate, *row)
+        for row in zip(traj.t.tolist(), traj.v.tolist(), traj.v_dot.tolist(), traj.mass.tolist())
+    ]
+
+
+def _overlap(
+    ref: ReferenceMode, rate: complex, t: float, v: complex, v_dot: complex, mass: float
+) -> BogoliubovCoefficients:
+    """mu and nu on Python floats, in the real operations of numpy's complex
+    scalar arithmetic: each real factor r acts as r + 0j on the conjugate,
+    and the result is multiplied by 1j."""
+    u = ref.u(t)
+    ud = rate * u
+    # m_ref v* and m v'*
+    ar, ai = ref.m_ref * v.real + 0.0 * v.imag, 0.0 * v.real - ref.m_ref * v.imag
+    pr, pi = mass * v_dot.real + 0.0 * v_dot.imag, 0.0 * v_dot.real - mass * v_dot.imag
+    # (a u' - p u) and (a u'* - p u*)
+    mr = (ar * ud.real - ai * ud.imag) - (pr * u.real - pi * u.imag)
+    mi = (ar * ud.imag + ai * ud.real) - (pr * u.imag + pi * u.real)
+    nr = (ar * ud.real + ai * ud.imag) - (pr * u.real + pi * u.imag)
+    ni = (ai * ud.real - ar * ud.imag) - (pi * u.real - pr * u.imag)
+    return BogoliubovCoefficients(
+        complex(0.0 * mr - mi, 0.0 * mi + mr), complex(0.0 * nr - ni, 0.0 * ni + nr), "boson"
+    )
 
 
 def sudden_coeffs(omega_i: float, omega_f: float) -> BogoliubovCoefficients:

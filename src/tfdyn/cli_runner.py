@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -322,9 +321,9 @@ def _write_csv(path: Path, columns: list[tuple[str, np.ndarray]]) -> None:
             raise ValueError(f"column '{name}' has length {len(data)} != {length}")
     # row by row from one float table, each cell as _fmt writes it
     table = np.column_stack([np.asarray(data, dtype=float) for _, data in columns])
-    spec = itertools.repeat(".17g")
+    template = ",".join(["%.17g"] * len(columns))
     lines = [",".join(name for name, _ in columns)]
-    lines += [",".join(map(format, row.tolist(), spec)) for row in table]
+    lines += [template % tuple(row) for row in table.tolist()]
     path.write_text("\n".join(lines) + "\n")
 
 

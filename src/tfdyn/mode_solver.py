@@ -64,8 +64,6 @@ __all__ = [
     "MAX_RHS_EVALUATIONS",
 ]
 
-SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-
 _SQRT2 = math.sqrt(2.0)
 
 # The fermion columns, in modes.csv order: a(t) = fa- a + fa+ a^dag + ga- b +
@@ -137,10 +135,14 @@ def build_boson_generator(omega0: float, omega_plus: complex) -> np.ndarray:
     [[w0, -w+*], [w+, -w0]].  s3 M is Hermitian for real w0, which is what
     conserves |f-|^2 - |f+|^2.
     """
-    wp = complex(omega_plus)
-    return np.array(
-        [[complex(omega0), -np.conj(wp)], [wp, -complex(omega0)]], dtype=complex
-    )
+    w0, wp = complex(omega0), complex(omega_plus)
+    return np.array([[w0, complex(-wp.real, wp.imag)], [wp, -w0]])
+
+
+def _times_sigma1(x: float) -> tuple[complex, complex]:
+    """x s1's zero and unit entries with the signed zeros of numpy's product
+    (x + 0j)(s + 0j)."""
+    return complex(x * 0.0 - 0.0, x * 0.0 + 0.0), complex(x - 0.0, x * 0.0 + 0.0)
 
 
 def build_fermion_generator(
@@ -155,19 +157,16 @@ def build_fermion_generator(
     """
     wp = complex(omega_plus)
     wm = complex(omega_minus)
-    n_block = np.array(
-        [
-            [1j * (wp + wm).imag, (wp + wm).real],
-            [(wm - wp).real, 1j * (wm - wp).imag],
-        ],
-        dtype=complex,
-    )
-    a = np.zeros((4, 4), dtype=complex)
-    a[:2, :2] = -omega0 * SIGMA1
-    a[2:, 2:] = omega0 * SIGMA1
-    a[:2, 2:] = n_block
-    a[2:, :2] = n_block.conj().T
-    return a
+    n00, n01 = 1j * (wp + wm).imag, complex((wp + wm).real)
+    n10, n11 = complex((wm - wp).real), 1j * (wm - wp).imag
+    mz, mo = _times_sigma1(float(-omega0))
+    pz, po = _times_sigma1(float(omega0))
+    return np.array([
+        [mz, mo, n00, n01],
+        [mo, mz, n10, n11],
+        [n00.conjugate(), n10.conjugate(), pz, po],
+        [n01.conjugate(), n11.conjugate(), po, pz],
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +405,7 @@ def solve_oscillator_mode(
     # Python 3.14 gave it
     y0 = np.array([v0, complex(0.0, mass0 * (-omega0 * v0))])
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
+    def rhs(t: float, y: np.ndarray) -> tuple[complex, complex]:
         # (pi / m, -m w^2 v) on Python scalars, in numpy's complex arithmetic:
         # its division by m + 0j (Smith's formula, ratio 0) and its product
         # with -m w^2 + 0j, written out in real operations
@@ -414,10 +413,10 @@ def solve_oscillator_mode(
         v, pi = y.tolist()
         scl = 1.0 / mass
         c = -mass * omega**2
-        return np.array([
+        return (
             complex((pi.real + pi.imag * 0.0) * scl, (pi.imag - pi.real * 0.0) * scl),
             complex(c * v.real - 0.0 * v.imag, c * v.imag + 0.0 * v.real),
-        ])
+        )
 
     grid, out, stats = _integrate(rhs, protocol, y0, config)
     mass = np.array([sample(t)[0] for t in grid.tolist()])

@@ -15,12 +15,12 @@ Each kind is stated once, on its class: ``kind``, the coefficient
 ``channels`` and the channel a config's profile family ``drive``s by default.
 Two functions sample the coefficients under one coercion rule:
 ``omega_plus`` and ``omega_minus`` are complex, every other channel is real.
-:func:`evaluate` returns a record with one attribute per channel, plus
-``mass_dot`` for oscillators; :func:`sampler` returns a function of ``t``
-that gives the channels as a tuple, without ``mass_dot``, for the inner
-loops of the solvers and the oracle.  :func:`validate` samples whole grids
-at once through the built-in profiles' ``values`` (numpy) methods, which
-serve nothing else.
+:func:`sampler` returns a function of ``t`` that gives the channels as a
+tuple, for the inner loops of the solvers and the oracle; :func:`evaluate`
+returns the same values as a record with one attribute per channel.  An
+oscillator's ``mass_dot`` is read only where the initial state is checked.
+:func:`validate` samples whole grids at once through the built-in profiles'
+``values`` (numpy) methods, which serve nothing else.
 
 Coefficient callables must be pure: deterministic and side-effect free.
 Discontinuities are allowed only at declared jump times; a callable must be
@@ -341,10 +341,13 @@ def _mass_dot(protocol: OscillatorProtocol, t: float) -> float:
 def sampler(protocol: Protocol) -> Callable[[float], tuple]:
     """A function of ``t`` that samples the protocol's coefficients.
 
-    It returns one value per channel, in ``protocol.channels`` order, under
-    the rules of :func:`evaluate` (the same domain check, coercion and mass
-    positivity, and the same errors) but builds no record and computes no
-    ``mass_dot``.  Solvers and the oracle sample through it in their inner
+    It returns one value per channel, in ``protocol.channels`` order: the
+    couplings as complex, every other channel as float, each finite, and an
+    oscillator's mass positive.  A finite float is taken as it is (made
+    complex on a coupling); any other value goes through the one coercion
+    rule, ``_coefficient``.  A time outside ``[t_i, t_f]`` or a value the
+    rule refuses raises ``ValueError``.  :func:`evaluate` is the same sample
+    as a record.  Solvers and the oracle sample through it in their inner
     loops.
     """
     t_i, t_f = protocol.t_i, protocol.t_f
@@ -373,17 +376,13 @@ def sampler(protocol: Protocol) -> Callable[[float], tuple]:
 def evaluate(protocol: Protocol, t: float) -> SimpleNamespace:
     """Sample the protocol coefficients at time ``t``.
 
-    Returns one attribute per channel of the protocol's kind, plus
-    ``mass_dot`` for oscillators.  ``t`` must lie inside ``[t_i, t_f]``; at a
-    declared jump time the right-sided limit is returned (protocol callables
-    are right-continuous by contract).  Raises ``ValueError`` for
-    out-of-domain times or invalid coefficient values (non-finite, complex
-    where real is required, non-positive mass).
+    Returns one attribute per channel of the protocol's kind.  ``t`` must
+    lie inside ``[t_i, t_f]``; at a declared jump time the right-sided limit
+    is returned (protocol callables are right-continuous by contract).
+    Raises ``ValueError`` for out-of-domain times or invalid coefficient
+    values (non-finite, complex where real is required, non-positive mass).
     """
-    s = SimpleNamespace(**dict(zip(protocol.channels, sampler(protocol)(t))))
-    if protocol.kind == "oscillator":
-        s.mass_dot = _mass_dot(protocol, t)
-    return s
+    return SimpleNamespace(**dict(zip(protocol.channels, sampler(protocol)(t))))
 
 
 def check_initial_state(protocol: Protocol) -> None:
@@ -396,9 +395,10 @@ def check_initial_state(protocol: Protocol) -> None:
     """
     s0 = evaluate(protocol, protocol.t_i)
     if protocol.kind == "oscillator":
-        if abs(s0.mass_dot) > INITIAL_DIAGONAL_TOL * max(1.0, s0.mass):
+        mass_dot = _mass_dot(protocol, protocol.t_i)
+        if abs(mass_dot) > INITIAL_DIAGONAL_TOL * max(1.0, s0.mass):
             raise ValueError(
-                f"mass_dot(t_i) = {s0.mass_dot} is not zero; the adiabatic initial "
+                f"mass_dot(t_i) = {mass_dot} is not zero; the adiabatic initial "
                 "condition requires a stationary mass at t_i"
             )
         if s0.omega <= 0.0:
@@ -473,7 +473,7 @@ def _probe(
             out[k] = coerce(fn(t))
         except ValueError:
             pass
-        except Exception:  # re-raised by the caller's evaluate() at this point
+        except Exception:  # re-raised by the caller's judge at this point
             raised[k] = True
     return out, raised
 
@@ -493,8 +493,9 @@ def validate(protocol: Protocol) -> ValidationReport:
 
     Each channel is sampled as an array on the grid and on the two probe
     grids.  Only the first failing grid point is reported, with the message
-    :func:`evaluate` gives there; an exception other than ``ValueError``
-    that :func:`evaluate` raises at any grid point propagates.
+    :func:`evaluate` (and an oscillator's ``mass_dot``) gives there; an
+    exception other than ``ValueError`` that they raise at any grid point
+    propagates.
     """
     findings: list[Finding] = []
     t_i, t_f = protocol.t_i, protocol.t_f
@@ -528,14 +529,18 @@ def validate(protocol: Protocol) -> ValidationReport:
             if name == "mass":
                 bad |= ~(values.real > 0.0)
 
-        # evaluate() is the judge: its first ValueError is the finding, and
-        # any other exception it raises at a later point still propagates
+        # the sampler, then an oscillator's mass_dot, is the judge: its first
+        # ValueError is the finding, and any other exception it raises at a
+        # later point still propagates
+        sample = sampler(protocol)
         for k in np.flatnonzero(bad):
             if findings and not raised[k]:
                 continue
             t = float(grid[k])
             try:
-                evaluate(protocol, t)
+                sample(t)
+                if protocol.kind == "oscillator":
+                    _mass_dot(protocol, t)
             except ValueError as exc:
                 if not findings:
                     findings.append(Finding("error", str(exc), t))

@@ -105,18 +105,21 @@ def evolved_occupation_boson(nu: complex, beta: float, omega: float, hbar: float
     return n_pair + (1.0 + 2.0 * n_pair) * equilibrium_occupation(beta, omega, hbar, "boson")
 
 
-def q_moment(n: int, v: complex, theta: float, hbar: float = 1.0) -> float:
+def q_moment(n: int, v, theta: float, hbar: float = 1.0):
     """Normal-ordered position moment <q^(2n)> for the boson thermal state.
 
     (2n)!/(2^n n!) * (hbar |v|^2)^n * (1 + 2 sinh^2 theta)^n, with v the mode
     function value at the evaluation time.  The combinatorial prefactor is the
-    Gaussian (2n-1)!!, so <q^4>/<q^2>^2 = 3 regardless of v and theta.
+    Gaussian (2n-1)!!, so <q^4>/<q^2>^2 = 3 regardless of v and theta.  A
+    list of mode function values gives the list of their moments.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"moment order n must be a positive integer, got {n!r}")
     prefactor = math.factorial(2 * n) / (2**n * math.factorial(n))
-    width = hbar * abs(v) ** 2 * (1.0 + 2.0 * math.sinh(theta) ** 2)
-    return prefactor * width**n
+    spread = 1.0 + 2.0 * math.sinh(theta) ** 2
+    if isinstance(v, list):
+        return [prefactor * (hbar * abs(x) ** 2 * spread) ** n for x in v]
+    return prefactor * (hbar * abs(v) ** 2 * spread) ** n
 
 
 def amplification_factor(nu: complex) -> float:

@@ -38,6 +38,7 @@ from .protocols import (
     evaluate,
     initial_frame,
     make_tanh_ramp,
+    sampler,
 )
 
 __all__ = [
@@ -99,27 +100,22 @@ def _boson_columns(protocol: Protocol, traj, beta: float, hbar: float, doubled) 
     n_eq = thermal_observables.equilibrium_occupation(beta, omega_i, hbar, "boson")
     frame = (m_i, omega_i)
     if protocol.kind == "oscillator":
-        s_f = evaluate(protocol, protocol.t_f)
-        frame = (s_f.mass, s_f.omega)
+        frame = sampler(protocol)(protocol.t_f)
         ref = bogoliubov.ReferenceMode(*frame, protocol.t_f)
-    scale = 1.0 / math.sqrt(2.0 * m_i * omega_i)
-
-    n_pts = len(traj.t)
-    nu_sq, q2, q4 = np.empty(n_pts), np.empty(n_pts), np.empty(n_pts)
-    for k in range(n_pts):
-        mode = traj.sample(k)
-        if protocol.kind == "oscillator":
-            nu_sq[k] = bogoliubov.boson_overlap(mode, ref).production
-            v = mode.v
-        else:
-            nu_sq[k] = abs(mode.f_plus) ** 2
-            v = np.conj(mode.f_minus - mode.f_plus) * scale
-        q2[k] = thermal_observables.q_moment(1, v, theta, hbar)
-        q4[k] = thermal_observables.q_moment(2, v, theta, hbar)
+        nu_sq = np.array([c.production for c in bogoliubov.boson_overlaps(traj, ref)])
+        v = traj.v.tolist()
+    else:
+        nu_sq = np.array([abs(f) ** 2 for f in traj.f_plus.tolist()])
+        # v = conj(f- - f+) / sqrt(2 m w), of which the moments read only |v|
+        scale = 1.0 / math.sqrt(2.0 * m_i * omega_i)
+        diffs = (traj.f_minus - traj.f_plus).tolist()
+        v = [complex(d.real * scale, d.imag * scale) for d in diffs]
+    q2 = np.array(thermal_observables.q_moment(1, v, theta, hbar))
+    q4 = np.array(thermal_observables.q_moment(2, v, theta, hbar))
     analytic = {"occupation": nu_sq + (1.0 + 2.0 * nu_sq) * n_eq, "q2": q2, "q4": q4}
     columns = [
         ("t [time]", traj.t),
-        ("occupation_equilibrium [1]", np.full(n_pts, n_eq)),
+        ("occupation_equilibrium [1]", np.full(len(traj.t), n_eq)),
         ("nu_sq [1]", nu_sq),
         ("occupation_evolved [1]", analytic["occupation"]),
         ("q2 [length^2]", q2),
@@ -473,10 +469,8 @@ def _c08b(s):
 @_check("c09a_boson_constraint", 1e-9)
 def _c09a(s):
     ref = bogoliubov.ReferenceMode(1.0, 2.0, 10.0)
-    constraint = max(
-        bogoliubov.boson_overlap(s.osc_traj.sample(k), ref).constraint_deviation
-        for k in range(len(s.osc_traj.t))
-    )
+    overlaps = bogoliubov.boson_overlaps(s.osc_traj, ref)
+    constraint = max(c.constraint_deviation for c in overlaps)
     return max(constraint, s.sudden.constraint_deviation), "max | |mu|^2 - |nu|^2 - 1 | across runs"
 
 

@@ -281,6 +281,35 @@ kind = quench
         assert _fmt(math.nan) == "nan"
 
 
+def _frozen_write_csv(path, columns):
+    """cli_runner._write_csv as it was: one format(x, ".17g") call per cell."""
+    table = np.column_stack([np.asarray(data, dtype=float) for _, data in columns])
+    lines = [",".join(name for name, _ in columns)]
+    lines += [",".join(format(x, ".17g") for x in row.tolist()) for row in table]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_write_csv_matches_frozen_writer(tmp_path):
+    """The one-template row writer against the per-cell writer it replaced,
+    byte for byte: signed zeros, non-finite values, subnormals, integers,
+    huge and tiny magnitudes, one to fifteen columns."""
+    rng = np.random.default_rng(20260817)
+    specials = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2e-308, 1.7e308]
+    for case in range(40):
+        rows, width = int(rng.integers(1, 60)), int(rng.integers(1, 16))
+        columns = []
+        for j in range(width):
+            data = rng.standard_normal(rows) * 10.0 ** rng.uniform(-300, 300, rows)
+            special = rng.random(rows) < 0.2
+            data[special] = rng.choice(specials, int(special.sum()))
+            if j == 0 and case % 4 == 0:
+                data = rng.integers(-10**6, 10**6, rows)  # an integer column
+            columns.append((f"c{j} [unit]", data))
+        cli_runner._write_csv(tmp_path / "new.csv", columns)
+        _frozen_write_csv(tmp_path / "old.csv", columns)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
 @pytest.fixture(scope="module")
 def quench_out(tmp_path_factory):
     out = tmp_path_factory.mktemp("quench")

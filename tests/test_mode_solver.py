@@ -566,6 +566,35 @@ class TestPrivateDop853:
         stats = solve(protocol, config).stats
         assert stats.segments == 10 and stats.rejected_steps == 7
 
+    @pytest.mark.parametrize("form", [tuple, list])
+    def test_rhs_may_return_any_sequence(self, form):
+        """An RHS that returns a tuple or a list of the values an ndarray RHS
+        returns gives the same bytes and the same counts."""
+        rate = np.array([0.3 - 1.1j, -0.0 + 0.7j, 1.5j])
+
+        def as_array(t, y):
+            return y * rate * math.cos(3.0 * t)
+
+        def as_form(t, y):
+            return form(as_array(t, y).tolist())
+
+        runs = []
+        for fun in (as_array, as_form):
+            solver = _dop853.Dop853(
+                fun, 0.0, np.array([1.0, 0.5j, -0.25]), 6.0, 1e-9, 1e-12, math.inf
+            )
+            record = []
+            while solver.t < 6.0:
+                solver.step()
+                assert type(solver.f) is np.ndarray and solver.f.dtype == complex
+                dense = solver.dense_output()
+                t_mid = solver.t_old + 0.3 * (solver.t - solver.t_old)
+                states = (solver.y, solver.f, dense(t_mid))
+                record.append((solver.t, *(x.tobytes() for x in states)))
+            runs.append((record, solver.nfev, solver.steps, solver.rejected))
+        assert runs[0] == runs[1]
+        assert runs[0][3] > 0 and len(runs[0][0]) > 20
+
     def test_step_size_collapse_raises(self, monkeypatch):
         """An undeclared frequency jump from 1 to 1e9: no step above the
         ten-ulp floor passes the error test across it."""
@@ -627,6 +656,36 @@ def _frozen_oscillator_rhs(sample):
     return rhs
 
 
+_FROZEN_SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+
+
+def _frozen_boson_generator(omega0, omega_plus):
+    """build_boson_generator as it was, through numpy scalars."""
+    wp = complex(omega_plus)
+    return np.array(
+        [[complex(omega0), -np.conj(wp)], [wp, -complex(omega0)]], dtype=complex
+    )
+
+
+def _frozen_fermion_generator(omega0, omega_plus, omega_minus):
+    """build_fermion_generator as it was: four block stores into a 4x4 zero."""
+    wp = complex(omega_plus)
+    wm = complex(omega_minus)
+    n_block = np.array(
+        [
+            [1j * (wp + wm).imag, (wp + wm).real],
+            [(wm - wp).real, 1j * (wm - wp).imag],
+        ],
+        dtype=complex,
+    )
+    a = np.zeros((4, 4), dtype=complex)
+    a[:2, :2] = -omega0 * _FROZEN_SIGMA1
+    a[2:, 2:] = omega0 * _FROZEN_SIGMA1
+    a[:2, 2:] = n_block
+    a[2:, :2] = n_block.conj().T
+    return a
+
+
 def _frozen_dense_output(solver):
     """Dop853.dense_output as it was: numpy stage views and Horner loop."""
     k, t_old, y_old = solver._k, solver.t_old, solver.y_old
@@ -677,9 +736,41 @@ class TestFrozenCopies:
         for t in rng.uniform(0.0, 10.0, 4000).tolist():
             y = _signed_parts(rng, 2)
             got, want = rhs(t, y), frozen(t, y)
-            assert got.dtype == complex and got.tobytes() == want.tobytes(), (t, y)
+            # a tuple of Python complexes, which the stepper stores as they are
+            assert [type(c) for c in got] == [complex, complex] and type(got) is tuple
+            assert np.array(got).tobytes() == want.tobytes(), (t, y)
             masses.add(sampler(protocol)(t)[0])
         assert len(masses) > 1000 and min(masses) < 0.5 and max(masses) > 6.0
+
+    def test_generators(self):
+        """Both generators against their frozen builds, on seeded (w0, w+, w-)
+        with zeros of both signs in every part, integer w0 and non-finite
+        parts; the -0.0 entries of -w0 s1 included."""
+        rng = np.random.default_rng(RNG_SEED + 1)
+
+        def part():
+            pick = rng.integers(10)
+            if pick < 4:
+                return (0.0, -0.0)[pick % 2]
+            if pick == 4:
+                return float(rng.choice((math.inf, -math.inf, math.nan)))
+            return float(rng.standard_normal() * 10.0 ** rng.uniform(-4, 4))
+
+        negative_zeros = 0
+        for _ in range(4000):
+            w0 = int(rng.integers(-2, 3)) if rng.random() < 0.1 else part()
+            wp, wm = complex(part(), part()), complex(part(), part())
+            if rng.random() < 0.2:
+                wp = part()  # a real coupling, as a config gives it
+            with np.errstate(invalid="ignore"):
+                want_b = _frozen_boson_generator(w0, wp)
+                want_f = _frozen_fermion_generator(w0, wp, wm)
+            got_b, got_f = build_boson_generator(w0, wp), build_fermion_generator(w0, wp, wm)
+            assert got_b.dtype == got_f.dtype == complex
+            assert got_b.tobytes() == want_b.tobytes(), (w0, wp)
+            assert got_f.tobytes() == want_f.tobytes(), (w0, wp, wm)
+            negative_zeros += bool(np.signbit(want_f.real[0, 0]))
+        assert negative_zeros > 1000
 
     @pytest.mark.parametrize("size", [2, 8])
     def test_interpolant(self, size):

@@ -26,7 +26,14 @@ from tfdyn import (
     statistics_of,
     validate,
 )
-from tfdyn.protocols import FD_STEP, KINDS, _OffsetImag, check_initial_state, sampler
+from tfdyn.protocols import (
+    FD_STEP,
+    KINDS,
+    _mass_dot,
+    _OffsetImag,
+    check_initial_state,
+    sampler,
+)
 
 # a valid constant value for every channel of every kind (ints on purpose:
 # evaluate coerces them)
@@ -113,17 +120,18 @@ class TestEvaluate:
         s = evaluate(p, 0.5)
         assert s.omega0 == 2.0 and s.omega_plus == 0.25
 
+    # mass_dot is no channel: check_initial_state reads it through _mass_dot
     def test_oscillator_mass_dot_finite_difference_fallback(self):
         ramp = make_tanh_ramp(1.0, 2.0, center=5.0, width=0.5)
         # a bare callable has no derivative, so mass_dot falls back to the FD
         p = OscillatorProtocol(mass=lambda t: ramp(t), omega=Constant(1.0), t_i=0.0, t_f=10.0)
-        s = evaluate(p, 5.0)
-        assert s.mass_dot == pytest.approx(ramp.derivative(5.0), rel=1e-6)
+        assert _mass_dot(p, 5.0) == pytest.approx(ramp.derivative(5.0), rel=1e-6)
+        assert not hasattr(evaluate(p, 5.0), "mass_dot")
 
     def test_oscillator_mass_dot_defaults_to_the_profile_derivative(self):
         ramp = make_tanh_ramp(1.0, 2.0, center=5.0, width=0.5)
         p = OscillatorProtocol(mass=ramp, omega=Constant(1.0), t_i=0.0, t_f=10.0)
-        assert evaluate(p, 5.3).mass_dot == ramp.derivative(5.3)
+        assert _mass_dot(p, 5.3) == ramp.derivative(5.3)
 
     def test_oscillator_mass_dot_fallback_stays_on_its_side_of_a_jump(self):
         # a jump time belongs to its right side; no stencil may straddle it
@@ -132,7 +140,7 @@ class TestEvaluate:
             t_i=0.0, t_f=10.0, jump_times=(5.0,),
         )
         for t in (5.0 - 5e-7, 5.0, 5.0 + 5e-7):
-            assert evaluate(p, t).mass_dot == 0.0
+            assert _mass_dot(p, t) == 0.0
 
     def test_oscillator_mass_dot_one_sided_at_boundaries(self):
         # The fallback must not sample outside the declared window.
@@ -143,11 +151,11 @@ class TestEvaluate:
             return 1.0 + 0.1 * (t - 0.0)
 
         p = OscillatorProtocol(mass=mass, omega=Constant(1.0), t_i=0.0, t_f=10.0)
-        evaluate(p, 0.0)
-        evaluate(p, 10.0)
+        _mass_dot(p, 0.0)
+        _mass_dot(p, 10.0)
         assert min(calls) >= 0.0 - 1e-15
         assert max(calls) <= 10.0 + 1e-15
-        assert evaluate(p, 0.0).mass_dot == pytest.approx(0.1, rel=1e-5)
+        assert _mass_dot(p, 0.0) == pytest.approx(0.1, rel=1e-5)
 
     def test_oscillator_rejects_nonpositive_mass(self):
         p = OscillatorProtocol(mass=Constant(-1.0), omega=Constant(1.0), t_i=0.0, t_f=1.0)
@@ -183,8 +191,7 @@ class TestGenericSampler:
 
     def test_returns_exactly_the_kinds_channels(self, kind):
         s = evaluate(self._protocol(kind), 0.5)
-        extra = ["mass_dot"] if kind == "oscillator" else []
-        assert list(vars(s)) == [*KINDS[kind].channels, *extra]
+        assert list(vars(s)) == list(KINDS[kind].channels)
 
     def test_real_channels_are_float_and_couplings_complex(self, kind):
         s = evaluate(self._protocol(kind), 0.5)
@@ -707,8 +714,9 @@ def test_tanh_values_within_four_ulps_of_the_ramp_scale(start, end, width):
 
 
 class TestSampler:
-    """sampler(p)(t) is evaluate's channels, bit for bit, and raises what
-    evaluate raises (mass_dot aside, which the sampler does not compute)."""
+    """sampler(p)(t), and evaluate(p, t) as a record, are the frozen
+    evaluate's channels, bit for bit, and raise what it raises before it
+    computes mass_dot, which neither of them computes."""
 
     @staticmethod
     def _times(p):
@@ -734,10 +742,10 @@ class TestSampler:
                 assert got == want
         assert compared > 5000 and raised > 500
 
-    def test_evaluate_is_the_sampler_plus_mass_dot(self):
+    def test_evaluate_is_the_sampler_as_a_record(self):
         for p in SEEDED:
             for t in self._times(p)[::5]:
-                got, want = _outcome(evaluate, p, t), _outcome(_frozen_evaluate, p, t)
+                got, want = _outcome(evaluate, p, t), _outcome(_frozen_evaluate, p, t, False)
                 if want[0] == "value":
                     assert {k: repr(v) for k, v in vars(got[1]).items()} == {
                         k: repr(v) for k, v in vars(want[1]).items()

@@ -7,6 +7,7 @@ cheaply by disabling the brute-force oracle.
 
 import math
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,13 +18,20 @@ from tfdyn import (
     Constant,
     IntegratorConfig,
     OracleConfig,
+    OscillatorProtocol,
+    ReferenceMode,
+    Step,
+    bogoliubov,
     fock_oracle,
     make_tanh_ramp,
     mode_solver,
     run_all,
     solve_boson_mode,
+    solve_oscillator_mode,
+    thermal_observables,
 )
-from tfdyn.verification import CHECK_NAMES, quench_observables
+from tfdyn.protocols import _OffsetImag, evaluate, initial_frame
+from tfdyn.verification import CHECK_NAMES, _boson_columns, quench_observables
 
 
 @pytest.fixture(scope="module")
@@ -176,3 +184,132 @@ class TestCheckResult:
     def test_skip_line(self):
         r = CheckResult("demo", True, math.nan, math.nan, "oracle disabled", skipped=True)
         assert r.line() == "SKIP  demo: oracle disabled"
+
+
+# ---------------------------------------------------------------------------
+# the per-row observables against frozen copies of the numpy-scalar code
+# ---------------------------------------------------------------------------
+
+def _frozen_boson_overlap(mode, ref):
+    """bogoliubov.boson_overlap as it was, on numpy complex scalars."""
+    u = ref.u(mode.t)
+    u_dot = ref.u_dot(mode.t)
+    v_c = np.conj(mode.v)
+    p_c = mode.mass * np.conj(mode.v_dot)
+    mu = 1j * (ref.m_ref * v_c * u_dot - p_c * u)
+    nu = 1j * (ref.m_ref * v_c * np.conj(u_dot) - p_c * np.conj(u))
+    return complex(mu), complex(nu)
+
+
+def _frozen_q_moment(n, v, theta, hbar=1.0):
+    prefactor = math.factorial(2 * n) / (2**n * math.factorial(n))
+    width = hbar * abs(v) ** 2 * (1.0 + 2.0 * math.sinh(theta) ** 2)
+    return prefactor * width**n
+
+
+def _frozen_analytic_columns(protocol, traj, beta, hbar):
+    """_boson_columns' oracle-free columns as they were: one SimpleNamespace
+    per row, numpy scalars in the overlap and the boson's v."""
+    m_i, omega_i = initial_frame(protocol)
+    theta = thermal_observables.theta(beta, omega_i, hbar, "boson")
+    n_eq = thermal_observables.equilibrium_occupation(beta, omega_i, hbar, "boson")
+    if protocol.kind == "oscillator":
+        s_f = evaluate(protocol, protocol.t_f)
+        ref = ReferenceMode(s_f.mass, s_f.omega, protocol.t_f)
+    scale = 1.0 / math.sqrt(2.0 * m_i * omega_i)
+    n_pts = len(traj.t)
+    nu_sq, q2, q4 = np.empty(n_pts), np.empty(n_pts), np.empty(n_pts)
+    for k in range(n_pts):
+        mode = traj.sample(k)
+        if protocol.kind == "oscillator":
+            nu_sq[k] = abs(_frozen_boson_overlap(mode, ref)[1]) ** 2
+            v = mode.v
+        else:
+            nu_sq[k] = abs(mode.f_plus) ** 2
+            v = np.conj(mode.f_minus - mode.f_plus) * scale
+        q2[k] = _frozen_q_moment(1, v, theta, hbar)
+        q4[k] = _frozen_q_moment(2, v, theta, hbar)
+    return [
+        ("t [time]", traj.t),
+        ("occupation_equilibrium [1]", np.full(n_pts, n_eq)),
+        ("nu_sq [1]", nu_sq),
+        ("occupation_evolved [1]", nu_sq + (1.0 + 2.0 * nu_sq) * n_eq),
+        ("q2 [length^2]", q2),
+        ("q4 [length^4]", q4),
+    ]
+
+
+def _signed(rng):
+    """A float that is +0.0, -0.0 or a number of any scale and sign."""
+    pick = rng.integers(6)
+    if pick < 2:
+        return (0.0, -0.0)[pick]
+    return float(rng.standard_normal() * 10.0 ** rng.uniform(-6, 3))
+
+
+_OBSERVABLE_RUNS = {
+    "oscillator_tanh": OscillatorProtocol(
+        Constant(1.0), make_tanh_ramp(1.0, 2.0, 5.0, 0.5), t_i=0.0, t_f=10.0
+    ),
+    "oscillator_mass_ramp": OscillatorProtocol(
+        make_tanh_ramp(1.0, 2.5, 5.0, 0.5), make_tanh_ramp(1.3, 0.6, 4.0, 0.7),
+        t_i=0.0, t_f=10.0, mass_dot=make_tanh_ramp(1.0, 2.5, 5.0, 0.5).derivative,
+    ),
+    "oscillator_jump": OscillatorProtocol(
+        Constant(0.7), Step(1.0, 3.0, 4.0), t_i=0.0, t_f=8.0, jump_times=(4.0,)
+    ),
+    "boson_complex_coupling": BosonProtocol(
+        make_tanh_ramp(1.0, 1.4, 5.0, 0.5),
+        _OffsetImag(make_tanh_ramp(0.0, 0.3, 5.0, 0.5), -0.0), t_i=0.0, t_f=10.0,
+    ),
+}
+
+
+class TestFrozenObservables:
+    """The observables path on Python floats against frozen copies of the
+    numpy-scalar code it replaced, byte for byte."""
+
+    def test_boson_overlap(self):
+        rng = np.random.default_rng(20260815)
+        for _ in range(3000):
+            ref = ReferenceMode(
+                float(rng.uniform(0.2, 5.0)), float(rng.uniform(0.2, 5.0)),
+                float(rng.uniform(-10.0, 10.0)),
+            )
+            mode = SimpleNamespace(
+                t=float(rng.uniform(-20.0, 20.0)), v=complex(_signed(rng), _signed(rng)),
+                v_dot=complex(_signed(rng), _signed(rng)), mass=float(rng.uniform(0.2, 5.0)),
+            )
+            got = bogoliubov.boson_overlap(mode, ref)
+            want = _frozen_boson_overlap(mode, ref)
+            assert np.array([got.mu, got.nu]).tobytes() == np.array(want).tobytes(), mode
+
+    def test_q_moment_lists(self):
+        rng = np.random.default_rng(20260816)
+        values = [complex(_signed(rng), _signed(rng)) for _ in range(500)]
+        for n in (1, 2, 3):
+            for theta, hbar in ((0.0, 1.0), (0.37, 1.0), (1.2, 0.25)):
+                got = thermal_observables.q_moment(n, values, theta, hbar)
+                assert got == [thermal_observables.q_moment(n, v, theta, hbar) for v in values]
+                want = [_frozen_q_moment(n, v, theta, hbar) for v in values]
+                assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("run", sorted(_OBSERVABLE_RUNS))
+    def test_analytic_columns(self, run):
+        protocol = _OBSERVABLE_RUNS[run]
+        solve = solve_oscillator_mode if protocol.kind == "oscillator" else solve_boson_mode
+        traj = solve(protocol, IntegratorConfig(grid_points=301))
+        for beta, hbar in ((1.0, 1.0), (0.3, 2.0)):
+            got = _boson_columns(protocol, traj, beta, hbar, None)
+            want = _frozen_analytic_columns(protocol, traj, beta, hbar)
+            assert [name for name, _ in got] == [name for name, _ in want]
+            for (name, values), (_, frozen) in zip(got, want):
+                assert values.dtype == frozen.dtype == float, name
+                assert values.tobytes() == frozen.tobytes(), name
+
+    def test_overlaps_are_the_overlap_of_each_sample(self):
+        protocol = _OBSERVABLE_RUNS["oscillator_mass_ramp"]
+        traj = solve_oscillator_mode(protocol, IntegratorConfig(grid_points=101))
+        ref = ReferenceMode(2.5, 0.6, 10.0)
+        got = bogoliubov.boson_overlaps(traj, ref)
+        assert got == [bogoliubov.boson_overlap(traj.sample(k), ref) for k in range(101)]
