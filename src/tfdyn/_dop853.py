@@ -239,6 +239,7 @@ class Dop853:
         self.nfev = self.steps = self.rejected = 0
         self.t_old = self.y_old = None
         self.t, self.y = t0, y0
+        self._abs_y = np.abs(y0)  # |y| of the last accepted step, for the error scale
         self.f = self._rhs(t0, y0)
         self.h_abs = self._initial_step()
         # stages of the last attempt; rows 13-15 are filled by dense_output.
@@ -257,7 +258,7 @@ class Dop853:
         """The starting step of Hairer, Norsett & Wanner, Sec. II.4."""
         t0, y0, f0 = self.t, self.y, self.f
         interval_length = abs(self.t_bound - t0)
-        scale = self.atol + np.abs(y0) * self.rtol
+        scale = self.atol + self._abs_y * self.rtol
         d0 = _rms(y0 / scale)
         d1 = _rms(f0 / scale)
         h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
@@ -270,8 +271,8 @@ class Dop853:
             h1 = (0.01 / max(d1, d2)) ** (1 / 8)
         return min(100 * h0, h1, interval_length, self.max_step)
 
-    def _attempt(self, h: float) -> tuple[np.ndarray, np.ndarray, float]:
-        """One 12-stage step of size h: the new state, f there, the error norm."""
+    def _attempt(self, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """One 12-stage step of size h: the new state, f and |y| there, the error norm."""
         t, y, k, kt, fun = self.t, self.y, self._k, self._kt, self._fun
         hc = complex(h)
         k[0] = self.f
@@ -282,14 +283,16 @@ class Dop853:
         f_new = self._rhs(t + h, y_new)
         k[N_STAGES] = f_new
 
-        scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
+        # the scale is made complex once, which each division would do
+        abs_y_new = np.abs(y_new)
+        scale = (self.atol + np.maximum(self._abs_y, abs_y_new) * self.rtol).astype(complex)
         stages = kt[N_STAGES + 1]
         err5_norm_2 = _norm(stages.dot(E5) / scale) ** 2
         err3_norm_2 = _norm(stages.dot(E3) / scale) ** 2
         if err5_norm_2 == 0 and err3_norm_2 == 0:
-            return y_new, f_new, 0.0
+            return y_new, f_new, abs_y_new, 0.0
         denom = err5_norm_2 + 0.01 * err3_norm_2
-        return y_new, f_new, abs(h) * err5_norm_2 / math.sqrt(denom * y.size)
+        return y_new, f_new, abs_y_new, abs(h) * err5_norm_2 / math.sqrt(denom * y.size)
 
     def step(self) -> None:
         """Advance by one accepted step, shrinking the step until one passes."""
@@ -309,7 +312,7 @@ class Dop853:
             t_new = min(t + h_abs, self.t_bound)
             h = t_new - t
             h_abs = abs(h)
-            y_new, f_new, error_norm = self._attempt(h)
+            y_new, f_new, abs_y_new, error_norm = self._attempt(h)
             if error_norm < 1:
                 break
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
@@ -324,7 +327,7 @@ class Dop853:
             factor = min(1, factor)
         self.h_abs = h_abs * factor
         self.t_old, self.y_old = t, self.y
-        self.t, self.y, self.f = t_new, y_new, f_new
+        self.t, self.y, self.f, self._abs_y = t_new, y_new, f_new, abs_y_new
         self.steps += 1
 
     def dense_output(self) -> Callable[[float], np.ndarray]:

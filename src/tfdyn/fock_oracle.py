@@ -92,13 +92,14 @@ TAIL_REFUSAL = 1e-8
 # n^4 entries -- only the latter needs a tight cap.
 _MAX_DOUBLED_LEVELS = 256
 _MAX_DOUBLED_DENSITY_LEVELS = 64  # keeps doubled density matrices at <= 4096^2
-# Exponentials built by one batched eigh; bounds the memory of the
-# Hamiltonian stack.
+# A piece of the doubled march spans at most this many exponentials of one
+# cut interval; its propagator is one ordered product, applied at once.
 _CHUNK = 512
 # The doubled march hands propagator construction to threads in tasks of
-# about this many generator matrix elements, and builds each piece's
-# exponentials in sub-batches of about _SUB_BATCH elements: fewer elements
-# per task leave the threads idle on Python overhead, more hold more memory.
+# about this many generator matrix elements: fewer leave the threads idle on
+# Python overhead.  A task's pieces are built one at a time, each in blocks
+# of steps whose generators hold at most _SUB_BATCH elements (a power of two
+# of steps, at least one), so a thread holds one block of one piece.
 _TASK_ELEMENTS = 2**18
 _SUB_BATCH = 2**16
 # CFM4: Gauss-Legendre nodes of a step, as fractions of the step, and the
@@ -967,43 +968,39 @@ def _coefficients(
     return np.array(w).reshape(times.shape + (-1,))
 
 
-def _generator_stacks(coeffs: np.ndarray, bases: list[np.ndarray]) -> Iterator[np.ndarray]:
-    """sum_j coeffs[..., j] B_j for each block's stack of operators B, one
-    block at a time.
-
-    Terms whose coefficient vanishes throughout are left out; when the rest
-    are real matrices the result is real symmetric and takes the real
-    eigensolver (always for oscillators, and for real couplings).
-    """
-    live = np.any(coeffs != 0.0, axis=tuple(range(coeffs.ndim - 1)))
-    for basis in bases:
-        terms = basis[live]
-        if not np.any(terms.imag):
-            terms = terms.real
-        yield np.tensordot(coeffs[..., live], terms, axes=1)
-
-
 def _propagators(
     pieces: list[tuple[np.ndarray, float]], bases: list[np.ndarray], hbar: float
 ) -> list[list[np.ndarray]]:
     """Each piece's propagator on each block: the ordered product of its CFM4
     steps, from the piece's (exponent coefficients, step) pair.
 
-    The generator stack is formed for the whole piece, as the one-thread
-    march formed it.  The exponentials are built in sub-batches of steps,
-    which bounds the memory of each thread and leaves every bit as it is:
-    eigh and matmul work matrix by matrix.  Pure numpy, so it may run on any
-    thread.
+    A generator is sum_j c_j B_j over a block's stack of operators B, less
+    the terms whose coefficient vanishes throughout the piece; when the rest
+    are real it is real symmetric and takes the real eigensolver (always for
+    oscillators, and for real couplings).  The steps are taken in aligned
+    blocks of S, the largest power of two with S n^2 <= _SUB_BATCH: each
+    block's generators, exponentials and ordered product in turn, then the
+    product of the block products.  So a thread holds one block of steps
+    whatever the piece's length, and every bit is the whole piece's: eigh,
+    tensordot and matmul work matrix by matrix, and for a power-of-two S
+    ``_ordered_product`` pairs the same factors.  Pure numpy, so it may run
+    on any thread.
     """
     out = []
     for exponents, step in pieces:
+        live = np.any(exponents != 0.0, axis=(0, 1))
+        coeffs = exponents[..., live]
         per_block = []
-        for h in _generator_stacks(exponents, bases):
-            u = np.empty(h.shape[1:], dtype=complex)
-            size = max(1, _SUB_BATCH // h[0, 0].size)
-            for s in range(0, len(u), size):
-                u[s:s + size] = _cfm4_steps(h[:, s:s + size], step, hbar)
-            per_block.append(_ordered_product(u))
+        for basis in bases:
+            terms = basis[live]
+            if not np.any(terms.imag):
+                terms = terms.real
+            size = 1 << (max(1, _SUB_BATCH // terms[0].size).bit_length() - 1)
+            products = []
+            for s in range(0, coeffs.shape[1], size):
+                h = np.tensordot(coeffs[:, s:s + size], terms, axes=1)
+                products.append(_ordered_product(_cfm4_steps(h, step, hbar)))
+            per_block.append(_ordered_product(np.stack(products)))
         out.append(per_block)
     return out
 
@@ -1095,8 +1092,10 @@ def evolve_doubled_thermal(
     propagators and records the states, also in order.  When the march
     forms more than one task of about 2^18 generator elements, a thread pool
     with one thread per available CPU builds the propagators ahead of it,
-    at most one task more than it has threads.  numpy's OpenBLAS is held at
-    one thread throughout, on the pool and on the calling thread alone.
+    at most one task more than it has threads.  A thread builds a piece in
+    blocks of steps (``_propagators``), so what it holds does not grow with
+    the piece's length.  numpy's OpenBLAS is held at one thread throughout,
+    on the pool and on the calling thread alone.
     Every piece keeps the arithmetic of the one-thread march, so the states
     are the same to the bit.  The protocol is therefore sampled ahead of the
     output times: up to a task ahead on one thread, up to one more task than

@@ -445,10 +445,7 @@ def solve_fermion_modes(
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         gen = build_fermion_generator(*sample(t))
-        dy = np.empty_like(y)
-        dy[:4] = -1j * (gen @ y[:4])
-        dy[4:] = -1j * (gen @ y[4:])
-        return dy
+        return (-1j * np.matmul(gen, y.reshape(2, 4, 1))).reshape(8)
 
     grid, out, stats = _integrate(rhs, protocol, y0, config)
     # each pair (w1, w2) of y holds (c- + c+, c- - c+)/sqrt(2) for the next

@@ -878,7 +878,7 @@ POOLED_CASES = {
 @pytest.fixture
 def pooled(monkeypatch):
     """Forces the pooled march onto small boxes: three threads, whatever this
-    host's CPU count, tasks of a few pieces and sub-batches of a few steps.
+    host's CPU count, tasks of a few pieces and blocks of a few steps.
     Returns the idents of the threads that built propagators."""
     oracle = tfdyn.fock_oracle
     if oracle._openblas_threads() is None:
@@ -990,6 +990,121 @@ class TestPooledMarch:
         p = BosonProtocol(Constant(1.0), _pulse, t_i=0.0, t_f=0.1)
         evolve_doubled_thermal(p, 1.0, OracleConfig(n_levels=20, substeps_per_unit=100.0, grid_points=3))
         assert set(pooled) == {threading.get_ident()}
+
+
+def _frozen_generator_stacks(coeffs, bases):
+    """The whole-piece generator stacks, one block at a time, as the kernel
+    formed them before it streamed steps."""
+    live = np.any(coeffs != 0.0, axis=tuple(range(coeffs.ndim - 1)))
+    for basis in bases:
+        terms = basis[live]
+        if not np.any(terms.imag):
+            terms = terms.real
+        yield np.tensordot(coeffs[..., live], terms, axes=1)
+
+
+def _frozen_propagators(pieces, bases, hbar):
+    """The whole-piece kernel: a piece's generator stack and every one of its
+    CFM4 propagators are formed before their ordered product."""
+    out = []
+    for exponents, step in pieces:
+        per_block = []
+        for h in _frozen_generator_stacks(exponents, bases):
+            u = np.empty(h.shape[1:], dtype=complex)
+            size = max(1, 2**16 // h[0, 0].size)
+            for s in range(0, len(u), size):
+                u[s:s + size] = tfdyn.fock_oracle._cfm4_steps(h[:, s:s + size], step, hbar)
+            per_block.append(tfdyn.fock_oracle._ordered_product(u))
+        out.append(per_block)
+    return out
+
+
+KERNEL_CASES = {
+    **POOLED_CASES,
+    # one 125-step piece of 25 x 25 blocks, as the verify box runs at N = 100
+    "c07c_like_box": (
+        OscillatorProtocol(Constant(1.0), make_tanh_ramp(1.0, 2.0, 1.25, 0.3), t_i=0.0, t_f=2.5),
+        1.0, OracleConfig(n_levels=50, substeps_per_unit=100.0, grid_points=2),
+    ),
+}
+
+
+class TestStreamedKernel:
+    """Each piece is built in aligned power-of-two blocks of steps, which
+    leaves every bit of its propagators as the whole-piece kernel gave them
+    and bounds what a thread holds by one block."""
+
+    @staticmethod
+    def _kernel_calls(protocol, beta, cfg, monkeypatch):
+        """The arguments of every kernel call of a one-thread march."""
+        calls = []
+        build = tfdyn.fock_oracle._propagators
+        with monkeypatch.context() as m:
+            m.setattr(tfdyn.fock_oracle, "_thread_share", 1)
+            m.setattr(tfdyn.fock_oracle, "_propagators", lambda *args: calls.append(args) or build(*args))
+            evolve_doubled_thermal(protocol, beta, cfg)
+        return calls
+
+    @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+    def test_propagators_bitwise_match_the_whole_piece_kernel(self, case, monkeypatch):
+        """With room for 1, 3 and 26 steps, which the kernel rounds down to
+        blocks of 1, 2 and 16 (blocks of 3 or 26 would pair the factors
+        otherwise), and at one block per piece.  Equal bytes also pin that a
+        block's generator stack is the same rows of the piece's."""
+        calls = self._kernel_calls(*KERNEL_CASES[case], monkeypatch)
+        (per_matrix,) = {basis[0].size for _, bases, _ in calls for basis in bases}
+        if case == "c07c_like_box":
+            assert [exponents.shape[1] for pieces, _, _ in calls for exponents, _ in pieces] == [125]
+        for room in (1, 3, 26, None):
+            sub_batch = 2**40 if room is None else room * per_matrix
+            monkeypatch.setattr(tfdyn.fock_oracle, "_SUB_BATCH", sub_batch)
+            for args in calls:
+                got, want = tfdyn.fock_oracle._propagators(*args), _frozen_propagators(*args)
+                for got_piece, want_piece in zip(got, want, strict=True):
+                    for a, b in zip(got_piece, want_piece, strict=True):
+                        assert a.tobytes() == b.tobytes(), (case, room)
+
+    def test_power_of_two_blocks_pair_as_the_whole_product(self):
+        """The ordered product of the block products of aligned blocks of
+        2^k factors is the whole stack's product to the bit, at every length;
+        blocks of 3 bracket the factors otherwise."""
+        product = tfdyn.fock_oracle._ordered_product
+        rng = np.random.default_rng(11)
+        u = rng.standard_normal((130, 4, 4)) + 1j * rng.standard_normal((130, 4, 4))
+
+        def blockwise(length, block):
+            parts = [product(u[s:min(s + block, length)]) for s in range(0, length, block)]
+            return product(np.stack(parts))
+
+        for length in range(1, 131):
+            whole = product(u[:length]).tobytes()
+            for block in (1, 2, 4, 8, 16, 32, 64):
+                assert blockwise(length, block).tobytes() == whole, (length, block)
+        assert any(blockwise(n, 3).tobytes() != product(u[:n]).tobytes() for n in range(1, 131))
+
+    def test_working_set_is_one_block(self, monkeypatch):
+        """A one-thread N = 100 evolution of one 128-step piece, 8 blocks of
+        16 steps of 50 x 50: the memory it traces beyond the states it returns
+        stays under 8 MB.  The whole-piece kernel traced 16.4 MB here, and
+        5.1 MB streamed."""
+        import tracemalloc
+
+        monkeypatch.setattr(tfdyn.fock_oracle, "_thread_share", 1)
+        p = OscillatorProtocol(Constant(1.0), make_tanh_ramp(1.0, 1.5, 0.64, 0.2), t_i=0.0, t_f=1.28)
+        cfg = OracleConfig(n_levels=100, substeps_per_unit=200.0, grid_points=2)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            traj = evolve_doubled_thermal(p, 1.0, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        kept = sum(psi.vector.nbytes for psi in traj.states)
+        assert peak - before - kept < 8e6
 
 
 def test_available_cpus_reads_the_affinity_mask(monkeypatch):

@@ -656,6 +656,19 @@ def _frozen_oscillator_rhs(sample):
     return rhs
 
 
+def _frozen_fermion_rhs(sample):
+    """solve_fermion_modes' right-hand side as it was: one product and one
+    slice store per channel."""
+    def rhs(t, y):
+        gen = build_fermion_generator(*sample(t))
+        dy = np.empty_like(y)
+        dy[:4] = -1j * (gen @ y[:4])
+        dy[4:] = -1j * (gen @ y[4:])
+        return dy
+
+    return rhs
+
+
 _FROZEN_SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
@@ -741,6 +754,33 @@ class TestFrozenCopies:
             assert np.array(got).tobytes() == want.tobytes(), (t, y)
             masses.add(sampler(protocol)(t)[0])
         assert len(masses) > 1000 and min(masses) < 0.5 and max(masses) > 6.0
+
+    @pytest.mark.parametrize("hopping", [False, True], ids=["real_pairing", "complex_both"])
+    def test_fermion_rhs(self, hopping, monkeypatch):
+        """Both channels in one stacked product: the bytes of the two slice
+        products, for real couplings and for complex w+ with nonzero w-."""
+        up = make_tanh_ramp(0.0, 0.8, 5.0, 0.5)
+        protocol = FermionProtocol(
+            make_tanh_ramp(1.0, 1.6, 4.0, 1.0),
+            (lambda t: up(t) * np.exp(0.4j)) if hopping else up,
+            (lambda t: 0.5 * up(t - 1.0) * np.exp(-1.3j)) if hopping else Constant(0.0),
+            t_i=0.0, t_f=10.0,
+        )
+        handed = []
+        integrate = mode_solver._integrate
+        monkeypatch.setattr(
+            mode_solver, "_integrate",
+            lambda rhs, *args: handed.append(rhs) or integrate(rhs, *args),
+        )
+        solve_fermion_modes(protocol, IntegratorConfig(grid_points=2))
+        rhs, frozen = handed[0], _frozen_fermion_rhs(sampler(protocol))
+
+        rng = np.random.default_rng(RNG_SEED + 2)
+        for t in rng.uniform(0.0, 10.0, 4000).tolist():
+            y = _signed_parts(rng, 8)
+            got, want = rhs(t, y), frozen(t, y)
+            assert got.dtype == complex and got.shape == (8,)
+            assert got.tobytes() == want.tobytes(), (t, y)
 
     def test_generators(self):
         """Both generators against their frozen builds, on seeded (w0, w+, w-)

@@ -107,6 +107,8 @@ class TestSharedRuns:
 
     @staticmethod
     def _calls(monkeypatch, **kwargs) -> dict[str, int]:
+        """Calls of each solver and evolution, and the matrices passed to the
+        oracle's spectral exponential (under ``"exponentials"``)."""
         calls = Counter()
         for module, names in (
             (mode_solver, ("solve_boson_mode", "solve_oscillator_mode", "solve_fermion_modes")),
@@ -114,6 +116,13 @@ class TestSharedRuns:
         ):
             for name in names:
                 monkeypatch.setattr(module, name, _counting(calls, name, getattr(module, name)))
+        expi = fock_oracle._expi_neg_hermitian
+
+        def counted_exponentials(h, dt, hbar):
+            calls["exponentials"] += math.prod(h.shape[:-2])
+            return expi(h, dt, hbar)
+
+        monkeypatch.setattr(fock_oracle, "_expi_neg_hermitian", counted_exponentials)
         run_all(**kwargs)
         return dict(calls)
 
@@ -128,7 +137,9 @@ class TestSharedRuns:
 
     def test_oracle_on(self, monkeypatch):
         # adds the c03a and c04 boson solves, the doubled evolutions of c03a,
-        # c03b, c04, c06/c07a/c07b and c07c, and c05c's two unitaries
+        # c03b, c04, c06/c07a/c07b and c07c, and c05c's two unitaries.  The
+        # exponentials pin the oracle's step count: a suite that ran its
+        # shared oracle config at half the configured substeps builds 3,604.
         oracle = OracleConfig(n_levels=40, substeps_per_unit=20.0)
         assert self._calls(monkeypatch, oracle=oracle) == {
             "solve_boson_mode": 3,
@@ -136,6 +147,7 @@ class TestSharedRuns:
             "solve_fermion_modes": 2,
             "evolve_doubled_thermal": 5,
             "evolve_unitary": 2,
+            "exponentials": 3956,
         }
 
 
