@@ -27,8 +27,6 @@ from .mode_solver import (
     IntegratorConfig,
     IntegratorStats,
     ModeTrajectory,
-    build_boson_generator,
-    build_fermion_generator,
     solve_boson_mode,
     solve_fermion_modes,
     solve_oscillator_mode,
@@ -75,9 +73,7 @@ from .fock_oracle import (
     build_fermion_space,
     build_oscillator_hamiltonian,
     build_thermal_state_doubled,
-    doubled_density,
     evolve_doubled_thermal,
-    evolve_unitary,
     expectation,
     expectation_single_factor,
     fermion_doubled,
@@ -89,7 +85,6 @@ from .fock_oracle import (
     position_operator,
     thermal_density,
     thermal_state_condition_residual,
-    tilde_swap,
     truncation_report,
 )
 

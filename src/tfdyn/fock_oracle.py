@@ -73,7 +73,6 @@ __all__ = [
     "doubled_density",
     "expectation",
     "expectation_single_factor",
-    "evolve_unitary",
     "build_thermal_state_doubled",
     "invariant_operator_matrix",
     "thermal_state_condition_residual",
@@ -717,51 +716,6 @@ def _ordered_product(u: np.ndarray) -> np.ndarray:
         paired = u[1::2] @ u[:-1:2]
         u = np.concatenate([paired, u[-1:]]) if len(u) % 2 else paired
     return u[0]
-
-
-def evolve_unitary(
-    h_of_t: Callable[[float], OperatorMatrix | np.ndarray],
-    t_i: float,
-    t_f: float,
-    substeps: int | None = None,
-    hbar: float = 1.0,
-) -> OperatorMatrix:
-    """Ordered product of CFM4 steps from t_i to t_f.
-
-    ``substeps`` counts exponentials, two per step (rounded up to an even
-    count); the default is ``OracleConfig.substeps_per_unit`` per unit time.
-    For a constant H any count is exact.  Each factor is unitary to
-    round-off, so U is as well.  numpy's OpenBLAS is held at one thread
-    while the product is formed (``_one_blas_thread``).
-    """
-    span = t_f - t_i
-    if span < 0:
-        raise ValueError("t_f must not precede t_i")
-    if substeps is None:
-        substeps = max(1, math.ceil(OracleConfig.substeps_per_unit * span))
-    if substeps < 1:
-        raise ValueError("substeps must be >= 1")
-    steps = math.ceil(substeps / 2)
-    step = span / steps
-
-    u: np.ndarray | None = None
-    basis: BasisDescriptor | None = None
-    with _one_blas_thread():
-        for k in range(steps):
-            nodes = []
-            for t in t_i + (k + _CFM4_NODES) * step:
-                h = h_of_t(float(t))
-                if isinstance(h, OperatorMatrix):
-                    basis = basis or h.basis
-                    h = h.matrix
-                mat = np.asarray(h, dtype=complex)
-                if not np.all(np.isfinite(mat)):
-                    raise ValueError(f"non-finite Hamiltonian at t = {t}")
-                nodes.append(mat)
-            exponents = np.tensordot(_CFM4_WEIGHTS, np.stack(nodes), axes=1)
-            factor = _cfm4_steps(exponents, step, hbar)
-            u = factor if u is None else factor @ u
-    return OperatorMatrix(u, basis or BasisDescriptor("anonymous", u.shape[0]), "U")
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,7 @@ RECORDED = {
     "c04_constant_distribution": 1.9984014443252818e-15,
     "c05a_sudden_production_analytic": 0.0,
     "c05b_sudden_production_ode": 1.0302521202820714e-07,
-    "c05c_sudden_production_oracle": 4.440892098500626e-16,
+    "c05c_sudden_production_oracle": 2.220446049250313e-16,
     "c06_evolved_distribution": 6.103249017286316e-10,
     "c07a_q_moments_equilibrium": 2.220446049250313e-16,
     "c07b_q_moments_midquench": 6.950080511103351e-10,

@@ -45,7 +45,6 @@ from tfdyn.fock_oracle import (
     build_thermal_state_doubled,
     doubled_density,
     evolve_doubled_thermal,
-    evolve_unitary,
     expectation,
     expectation_single_factor,
     fermion_doubled,
@@ -423,36 +422,44 @@ class TestExpectations:
             expectation(rho, a_op)
 
 
-class TestEvolveUnitary:
-    def test_constant_hamiltonian_exact_at_any_substeps(self):
-        h = build_boson_hamiltonian(1.0, 0.4, 12)
-        exact = expm(-1j * h.matrix * 2.0)
-        for substeps in (1, 7, 100):
-            u = evolve_unitary(lambda t: h, 0.0, 2.0, substeps=substeps).matrix
-            assert np.max(np.abs(u - exact)) < 1e-12
+class TestSpectralExponential:
+    """_expi_neg_hermitian, the one propagator the oracle builds, against
+    scipy's expm."""
 
-    def test_unitarity_for_time_dependent_generator(self):
-        def h_of_t(t):
-            return build_boson_hamiltonian(1.0, 0.3 * math.sin(t), 10)
+    @staticmethod
+    def _hermitian(rng, n, real=False):
+        g = rng.standard_normal((n, n))
+        if not real:
+            g = g + 1j * rng.standard_normal((n, n))
+        return g + g.conj().T
 
-        u = evolve_unitary(h_of_t, 0.0, 3.0, substeps=500).matrix
-        assert np.max(np.abs(u @ u.conj().T - np.eye(10))) < 1e-12
+    def test_complex_hermitian(self):
+        h = self._hermitian(np.random.default_rng(1), 12)
+        got = tfdyn.fock_oracle._expi_neg_hermitian(h, 0.7, 1.0)
+        assert np.max(np.abs(got - expm(-0.7j * h))) < 1e-12
+
+    def test_real_symmetric_takes_the_real_product(self):
+        """The real eigensolver's branch assembles Q diag(phases) Q^T by one
+        real product over interleaved (real, imaginary) columns."""
+        h = build_boson_hamiltonian(1.0, 0.4, 12).matrix.real
+        got = tfdyn.fock_oracle._expi_neg_hermitian(h, 2.0, 1.0)
+        assert got.dtype == complex
+        assert np.max(np.abs(got - expm(-2.0j * h))) < 1e-12
+
+    @pytest.mark.parametrize("real", [False, True])
+    def test_stack_matches_matrix_by_matrix(self, real):
+        rng = np.random.default_rng(2)
+        h = np.stack([[self._hermitian(rng, 6, real) for _ in range(3)] for _ in range(2)])
+        got = tfdyn.fock_oracle._expi_neg_hermitian(h, 0.3, 1.0)
+        assert got.shape == (2, 3, 6, 6)
+        for j, k in np.ndindex(2, 3):
+            assert np.max(np.abs(got[j, k] - expm(-0.3j * h[j, k]))) < 1e-12
 
     def test_hbar_slows_the_clock(self):
-        h = build_boson_hamiltonian(1.0, 0.0, 6)
-        u_half = evolve_unitary(lambda t: h, 0.0, 1.0, substeps=1, hbar=2.0).matrix
-        u_full = evolve_unitary(lambda t: h, 0.0, 0.5, substeps=1, hbar=1.0).matrix
-        assert np.max(np.abs(u_half - u_full)) < 1e-14
-
-    def test_invalid_requests_rejected(self):
-        h = build_boson_hamiltonian(1.0, 0.0, 4)
-        with pytest.raises(ValueError):
-            evolve_unitary(lambda t: h, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            evolve_unitary(lambda t: h, 0.0, 1.0, substeps=0)
-        bad = np.full((4, 4), np.nan)
-        with pytest.raises(ValueError, match="finite"):
-            evolve_unitary(lambda t: bad, 0.0, 1.0, substeps=1)
+        h = build_boson_hamiltonian(1.0, 0.3, 6).matrix
+        expi = tfdyn.fock_oracle._expi_neg_hermitian
+        assert np.max(np.abs(expi(h, 1.0, 2.0) - expi(h, 0.5, 1.0))) < 1e-14
+        assert np.max(np.abs(expi(h, 1.0, 2.0) - expm(-0.5j * h))) < 1e-12
 
 
 # The static fermion invariant operators a(t) = a, b(t) = b.
@@ -809,8 +816,8 @@ class TestExpm:
 
 
 def test_one_thread_marches_hold_blas_at_one_thread(monkeypatch):
-    """The inline doubled march and evolve_unitary run their products with
-    numpy's OpenBLAS at one thread, and restore its count afterwards."""
+    """The inline doubled march runs its products with numpy's OpenBLAS at
+    one thread, and restores its count afterwards."""
     oracle = tfdyn.fock_oracle
     if oracle._openblas_threads() is None:
         pytest.skip("numpy carries no OpenBLAS of its own")
@@ -822,10 +829,6 @@ def test_one_thread_marches_hold_blas_at_one_thread(monkeypatch):
         seen.append(get_blas())
         return build(*args)
 
-    def h_of_t(t):
-        seen.append(get_blas())
-        return build_boson_hamiltonian(1.0, 0.3 * math.sin(t), 8)
-
     monkeypatch.setattr(oracle, "_propagators", recording)
     monkeypatch.setattr(oracle, "_thread_share", 1)
     blas_before = get_blas()
@@ -834,8 +837,6 @@ def test_one_thread_marches_hold_blas_at_one_thread(monkeypatch):
         evolve_doubled_thermal(
             complex_coupling_ramp(), 1.0, OracleConfig(n_levels=20, substeps_per_unit=40.0, grid_points=3)
         )
-        assert get_blas() == 2
-        evolve_unitary(h_of_t, 0.0, 1.0, substeps=4)
         assert get_blas() == 2
     finally:
         set_blas(blas_before)

@@ -112,7 +112,7 @@ class TestSharedRuns:
         calls = Counter()
         for module, names in (
             (mode_solver, ("solve_boson_mode", "solve_oscillator_mode", "solve_fermion_modes")),
-            (fock_oracle, ("evolve_doubled_thermal", "evolve_unitary")),
+            (fock_oracle, ("evolve_doubled_thermal",)),
         ):
             for name in names:
                 monkeypatch.setattr(module, name, _counting(calls, name, getattr(module, name)))
@@ -137,17 +137,17 @@ class TestSharedRuns:
 
     def test_oracle_on(self, monkeypatch):
         # adds the c03a and c04 boson solves, the doubled evolutions of c03a,
-        # c03b, c04, c06/c07a/c07b and c07c, and c05c's two unitaries.  The
-        # exponentials pin the oracle's step count: a suite that ran its
-        # shared oracle config at half the configured substeps builds 3,604.
+        # c03b, c04, c06/c07a/c07b and c07c, and c05c's two segment
+        # exponentials.  The exponentials pin the oracle's step count: a suite
+        # that ran its shared oracle config at half the configured substeps
+        # builds 3,602.
         oracle = OracleConfig(n_levels=40, substeps_per_unit=20.0)
         assert self._calls(monkeypatch, oracle=oracle) == {
             "solve_boson_mode": 3,
             "solve_oscillator_mode": 6,
             "solve_fermion_modes": 2,
             "evolve_doubled_thermal": 5,
-            "evolve_unitary": 2,
-            "exponentials": 3956,
+            "exponentials": 3954,
         }
 
 
