@@ -524,59 +524,6 @@ def doubled_density(rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(np.kron(rho.matrix, rho.matrix.conj()), basis)
 
 
-# Diagonal Pade approximants r_m = V - U over V + U to exp: for each degree m,
-# the largest 1-norm at which r_m meets double-precision unit round-off, and
-# the coefficients b_0 .. b_m (Higham, SIAM J. Matrix Anal. Appl. 26, 1179
-# (2005), Table 2.3 and eq. 2.2).
-_PADE = {
-    3: (1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
-    5: (2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
-    7: (9.504178996162932e-1, (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0,
-                               1512.0, 56.0, 1.0)),
-    9: (2.097847961257068e0, (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0,
-                              30270240.0, 2162160.0, 110880.0, 3960.0, 90.0, 1.0)),
-    13: (5.371920351148152e0, (64764752532480000.0, 32382376266240000.0,
-                               7771770303897600.0, 1187353796428800.0, 129060195264000.0,
-                               10559470521600.0, 670442572800.0, 33522128640.0,
-                               1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)),
-}
-
-
-def _expm(a: np.ndarray) -> np.ndarray:
-    """exp(A) of a square matrix by Pade scaling and squaring (Higham 2005,
-    Algorithm 2.3).
-
-    The smallest degree of 3, 5, 7 and 9 whose bound holds the 1-norm is
-    used unscaled; otherwise A is scaled by 2^-s, with s the least count
-    that brings its 1-norm within the degree-13 bound, and the degree-13
-    approximant is squared s times.
-    """
-    norm = np.linalg.norm(a, 1)
-    eye = np.eye(len(a), dtype=a.dtype)
-    a2 = a @ a
-    for m in (3, 5, 7, 9):
-        bound, b = _PADE[m]
-        if norm <= bound:
-            even = [eye, a2]
-            while len(even) <= m // 2:
-                even.append(even[-1] @ a2)
-            u = a @ sum(b[2 * k + 1] * even[k] for k in range(len(even)))
-            v = sum(b[2 * k] * even[k] for k in range(len(even)))
-            return np.linalg.solve(v - u, v + u)
-    bound, b = _PADE[13]
-    s = max(0, math.ceil(math.log2(norm / bound)))
-    a, a2 = a / 2.0**s, a2 / 4.0**s
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
-    x = np.linalg.solve(v - u, v + u)
-    for _ in range(s):
-        x = x @ x
-    return x
-
-
 def _thermal_series(
     beta: float, omega: float, hbar: float, basis: BasisDescriptor
 ) -> StateVector:
@@ -620,8 +567,10 @@ def build_thermal_state_doubled(
     definition of the thermal vacuum, and ``evolve_doubled_thermal`` starts
     from it.  Route two exponentiates the squeeze generator, the paper's
     construction: exp(theta (a^dag a~^dag - a~ a))|0> and its two-channel
-    fermion analogue, by ``_expm``.  They must agree to truncation tolerance
-    (bosons) or round-off (fermions); returned as (series, squeezed).
+    fermion analogue.  The generator G is real and antisymmetric, so iG is
+    Hermitian and exp(G) is the march's own spectral exponential of iG at
+    unit step and hbar.  They must agree to truncation tolerance (bosons) or
+    round-off (fermions); returned as (series, squeezed).
     """
     if basis is None:
         basis = boson_doubled(DEFAULT_N_LEVELS)
@@ -639,7 +588,7 @@ def build_thermal_state_doubled(
         for m in range(m_pad - 1):
             gen[m + 1, m] = th * (m + 1)   # a^dag a~^dag raises the pair level
             gen[m, m + 1] = -th * (m + 1)  # a~ a lowers it
-        pair = _expm(gen)[:n, 0]
+        pair = _expi_neg_hermitian(1j * gen, 1.0, 1.0)[:n, 0]
         pair /= np.linalg.norm(pair)
         levels = np.arange(n)
         c_squeezed = np.zeros((n, n), dtype=complex)
@@ -651,7 +600,7 @@ def build_thermal_state_doubled(
     at, bt = ops["a_tilde"].matrix, ops["b_tilde"].matrix
     th = thermal_theta(beta, omega, hbar, "fermion")
     gen = th * (a.conj().T @ at.conj().T - at @ a + b.conj().T @ bt.conj().T - bt @ b)
-    return series, StateVector(_expm(gen)[:, 0], basis)  # its action on |0>
+    return series, StateVector(_expi_neg_hermitian(1j * gen, 1.0, 1.0)[:, 0], basis)  # on |0>
 
 
 # ---------------------------------------------------------------------------

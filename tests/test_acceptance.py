@@ -60,7 +60,7 @@ RECORDED = {
     "c07a_q_moments_equilibrium": 2.220446049250313e-16,
     "c07b_q_moments_midquench": 6.950080511103351e-10,
     "c07c_q_moment_ratio": 7.66053886991358e-13,
-    "c08a_thermal_constructions_boson": 2.2797280646442833e-15,
+    "c08a_thermal_constructions_boson": 1.266081860952093e-15,
     "c08b_thermal_constructions_fermion": 1.1102230246251565e-16,
     "c09a_boson_constraint": 2.652225106203332e-10,
     "c09b_fermion_frame_unitarity": 8.215650382226158e-14,
@@ -95,9 +95,10 @@ def test_recorded_values_cover_every_criterion():
 def test_measured_value_ratchet(results, name):
     """Each measured value stays within 2x of its recorded value, a margin for
     round-off that differs between hosts; an exact zero stays exactly zero.
-    The bound is max(2x, 4 eps) for the values at round-off (c05c, c07a and
-    c08b, 1-2 eps), which one more rounding could double; for every other
-    value 2x is the larger."""
+    The bound is max(2x, 4 eps) for the values at round-off (c05c and c07a,
+    1 eps, and c08b, recorded at 0.5 eps and now read at about 2.6 eps by the
+    spectral squeeze exponential), which one more rounding could double; for
+    every other value 2x is the larger."""
     measured, recorded = results[name].measured, RECORDED[name]
     if recorded == 0.0:
         assert measured == 0.0, results[name].line()

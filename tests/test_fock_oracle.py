@@ -461,6 +461,31 @@ class TestSpectralExponential:
         assert np.max(np.abs(expi(h, 1.0, 2.0) - expi(h, 0.5, 1.0))) < 1e-14
         assert np.max(np.abs(expi(h, 1.0, 2.0) - expm(-0.5j * h))) < 1e-12
 
+    @pytest.mark.parametrize("beta", [0.5, 1.0])
+    @pytest.mark.parametrize("basis", [boson_doubled(60), boson_doubled(50), fermion_doubled()],
+                             ids=["boson60", "boson50", "fermion"])
+    def test_squeeze_generators_match_scipy(self, basis, beta, monkeypatch):
+        """The squeeze generators G that c08a and c08b exponentiate, at the
+        suite's beta and level counts: exp(G) is the spectral exponential of
+        the Hermitian iG at unit step."""
+        expi = tfdyn.fock_oracle._expi_neg_hermitian
+        seen = []
+
+        def recording(h, dt, hbar):
+            seen.append((h, dt, hbar))
+            return expi(h, dt, hbar)
+
+        monkeypatch.setattr(tfdyn.fock_oracle, "_expi_neg_hermitian", recording)
+        build_thermal_state_doubled(beta, 1.0, basis=basis)
+        ((h, dt, hbar),) = seen
+        assert (dt, hbar) == (1.0, 1.0)
+        gen = -1j * h
+        assert not gen.imag.any()
+        assert np.array_equal(gen.real, -gen.real.T)
+        want = expm(gen.real)
+        got = expi(h, dt, hbar)
+        assert np.linalg.norm(got - want, 1) <= 5e-13 * np.linalg.norm(want, 1)
+
 
 # The static fermion invariant operators a(t) = a, b(t) = b.
 STATIC_FERMION = SimpleNamespace(
@@ -753,8 +778,8 @@ class TestConstantPieces:
 
 
 class TestThermalStart:
-    """Every evolution starts from the series, so none depends on the squeeze
-    exponential."""
+    """Every evolution starts from the series, so none builds the thermal
+    vacuum by ``build_thermal_state_doubled`` and its squeeze exponential."""
 
     @pytest.mark.parametrize("protocol, beta, cfg", [
         (OscillatorProtocol(Constant(1.0), make_tanh_ramp(1.3, 2.0, 0.5, 0.1), t_i=0.0, t_f=0.2),
@@ -764,55 +789,15 @@ class TestThermalStart:
          LN2, OracleConfig(substeps_per_unit=50.0, grid_points=2)),
     ], ids=["oscillator", "boson", "fermion"])
     def test_first_state_is_the_series_bit_for_bit(self, protocol, beta, cfg, monkeypatch):
-        def refuse(a):
-            raise AssertionError("an evolution exponentiated the squeeze generator")
+        def refuse(*args, **kwargs):
+            raise AssertionError("an evolution built both thermal-vacuum routes")
 
         series, _ = build_thermal_state_doubled(beta, initial_frame(protocol)[1], basis=(
             boson_doubled(cfg.n_levels) if protocol.kind != "fermion" else fermion_doubled()
         ))
-        monkeypatch.setattr(tfdyn.fock_oracle, "_expm", refuse)
+        monkeypatch.setattr(tfdyn.fock_oracle, "build_thermal_state_doubled", refuse)
         traj = evolve_doubled_thermal(protocol, beta, cfg)
         assert np.array_equal(traj.states[0].vector, series.vector)
-
-
-class TestExpm:
-    """tfdyn's Pade exponential against scipy's."""
-
-    @pytest.mark.parametrize("beta", [0.5, 1.0])
-    @pytest.mark.parametrize("basis", [boson_doubled(60), boson_doubled(50), fermion_doubled()],
-                             ids=["boson60", "boson50", "fermion"])
-    def test_squeeze_generators_match_scipy(self, basis, beta, monkeypatch):
-        """The generators c08a and c08b exponentiate, at the suite's beta and
-        level counts."""
-        own = tfdyn.fock_oracle._expm
-        seen = []
-
-        def recording(a):
-            seen.append(a)
-            return own(a)
-
-        monkeypatch.setattr(tfdyn.fock_oracle, "_expm", recording)
-        build_thermal_state_doubled(beta, 1.0, basis=basis)
-        (gen,) = seen
-        want = expm(gen)
-        assert np.linalg.norm(own(gen) - want, 1) <= 5e-13 * np.linalg.norm(want, 1)
-
-    @pytest.mark.parametrize("norm", [1e-2, 0.1, 0.5, 1.5, 4.0, 20.0, 300.0])
-    @pytest.mark.parametrize("kind", ["real_antisymmetric", "complex_hermitian"])
-    def test_random_generators_match_scipy(self, kind, norm):
-        """1-norms that take each Pade degree, unscaled and scaled."""
-        rng = np.random.default_rng(7)
-        g = rng.standard_normal((24, 24))
-        if kind == "real_antisymmetric":
-            g = g - g.T
-        else:
-            g = g + 1j * rng.standard_normal((24, 24))
-            g = -1j * (g + g.conj().T)
-        g *= norm / np.linalg.norm(g, 1)
-        want = expm(g)
-        got = tfdyn.fock_oracle._expm(g)
-        assert got.dtype == want.dtype
-        assert np.linalg.norm(got - want, 1) <= 5e-13 * np.linalg.norm(want, 1)
 
 
 def test_one_thread_marches_hold_blas_at_one_thread(monkeypatch):

@@ -31,7 +31,7 @@ from tfdyn import (
     thermal_observables,
 )
 from tfdyn.protocols import _OffsetImag, evaluate, initial_frame
-from tfdyn.verification import CHECK_NAMES, _boson_columns, quench_observables
+from tfdyn.verification import _CHECKS, CHECK_NAMES, _boson_columns, quench_observables
 
 
 @pytest.fixture(scope="module")
@@ -137,17 +137,17 @@ class TestSharedRuns:
 
     def test_oracle_on(self, monkeypatch):
         # adds the c03a and c04 boson solves, the doubled evolutions of c03a,
-        # c03b, c04, c06/c07a/c07b and c07c, and c05c's two segment
-        # exponentials.  The exponentials pin the oracle's step count: a suite
-        # that ran its shared oracle config at half the configured substeps
-        # builds 3,602.
+        # c03b, c04, c06/c07a/c07b and c07c, c05c's two segment exponentials
+        # and c08's three squeeze exponentials.  The exponentials pin the
+        # oracle's step count: a suite that ran its shared oracle config at
+        # half the configured substeps builds 3,605.
         oracle = OracleConfig(n_levels=40, substeps_per_unit=20.0)
         assert self._calls(monkeypatch, oracle=oracle) == {
             "solve_boson_mode": 3,
             "solve_oscillator_mode": 6,
             "solve_fermion_modes": 2,
             "evolve_doubled_thermal": 5,
-            "exponentials": 3954,
+            "exponentials": 3957,
         }
 
 
@@ -165,6 +165,25 @@ class TestHonestFailure:
         for r in failed:
             assert math.isfinite(r.measured)
             assert r.measured > r.tolerance
+
+
+class TestComplexBranchFault:
+    """c08's squeeze route is the suite's one caller of the complex branch of
+    the oracle's spectral exponential, since every suite protocol has real
+    couplings: that branch run backwards in time must turn c08 red."""
+
+    def test_time_reversed_complex_exponential_fails_c08(self, monkeypatch):
+        expi = fock_oracle._expi_neg_hermitian
+
+        def time_reversed(h, dt, hbar):
+            return expi(h, -dt if np.any(np.imag(h)) else dt, hbar)
+
+        monkeypatch.setattr(fock_oracle, "_expi_neg_hermitian", time_reversed)
+        shared = SimpleNamespace(n=50, hbar=1.0)
+        for name in ("c08a_thermal_constructions_boson", "c08b_thermal_constructions_fermion"):
+            tolerance, _, measure = _CHECKS[name]
+            measured, _ = measure(shared)
+            assert measured >= tolerance, name
 
 
 class TestQuenchObservables:
