@@ -17,7 +17,7 @@ exist:
 
 Numeric CSV cells use 17 significant digits, which round-trips doubles
 exactly: rerunning a config reproduces the output byte for byte (manifests
-differ only in timestamp and duration).
+differ only in timestamp and durations).
 """
 
 from __future__ import annotations
@@ -560,7 +560,10 @@ def run_verify(
 ) -> tuple[dict, list[verification.CheckResult]]:
     """Execute the acceptance suite; manifest lists every check exactly once.
 
-    ``config=None`` runs the empty verify config, i.e. the default settings.
+    Each check record carries its wall time (``duration_seconds``), and
+    ``shared_runs_seconds`` is the time of the runs that several checks read,
+    built before any check.  ``config=None`` runs the empty verify config,
+    i.e. the default settings.
     """
     if config is None:
         config = parse_config("", "verify")
@@ -569,7 +572,9 @@ def run_verify(
     started = time.perf_counter()
     skeleton = _manifest_skeleton(config)
 
-    results = verification.run_all(config.integrator, config.oracle, config.hbar)
+    timings: dict[str, float] = {}
+    results = verification.run_all(config.integrator, config.oracle, config.hbar, timings)
+    skeleton["shared_runs_seconds"] = timings["shared_runs"]
     skeleton["checks"] = [
         {
             "name": r.name,
@@ -577,6 +582,7 @@ def run_verify(
             "measured": None if r.skipped else r.measured,
             "tolerance": None if r.skipped else r.tolerance,
             "detail": r.detail,
+            "duration_seconds": r.duration_seconds,
         }
         for r in results
     ]

@@ -22,11 +22,12 @@ Time evolution uses the fourth-order commutator-free Magnus scheme (CFM4):
 each step samples H at its two Gauss-Legendre nodes and applies two
 exponentials of fixed combinations of the samples (Blanes & Moan, Appl.
 Numer. Math. 56, 1519 (2006); Alvermann & Fehske, J. Comput. Phys. 230,
-5930 (2011)).  It is exact for constant H.  Quadratic Hamiltonians conserve
-parity, and the doubled evolution uses it: boson H couples |n> only to
-|n +- 2>, so C stays block-diagonal in (even, odd) number states, and the
-doubled fermion generator keeps the thermal vacuum in two 4-dimensional
-sectors of the 16-dimensional space.
+5930 (2011)).  It is exact for constant H, so a stretch of constant H
+takes one exponential, exp(-i H span / hbar).  Quadratic Hamiltonians
+conserve parity, and the doubled evolution uses it: boson H couples |n>
+only to |n +- 2>, so C stays block-diagonal in (even, odd) number states,
+and the doubled fermion generator keeps the thermal vacuum in two
+4-dimensional sectors of the 16-dimensional space.
 """
 
 from __future__ import annotations
@@ -648,15 +649,20 @@ def _expi_neg_hermitian(h: np.ndarray, dt: float, hbar: float) -> np.ndarray:
 
 
 def _cfm4_steps(exponent_h: np.ndarray, step: float, hbar: float) -> np.ndarray:
-    """CFM4 propagators of a stack of steps.
+    """Propagators of a stack of steps, each the product of its J
+    exponentials in the order they apply.
 
-    ``exponent_h[j]`` is the j-th exponent applied in each step: the node
-    Hamiltonians weighted by row j of ``_CFM4_WEIGHTS``.  Its shape is
-    (2, ..., n, n); the result has shape (..., n, n).  For constant H the two
-    exponentials commute and multiply to exp(-i H step / hbar) exactly.
+    ``exponent_h[j]`` is the j-th exponent applied in each step; its shape is
+    (J, ..., n, n) and the result's (..., n, n).  A CFM4 step has J = 2: the
+    node Hamiltonians weighted by row j of ``_CFM4_WEIGHTS``.  A step of
+    constant H has J = 1 and the exponent H itself, since the two CFM4
+    exponentials then commute and multiply to exp(-i H step / hbar).
     """
     e = _expi_neg_hermitian(exponent_h, step, hbar)
-    return e[1] @ e[0]
+    u = e[0]
+    for later in e[1:]:
+        u = later @ u
+    return u
 
 
 def _ordered_product(u: np.ndarray) -> np.ndarray:
@@ -823,8 +829,8 @@ class OracleConfig:
 
     ``substeps_per_unit`` counts matrix exponentials per unit time where H
     varies; a CFM4 step spends two.  A piece of the march over which every
-    sampled coefficient is the same takes one step whatever its length
-    (``evolve_doubled_thermal``).
+    sampled coefficient is the same takes one exponential whatever its
+    length (``evolve_doubled_thermal``).
     """
 
     n_levels: int = DEFAULT_N_LEVELS
@@ -874,8 +880,10 @@ def _coefficients(
 def _propagators(
     pieces: list[tuple[np.ndarray, float]], bases: list[np.ndarray], hbar: float
 ) -> list[list[np.ndarray]]:
-    """Each piece's propagator on each block: the ordered product of its CFM4
-    steps, from the piece's (exponent coefficients, step) pair.
+    """Each piece's propagator on each block: the ordered product of its
+    steps, from the piece's (exponent coefficients, step) pair.  The
+    coefficients have shape (J, steps, coefficients), J exponents per step
+    (``_cfm4_steps``).
 
     A generator is sum_j c_j B_j over a block's stack of operators B, less
     the terms whose coefficient vanishes throughout the piece; when the rest
@@ -980,10 +988,10 @@ def evolve_doubled_thermal(
     ``config.substeps_per_unit`` exponentials per unit time (two per step),
     restarting cleanly at every output time and declared jump.  A piece of
     the march (at most 512 exponentials of one cut interval) whose sampled
-    coefficients are all the same is advanced by one CFM4 step that spans
-    it: for constant H the two exponentials multiply to exp(-i H span /
-    hbar), which in exact arithmetic is the product the configured steps
-    form from the same samples, without their round-off.  Boson states are
+    coefficients are all the same is advanced by one exponential per block,
+    exp(-i H span / hbar): in exact arithmetic the product the configured
+    CFM4 steps form from the same samples, without their round-off and at
+    one exponential instead of two per step.  Boson states are
     advanced on the even and the odd block of their coefficient matrix
     (C_b -> U_b C_b U_b^dag); fermion states on the two 4-dimensional parity
     sectors that hold the thermal vacuum.  The full state is assembled only
@@ -1095,9 +1103,10 @@ def evolve_doubled_thermal(
                 coeffs = _coefficients(protocol, times, frame)
             except Exception as exc:
                 return work, exc
-            if np.all(coeffs == coeffs[0, 0]):  # constant H: one step spans the piece
-                coeffs, step = coeffs[:, :1], span
-            work.append((np.tensordot(_CFM4_WEIGHTS, hbar * coeffs, axes=1), step))
+            if np.all(coeffs == coeffs[0, 0]):  # constant H: one exponential spans the piece
+                work.append((hbar * coeffs[:1, :1], span))
+            else:
+                work.append((np.tensordot(_CFM4_WEIGHTS, hbar * coeffs, axes=1), step))
         return work, None
 
     def apply(task, propagators: list[list[np.ndarray]]) -> None:

@@ -22,8 +22,9 @@ the same columns.
 from __future__ import annotations
 
 import math
+import time
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -52,13 +53,19 @@ __all__ = [
 ]
 
 LN2 = math.log(2.0)
-# c07c runs a box this many times wider than the oracle's ``n_levels``.
+# c07c runs a box this many times wider than the oracle's ``n_levels``, at
+# this many exponentials per unit time whatever the oracle's setting.
 WIDE_BOX_FACTOR = 2
+WIDE_BOX_SUBSTEPS_PER_UNIT = 20.0
 
 
 @dataclass(frozen=True)
 class CheckResult:
-    """One acceptance criterion: what was measured against what bound."""
+    """One acceptance criterion: what was measured against what bound.
+
+    ``duration_seconds`` is the wall time of the check's own measure, which
+    varies from run to run, so it stays out of ``repr`` and equality.
+    """
 
     name: str
     passed: bool
@@ -66,6 +73,7 @@ class CheckResult:
     tolerance: float
     detail: str = ""
     skipped: bool = False
+    duration_seconds: float = field(default=0.0, repr=False, compare=False)
 
     def line(self) -> str:
         if self.skipped:
@@ -243,8 +251,9 @@ def _shared(integrator, oracle, hbar: float) -> SimpleNamespace:
     s_f = evaluate(s.narrow, s.narrow.t_f)
     s.frame_i, s.frame_f = initial_frame(s.narrow), (s_f.mass, s_f.omega)
 
-    # piecewise-constant drive: CFM4 steps are exact, so the c03b residual
-    # floor is set by the mode integration, run tight here
+    # piecewise-constant drive: the oracle takes one exact exponential per
+    # output interval, so the c03b residual floor is set by the mode
+    # integration, run tight here
     s.fermion_pulse = FermionProtocol(
         omega0=Constant(1.0), omega_plus=lambda t: 0.5 if 3.0 <= t < 7.0 else 0.0,
         omega_minus=Constant(0.0), t_i=0.0, t_f=10.0, jump_times=(3.0, 7.0),
@@ -424,18 +433,31 @@ def _c07b(s):
 
 # The ratio probes Gaussianity.  Every CFM4 step is the exponential of a
 # quadratic generator, so without a box edge it would hold at any step size;
-# in the box each exponential leaks amplitude off the edge, the more the
-# longer its step (at N = 100 and 0.8 exponentials per unit the ratio reads
-# 1.98e-10).  So run a wider box at 100 exponentials per unit.  The ratio is
-# the same for every multiple of a + a^dag, so the unit normalisation of q
-# below is not a frame choice.
+# the box edge sets it instead, hence the wider box.  A scan of the box's
+# exponentials per unit (march time: median of 3 on one thread of a 2-core
+# Xeon VM):
+#
+#   box      at 100/unit   at 20/unit   march time, 20 vs 100/unit
+#   N = 80   1.06047e-8    1.06039e-8   0.11 vs 0.52 s
+#   N = 100  2.3864e-11    2.3955e-11   0.18 vs 0.86 s
+#   N = 120  7.6605e-13    9.0594e-14   0.20 vs 1.06 s
+#   N = 160  6.0840e-13    1.4211e-13   0.49 vs 2.36 s
+#
+# Up to N = 100 the box sets the ratio at every count from 12 to 100 per
+# unit (2.386-2.396e-11 at N = 100); beyond, it is round-off that grows
+# with the count.  So the box runs at 20 per unit: more exponentials buy no
+# accuracy, and a step of 0.1 still resolves the ramp of width 0.5.  The
+# ratio is the same for every multiple of a + a^dag, so the unit
+# normalisation of q below is not a frame choice.
 @_check("c07c_q_moment_ratio", 1e-10, oracle=True)
 def _c07c(s):
     n_wide = WIDE_BOX_FACTOR * s.n
     q_wide = fock_oracle.position_operator(n_wide, 1.0, 1.0, s.hbar)
     q2_wide = fock_oracle.OperatorMatrix(q_wide.matrix @ q_wide.matrix, q_wide.basis)
     q4_wide = fock_oracle.OperatorMatrix(q2_wide.matrix @ q2_wide.matrix, q_wide.basis)
-    wide_cfg = fock_oracle.OracleConfig(n_levels=n_wide, substeps_per_unit=100.0, grid_points=5)
+    wide_cfg = fock_oracle.OracleConfig(
+        n_levels=n_wide, substeps_per_unit=WIDE_BOX_SUBSTEPS_PER_UNIT, grid_points=5
+    )
     dt_wide = fock_oracle.evolve_doubled_thermal(s.osc_quench, s.beta, wide_cfg, s.hbar)
     ratio_dev = 0.0
     for st in dt_wide.states:
@@ -516,22 +538,34 @@ def run_all(
     integrator: mode_solver.IntegratorConfig | None = None,
     oracle: fock_oracle.OracleConfig | None = fock_oracle.OracleConfig(),
     hbar: float = 1.0,
+    timings: dict[str, float] | None = None,
 ) -> list[CheckResult]:
     """Execute the full acceptance suite and return one result per check.
 
     The suite reads the integrator's tolerances and the oracle's ``n_levels``
     and ``substeps_per_unit``; it pins its own grids, temperatures, step caps
-    and tail threshold.  ``oracle=None`` skips the oracle checks.
+    and tail threshold, and c07c's wide box runs at
+    ``WIDE_BOX_SUBSTEPS_PER_UNIT``.  ``oracle=None`` skips the oracle
+    checks.  Each result carries the wall time of its check; the runs that
+    several checks share are built before any check, and their wall time is
+    stored in ``timings["shared_runs"]`` when a ``timings`` dict is passed.
     """
+    started = time.perf_counter()
     shared = _shared(integrator, oracle, hbar)
+    if timings is not None:
+        timings["shared_runs"] = time.perf_counter() - started
     results = []
     for name in CHECK_NAMES:
         tolerance, needs_oracle, measure = _CHECKS[name]
         if needs_oracle and oracle is None:
             result = CheckResult(name, True, math.nan, math.nan, "oracle disabled", skipped=True)
         else:
+            started = time.perf_counter()
             measured, detail, *extra = measure(shared)
             passed = measured < tolerance and all(extra)
-            result = CheckResult(name, passed, measured, tolerance, detail)
+            result = CheckResult(
+                name, passed, measured, tolerance, detail,
+                duration_seconds=time.perf_counter() - started,
+            )
         results.append(result)
     return results

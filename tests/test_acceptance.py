@@ -51,15 +51,15 @@ RECORDED = {
     "c02b_oscillator_wronskian_conservation": 2.6522239959803073e-10,
     "c02c_fermion_anticommutator_conservation": 3.4764091605410385e-10,
     "c03a_thermal_condition_boson": 2.8561868898297015e-08,
-    "c03b_thermal_condition_fermion": 9.239563019619437e-13,
-    "c04_constant_distribution": 1.9984014443252818e-15,
+    "c03b_thermal_condition_fermion": 9.204369169638613e-13,
+    "c04_constant_distribution": 6.661338147750939e-16,
     "c05a_sudden_production_analytic": 0.0,
     "c05b_sudden_production_ode": 1.0302521202820714e-07,
     "c05c_sudden_production_oracle": 2.220446049250313e-16,
     "c06_evolved_distribution": 6.103249017286316e-10,
     "c07a_q_moments_equilibrium": 2.220446049250313e-16,
     "c07b_q_moments_midquench": 6.950080511103351e-10,
-    "c07c_q_moment_ratio": 7.66053886991358e-13,
+    "c07c_q_moment_ratio": 9.059419880941277e-14,
     "c08a_thermal_constructions_boson": 1.266081860952093e-15,
     "c08b_thermal_constructions_fermion": 1.1102230246251565e-16,
     "c09a_boson_constraint": 2.652225106203332e-10,

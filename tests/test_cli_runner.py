@@ -591,6 +591,19 @@ class TestRunVerify:
         on_disk = _read_manifest(tmp_path)
         assert on_disk["checks"] == manifest["checks"]
 
+    def test_manifest_times_each_check_and_the_shared_runs(self, tmp_path):
+        """Each check's wall time (zero for a skipped one), and that of the
+        runs built before any check, which is not part of any check's time."""
+        manifest, results = run_verify(parse_config(VERIFY_FAST, "verify"), tmp_path)
+        durations = [c["duration_seconds"] for c in manifest["checks"]]
+        assert durations == [r.duration_seconds for r in results]
+        for r in results:
+            assert (r.duration_seconds == 0.0) if r.skipped else (r.duration_seconds > 0.0), r.name
+        shared = manifest["shared_runs_seconds"]
+        assert shared > 0.0
+        assert shared + sum(durations) <= manifest["duration_seconds"]
+        assert _read_manifest(tmp_path)["shared_runs_seconds"] == shared
+
     def test_skipped_checks_have_null_measurements(self, tmp_path):
         config = parse_config(VERIFY_FAST, "verify")
         manifest, _ = run_verify(config, None)

@@ -717,8 +717,9 @@ class TestPropagationKernel:
 
 
 class TestConstantPieces:
-    """A piece whose sampled coefficients are all the same takes one CFM4
-    step that spans it."""
+    """A piece whose sampled coefficients are all the same takes one
+    exponential per block, exp(-i H span / hbar), where a varying piece
+    takes two per CFM4 step."""
 
     @staticmethod
     def _counting(monkeypatch):
@@ -743,8 +744,8 @@ class TestConstantPieces:
             p, 2.0, OracleConfig(n_levels=n, substeps_per_unit=200.0, grid_points=13)
         )
         cuts = sorted({*traj.t.tolist(), 0.37})
-        # two exponentials per step on each of the two parity blocks
-        assert sum(built) == 2 * 2 * (len(cuts) - 1)
+        # one exponential per cut interval on each of the two parity blocks
+        assert sum(built) == 2 * (len(cuts) - 1)
 
         def h(omega):
             return build_boson_hamiltonian(*oscillator_boson_coefficients(1.0, omega, 1.0, 1.0), n).matrix
@@ -767,11 +768,11 @@ class TestConstantPieces:
 
     def test_constant_piece_longer_than_a_chunk(self, monkeypatch):
         """A constant cut interval of 1500 exponentials spans three pieces,
-        each one step."""
+        each one exponential per sector."""
         built = self._counting(monkeypatch)
         p = FermionProtocol(Constant(1.0), Constant(0.3 + 0.1j), Constant(0.0), t_i=0.0, t_f=2.0)
         traj = evolve_doubled_thermal(p, LN2, OracleConfig(substeps_per_unit=750.0, grid_points=2))
-        assert sum(built) == 3 * 2 * 2
+        assert sum(built) == 3 * 2
         h_hat = build_fermion_hamiltonian(1.0, 0.3 + 0.1j, 0.0, doubled=True).h_hat.matrix
         want = expm(-2j * h_hat) @ traj.states[0].vector
         assert np.max(np.abs(traj.states[-1].vector - want)) < 1e-13
@@ -1007,7 +1008,7 @@ def _frozen_propagators(pieces, bases, hbar):
 
 KERNEL_CASES = {
     **POOLED_CASES,
-    # one 125-step piece of 25 x 25 blocks, as the verify box runs at N = 100
+    # one 125-step piece of 25 x 25 blocks, the blocks of the verify box at N = 100
     "c07c_like_box": (
         OscillatorProtocol(Constant(1.0), make_tanh_ramp(1.0, 2.0, 1.25, 0.3), t_i=0.0, t_f=2.5),
         1.0, OracleConfig(n_levels=50, substeps_per_unit=100.0, grid_points=2),

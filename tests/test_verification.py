@@ -138,16 +138,19 @@ class TestSharedRuns:
     def test_oracle_on(self, monkeypatch):
         # adds the c03a and c04 boson solves, the doubled evolutions of c03a,
         # c03b, c04, c06/c07a/c07b and c07c, c05c's two segment exponentials
-        # and c08's three squeeze exponentials.  The exponentials pin the
-        # oracle's step count: a suite that ran its shared oracle config at
-        # half the configured substeps builds 3,605.
+        # and c08's three squeeze exponentials.  The constant runs of c03b
+        # and c04 take one exponential per block and output interval, and
+        # c07c's N = 80 box builds 400 at its fixed 20 per unit.  The
+        # exponentials pin the oracle's step count: a suite that ran its
+        # shared oracle config at half the configured substeps builds 1,605,
+        # and one that ran c07c's box at 100 per unit 3,557.
         oracle = OracleConfig(n_levels=40, substeps_per_unit=20.0)
         assert self._calls(monkeypatch, oracle=oracle) == {
             "solve_boson_mode": 3,
             "solve_oscillator_mode": 6,
             "solve_fermion_modes": 2,
             "evolve_doubled_thermal": 5,
-            "exponentials": 3957,
+            "exponentials": 1957,
         }
 
 
@@ -215,6 +218,12 @@ class TestCheckResult:
     def test_skip_line(self):
         r = CheckResult("demo", True, math.nan, math.nan, "oracle disabled", skipped=True)
         assert r.line() == "SKIP  demo: oracle disabled"
+
+    def test_duration_stays_out_of_repr_and_equality(self):
+        fast = CheckResult("demo", True, 1e-12, 1e-9, "context", duration_seconds=0.1)
+        slow = CheckResult("demo", True, 1e-12, 1e-9, "context", duration_seconds=2.0)
+        assert fast == slow and repr(fast) == repr(slow)
+        assert "duration" not in repr(fast)
 
 
 # ---------------------------------------------------------------------------
