@@ -28,6 +28,12 @@ conserve parity, and the doubled evolution uses it: boson H couples |n>
 only to |n +- 2>, so C stays block-diagonal in (even, odd) number states,
 and the doubled fermion generator keeps the thermal vacuum in two
 4-dimensional sectors of the 16-dimensional space.
+
+The march's fixed costs are paid per stack, not per piece: consecutive
+short pieces of one shape share one generator contraction, one batched
+eigensolve and one batched product of their steps, within one budget of
+elements (``_SUB_BATCH``) that also bounds the blocks of a long piece.
+Every propagator keeps the bits it has when built alone.
 """
 
 from __future__ import annotations
@@ -97,11 +103,12 @@ _MAX_DOUBLED_DENSITY_LEVELS = 64  # keeps doubled density matrices at <= 4096^2
 _CHUNK = 512
 # The doubled march hands propagator construction to threads in tasks of
 # about this many generator matrix elements: fewer leave the threads idle on
-# Python overhead.  A task's pieces are built one at a time, each in blocks
-# of steps whose generators hold at most _SUB_BATCH elements (a power of two
-# of steps, at least one), so a thread holds one block of one piece.
+# Python overhead.  _SUB_BATCH is the one budget of what a thread builds at
+# once, in generator elements per exponent: a stack of consecutive short
+# pieces of one shape, or one block of a longer piece (a power of two of
+# steps, at least one).  At N = 60 it holds 18 steps of a 30 x 30 block.
 _TASK_ELEMENTS = 2**18
-_SUB_BATCH = 2**16
+_SUB_BATCH = 2**14
 # CFM4: Gauss-Legendre nodes of a step, as fractions of the step, and the
 # weights of the two node Hamiltonians in the first (row 0) and the second
 # exponential applied; each row sums to 1/2.
@@ -624,6 +631,11 @@ def expectation_single_factor(
 
     Works on the (n x n) coefficient matrix directly -- no n^2-dimensional
     Kronecker product: <A (x) I> = tr(C^dag A C), <I (x) A> = tr(A C^T C*).
+    Each trace takes one n x n product, A C or G = C^T C*, and sums its
+    level terms in level order, as ``np.trace`` does: the k-th is the dot of
+    column k of C* and of A C, or of column k of A^T and of G.  On the
+    diagonal thermal-series start each dot has one nonzero term, so both
+    values keep the bits of the two-product traces.
     """
     if psi.basis.kind != "boson_doubled":
         raise ValueError("expectation_single_factor needs the doubled boson basis")
@@ -631,16 +643,20 @@ def expectation_single_factor(
         raise ValueError("operator must live on the matching single boson basis")
     c = psi.c_matrix()
     if tilde:
-        return complex(np.trace(op.matrix @ (c.T @ c.conj())))
-    return complex(np.trace(c.conj().T @ (op.matrix @ c)))
+        levels = np.einsum("ji,ij->j", op.matrix, c.T @ c.conj())
+    else:
+        levels = np.einsum("ij,ij->j", c.conj(), op.matrix @ c)
+    return complex(levels.sum())
 
 
-def _expi_neg_hermitian(h: np.ndarray, dt: float, hbar: float) -> np.ndarray:
+def _expi_neg_hermitian(h: np.ndarray, dt: float | np.ndarray, hbar: float) -> np.ndarray:
     """exp(-i H dt / hbar) for a Hermitian H, or a stack of them, via spectral
-    decomposition.  A real symmetric H takes the real eigensolver, and its
-    exponential Q diag(phases) Q^T is then assembled by a real product."""
+    decomposition.  ``dt`` is one step for the whole stack or one per matrix
+    (an array that broadcasts to the stack's shape).  A real symmetric H
+    takes the real eigensolver, and its exponential Q diag(phases) Q^T is
+    then assembled by a real product."""
     w, q = np.linalg.eigh(h)
-    phases = np.exp(-1j * w * (dt / hbar))
+    phases = np.exp(-1j * w * (np.asarray(dt) / hbar)[..., None])
     if np.isrealobj(q):
         # Q times the interleaved (real, imaginary) columns of diag(phases) Q^T
         right = np.multiply(phases[..., :, None], q.swapaxes(-1, -2), order="C")
@@ -648,12 +664,13 @@ def _expi_neg_hermitian(h: np.ndarray, dt: float, hbar: float) -> np.ndarray:
     return (q * phases[..., None, :]) @ q.conj().swapaxes(-1, -2)
 
 
-def _cfm4_steps(exponent_h: np.ndarray, step: float, hbar: float) -> np.ndarray:
+def _cfm4_steps(exponent_h: np.ndarray, step: float | np.ndarray, hbar: float) -> np.ndarray:
     """Propagators of a stack of steps, each the product of its J
     exponentials in the order they apply.
 
     ``exponent_h[j]`` is the j-th exponent applied in each step; its shape is
-    (J, ..., n, n) and the result's (..., n, n).  A CFM4 step has J = 2: the
+    (J, ..., n, n) and the result's (..., n, n).  ``step`` is one length or
+    one per step (``_expi_neg_hermitian``).  A CFM4 step has J = 2: the
     node Hamiltonians weighted by row j of ``_CFM4_WEIGHTS``.  A step of
     constant H has J = 1 and the exponent H itself, since the two CFM4
     exponentials then commute and multiply to exp(-i H step / hbar).
@@ -666,11 +683,13 @@ def _cfm4_steps(exponent_h: np.ndarray, step: float, hbar: float) -> np.ndarray:
 
 
 def _ordered_product(u: np.ndarray) -> np.ndarray:
-    """u[-1] @ ... @ u[1] @ u[0], by rounds of pairwise batched products."""
-    while len(u) > 1:
-        paired = u[1::2] @ u[:-1:2]
-        u = np.concatenate([paired, u[-1:]]) if len(u) % 2 else paired
-    return u[0]
+    """u[-1] @ ... @ u[1] @ u[0] over the axis before the matrices, by
+    rounds of pairwise batched products; leading axes are a batch, each
+    bracketed as alone."""
+    while u.shape[-3] > 1:
+        paired = u[..., 1::2, :, :] @ u[..., :-1:2, :, :]
+        u = np.concatenate([paired, u[..., -1:, :, :]], axis=-3) if u.shape[-3] % 2 else paired
+    return u[..., 0, :, :]
 
 
 # ---------------------------------------------------------------------------
@@ -698,6 +717,21 @@ def _boson_invariant_factor(
     if tilde:  # a~(t) = f-* a~ + f+* a~^dag
         return np.conj(f_minus) * a_op.matrix + np.conj(f_plus) * ad_op.matrix
     return f_minus * a_op.matrix + f_plus * ad_op.matrix
+
+
+def _fermion_invariant_factor(
+    coeffs: SimpleNamespace, basis: BasisDescriptor, tilde: bool, channel: str
+) -> np.ndarray:
+    names = tuple(f"{c}_{channel}_{s}" for c in "fg" for s in ("minus", "plus"))
+    f_minus, f_plus, g_minus, g_plus = _named_coefficients(coeffs, names, basis)
+    ops = build_fermion_space(doubled=basis.kind == "fermion_doubled")
+    if tilde:  # the tilde copy carries conjugated coefficients
+        f_minus, f_plus = np.conj(f_minus), np.conj(f_plus)
+        g_minus, g_plus = np.conj(g_minus), np.conj(g_plus)
+        a, b = ops["a_tilde"].matrix, ops["b_tilde"].matrix
+    else:
+        a, b = ops["a"].matrix, ops["b"].matrix
+    return f_minus * a + f_plus * a.conj().T + g_minus * b + g_plus * b.conj().T
 
 
 def invariant_operator_matrix(
@@ -732,21 +766,8 @@ def invariant_operator_matrix(
 
     if channel not in ("a", "b"):
         raise ValueError(f"channel must be 'a' or 'b', got {channel!r}")
-    names = tuple(f"{c}_{channel}_{s}" for c in "fg" for s in ("minus", "plus"))
-    f_minus, f_plus, g_minus, g_plus = _named_coefficients(coeffs, names, basis)
-    ops = build_fermion_space(doubled=basis.kind == "fermion_doubled")
-    if tilde:
-        f_minus, f_plus = np.conj(f_minus), np.conj(f_plus)
-        g_minus, g_plus = np.conj(g_minus), np.conj(g_plus)
-        a, b = ops["a_tilde"].matrix, ops["b_tilde"].matrix
-        label = f"{channel}~(t)"
-    else:
-        a, b = ops["a"].matrix, ops["b"].matrix
-        label = f"{channel}(t)"
-    mat = (
-        f_minus * a + f_plus * a.conj().T + g_minus * b + g_plus * b.conj().T
-    )
-    return OperatorMatrix(mat, basis, label)
+    label = f"{channel}~(t)" if tilde else f"{channel}(t)"
+    return OperatorMatrix(_fermion_invariant_factor(coeffs, basis, tilde, channel), basis, label)
 
 
 def thermal_state_condition_residual(
@@ -784,10 +805,10 @@ def thermal_state_condition_residual(
     v = psi.vector
     out: dict[str, float] = {}
     for channel in ("a", "b"):
-        op = invariant_operator_matrix(coeffs, psi.basis, tilde=False, channel=channel)
-        op_t = invariant_operator_matrix(coeffs, psi.basis, tilde=True, channel=channel)
-        r = op.matrix @ v - tan * (op_t.dag.matrix @ v)
-        r_t = op_t.matrix @ v + tan * (op.dag.matrix @ v)
+        op = _fermion_invariant_factor(coeffs, psi.basis, False, channel)
+        op_t = _fermion_invariant_factor(coeffs, psi.basis, True, channel)
+        r = op @ v - tan * (op_t.conj().T @ v)
+        r_t = op_t @ v + tan * (op.conj().T @ v)
         out[channel] = float(np.linalg.norm(r))
         out[channel + "_tilde"] = float(np.linalg.norm(r_t))
     return out
@@ -871,10 +892,16 @@ def _coefficients(
     sample = sampler(protocol)
     samples = [sample(t) for t in times.ravel().tolist()]
     if protocol.kind == "oscillator":
-        w = [oscillator_boson_coefficients(mass, omega, *frame) + (0.0,) for mass, omega in samples]
+        w = np.array(
+            [oscillator_boson_coefficients(mass, omega, *frame) + (0.0,) for mass, omega in samples]
+        )
     else:
-        w = [(s[0], *(x for c in s[1:] for x in (c.real, c.imag))) for s in samples]
-    return np.array(w).reshape(times.shape + (-1,))
+        # (w0, c1, c2, ...) as complex pairs; w0 is real, so its imaginary
+        # slot takes w0 and the row from there on is (w0, c1.re, c1.im, ...)
+        pairs = np.array(samples, dtype=complex).view(float)
+        pairs[:, 1] = pairs[:, 0]
+        w = pairs[:, 1:]
+    return w.reshape(times.shape + (-1,))
 
 
 def _propagators(
@@ -888,31 +915,47 @@ def _propagators(
     A generator is sum_j c_j B_j over a block's stack of operators B, less
     the terms whose coefficient vanishes throughout the piece; when the rest
     are real it is real symmetric and takes the real eigensolver (always for
-    oscillators, and for real couplings).  The steps are taken in aligned
-    blocks of S, the largest power of two with S n^2 <= _SUB_BATCH: each
-    block's generators, exponentials and ordered product in turn, then the
-    product of the block products.  So a thread holds one block of steps
-    whatever the piece's length, and every bit is the whole piece's: eigh,
-    tensordot and matmul work matrix by matrix, and for a power-of-two S
-    ``_ordered_product`` pairs the same factors.  Pure numpy, so it may run
-    on any thread.
+    oscillators, and for real couplings).  A block holds room for R =
+    _SUB_BATCH // n^2 steps.  Consecutive pieces of one shape (J, steps) and
+    the same live terms, at most S steps each, with S the largest power of
+    two up to R, are built as one stack of at most R steps: one generator
+    contraction, one batched exponential with a step per piece, and one
+    batched ordered product of each piece's steps.  A longer piece is taken
+    in aligned blocks of S steps, each block's generators, exponentials and
+    ordered product in turn, then the product of the block products.  So a
+    thread holds one stack or block whatever the pieces' lengths, and every
+    bit is the piece's alone: eigh, tensordot and matmul work matrix by
+    matrix, and ``_ordered_product`` pairs the same factors, for a
+    power-of-two S across blocks too.  Pure numpy, so it may run on any
+    thread.
     """
-    out = []
-    for exponents, step in pieces:
-        live = np.any(exponents != 0.0, axis=(0, 1))
-        coeffs = exponents[..., live]
-        per_block = []
-        for basis in bases:
-            terms = basis[live]
+    live = [np.any(exponents != 0.0, axis=(0, 1)) for exponents, _ in pieces]
+    kinds = [(exponents.shape, mask.tobytes()) for (exponents, _), mask in zip(pieces, live)]
+    out: list[list[np.ndarray]] = [[] for _ in pieces]
+    for basis in bases:
+        room = max(1, _SUB_BATCH // basis[0].size)
+        size = 1 << (room.bit_length() - 1)
+        first = 0
+        while first < len(pieces):
+            steps = pieces[first][0].shape[1]
+            last = first + 1
+            if steps <= size:
+                end = min(len(pieces), first + room // steps)
+                while last < end and kinds[last] == kinds[first]:
+                    last += 1
+            terms = basis[live[first]]
             if not np.any(terms.imag):
                 terms = terms.real
-            size = 1 << (max(1, _SUB_BATCH // terms[0].size).bit_length() - 1)
+            stack = pieces[first:last]
+            coeffs = np.stack([exponents for exponents, _ in stack], axis=1)[..., live[first]]
+            dt = np.array([step for _, step in stack])[:, None]
             products = []
-            for s in range(0, coeffs.shape[1], size):
-                h = np.tensordot(coeffs[:, s:s + size], terms, axes=1)
-                products.append(_ordered_product(_cfm4_steps(h, step, hbar)))
-            per_block.append(_ordered_product(np.stack(products)))
-        out.append(per_block)
+            for s in range(0, steps, size):
+                h = np.tensordot(coeffs[:, :, s:s + size], terms, axes=1)
+                products.append(_ordered_product(_cfm4_steps(h, dt, hbar)))
+            for k, u in enumerate(_ordered_product(np.stack(products, axis=1)), first):
+                out[k].append(u)
+            first = last
     return out
 
 
@@ -1003,9 +1046,11 @@ def evolve_doubled_thermal(
     propagators and records the states, also in order.  When the march
     forms more than one task of about 2^18 generator elements, a thread pool
     with one thread per available CPU builds the propagators ahead of it,
-    at most one task more than it has threads.  A thread builds a piece in
-    blocks of steps (``_propagators``), so what it holds does not grow with
-    the piece's length.  numpy's OpenBLAS is held at one thread throughout,
+    at most one task more than it has threads.  Either way a task's
+    propagators are built in one call (``_propagators``): runs of short
+    pieces in stacks and a longer piece in blocks of steps, so what a thread
+    holds beyond the task's propagators does not grow with the pieces'
+    length.  numpy's OpenBLAS is held at one thread throughout,
     on the pool and on the calling thread alone.
     Every piece keeps the arithmetic of the one-thread march, so the states
     are the same to the bit.  The protocol is therefore sampled ahead of the
@@ -1119,15 +1164,15 @@ def evolve_doubled_thermal(
     # One thread per available CPU and at most one per task, and one where
     # OpenBLAS cannot be held at one thread (its threads would contend with
     # the pool's).  On one thread a task's protocol samples are taken first,
-    # and its pieces are applied one at a time.
+    # then its propagators are built in one call and its pieces applied in
+    # order.
     threads = min(len(tasks), _thread_share or _available_cpus())
     error = None
     with _one_blas_thread():
         if threads == 1 or _openblas_threads() is None:
             for task in tasks:
                 work, error = exponents(task)
-                for piece, piece_work in zip(task, work):
-                    apply([piece], _propagators([piece_work], bases, hbar))
+                apply(task[:len(work)], _propagators(work, bases, hbar))
                 if error is not None:
                     break
         else:

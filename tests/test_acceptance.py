@@ -58,7 +58,7 @@ RECORDED = {
     "c05c_sudden_production_oracle": 2.220446049250313e-16,
     "c06_evolved_distribution": 6.103249017286316e-10,
     "c07a_q_moments_equilibrium": 2.220446049250313e-16,
-    "c07b_q_moments_midquench": 6.950080511103351e-10,
+    "c07b_q_moments_midquench": 6.950076070211253e-10,
     "c07c_q_moment_ratio": 9.059419880941277e-14,
     "c08a_thermal_constructions_boson": 1.266081860952093e-15,
     "c08b_thermal_constructions_fermion": 1.1102230246251565e-16,

@@ -6,6 +6,7 @@ before it is allowed to referee the analytic modules.
 """
 
 import ast
+import cmath
 import math
 import threading
 from pathlib import Path
@@ -61,6 +62,7 @@ from tfdyn.fock_oracle import (
 )
 
 LN2 = math.log(2.0)
+EPS = np.finfo(float).eps
 SQRT3 = math.sqrt(3.0)
 # Two-exponential commutator-free Magnus step at the Gauss-Legendre nodes.
 CFM4_NODES = (0.5 - SQRT3 / 6.0, 0.5 + SQRT3 / 6.0)
@@ -422,6 +424,50 @@ class TestExpectations:
             expectation(rho, a_op)
 
 
+class TestSingleProductTrace:
+    """expectation_single_factor reads each trace from one n x n product;
+    the two-product traces it replaced are the reference."""
+
+    @staticmethod
+    def _two_products(psi, op, tilde):
+        c = psi.c_matrix()
+        if tilde:
+            return complex(np.trace(op.matrix @ (c.T @ c.conj())))
+        return complex(np.trace(c.conj().T @ (op.matrix @ c)))
+
+    @staticmethod
+    def _operators(n):
+        a, ad = (m.matrix for m in build_boson_ladder(n))
+        q = position_operator(n, 1.0, 1.0).matrix
+        mats = (q @ q, np.linalg.matrix_power(q, 4), ad @ a, a, a @ a + 0.3j * ad)
+        return [OperatorMatrix(m, boson_single(n)) for m in mats]
+
+    @pytest.mark.parametrize("tilde", [False, True], ids=["system", "tilde"])
+    def test_series_start_keeps_the_two_product_bits(self, tilde):
+        """On the diagonal start every level term is one product, so the
+        value is the two-product trace's to the bit (c07a reads it)."""
+        for n, beta_hbar_omega in ((20, 2.0), (41, 1.0), (60, 1.3)):
+            series, _ = build_thermal_state_doubled(beta_hbar_omega, 1.0, basis=boson_doubled(n))
+            for op in self._operators(n):
+                got = np.complex128(expectation_single_factor(series, op, tilde))
+                want = np.complex128(self._two_products(series, op, tilde))
+                assert got.tobytes() == want.tobytes(), (n, op.matrix[1, 0])
+
+    @pytest.mark.parametrize("tilde", [False, True], ids=["system", "tilde"])
+    def test_random_states_agree_to_round_off(self, tilde):
+        """Within 4 eps of the sum of the magnitudes of the trace's terms."""
+        rng = np.random.default_rng(5)
+        for n in (7, 30, 60):
+            c = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            psi = StateVector((c / np.linalg.norm(c)).reshape(-1), boson_doubled(n))
+            mag = np.abs(psi.c_matrix())
+            for op in self._operators(n):
+                a = np.abs(op.matrix)
+                scale = np.sum(mag * (mag @ a.T if tilde else a @ mag))
+                got = expectation_single_factor(psi, op, tilde)
+                assert abs(got - self._two_products(psi, op, tilde)) <= 4.0 * EPS * scale
+
+
 class TestSpectralExponential:
     """_expi_neg_hermitian, the one propagator the oracle builds, against
     scipy's expm."""
@@ -551,6 +597,39 @@ class TestInvariantOperatorsAndResiduals:
         _, psi = build_thermal_state_doubled(1.0, 1.0, basis=boson_doubled(30))
         with pytest.raises(ValueError, match="f_minus"):
             thermal_state_condition_residual(psi, STATIC_FERMION, 0.5)
+
+    @staticmethod
+    def _residual_by_operators(psi, coeffs, th):
+        """The fermion residuals through the invariant-operator wrappers."""
+        tan = math.tan(th)
+        v = psi.vector
+        out = {}
+        for channel in ("a", "b"):
+            op = invariant_operator_matrix(coeffs, psi.basis, tilde=False, channel=channel)
+            op_t = invariant_operator_matrix(coeffs, psi.basis, tilde=True, channel=channel)
+            out[channel] = float(np.linalg.norm(op.matrix @ v - tan * (op_t.dag.matrix @ v)))
+            out[channel + "_tilde"] = float(np.linalg.norm(op_t.matrix @ v + tan * (op.dag.matrix @ v)))
+        return out
+
+    def test_fermion_residual_matches_the_operator_route(self):
+        """The residual forms its four matrices directly, with the bits of
+        the invariant-operator wrappers' route."""
+        rng = np.random.default_rng(3)
+        names = [f"{c}_{ch}_{s}" for ch in "ab" for c in "fg" for s in ("minus", "plus")]
+        _, thermal = build_thermal_state_doubled(LN2, 1.0, basis=fermion_doubled())
+        states = [thermal]
+        for _ in range(3):
+            v = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+            states.append(StateVector(v / np.linalg.norm(v), fermion_doubled()))
+        samples = [STATIC_FERMION] + [
+            SimpleNamespace(t=0.0, **dict(zip(names, rng.standard_normal(8) + 1j * rng.standard_normal(8))))
+            for _ in range(3)
+        ]
+        th = theta(LN2, 1.0, 1.0, "fermion")
+        for psi in states:
+            for coeffs in samples:
+                got = thermal_state_condition_residual(psi, coeffs, th)
+                assert got == self._residual_by_operators(psi, coeffs, th)
 
     def test_unknown_channel_refused(self):
         with pytest.raises(ValueError, match="got 'c'"):
@@ -1008,18 +1087,34 @@ def _frozen_propagators(pieces, bases, hbar):
 
 KERNEL_CASES = {
     **POOLED_CASES,
-    # one 125-step piece of 25 x 25 blocks, the blocks of the verify box at N = 100
+    # one 125-step piece of 25 x 25 blocks, longer than a block at every room
+    # below; the verify march has such blocks at N = 50, its N = 100 box
+    # 50 x 50 ones
     "c07c_like_box": (
         OscillatorProtocol(Constant(1.0), make_tanh_ramp(1.0, 2.0, 1.25, 0.3), t_i=0.0, t_f=2.5),
         1.0, OracleConfig(n_levels=50, substeps_per_unit=100.0, grid_points=2),
+    ),
+    # many short pieces, which the kernel stacks: the bench's boson coupling
+    # ramp (N = 60, 20 output intervals of 2 CFM4 steps) and a fermion ramp
+    # (20 intervals of 25 or 26 steps)
+    "short_boson_pieces": (
+        BosonProtocol(Constant(1.0), make_tanh_ramp(0.0, 0.3, 0.06, 0.006), t_i=0.0, t_f=0.12),
+        1.0, OracleConfig(n_levels=60, grid_points=21),
+    ),
+    "short_fermion_pieces": (
+        FermionProtocol(
+            Constant(1.0), make_tanh_ramp(0.0, 0.3, 1.0, 0.1), Constant(0.0), t_i=0.0, t_f=2.0,
+        ),
+        1.0, OracleConfig(grid_points=21),
     ),
 }
 
 
 class TestStreamedKernel:
-    """Each piece is built in aligned power-of-two blocks of steps, which
-    leaves every bit of its propagators as the whole-piece kernel gave them
-    and bounds what a thread holds by one block."""
+    """Runs of short pieces are built as stacks and each longer piece in
+    aligned power-of-two blocks of steps, which leaves every bit of their
+    propagators as the whole-piece kernel gave them, piece by piece, and
+    bounds what a thread holds by one stack or block."""
 
     @staticmethod
     def _kernel_calls(protocol, beta, cfg, monkeypatch):
@@ -1036,8 +1131,15 @@ class TestStreamedKernel:
     def test_propagators_bitwise_match_the_whole_piece_kernel(self, case, monkeypatch):
         """With room for 1, 3 and 26 steps, which the kernel rounds down to
         blocks of 1, 2 and 16 (blocks of 3 or 26 would pair the factors
-        otherwise), and at one block per piece.  Equal bytes also pin that a
-        block's generator stack is the same rows of the piece's."""
+        otherwise) and fills with stacks of up to 1, 3 and 26 steps of short
+        pieces, and with room for every piece of a call in one stack.  Equal
+        bytes also pin that a block's generator stack is the same rows of the
+        piece's, and that a stack gives each of its pieces the bytes it has
+        alone.  With room for a whole call, the short-piece cases build one
+        stack per block for each run of pieces of one shape: the boson ramp's
+        20 pieces of 2 steps form one run, while the fermion ramp's 0.1 wide
+        intervals take 25 or 26 steps, by the round-off of their widths, and
+        form 13."""
         calls = self._kernel_calls(*KERNEL_CASES[case], monkeypatch)
         (per_matrix,) = {basis[0].size for _, bases, _ in calls for basis in bases}
         if case == "c07c_like_box":
@@ -1050,6 +1152,12 @@ class TestStreamedKernel:
                 for got_piece, want_piece in zip(got, want, strict=True):
                     for a, b in zip(got_piece, want_piece, strict=True):
                         assert a.tobytes() == b.tobytes(), (case, room)
+        if case.startswith("short_"):  # the last room above holds the whole call
+            ((pieces, bases, hbar),) = calls
+            stacks = TestConstantPieces._counting(monkeypatch)
+            tfdyn.fock_oracle._propagators(pieces, bases, hbar)
+            runs = 1 if case == "short_boson_pieces" else 13
+            assert len(pieces) == 20 and len(stacks) == runs * len(bases)
 
     def test_power_of_two_blocks_pair_as_the_whole_product(self):
         """The ordered product of the block products of aligned blocks of
@@ -1069,29 +1177,43 @@ class TestStreamedKernel:
                 assert blockwise(length, block).tobytes() == whole, (length, block)
         assert any(blockwise(n, 3).tobytes() != product(u[:n]).tobytes() for n in range(1, 131))
 
-    def test_working_set_is_one_block(self, monkeypatch):
-        """A one-thread N = 100 evolution of one 128-step piece, 8 blocks of
-        16 steps of 50 x 50: the memory it traces beyond the states it returns
-        stays under 8 MB.  The whole-piece kernel traced 16.4 MB here, and
-        5.1 MB streamed."""
+    @staticmethod
+    def _traced_beyond_states(protocol, cfg, monkeypatch):
+        """The peak memory a one-thread evolution traces beyond the states
+        it returns."""
         import tracemalloc
 
         monkeypatch.setattr(tfdyn.fock_oracle, "_thread_share", 1)
-        p = OscillatorProtocol(Constant(1.0), make_tanh_ramp(1.0, 1.5, 0.64, 0.2), t_i=0.0, t_f=1.28)
-        cfg = OracleConfig(n_levels=100, substeps_per_unit=200.0, grid_points=2)
         tracing = tracemalloc.is_tracing()
         if not tracing:
             tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            traj = evolve_doubled_thermal(p, 1.0, cfg)
+            traj = evolve_doubled_thermal(protocol, 1.0, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             if not tracing:
                 tracemalloc.stop()
-        kept = sum(psi.vector.nbytes for psi in traj.states)
-        assert peak - before - kept < 8e6
+        return peak - before - sum(psi.vector.nbytes for psi in traj.states)
+
+    def test_working_set_is_one_block(self, monkeypatch):
+        """A one-thread N = 100 evolution of one 128-step piece, 32 blocks of
+        4 steps of 50 x 50: the memory it traces beyond the states it returns
+        stays under 8 MB.  It traced 4.8 MB; blocks of 16 steps (a budget
+        of 2^16 elements) traced 5.5 MB, and the whole-piece kernel 16.8 MB."""
+        p = OscillatorProtocol(Constant(1.0), make_tanh_ramp(1.0, 1.5, 0.64, 0.2), t_i=0.0, t_f=1.28)
+        cfg = OracleConfig(n_levels=100, substeps_per_unit=200.0, grid_points=2)
+        assert self._traced_beyond_states(p, cfg, monkeypatch) < 8e6
+
+    def test_working_set_is_one_stack(self, monkeypatch):
+        """A one-thread N = 100 march of 40 pieces of 2 steps, built in
+        tasks of 14 pieces and stacks of 3 (6 steps of 50 x 50): the memory
+        it traces beyond the states it returns stays under 4 MB.  It traced
+        2.1 MB; a whole task in one stack traced 6.0 MB."""
+        p = BosonProtocol(Constant(1.0), make_tanh_ramp(0.0, 0.3, 0.12, 0.012), t_i=0.0, t_f=0.24)
+        cfg = OracleConfig(n_levels=100, grid_points=41)
+        assert self._traced_beyond_states(p, cfg, monkeypatch) < 4e6
 
 
 def test_available_cpus_reads_the_affinity_mask(monkeypatch):
@@ -1177,12 +1299,22 @@ def _evaluate_coefficients(protocol, times, frame):
             Constant(1.2), complex_coupling_ramp().omega_plus,
             lambda t: 0.1j * t if t > 0.3 else 0.0, t_i=0.0, t_f=1.0,
         ),
+        BosonProtocol(
+            Constant(1.0),
+            lambda t: make_tanh_ramp(0.0, 0.3, 0.5, 0.1)(t) * cmath.exp(1j * (3.0 * t + 5.0 * t * t)),
+            t_i=0.0, t_f=1.0,
+        ),
+        FermionProtocol(
+            make_tanh_ramp(1.0, 1.4, 0.5, 0.2), lambda t: 0.2 * cmath.exp(2j * t),
+            lambda t: 0.15 * cmath.exp(-3j * t * t), t_i=0.0, t_f=1.0,
+        ),
     ],
-    ids=["boson", "oscillator", "fermion"],
+    ids=["boson", "oscillator", "fermion", "chirped_boson", "fermion_both_couplings"],
 )
 def test_sampler_coefficients_match_evaluate_reference(protocol):
-    """_coefficients reads protocols.sampler; its rows are the bits the
-    evaluate-based builder gave, at CFM4 nodes of a run of steps."""
+    """_coefficients reads protocols.sampler and flattens the samples with
+    one complex array; its rows are the bits the evaluate-based builder gave
+    by flattening each sample's tuple, at CFM4 nodes of a run of steps."""
     steps = np.arange(25)
     times = protocol.t_i + (steps + np.array(CFM4_NODES)[:, None]) * 0.04
     frame = (1.3, 0.8) if protocol.kind == "oscillator" else initial_frame(protocol)
@@ -1190,3 +1322,4 @@ def test_sampler_coefficients_match_evaluate_reference(protocol):
     want = _evaluate_coefficients(protocol, times, frame)
     assert got.shape == want.shape == times.shape + (1 + 2 * (len(protocol.channels) - 1),)
     assert got.tobytes() == want.tobytes()
+
