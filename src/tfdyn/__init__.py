@@ -40,8 +40,6 @@ from .bogoliubov import (
     sudden_coeffs,
 )
 from .thermal_observables import (
-    ThermalParameters,
-    amplification_factor,
     equilibrium_occupation,
     evolved_occupation_boson,
     q_moment,

@@ -188,16 +188,13 @@ def fermion_frame_coeffs(
     return b
 
 
-def production_number(coeffs: BogoliubovCoefficients | np.ndarray) -> float:
-    """Out-vacuum occupation of the in-mode.
-
-    For boson coefficients this is |nu|^2; for a fermion frame matrix it is
-    the weight of the creation-operator columns in the a_i row,
-    |B[0,1]|^2 + |B[0,3]|^2, which lies in [0, 1].
+def production_number(frame: np.ndarray) -> float:
+    """Out-vacuum occupation of the in-mode, read off the 4x4 fermion frame
+    matrix of ``fermion_frame_coeffs``: the weight of the creation-operator
+    columns in the a_i row, |B[0,1]|^2 + |B[0,3]|^2, which lies in [0, 1].
+    The boson counterpart is ``BogoliubovCoefficients.production``.
     """
-    if isinstance(coeffs, BogoliubovCoefficients):
-        return abs(coeffs.nu) ** 2
-    b = np.asarray(coeffs)
+    b = np.asarray(frame)
     if b.shape != (4, 4):
         raise ValueError(f"expected a 4x4 frame matrix, got shape {b.shape}")
     return float(abs(b[0, 1]) ** 2 + abs(b[0, 3]) ** 2)

@@ -75,9 +75,7 @@ __all__ = [
     "build_fermion_space",
     "build_fermion_hamiltonian",
     "FermionDoubledHamiltonians",
-    "tilde_swap",
     "thermal_density",
-    "doubled_density",
     "expectation",
     "expectation_single_factor",
     "build_thermal_state_doubled",
@@ -94,10 +92,8 @@ DEFAULT_N_LEVELS = 60
 # levels exceeds this; evolution aborts when the measured tail passes
 # OracleConfig.tail_abort.
 TAIL_REFUSAL = 1e-8
-# State vectors on the doubled space cost n^2 amplitudes, density matrices
-# n^4 entries -- only the latter needs a tight cap.
+# State vectors on the doubled space cost n^2 amplitudes.
 _MAX_DOUBLED_LEVELS = 256
-_MAX_DOUBLED_DENSITY_LEVELS = 64  # keeps doubled density matrices at <= 4096^2
 # A piece of the doubled march spans at most this many exponentials of one
 # cut interval; its propagator is one ordered product, applied at once.
 _CHUNK = 512
@@ -186,9 +182,6 @@ class OperatorMatrix:
     @property
     def dag(self) -> "OperatorMatrix":
         return OperatorMatrix(self.matrix.conj().T, self.basis, self.label + "^dag")
-
-    def hermiticity_defect(self) -> float:
-        return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
 
 
 @dataclass(frozen=True)
@@ -438,32 +431,6 @@ def build_fermion_hamiltonian(
     )
 
 
-def tilde_swap(basis: BasisDescriptor) -> OperatorMatrix:
-    """Unitary implementing the exchange of the system with its tilde copy.
-
-    Together with complex conjugation this realises tilde conjugation, so
-    S (H_hat)* S = -H_hat for any doubled generator built by the rule
-    (an anti-unitary that flips the sign of the physical generator).
-    Fermions pick up (-1)^((na+nb)(na~+nb~)) from reordering the modes.
-    """
-    if basis.kind == "boson_doubled":
-        n = basis.n_levels
-        s = np.zeros((n * n, n * n))
-        for i in range(n):
-            for j in range(n):
-                s[j * n + i, i * n + j] = 1.0
-        return OperatorMatrix(s, basis, "S")
-    if basis.kind == "fermion_doubled":
-        s = np.zeros((16, 16))
-        for idx in range(16):
-            bits = [(idx >> k) & 1 for k in (3, 2, 1, 0)]  # occupations a, b, a~, b~
-            swapped = (bits[2] << 3) | (bits[3] << 2) | (bits[0] << 1) | bits[1]
-            sign = (-1.0) ** ((bits[0] + bits[1]) * (bits[2] + bits[3]))
-            s[swapped, idx] = sign
-        return OperatorMatrix(s, basis, "S")
-    raise ValueError(f"tilde_swap needs a doubled basis, got {basis.kind}")
-
-
 # ---------------------------------------------------------------------------
 # thermal states
 # ---------------------------------------------------------------------------
@@ -514,22 +481,6 @@ def thermal_density(
     weights[x > EXP_ARG_MAX] = 0.0
     weights /= weights.sum()
     return DensityMatrix(np.diag(weights).astype(complex), basis)
-
-
-def doubled_density(rho: DensityMatrix) -> DensityMatrix:
-    """rho_hat = rho (x) rho~ with rho~ the element-wise conjugate copy."""
-    if rho.basis.kind == "boson_single":
-        if rho.basis.n_levels > _MAX_DOUBLED_DENSITY_LEVELS:
-            raise ValueError(
-                f"doubled boson density matrices capped at "
-                f"{_MAX_DOUBLED_DENSITY_LEVELS} levels, got {rho.basis.n_levels}"
-            )
-        basis = boson_doubled(rho.basis.n_levels)
-    elif rho.basis.kind == "fermion_single":
-        basis = fermion_doubled()
-    else:
-        raise ValueError(f"cannot double basis {rho.basis.kind}")
-    return DensityMatrix(np.kron(rho.matrix, rho.matrix.conj()), basis)
 
 
 def _thermal_series(

@@ -4,23 +4,21 @@ The thermal vacuum in the doubled space is a two-mode squeezed state whose
 squeeze angle theta(beta) encodes the temperature: tanh(theta) = e^{-b*h*w/2}
 for bosons and tan(theta) = e^{-b*h*w/2} for fermions.  This module collects
 the angle itself, the equilibrium occupations, the post-quench occupation
-formula, the normal-ordered position moments <q^(2n)>, and the amplification
-factor 1 + 2|nu|^2.  Everything here is an arithmetic identity; the matching
-brute-force expectations live in fock_oracle.
+formula, which builds the ``occupation_evolved`` column of a boson or
+oscillator run, and the normal-ordered position moments <q^(2n)>.
+Everything here is an arithmetic identity; the matching brute-force
+expectations live in fock_oracle.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 __all__ = [
-    "ThermalParameters",
     "theta",
     "equilibrium_occupation",
     "evolved_occupation_boson",
     "q_moment",
-    "amplification_factor",
     "EXP_ARG_MAX",
 ]
 
@@ -54,31 +52,6 @@ def theta(beta: float, omega: float, hbar: float = 1.0, statistics: str = "boson
     return math.atanh(half) if statistics == "boson" else math.atan(half)
 
 
-@dataclass(frozen=True)
-class ThermalParameters:
-    """Temperature bundle (beta, omega_ref, hbar, statistics) with its angle."""
-
-    beta: float
-    omega_ref: float
-    hbar: float = 1.0
-    statistics: str = "boson"
-    theta: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "theta", theta(self.beta, self.omega_ref, self.hbar, self.statistics)
-        )
-
-    @property
-    def occupation(self) -> float:
-        return equilibrium_occupation(self.beta, self.omega_ref, self.hbar, self.statistics)
-
-    @property
-    def tangent(self) -> float:
-        """tanh(theta) (boson) or tan(theta) (fermion): the pair amplitude e^{-b*h*w/2}."""
-        return math.tanh(self.theta) if self.statistics == "boson" else math.tan(self.theta)
-
-
 def equilibrium_occupation(
     beta: float, omega: float, hbar: float = 1.0, statistics: str = "boson"
 ) -> float:
@@ -94,34 +67,29 @@ def equilibrium_occupation(
     return 1.0 / (math.exp(x) + 1.0)
 
 
-def evolved_occupation_boson(nu: complex, beta: float, omega: float, hbar: float = 1.0) -> float:
-    """Occupation of the out-mode after a quench that produced nu.
+def evolved_occupation_boson(n_pair, beta: float, omega: float, hbar: float = 1.0):
+    """Occupation of the out-mode after a quench that produced |nu|^2 = n_pair.
 
-    nu*nu + (1 + 2 nu*nu)/(e^{b*h*w} - 1): the produced pairs plus the
-    thermal population amplified by the squeezing.  beta and omega are
-    the *initial* equilibrium parameters.
+    n_pair + (1 + 2 n_pair)/(e^{b*h*w} - 1): the produced pairs plus the
+    thermal population amplified by the squeezing.  n_pair is a float or an
+    array of them (one per output time), and the result has its type.  beta
+    and omega are the *initial* equilibrium parameters.
     """
-    n_pair = abs(nu) ** 2
     return n_pair + (1.0 + 2.0 * n_pair) * equilibrium_occupation(beta, omega, hbar, "boson")
 
 
-def q_moment(n: int, v, theta: float, hbar: float = 1.0):
-    """Normal-ordered position moment <q^(2n)> for the boson thermal state.
+def q_moment(n: int, v: list, theta: float, hbar: float = 1.0) -> list:
+    """Normal-ordered position moments <q^(2n)> for the boson thermal state.
 
     (2n)!/(2^n n!) * (hbar |v|^2)^n * (1 + 2 sinh^2 theta)^n, with v the mode
     function value at the evaluation time.  The combinatorial prefactor is the
-    Gaussian (2n-1)!!, so <q^4>/<q^2>^2 = 3 regardless of v and theta.  A
-    list of mode function values gives the list of their moments.
+    Gaussian (2n-1)!!, so <q^4>/<q^2>^2 = 3 regardless of v and theta.  It
+    takes a list of mode function values, one per output time, and returns
+    the list of their moments.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"moment order n must be a positive integer, got {n!r}")
     prefactor = math.factorial(2 * n) / (2**n * math.factorial(n))
     spread = 1.0 + 2.0 * math.sinh(theta) ** 2
-    if isinstance(v, list):
-        return [prefactor * (hbar * abs(x) ** 2 * spread) ** n for x in v]
-    return prefactor * (hbar * abs(v) ** 2 * spread) ** n
+    return [prefactor * (hbar * abs(x) ** 2 * spread) ** n for x in v]
 
-
-def amplification_factor(nu: complex) -> float:
-    """Thermal-population amplification 1 + 2|nu|^2 >= 1."""
-    return 1.0 + 2.0 * abs(nu) ** 2

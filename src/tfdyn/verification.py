@@ -120,7 +120,8 @@ def _boson_columns(protocol: Protocol, traj, beta: float, hbar: float, doubled) 
         v = [complex(d.real * scale, d.imag * scale) for d in diffs]
     q2 = np.array(thermal_observables.q_moment(1, v, theta, hbar))
     q4 = np.array(thermal_observables.q_moment(2, v, theta, hbar))
-    analytic = {"occupation": nu_sq + (1.0 + 2.0 * nu_sq) * n_eq, "q2": q2, "q4": q4}
+    occupation = thermal_observables.evolved_occupation_boson(nu_sq, beta, omega_i, hbar)
+    analytic = {"occupation": occupation, "q2": q2, "q4": q4}
     columns = [
         ("t [time]", traj.t),
         ("occupation_equilibrium [1]", np.full(len(traj.t), n_eq)),

@@ -202,9 +202,6 @@ class TestFermionFrame:
 
 
 class TestProductionNumber:
-    def test_boson_coefficients(self):
-        assert production_number(sudden_coeffs(1.0, 4.0)) == SUDDEN_PRODUCTION
-
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
             production_number(np.eye(3))

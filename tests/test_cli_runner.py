@@ -1,9 +1,11 @@
 """End-to-end tests for config parsing, run artifacts, and the CLI verbs."""
 
 import concurrent.futures
+import importlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from concurrent.futures import Future
@@ -780,3 +782,18 @@ def test_runtime_loads_no_process_pool(runtime_modules):
         if m.lstrip("_").startswith("multiprocessing") or m == "concurrent.futures.process"
     ]
     assert loaded == []
+
+
+def test_every_exported_name_exists():
+    """Each name in a tfdyn module's ``__all__`` resolves on that module, so
+    ``from tfdyn.<module> import *`` cannot fail on a stale entry."""
+    exporting = []
+    for info in pkgutil.iter_modules(tfdyn.__path__):
+        if info.name == "__main__":  # running it is the CLI
+            continue
+        module = importlib.import_module(f"tfdyn.{info.name}")
+        if hasattr(module, "__all__"):
+            exporting.append(info.name)
+            missing = [name for name in module.__all__ if not hasattr(module, name)]
+            assert missing == [], info.name
+    assert len(exporting) >= 7
