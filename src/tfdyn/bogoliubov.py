@@ -60,19 +60,15 @@ class ReferenceMode:
 
 @dataclass(frozen=True)
 class BogoliubovCoefficients:
-    """Mixing a(t) = mu * a_f + nu * a_f^dag (boson) or its fermion analogue.
+    """Boson mixing a(t) = mu * a_f + nu * a_f^dag.
 
-    Bosons satisfy |mu|^2 - |nu|^2 = 1, fermions |mu|^2 + |nu|^2 = 1; the
-    deviation is exposed rather than enforced.
+    The coefficients satisfy |mu|^2 - |nu|^2 = 1; the deviation is exposed
+    rather than enforced.  The fermion counterpart is the 4x4 frame matrix of
+    ``fermion_frame_coeffs``.
     """
 
     mu: complex
     nu: complex
-    statistics: str = "boson"
-
-    def __post_init__(self) -> None:
-        if self.statistics not in ("boson", "fermion"):
-            raise ValueError(f"unknown statistics {self.statistics!r}")
 
     @property
     def production(self) -> float:
@@ -80,8 +76,7 @@ class BogoliubovCoefficients:
 
     @property
     def constraint_deviation(self) -> float:
-        sign = -1.0 if self.statistics == "boson" else 1.0
-        return abs(abs(self.mu) ** 2 + sign * abs(self.nu) ** 2 - 1.0)
+        return abs(abs(self.mu) ** 2 - abs(self.nu) ** 2 - 1.0)
 
 
 def boson_overlap(mode: SimpleNamespace, ref: ReferenceMode) -> BogoliubovCoefficients:
@@ -123,7 +118,7 @@ def _overlap(
     nr = (ar * ud.real + ai * ud.imag) - (pr * u.real + pi * u.imag)
     ni = (ai * ud.real - ar * ud.imag) - (pi * u.real - pr * u.imag)
     return BogoliubovCoefficients(
-        complex(0.0 * mr - mi, 0.0 * mi + mr), complex(0.0 * nr - ni, 0.0 * ni + nr), "boson"
+        complex(0.0 * mr - mi, 0.0 * mi + mr), complex(0.0 * nr - ni, 0.0 * ni + nr)
     )
 
 
@@ -138,7 +133,7 @@ def sudden_coeffs(omega_i: float, omega_f: float) -> BogoliubovCoefficients:
         raise ValueError(f"frequencies must be positive, got ({omega_i}, {omega_f})")
     denom = 2.0 * math.sqrt(omega_i * omega_f)
     return BogoliubovCoefficients(
-        complex((omega_f + omega_i) / denom), complex((omega_f - omega_i) / denom), "boson"
+        complex((omega_f + omega_i) / denom), complex((omega_f - omega_i) / denom)
     )
 
 

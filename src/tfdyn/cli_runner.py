@@ -76,10 +76,6 @@ _NOT_FOR_VERIFY = (
     ("oracle", "tail_abort"),
 )
 
-_BOOLEANS = {
-    "true": True, "yes": True, "on": True, "1": True,
-    "false": False, "no": False, "off": False, "0": False,
-}
 _TYPE_NAMES = {float: "a number", int: "an integer", bool: "a boolean"}
 
 
@@ -146,7 +142,7 @@ def _section(parser: configparser.ConfigParser, section: str) -> dict:
     for key, raw in parser[section].items():
         kind = _SECTION_KEYS[section][key]
         try:
-            values[key] = _BOOLEANS[raw.strip().lower()] if kind is bool else kind(raw)
+            values[key] = parser.BOOLEAN_STATES[raw.strip().lower()] if kind is bool else kind(raw)
         except (KeyError, ValueError) as exc:
             raise ConfigError(
                 f"[{section}] {key}: cannot parse '{raw}' as {_TYPE_NAMES[kind]}"

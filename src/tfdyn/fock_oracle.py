@@ -5,7 +5,8 @@ ladder operators become dense matrices on a truncated (boson) or exact
 (fermion) Fock space, Hamiltonians and thermal states become concrete arrays,
 and time evolution is an ordered product of matrix exponentials.  The two
 routes share no formulas, which is the point -- agreement is evidence, not
-tautology.
+tautology.  Evolutions start from the vacuum summed with e^{-beta hbar w/2}
+per pair; only ``build_thermal_state_doubled``'s squeeze route reads theta.
 
 Bosons live on ``n_levels`` retained number states (default 60); the price is
 a truncation tail, which is measured and reported rather than hidden.  The
@@ -154,11 +155,6 @@ def fermion_single() -> BasisDescriptor:
 
 def fermion_doubled() -> BasisDescriptor:
     return BasisDescriptor("fermion_doubled", 16)
-
-
-def _check_basis(basis: BasisDescriptor, other: BasisDescriptor, what: str) -> None:
-    if basis != other:
-        raise ValueError(f"basis mismatch in {what}: {basis} vs {other}")
 
 
 @dataclass(frozen=True)
@@ -487,7 +483,7 @@ def _thermal_series(
     beta: float, omega: float, hbar: float, basis: BasisDescriptor
 ) -> StateVector:
     """Route one of ``build_thermal_state_doubled``: |0(beta)> summed as its
-    series."""
+    series, e^{-beta hbar w/2} per pair, normalised; it reads no theta."""
     if basis.kind == "boson_doubled":
         n = basis.n_levels
         x = _boltzmann_ratio(beta, omega, hbar, n)
@@ -501,14 +497,17 @@ def _thermal_series(
         ops = build_fermion_space(doubled=True)
         a, b = ops["a"].matrix, ops["b"].matrix
         at, bt = ops["a_tilde"].matrix, ops["b_tilde"].matrix
-        th = thermal_theta(beta, omega, hbar, "fermion")
-        tan = math.tan(th)
+        x = beta * hbar * omega
+        if not x > 0.0:
+            raise ValueError(f"beta*hbar*omega must be positive, got {x}")
+        amp = math.exp(-0.5 * x) if x <= EXP_ARG_MAX else 0.0
         vac = np.zeros(16, dtype=complex)
         vac[0] = 1.0
         eye = np.eye(16, dtype=complex)
-        pair_a = eye + tan * (a.conj().T @ at.conj().T)
-        pair_b = eye + tan * (b.conj().T @ bt.conj().T)
-        return StateVector(math.cos(th) ** 2 * (pair_a @ (pair_b @ vac)), basis)
+        pair_a = eye + amp * (a.conj().T @ at.conj().T)
+        pair_b = eye + amp * (b.conj().T @ bt.conj().T)
+        psi = pair_a @ (pair_b @ vac)
+        return StateVector(psi / np.linalg.norm(psi), basis)
     raise ValueError(f"build_thermal_state_doubled needs a doubled basis, got {basis.kind}")
 
 
@@ -520,16 +519,17 @@ def build_thermal_state_doubled(
 ) -> tuple[StateVector, StateVector]:
     """Thermal vacuum |0(beta)> by two independent routes.
 
-    Route one sums the series directly: amplitudes x^{n/2} on the pair states
-    |n, n~> (bosons) or the expanded product (1 + tan(theta) a^dag a~^dag)
-    (1 + tan(theta) b^dag b~^dag)|0> (fermions), normalised.  It is the
-    definition of the thermal vacuum, and ``evolve_doubled_thermal`` starts
-    from it.  Route two exponentiates the squeeze generator, the paper's
-    construction: exp(theta (a^dag a~^dag - a~ a))|0> and its two-channel
-    fermion analogue.  The generator G is real and antisymmetric, so iG is
-    Hermitian and exp(G) is the march's own spectral exponential of iG at
-    unit step and hbar.  They must agree to truncation tolerance (bosons) or
-    round-off (fermions); returned as (series, squeezed).
+    Route one sums the series directly, with x = e^{-beta hbar w}: amplitudes
+    x^{n/2} on the pair states |n, n~> (bosons) or the expanded product
+    (1 + x^{1/2} a^dag a~^dag)(1 + x^{1/2} b^dag b~^dag)|0> (fermions),
+    normalised.  It is the definition of the thermal vacuum, and
+    ``evolve_doubled_thermal`` starts from it.  Route two, the only one that
+    reads the analytic angle theta(beta), exponentiates the squeeze generator,
+    the paper's construction: exp(theta (a^dag a~^dag - a~ a))|0> and its
+    two-channel fermion analogue.  The generator G is real and antisymmetric,
+    so iG is Hermitian and exp(G) is the march's own spectral exponential of
+    iG at unit step and hbar.  They must agree to truncation tolerance
+    (bosons) or round-off (fermions); returned as (series, squeezed).
     """
     if basis is None:
         basis = boson_doubled(DEFAULT_N_LEVELS)
@@ -568,10 +568,10 @@ def build_thermal_state_doubled(
 
 def expectation(state: DensityMatrix | StateVector, op: OperatorMatrix) -> complex:
     """Tr[rho A] or <psi|A|psi> on a shared basis."""
+    if state.basis != op.basis:
+        raise ValueError(f"basis mismatch in expectation: {state.basis} vs {op.basis}")
     if isinstance(state, DensityMatrix):
-        _check_basis(state.basis, op.basis, "expectation")
         return complex(np.trace(state.matrix @ op.matrix))
-    _check_basis(state.basis, op.basis, "expectation")
     return complex(np.vdot(state.vector, op.matrix @ state.vector))
 
 
@@ -829,9 +829,6 @@ class DoubledTrajectory:
     basis: BasisDescriptor
     norm_deviation: np.ndarray
     tail_weight: np.ndarray
-    beta: float
-    hbar: float
-    protocol: Protocol
 
 
 def _coefficients(
@@ -1153,7 +1150,4 @@ def evolve_doubled_thermal(
         basis=basis,
         norm_deviation=np.array(norm_dev),
         tail_weight=np.array(tails),
-        beta=beta,
-        hbar=hbar,
-        protocol=protocol,
     )

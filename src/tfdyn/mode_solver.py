@@ -271,18 +271,10 @@ def _wronskian(traj: ModeTrajectory) -> np.ndarray:
     return np.abs(w - 1j)
 
 
-def _norm_a(traj: ModeTrajectory) -> np.ndarray:
-    return np.abs(
-        np.abs(traj.f_a_minus) ** 2 + np.abs(traj.f_a_plus) ** 2
-        + np.abs(traj.g_a_minus) ** 2 + np.abs(traj.g_a_plus) ** 2 - 1.0
-    )
-
-
-def _norm_b(traj: ModeTrajectory) -> np.ndarray:
-    return np.abs(
-        np.abs(traj.f_b_minus) ** 2 + np.abs(traj.f_b_plus) ** 2
-        + np.abs(traj.g_b_minus) ** 2 + np.abs(traj.g_b_plus) ** 2 - 1.0
-    )
+def _norm(channel: str) -> Callable[[ModeTrajectory], np.ndarray]:
+    """||f-|^2 + |f+|^2 + |g-|^2 + |g+|^2 - 1| of one channel, conserved at 0."""
+    names = [name for name in _FERMION_COLUMNS if f"_{channel}_" in name]
+    return lambda traj: np.abs(sum(np.abs(traj.columns[name]) ** 2 for name in names) - 1.0)
 
 
 def _anticommutator_ab(traj: ModeTrajectory) -> np.ndarray:
@@ -306,8 +298,8 @@ _KINDS: dict[str, dict[str, Callable[[ModeTrajectory], np.ndarray]]] = {
     "boson": {"commutator": _commutator},
     "oscillator": {"wronskian": _wronskian},
     "fermion": {
-        "norm_a": _norm_a,
-        "norm_b": _norm_b,
+        "norm_a": _norm("a"),
+        "norm_b": _norm("b"),
         "anticommutator_ab": _anticommutator_ab,
         "anticommutator_adag_b": _anticommutator_adag_b,
     },

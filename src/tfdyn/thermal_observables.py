@@ -29,10 +29,14 @@ EXP_ARG_MAX = 700.0
 _STATISTICS = ("boson", "fermion")
 
 
-def _check_positive(**values: float) -> None:
-    for name, value in values.items():
+def _exponent(beta: float, omega: float, hbar: float, statistics: str) -> float:
+    """b*h*w, after the refusals that theta and the occupation share."""
+    for name, value in (("beta", beta), ("omega", omega), ("hbar", hbar)):
         if not (value > 0.0 and math.isfinite(value)):
             raise ValueError(f"{name} must be positive and finite, got {value}")
+    if statistics not in _STATISTICS:
+        raise ValueError(f"unknown statistics {statistics!r}")
+    return beta * hbar * omega
 
 
 def theta(beta: float, omega: float, hbar: float = 1.0, statistics: str = "boson") -> float:
@@ -42,10 +46,7 @@ def theta(beta: float, omega: float, hbar: float = 1.0, statistics: str = "boson
     theta = artanh(e^{-b*h*w/2}); fermions: cos(theta) = (1 + e^{-b*h*w})^{-1/2},
     i.e. theta = arctan(e^{-b*h*w/2}).  Always >= 0, and -> 0 as T -> 0.
     """
-    _check_positive(beta=beta, omega=omega, hbar=hbar)
-    if statistics not in _STATISTICS:
-        raise ValueError(f"unknown statistics {statistics!r}")
-    x = beta * hbar * omega
+    x = _exponent(beta, omega, hbar, statistics)
     if x > EXP_ARG_MAX:
         return 0.0
     half = math.exp(-0.5 * x)
@@ -56,10 +57,7 @@ def equilibrium_occupation(
     beta: float, omega: float, hbar: float = 1.0, statistics: str = "boson"
 ) -> float:
     """Mean occupation 1/(e^{b*h*w} -+ 1): sinh^2(theta) or sin^2(theta)."""
-    _check_positive(beta=beta, omega=omega, hbar=hbar)
-    if statistics not in _STATISTICS:
-        raise ValueError(f"unknown statistics {statistics!r}")
-    x = beta * hbar * omega
+    x = _exponent(beta, omega, hbar, statistics)
     if x > EXP_ARG_MAX:
         return 0.0
     if statistics == "boson":

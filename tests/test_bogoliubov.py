@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from tfdyn import (
-    BogoliubovCoefficients,
     Constant,
     FermionProtocol,
     IntegratorConfig,
@@ -130,10 +129,6 @@ class TestBosonOverlap:
             c = boson_overlap(traj.final, ReferenceMode(m_ref, 2.0))
             assert c.constraint_deviation < 1e-12
             assert c.production > 1e-3  # a real change of frame, not the identity
-
-    def test_statistics_validated(self):
-        with pytest.raises(ValueError):
-            BogoliubovCoefficients(1.0, 0.0, statistics="anyon")
 
 
 class TestFermionFrame:

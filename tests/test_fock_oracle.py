@@ -705,6 +705,34 @@ class TestDoubledEvolution:
         assert traj.basis.kind == "boson_doubled"
 
 
+class TestChirpedPairing:
+    """A thermal fermion pair under a chirped, complex pairing pulse w+ =
+    Omega sech(t/T) e^{i kappa t}: the suite's protocols are real, so this
+    is the oracle's exact check through the complex branch of its
+    exponential.  w0 drops out, because [a^dag a - b^dag b, a^dag b^dag] = 0,
+    and the Rosen-Zener result (Rosen & Zener, Phys. Rev. 40, 502 (1932))
+    gives <a^dag a> = n_eq + (1 - 2 n_eq) sin^2(pi Omega T) sech^2(pi kappa T/2)."""
+
+    @pytest.mark.parametrize("amplitude, width, chirp, omega0, beta, half_window", [
+        (0.3, 0.5, 0.8, 1.0, 1.0, 15.0), (0.6, 1.0, 0.5, 0.7, 0.5, 30.0),
+    ])
+    def test_occupation_matches_rosen_zener(
+        self, amplitude, width, chirp, omega0, beta, half_window
+    ):
+        def pulse(t):
+            return amplitude / math.cosh(t / width) * cmath.exp(1j * chirp * t)
+
+        p = FermionProtocol(
+            Constant(omega0), pulse, Constant(0.0), t_i=-half_window, t_f=half_window
+        )
+        traj = evolve_doubled_thermal(p, beta, OracleConfig(substeps_per_unit=250, grid_points=2))
+        a = build_fermion_space(doubled=True)["a"].matrix
+        got = expectation(traj.states[-1], OperatorMatrix(a.conj().T @ a, fermion_doubled())).real
+        n_eq = 1.0 / (math.exp(beta * omega0) + 1.0)
+        flip = (math.sin(math.pi * amplitude * width) / math.cosh(0.5 * math.pi * chirp * width)) ** 2
+        assert abs(got - (n_eq + (1.0 - 2.0 * n_eq) * flip)) < 1e-10
+
+
 class TestPropagationKernel:
     """The parity-block CFM4 kernel against dense references."""
 
@@ -863,7 +891,8 @@ class TestConstantPieces:
 
 class TestThermalStart:
     """Every evolution starts from the series, so none builds the thermal
-    vacuum by ``build_thermal_state_doubled`` and its squeeze exponential."""
+    vacuum by ``build_thermal_state_doubled`` and its squeeze exponential,
+    and none reads the analytic squeeze angle that c03 and c08 compare with."""
 
     @pytest.mark.parametrize("protocol, beta, cfg", [
         (OscillatorProtocol(Constant(1.0), make_tanh_ramp(1.3, 2.0, 0.5, 0.1), t_i=0.0, t_f=0.2),
@@ -874,14 +903,21 @@ class TestThermalStart:
     ], ids=["oscillator", "boson", "fermion"])
     def test_first_state_is_the_series_bit_for_bit(self, protocol, beta, cfg, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("an evolution built both thermal-vacuum routes")
+            raise AssertionError("an evolution built both thermal-vacuum routes or read theta")
 
         series, _ = build_thermal_state_doubled(beta, initial_frame(protocol)[1], basis=(
             boson_doubled(cfg.n_levels) if protocol.kind != "fermion" else fermion_doubled()
         ))
         monkeypatch.setattr(tfdyn.fock_oracle, "build_thermal_state_doubled", refuse)
+        monkeypatch.setattr(tfdyn.fock_oracle, "thermal_theta", refuse)
         traj = evolve_doubled_thermal(protocol, beta, cfg)
         assert np.array_equal(traj.states[0].vector, series.vector)
+
+    @pytest.mark.parametrize("beta", [0.0, -1.0, math.nan])
+    def test_fermion_series_refuses_a_non_positive_temperature_exponent(self, beta):
+        p = FermionProtocol(Constant(1.0), Constant(0.0), Constant(0.0), t_i=0.0, t_f=0.1)
+        with pytest.raises(ValueError, match="must be positive"):
+            evolve_doubled_thermal(p, beta, OracleConfig(grid_points=2))
 
 
 def test_one_thread_marches_hold_blas_at_one_thread(monkeypatch):

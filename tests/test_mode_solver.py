@@ -7,6 +7,7 @@ e^{-i w (t - t_i)}.  Small exact Fock spaces double-check the operator
 identity directly where the dimension permits.
 """
 
+import cmath
 import hashlib
 import math
 
@@ -25,6 +26,7 @@ from tfdyn import (
     IntegratorConfig,
     OscillatorProtocol,
     Step,
+    fermion_frame_coeffs,
     make_tanh_ramp,
     solve_boson_mode,
     solve_fermion_modes,
@@ -329,6 +331,50 @@ class TestFermionModes:
             lhs = u @ bare.matrix @ u.conj().T
             rhs = invariant_operator_matrix(final, fermion_single(), channel=channel).matrix
             assert np.max(np.abs(lhs - rhs)) < 1e-10, channel
+
+
+def _sech_pulse(amplitude, width, chirp):
+    """The chirped Rosen-Zener coupling amplitude sech(t/width) e^{i chirp t}."""
+    return lambda t: amplitude / math.cosh(t / width) * cmath.exp(1j * chirp * t)
+
+
+ROSEN_ZENER = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14, grid_points=3)
+
+
+class TestRosenZener:
+    """Exact transition probabilities for a chirped sech pulse (Rosen &
+    Zener, Phys. Rev. 40, 502 (1932)), on windows of +-40 widths whose tails
+    sit at e^{-40}.  Only a chirp tells w+ from its conjugate, and only the
+    hopping pulse reads w-."""
+
+    @pytest.mark.parametrize("amplitude, width, chirp", [
+        (0.3, 0.5, 0.8), (0.5, 1.0, 0.8), (0.3, 0.5, 0.0),
+    ])
+    def test_boson_pair_production(self, amplitude, width, chirp):
+        """w0 = 1 and w+ the pulse: |f+|^2 = sinh^2(pi Omega T)
+        sech^2(pi (w0 + kappa/2) T), the su(1,1) continuation."""
+        p = BosonProtocol(
+            Constant(1.0), _sech_pulse(amplitude, width, chirp), t_i=-40.0 * width, t_f=40.0 * width
+        )
+        traj = solve_boson_mode(p, ROSEN_ZENER)
+        exact = (math.sinh(math.pi * amplitude * width)
+                 / math.cosh(math.pi * (1.0 + 0.5 * chirp) * width)) ** 2
+        assert abs(abs(traj.f_plus[-1]) ** 2 - exact) < 1e-10 * exact
+
+    @pytest.mark.parametrize("amplitude, width, chirp, omega0", [
+        (0.3, 0.5, 0.8, 1.0), (0.5, 0.5, 0.8, 0.4), (0.4, 1.0, 0.8, 0.4),
+    ])
+    def test_fermion_hopping(self, amplitude, width, chirp, omega0):
+        """w+ = 0 and w- the pulse moves a into b with probability
+        |B[0,2]|^2 = sin^2(pi Omega T) sech^2(pi (w0 - kappa/2) T)."""
+        p = FermionProtocol(
+            Constant(omega0), Constant(0.0), _sech_pulse(amplitude, width, chirp),
+            t_i=-40.0 * width, t_f=40.0 * width,
+        )
+        frame = fermion_frame_coeffs(solve_fermion_modes(p, ROSEN_ZENER).final, omega0)
+        exact = (math.sin(math.pi * amplitude * width)
+                 / math.cosh(math.pi * (omega0 - 0.5 * chirp) * width)) ** 2
+        assert abs(abs(frame[0, 2]) ** 2 - exact) < 1e-10 * exact
 
 
 SOLVERS = {
