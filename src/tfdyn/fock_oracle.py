@@ -35,6 +35,14 @@ short pieces of one shape share one generator contraction, one batched
 eigensolve and one batched product of their steps, within one budget of
 elements (``_SUB_BATCH``) that also bounds the blocks of a long piece.
 Every propagator keeps the bits it has when built alone.
+
+A trajectory's observables are read in one pass over its parity blocks as
+well: ``expectation_single_factor``, ``thermal_state_condition_residual``
+and ``expectation`` take a stack of states, check it, and hand its arrays
+to the kernels of ``tfdyn._readers``, which work in row batches within the
+same budget, multiply only the parity sub-blocks that are not exactly
+zero, and give every state the bits it gets alone; the suite's and the
+CLI's observables keep the bits of the full n x n products they replace.
 """
 
 from __future__ import annotations
@@ -46,10 +54,11 @@ import math
 import os
 from dataclasses import dataclass
 from types import MappingProxyType, SimpleNamespace
-from typing import Callable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from . import _readers
 from .errors import TruncationError
 from .protocols import Protocol, initial_frame, sampler, statistics_of
 from .thermal_observables import EXP_ARG_MAX, theta as thermal_theta
@@ -218,7 +227,7 @@ class StateVector:
         v = np.asarray(self.vector, dtype=complex)
         if v.shape != (self.basis.dimension,):
             raise ValueError("state vector shape does not match basis")
-        if abs(np.linalg.norm(v) - 1.0) > 1e-10:
+        if not abs(np.linalg.norm(v) - 1.0) <= 1e-10:  # a NaN norm fails too
             raise ValueError(f"state vector norm {np.linalg.norm(v)} is not 1")
         v.setflags(write=False)
         object.__setattr__(self, "vector", v)
@@ -431,11 +440,19 @@ def build_fermion_hamiltonian(
 # thermal states
 # ---------------------------------------------------------------------------
 
+def _beta_hbar_omega(beta: float, omega: float, hbar: float) -> float:
+    """beta hbar w, refusing a NaN with a ValueError."""
+    x = beta * hbar * omega
+    if math.isnan(x):
+        raise ValueError(f"beta*hbar*omega is NaN (beta = {beta}, omega = {omega}, hbar = {hbar})")
+    return x
+
+
 def _boltzmann_ratio(beta: float, omega: float, hbar: float, n_levels: int) -> float:
-    """x = e^{-beta hbar w}, after refusing a box of ``n_levels`` whose
-    geometric tail x^N (the Gibbs weight beyond the box) exceeds
-    ``TAIL_REFUSAL``."""
-    x = math.exp(-min(beta * hbar * omega, EXP_ARG_MAX))
+    """x = e^{-beta hbar w}, after refusing a NaN beta hbar w and a box of
+    ``n_levels`` whose geometric tail x^N (the Gibbs weight beyond the box)
+    exceeds ``TAIL_REFUSAL``."""
+    x = math.exp(-min(_beta_hbar_omega(beta, omega, hbar), EXP_ARG_MAX))
     if x > 0.0 and x**n_levels > TAIL_REFUSAL:
         hint = "no finite box holds this state"
         if x < 1.0:
@@ -472,7 +489,7 @@ def thermal_density(
         energies = np.real(np.diag(number))
     else:
         raise ValueError(f"thermal_density needs a single-system basis, got {basis.kind}")
-    x = beta * hbar * omega * (energies - energies.min())
+    x = _beta_hbar_omega(beta, omega, hbar) * (energies - energies.min())
     weights = np.exp(-np.minimum(x, EXP_ARG_MAX))
     weights[x > EXP_ARG_MAX] = 0.0
     weights /= weights.sum()
@@ -498,7 +515,7 @@ def _thermal_series(
         a, b = ops["a"].matrix, ops["b"].matrix
         at, bt = ops["a_tilde"].matrix, ops["b_tilde"].matrix
         x = beta * hbar * omega
-        if not x > 0.0:
+        if not x > 0.0:  # refuses a NaN too
             raise ValueError(f"beta*hbar*omega must be positive, got {x}")
         amp = math.exp(-0.5 * x) if x <= EXP_ARG_MAX else 0.0
         vac = np.zeros(16, dtype=complex)
@@ -566,38 +583,81 @@ def build_thermal_state_doubled(
 # expectations and evolution
 # ---------------------------------------------------------------------------
 
-def expectation(state: DensityMatrix | StateVector, op: OperatorMatrix) -> complex:
-    """Tr[rho A] or <psi|A|psi> on a shared basis."""
-    if state.basis != op.basis:
-        raise ValueError(f"basis mismatch in expectation: {state.basis} vs {op.basis}")
+def _stack(items, kind: type) -> tuple[list, bool]:
+    """``items`` as a list, and whether it was a single ``kind`` rather than
+    a stack of them.  An empty stack is refused."""
+    if isinstance(items, kind):
+        return [items], True
+    items = list(items)
+    if not items:
+        raise ValueError(f"need at least one {kind.__name__}")
+    return items, False
+
+
+def expectation(
+    state: DensityMatrix | StateVector | Sequence[StateVector],
+    op: OperatorMatrix | Sequence[OperatorMatrix],
+) -> complex | np.ndarray:
+    """Tr[rho A], or <psi|A|psi> on each state of a stack, for an operator or
+    each of a stack, on a shared basis.
+
+    K operators and R states give a (K, R) array; a single operator or state
+    drops its axis, and one of each gives a complex.  Each value has the bits
+    of np.vdot(psi, A @ psi): one matrix-vector and one dot product per pair,
+    a row batch of states at once.
+    """
+    ops, one_op = _stack(op, OperatorMatrix)
     if isinstance(state, DensityMatrix):
-        return complex(np.trace(state.matrix @ op.matrix))
-    return complex(np.vdot(state.vector, op.matrix @ state.vector))
+        states, one_state = [state], True
+    else:
+        states, one_state = _stack(state, StateVector)
+    for st in states:
+        for o in ops:
+            if st.basis != o.basis:
+                raise ValueError(f"basis mismatch in expectation: {st.basis} vs {o.basis}")
+    if isinstance(state, DensityMatrix):
+        values = np.array([[np.trace(state.matrix @ o.matrix)] for o in ops])
+    else:
+        values = _readers.vdots([st.vector for st in states], [o.matrix for o in ops], _SUB_BATCH)
+    return _readers.shaped(values, one_op, one_state)
 
 
 def expectation_single_factor(
-    psi: StateVector, op: OperatorMatrix, tilde: bool = False
-) -> complex:
-    """<psi| A (x) I |psi> (or I (x) A with ``tilde``) on the doubled boson basis.
+    psi: StateVector | Sequence[StateVector],
+    op: OperatorMatrix | Sequence[OperatorMatrix],
+    tilde: bool = False,
+) -> complex | np.ndarray:
+    """<psi| A (x) I |psi> (or I (x) A with ``tilde``) on the doubled boson
+    basis, for a state or each of a stack and an operator or each of a stack
+    (shaped as ``expectation``).
 
     Works on the (n x n) coefficient matrix directly -- no n^2-dimensional
     Kronecker product: <A (x) I> = tr(C^dag A C), <I (x) A> = tr(A C^T C*).
-    Each trace takes one n x n product, A C or G = C^T C*, and sums its
-    level terms in level order, as ``np.trace`` does: the k-th is the dot of
-    column k of C* and of A C, or of column k of A^T and of G.  On the
-    diagonal thermal-series start each dot has one nonzero term, so both
-    values keep the bits of the two-product traces.
+    Each trace reads one product, A C or G = C^T C*, and sums its level
+    terms in level order, as ``np.trace`` does: the k-th is the dot of
+    column k of C* and of A C, or of column k of A^T and of G.  C and A are
+    taken as their (even, odd) parity sub-blocks, stride-2 views, and only
+    the pairs of sub-blocks that are not exactly zero are multiplied, so a
+    stack gives every state the bits it gets alone.  An evolved doubled
+    state keeps C block-diagonal, so each trace takes two (n/2)^2 products,
+    for every operator of a stack at once; the occupation and q moments
+    that ``verification`` traces keep the bits of the full n x n products
+    they replace.
     """
-    if psi.basis.kind != "boson_doubled":
+    states, one_state = _stack(psi, StateVector)
+    ops, one_op = _stack(op, OperatorMatrix)
+    if states[0].basis.kind != "boson_doubled":
         raise ValueError("expectation_single_factor needs the doubled boson basis")
-    if op.basis.kind != "boson_single" or op.basis.n_levels != psi.basis.n_levels:
-        raise ValueError("operator must live on the matching single boson basis")
-    c = psi.c_matrix()
-    if tilde:
-        levels = np.einsum("ji,ij->j", op.matrix, c.T @ c.conj())
-    else:
-        levels = np.einsum("ij,ij->j", c.conj(), op.matrix @ c)
-    return complex(levels.sum())
+    if any(st.basis != states[0].basis for st in states):
+        raise ValueError("the states of a stack must share one basis")
+    n = states[0].basis.n_levels
+    for o in ops:
+        if o.basis.kind != "boson_single" or o.basis.n_levels != n:
+            raise ValueError("operator must live on the matching single boson basis")
+    values = _readers.single_factor_traces(
+        [st.c_matrix() for st in states], [o.matrix for o in ops], tilde, _SUB_BATCH
+    )
+    return _readers.shaped(values, one_op, one_state)
 
 
 def _expi_neg_hermitian(h: np.ndarray, dt: float | np.ndarray, hbar: float) -> np.ndarray:
@@ -660,29 +720,21 @@ def _named_coefficients(
     return [getattr(coeffs, name) for name in names]
 
 
-def _boson_invariant_factor(
-    coeffs: SimpleNamespace, basis: BasisDescriptor, tilde: bool
-) -> np.ndarray:
-    f_minus, f_plus = _named_coefficients(coeffs, ("f_minus", "f_plus"), basis)
-    a_op, ad_op = build_boson_ladder(basis.n_levels)
-    if tilde:  # a~(t) = f-* a~ + f+* a~^dag
-        return np.conj(f_minus) * a_op.matrix + np.conj(f_plus) * ad_op.matrix
-    return f_minus * a_op.matrix + f_plus * ad_op.matrix
-
-
-def _fermion_invariant_factor(
-    coeffs: SimpleNamespace, basis: BasisDescriptor, tilde: bool, channel: str
-) -> np.ndarray:
-    names = tuple(f"{c}_{channel}_{s}" for c in "fg" for s in ("minus", "plus"))
-    f_minus, f_plus, g_minus, g_plus = _named_coefficients(coeffs, names, basis)
+def _factor_operators(
+    basis: BasisDescriptor, tilde: bool, channel: str
+) -> tuple[tuple[str, ...], list[np.ndarray]]:
+    """The coefficient names of an invariant annihilation operator and the
+    operators they multiply, in order: a(t) = f- a + f+ a^dag on a boson
+    factor; fa- a + fa+ a^dag + ga- b + ga+ b^dag on the fermion modes,
+    channel "b" likewise, on the tilde modes for ``tilde``."""
+    if basis.kind.startswith("boson"):
+        a_op, ad_op = build_boson_ladder(basis.n_levels)
+        return ("f_minus", "f_plus"), [a_op.matrix, ad_op.matrix]
     ops = build_fermion_space(doubled=basis.kind == "fermion_doubled")
-    if tilde:  # the tilde copy carries conjugated coefficients
-        f_minus, f_plus = np.conj(f_minus), np.conj(f_plus)
-        g_minus, g_plus = np.conj(g_minus), np.conj(g_plus)
-        a, b = ops["a_tilde"].matrix, ops["b_tilde"].matrix
-    else:
-        a, b = ops["a"].matrix, ops["b"].matrix
-    return f_minus * a + f_plus * a.conj().T + g_minus * b + g_plus * b.conj().T
+    suffix = "_tilde" if tilde else ""
+    a, b = ops["a" + suffix].matrix, ops["b" + suffix].matrix
+    names = tuple(f"{c}_{channel}_{s}" for c in "fg" for s in ("minus", "plus"))
+    return names, [a, a.conj().T, b, b.conj().T]
 
 
 def invariant_operator_matrix(
@@ -707,25 +759,25 @@ def invariant_operator_matrix(
         raise ValueError(f"no invariant operator on basis {basis.kind}")
     if tilde and not basis.kind.endswith("_doubled"):
         raise ValueError("tilde operators need the doubled basis")
+    if basis.kind.startswith("fermion") and channel not in ("a", "b"):
+        raise ValueError(f"channel must be 'a' or 'b', got {channel!r}")
+    names, operators = _factor_operators(basis, tilde, channel)
+    factor = _readers.combination(_named_coefficients(coeffs, names, basis), operators, tilde)
     if basis.kind == "boson_single":
-        return OperatorMatrix(_boson_invariant_factor(coeffs, basis, False), basis, "a(t)")
+        return OperatorMatrix(factor, basis, "a(t)")
     if basis.kind == "boson_doubled":
         eye = np.eye(basis.n_levels, dtype=complex)
-        factor = _boson_invariant_factor(coeffs, basis, tilde)
         mat = np.kron(eye, factor) if tilde else np.kron(factor, eye)
         return OperatorMatrix(mat, basis, "a~(t)" if tilde else "a(t)")
-
-    if channel not in ("a", "b"):
-        raise ValueError(f"channel must be 'a' or 'b', got {channel!r}")
     label = f"{channel}~(t)" if tilde else f"{channel}(t)"
-    return OperatorMatrix(_fermion_invariant_factor(coeffs, basis, tilde, channel), basis, label)
+    return OperatorMatrix(factor, basis, label)
 
 
 def thermal_state_condition_residual(
-    psi: StateVector,
+    psi: StateVector | Sequence[StateVector],
     coeffs: SimpleNamespace,
     theta: float,
-) -> dict[str, float]:
+) -> dict[str, float] | dict[str, np.ndarray]:
     """Residual norms of the thermal-vacuum eigenvalue conditions.
 
     ``coeffs`` is any record with the coefficients ``psi``'s basis needs (see
@@ -735,34 +787,36 @@ def thermal_state_condition_residual(
     a psi = tan(theta) a~^dag psi, a~ psi = -tan(theta) a^dag psi, and the
     same for the b channel.  All vanish identically for the exact evolved
     thermal vacuum.
-    """
-    if psi.basis.kind == "boson_doubled":
-        tan = math.tanh(theta)
-        c = psi.c_matrix()
-        a_t = _boson_invariant_factor(coeffs, psi.basis, tilde=False)
-        at_t = _boson_invariant_factor(coeffs, psi.basis, tilde=True)
-        at_t_dag = at_t.conj().T
-        # (X (x) I) psi -> X C ; (I (x) Y) psi -> C Y^T
-        r_a = a_t @ c - tan * (c @ at_t_dag.T)
-        r_at = c @ at_t.T - tan * (a_t.conj().T @ c)
-        return {
-            "a": float(np.linalg.norm(r_a)),
-            "a_tilde": float(np.linalg.norm(r_at)),
-        }
 
-    if psi.basis.kind != "fermion_doubled":
-        raise ValueError(f"thermal-state residuals need a doubled basis, got {psi.basis.kind}")
-    tan = math.tan(theta)
-    v = psi.vector
-    out: dict[str, float] = {}
-    for channel in ("a", "b"):
-        op = _fermion_invariant_factor(coeffs, psi.basis, False, channel)
-        op_t = _fermion_invariant_factor(coeffs, psi.basis, True, channel)
-        r = op @ v - tan * (op_t.conj().T @ v)
-        r_t = op_t @ v + tan * (op.conj().T @ v)
-        out[channel] = float(np.linalg.norm(r))
-        out[channel + "_tilde"] = float(np.linalg.norm(r_t))
-    return out
+    ``psi`` may be a stack of states of one basis, and then each
+    coefficient is a scalar or one value per state (a mode trajectory's
+    columns), and each residual an array with one norm per state.  A stack
+    gives every state the bits it gets alone.
+    """
+    states, one_state = _stack(psi, StateVector)
+    basis = states[0].basis
+    if basis.kind not in ("boson_doubled", "fermion_doubled"):
+        raise ValueError(f"thermal-state residuals need a doubled basis, got {basis.kind}")
+    if any(st.basis != basis for st in states):
+        raise ValueError("the states of a stack must share one basis")
+    operators, columns = {}, {}
+    for channel in ("a",) if basis.kind == "boson_doubled" else ("a", "b"):
+        names, ops = _factor_operators(basis, False, channel)
+        operators[channel] = (ops, _factor_operators(basis, True, channel)[1])
+        columns[channel] = [
+            _readers.per_state(value, len(states), name)
+            for value, name in zip(_named_coefficients(coeffs, names, basis), names)
+        ]
+    if basis.kind == "boson_doubled":
+        out = _readers.boson_residuals(
+            [st.c_matrix() for st in states], operators["a"][0], columns["a"],
+            math.tanh(theta), _SUB_BATCH,
+        )
+    else:
+        out = _readers.fermion_residuals(
+            np.stack([st.vector for st in states]), operators, columns, math.tan(theta), _SUB_BATCH
+        )
+    return {key: float(values[0]) for key, values in out.items()} if one_state else out
 
 
 @functools.lru_cache(maxsize=8)
@@ -853,7 +907,7 @@ def _coefficients(
 
 
 def _propagators(
-    pieces: list[tuple[np.ndarray, float]], bases: list[np.ndarray], hbar: float
+    pieces: list[tuple[np.ndarray, float]], bases: Sequence[np.ndarray], hbar: float
 ) -> list[list[np.ndarray]]:
     """Each piece's propagator on each block: the ordered product of its
     steps, from the piece's (exponent coefficients, step) pair.  The
@@ -968,6 +1022,29 @@ def _one_blas_thread() -> Iterator[None]:
         set_blas_threads(before)
 
 
+@functools.lru_cache(maxsize=8)
+def _sector_bases(n_levels: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """Each sector's stack of unit generators B_j: H (boson, ``n_levels``)
+    or H_hat (fermion, None) at the j-th unit real coefficient, restricted to
+    the sector.  Built once per level count; read-only, so marches share
+    them."""
+    if n_levels is None:
+        sectors = _FERMION_SECTORS
+        unit_generators = [
+            build_fermion_hamiltonian(*w, doubled=True).h_hat.matrix
+            for w in ((1, 0, 0), (0, 1, 0), (0, 1j, 0), (0, 0, 1), (0, 0, 1j))
+        ]
+    else:
+        sectors = [np.arange(p, n_levels, 2) for p in (0, 1)]  # even and odd number states
+        unit_generators = [
+            build_boson_hamiltonian(*w, n_levels).matrix for w in ((1, 0), (0, 1), (0, 1j))
+        ]
+    bases = tuple(np.stack(unit_generators)[:, idx[:, None], idx] for idx in sectors)
+    for stack in bases:
+        stack.setflags(write=False)
+    return bases
+
+
 def evolve_doubled_thermal(
     protocol: Protocol, beta: float, config: OracleConfig | None = None, hbar: float = 1.0
 ) -> DoubledTrajectory:
@@ -1017,22 +1094,14 @@ def evolve_doubled_thermal(
     # each block's generator is sum_j c_j B_j, with B_j the generator at the
     # j-th unit coefficient restricted to the block.
     boson = statistics_of(protocol) != "fermion"
+    n = config.n_levels if boson else None
     if boson:
-        n = config.n_levels
         basis, shape = boson_doubled(n), (n, n)
-        sectors = [np.arange(p, n, 2) for p in (0, 1)]  # even and odd number states
-        index = [np.ix_(idx, idx) for idx in sectors]
-        unit_generators = [
-            build_boson_hamiltonian(*w, n).matrix for w in ((1, 0), (0, 1), (0, 1j))
-        ]
+        index = [np.ix_(idx, idx) for idx in (np.arange(0, n, 2), np.arange(1, n, 2))]
     else:
         basis, shape = fermion_doubled(), (16,)
-        sectors = index = _FERMION_SECTORS
-        unit_generators = [
-            build_fermion_hamiltonian(*w, doubled=True).h_hat.matrix
-            for w in ((1, 0, 0), (0, 1, 0), (0, 1j, 0), (0, 0, 1), (0, 0, 1j))
-        ]
-    bases = [np.stack(unit_generators)[:, idx[:, None], idx] for idx in sectors]
+        index = _FERMION_SECTORS
+    bases = _sector_bases(n)
     psi0 = _thermal_series(beta, frame[1], hbar, basis)
     blocks = [psi0.vector.reshape(shape)[idx] for idx in index]
 
@@ -1051,7 +1120,7 @@ def evolve_doubled_thermal(
         norm = float(np.linalg.norm(vec))
         psi = StateVector(vec / norm if abs(norm - 1.0) > 1e-10 else vec, basis)
         report = truncation_report(psi)
-        if report.tail_weight > config.tail_abort:
+        if not report.tail_weight <= config.tail_abort:  # a NaN tail aborts too
             raise TruncationError(
                 f"truncation tail {report.tail_weight:.3e} exceeds "
                 f"{config.tail_abort:.0e} at t = {time:.6g}; increase n_levels "

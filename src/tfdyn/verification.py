@@ -137,15 +137,17 @@ def _boson_columns(protocol: Protocol, traj, beta: float, hbar: float, doubled) 
     a_f = fock_oracle.frame_annihilation(*frame, n, m_i, omega_i, hbar).matrix
     q_op = fock_oracle.position_operator(n, m_i, omega_i, hbar)
     q2_op = q_op.matrix @ q_op.matrix
-    ops = {"occupation": a_f.conj().T @ a_f, "q2": q2_op, "q4": q2_op @ q2_op}
-    for name, unit in (("occupation", "1"), ("q2", "length^2"), ("q4", "length^4")):
-        op = fock_oracle.OperatorMatrix(ops[name], q_op.basis)
-        traced = np.array(
-            [fock_oracle.expectation_single_factor(st, op).real for st in doubled.states]
-        )
+    ops = [
+        fock_oracle.OperatorMatrix(m, q_op.basis)
+        for m in (a_f.conj().T @ a_f, q2_op, q2_op @ q2_op)
+    ]
+    traced = fock_oracle.expectation_single_factor(doubled.states, ops).real
+    for (name, unit), values in zip(
+        (("occupation", "1"), ("q2", "length^2"), ("q4", "length^4")), traced
+    ):
         columns += [
-            (f"oracle_{name} [{unit}]", traced),
-            (f"{name}_abs_diff [{unit}]", np.abs(analytic[name] - traced)),
+            (f"oracle_{name} [{unit}]", values),
+            (f"{name}_abs_diff [{unit}]", np.abs(analytic[name] - values)),
         ]
     return columns
 
@@ -163,11 +165,13 @@ def _fermion_columns(protocol: Protocol, traj, beta: float, hbar: float, doubled
         return columns
 
     ops = fock_oracle.build_fermion_space(doubled=True)
-    for channel in ("a", "b"):
-        c = ops[channel]
-        num = fock_oracle.OperatorMatrix(c.dag.matrix @ c.matrix, c.basis)
-        traced = np.array([fock_oracle.expectation(st, num).real for st in doubled.states])
-        columns.append((f"oracle_occupation_{channel} [1]", traced))
+    numbers = [
+        fock_oracle.OperatorMatrix(ops[ch].dag.matrix @ ops[ch].matrix, ops[ch].basis)
+        for ch in ("a", "b")
+    ]
+    traced = fock_oracle.expectation(doubled.states, numbers).real
+    for channel, values in zip(("a", "b"), traced):
+        columns.append((f"oracle_occupation_{channel} [1]", values))
     theta = thermal_observables.theta(beta, initial_frame(protocol)[1], hbar, "fermion")
     columns.append(
         ("oracle_condition_residual_max [1]", condition_residuals(doubled, traj, theta))
@@ -177,13 +181,10 @@ def _fermion_columns(protocol: Protocol, traj, beta: float, hbar: float, doubled
 
 def condition_residuals(doubled: fock_oracle.DoubledTrajectory, traj, theta: float) -> np.ndarray:
     """Worst thermal-vacuum condition residual on each row: the oracle's
-    evolved state against the invariant operators of the mode solution."""
-    return np.array(
-        [
-            max(fock_oracle.thermal_state_condition_residual(st, traj.sample(k), theta).values())
-            for k, st in enumerate(doubled.states)
-        ]
-    )
+    evolved state against the invariant operators of the mode solution,
+    read from its coefficient columns."""
+    residuals = fock_oracle.thermal_state_condition_residual(doubled.states, traj, theta)
+    return np.max(list(residuals.values()), axis=0)
 
 
 def _unitless(columns: Columns) -> dict[str, np.ndarray]:
@@ -460,11 +461,11 @@ def _c07c(s):
         n_levels=n_wide, substeps_per_unit=WIDE_BOX_SUBSTEPS_PER_UNIT, grid_points=5
     )
     dt_wide = fock_oracle.evolve_doubled_thermal(s.osc_quench, s.beta, wide_cfg, s.hbar)
+    traced = fock_oracle.expectation_single_factor(dt_wide.states, [q2_wide, q4_wide])
+    m2, m4 = traced.real.tolist()
     ratio_dev = 0.0
-    for st in dt_wide.states:
-        m2 = fock_oracle.expectation_single_factor(st, q2_wide).real
-        m4 = fock_oracle.expectation_single_factor(st, q4_wide).real
-        ratio_dev = max(ratio_dev, abs(m4 / m2**2 - 3.0))
+    for m2_k, m4_k in zip(m2, m4):
+        ratio_dev = max(ratio_dev, abs(m4_k / m2_k**2 - 3.0))
     return ratio_dev, f"<q^4>/<q^2>^2 vs the Gaussian value 3, N = {n_wide}"
 
 

@@ -136,6 +136,11 @@ class TestContainers:
         with pytest.raises(ValueError, match="norm"):
             StateVector(np.array([1.0, 1.0, 0.0]), boson_single(3))
 
+    def test_nan_state_vector_refused(self):
+        """A NaN norm fails the check, where a comparison with > would pass it."""
+        with pytest.raises(ValueError, match="norm"):
+            StateVector(np.array([math.nan, 0.0, 0.0]), boson_single(3))
+
     def test_c_matrix_boson_doubled_only(self):
         v = np.zeros(16, dtype=complex)
         v[0] = 1.0
@@ -338,6 +343,14 @@ class TestThermalStates:
         with pytest.raises(TruncationError, match=f"use at least {required} levels"):
             thermal_density(beta_hbar_omega, 1.0, basis=boson_single(required - 1))
 
+    @pytest.mark.parametrize(
+        "basis", [boson_single(10), fermion_single()], ids=["boson", "fermion"]
+    )
+    def test_nan_beta_refused(self, basis):
+        """A NaN beta is a ValueError, not a failed eigensolve of NaN weights."""
+        with pytest.raises(ValueError, match="NaN"):
+            thermal_density(math.nan, 1.0, basis=basis)
+
     @pytest.mark.parametrize("beta", [0.0, -1.0])
     def test_box_refused_without_hint_when_no_box_suffices(self, beta):
         with pytest.raises(TruncationError, match="no finite box holds this state"):
@@ -470,6 +483,179 @@ class TestSingleProductTrace:
                 scale = np.sum(mag * (mag @ a.T if tilde else a @ mag))
                 got = expectation_single_factor(psi, op, tilde)
                 assert abs(got - self._two_products(psi, op, tilde)) <= 4.0 * EPS * scale
+
+
+def _chirped_ramp(t):
+    return 0.3 * math.tanh(t / 0.2) * cmath.exp(2.0j * t)
+
+
+def _fermion_pulse_with_hopping():
+    """A fermion pulse with both couplings on, w- chirped and complex."""
+    return FermionProtocol(
+        Constant(1.0), make_tanh_ramp(0.0, 0.3, 0.5, 0.1),
+        lambda t: 0.2 * math.tanh(t / 0.2) * cmath.exp(0.9j * t), t_i=0.0, t_f=1.0,
+    )
+
+
+PARITY_RUNS = {
+    "real_boson_ramp": (
+        BosonProtocol(Constant(1.0), make_tanh_ramp(0.0, 0.3, 0.5, 0.1), t_i=0.0, t_f=1.0),
+        1.0, OracleConfig(n_levels=30, substeps_per_unit=100.0, grid_points=11),
+    ),
+    "chirped_boson_ramp": (
+        BosonProtocol(Constant(1.0), _chirped_ramp, t_i=0.0, t_f=1.0),
+        0.8, OracleConfig(n_levels=31, substeps_per_unit=100.0, grid_points=11),
+    ),
+    "oscillator_jump": (
+        OscillatorProtocol(
+            Constant(1.0), Step(1.0, 1.5, 0.37), t_i=0.0, t_f=1.0, jump_times=(0.37,)
+        ),
+        1.0, OracleConfig(n_levels=30, substeps_per_unit=100.0, grid_points=11),
+    ),
+    "fermion_hopping_pulse": (
+        _fermion_pulse_with_hopping(), LN2, OracleConfig(substeps_per_unit=100.0, grid_points=11),
+    ),
+}
+
+
+class TestParityBlocks:
+    """The invariant the blocked readers rely on: the march keeps every
+    recorded state exactly zero off its parity blocks."""
+
+    @pytest.mark.parametrize("case", sorted(PARITY_RUNS))
+    def test_recorded_states_are_zero_off_their_parity_blocks(self, case):
+        traj = evolve_doubled_thermal(*PARITY_RUNS[case])
+        for psi in traj.states:
+            if psi.basis.kind == "boson_doubled":
+                c = psi.c_matrix()
+                assert not c[0::2, 1::2].any() and not c[1::2, 0::2].any(), case
+                assert c[0::2, 0::2].any() and c[1::2, 1::2].any(), case
+            else:
+                outside = np.ones(16, dtype=bool)
+                outside[np.concatenate(tfdyn.fock_oracle._FERMION_SECTORS)] = False
+                assert not psi.vector[outside].any(), case
+        assert np.ptp([psi.vector[1:].real.max() for psi in traj.states]) > 0.0  # the state moved
+
+
+class TestBatchedReaders:
+    """A stack of states (and of operators) gives every pair the bits it
+    gets alone, whatever the row batches and the mix of states."""
+
+    @staticmethod
+    def _boson_states(n):
+        """An evolved chirped ramp at n levels, its series start, and two
+        random dense states, one mixed into the middle of the stack."""
+        protocol = BosonProtocol(Constant(1.0), _chirped_ramp, t_i=0.0, t_f=1.0)
+        traj = evolve_doubled_thermal(
+            protocol, 3.0, OracleConfig(n_levels=n, substeps_per_unit=50.0, grid_points=9)
+        )
+        rng = np.random.default_rng(11)
+        dense = []
+        for _ in range(2):
+            c = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            dense.append(StateVector((c / np.linalg.norm(c)).reshape(-1), boson_doubled(n)))
+        states = list(traj.states)
+        return states[:4] + dense[:1] + states[4:] + dense[1:]
+
+    @staticmethod
+    def _boson_operators(n):
+        a, ad = (m.matrix for m in build_boson_ladder(n))
+        q = position_operator(n, 1.0, 1.0).matrix
+        af = frame_annihilation(1.0, 1.4, n, 1.0, 1.0).matrix
+        mats = (af.conj().T @ af, q @ q, np.linalg.matrix_power(q, 4), a, a @ a + 0.3j * ad)
+        return [OperatorMatrix(m, boson_single(n)) for m in mats]
+
+    @pytest.mark.parametrize("n", [9, 30])
+    @pytest.mark.parametrize("tilde", [False, True], ids=["system", "tilde"])
+    @pytest.mark.parametrize("room", [1, 7, None], ids=["room1", "room7", "default"])
+    def test_single_factor_stack_keeps_each_states_bits(self, n, tilde, room, monkeypatch):
+        states, ops = self._boson_states(n), self._boson_operators(n)
+        alone = np.array(
+            [[complex(expectation_single_factor(st, op, tilde)) for st in states] for op in ops]
+        )
+        if room is not None:  # room rows per batch
+            budget = room * (len(ops) + 3) * 2 * ((n + 1) // 2) ** 2
+            monkeypatch.setattr(tfdyn.fock_oracle, "_SUB_BATCH", budget)
+        stacked = expectation_single_factor(states, ops, tilde)
+        assert stacked.shape == (len(ops), len(states))
+        assert stacked.tobytes() == alone.tobytes()
+        assert expectation_single_factor(states, ops[1], tilde).tobytes() == alone[1].tobytes()
+        assert expectation_single_factor(states[2], ops, tilde).tobytes() == alone[:, 2].tobytes()
+
+    def test_expectation_stack_keeps_the_vdot_bits(self):
+        states = list(evolve_doubled_thermal(*PARITY_RUNS["fermion_hopping_pulse"]).states)
+        rng = np.random.default_rng(4)
+        v = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+        states.insert(3, StateVector(v / np.linalg.norm(v), fermion_doubled()))
+        space = build_fermion_space(doubled=True)
+        h = build_fermion_hamiltonian(1.2, 0.3 - 0.1j, 0.2j, doubled=True).h_hat
+        ops = [
+            OperatorMatrix(space[c].dag.matrix @ space[c].matrix, fermion_doubled()) for c in "ab"
+        ]
+        ops.append(h)
+        want = np.array(
+            [[complex(np.vdot(st.vector, op.matrix @ st.vector)) for st in states] for op in ops]
+        )
+        assert expectation(states, ops).tobytes() == want.tobytes()
+        assert np.complex128(expectation(states[3], ops[2])).tobytes() == want[2, 3].tobytes()
+
+    @pytest.mark.parametrize(
+        "case", ["real_boson_ramp", "chirped_boson_ramp", "fermion_hopping_pulse"]
+    )
+    def test_residual_stack_reads_each_rows_coefficients(self, case):
+        """A stack with one coefficient per state (a mode trajectory's
+        columns) gives each row the bits of that row alone."""
+        protocol, beta, cfg = PARITY_RUNS[case]
+        states = evolve_doubled_thermal(protocol, beta, cfg).states
+        rng = np.random.default_rng(6)
+        names = (("f_minus", "f_plus") if protocol.kind == "boson" else
+                 [f"{c}_{ch}_{s}" for ch in "ab" for c in "fg" for s in ("minus", "plus")])
+        columns = {name: rng.standard_normal(len(states)) + 1j * rng.standard_normal(len(states))
+                   for name in names}
+        th = 0.6
+        stacked = thermal_state_condition_residual(states, SimpleNamespace(**columns), th)
+        for k, psi in enumerate(states):
+            alone = thermal_state_condition_residual(
+                psi, SimpleNamespace(**{name: col[k].item() for name, col in columns.items()}), th
+            )
+            assert {key: float(values[k]) for key, values in stacked.items()} == alone, (case, k)
+
+    def test_residual_column_of_the_wrong_length_refused(self):
+        protocol, beta, cfg = PARITY_RUNS["real_boson_ramp"]
+        states = evolve_doubled_thermal(protocol, beta, cfg).states
+        with pytest.raises(ValueError, match="f_plus"):
+            thermal_state_condition_residual(
+                states, SimpleNamespace(f_minus=1.0, f_plus=np.zeros(len(states) - 1)), 0.5
+            )
+
+    @pytest.mark.parametrize("n", [7, 12])
+    def test_boson_residuals_match_the_kronecker_route(self, n):
+        """On random dense states, against the residuals of
+        invariant_operator_matrix's embedded Kronecker products."""
+        rng = np.random.default_rng(8)
+        basis = boson_doubled(n)
+        for _ in range(3):
+            c = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            psi = StateVector((c / np.linalg.norm(c)).reshape(-1), basis)
+            f_minus, f_plus = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            coeffs = SimpleNamespace(f_minus=f_minus, f_plus=f_plus)
+            th = rng.uniform(0.1, 1.0)
+            tan = math.tanh(th)
+            op = invariant_operator_matrix(coeffs, basis)
+            op_t = invariant_operator_matrix(coeffs, basis, tilde=True)
+            v = psi.vector
+            want = {
+                "a": np.linalg.norm(op.matrix @ v - tan * (op_t.dag.matrix @ v)),
+                "a_tilde": np.linalg.norm(op_t.matrix @ v - tan * (op.dag.matrix @ v)),
+            }
+            got = thermal_state_condition_residual(psi, coeffs, th)
+            assert got.keys() == want.keys()
+            for key in want:
+                assert abs(got[key] - want[key]) < 1e-13, key
+
+    def test_an_empty_stack_is_refused(self):
+        with pytest.raises(ValueError, match="at least one"):
+            expectation_single_factor([], self._boson_operators(4)[0])
 
 
 class TestSpectralExponential:
@@ -696,6 +882,22 @@ class TestDoubledEvolution:
         p = BosonProtocol(Constant(1.0), Constant(0.0), t_i=0.0, t_f=1.0)
         with pytest.raises(TruncationError):
             evolve_doubled_thermal(p, 0.05, OracleConfig(n_levels=60))
+
+    def test_nan_beta_refused_before_the_march(self):
+        """A NaN beta used to start a march of NaN states, whose NaN tails
+        passed the tail abort."""
+        p = BosonProtocol(Constant(1.0), Constant(0.0), t_i=0.0, t_f=1.0)
+        with pytest.raises(ValueError, match="NaN"):
+            evolve_doubled_thermal(p, math.nan, OracleConfig(n_levels=20, grid_points=3))
+
+    def test_nan_tail_aborts(self, monkeypatch):
+        p = BosonProtocol(Constant(1.0), Constant(0.0), t_i=0.0, t_f=1.0)
+        monkeypatch.setattr(
+            tfdyn.fock_oracle, "truncation_report",
+            lambda psi: tfdyn.fock_oracle.TruncationReport(math.nan, 0.0),
+        )
+        with pytest.raises(TruncationError, match="nan"):
+            evolve_doubled_thermal(p, 1.0, OracleConfig(n_levels=20, grid_points=3))
 
     def test_oscillator_protocol_accepted(self):
         p = OscillatorProtocol(Constant(1.0), Constant(1.0), t_i=0.0, t_f=0.5)
@@ -1293,13 +1495,13 @@ def test_openblas_found_by_either_wheel_naming(monkeypatch, prefix, suffix):
 
 
 def test_oracle_shares_no_solver_code():
-    """fock_oracle imports nothing from mode_solver or its stepper: it reads
-    mode samples by name, and that independence is what makes their agreement
-    evidence."""
+    """fock_oracle and its reader kernels import nothing from mode_solver or
+    its stepper: the oracle reads mode samples by name, and that independence
+    is what makes their agreement evidence."""
     solver_modules = ("mode_solver", "_dop853")
-    tree = ast.parse(Path(tfdyn.fock_oracle.__file__).read_text())
+    sources = [Path(m.__file__).read_text() for m in (tfdyn.fock_oracle, tfdyn._readers)]
     imported = []
-    for node in ast.walk(tree):
+    for node in (node for source in sources for node in ast.walk(ast.parse(source))):
         if isinstance(node, ast.ImportFrom) and (node.module or "").endswith(solver_modules):
             imported += [alias.name for alias in node.names]
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
