@@ -63,8 +63,8 @@ residuals = thermal_state_condition_residual(
 )
 print(f"  eigenvalue-condition residuals: "
       + ", ".join(f"{k} = {v:.2e}" for k, v in residuals.items()))
-report = truncation_report(squeeze)
-print(f"  tail weight above level {int(0.9 * basis.n_levels)}: {report.tail_weight:.3e}")
+print(f"  tail weight on levels {int(0.9 * basis.n_levels)}-{basis.n_levels - 1}: "
+      f"{truncation_report(squeeze):.3e}")
 print()
 
 # --- fermion pair, exact 16-dimensional space ------------------------------

@@ -62,7 +62,6 @@ from .fock_oracle import (
     OperatorMatrix,
     OracleConfig,
     StateVector,
-    TruncationReport,
     boson_doubled,
     boson_single,
     build_boson_hamiltonian,

@@ -410,14 +410,12 @@ def run_quench(config: RunConfig, out_dir: str | Path) -> dict:
         }
     )
     if doubled is not None:
-        final_report = fock_oracle.truncation_report(doubled.states[-1])
         manifest["oracle"] = {
             "enabled": True,
             "n_levels": config.oracle.n_levels,
             "substeps_per_unit": config.oracle.substeps_per_unit,
             "max_tail_weight": float(np.max(doubled.tail_weight)),
             "max_norm_deviation": float(np.max(doubled.norm_deviation)),
-            "commutator_defect": final_report.commutator_defect,
         }
     else:
         manifest["oracle"] = {"enabled": False}

@@ -72,7 +72,6 @@ __all__ = [
     "OperatorMatrix",
     "DensityMatrix",
     "StateVector",
-    "TruncationReport",
     "OracleConfig",
     "DoubledTrajectory",
     "build_boson_ladder",
@@ -238,16 +237,6 @@ class StateVector:
             raise ValueError("c_matrix is defined on the doubled boson basis only")
         n = self.basis.n_levels
         return self.vector.reshape(n, n)
-
-
-@dataclass(frozen=True)
-class TruncationReport:
-    """Where the truncation hurts: population of the top 10% of levels, and
-    the ladder-commutator defect on the remaining block (zero away from the
-    edge; the artificial -(N-1) entry sits in the excluded corner)."""
-
-    tail_weight: float
-    commutator_defect: float
 
 
 # ---------------------------------------------------------------------------
@@ -819,29 +808,19 @@ def thermal_state_condition_residual(
     return {key: float(values[0]) for key, values in out.items()} if one_state else out
 
 
-@functools.lru_cache(maxsize=8)
-def _commutator_defect(n_levels: int) -> float:
-    """max |[a, a^dag] - 1| on the lower 90% of the retained levels."""
-    cutoff = int(math.floor(0.9 * n_levels))
-    a_op, ad_op = build_boson_ladder(n_levels)
-    a, ad = a_op.matrix, ad_op.matrix
-    return float(np.max(np.abs((a @ ad - ad @ a - np.eye(n_levels))[:cutoff, :cutoff])))
-
-
-def truncation_report(psi: StateVector) -> TruncationReport:
-    """Tail population and edge-restricted commutator defect for a state."""
+def truncation_report(psi: StateVector) -> float:
+    """Tail weight: the population a boson state keeps on the top tenth of
+    its levels, n >= floor(0.9 N), counting a doubled pair |n, m~> once when
+    either level lies there.  Zero for a fermion state, which is not
+    truncated."""
     kind = psi.basis.kind
     if kind in ("fermion_single", "fermion_doubled"):
-        return TruncationReport(0.0, 0.0)
-    n = psi.basis.n_levels
-    cutoff = int(math.floor(0.9 * n))
+        return 0.0
+    cutoff = int(math.floor(0.9 * psi.basis.n_levels))
     if kind == "boson_single":
-        tail = float(np.sum(np.abs(psi.vector[cutoff:]) ** 2))
-    else:
-        c = psi.c_matrix()
-        weight = np.abs(c) ** 2
-        tail = float(weight[cutoff:, :].sum() + weight[:cutoff, cutoff:].sum())
-    return TruncationReport(tail, _commutator_defect(n))
+        return float(np.sum(np.abs(psi.vector[cutoff:]) ** 2))
+    weight = np.abs(psi.c_matrix()) ** 2
+    return float(weight[cutoff:, :].sum() + weight[:cutoff, cutoff:].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -880,7 +859,6 @@ class DoubledTrajectory:
 
     t: np.ndarray
     states: list[StateVector]
-    basis: BasisDescriptor
     norm_deviation: np.ndarray
     tail_weight: np.ndarray
 
@@ -1064,7 +1042,9 @@ def evolve_doubled_thermal(
     (C_b -> U_b C_b U_b^dag); fermion states on the two 4-dimensional parity
     sectors that hold the thermal vacuum.  The full state is assembled only
     at output times, where it is validated and its truncation tail
-    measured: the evolution aborts with a diagnostic if the tail passes
+    measured: the weight on pairs with a level in the top tenth
+    (``truncation_report``), one float per output time in ``tail_weight``.
+    The evolution aborts with a diagnostic if the tail passes
     ``config.tail_abort``.
 
     The calling thread samples the protocol, in time order, and applies the
@@ -1119,16 +1099,16 @@ def evolve_doubled_thermal(
         vec = assemble()
         norm = float(np.linalg.norm(vec))
         psi = StateVector(vec / norm if abs(norm - 1.0) > 1e-10 else vec, basis)
-        report = truncation_report(psi)
-        if not report.tail_weight <= config.tail_abort:  # a NaN tail aborts too
+        tail = truncation_report(psi)
+        if not tail <= config.tail_abort:  # a NaN tail aborts too
             raise TruncationError(
-                f"truncation tail {report.tail_weight:.3e} exceeds "
+                f"truncation tail {tail:.3e} exceeds "
                 f"{config.tail_abort:.0e} at t = {time:.6g}; increase n_levels "
                 f"beyond {config.n_levels}"
             )
         states.append(psi)
         norm_dev.append(abs(norm - 1.0))
-        tails.append(report.tail_weight)
+        tails.append(tail)
 
     record(float(grid[0]))
     grid_set = {float(t) for t in grid[1:]}
@@ -1216,7 +1196,6 @@ def evolve_doubled_thermal(
     return DoubledTrajectory(
         t=grid,
         states=states,
-        basis=basis,
         norm_deviation=np.array(norm_dev),
         tail_weight=np.array(tails),
     )

@@ -408,7 +408,7 @@ def _c05c(s):
     a_f = fock_oracle.frame_annihilation(*frame_f, n, *frame_i, hbar)
     n_f = fock_oracle.OperatorMatrix(a_f.dag.matrix @ a_f.matrix, a_f.basis)
     produced = fock_oracle.expectation(psi, n_f).real
-    tail = fock_oracle.truncation_report(psi).tail_weight
+    tail = fock_oracle.truncation_report(psi)
     detail = f"vacuum evolution gives <a_f^dag a_f> = {produced:.7f}, truncation tail {tail:.1e}"
     return abs(produced - 0.5625), detail
 

@@ -345,10 +345,15 @@ class TestRunQuench:
         assert np.max(rows["occupation_abs_diff [1]"]) < 1e-7
 
     def test_manifest_bookkeeping(self, quench_out):
-        _, manifest = quench_out
+        out, manifest = quench_out
         assert manifest["kind"] == "quench"
         assert manifest["checks"] == []  # populated only by verify runs
         assert manifest["oracle"]["enabled"] is True
+        assert set(manifest["oracle"]) == {
+            "enabled", "n_levels", "substeps_per_unit", "max_tail_weight", "max_norm_deviation"
+        }
+        rows = _read_csv(out / "observables.csv")
+        assert manifest["oracle"]["max_tail_weight"] == max(rows["oracle_tail_weight [1]"])
         assert manifest["drift"]["commutator"] < 1e-9
         assert len(manifest["config_digest"]) == 64
 

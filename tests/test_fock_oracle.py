@@ -826,27 +826,35 @@ class TestInvariantOperatorsAndResiduals:
             invariant_operator_matrix(STATIC_FERMION, fermion_single(), channel="c")
 
 
-class TestTruncationReport:
+class TestTruncationTail:
     def test_vacuum_has_no_tail(self):
         v = np.zeros(20, dtype=complex)
         v[0] = 1.0
-        report = truncation_report(StateVector(v, boson_single(20)))
-        assert report.tail_weight == 0.0
-        # The defect block excludes the truncation corner; what remains is
-        # sqrt(n)^2 round-off.
-        assert report.commutator_defect < 1e-14
+        assert truncation_report(StateVector(v, boson_single(20))) == 0.0
 
     def test_top_level_population_counts(self):
         v = np.zeros(20, dtype=complex)
         v[19] = 1.0
-        report = truncation_report(StateVector(v, boson_single(20)))
-        assert report.tail_weight == 1.0
+        assert truncation_report(StateVector(v, boson_single(20))) == 1.0
+
+    def test_doubled_tail_counts_each_pair_once(self):
+        """At N = 10 the tail is every pair with a level at or past 9: a
+        row past the cutoff, a column past it in a lower row, and the
+        corner once.  Weight just below the cutoff in both copies does not
+        count."""
+        c = np.zeros((10, 10), dtype=complex)
+        c[9, 2] = 0.5  # weight 1/4, row past the cutoff
+        c[3, 9] = 0.25j  # weight 1/16, column past the cutoff
+        c[9, 9] = 0.125  # weight 1/64, the corner
+        c[8, 8] = math.sqrt(0.5)
+        c[0, 0] = math.sqrt(1.0 - 0.5 - 0.25 - 0.0625 - 0.015625)
+        tail = truncation_report(StateVector(c.reshape(-1), boson_doubled(10)))
+        assert tail == 0.25 + 0.0625 + 0.015625
 
     def test_fermion_states_never_truncate(self):
         v = np.zeros(16, dtype=complex)
         v[15] = 1.0
-        report = truncation_report(StateVector(v, fermion_doubled()))
-        assert report.tail_weight == 0.0
+        assert truncation_report(StateVector(v, fermion_doubled())) == 0.0
 
 
 class TestDoubledEvolution:
@@ -892,10 +900,7 @@ class TestDoubledEvolution:
 
     def test_nan_tail_aborts(self, monkeypatch):
         p = BosonProtocol(Constant(1.0), Constant(0.0), t_i=0.0, t_f=1.0)
-        monkeypatch.setattr(
-            tfdyn.fock_oracle, "truncation_report",
-            lambda psi: tfdyn.fock_oracle.TruncationReport(math.nan, 0.0),
-        )
+        monkeypatch.setattr(tfdyn.fock_oracle, "truncation_report", lambda psi: math.nan)
         with pytest.raises(TruncationError, match="nan"):
             evolve_doubled_thermal(p, 1.0, OracleConfig(n_levels=20, grid_points=3))
 
@@ -904,7 +909,7 @@ class TestDoubledEvolution:
         cfg = OracleConfig(n_levels=30, substeps_per_unit=100.0, grid_points=3)
         traj = evolve_doubled_thermal(p, 1.0, cfg)
         assert len(traj.states) == 3
-        assert traj.basis.kind == "boson_doubled"
+        assert traj.states[0].basis.kind == "boson_doubled"
 
 
 class TestChirpedPairing:
