@@ -180,16 +180,16 @@ def parse_config(text: str, kind: str) -> RunConfig:
         )
 
     hbar = run.get("hbar", 1.0)
-    if not hbar > 0.0:
-        raise ConfigError(f"[run] hbar must be positive, got {hbar}")
+    if not (hbar > 0.0 and math.isfinite(hbar)):
+        raise ConfigError(f"[run] hbar must be positive and finite, got {hbar}")
 
     needs_protocol = kind in ("quench", "sweep")
     beta = run.get("beta")
     if needs_protocol:
         if beta is None:
             raise ConfigError(f"[run] beta is required for a {kind} run")
-        if not beta > 0.0:
-            raise ConfigError(f"[run] beta must be positive, got {beta}")
+        if not (beta > 0.0 and math.isfinite(beta)):
+            raise ConfigError(f"[run] beta must be positive and finite, got {beta}")
 
     protocol: Protocol | None = None
     warnings: tuple[str, ...] = ()

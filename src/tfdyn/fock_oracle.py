@@ -478,7 +478,10 @@ def thermal_density(
         energies = np.real(np.diag(number))
     else:
         raise ValueError(f"thermal_density needs a single-system basis, got {basis.kind}")
-    x = _beta_hbar_omega(beta, omega, hbar) * (energies - energies.min())
+    # the ground level keeps x = 0 at every beta, where inf * 0 would be NaN
+    x = np.zeros(len(energies))
+    excited = energies > energies.min()
+    x[excited] = _beta_hbar_omega(beta, omega, hbar) * (energies[excited] - energies.min())
     weights = np.exp(-np.minimum(x, EXP_ARG_MAX))
     weights[x > EXP_ARG_MAX] = 0.0
     weights /= weights.sum()

@@ -387,7 +387,7 @@ def solve_oscillator_mode(
     v(t_i) = 1/sqrt(2 m w), v'(t_i) = -i w v(t_i) (both evaluated at t_i),
     which makes the conserved Wronskian m (v'* v - v' v*) exactly i.  The
     state (v, pi) carries over a declared jump unchanged, and the ``v_dot``
-    column is pi/m.  Requires mass_dot(t_i) = 0 and w(t_i) > 0.
+    column is pi/m.  Requires w(t_i) > 0; the mass may move at t_i.
     """
     _require(protocol, "oscillator")
     sample = sampler(protocol)

@@ -17,10 +17,12 @@ Two functions sample the coefficients under one coercion rule:
 ``omega_plus`` and ``omega_minus`` are complex, every other channel is real.
 :func:`sampler` returns a function of ``t`` that gives the channels as a
 tuple, for the inner loops of the solvers and the oracle; :func:`evaluate`
-returns the same values as a record with one attribute per channel.  An
-oscillator's ``mass_dot`` is read only where the initial state is checked.
+returns the same values as a record with one attribute per channel.
 :func:`validate` samples whole grids at once through the built-in profiles'
 ``values`` (numpy) methods, which serve nothing else.
+:func:`check_initial_state` says where the mode solvers can start: a boson
+or fermion needs no coupling at ``t_i``, an oscillator a positive frequency
+there, while its mass and frequency may both already move.
 
 Coefficient callables must be pure: deterministic and side-effect free.
 Discontinuities are allowed only at declared jump times; a callable must be
@@ -30,7 +32,6 @@ limit.  Profiles built by this module follow that convention.
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import math
 from dataclasses import dataclass
@@ -60,8 +61,7 @@ __all__ = [
     "INITIAL_DIAGONAL_TOL",
 ]
 
-# Step used for finite-difference fallbacks (mass_dot) and for the
-# discontinuity probe in validate().
+# Step of the discontinuity probe in validate().
 FD_STEP = 1e-6
 
 # Relative threshold for the undeclared-discontinuity heuristic: a symmetric
@@ -92,16 +92,12 @@ class Constant:
     def values(self, times: np.ndarray) -> np.ndarray:
         return np.full(np.shape(times), self.value)
 
-    def derivative(self, t: float) -> float:
-        return 0.0
-
 
 @dataclass(frozen=True)
 class LinearRamp:
     """Linear interpolation from ``start`` to ``end`` over [t_start, t_end].
 
-    Held constant outside the ramp window.  The derivative is taken
-    right-continuous at the kinks.
+    Held constant outside the ramp window.
     """
 
     start: float
@@ -125,11 +121,6 @@ class LinearRamp:
             times <= self.t_start, self.start, np.where(times >= self.t_end, self.end, ramp)
         )
 
-    def derivative(self, t: float) -> float:
-        if self.t_start <= t < self.t_end:
-            return (self.end - self.start) / (self.t_end - self.t_start)
-        return 0.0
-
 
 @dataclass(frozen=True)
 class Step:
@@ -144,9 +135,6 @@ class Step:
 
     def values(self, times: np.ndarray) -> np.ndarray:
         return np.where(times >= self.t_jump, self.after, self.before)
-
-    def derivative(self, t: float) -> float:
-        return 0.0
 
 
 @dataclass(frozen=True)
@@ -169,12 +157,6 @@ class TanhRamp:
     def values(self, times: np.ndarray) -> np.ndarray:
         z = (times - self.center) / self.width
         return self.start + 0.5 * (self.end - self.start) * (1.0 + np.tanh(z))
-
-    def derivative(self, t: float) -> float:
-        z = (t - self.center) / self.width
-        if abs(z) > 350.0:  # sech^2 underflows; avoid cosh overflow
-            return 0.0
-        return 0.5 * (self.end - self.start) / (self.width * math.cosh(z) ** 2)
 
 
 def make_tanh_ramp(start: float, end: float, center: float, width: float) -> TanhRamp:
@@ -252,13 +234,7 @@ class BosonProtocol(_Windowed):
 
 @dataclass(frozen=True)
 class OscillatorProtocol(_Windowed):
-    """Harmonic oscillator with time-dependent mass and frequency.
-
-    ``mass_dot`` is part of the protocol.  If ``None``, it is the mass
-    profile's ``derivative`` when it has one; otherwise (a bare callable) it
-    is a finite difference with step ``FD_STEP`` that never crosses a window
-    boundary or a declared jump.  Solvers require ``mass_dot(t_i) == 0``.
-    """
+    """Harmonic oscillator with time-dependent mass and frequency."""
 
     kind: ClassVar[str] = "oscillator"
     channels: ClassVar[tuple[str, ...]] = ("mass", "omega")
@@ -268,13 +244,7 @@ class OscillatorProtocol(_Windowed):
     omega: Callable[[float], float]
     t_i: float
     t_f: float
-    mass_dot: Callable[[float], float] | None = None
     jump_times: tuple[float, ...] = ()
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.mass_dot is None:
-            object.__setattr__(self, "mass_dot", getattr(self.mass, "derivative", None))
 
 
 @dataclass(frozen=True)
@@ -325,17 +295,6 @@ def _coefficient(name: str, value: complex | float, t: float) -> complex | float
     if not cmath.isfinite(value):
         raise ValueError(f"{name}({t}) = {value} is not finite")
     return value
-
-
-def _mass_dot(protocol: OscillatorProtocol, t: float) -> float:
-    if protocol.mass_dot is not None:
-        return _coefficient("mass_dot", protocol.mass_dot(t), t)
-    # Finite difference inside t's segment; a jump time belongs to its right.
-    jumps = protocol.jump_times
-    k = bisect.bisect_right(jumps, t)
-    lo = max(t - FD_STEP, jumps[k - 1] if k else protocol.t_i)
-    hi = min(t + FD_STEP, math.nextafter(jumps[k], -math.inf) if k < len(jumps) else protocol.t_f)
-    return (float(protocol.mass(hi)) - float(protocol.mass(lo))) / (hi - lo)
 
 
 def sampler(protocol: Protocol) -> Callable[[float], tuple]:
@@ -390,20 +349,13 @@ def check_initial_state(protocol: Protocol) -> None:
     applies at ``t_i``.
 
     Bosons and fermions need a diagonal initial Hamiltonian (every coupling
-    within ``INITIAL_DIAGONAL_TOL`` of zero); oscillators need a stationary
-    mass and a positive frequency.
+    within ``INITIAL_DIAGONAL_TOL`` of zero); oscillators need a positive
+    frequency, and their mass may move at t_i: neither the initial data nor
+    the Gibbs state of H(t_i) reads its rate of change.
     """
     s0 = evaluate(protocol, protocol.t_i)
-    if protocol.kind == "oscillator":
-        mass_dot = _mass_dot(protocol, protocol.t_i)
-        if abs(mass_dot) > INITIAL_DIAGONAL_TOL * max(1.0, s0.mass):
-            raise ValueError(
-                f"mass_dot(t_i) = {mass_dot} is not zero; the adiabatic initial "
-                "condition requires a stationary mass at t_i"
-            )
-        if s0.omega <= 0.0:
-            raise ValueError(f"omega(t_i) = {s0.omega} must be positive")
-        return
+    if protocol.kind == "oscillator" and s0.omega <= 0.0:
+        raise ValueError(f"omega(t_i) = {s0.omega} must be positive")
     for name in protocol.channels:
         value = getattr(s0, name)
         if name in _COMPLEX_CHANNELS and abs(value) > INITIAL_DIAGONAL_TOL:
@@ -493,9 +445,8 @@ def validate(protocol: Protocol) -> ValidationReport:
 
     Each channel is sampled as an array on the grid and on the two probe
     grids.  Only the first failing grid point is reported, with the message
-    :func:`evaluate` (and an oscillator's ``mass_dot``) gives there; an
-    exception other than ``ValueError`` that they raise at any grid point
-    propagates.
+    :func:`evaluate` gives there; an exception other than ``ValueError``
+    that it raises at any grid point propagates.
     """
     findings: list[Finding] = []
     t_i, t_f = protocol.t_i, protocol.t_f
@@ -514,13 +465,7 @@ def validate(protocol: Protocol) -> ValidationReport:
         bad = ~((grid >= t_i) & (grid <= t_f))
         raised = np.zeros(grid.shape, dtype=bool)
         channels = [(name, getattr(protocol, name)) for name in protocol.channels]
-        checked = list(channels)
-        if protocol.kind == "oscillator" and not (
-            hasattr(protocol.mass, "values")
-            and protocol.mass_dot == getattr(protocol.mass, "derivative", None)
-        ):  # a built-in profile's derivative is finite; any other is probed
-            checked.append(("mass_dot", lambda t: _mass_dot(protocol, t)))
-        for name, fn in checked:
+        for name, fn in channels:
             values, failed = _probe(fn, grid, lambda v, _n=name: _coefficient(_n, v, 0.0))
             raised |= failed
             bad |= ~np.isfinite(values)
@@ -529,9 +474,8 @@ def validate(protocol: Protocol) -> ValidationReport:
             if name == "mass":
                 bad |= ~(values.real > 0.0)
 
-        # the sampler, then an oscillator's mass_dot, is the judge: its first
-        # ValueError is the finding, and any other exception it raises at a
-        # later point still propagates
+        # the sampler is the judge: its first ValueError is the finding, and
+        # any other exception it raises at a later point still propagates
         sample = sampler(protocol)
         for k in np.flatnonzero(bad):
             if findings and not raised[k]:
@@ -539,8 +483,6 @@ def validate(protocol: Protocol) -> ValidationReport:
             t = float(grid[k])
             try:
                 sample(t)
-                if protocol.kind == "oscillator":
-                    _mass_dot(protocol, t)
             except ValueError as exc:
                 if not findings:
                     findings.append(Finding("error", str(exc), t))

@@ -425,10 +425,14 @@ class TestRunSweep:
         assert nu_sq[0] > nu_sq[1] > 0.0
         assert np.max(rows["max_wronskian_deviation [1]"]) < 1e-8
 
-    def test_invalid_grid_value_fails_before_any_entry(self, tmp_path):
-        text = SWEEP_TEXT.replace("values = 1.0, 2.0", "values = 1.0, -1")
+    @pytest.mark.parametrize(
+        "key, values", [("protocol.width", "1.0, -1"), ("run.beta", "1.0, inf")]
+    )
+    def test_invalid_grid_value_fails_before_any_entry(self, tmp_path, key, values):
+        text = SWEEP_TEXT.replace("key = protocol.width", f"key = {key}")
+        text = text.replace("values = 1.0, 2.0", f"values = {values}")
         config = parse_config(text, "sweep")
-        with pytest.raises(ConfigError, match="width"):
+        with pytest.raises(ConfigError, match=key.split(".")[1]):
             run_sweep(config, tmp_path)
         assert not (tmp_path / "entry_000").exists()
 
@@ -632,10 +636,28 @@ class TestCliMain:
         assert code == 0
         assert "quench done" in capsys.readouterr().out
 
+    def test_run_with_mass_moving_at_t_i(self, tmp_path):
+        """An oscillator whose mass already moves at t_i runs, and its
+        oracle columns agree with the mode solver's."""
+        text = QUENCH_CONSTANT.format(beta=1.0).replace(
+            "kind = boson\nfamily = constant\nvalue = 1.0",
+            "kind = oscillator\ndrive = mass\nfamily = linear\n"
+            "value_initial = 1.0\nvalue_final = 1.8\nomega = 1.3",
+        )
+        text = text.replace("grid_points = 9", "grid_points = 21\nrel_tol = 1e-12")
+        text = text.replace("n_levels = 32\nsubsteps_per_unit = 200", "n_levels = 60")
+        out = tmp_path / "out"
+        assert main(["run", "--config", self._write(tmp_path, text), "--out", str(out)]) == 0
+        rows = _read_csv(out / "observables.csv")
+        for name in ("occupation_abs_diff [1]", "q2_abs_diff [length^2]", "q4_abs_diff [length^4]"):
+            assert np.max(rows[name]) <= 1e-9, name
+
     @pytest.mark.parametrize(
         "verb, old, new",
         [
             ("run", "beta", "betta"),
+            ("run", "beta = 1.0", "beta = inf"),
+            ("run", "beta = 1.0", "beta = 1.0\nhbar = inf"),
             ("run", "grid_points = 9", "grid_points = 1"),
             ("run", "grid_points = 9", "grid_points = 9\nrel_tol = 0"),
             ("run", "grid_points = 9", "grid_points = 9\nrel_tol = 1e-17"),
@@ -653,12 +675,14 @@ class TestCliMain:
             ("run", "value = 1.0", "value = 1.0\nomega_plus = 1e-4"),
             # c07c would run 2 * 129 levels, past the 256-level cap
             ("verify", "n_levels = 32", "n_levels = 129"),
+            ("verify", "kind = verify", "kind = verify\nhbar = inf"),
         ],
         ids=[
-            "unknown_key", "grid_points_1", "rel_tol_0", "rel_tol_below_floor", "substeps_0",
+            "unknown_key", "beta_inf", "hbar_inf", "grid_points_1", "rel_tol_0", "rel_tol_below_floor", "substeps_0",
             "substeps_nan", "empty_window", "n_levels_1",
             "n_levels_300", "tail_abort_negative", "boson_omega0_omitted",
             "fermion_omega0_zero_oracle_on", "coupling_at_t_i", "verify_wide_box_over_cap",
+            "verify_hbar_inf",
         ],
     )
     def test_config_error_exit_code(self, tmp_path, capsys, verb, old, new):

@@ -9,6 +9,7 @@ import ast
 import cmath
 import math
 import threading
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -350,6 +351,20 @@ class TestThermalStates:
         """A NaN beta is a ValueError, not a failed eigensolve of NaN weights."""
         with pytest.raises(ValueError, match="NaN"):
             thermal_density(math.nan, 1.0, basis=basis)
+
+    @pytest.mark.parametrize(
+        "basis", [boson_single(10), fermion_single()], ids=["boson", "fermion"]
+    )
+    def test_infinite_beta_is_the_ground_state(self, basis):
+        """beta = inf gives the ground level all the weight, as beta = 1e308
+        does, with no NaN weight and no RuntimeWarning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rho = thermal_density(math.inf, 1.0, basis=basis)
+        weights = np.diag(rho.matrix)
+        assert np.count_nonzero(weights) == 1 and np.max(weights) == 1.0
+        with np.errstate(over="ignore"):
+            assert np.array_equal(rho.matrix, thermal_density(1e308, 1.0, basis=basis).matrix)
 
     @pytest.mark.parametrize("beta", [0.0, -1.0])
     def test_box_refused_without_hint_when_no_box_suffices(self, beta):

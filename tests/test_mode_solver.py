@@ -180,21 +180,30 @@ class TestOscillatorMode:
 
     def test_wronskian_conserved_through_mass_ramp(self):
         ramp = make_tanh_ramp(1.0, 2.0, 5.0, 0.5)
-        p = OscillatorProtocol(
-            mass=ramp, omega=Constant(1.0), mass_dot=ramp.derivative,
-            t_i=0.0, t_f=10.0,
-        )
+        p = OscillatorProtocol(mass=ramp, omega=Constant(1.0), t_i=0.0, t_f=10.0)
         traj = solve_oscillator_mode(p, TIGHT)
         assert np.max(traj.deviation("wronskian")) < 1e-10
         assert traj.mass[-1] == pytest.approx(2.0, rel=1e-8)
 
     def test_wronskian_conserved_through_bare_mass_ramp(self):
-        """A bare mass callable has no derivative; the solver needs none."""
+        """A bare mass callable serves as well as a built-in profile."""
         ramp = make_tanh_ramp(1.0, 2.0, 5.0, 0.5)
         p = OscillatorProtocol(
             mass=lambda t: ramp(t), omega=Constant(1.0), t_i=0.0, t_f=10.0
         )
         traj = solve_oscillator_mode(p, TIGHT)
+        assert np.max(traj.deviation("wronskian")) < 1e-10
+
+    def test_mass_moving_at_start_takes_the_static_initial_data(self):
+        """v = 1/sqrt(2 m w) and v' = -i w v at t_i, whatever m' is there."""
+        p = OscillatorProtocol(
+            mass=make_tanh_ramp(1.0, 2.0, 0.0, 0.5), omega=Constant(1.3),
+            t_i=0.0, t_f=10.0,
+        )
+        traj = solve_oscillator_mode(p, TIGHT)
+        assert traj.mass[0] == 1.5
+        assert traj.v[0] == pytest.approx(1.0 / math.sqrt(2.0 * 1.5 * 1.3), rel=1e-15)
+        assert traj.v_dot[0] == pytest.approx(-1.3j * traj.v[0], rel=1e-15)
         assert np.max(traj.deviation("wronskian")) < 1e-10
 
     def test_declared_mass_jump_keeps_v_and_momentum_continuous(self):
@@ -230,14 +239,6 @@ class TestOscillatorMode:
         expected = c_plus * np.exp(-4j * (t - 1.0)) + c_minus * np.exp(4j * (t - 1.0))
         got = traj.v[traj.t >= 1.0]
         assert np.max(np.abs(got - expected)) < 1e-10
-
-    def test_moving_mass_at_start_refused(self):
-        p = OscillatorProtocol(
-            mass=make_tanh_ramp(1.0, 2.0, 0.0, 0.5), omega=Constant(1.0),
-            t_i=0.0, t_f=10.0,
-        )
-        with pytest.raises(ValueError, match="mass_dot"):
-            solve_oscillator_mode(p)
 
     def test_runaway_frequency_raises_integration_error(self):
         from tfdyn import LinearRamp
@@ -394,23 +395,20 @@ def _complex_coupling(re, im):
     return lambda t: complex(re(t), im(t))
 
 
-def _oscillator(mass, omega, **window):
-    # the analytic mass_dot, as configs supply it; the finite-difference
-    # fallback alone leaves a ~5e-10 Wronskian drift on these ramps
-    return OscillatorProtocol(mass, omega, mass_dot=mass.derivative, **window)
-
-
 # Tanh ramps centred at 4.5..5.5 with widths up to 0.5 are below 1e-7 at
 # t_i = 0, so every drawn coupling passes the diagonal-initial-Hamiltonian
-# check; |w+| < 0.43 < w0 keeps the boson drive stable.
+# check; |w+| < 0.43 < w0 keeps the boson drive stable.  An oscillator's
+# mass needs no quiet start, so its ramp may be centred near t_i = 0.
 _centers, _widths = st.floats(4.5, 5.5), st.floats(0.3, 0.5)
-_level = st.builds(make_tanh_ramp, st.floats(0.5, 2.0), st.floats(0.5, 2.0), _centers, _widths)
+_values = st.floats(0.5, 2.0)
+_level = st.builds(make_tanh_ramp, _values, _values, _centers, _widths)
+_mass = st.builds(make_tanh_ramp, _values, _values, st.floats(-0.5, 5.5), _widths)
 _part = st.builds(make_tanh_ramp, st.just(0.0), st.floats(-0.3, 0.3), _centers, _widths)
 _coupling = st.builds(_complex_coupling, _part, _part)
 _window = {"t_i": st.just(0.0), "t_f": st.just(10.0)}
 RAMPS = {
     "boson": st.builds(BosonProtocol, _level, _coupling, **_window),
-    "oscillator": st.builds(_oscillator, _level, _level, **_window),
+    "oscillator": st.builds(OscillatorProtocol, _mass, _level, **_window),
     "fermion": st.builds(FermionProtocol, _level, _coupling, _coupling, **_window),
 }
 
@@ -558,7 +556,7 @@ REFERENCE_CASES = {
     # a mass ramp: the right-hand side divides by masses other than 1
     "oscillator_mass_ramp": (
         solve_oscillator_mode,
-        _oscillator(
+        OscillatorProtocol(
             make_tanh_ramp(1.0, 2.5, 5.0, 0.5), make_tanh_ramp(1.0, 0.6, 4.0, 0.7),
             t_i=0.0, t_f=10.0,
         ),
@@ -776,7 +774,7 @@ class TestFrozenCopies:
     replaced, byte for byte on seeded inputs with signed zeros."""
 
     def test_oscillator_rhs(self, monkeypatch):
-        protocol = _oscillator(
+        protocol = OscillatorProtocol(
             make_tanh_ramp(0.3, 7.0, 5.0, 0.5), make_tanh_ramp(0.5, 3.0, 4.0, 1.5),
             t_i=0.0, t_f=10.0,
         )

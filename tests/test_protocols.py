@@ -1,6 +1,5 @@
 """Unit tests for coefficient profiles and protocol containers."""
 
-import bisect
 import cmath
 import math
 import random
@@ -29,7 +28,6 @@ from tfdyn import (
 from tfdyn.protocols import (
     FD_STEP,
     KINDS,
-    _mass_dot,
     _OffsetImag,
     check_initial_state,
     sampler,
@@ -41,48 +39,27 @@ CHANNEL_VALUES = {"omega0": 1, "omega_plus": 0, "omega_minus": 0, "mass": 2, "om
 
 
 class TestProfiles:
-    """Value and derivative behaviour of the four coefficient profiles."""
+    """Values of the four coefficient profiles."""
 
     def test_constant(self):
         c = Constant(2.5)
         assert c(0.0) == 2.5 and c(1e6) == 2.5
-        assert c.derivative(3.0) == 0.0
 
     @pytest.mark.parametrize("t, expected", [(-1.0, 1.0), (0.0, 1.0), (1.0, 2.0), (2.0, 3.0), (5.0, 3.0)])
     def test_linear_ramp_values(self, t, expected):
         r = LinearRamp(start=1.0, end=3.0, t_start=0.0, t_end=2.0)
         assert r(t) == pytest.approx(expected, rel=0, abs=0)
 
-    def test_linear_ramp_derivative_right_continuous(self):
-        r = LinearRamp(start=1.0, end=3.0, t_start=0.0, t_end=2.0)
-        assert r.derivative(-0.5) == 0.0
-        assert r.derivative(0.0) == 1.0      # kink resolved to the right
-        assert r.derivative(1.0) == 1.0
-        assert r.derivative(2.0) == 0.0
-
     def test_step_right_continuous(self):
         s = Step(before=1.0, after=4.0, t_jump=3.0)
         assert s(3.0 - 1e-12) == 1.0
         assert s(3.0) == 4.0                 # value at the jump is the new one
-        assert s.derivative(3.0) == 0.0
 
     def test_tanh_ramp_midpoint_and_asymptotes(self):
         r = make_tanh_ramp(1.0, 4.0, center=5.0, width=0.5)
         assert r(5.0) == pytest.approx(2.5, abs=1e-15)
         assert r(-50.0) == pytest.approx(1.0, abs=1e-15)
         assert r(60.0) == pytest.approx(4.0, abs=1e-15)
-
-    def test_tanh_ramp_derivative_matches_finite_difference(self):
-        r = make_tanh_ramp(0.0, 0.5, center=3.0, width=0.4)
-        for t in np.linspace(1.0, 5.0, 17):
-            fd = (r(t + 1e-5) - r(t - 1e-5)) / 2e-5
-            assert r.derivative(t) == pytest.approx(fd, rel=1e-6, abs=1e-12)
-
-    def test_tanh_ramp_derivative_far_tail_underflows_to_zero(self):
-        # cosh overflows near |z| ~ 355; the derivative must return 0, not raise.
-        r = make_tanh_ramp(1.0, 2.0, center=0.0, width=1e-4)
-        assert r.derivative(1.0) == 0.0
-        assert r.derivative(-1.0) == 0.0
 
     def test_tanh_ramp_rejects_nonpositive_width(self):
         with pytest.raises(ValueError):
@@ -119,43 +96,6 @@ class TestEvaluate:
         p = BosonProtocol(Constant(2.0), Constant(0.25), t_i=0.0, t_f=1.0)
         s = evaluate(p, 0.5)
         assert s.omega0 == 2.0 and s.omega_plus == 0.25
-
-    # mass_dot is no channel: check_initial_state reads it through _mass_dot
-    def test_oscillator_mass_dot_finite_difference_fallback(self):
-        ramp = make_tanh_ramp(1.0, 2.0, center=5.0, width=0.5)
-        # a bare callable has no derivative, so mass_dot falls back to the FD
-        p = OscillatorProtocol(mass=lambda t: ramp(t), omega=Constant(1.0), t_i=0.0, t_f=10.0)
-        assert _mass_dot(p, 5.0) == pytest.approx(ramp.derivative(5.0), rel=1e-6)
-        assert not hasattr(evaluate(p, 5.0), "mass_dot")
-
-    def test_oscillator_mass_dot_defaults_to_the_profile_derivative(self):
-        ramp = make_tanh_ramp(1.0, 2.0, center=5.0, width=0.5)
-        p = OscillatorProtocol(mass=ramp, omega=Constant(1.0), t_i=0.0, t_f=10.0)
-        assert _mass_dot(p, 5.3) == ramp.derivative(5.3)
-
-    def test_oscillator_mass_dot_fallback_stays_on_its_side_of_a_jump(self):
-        # a jump time belongs to its right side; no stencil may straddle it
-        p = OscillatorProtocol(
-            mass=lambda t: 1.0 if t < 5.0 else 2.0, omega=Constant(1.0),
-            t_i=0.0, t_f=10.0, jump_times=(5.0,),
-        )
-        for t in (5.0 - 5e-7, 5.0, 5.0 + 5e-7):
-            assert _mass_dot(p, t) == 0.0
-
-    def test_oscillator_mass_dot_one_sided_at_boundaries(self):
-        # The fallback must not sample outside the declared window.
-        calls = []
-
-        def mass(t):
-            calls.append(t)
-            return 1.0 + 0.1 * (t - 0.0)
-
-        p = OscillatorProtocol(mass=mass, omega=Constant(1.0), t_i=0.0, t_f=10.0)
-        _mass_dot(p, 0.0)
-        _mass_dot(p, 10.0)
-        assert min(calls) >= 0.0 - 1e-15
-        assert max(calls) <= 10.0 + 1e-15
-        assert _mass_dot(p, 0.0) == pytest.approx(0.1, rel=1e-5)
 
     def test_oscillator_rejects_nonpositive_mass(self):
         p = OscillatorProtocol(mass=Constant(-1.0), omega=Constant(1.0), t_i=0.0, t_f=1.0)
@@ -240,13 +180,23 @@ class TestValidate:
         assert not report.ok
         assert any(f.severity == "error" for f in report.findings)
 
-    def test_moving_mass_at_start_is_flagged(self):
+    def test_moving_mass_at_start_has_no_findings(self):
+        # the initial data and the Gibbs state read m(t_i) and w(t_i) alone
         p = OscillatorProtocol(
             mass=LinearRamp(1.0, 2.0, t_start=-1.0, t_end=1.0),
             omega=Constant(1.0), t_i=0.0, t_f=10.0,
         )
         report = validate(p)
-        assert any("mass_dot" in f.message for f in report.findings)
+        assert report == _frozen_validate(p)
+        assert report.findings == ()
+
+    def test_nonpositive_initial_frequency_is_an_error(self):
+        p = OscillatorProtocol(
+            Constant(1.0), LinearRamp(0.0, 1.0, t_start=0.0, t_end=1.0), t_i=0.0, t_f=2.0
+        )
+        report = validate(p)
+        assert report == _frozen_validate(p)
+        assert report.messages() == ["error: omega(t_i) = 0.0 must be positive"]
 
 
 class TestFromConfig:
@@ -380,17 +330,7 @@ def _frozen_coefficient(name, value, t):
     return value
 
 
-def _frozen_mass_dot(protocol, t):
-    if protocol.mass_dot is not None:
-        return _frozen_coefficient("mass_dot", protocol.mass_dot(t), t)
-    jumps = protocol.jump_times
-    k = bisect.bisect_right(jumps, t)
-    lo = max(t - 1e-6, jumps[k - 1] if k else protocol.t_i)
-    hi = min(t + 1e-6, math.nextafter(jumps[k], -math.inf) if k < len(jumps) else protocol.t_f)
-    return (float(protocol.mass(hi)) - float(protocol.mass(lo))) / (hi - lo)
-
-
-def _frozen_evaluate(protocol, t, mass_dot=True):
+def _frozen_evaluate(protocol, t):
     if not (protocol.t_i <= t <= protocol.t_f):
         raise ValueError(
             f"time {t} outside protocol domain [{protocol.t_i}, {protocol.t_f}]"
@@ -399,11 +339,8 @@ def _frozen_evaluate(protocol, t, mass_dot=True):
         **{name: _frozen_coefficient(name, getattr(protocol, name)(t), t)
            for name in protocol.channels}
     )
-    if protocol.kind == "oscillator":
-        if s.mass <= 0.0:
-            raise ValueError(f"mass({t}) = {s.mass} must be positive")
-        if mass_dot:
-            s.mass_dot = _frozen_mass_dot(protocol, t)
+    if protocol.kind == "oscillator" and s.mass <= 0.0:
+        raise ValueError(f"mass({t}) = {s.mass} must be positive")
     return s
 
 
@@ -551,19 +488,12 @@ def _seeded_protocols(seed, count):
             channels[name] = profile
         if rng.random() < 0.2:
             jumps.append(t_i + rng.uniform(0.05, 0.95) * (t_f - t_i))
-        extra = {}
         if kind == "oscillator" and rng.random() < 0.3:
-            t_bad = t_i + rng.uniform(0.0, 1.5) * (t_f - t_i)
-            extra["mass_dot"] = rng.choice((
-                None,
-                lambda t: 0.0,
-                lambda t, _b=t_bad: math.nan if t > _b else 0.0,
-                lambda t, _b=t_bad: 1.0 / 0.0 if t > _b else 0.0,
-            ))
-            if extra["mass_dot"] is None:
+            rng.random()  # an unused draw, kept so that the seeded set stays put
+            if rng.randrange(4) == 0:  # a bare mass callable
                 channels["mass"] = _bare(rng, channels["mass"], t_f + 1.0, False)
         try:
-            protocols.append(cls(**channels, t_i=t_i, t_f=t_f, jump_times=tuple(jumps), **extra))
+            protocols.append(cls(**channels, t_i=t_i, t_f=t_f, jump_times=tuple(jumps)))
         except ValueError:  # two declared jumps coincide
             continue
     return protocols
@@ -630,7 +560,7 @@ class TestArrayValidate:
             seen.append(t)
             return 1.0
 
-        p = OscillatorProtocol(mass, Constant(1.0), t_i=1.3, t_f=8.32, mass_dot=Constant(0.0))
+        p = OscillatorProtocol(mass, Constant(1.0), t_i=1.3, t_f=8.32)
         report = validate(p)
         assert report == _frozen_validate(p)
         assert report.findings == ()
@@ -663,15 +593,6 @@ class TestArrayValidate:
         assert validate(far) == _frozen_validate(far)
         assert validate(near).findings == ()
         assert "in omega_plus near t=5 " in validate(far).messages()[0]
-
-    def test_a_bare_mass_dot_is_probed(self):
-        p = OscillatorProtocol(
-            Constant(1.0), Constant(1.0), t_i=0.0, t_f=10.0,
-            mass_dot=lambda t: math.nan if t > 4.0 else 0.0,
-        )
-        report = validate(p)
-        assert report == _frozen_validate(p)
-        assert report.findings[0].message.startswith("mass_dot(4.005) = nan")
 
 
 _H = FD_STEP
@@ -715,8 +636,7 @@ def test_tanh_values_within_four_ulps_of_the_ramp_scale(start, end, width):
 
 class TestSampler:
     """sampler(p)(t), and evaluate(p, t) as a record, are the frozen
-    evaluate's channels, bit for bit, and raise what it raises before it
-    computes mass_dot, which neither of them computes."""
+    evaluate's channels, bit for bit, and raise what it raises."""
 
     @staticmethod
     def _times(p):
@@ -731,7 +651,7 @@ class TestSampler:
             sample = sampler(p)
             for t in self._times(p):
                 got = _outcome(sample, t)
-                want = _outcome(_frozen_evaluate, p, t, False)
+                want = _outcome(_frozen_evaluate, p, t)
                 if want[0] == "value":
                     want = ("value", tuple(getattr(want[1], c) for c in p.channels))
                     assert [repr(v) for v in got[1]] == [repr(v) for v in want[1]]
@@ -745,7 +665,7 @@ class TestSampler:
     def test_evaluate_is_the_sampler_as_a_record(self):
         for p in SEEDED:
             for t in self._times(p)[::5]:
-                got, want = _outcome(evaluate, p, t), _outcome(_frozen_evaluate, p, t, False)
+                got, want = _outcome(evaluate, p, t), _outcome(_frozen_evaluate, p, t)
                 if want[0] == "value":
                     assert {k: repr(v) for k, v in vars(got[1]).items()} == {
                         k: repr(v) for k, v in vars(want[1]).items()
