@@ -64,17 +64,15 @@ _RUN_KINDS = ("quench", "sweep", "verify")
 # validated by protocols.from_config, which also rejects unknown keys).
 _SECTION_KEYS = {
     "run": {"kind": str, "hbar": float, "beta": float},
-    "integrator": {"rel_tol": float, "abs_tol": float, "grid_points": int, "max_step": float},
+    "integrator": {"rel_tol": float, "abs_tol": float, "grid_points": int},
     "oracle": {"enabled": bool, "n_levels": int, "substeps_per_unit": float, "tail_abort": float},
     "sweep": {"key": str, "values": str},
 }
 _ALL_SECTIONS = set(_SECTION_KEYS) | {"protocol"}
 
-# Keys a verify run would ignore: the suite pins its own beta, grids and steps.
-_NOT_FOR_VERIFY = (
-    ("run", "beta"), ("integrator", "grid_points"), ("integrator", "max_step"),
-    ("oracle", "tail_abort"),
-)
+# Keys a verify run would ignore: the suite pins its own beta, grids and tail
+# threshold.
+_NOT_FOR_VERIFY = (("run", "beta"), ("integrator", "grid_points"), ("oracle", "tail_abort"))
 
 _TYPE_NAMES = {float: "a number", int: "an integer", bool: "a boolean"}
 
@@ -210,8 +208,6 @@ def parse_config(text: str, kind: str) -> RunConfig:
         raise ConfigError("a verify run takes no [protocol] section")
 
     integrator_values = _section(parser, "integrator")
-    if integrator_values.get("max_step") == 0.0:
-        integrator_values["max_step"] = math.inf
     try:
         integrator = IntegratorConfig(**integrator_values)
     except ValueError as exc:
@@ -276,7 +272,7 @@ def parse_config(text: str, kind: str) -> RunConfig:
     elif parser.has_section("sweep"):
         raise ConfigError(f"a {kind} run takes no [sweep] section (use the sweep verb)")
 
-    canonical = canonical_config_text(text)
+    canonical = _render(parser)
     return RunConfig(
         kind=kind,
         beta=beta,

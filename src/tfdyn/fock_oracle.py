@@ -478,10 +478,9 @@ def thermal_density(
         energies = np.real(np.diag(number))
     else:
         raise ValueError(f"thermal_density needs a single-system basis, got {basis.kind}")
-    # the ground level keeps x = 0 at every beta, where inf * 0 would be NaN
-    x = np.zeros(len(energies))
-    excited = energies > energies.min()
-    x[excited] = _beta_hbar_omega(beta, omega, hbar) * (energies[excited] - energies.min())
+    # an excited weight is 0 once beta hbar w passes EXP_ARG_MAX; clipping it at
+    # twice that keeps x finite (no overflow at 1e308, no inf * 0 at inf)
+    x = min(_beta_hbar_omega(beta, omega, hbar), 2 * EXP_ARG_MAX) * (energies - energies.min())
     weights = np.exp(-np.minimum(x, EXP_ARG_MAX))
     weights[x > EXP_ARG_MAX] = 0.0
     weights /= weights.sum()

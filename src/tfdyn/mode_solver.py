@@ -91,7 +91,6 @@ class IntegratorConfig:
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_step: float = math.inf
     grid_points: int = 1001
 
     def __post_init__(self) -> None:
@@ -104,8 +103,6 @@ class IntegratorConfig:
             )
         if not self.abs_tol > 0:
             raise ValueError("abs_tol must be positive")
-        if not self.max_step > 0:
-            raise ValueError("max_step must be positive")
 
 
 @dataclass(frozen=True)
@@ -213,9 +210,7 @@ def _integrate(
         # validated before entry.
         t_new = a
         try:
-            solver = Dop853(
-                seg_rhs, a, y, b, config.rel_tol, config.abs_tol, config.max_step
-            )
+            solver = Dop853(seg_rhs, a, y, b, config.rel_tol, config.abs_tol)
             while solver.t < b:
                 solver.step()
                 t_new = solver.t
@@ -240,9 +235,6 @@ def _integrate(
         nfev += solver.nfev
         y = solver.y.copy()
 
-    if filled == grid.size - 1:  # end point not caught by the tolerance window
-        out[-1] = y
-        filled += 1
     if filled != grid.size:
         raise IntegrationError(
             f"integration ended with {filled} of {grid.size} grid points sampled"

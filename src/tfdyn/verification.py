@@ -230,9 +230,7 @@ def _shared(integrator, oracle, hbar: float) -> SimpleNamespace:
     trajectory outlives the check that evolved it.
     """
     s = SimpleNamespace(hbar=hbar)
-    s.mode_cfg = replace(
-        integrator or mode_solver.IntegratorConfig(), grid_points=101, max_step=math.inf
-    )
+    s.mode_cfg = replace(integrator or mode_solver.IntegratorConfig(), grid_points=101)
     # all pinned temperatures fix the product beta*hbar*omega, so beta scales
     # with 1/hbar throughout
     s.beta_ln2 = LN2 / hbar
@@ -545,8 +543,8 @@ def run_all(
     """Execute the full acceptance suite and return one result per check.
 
     The suite reads the integrator's tolerances and the oracle's ``n_levels``
-    and ``substeps_per_unit``; it pins its own grids, temperatures, step caps
-    and tail threshold, and c07c's wide box runs at
+    and ``substeps_per_unit``; it pins its own grids, temperatures and tail
+    threshold, and c07c's wide box runs at
     ``WIDE_BOX_SUBSTEPS_PER_UNIT``.  ``oracle=None`` skips the oracle
     checks.  Each result carries the wall time of its check; the runs that
     several checks share are built before any check, and their wall time is

@@ -214,7 +214,6 @@ class TestParseConfig:
             ("integrator", "rel_tol", "a number"),
             ("integrator", "abs_tol", "a number"),
             ("integrator", "grid_points", "an integer"),
-            ("integrator", "max_step", "a number"),
             ("oracle", "n_levels", "an integer"),
             ("oracle", "substeps_per_unit", "a number"),
             ("oracle", "tail_abort", "a number"),
@@ -270,6 +269,7 @@ beta = 1.0   ; inline comment
 kind = quench
 """
         assert canonical_config_text(a) == canonical_config_text(b)
+        assert parse_config(b, "quench").canonical_text == canonical_config_text(a)
         assert parse_config(a, "quench").digest == parse_config(b, "quench").digest
 
     def test_digest_sensitive_to_values(self):
@@ -636,6 +636,14 @@ class TestCliMain:
         assert code == 0
         assert "quench done" in capsys.readouterr().out
 
+    def test_sweep_verb_succeeds(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
+        out = tmp_path / "out"
+        code = main(["sweep", "--config", self._write(tmp_path, SWEEP_TEXT), "--out", str(out)])
+        assert code == 0
+        assert capsys.readouterr().out == f"sweep done: 2 entries in {out}\n"
+        assert len((out / "sweep_summary.csv").read_text().splitlines()) == 3
+
     def test_run_with_mass_moving_at_t_i(self, tmp_path):
         """An oscillator whose mass already moves at t_i runs, and its
         oracle columns agree with the mode solver's."""
@@ -676,13 +684,16 @@ class TestCliMain:
             # c07c would run 2 * 129 levels, past the 256-level cap
             ("verify", "n_levels = 32", "n_levels = 129"),
             ("verify", "kind = verify", "kind = verify\nhbar = inf"),
+            # the integrator takes no step cap
+            ("run", "grid_points = 9", "grid_points = 9\nmax_step = 0.1"),
+            ("verify", "n_levels = 32", "n_levels = 32\n\n[integrator]\nmax_step = 0.1"),
         ],
         ids=[
             "unknown_key", "beta_inf", "hbar_inf", "grid_points_1", "rel_tol_0", "rel_tol_below_floor", "substeps_0",
             "substeps_nan", "empty_window", "n_levels_1",
             "n_levels_300", "tail_abort_negative", "boson_omega0_omitted",
             "fermion_omega0_zero_oracle_on", "coupling_at_t_i", "verify_wide_box_over_cap",
-            "verify_hbar_inf",
+            "verify_hbar_inf", "max_step", "verify_max_step",
         ],
     )
     def test_config_error_exit_code(self, tmp_path, capsys, verb, old, new):
@@ -693,14 +704,15 @@ class TestCliMain:
         assert code == 2
         captured = capsys.readouterr()
         assert "config error" in captured.err
+        if "max_step" in new:
+            assert "unknown key(s) in [integrator]: max_step" in captured.err
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "section, line",
-        [("run", "beta = 1.0"), ("integrator", "grid_points = 11"),
-         ("integrator", "max_step = 0.1"), ("oracle", "tail_abort = 1e-6")],
-        ids=["beta", "grid_points", "max_step", "tail_abort"],
+        [("run", "beta = 1.0"), ("integrator", "grid_points = 11"), ("oracle", "tail_abort = 1e-6")],
+        ids=["beta", "grid_points", "tail_abort"],
     )
     def test_verify_refuses_keys_it_would_ignore(self, tmp_path, capsys, section, line):
         sections = {"run": "kind = verify", "integrator": "rel_tol = 1e-10", "oracle": "enabled = false"}

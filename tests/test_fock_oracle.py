@@ -361,10 +361,10 @@ class TestThermalStates:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rho = thermal_density(math.inf, 1.0, basis=basis)
+            large = thermal_density(1e308, 1.0, basis=basis)
         weights = np.diag(rho.matrix)
         assert np.count_nonzero(weights) == 1 and np.max(weights) == 1.0
-        with np.errstate(over="ignore"):
-            assert np.array_equal(rho.matrix, thermal_density(1e308, 1.0, basis=basis).matrix)
+        assert np.array_equal(rho.matrix, large.matrix)
 
     @pytest.mark.parametrize("beta", [0.0, -1.0])
     def test_box_refused_without_hint_when_no_box_suffices(self, beta):
@@ -1203,6 +1203,18 @@ POOLED_CASES = {
 }
 
 
+def _coupling_until(t_max):
+    """The tanh coupling ramp 0 -> 0.8 of the truncation tests, undefined past
+    ``t_max``."""
+    ramp = make_tanh_ramp(0.0, 0.8, 1.0, 0.3)
+
+    def coupling(t):
+        if t > t_max:
+            raise ValueError(f"coupling undefined past t = {t_max}")
+        return ramp(t)
+    return coupling
+
+
 @pytest.fixture
 def pooled(monkeypatch):
     """Forces the pooled march onto small boxes: three threads, whatever this
@@ -1287,17 +1299,8 @@ class TestPooledMarch:
         t = 1.6, within the stretch sampled ahead of the abort by the pool,
         and by one thread when the whole march is one task.  Both raise the
         truncation error; a protocol error before the abort still comes out."""
-        ramp = make_tanh_ramp(0.0, 0.8, 1.0, 0.3)
-
-        def coupling_until(t_max):
-            def coupling(t):
-                if t > t_max:
-                    raise ValueError(f"coupling undefined past t = {t_max}")
-                return ramp(t)
-            return coupling
-
         cfg = OracleConfig(n_levels=16, substeps_per_unit=200.0, grid_points=31)
-        p = BosonProtocol(Constant(1.0), coupling_until(1.6), t_i=0.0, t_f=3.0)
+        p = BosonProtocol(Constant(1.0), _coupling_until(1.6), t_i=0.0, t_f=3.0)
         threads_before = threading.active_count()
         with pytest.raises(TruncationError, match="at t = 1.4;"):
             evolve_doubled_thermal(p, 2.0, cfg)
@@ -1308,10 +1311,31 @@ class TestPooledMarch:
             one_task.setattr(tfdyn.fock_oracle, "_TASK_ELEMENTS", 2**40)
             with pytest.raises(TruncationError, match="at t = 1.4;"):
                 evolve_doubled_thermal(p, 2.0, cfg)
-        early = BosonProtocol(Constant(1.0), coupling_until(0.5), t_i=0.0, t_f=3.0)
+        early = BosonProtocol(Constant(1.0), _coupling_until(0.5), t_i=0.0, t_f=3.0)
         with pytest.raises(ValueError, match="past t = 0.5"):
             evolve_doubled_thermal(early, 2.0, cfg)
         assert threading.active_count() == threads_before
+
+    def test_protocol_error_on_one_thread_leaves_no_thread_and_restores_blas(
+        self, pooled, monkeypatch
+    ):
+        """On one thread, a coupling that raises past t = 0.5, before any
+        truncation, stops the inline march after the tasks sampled before it."""
+        monkeypatch.setattr(tfdyn.fock_oracle, "_thread_share", 1)
+        early = BosonProtocol(Constant(1.0), _coupling_until(0.5), t_i=0.0, t_f=3.0)
+        cfg = OracleConfig(n_levels=16, substeps_per_unit=200.0, grid_points=31)
+        get_blas, set_blas = tfdyn.fock_oracle._openblas_threads()
+        blas_before = get_blas()
+        set_blas(2)
+        try:
+            threads_before = threading.active_count()
+            with pytest.raises(ValueError, match="coupling undefined past t = 0.5"):
+                evolve_doubled_thermal(early, 2.0, cfg)
+            assert get_blas() == 2
+            assert threading.active_count() == threads_before
+        finally:
+            set_blas(blas_before)
+        assert set(pooled) == {threading.get_ident()}
 
     def test_one_task_runs_inline(self, pooled):
         """An evolution that forms a single task never starts a thread."""
