@@ -211,12 +211,14 @@ class TestParseConfig:
     @pytest.mark.parametrize(
         "section, key, expected",
         [
+            ("run", "hbar", "a number"),
             ("integrator", "rel_tol", "a number"),
             ("integrator", "abs_tol", "a number"),
             ("integrator", "grid_points", "an integer"),
             ("oracle", "n_levels", "an integer"),
             ("oracle", "substeps_per_unit", "a number"),
             ("oracle", "tail_abort", "a number"),
+            ("oracle", "enabled", "a boolean"),
         ],
     )
     def test_unparsable_value_names_its_section_once(self, section, key, expected):
