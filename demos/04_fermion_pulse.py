@@ -40,8 +40,9 @@ TIGHT = IntegratorConfig(1e-12, 1e-14)
 # Past beta * hbar * omega0 = EXP_ARG_MAX the thermal angle is exactly 0, so
 # the evolved thermal vacuum starts as the exact vacuum.
 BETA = 2.0 * EXP_ARG_MAX / OMEGA0
-# Grid points at t_i and t_f only: each constant piece between the jumps is
-# one exact step of the march.
+# Grid points at t_i and t_f only: each constant stretch between the jumps
+# takes one exact exponential per 512 configured ones (3, 4 and 3 here), a
+# product of exact exponentials of the same H.
 ORACLE = OracleConfig(grid_points=2)
 # Largest gap allowed between any two of the three columns.  The measured
 # gaps are about 2e-13 (mode route) and 5e-15 (oracle route).

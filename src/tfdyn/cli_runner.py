@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import fock_oracle, verification
+from . import fock_oracle, thermal_observables, verification
 from ._version import __version__
 from .errors import ConfigError
 from .mode_solver import (
@@ -65,14 +65,13 @@ _RUN_KINDS = ("quench", "sweep", "verify")
 _SECTION_KEYS = {
     "run": {"kind": str, "hbar": float, "beta": float},
     "integrator": {"rel_tol": float, "abs_tol": float, "grid_points": int},
-    "oracle": {"enabled": bool, "n_levels": int, "substeps_per_unit": float, "tail_abort": float},
+    "oracle": {"enabled": bool, "n_levels": int, "substeps_per_unit": float},
     "sweep": {"key": str, "values": str},
 }
 _ALL_SECTIONS = set(_SECTION_KEYS) | {"protocol"}
 
-# Keys a verify run would ignore: the suite pins its own beta, grids and tail
-# threshold.
-_NOT_FOR_VERIFY = (("run", "beta"), ("integrator", "grid_points"), ("oracle", "tail_abort"))
+# Keys a verify run would ignore: the suite pins its own beta and grids.
+_NOT_FOR_VERIFY = (("run", "beta"), ("integrator", "grid_points"))
 
 _TYPE_NAMES = {float: "a number", int: "an integer", bool: "a boolean"}
 
@@ -236,11 +235,10 @@ def parse_config(text: str, kind: str) -> RunConfig:
     # fermion run needs it only for the oracle.
     if protocol is not None and (oracle is not None or protocol.kind != "fermion"):
         omega_i = initial_frame(protocol)[1]
-        if not omega_i > 0.0:
-            raise ConfigError(
-                f"the initial frame frequency must be positive for a thermal state, "
-                f"got {omega_i}"
-            )
+        try:
+            thermal_observables.theta(beta, omega_i, hbar, statistics_of(protocol))
+        except ValueError as exc:
+            raise ConfigError(f"no thermal state at t_i: {exc}") from exc
 
     sweep_key: str | None = None
     sweep_values: tuple[float, ...] = ()

@@ -94,13 +94,15 @@ __all__ = [
     "evolve_doubled_thermal",
     "DEFAULT_N_LEVELS",
     "TAIL_REFUSAL",
+    "TAIL_ABORT",
 ]
 
 DEFAULT_N_LEVELS = 60
 # Thermal-state builders refuse when the geometric tail beyond the retained
-# levels exceeds this; evolution aborts when the measured tail passes
-# OracleConfig.tail_abort.
+# levels exceeds TAIL_REFUSAL; evolution aborts when the measured tail passes
+# TAIL_ABORT.
 TAIL_REFUSAL = 1e-8
+TAIL_ABORT = 1e-6
 # State vectors on the doubled space cost n^2 amplitudes.
 _MAX_DOUBLED_LEVELS = 256
 # A piece of the doubled march spans at most this many exponentials of one
@@ -835,15 +837,16 @@ class OracleConfig:
     like beta, is an argument of ``evolve_doubled_thermal``.
 
     ``substeps_per_unit`` counts matrix exponentials per unit time where H
-    varies; a CFM4 step spends two.  A piece of the march over which every
-    sampled coefficient is the same takes one exponential whatever its
-    length (``evolve_doubled_thermal``).
+    varies; a CFM4 step spends two.  A piece of the march (at most 512
+    configured exponentials) over which every sampled coefficient is the
+    same takes one exponential, so a constant stretch takes one per 512
+    (``evolve_doubled_thermal``).  The running-tail abort is the fixed
+    ``TAIL_ABORT``.
     """
 
     n_levels: int = DEFAULT_N_LEVELS
     substeps_per_unit: float = 500.0
     grid_points: int = 201
-    tail_abort: float = 1e-6
 
     def __post_init__(self) -> None:
         boson_doubled(self.n_levels)  # raises for an unsupported level count
@@ -851,8 +854,6 @@ class OracleConfig:
             raise ValueError("grid_points must be at least 2")
         if not 0.0 < self.substeps_per_unit < math.inf:
             raise ValueError("substeps_per_unit must be positive and finite")
-        if not self.tail_abort > 0:
-            raise ValueError("tail_abort must be positive")
 
 
 @dataclass
@@ -1047,7 +1048,7 @@ def evolve_doubled_thermal(
     measured: the weight on pairs with a level in the top tenth
     (``truncation_report``), one float per output time in ``tail_weight``.
     The evolution aborts with a diagnostic if the tail passes
-    ``config.tail_abort``.
+    ``TAIL_ABORT``.
 
     The calling thread samples the protocol, in time order, and applies the
     propagators and records the states, also in order.  When the march
@@ -1102,10 +1103,10 @@ def evolve_doubled_thermal(
         norm = float(np.linalg.norm(vec))
         psi = StateVector(vec / norm if abs(norm - 1.0) > 1e-10 else vec, basis)
         tail = truncation_report(psi)
-        if not tail <= config.tail_abort:  # a NaN tail aborts too
+        if not tail <= TAIL_ABORT:  # a NaN tail aborts too
             raise TruncationError(
                 f"truncation tail {tail:.3e} exceeds "
-                f"{config.tail_abort:.0e} at t = {time:.6g}; increase n_levels "
+                f"{TAIL_ABORT:.0e} at t = {time:.6g}; increase n_levels "
                 f"beyond {config.n_levels}"
             )
         states.append(psi)

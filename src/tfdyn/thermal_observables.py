@@ -45,11 +45,15 @@ def theta(beta: float, omega: float, hbar: float = 1.0, statistics: str = "boson
     Bosons: cosh(theta) = (1 - e^{-b*h*w})^{-1/2}, i.e.
     theta = artanh(e^{-b*h*w/2}); fermions: cos(theta) = (1 + e^{-b*h*w})^{-1/2},
     i.e. theta = arctan(e^{-b*h*w/2}).  Always >= 0, and -> 0 as T -> 0.
+    A boson b*h*w so small that e^{-b*h*w/2} rounds to 1 has no finite angle
+    and is refused.
     """
     x = _exponent(beta, omega, hbar, statistics)
     if x > EXP_ARG_MAX:
         return 0.0
     half = math.exp(-0.5 * x)
+    if statistics == "boson" and half == 1.0:
+        raise ValueError(f"boson b*h*w = {x} is too small: e^(-b*h*w/2) rounds to 1")
     return math.atanh(half) if statistics == "boson" else math.atan(half)
 
 

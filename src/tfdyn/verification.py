@@ -543,12 +543,13 @@ def run_all(
     """Execute the full acceptance suite and return one result per check.
 
     The suite reads the integrator's tolerances and the oracle's ``n_levels``
-    and ``substeps_per_unit``; it pins its own grids, temperatures and tail
-    threshold, and c07c's wide box runs at
-    ``WIDE_BOX_SUBSTEPS_PER_UNIT``.  ``oracle=None`` skips the oracle
-    checks.  Each result carries the wall time of its check; the runs that
-    several checks share are built before any check, and their wall time is
-    stored in ``timings["shared_runs"]`` when a ``timings`` dict is passed.
+    and ``substeps_per_unit``; it pins its own grids and temperatures, its
+    oracle runs abort at the fixed ``fock_oracle.TAIL_ABORT`` like every
+    other, and c07c's wide box runs at ``WIDE_BOX_SUBSTEPS_PER_UNIT``.
+    ``oracle=None`` skips the oracle checks.  Each result carries the wall
+    time of its check; the runs that several checks share are built before
+    any check, and their wall time is stored in ``timings["shared_runs"]``
+    when a ``timings`` dict is passed.
     """
     started = time.perf_counter()
     shared = _shared(integrator, oracle, hbar)

@@ -217,7 +217,6 @@ class TestParseConfig:
             ("integrator", "grid_points", "an integer"),
             ("oracle", "n_levels", "an integer"),
             ("oracle", "substeps_per_unit", "a number"),
-            ("oracle", "tail_abort", "a number"),
             ("oracle", "enabled", "a boolean"),
         ],
     )
@@ -646,6 +645,27 @@ class TestCliMain:
         assert capsys.readouterr().out == f"sweep done: 2 entries in {out}\n"
         assert len((out / "sweep_summary.csv").read_text().splitlines()) == 3
 
+    def test_sweep_refuses_non_integer_worker_count(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv(WORKERS_ENV_VAR, "two")
+        out = tmp_path / "out"
+        code = main(["sweep", "--config", self._write(tmp_path, SWEEP_TEXT), "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"{WORKERS_ENV_VAR} must be an integer, got 'two'" in captured.err
+        assert captured.out == ""
+        assert list(out.iterdir()) == []
+
+    def test_out_path_that_is_a_file_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_text("kept")
+        cfg = self._write(tmp_path, QUENCH_CONSTANT.format(beta=1.0))
+        code = main(["run", "--config", cfg, "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("i/o error: ") and "File exists" in captured.err
+        assert captured.out == ""
+        assert out.read_text() == "kept"
+
     def test_run_with_mass_moving_at_t_i(self, tmp_path):
         """An oscillator whose mass already moves at t_i runs, and its
         oracle columns agree with the mode solver's."""
@@ -676,45 +696,52 @@ class TestCliMain:
             ("run", "t_f = 2.0", "t_f = -1.0"),
             ("run", "n_levels = 32", "n_levels = 1"),
             ("run", "n_levels = 32", "n_levels = 300"),
-            ("run", "n_levels = 32", "n_levels = 32\ntail_abort = -1"),
             # omega0 omitted defaults to 0
             ("run", "value = 1.0", "value = 0.0\ndrive = omega_plus"),
             ("run", "kind = boson\nfamily = constant\nvalue = 1.0",
              "kind = fermion\nfamily = constant\nvalue = 0.0\nomega0 = 0"),
             # coupling above INITIAL_DIAGONAL_TOL at t_i
             ("run", "value = 1.0", "value = 1.0\nomega_plus = 1e-4"),
+            # e^(-b*h*w/2) rounds to 1: no oscillator thermal state, oracle off
+            ("sweep", "beta = 1.0", "beta = 1e-20"),
             # c07c would run 2 * 129 levels, past the 256-level cap
             ("verify", "n_levels = 32", "n_levels = 129"),
             ("verify", "kind = verify", "kind = verify\nhbar = inf"),
             # the integrator takes no step cap
             ("run", "grid_points = 9", "grid_points = 9\nmax_step = 0.1"),
             ("verify", "n_levels = 32", "n_levels = 32\n\n[integrator]\nmax_step = 0.1"),
+            # the running-tail abort is a constant
+            ("run", "n_levels = 32", "n_levels = 32\ntail_abort = 1e-6"),
+            ("verify", "n_levels = 32", "n_levels = 32\ntail_abort = 1e-6"),
         ],
         ids=[
             "unknown_key", "beta_inf", "hbar_inf", "grid_points_1", "rel_tol_0", "rel_tol_below_floor", "substeps_0",
             "substeps_nan", "empty_window", "n_levels_1",
-            "n_levels_300", "tail_abort_negative", "boson_omega0_omitted",
-            "fermion_omega0_zero_oracle_on", "coupling_at_t_i", "verify_wide_box_over_cap",
-            "verify_hbar_inf", "max_step", "verify_max_step",
+            "n_levels_300", "boson_omega0_omitted",
+            "fermion_omega0_zero_oracle_on", "coupling_at_t_i", "beta_1e-20_oracle_off",
+            "verify_wide_box_over_cap", "verify_hbar_inf", "max_step", "verify_max_step",
+            "tail_abort", "verify_tail_abort",
         ],
     )
     def test_config_error_exit_code(self, tmp_path, capsys, verb, old, new):
-        text = {"run": QUENCH_CONSTANT.format(beta=1.0), "verify": VERIFY_ORACLE}[verb]
+        texts = {"run": QUENCH_CONSTANT.format(beta=1.0), "sweep": SWEEP_TEXT, "verify": VERIFY_ORACLE}
+        text = texts[verb]
         assert old in text
         cfg = self._write(tmp_path, text.replace(old, new))
         code = main([verb, "--config", cfg, "--out", str(tmp_path / "out")])
         assert code == 2
         captured = capsys.readouterr()
         assert "config error" in captured.err
-        if "max_step" in new:
-            assert "unknown key(s) in [integrator]: max_step" in captured.err
+        for section, key in (("integrator", "max_step"), ("oracle", "tail_abort")):
+            if key in new:
+                assert f"unknown key(s) in [{section}]: {key}" in captured.err
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "section, line",
-        [("run", "beta = 1.0"), ("integrator", "grid_points = 11"), ("oracle", "tail_abort = 1e-6")],
-        ids=["beta", "grid_points", "tail_abort"],
+        [("run", "beta = 1.0"), ("integrator", "grid_points = 11")],
+        ids=["beta", "grid_points"],
     )
     def test_verify_refuses_keys_it_would_ignore(self, tmp_path, capsys, section, line):
         sections = {"run": "kind = verify", "integrator": "rel_tol = 1e-10", "oracle": "enabled = false"}

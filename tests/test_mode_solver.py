@@ -566,6 +566,13 @@ REFERENCE_CASES = {
         ),
         IntegratorConfig(grid_points=401),
     ),
+    # f = 0 everywhere: the flat initial step, a zero error estimate, and
+    # growth by the largest factor on every step
+    "fermion_zero_hamiltonian": (
+        solve_fermion_modes,
+        FermionProtocol(Constant(0.0), Constant(0.0), Constant(0.0), t_i=0.0, t_f=2.0),
+        IntegratorConfig(grid_points=5),
+    ),
 }
 
 
@@ -604,6 +611,13 @@ class TestPrivateDop853:
         solve, protocol, config = REFERENCE_CASES["boson_ramp_ten_segments"]
         stats = solve(protocol, config).stats
         assert stats.segments == 10 and stats.rejected_steps == 7
+
+    def test_zero_hamiltonian_grows_without_error(self):
+        """The zero-error comparison above is not vacuous: no step is
+        rejected, and from the flat start each step grows by MAX_FACTOR."""
+        solve, protocol, config = REFERENCE_CASES["fermion_zero_hamiltonian"]
+        stats = solve(protocol, config).stats
+        assert (stats.steps, stats.function_evaluations, stats.rejected_steps) == (8, 104, 0)
 
     @pytest.mark.parametrize("form", [tuple, list])
     def test_rhs_may_return_any_sequence(self, form):

@@ -72,6 +72,15 @@ class TestTheta:
         with pytest.raises(ValueError):
             theta(1.0, 1.0, 1.0, "anyon")
 
+    @pytest.mark.parametrize("x", [1e-20, 1.1e-16])
+    def test_boson_angle_refused_where_half_rounds_to_one(self, x):
+        """artanh(1) is infinite: a boson b*h*w whose e^{-b*h*w/2} rounds to 1
+        is refused by name; a fermion's arctan(1) = pi/4 is finite."""
+        with pytest.raises(ValueError, match=rf"b\*h\*w = {x} is too small"):
+            theta(x, 1.0)
+        assert theta(x, 1.0, 1.0, "fermion") == math.pi / 4
+        assert math.isfinite(theta(1.2e-16, 1.0))
+
 
 class TestEquilibriumOccupation:
     def test_frozen_bose_einstein_value(self):
