@@ -105,8 +105,11 @@ def _parse_ini(text: str) -> configparser.ConfigParser:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
+    # a key above the first section fails above, as a missing section header
     if parser.defaults():
-        raise ConfigError("top-level keys are not allowed; put keys in a section")
+        raise ConfigError(
+            "a [DEFAULT] section is not allowed: its keys would be copied into every section"
+        )
     return parser
 
 
@@ -214,22 +217,17 @@ def parse_config(text: str, kind: str) -> RunConfig:
 
     oracle_values = _section(parser, "oracle")
     enabled = oracle_values.pop("enabled", True)
-    # validated even when disabled; oracle samples share the mode grid
+    # validated even when disabled; oracle samples share the mode grid.  A
+    # verify run's oracle runs are the suite's own: it derives them, and
+    # refuses settings at which one cannot be built.
     try:
         oracle = fock_oracle.OracleConfig(**oracle_values, grid_points=integrator.grid_points)
+        if kind == "verify" and enabled:
+            verification.oracle_configs(oracle)
     except ValueError as exc:
         raise ConfigError(f"[oracle] {exc}") from exc
     if not enabled:
         oracle = None
-    if kind == "verify" and oracle is not None:
-        wide = verification.WIDE_BOX_FACTOR * oracle.n_levels
-        try:
-            fock_oracle.boson_doubled(wide)
-        except ValueError as exc:
-            raise ConfigError(
-                f"[oracle] n_levels = {oracle.n_levels}: verify runs check c07c at "
-                f"{wide} levels, and {exc}"
-            ) from exc
 
     # The thermal state at t_i is built at the initial frame frequency; a
     # fermion run needs it only for the oracle.
@@ -382,7 +380,7 @@ def run_quench(config: RunConfig, out_dir: str | Path) -> dict:
 
     traj = globals()[_SOLVERS[config.protocol.kind]](config.protocol, config.integrator)
     observables, doubled = verification.quench_observables(
-        config.protocol, traj, config.beta, config.hbar, config.oracle
+        traj, config.beta, config.hbar, config.oracle
     )
 
     manifest = _manifest_skeleton(config)
@@ -395,9 +393,9 @@ def run_quench(config: RunConfig, out_dir: str | Path) -> dict:
             "integrator_stats": asdict(traj.stats),
             "drift": {k: float(v) for k, v in traj.drift.items()},
             "finals": {
-                name.split(" [")[0]: float(values[-1])
-                for name, values in observables
-                if name.split(" [")[0] in _FINAL_COLUMNS
+                name: float(values[-1])
+                for name, values in verification._unitless(observables).items()
+                if name in _FINAL_COLUMNS
             },
             "checks": [],
             "outputs": ["modes.csv", "observables.csv"],
@@ -479,10 +477,10 @@ def run_sweep(config: RunConfig, out_dir: str | Path) -> dict:
     cpus = fock_oracle._available_cpus()
     workers = max(1, min(requested, len(entries), cpus))
 
-    results: list[dict | None] = [None] * len(entries)
     if workers == 1:
-        for index, _, entry_config, entry_dir in entries:
-            results[index] = _run_sweep_entry(entry_config, entry_dir)
+        results = [
+            _run_sweep_entry(entry_config, entry_dir) for _, _, entry_config, entry_dir in entries
+        ]
     else:
         # imported here: the pool machinery costs every other run its import
         from concurrent.futures import ProcessPoolExecutor
@@ -493,12 +491,8 @@ def run_sweep(config: RunConfig, out_dir: str | Path) -> dict:
             initializer=fock_oracle._set_thread_share,
             initargs=(max(1, cpus // workers),),
         ) as pool:
-            futures = {
-                pool.submit(_run_sweep_entry, entry_config, entry_dir): index
-                for index, _, entry_config, entry_dir in entries
-            }
-            for future, index in futures.items():
-                results[index] = future.result()
+            _, _, entry_configs, entry_dirs = zip(*entries)
+            results = list(pool.map(_run_sweep_entry, entry_configs, entry_dirs))
 
     final_keys = sorted(results[0]["finals"])
     drift_keys = sorted(results[0]["drift"])

@@ -149,8 +149,7 @@ def boson_single(n_levels: int) -> BasisDescriptor:
 
 
 def boson_doubled(n_levels: int) -> BasisDescriptor:
-    if n_levels < 2:
-        raise ValueError(f"need at least 2 boson levels, got {n_levels}")
+    boson_single(n_levels)  # raises below two levels
     if n_levels > _MAX_DOUBLED_LEVELS:
         raise ValueError(
             f"doubled boson space capped at {_MAX_DOUBLED_LEVELS} levels "
@@ -578,12 +577,15 @@ def build_thermal_state_doubled(
 
 def _stack(items, kind: type) -> tuple[list, bool]:
     """``items`` as a list, and whether it was a single ``kind`` rather than
-    a stack of them.  An empty stack is refused."""
+    a stack of them.  An empty stack is refused, and so is one whose items
+    do not share one basis."""
     if isinstance(items, kind):
         return [items], True
     items = list(items)
     if not items:
         raise ValueError(f"need at least one {kind.__name__}")
+    if any(item.basis != items[0].basis for item in items):
+        raise ValueError(f"the items of a {kind.__name__} stack must share one basis")
     return items, False
 
 
@@ -604,10 +606,8 @@ def expectation(
         states, one_state = [state], True
     else:
         states, one_state = _stack(state, StateVector)
-    for st in states:
-        for o in ops:
-            if st.basis != o.basis:
-                raise ValueError(f"basis mismatch in expectation: {st.basis} vs {o.basis}")
+    if states[0].basis != ops[0].basis:
+        raise ValueError(f"basis mismatch in expectation: {states[0].basis} vs {ops[0].basis}")
     if isinstance(state, DensityMatrix):
         values = np.array([[np.trace(state.matrix @ o.matrix)] for o in ops])
     else:
@@ -641,12 +641,9 @@ def expectation_single_factor(
     ops, one_op = _stack(op, OperatorMatrix)
     if states[0].basis.kind != "boson_doubled":
         raise ValueError("expectation_single_factor needs the doubled boson basis")
-    if any(st.basis != states[0].basis for st in states):
-        raise ValueError("the states of a stack must share one basis")
     n = states[0].basis.n_levels
-    for o in ops:
-        if o.basis.kind != "boson_single" or o.basis.n_levels != n:
-            raise ValueError("operator must live on the matching single boson basis")
+    if ops[0].basis.kind != "boson_single" or ops[0].basis.n_levels != n:
+        raise ValueError("operator must live on the matching single boson basis")
     values = _readers.single_factor_traces(
         [st.c_matrix() for st in states], [o.matrix for o in ops], tilde, _SUB_BATCH
     )
@@ -790,8 +787,6 @@ def thermal_state_condition_residual(
     basis = states[0].basis
     if basis.kind not in ("boson_doubled", "fermion_doubled"):
         raise ValueError(f"thermal-state residuals need a doubled basis, got {basis.kind}")
-    if any(st.basis != basis for st in states):
-        raise ValueError("the states of a stack must share one basis")
     operators, columns = {}, {}
     for channel in ("a",) if basis.kind == "boson_doubled" else ("a", "b"):
         names, ops = _factor_operators(basis, False, channel)
@@ -1004,11 +999,13 @@ def _one_blas_thread() -> Iterator[None]:
 
 
 @functools.lru_cache(maxsize=8)
-def _sector_bases(n_levels: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """Each sector's stack of unit generators B_j: H (boson, ``n_levels``)
-    or H_hat (fermion, None) at the j-th unit real coefficient, restricted to
-    the sector.  Built once per level count; read-only, so marches share
-    them."""
+def _sector_bases(n_levels: int | None) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """The parity sectors of a march and each sector's stack of unit
+    generators B_j: H (boson, ``n_levels``) or H_hat (fermion, None) at the
+    j-th unit real coefficient, restricted to the sector.  A boson sector is
+    the even or the odd number states of either factor; a fermion sector is
+    a set of indices of the 16-dimensional space.  Built once per level
+    count; read-only, so marches share them."""
     if n_levels is None:
         sectors = _FERMION_SECTORS
         unit_generators = [
@@ -1016,14 +1013,14 @@ def _sector_bases(n_levels: int | None) -> tuple[np.ndarray, np.ndarray]:
             for w in ((1, 0, 0), (0, 1, 0), (0, 1j, 0), (0, 0, 1), (0, 0, 1j))
         ]
     else:
-        sectors = [np.arange(p, n_levels, 2) for p in (0, 1)]  # even and odd number states
+        sectors = tuple(np.arange(p, n_levels, 2) for p in (0, 1))
         unit_generators = [
             build_boson_hamiltonian(*w, n_levels).matrix for w in ((1, 0), (0, 1), (0, 1j))
         ]
     bases = tuple(np.stack(unit_generators)[:, idx[:, None], idx] for idx in sectors)
-    for stack in bases:
-        stack.setflags(write=False)
-    return bases
+    for array in (*sectors, *bases):
+        array.setflags(write=False)
+    return sectors, bases
 
 
 def evolve_doubled_thermal(
@@ -1078,13 +1075,13 @@ def evolve_doubled_thermal(
     # j-th unit coefficient restricted to the block.
     boson = statistics_of(protocol) != "fermion"
     n = config.n_levels if boson else None
+    sectors, bases = _sector_bases(n)
     if boson:
         basis, shape = boson_doubled(n), (n, n)
-        index = [np.ix_(idx, idx) for idx in (np.arange(0, n, 2), np.arange(1, n, 2))]
+        index = [np.ix_(idx, idx) for idx in sectors]
     else:
         basis, shape = fermion_doubled(), (16,)
-        index = _FERMION_SECTORS
-    bases = _sector_bases(n)
+        index = sectors
     psi0 = _thermal_series(beta, frame[1], hbar, basis)
     blocks = [psi0.vector.reshape(shape)[idx] for idx in index]
 

@@ -35,7 +35,6 @@ from .protocols import (
     Constant,
     FermionProtocol,
     OscillatorProtocol,
-    Protocol,
     evaluate,
     initial_frame,
     make_tanh_ramp,
@@ -46,6 +45,7 @@ __all__ = [
     "CheckResult",
     "run_all",
     "quench_observables",
+    "oracle_configs",
     "condition_residuals",
     "ANALYTIC_CHECKS",
     "ORACLE_CHECKS",
@@ -93,7 +93,7 @@ class CheckResult:
 Columns = list[tuple[str, np.ndarray]]
 
 
-def _boson_columns(protocol: Protocol, traj, beta: float, hbar: float, doubled) -> Columns:
+def _boson_columns(traj, beta: float, hbar: float, doubled) -> Columns:
     """Occupation and position moments of a boson or oscillator run.
 
     The occupation refers to the protocol's final static frame: for
@@ -103,6 +103,7 @@ def _boson_columns(protocol: Protocol, traj, beta: float, hbar: float, doubled) 
     doubled trajectory, each quantity is also traced in the same frame and
     differenced against its analytic value.
     """
+    protocol = traj.protocol
     m_i, omega_i = initial_frame(protocol)
     theta = thermal_observables.theta(beta, omega_i, hbar, "boson")
     n_eq = thermal_observables.equilibrium_occupation(beta, omega_i, hbar, "boson")
@@ -152,7 +153,7 @@ def _boson_columns(protocol: Protocol, traj, beta: float, hbar: float, doubled) 
     return columns
 
 
-def _fermion_columns(protocol: Protocol, traj, beta: float, hbar: float, doubled) -> Columns:
+def _fermion_columns(traj, beta: float, hbar: float, doubled) -> Columns:
     """Pair production |f+|^2 + |g+|^2 of each channel; with a doubled
     trajectory, also the traced occupation of each channel and the worst
     thermal-vacuum condition residual of the mode solution on each row."""
@@ -172,7 +173,7 @@ def _fermion_columns(protocol: Protocol, traj, beta: float, hbar: float, doubled
     traced = fock_oracle.expectation(doubled.states, numbers).real
     for channel, values in zip(("a", "b"), traced):
         columns.append((f"oracle_occupation_{channel} [1]", values))
-    theta = thermal_observables.theta(beta, initial_frame(protocol)[1], hbar, "fermion")
+    theta = thermal_observables.theta(beta, initial_frame(traj.protocol)[1], hbar, "fermion")
     columns.append(
         ("oracle_condition_residual_max [1]", condition_residuals(doubled, traj, theta))
     )
@@ -193,7 +194,6 @@ def _unitless(columns: Columns) -> dict[str, np.ndarray]:
 
 
 def quench_observables(
-    protocol: Protocol,
     traj,
     beta: float,
     hbar: float,
@@ -201,21 +201,50 @@ def quench_observables(
 ) -> tuple[Columns, fock_oracle.DoubledTrajectory | None]:
     """The ``observables.csv`` columns of one quench, and the oracle's run.
 
-    ``traj`` is the protocol's mode trajectory, on the output grid the
-    oracle samples too.  Without an oracle configuration only the analytic
-    columns are built and no doubled trajectory is returned; with one, the
-    doubled thermal state is evolved at inverse temperature ``beta`` and
-    each analytic quantity gets its traced counterpart, followed by the
-    oracle's tail weight.
+    ``traj`` is a mode trajectory; its protocol is the quench.  Without an
+    oracle configuration only the analytic columns are built and no doubled
+    trajectory is returned; with one, whose ``grid_points`` must be the
+    trajectory's sample count, the doubled thermal state is evolved at
+    inverse temperature ``beta`` and each analytic quantity gets its traced
+    counterpart, followed by the oracle's tail weight.
     """
+    protocol = traj.protocol
     doubled = None
     if oracle is not None:
+        if oracle.grid_points != len(traj.t):
+            raise ValueError(
+                f"the oracle samples {oracle.grid_points} points but the trajectory "
+                f"has {len(traj.t)}; they must share one grid"
+            )
         doubled = fock_oracle.evolve_doubled_thermal(protocol, beta, oracle, hbar)
     build = _fermion_columns if protocol.kind == "fermion" else _boson_columns
-    columns = build(protocol, traj, beta, hbar, doubled)
+    columns = build(traj, beta, hbar, doubled)
     if doubled is not None:
         columns.append(("oracle_tail_weight [1]", doubled.tail_weight))
     return columns, doubled
+
+
+def oracle_configs(
+    oracle: fock_oracle.OracleConfig,
+) -> tuple[fock_oracle.OracleConfig, fock_oracle.OracleConfig]:
+    """The suite's oracle runs at the run's ``n_levels`` and
+    ``substeps_per_unit``: the settings of the shared runs, on their
+    101-point grid, and c07c's box, ``WIDE_BOX_FACTOR`` times as many
+    levels at ``WIDE_BOX_SUBSTEPS_PER_UNIT`` on 5 points.  Raises
+    ``ValueError`` when either cannot be built."""
+    shared = fock_oracle.OracleConfig(
+        n_levels=oracle.n_levels, substeps_per_unit=oracle.substeps_per_unit, grid_points=101
+    )
+    n_wide = WIDE_BOX_FACTOR * oracle.n_levels
+    try:
+        wide = fock_oracle.OracleConfig(
+            n_levels=n_wide, substeps_per_unit=WIDE_BOX_SUBSTEPS_PER_UNIT, grid_points=5
+        )
+    except ValueError as exc:
+        raise ValueError(
+            f"n_levels = {oracle.n_levels}: verify runs check c07c at {n_wide} levels, and {exc}"
+        ) from exc
+    return shared, wide
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +259,9 @@ def _shared(integrator, oracle, hbar: float) -> SimpleNamespace:
     trajectory outlives the check that evolved it.
     """
     s = SimpleNamespace(hbar=hbar)
+    if oracle is not None:
+        s.n = oracle.n_levels
+        s.oracle_cfg, s.wide_cfg = oracle_configs(oracle)
     s.mode_cfg = replace(integrator or mode_solver.IntegratorConfig(), grid_points=101)
     # all pinned temperatures fix the product beta*hbar*omega, so beta scales
     # with 1/hbar throughout
@@ -262,12 +294,8 @@ def _shared(integrator, oracle, hbar: float) -> SimpleNamespace:
     s.fp_traj = mode_solver.solve_fermion_modes(s.fermion_pulse, tight)
 
     if oracle is not None:
-        s.n = oracle.n_levels
-        s.oracle_cfg = fock_oracle.OracleConfig(
-            n_levels=s.n, substeps_per_unit=oracle.substeps_per_unit, grid_points=101
-        )
         # criteria 6 + 7: the 1 -> 2 tanh quench at beta = 1
-        columns = quench_observables(s.osc_quench, s.osc_traj, s.beta, hbar, s.oracle_cfg)[0]
+        columns = quench_observables(s.osc_traj, s.beta, hbar, s.oracle_cfg)[0]
         s.q = _unitless(columns)
     return s
 
@@ -351,7 +379,7 @@ def _c03a(s):
         omega0=Constant(1.0), omega_plus=lambda t: up(t) - down(t), t_i=0.0, t_f=10.0
     )
     pulse_traj = mode_solver.solve_boson_mode(pulse_proto, s.mode_cfg)
-    _, dt = quench_observables(pulse_proto, pulse_traj, s.beta, s.hbar, s.oracle_cfg)
+    _, dt = quench_observables(pulse_traj, s.beta, s.hbar, s.oracle_cfg)
     th = thermal_observables.theta(s.beta, initial_frame(pulse_proto)[1], s.hbar, "boson")
     worst = float(np.max(condition_residuals(dt, pulse_traj, th)))
     tail = float(dt.tail_weight.max())
@@ -361,7 +389,7 @@ def _c03a(s):
 
 @_check("c03b_thermal_condition_fermion", 1e-10, oracle=True)
 def _c03b(s):
-    columns, _ = quench_observables(s.fermion_pulse, s.fp_traj, s.beta, s.hbar, s.oracle_cfg)
+    columns, _ = quench_observables(s.fp_traj, s.beta, s.hbar, s.oracle_cfg)
     worst = float(np.max(_unitless(columns)["oracle_condition_residual_max"]))
     return worst, "coupling pulse 0->0.5->0 (jumps), exact 16-dim space"
 
@@ -371,7 +399,7 @@ def _c03b(s):
 def _c04(s):
     const_proto = BosonProtocol(omega0=Constant(1.0), omega_plus=Constant(0.0), t_i=0.0, t_f=10.0)
     const_traj = mode_solver.solve_boson_mode(const_proto, s.mode_cfg)
-    columns, _ = quench_observables(const_proto, const_traj, s.beta, s.hbar, s.oracle_cfg)
+    columns, _ = quench_observables(const_traj, s.beta, s.hbar, s.oracle_cfg)
     occ = _unitless(columns)["oracle_occupation"]
     dev = float(np.max(np.abs(occ - occ[0])))
     return dev, f"occupation stays {occ[0]:.6f} over [0, 10]"
@@ -451,14 +479,11 @@ def _c07b(s):
 # normalisation of q below is not a frame choice.
 @_check("c07c_q_moment_ratio", 1e-10, oracle=True)
 def _c07c(s):
-    n_wide = WIDE_BOX_FACTOR * s.n
+    n_wide = s.wide_cfg.n_levels
     q_wide = fock_oracle.position_operator(n_wide, 1.0, 1.0, s.hbar)
     q2_wide = fock_oracle.OperatorMatrix(q_wide.matrix @ q_wide.matrix, q_wide.basis)
     q4_wide = fock_oracle.OperatorMatrix(q2_wide.matrix @ q2_wide.matrix, q_wide.basis)
-    wide_cfg = fock_oracle.OracleConfig(
-        n_levels=n_wide, substeps_per_unit=WIDE_BOX_SUBSTEPS_PER_UNIT, grid_points=5
-    )
-    dt_wide = fock_oracle.evolve_doubled_thermal(s.osc_quench, s.beta, wide_cfg, s.hbar)
+    dt_wide = fock_oracle.evolve_doubled_thermal(s.osc_quench, s.beta, s.wide_cfg, s.hbar)
     traced = fock_oracle.expectation_single_factor(dt_wide.states, [q2_wide, q4_wide])
     m2, m4 = traced.real.tolist()
     ratio_dev = 0.0
@@ -546,10 +571,11 @@ def run_all(
     and ``substeps_per_unit``; it pins its own grids and temperatures, its
     oracle runs abort at the fixed ``fock_oracle.TAIL_ABORT`` like every
     other, and c07c's wide box runs at ``WIDE_BOX_SUBSTEPS_PER_UNIT``.
-    ``oracle=None`` skips the oracle checks.  Each result carries the wall
-    time of its check; the runs that several checks share are built before
-    any check, and their wall time is stored in ``timings["shared_runs"]``
-    when a ``timings`` dict is passed.
+    ``oracle=None`` skips the oracle checks; an oracle whose runs cannot be
+    built (``oracle_configs``) is refused with ``ValueError`` before any
+    run.  Each result carries the wall time of its check; the runs that
+    several checks share are built before any check, and their wall time is
+    stored in ``timings["shared_runs"]`` when a ``timings`` dict is passed.
     """
     started = time.perf_counter()
     shared = _shared(integrator, oracle, hbar)

@@ -8,7 +8,6 @@ import os
 import pkgutil
 import subprocess
 import sys
-from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -244,6 +243,43 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(text, "quench")
 
+    def test_unknown_run_kind_refused(self):
+        with pytest.raises(ValueError, match="unknown run kind 'bogus'"):
+            parse_config("", "bogus")
+
+    @pytest.mark.parametrize(
+        "kind, old, new, message",
+        [
+            ("quench", "[protocol]\nkind = boson\nfamily = constant\nvalue = 1.0\nt_i = 0.0\n"
+             "t_f = 2.0\n", "", "a quench run needs a [protocol] section"),
+            ("sweep", "[sweep]\nkey = protocol.width\nvalues = 1.0, 2.0\n", "",
+             "a sweep run needs a [sweep] section"),
+            ("sweep", "values = 1.0, 2.0\n", "", "[sweep] needs both 'key' and 'values'"),
+            ("sweep", "values = 1.0, 2.0", "values = ,",
+             "[sweep] values must contain at least one number"),
+        ],
+        ids=[
+            "quench_without_protocol", "sweep_without_sweep", "sweep_without_values",
+            "sweep_values_empty",
+        ],
+    )
+    def test_missing_sections_and_values_refused(self, kind, old, new, message):
+        text = QUENCH_CONSTANT.format(beta=1.0) if kind == "quench" else SWEEP_TEXT
+        assert old in text
+        with pytest.raises(ConfigError) as info:
+            parse_config(text.replace(old, new), kind)
+        assert str(info.value) == message
+
+    def test_verify_refuses_an_oracle_whose_wide_box_cannot_be_built(self):
+        """The suite derives c07c's box from n_levels and refuses it at parse
+        time, with the cap the doubled space gives."""
+        with pytest.raises(ConfigError) as info:
+            parse_config(VERIFY_ORACLE.replace("n_levels = 32", "n_levels = 129"), "verify")
+        assert str(info.value) == (
+            "[oracle] n_levels = 129: verify runs check c07c at 258 levels, and doubled "
+            "boson space capped at 256 levels (dimension 65536), got 258"
+        )
+
 
 class TestCanonicalText:
     def test_digest_invariant_under_formatting(self):
@@ -426,6 +462,23 @@ class TestRunSweep:
         assert nu_sq[0] > nu_sq[1] > 0.0
         assert np.max(rows["max_wronskian_deviation [1]"]) < 1e-8
 
+    def test_sweep_key_may_target_a_section_the_base_lacks(self, tmp_path):
+        """Each entry's config gains the swept key in a section of its own."""
+        text = SWEEP_TEXT.replace("[integrator]\ngrid_points = 11\n", "")
+        text = text.replace("key = protocol.width", "key = integrator.rel_tol")
+        text = text.replace("values = 1.0, 2.0", "values = 1e-8, 1e-10")
+        config = parse_config(text, "sweep")
+        assert "[integrator]" not in config.canonical_text
+        manifest = run_sweep(config, tmp_path)
+        for entry, value in zip(manifest["entries"], ("1e-08", "1e-10"), strict=True):
+            entry_text = cli_runner._entry_text(
+                config.canonical_text, config.sweep_key, float(value)
+            )
+            assert f"[integrator]\nrel_tol = {value}\n" in entry_text
+            assert entry["config_digest"] == parse_config(entry_text, "quench").digest
+        drift = [entry["drift"]["wronskian"] for entry in manifest["entries"]]
+        assert drift[1] < drift[0] < 1e-6
+
     @pytest.mark.parametrize(
         "key, values", [("protocol.width", "1.0, -1"), ("run.beta", "1.0, inf")]
     )
@@ -471,10 +524,8 @@ class TestRunSweep:
             def __exit__(self, *exc_info):
                 return False
 
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         # run_sweep imports the pool class where it uses it
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
@@ -751,6 +802,21 @@ class TestCliMain:
         assert code == 2
         captured = capsys.readouterr()
         assert f"[{section}] {line.split()[0]}" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "head, message",
+        [("beta = 1.0\n", "File contains no section headers"),
+         ("[DEFAULT]\nbeta = 1.0\n", "a [DEFAULT] section is not allowed")],
+        ids=["top_level_key", "default_section"],
+    )
+    def test_keys_outside_a_section_exit_code(self, tmp_path, capsys, head, message):
+        cfg = self._write(tmp_path, head + QUENCH_CONSTANT.format(beta=1.0))
+        code = main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "config error" in captured.err and message in captured.err
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
 

@@ -142,6 +142,10 @@ class TestContainers:
         with pytest.raises(ValueError, match="norm"):
             StateVector(np.array([math.nan, 0.0, 0.0]), boson_single(3))
 
+    def test_state_vector_shape_checked(self):
+        with pytest.raises(ValueError, match="shape does not match basis"):
+            StateVector(np.array([1.0, 0.0]), boson_single(3))
+
     def test_c_matrix_boson_doubled_only(self):
         v = np.zeros(16, dtype=complex)
         v[0] = 1.0
@@ -335,6 +339,20 @@ class TestThermalStates:
             thermal_density(0.05, 1.0, basis=boson_single(10))
 
     @pytest.mark.parametrize(
+        "basis", [boson_doubled(4), fermion_doubled()], ids=["boson", "fermion"]
+    )
+    def test_gibbs_state_needs_a_single_basis(self, basis):
+        with pytest.raises(ValueError, match=f"single-system basis, got {basis.kind}"):
+            thermal_density(1.0, 1.0, basis=basis)
+
+    @pytest.mark.parametrize(
+        "basis", [boson_single(4), fermion_single()], ids=["boson", "fermion"]
+    )
+    def test_thermal_vacuum_needs_a_doubled_basis(self, basis):
+        with pytest.raises(ValueError, match=f"needs a doubled basis, got {basis.kind}"):
+            build_thermal_state_doubled(1.0, 1.0, basis=basis)
+
+    @pytest.mark.parametrize(
         "beta_hbar_omega, required", [(LN2, 27), (0.05, 369), (0.5, 37), (1.0, 19), (3.0, 7)]
     )
     def test_truncation_hint_is_the_smallest_accepted_box(self, beta_hbar_omega, required):
@@ -454,6 +472,18 @@ class TestExpectations:
         a_op, _ = build_boson_ladder(6)
         with pytest.raises(ValueError, match="basis"):
             expectation(rho, a_op)
+
+    def test_single_factor_refuses_other_bases(self):
+        """The state must be on the doubled boson basis, and the operator on
+        the single boson basis of the same level count."""
+        _, fermion_psi = build_thermal_state_doubled(1.0, 1.0, basis=fermion_doubled())
+        _, psi = build_thermal_state_doubled(20.0, 1.0, basis=boson_doubled(6))
+        a4, _ = build_boson_ladder(4)
+        a6, _ = build_boson_ladder(6)
+        with pytest.raises(ValueError, match="needs the doubled boson basis"):
+            expectation_single_factor(fermion_psi, a6)
+        with pytest.raises(ValueError, match="matching single boson basis"):
+            expectation_single_factor(psi, a4)
 
 
 class TestSingleProductTrace:
@@ -672,6 +702,28 @@ class TestBatchedReaders:
         with pytest.raises(ValueError, match="at least one"):
             expectation_single_factor([], self._boson_operators(4)[0])
 
+    def test_a_stack_of_mixed_bases_is_refused(self):
+        """Each reader refuses a stack, of states or of operators, whose
+        items do not share one basis."""
+        psi, number, embedded = {}, {}, {}
+        for n in (4, 6):
+            vacuum = np.zeros(n * n, dtype=complex)
+            vacuum[0] = 1.0
+            psi[n] = StateVector(vacuum, boson_doubled(n))
+            number[n] = OperatorMatrix(np.diag(np.arange(n)), boson_single(n))
+            embedded[n] = OperatorMatrix(np.kron(number[n].matrix, np.eye(n)), boson_doubled(n))
+        coeffs = SimpleNamespace(f_minus=1.0, f_plus=0.0)
+        reads = [
+            lambda: expectation([psi[4], psi[6]], embedded[4]),
+            lambda: expectation(psi[4], [embedded[4], embedded[6]]),
+            lambda: expectation_single_factor([psi[4], psi[6]], number[4]),
+            lambda: expectation_single_factor(psi[4], [number[4], number[6]]),
+            lambda: thermal_state_condition_residual([psi[4], psi[6]], coeffs, 0.5),
+        ]
+        for read in reads:
+            with pytest.raises(ValueError, match="stack must share one basis"):
+                read()
+
 
 class TestSpectralExponential:
     """_expi_neg_hermitian, the one propagator the oracle builds, against
@@ -784,6 +836,12 @@ class TestInvariantOperatorsAndResiduals:
         v[0] = 1.0
         psi = StateVector(v, fermion_doubled())
         with pytest.raises(ValueError):
+            thermal_state_condition_residual(psi, coeffs, 0.5)
+
+    def test_residuals_need_a_doubled_basis(self):
+        coeffs = SimpleNamespace(f_minus=1.0, f_plus=0.0)
+        psi = StateVector(np.array([1.0, 0.0, 0.0, 0.0]), boson_single(4))
+        with pytest.raises(ValueError, match="need a doubled basis, got boson_single"):
             thermal_state_condition_residual(psi, coeffs, 0.5)
 
     @pytest.mark.parametrize("sample, basis, missing", [
@@ -925,6 +983,10 @@ class TestDoubledEvolution:
         traj = evolve_doubled_thermal(p, 1.0, cfg)
         assert len(traj.states) == 3
         assert traj.states[0].basis.kind == "boson_doubled"
+
+    def test_one_grid_point_refused(self):
+        with pytest.raises(ValueError, match="grid_points must be at least 2"):
+            OracleConfig(grid_points=1)
 
 
 class TestChirpedPairing:
@@ -1270,7 +1332,7 @@ class TestPooledMarch:
         assert callers == {threading.get_ident()}
 
     def test_truncation_abort_leaves_no_thread_and_restores_blas(self, pooled, monkeypatch):
-        """The tail passes tail_abort at t = 1.4 of 3: the pooled march raises
+        """The tail passes TAIL_ABORT at t = 1.4 of 3: the pooled march raises
         the one-thread march's message, with its pool and BLAS pin undone."""
         p = BosonProtocol(Constant(1.0), make_tanh_ramp(0.0, 0.8, 1.0, 0.3), t_i=0.0, t_f=3.0)
         cfg = OracleConfig(n_levels=16, substeps_per_unit=200.0, grid_points=31)
@@ -1295,7 +1357,7 @@ class TestPooledMarch:
         assert str(pooled_error.value) == str(serial.value)
 
     def test_truncation_abort_wins_over_a_later_protocol_error(self, pooled, monkeypatch):
-        """The tail passes tail_abort at t = 1.4; the coupling raises past
+        """The tail passes TAIL_ABORT at t = 1.4; the coupling raises past
         t = 1.6, within the stretch sampled ahead of the abort by the pool,
         and by one thread when the whole march is one task.  Both raise the
         truncation error; a protocol error before the abort still comes out."""

@@ -432,6 +432,13 @@ class TestModeTrajectory:
             assert all(sample[name] == traj.columns[name][k] for name in traj.columns)
         assert vars(traj.final) == vars(traj.sample(-1))
 
+    def test_missing_column_is_an_attribute_error(self):
+        """So ``getattr`` with a default and ``hasattr`` work on a trajectory."""
+        traj = SOLVERS["boson"](STATIC["boson"], IntegratorConfig(grid_points=3))
+        with pytest.raises(AttributeError, match="v_dot"):
+            traj.v_dot
+        assert not hasattr(traj, "v_dot")
+
     @pytest.mark.parametrize("kind", sorted(RAMPS))
     @settings(derandomize=True, database=None, max_examples=10, deadline=None)
     @given(data=st.data())

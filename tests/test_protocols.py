@@ -75,6 +75,11 @@ class TestProtocolWindows:
         with pytest.raises(ValueError):
             BosonProtocol(Constant(1.0), Constant(0.0), t_i=1.0, t_f=1.0)
 
+    @pytest.mark.parametrize("t_i, t_f", [(-math.inf, 1.0), (0.0, math.inf), (math.nan, 1.0)])
+    def test_nonfinite_window_rejected(self, t_i, t_f):
+        with pytest.raises(ValueError, match="window must be finite"):
+            BosonProtocol(Constant(1.0), Constant(0.0), t_i=t_i, t_f=t_f)
+
     def test_jump_outside_window_rejected(self):
         with pytest.raises(ValueError):
             BosonProtocol(Constant(1.0), Constant(0.0), t_i=0.0, t_f=1.0, jump_times=(2.0,))
@@ -279,6 +284,13 @@ class TestFromConfig:
                 "kind": "boson", "family": "constant", "value": "1.0",
                 "t_i": "0.0", "t_f": "10.0",
                 "typo_key": "1.0",
+            })
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ConfigError, match="unknown protocol kind 'phonon'"):
+            from_config({
+                "kind": "phonon", "family": "constant", "value": "1.0",
+                "t_i": "0.0", "t_f": "10.0",
             })
 
     def test_unknown_family_rejected(self):

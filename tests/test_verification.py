@@ -16,6 +16,7 @@ from tfdyn import (
     BosonProtocol,
     CheckResult,
     Constant,
+    FermionProtocol,
     IntegratorConfig,
     LinearRamp,
     OracleConfig,
@@ -28,11 +29,19 @@ from tfdyn import (
     mode_solver,
     run_all,
     solve_boson_mode,
+    solve_fermion_modes,
     solve_oscillator_mode,
     thermal_observables,
 )
 from tfdyn.protocols import _OffsetImag, evaluate, initial_frame
-from tfdyn.verification import _CHECKS, CHECK_NAMES, _boson_columns, quench_observables
+from tfdyn.verification import (
+    _CHECKS,
+    CHECK_NAMES,
+    WIDE_BOX_SUBSTEPS_PER_UNIT,
+    _boson_columns,
+    oracle_configs,
+    quench_observables,
+)
 
 
 @pytest.fixture(scope="module")
@@ -190,6 +199,30 @@ class TestComplexBranchFault:
             assert measured >= tolerance, name
 
 
+def _fail(*args, **kwargs):
+    raise AssertionError("called before the refusal")
+
+
+class TestOracleConfigs:
+    def test_shared_and_wide_runs(self):
+        """The shared runs keep the run's resolution on the 101-point grid;
+        c07c's box doubles the levels at its own substeps on 5 points."""
+        shared, wide = oracle_configs(OracleConfig(n_levels=50, substeps_per_unit=250.0))
+        assert shared == OracleConfig(n_levels=50, substeps_per_unit=250.0, grid_points=101)
+        assert wide == OracleConfig(
+            n_levels=100, substeps_per_unit=WIDE_BOX_SUBSTEPS_PER_UNIT, grid_points=5
+        )
+
+    def test_impossible_wide_box_refused_before_any_run(self, monkeypatch):
+        """At 129 levels c07c's box would need 258, past the doubled space's
+        cap: run_all refuses before any mode solve or evolution."""
+        monkeypatch.setattr(fock_oracle, "evolve_doubled_thermal", _fail)
+        for name in ("solve_boson_mode", "solve_oscillator_mode", "solve_fermion_modes"):
+            monkeypatch.setattr(mode_solver, name, _fail)
+        with pytest.raises(ValueError, match="c07c at 258 levels"):
+            run_all(oracle=OracleConfig(n_levels=129))
+
+
 class TestQuenchObservables:
     def test_hbar_reaches_the_oracle(self):
         """The analytic columns and the oracle's evolution read the same
@@ -201,10 +234,45 @@ class TestQuenchObservables:
         )
         traj = solve_boson_mode(protocol, IntegratorConfig(grid_points=11))
         oracle = OracleConfig(n_levels=40, substeps_per_unit=100.0, grid_points=11)
-        columns, _ = quench_observables(protocol, traj, 1.0, 2.0, oracle)
+        columns, _ = quench_observables(traj, 1.0, 2.0, oracle)
         diffs = {name.split(" [")[0]: values for name, values in columns}
         for name in ("occupation_abs_diff", "q2_abs_diff", "q4_abs_diff"):
             assert np.max(diffs[name]) < 1e-6, name
+
+    @pytest.mark.parametrize(
+        "protocol, solve",
+        [
+            (BosonProtocol(Constant(1.0), Constant(0.0), t_i=0.0, t_f=2.0), solve_boson_mode),
+            (
+                OscillatorProtocol(Constant(1.0), Constant(1.0), t_i=0.0, t_f=2.0),
+                solve_oscillator_mode,
+            ),
+            (
+                FermionProtocol(Constant(1.0), Constant(0.0), Constant(0.0), t_i=0.0, t_f=2.0),
+                solve_fermion_modes,
+            ),
+        ],
+        ids=["boson", "oscillator", "fermion"],
+    )
+    def test_oracle_grid_must_be_the_trajectorys(self, protocol, solve, monkeypatch):
+        """An oracle sampling another grid than the trajectory's is refused
+        before it evolves anything."""
+        traj = solve(protocol, IntegratorConfig(grid_points=11))
+        monkeypatch.setattr(fock_oracle, "evolve_doubled_thermal", _fail)
+        with pytest.raises(ValueError, match="samples 21 points but the trajectory has 11"):
+            quench_observables(traj, 1.0, 1.0, OracleConfig(n_levels=20, grid_points=21))
+
+    def test_the_oracle_runs_the_trajectorys_protocol(self):
+        """The doubled run covers the trajectory's own window, [0, 2] here,
+        on its grid."""
+        protocol = OscillatorProtocol(
+            Constant(1.0), make_tanh_ramp(1.0, 1.5, 1.0, 0.2), t_i=0.0, t_f=2.0
+        )
+        traj = solve_oscillator_mode(protocol, IntegratorConfig(grid_points=11))
+        oracle = OracleConfig(substeps_per_unit=100.0, grid_points=11)
+        columns, doubled = quench_observables(traj, 1.0, 1.0, oracle)
+        assert doubled.t.tobytes() == traj.t.tobytes()
+        assert columns[0][1] is traj.t
 
     @pytest.mark.parametrize(
         "mass, omega, t_f",
@@ -222,7 +290,7 @@ class TestQuenchObservables:
         traj = solve_oscillator_mode(protocol, IntegratorConfig(rel_tol=1e-12, grid_points=21))
         assert np.max(traj.deviation("wronskian")) <= 1e-10
         oracle = OracleConfig(n_levels=60, grid_points=21)
-        columns, _ = quench_observables(protocol, traj, 1.0, 1.0, oracle)
+        columns, _ = quench_observables(traj, 1.0, 1.0, oracle)
         diffs = {name.split(" [")[0]: values for name, values in columns}
         for name in ("occupation_abs_diff", "q2_abs_diff", "q4_abs_diff"):
             assert np.max(diffs[name]) <= 1e-9, name
@@ -361,7 +429,7 @@ class TestFrozenObservables:
         solve = solve_oscillator_mode if protocol.kind == "oscillator" else solve_boson_mode
         traj = solve(protocol, IntegratorConfig(grid_points=301))
         for beta, hbar in ((1.0, 1.0), (0.3, 2.0)):
-            got = _boson_columns(protocol, traj, beta, hbar, None)
+            got = _boson_columns(traj, beta, hbar, None)
             want = _frozen_analytic_columns(protocol, traj, beta, hbar)
             assert [name for name, _ in got] == [name for name, _ in want]
             for (name, values), (_, frozen) in zip(got, want):
