@@ -41,8 +41,9 @@ TIGHT = IntegratorConfig(1e-12, 1e-14)
 # the evolved thermal vacuum starts as the exact vacuum.
 BETA = 2.0 * EXP_ARG_MAX / OMEGA0
 # Grid points at t_i and t_f only: each constant stretch between the jumps
-# takes one exact exponential per 512 configured ones (3, 4 and 3 here), a
-# product of exact exponentials of the same H.
+# takes one exact exponential per piece of at most 512 configured ones (3, 4
+# and 3 here), in place of the J per step of the oracle's step rule
+# (fock_oracle._STEP_RULE): a product of exact exponentials of the same H.
 ORACLE = OracleConfig(grid_points=2)
 # Largest gap allowed between any two of the three columns.  The measured
 # gaps are about 2e-13 (mode route) and 5e-15 (oracle route).

@@ -351,15 +351,6 @@ def _mode_columns(traj) -> list[tuple[str, np.ndarray]]:
     return columns
 
 
-# kind -> mode solver.  The solver is named, not held, and looked up among
-# the module globals on each call, so a rebinding of it (bench/tracer.py wraps
-# each layer that way) takes effect.
-_SOLVERS = {
-    "boson": "solve_boson_mode",
-    "oscillator": "solve_oscillator_mode",
-    "fermion": "solve_fermion_modes",
-}
-
 # observables whose final values the manifest reports (and a sweep summarises)
 _FINAL_COLUMNS = ("nu_sq", "occupation_evolved", "production_a", "production_b")
 
@@ -378,7 +369,14 @@ def run_quench(config: RunConfig, out_dir: str | Path) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
 
-    traj = globals()[_SOLVERS[config.protocol.kind]](config.protocol, config.integrator)
+    # built on each call, so that it reads the module's solvers as they are
+    # bound now: a wrapper rebound in their place (a tracer's) takes effect
+    solve = {
+        "boson": solve_boson_mode,
+        "oscillator": solve_oscillator_mode,
+        "fermion": solve_fermion_modes,
+    }[config.protocol.kind]
+    traj = solve(config.protocol, config.integrator)
     observables, doubled = verification.quench_observables(
         traj, config.beta, config.hbar, config.oracle
     )
@@ -402,9 +400,11 @@ def run_quench(config: RunConfig, out_dir: str | Path) -> dict:
         }
     )
     if doubled is not None:
+        # the fermion spaces are exact: no level count reaches their march
+        levels = {} if manifest["statistics"] == "fermion" else {"n_levels": config.oracle.n_levels}
         manifest["oracle"] = {
             "enabled": True,
-            "n_levels": config.oracle.n_levels,
+            **levels,
             "substeps_per_unit": config.oracle.substeps_per_unit,
             "max_tail_weight": float(np.max(doubled.tail_weight)),
             "max_norm_deviation": float(np.max(doubled.norm_deviation)),

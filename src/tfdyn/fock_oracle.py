@@ -19,14 +19,14 @@ the second tensor factor with the complex-conjugate matrix, so a state
 reshaped to an (n x n) coefficient matrix C evolves by C -> U C U^dag per
 step -- the full n^2-dimensional exponential is never materialised.
 
-Time evolution uses the fourth-order commutator-free Magnus scheme (CFM4):
-each step samples H at its two Gauss-Legendre nodes and applies two
-exponentials of fixed combinations of the samples (Blanes & Moan, Appl.
-Numer. Math. 56, 1519 (2006); Alvermann & Fehske, J. Comput. Phys. 230,
-5930 (2011)).  It is exact for constant H, so a stretch of constant H
-takes one exponential, exp(-i H span / hbar).  Quadratic Hamiltonians
-conserve parity, and the doubled evolution uses it: boson H couples |n>
-only to |n +- 2>, so C stays block-diagonal in (even, odd) number states,
+Time evolution uses a commutator-free Magnus scheme, which one record,
+``_STEP_RULE``, names and defines: each step samples H at the rule's nodes
+and applies J exponentials of fixed combinations of the samples, one per
+row of its weights (Alvermann & Fehske, J. Comput. Phys. 230, 5930
+(2011)).  It is exact for constant H, so a stretch of constant H takes one
+exponential, exp(-i H span / hbar).  Quadratic Hamiltonians conserve
+parity, and the doubled evolution uses it: boson H couples |n> only to
+|n +- 2>, so C stays block-diagonal in (even, odd) number states,
 and the doubled fermion generator keeps the thermal vacuum in two
 4-dimensional sectors of the 16-dimensional space.
 
@@ -116,12 +116,20 @@ _CHUNK = 512
 # steps, at least one).  At N = 60 it holds 18 steps of a 30 x 30 block.
 _TASK_ELEMENTS = 2**18
 _SUB_BATCH = 2**14
-# CFM4: Gauss-Legendre nodes of a step, as fractions of the step, and the
-# weights of the two node Hamiltonians in the first (row 0) and the second
-# exponential applied; each row sums to 1/2.
-_CFM4_NODES = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
-_CFM4_WEIGHTS = np.array([[3.0 + 2.0 * math.sqrt(3.0), 3.0 - 2.0 * math.sqrt(3.0)],
-                          [3.0 - 2.0 * math.sqrt(3.0), 3.0 + 2.0 * math.sqrt(3.0)]]) / 12.0
+# The march's step rule, the one place that defines it: H is sampled at
+# ``nodes`` c_k, as fractions of a step, and exponential j of a step (row j
+# of ``weights``, in the order they apply) has the exponent
+# sum_k weights[j, k] H(c_k).  J, the number of exponentials per step, is the
+# number of rows, and the march's step counts derive from it.  The weights
+# sum to 1, so a step of constant H is exp(-i H step / hbar); every node lies
+# in the step, so steps may restart at any cut.  This is the fourth-order
+# commutator-free Magnus scheme CFM4, J = 2, at the two Gauss-Legendre nodes
+# (Blanes & Moan, Appl. Numer. Math. 56, 1519 (2006)).
+_STEP_RULE = SimpleNamespace(
+    nodes=np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0]),
+    weights=np.array([[3.0 + 2.0 * math.sqrt(3.0), 3.0 - 2.0 * math.sqrt(3.0)],
+                      [3.0 - 2.0 * math.sqrt(3.0), 3.0 + 2.0 * math.sqrt(3.0)]]) / 12.0,
+)
 # The doubled fermion generator conserves the parity of the system modes and
 # that of the tilde modes.  The thermal vacuum lives in the (even, even) and
 # (odd, odd) sectors; index bits are the occupations a, b, a~, b~, most
@@ -665,16 +673,17 @@ def _expi_neg_hermitian(h: np.ndarray, dt: float | np.ndarray, hbar: float) -> n
     return (q * phases[..., None, :]) @ q.conj().swapaxes(-1, -2)
 
 
-def _cfm4_steps(exponent_h: np.ndarray, step: float | np.ndarray, hbar: float) -> np.ndarray:
+def _step_propagators(exponent_h: np.ndarray, step: float | np.ndarray, hbar: float) -> np.ndarray:
     """Propagators of a stack of steps, each the product of its J
     exponentials in the order they apply.
 
     ``exponent_h[j]`` is the j-th exponent applied in each step; its shape is
     (J, ..., n, n) and the result's (..., n, n).  ``step`` is one length or
-    one per step (``_expi_neg_hermitian``).  A CFM4 step has J = 2: the
-    node Hamiltonians weighted by row j of ``_CFM4_WEIGHTS``.  A step of
-    constant H has J = 1 and the exponent H itself, since the two CFM4
-    exponentials then commute and multiply to exp(-i H step / hbar).
+    one per step (``_expi_neg_hermitian``).  A step of the march has J rows
+    of ``_STEP_RULE.weights``: the node Hamiltonians weighted by row j.  A
+    step of constant H has J = 1 and the exponent H itself, since the
+    rule's exponentials then commute and, with weights that sum to 1,
+    multiply to exp(-i H step / hbar).
     """
     e = _expi_neg_hermitian(exponent_h, step, hbar)
     u = e[0]
@@ -832,11 +841,11 @@ class OracleConfig:
     like beta, is an argument of ``evolve_doubled_thermal``.
 
     ``substeps_per_unit`` counts matrix exponentials per unit time where H
-    varies; a CFM4 step spends two.  A piece of the march (at most 512
-    configured exponentials) over which every sampled coefficient is the
-    same takes one exponential, so a constant stretch takes one per 512
-    (``evolve_doubled_thermal``).  The running-tail abort is the fixed
-    ``TAIL_ABORT``.
+    varies; a step spends J of them (``_STEP_RULE``).  A piece of the march
+    (at most 512 configured exponentials) over which every sampled
+    coefficient is the same takes one exponential, so a constant stretch
+    takes one per 512 (``evolve_doubled_thermal``).  The running-tail abort
+    is the fixed ``TAIL_ABORT``.
     """
 
     n_levels: int = DEFAULT_N_LEVELS
@@ -887,8 +896,9 @@ def _propagators(
 ) -> list[list[np.ndarray]]:
     """Each piece's propagator on each block: the ordered product of its
     steps, from the piece's (exponent coefficients, step) pair.  The
-    coefficients have shape (J, steps, coefficients), J exponents per step
-    (``_cfm4_steps``).
+    coefficients have shape (J, steps, coefficients), J exponents per step:
+    the rows of ``_STEP_RULE.weights``, or J = 1 for a constant piece
+    (``_step_propagators``).
 
     A generator is sum_j c_j B_j over a block's stack of operators B, less
     the terms whose coefficient vanishes throughout the piece; when the rest
@@ -930,7 +940,7 @@ def _propagators(
             products = []
             for s in range(0, steps, size):
                 h = np.tensordot(coeffs[:, :, s:s + size], terms, axes=1)
-                products.append(_ordered_product(_cfm4_steps(h, dt, hbar)))
+                products.append(_ordered_product(_step_propagators(h, dt, hbar)))
             for k, u in enumerate(_ordered_product(np.stack(products, axis=1)), first):
                 out[k].append(u)
             first = last
@@ -1030,14 +1040,14 @@ def evolve_doubled_thermal(
 
     Starts from the series construction of |0(beta)> at the initial
     frequency (route one of ``build_thermal_state_doubled``, so no evolution
-    depends on the squeeze exponential) and marches CFM4 steps,
-    ``config.substeps_per_unit`` exponentials per unit time (two per step),
-    restarting cleanly at every output time and declared jump.  A piece of
-    the march (at most 512 exponentials of one cut interval) whose sampled
-    coefficients are all the same is advanced by one exponential per block,
-    exp(-i H span / hbar): in exact arithmetic the product the configured
-    CFM4 steps form from the same samples, without their round-off and at
-    one exponential instead of two per step.  Boson states are
+    depends on the squeeze exponential) and marches steps of
+    ``_STEP_RULE``, ``config.substeps_per_unit`` exponentials per unit time
+    (J per step), restarting cleanly at every output time and declared jump.
+    A piece of the march (at most 512 exponentials of one cut interval)
+    whose sampled coefficients are all the same is advanced by one
+    exponential per block, exp(-i H span / hbar): in exact arithmetic the
+    product the configured steps form from the same samples, without their
+    round-off and at one exponential instead of J per step.  Boson states are
     advanced on the even and the odd block of their coefficient matrix
     (C_b -> U_b C_b U_b^dag); fermion states on the two 4-dimensional parity
     sectors that hold the thermal vacuum.  The full state is assembled only
@@ -1117,21 +1127,22 @@ def evolve_doubled_thermal(
     # interval: its node times, its step, its span, and the output time its
     # end reaches, if any.  Consecutive pieces form tasks of about
     # _TASK_ELEMENTS.
-    per_step = 2 * sum(b[0].size for b in bases)
+    J = len(_STEP_RULE.weights)
+    per_step = J * sum(b[0].size for b in bases)
     tasks: list[list[tuple[np.ndarray, float, float, float | None]]] = [[]]
     size = 0
     for left, right in zip(cuts[:-1], cuts[1:]):
-        steps = max(1, math.ceil(config.substeps_per_unit * (right - left) / 2.0))
+        steps = max(1, math.ceil(config.substeps_per_unit * (right - left) / J))
         step = (right - left) / steps
-        for first in range(0, steps, _CHUNK // 2):
+        for first in range(0, steps, _CHUNK // J):
             if size >= _TASK_ELEMENTS:
                 tasks.append([])
                 size = 0
-            k = np.arange(first, min(first + _CHUNK // 2, steps))
+            k = np.arange(first, min(first + _CHUNK // J, steps))
             last = k[-1] == steps - 1
             span = (right if last else left + (k[-1] + 1) * step) - (left + k[0] * step)
             end = float(right) if last and float(right) in grid_set else None
-            tasks[-1].append((left + (k + _CFM4_NODES[:, None]) * step, step, span, end))
+            tasks[-1].append((left + (k + _STEP_RULE.nodes[:, None]) * step, step, span, end))
             size += per_step * len(k)
 
     def exponents(task) -> tuple[list[tuple[np.ndarray, float]], Exception | None]:
@@ -1148,7 +1159,7 @@ def evolve_doubled_thermal(
             if np.all(coeffs == coeffs[0, 0]):  # constant H: one exponential spans the piece
                 work.append((hbar * coeffs[:1, :1], span))
             else:
-                work.append((np.tensordot(_CFM4_WEIGHTS, hbar * coeffs, axes=1), step))
+                work.append((np.tensordot(_STEP_RULE.weights, hbar * coeffs, axes=1), step))
         return work, None
 
     def apply(task, propagators: list[list[np.ndarray]]) -> None:

@@ -459,11 +459,11 @@ def _c07b(s):
     return dev, f"n = 1, 2 at t = {s.q['t'][k]:.2f}"
 
 
-# The ratio probes Gaussianity.  Every CFM4 step is the exponential of a
-# quadratic generator, so without a box edge it would hold at any step size;
-# the box edge sets it instead, hence the wider box.  A scan of the box's
-# exponentials per unit (march time: median of 3 on one thread of a 2-core
-# Xeon VM):
+# The ratio probes Gaussianity.  Each of the J exponentials of an oracle
+# step (``fock_oracle._STEP_RULE``) has a quadratic generator, so without a
+# box edge it would hold at any step size; the box edge sets it instead,
+# hence the wider box.  A scan of the box's exponentials per unit (march
+# time: median of 3 on one thread of a 2-core Xeon VM):
 #
 #   box      at 100/unit   at 20/unit   march time, 20 vs 100/unit
 #   N = 80   1.06047e-8    1.06039e-8   0.11 vs 0.52 s

@@ -444,6 +444,40 @@ class TestRunQuench:
             header = (out / "observables.csv").read_text().splitlines()[0]
             assert header == OBSERVABLES_HEADERS[kind, oracle]
 
+    @pytest.mark.parametrize("kind", sorted(MODES_HEADERS))
+    def test_manifest_reports_n_levels_only_for_a_boson_space(self, tmp_path, kind):
+        """A boson or oscillator march runs on the configured truncation; the
+        fermion march runs on the exact 16-dim space and reads no level
+        count, so its manifest reports none."""
+        drive = "\ndrive = omega0" if kind == "fermion" else ""
+        text = QUENCH_CONSTANT.format(beta=1.0).replace("n_levels = 32", "n_levels = 40")
+        manifest = run_quench(
+            parse_config(text.replace("kind = boson", f"kind = {kind}{drive}"), "quench"), tmp_path
+        )
+        assert manifest["oracle"]["enabled"] is True
+        if kind == "fermion":
+            assert "n_levels" not in manifest["oracle"]
+        else:
+            assert manifest["oracle"]["n_levels"] == 40
+        assert _read_manifest(tmp_path)["oracle"] == manifest["oracle"]
+
+    def test_the_mode_solver_is_read_when_called(self, tmp_path, monkeypatch):
+        """run_quench calls the solver bound in the module at call time, so a
+        wrapper rebound in its place (as a tracer installs one) is the one
+        that runs."""
+        calls = []
+        solve = cli_runner.solve_oscillator_mode
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(cli_runner, "solve_oscillator_mode", counting)
+        text = QUENCH_CONSTANT.format(beta=1.0).replace("n_levels = 32", "enabled = false")
+        config = parse_config(text.replace("kind = boson", "kind = oscillator"), "quench")
+        run_quench(config, tmp_path)
+        assert calls == [(config.protocol, config.integrator)]
+
 
 class TestRunSweep:
     def test_entries_and_summary(self, tmp_path):

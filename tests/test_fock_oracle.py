@@ -1173,6 +1173,22 @@ class TestConstantPieces:
         assert np.max(np.abs(traj.states[-1].vector - want)) < 1e-13
 
 
+def test_step_rule_invariants():
+    """What the march assumes of its step rule, whatever the scheme: one
+    weight per node in each of the J rows; weights that sum to 1, so the
+    rule's steps of a constant H multiply to the one exp(-i H span / hbar)
+    that a constant piece takes; nodes inside the step, so the cuts at output
+    times and declared jumps hold as they are; and a symmetric step, the
+    same rule run backwards (rows and nodes reversed, c_k -> 1 - c_k)."""
+    rule = tfdyn.fock_oracle._STEP_RULE
+    nodes, weights = rule.nodes, rule.weights
+    assert weights.ndim == 2 and weights.shape[1] == len(nodes)
+    assert math.fsum(weights.ravel()) == pytest.approx(1.0, rel=0.0, abs=4 * EPS)
+    assert np.all((0.0 <= nodes) & (nodes <= 1.0))
+    np.testing.assert_allclose(weights[::-1, ::-1], weights, rtol=0.0, atol=4 * EPS)
+    np.testing.assert_allclose(1.0 - nodes[::-1], nodes, rtol=0.0, atol=4 * EPS)
+
+
 class TestThermalStart:
     """Every evolution starts from the series, so none builds the thermal
     vacuum by ``build_thermal_state_doubled`` and its squeeze exponential,
@@ -1427,7 +1443,7 @@ def _frozen_propagators(pieces, bases, hbar):
             u = np.empty(h.shape[1:], dtype=complex)
             size = max(1, 2**16 // h[0, 0].size)
             for s in range(0, len(u), size):
-                u[s:s + size] = tfdyn.fock_oracle._cfm4_steps(h[:, s:s + size], step, hbar)
+                u[s:s + size] = tfdyn.fock_oracle._step_propagators(h[:, s:s + size], step, hbar)
             per_block.append(tfdyn.fock_oracle._ordered_product(u))
         out.append(per_block)
     return out
