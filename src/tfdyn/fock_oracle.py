@@ -8,6 +8,15 @@ routes share no formulas, which is the point -- agreement is evidence, not
 tautology.  Evolutions start from the vacuum summed with e^{-beta hbar w/2}
 per pair; only ``build_thermal_state_doubled``'s squeeze route reads theta.
 
+Hamiltonians are built, and evolved, in frequency units: the builders
+return H/hbar, the generator of the Liouville-von Neumann equation
+i hbar drho/dt + [rho, H] = 0, and each exponential is exp(-i h dt) of such
+an h, as ``mode_solver`` integrates the same equation.  hbar enters this
+module in two places only: beta hbar w of the thermal start
+(``thermal_density``, ``build_thermal_state_doubled`` and
+``evolve_doubled_thermal`` keep their ``hbar``) and the sqrt(hbar) length
+and momentum scales of ``position_operator`` and ``momentum_operator``.
+
 Bosons live on ``n_levels`` retained number states (default 60); the price is
 a truncation tail, which is measured and reported rather than hidden.  The
 fermion spaces (4- and 16-dimensional) are exact, built as graded tensor
@@ -24,7 +33,7 @@ Time evolution uses a commutator-free Magnus scheme, which one record,
 and applies J exponentials of fixed combinations of the samples, one per
 row of its weights (Alvermann & Fehske, J. Comput. Phys. 230, 5930
 (2011)).  It is exact for constant H, so a stretch of constant H takes one
-exponential, exp(-i H span / hbar).  Quadratic Hamiltonians conserve
+exponential, exp(-i h span).  Quadratic Hamiltonians conserve
 parity, and the doubled evolution uses it: boson H couples |n> only to
 |n +- 2>, so C stays block-diagonal in (even, odd) number states,
 and the doubled fermion generator keeps the thermal vacuum in two
@@ -121,7 +130,7 @@ _SUB_BATCH = 2**14
 # of ``weights``, in the order they apply) has the exponent
 # sum_k weights[j, k] H(c_k).  J, the number of exponentials per step, is the
 # number of rows, and the march's step counts derive from it.  The weights
-# sum to 1, so a step of constant H is exp(-i H step / hbar); every node lies
+# sum to 1, so a step of constant h = H/hbar is exp(-i h step); every node lies
 # in the step, so steps may restart at any cut.  This is the fourth-order
 # commutator-free Magnus scheme CFM4, J = 2, at the two Gauss-Legendre nodes
 # (Blanes & Moan, Appl. Numer. Math. 56, 1519 (2006)).
@@ -265,14 +274,13 @@ def build_boson_ladder(n_levels: int) -> tuple[OperatorMatrix, OperatorMatrix]:
     return OperatorMatrix(a, basis, "a"), OperatorMatrix(a.conj().T, basis, "a^dag")
 
 
-def build_boson_hamiltonian(
-    omega0: float, omega_plus: complex, n_levels: int, hbar: float = 1.0
-) -> OperatorMatrix:
-    """H = hbar [w0 a^dag a + (w+/2) a^dag^2 + (w+*/2) a^2] on the retained levels."""
+def build_boson_hamiltonian(omega0: float, omega_plus: complex, n_levels: int) -> OperatorMatrix:
+    """w0 a^dag a + (w+/2) a^dag^2 + (w+*/2) a^2 on the retained levels: H in
+    frequency units, over the reduced Planck constant."""
     a_op, ad_op = build_boson_ladder(n_levels)
     a, ad = a_op.matrix, ad_op.matrix
     wp = complex(omega_plus)
-    h = hbar * (omega0 * (ad @ a) + 0.5 * wp * (ad @ ad) + 0.5 * np.conj(wp) * (a @ a))
+    h = omega0 * (ad @ a) + 0.5 * wp * (ad @ ad) + 0.5 * np.conj(wp) * (a @ a)
     return OperatorMatrix(h, a_op.basis, "H")
 
 
@@ -305,33 +313,27 @@ def oscillator_boson_coefficients(
 
 
 def build_oscillator_hamiltonian(
-    mass: float,
-    omega: float,
-    n_levels: int,
-    m_ref: float,
-    omega_ref: float,
-    hbar: float = 1.0,
+    mass: float, omega: float, n_levels: int, m_ref: float, omega_ref: float
 ) -> OperatorMatrix:
-    """H = p^2/(2m) + m w^2 q^2 / 2, with q and p fixed in the reference frame."""
-    q = position_operator(n_levels, m_ref, omega_ref, hbar).matrix
-    p = momentum_operator(n_levels, m_ref, omega_ref, hbar).matrix
+    """p^2/(2m) + m w^2 q^2 / 2 with q and p fixed in the reference frame and
+    taken at a unit reduced Planck constant: H in frequency units, since q
+    and p each scale as the square root of that constant and H as the
+    constant itself."""
+    q = position_operator(n_levels, m_ref, omega_ref).matrix
+    p = momentum_operator(n_levels, m_ref, omega_ref).matrix
     h = (p @ p) / (2.0 * mass) + 0.5 * mass * omega**2 * (q @ q)
     return OperatorMatrix(h, boson_single(n_levels), "H_osc")
 
 
 def frame_annihilation(
-    mass: float,
-    omega: float,
-    n_levels: int,
-    m_ref: float,
-    omega_ref: float,
-    hbar: float = 1.0,
+    mass: float, omega: float, n_levels: int, m_ref: float, omega_ref: float
 ) -> OperatorMatrix:
     """Annihilation operator of the static (mass, omega) frame, expressed on
-    the reference-frame basis: a_frame = (m w q + i p)/sqrt(2 hbar m w)."""
-    q = position_operator(n_levels, m_ref, omega_ref, hbar).matrix
-    p = momentum_operator(n_levels, m_ref, omega_ref, hbar).matrix
-    mat = (mass * omega * q + 1j * p) / math.sqrt(2.0 * hbar * mass * omega)
+    the reference-frame basis: a_frame = (m w q + i p)/sqrt(2 m w) with q and
+    p taken at a unit reduced Planck constant, which cancels from a_frame."""
+    q = position_operator(n_levels, m_ref, omega_ref).matrix
+    p = momentum_operator(n_levels, m_ref, omega_ref).matrix
+    mat = (mass * omega * q + 1j * p) / math.sqrt(2.0 * mass * omega)
     return OperatorMatrix(mat, boson_single(n_levels), "a_frame")
 
 
@@ -392,13 +394,12 @@ def _fermion_h(
     omega0: float,
     omega_plus: complex,
     omega_minus: complex,
-    hbar: float,
 ) -> np.ndarray:
     a = ops[a_name].matrix
     b = ops[b_name].matrix
     ad, bd = a.conj().T, b.conj().T
     wp, wm = complex(omega_plus), complex(omega_minus)
-    return hbar * (
+    return (
         omega0 * (ad @ a - bd @ b)
         + wp * (ad @ bd) - np.conj(wp) * (a @ b)
         + wm * (a @ bd) - np.conj(wm) * (ad @ b)
@@ -409,23 +410,23 @@ def build_fermion_hamiltonian(
     omega0: float,
     omega_plus: complex,
     omega_minus: complex,
-    hbar: float = 1.0,
     doubled: bool = False,
 ) -> OperatorMatrix | FermionDoubledHamiltonians:
-    """H = hbar [w0 (a^dag a - b^dag b) + w+ a^dag b^dag - w+* a b + w- a b^dag - w-* a^dag b].
+    """w0 (a^dag a - b^dag b) + w+ a^dag b^dag - w+* a b + w- a b^dag - w-* a^dag b:
+    H in frequency units, over the reduced Planck constant.
 
     With ``doubled`` the fictitious copy H~ is built by the tilde conjugation
     rule -- conjugated coefficients on the tilde operators -- and the triple
     (H, H~, H_hat = H - H~) is returned.
     """
     ops = build_fermion_space(doubled)
-    h = _fermion_h(ops, "a", "b", omega0, omega_plus, omega_minus, hbar)
+    h = _fermion_h(ops, "a", "b", omega0, omega_plus, omega_minus)
     if not doubled:
         return OperatorMatrix(h, fermion_single(), "H_F")
     basis = fermion_doubled()
     h_t = _fermion_h(
         ops, "a_tilde", "b_tilde",
-        omega0, np.conj(complex(omega_plus)), np.conj(complex(omega_minus)), hbar,
+        omega0, np.conj(complex(omega_plus)), np.conj(complex(omega_minus)),
     )
     return FermionDoubledHamiltonians(
         OperatorMatrix(h, basis, "H_F"),
@@ -545,7 +546,7 @@ def build_thermal_state_doubled(
     the paper's construction: exp(theta (a^dag a~^dag - a~ a))|0> and its
     two-channel fermion analogue.  The generator G is real and antisymmetric,
     so iG is Hermitian and exp(G) is the march's own spectral exponential of
-    iG at unit step and hbar.  They must agree to truncation tolerance
+    iG at unit step.  They must agree to truncation tolerance
     (bosons) or round-off (fermions); returned as (series, squeezed).
     """
     if basis is None:
@@ -564,7 +565,7 @@ def build_thermal_state_doubled(
         for m in range(m_pad - 1):
             gen[m + 1, m] = th * (m + 1)   # a^dag a~^dag raises the pair level
             gen[m, m + 1] = -th * (m + 1)  # a~ a lowers it
-        pair = _expi_neg_hermitian(1j * gen, 1.0, 1.0)[:n, 0]
+        pair = _expi_neg_hermitian(1j * gen, 1.0)[:n, 0]
         pair /= np.linalg.norm(pair)
         levels = np.arange(n)
         c_squeezed = np.zeros((n, n), dtype=complex)
@@ -576,7 +577,7 @@ def build_thermal_state_doubled(
     at, bt = ops["a_tilde"].matrix, ops["b_tilde"].matrix
     th = thermal_theta(beta, omega, hbar, "fermion")
     gen = th * (a.conj().T @ at.conj().T - at @ a + b.conj().T @ bt.conj().T - bt @ b)
-    return series, StateVector(_expi_neg_hermitian(1j * gen, 1.0, 1.0)[:, 0], basis)  # on |0>
+    return series, StateVector(_expi_neg_hermitian(1j * gen, 1.0)[:, 0], basis)  # on |0>
 
 
 # ---------------------------------------------------------------------------
@@ -658,14 +659,15 @@ def expectation_single_factor(
     return _readers.shaped(values, one_op, one_state)
 
 
-def _expi_neg_hermitian(h: np.ndarray, dt: float | np.ndarray, hbar: float) -> np.ndarray:
-    """exp(-i H dt / hbar) for a Hermitian H, or a stack of them, via spectral
-    decomposition.  ``dt`` is one step for the whole stack or one per matrix
-    (an array that broadcasts to the stack's shape).  A real symmetric H
-    takes the real eigensolver, and its exponential Q diag(phases) Q^T is
-    then assembled by a real product."""
+def _expi_neg_hermitian(h: np.ndarray, dt: float | np.ndarray) -> np.ndarray:
+    """exp(-i h dt) for a Hermitian h, or a stack of them, via spectral
+    decomposition.  h is a frequency, H over the reduced Planck constant as
+    the builders return it, so the phases are w dt.  ``dt`` is one step for
+    the whole stack or one per matrix (an array that broadcasts to the
+    stack's shape).  A real symmetric h takes the real eigensolver, and its
+    exponential Q diag(phases) Q^T is then assembled by a real product."""
     w, q = np.linalg.eigh(h)
-    phases = np.exp(-1j * w * (np.asarray(dt) / hbar)[..., None])
+    phases = np.exp(-1j * w * np.asarray(dt)[..., None])
     if np.isrealobj(q):
         # Q times the interleaved (real, imaginary) columns of diag(phases) Q^T
         right = np.multiply(phases[..., :, None], q.swapaxes(-1, -2), order="C")
@@ -673,19 +675,19 @@ def _expi_neg_hermitian(h: np.ndarray, dt: float | np.ndarray, hbar: float) -> n
     return (q * phases[..., None, :]) @ q.conj().swapaxes(-1, -2)
 
 
-def _step_propagators(exponent_h: np.ndarray, step: float | np.ndarray, hbar: float) -> np.ndarray:
+def _step_propagators(exponent_h: np.ndarray, step: float | np.ndarray) -> np.ndarray:
     """Propagators of a stack of steps, each the product of its J
     exponentials in the order they apply.
 
-    ``exponent_h[j]`` is the j-th exponent applied in each step; its shape is
-    (J, ..., n, n) and the result's (..., n, n).  ``step`` is one length or
-    one per step (``_expi_neg_hermitian``).  A step of the march has J rows
-    of ``_STEP_RULE.weights``: the node Hamiltonians weighted by row j.  A
-    step of constant H has J = 1 and the exponent H itself, since the
-    rule's exponentials then commute and, with weights that sum to 1,
-    multiply to exp(-i H step / hbar).
+    ``exponent_h[j]`` is the j-th exponent applied in each step, a frequency
+    (``_expi_neg_hermitian``); its shape is (J, ..., n, n) and the result's
+    (..., n, n).  ``step`` is one length or one per step.  A step of the
+    march has J rows of ``_STEP_RULE.weights``: the node generators h
+    weighted by row j.  A step of constant h has J = 1 and the exponent h
+    itself, since the rule's exponentials then commute and, with weights
+    that sum to 1, multiply to exp(-i h step).
     """
-    e = _expi_neg_hermitian(exponent_h, step, hbar)
+    e = _expi_neg_hermitian(exponent_h, step)
     u = e[0]
     for later in e[1:]:
         u = later @ u
@@ -838,7 +840,9 @@ def truncation_report(psi: StateVector) -> float:
 @dataclass(frozen=True)
 class OracleConfig:
     """Resolution settings for brute-force evolution, and only those: hbar,
-    like beta, is an argument of ``evolve_doubled_thermal``.
+    like beta, is an argument of ``evolve_doubled_thermal``, which reads it
+    only for the thermal start's beta hbar w; the march works in frequencies,
+    h = H/hbar.
 
     ``substeps_per_unit`` counts matrix exponentials per unit time where H
     varies; a step spends J of them (``_STEP_RULE``).  A piece of the march
@@ -892,7 +896,7 @@ def _coefficients(
 
 
 def _propagators(
-    pieces: list[tuple[np.ndarray, float]], bases: Sequence[np.ndarray], hbar: float
+    pieces: list[tuple[np.ndarray, float]], bases: Sequence[np.ndarray]
 ) -> list[list[np.ndarray]]:
     """Each piece's propagator on each block: the ordered product of its
     steps, from the piece's (exponent coefficients, step) pair.  The
@@ -940,7 +944,7 @@ def _propagators(
             products = []
             for s in range(0, steps, size):
                 h = np.tensordot(coeffs[:, :, s:s + size], terms, axes=1)
-                products.append(_ordered_product(_step_propagators(h, dt, hbar)))
+                products.append(_ordered_product(_step_propagators(h, dt)))
             for k, u in enumerate(_ordered_product(np.stack(products, axis=1)), first):
                 out[k].append(u)
             first = last
@@ -1043,9 +1047,12 @@ def evolve_doubled_thermal(
     depends on the squeeze exponential) and marches steps of
     ``_STEP_RULE``, ``config.substeps_per_unit`` exponentials per unit time
     (J per step), restarting cleanly at every output time and declared jump.
+    The march works in frequencies: its generators are h = H/hbar, built
+    from the protocol's coefficients as they are, and its exponentials
+    exp(-i h dt), so ``hbar`` enters only the thermal start's beta hbar w.
     A piece of the march (at most 512 exponentials of one cut interval)
     whose sampled coefficients are all the same is advanced by one
-    exponential per block, exp(-i H span / hbar): in exact arithmetic the
+    exponential per block, exp(-i h span): in exact arithmetic the
     product the configured steps form from the same samples, without their
     round-off and at one exponential instead of J per step.  Boson states are
     advanced on the even and the odd block of their coefficient matrix
@@ -1157,9 +1164,9 @@ def evolve_doubled_thermal(
             except Exception as exc:
                 return work, exc
             if np.all(coeffs == coeffs[0, 0]):  # constant H: one exponential spans the piece
-                work.append((hbar * coeffs[:1, :1], span))
+                work.append((coeffs[:1, :1], span))
             else:
-                work.append((np.tensordot(_STEP_RULE.weights, hbar * coeffs, axes=1), step))
+                work.append((np.tensordot(_STEP_RULE.weights, coeffs, axes=1), step))
         return work, None
 
     def apply(task, propagators: list[list[np.ndarray]]) -> None:
@@ -1180,7 +1187,7 @@ def evolve_doubled_thermal(
         if threads == 1 or _openblas_threads() is None:
             for task in tasks:
                 work, error = exponents(task)
-                apply(task[:len(work)], _propagators(work, bases, hbar))
+                apply(task[:len(work)], _propagators(work, bases))
                 if error is not None:
                     break
         else:
@@ -1191,7 +1198,7 @@ def evolve_doubled_thermal(
             try:
                 for task in tasks:
                     work, error = exponents(task)
-                    in_flight.append((task[:len(work)], pool.submit(_propagators, work, bases, hbar)))
+                    in_flight.append((task[:len(work)], pool.submit(_propagators, work, bases)))
                     if error is not None:
                         break
                     if len(in_flight) > threads:

@@ -101,8 +101,13 @@ class IntegratorConfig:
                 f"rel_tol must be at least {REL_TOL_FLOOR!r} (100 machine epsilons), "
                 f"got {self.rel_tol!r}"
             )
-        if not self.abs_tol > 0:
-            raise ValueError("abs_tol must be positive")
+        # an infinite tolerance passes the bound above and would accept
+        # every step
+        if not (0.0 < self.abs_tol < math.inf and self.rel_tol < math.inf):
+            raise ValueError(
+                f"rel_tol and abs_tol must be finite and abs_tol positive, "
+                f"got rel_tol = {self.rel_tol!r}, abs_tol = {self.abs_tol!r}"
+            )
 
 
 @dataclass(frozen=True)

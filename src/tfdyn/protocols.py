@@ -167,12 +167,17 @@ def make_tanh_ramp(start: float, end: float, center: float, width: float) -> Tan
     start, end : float
         Asymptotic values far before / after the transition.
     center : float
-        Time at which the profile crosses the midpoint (start + end)/2.
+        Time at which the profile crosses the midpoint (start + end)/2; must
+        be finite.
     width : float
-        Transition time scale; must be positive.
+        Transition time scale; must be positive and finite.  An infinite
+        width or center would make the ramp a constant.
     """
-    if not width > 0.0:
-        raise ValueError(f"tanh ramp width must be positive, got {width}")
+    if not (0.0 < width < math.inf and math.isfinite(center)):
+        raise ValueError(
+            f"tanh ramp width must be positive and finite and its center finite, "
+            f"got width = {width}, center = {center}"
+        )
     return TanhRamp(float(start), float(end), float(center), float(width))
 
 
@@ -584,7 +589,7 @@ def from_config(section: Mapping[str, str]) -> Protocol:
     values = [_take(section, key) for key in keys]
     try:
         profile, jump_times = build(t_i, t_f, *values)
-    except ValueError as exc:  # a non-positive tanh width
+    except ValueError as exc:  # a tanh width or center out of range
         raise ConfigError(str(exc)) from exc
 
     # The other channels are constants (couplings default to 0, mass to 1).

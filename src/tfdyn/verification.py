@@ -135,7 +135,7 @@ def _boson_columns(traj, beta: float, hbar: float, doubled) -> Columns:
         return columns
 
     n = doubled.states[0].basis.n_levels
-    a_f = fock_oracle.frame_annihilation(*frame, n, m_i, omega_i, hbar).matrix
+    a_f = fock_oracle.frame_annihilation(*frame, n, m_i, omega_i).matrix
     q_op = fock_oracle.position_operator(n, m_i, omega_i, hbar)
     q2_op = q_op.matrix @ q_op.matrix
     ops = [
@@ -423,15 +423,15 @@ def _c05b(s):
 # made a jump, in its frames
 @_check("c05c_sudden_production_oracle", 1e-3, oracle=True)
 def _c05c(s):
-    n, frame_i, frame_f, hbar = s.n, s.frame_i, s.frame_f, s.hbar
-    h_before = fock_oracle.build_oscillator_hamiltonian(*frame_i, n, *frame_i, hbar)
-    h_after = fock_oracle.build_oscillator_hamiltonian(*frame_f, n, *frame_i, hbar)
+    n, frame_i, frame_f = s.n, s.frame_i, s.frame_f
+    h_before = fock_oracle.build_oscillator_hamiltonian(*frame_i, n, *frame_i)
+    h_after = fock_oracle.build_oscillator_hamiltonian(*frame_f, n, *frame_i)
     # each constant segment lasts 5: one spectral exponential apiece
-    u1, u2 = (fock_oracle._expi_neg_hermitian(h.matrix, 5.0, hbar) for h in (h_before, h_after))
+    u1, u2 = (fock_oracle._expi_neg_hermitian(h.matrix, 5.0) for h in (h_before, h_after))
     vac = np.zeros(n, dtype=complex)
     vac[0] = 1.0
     psi = fock_oracle.StateVector(u2 @ (u1 @ vac), h_before.basis)
-    a_f = fock_oracle.frame_annihilation(*frame_f, n, *frame_i, hbar)
+    a_f = fock_oracle.frame_annihilation(*frame_f, n, *frame_i)
     n_f = fock_oracle.OperatorMatrix(a_f.dag.matrix @ a_f.matrix, a_f.basis)
     produced = fock_oracle.expectation(psi, n_f).real
     tail = fock_oracle.truncation_report(psi)

@@ -40,6 +40,13 @@ n_levels = 32
 substeps_per_unit = 200
 """
 
+# QUENCH_CONSTANT's drive, and a tanh ramp of it to put in its place
+CONSTANT_DRIVE = "kind = boson\nfamily = constant\nvalue = 1.0"
+TANH_DRIVE = (
+    "kind = boson\nfamily = tanh\nvalue_initial = 1.0\nvalue_final = 2.0\n"
+    "center = 1.0\nwidth = 0.5"
+)
+
 SWEEP_TEXT = """
 [run]
 kind = sweep
@@ -237,6 +244,26 @@ class TestParseConfig:
             "[integrator] rel_tol must be at least 2.220446049250313e-14 "
             "(100 machine epsilons), got 1e-17"
         )
+
+    @pytest.mark.parametrize(
+        "old, new, named",
+        [
+            ("grid_points = 9", "grid_points = 9\nrel_tol = inf", "rel_tol = inf"),
+            ("grid_points = 9", "grid_points = 9\nabs_tol = inf", "abs_tol = inf"),
+            ("width = 0.5", "width = inf", "width = inf"),
+            ("center = 1.0", "center = inf", "center = inf"),
+            ("center = 1.0", "center = -inf", "center = -inf"),
+        ],
+        ids=["rel_tol", "abs_tol", "width", "center", "center_negative"],
+    )
+    def test_non_finite_setting_refused_by_name(self, old, new, named):
+        """An infinite tolerance passes a lower bound and would accept every
+        step; an infinite tanh width or center makes the ramp a constant."""
+        text = QUENCH_CONSTANT.format(beta=1.0).replace(CONSTANT_DRIVE, TANH_DRIVE)
+        parse_config(text, "quench")
+        with pytest.raises(ConfigError, match="must be .*finite") as info:
+            parse_config(text.replace(old, new), "quench")
+        assert named in str(info.value)
 
     def test_invalid_protocol_value_is_config_error(self):
         text = QUENCH_CONSTANT.format(beta=1.0).replace("value = 1.0", "value = much")
@@ -776,6 +803,12 @@ class TestCliMain:
             ("run", "grid_points = 9", "grid_points = 1"),
             ("run", "grid_points = 9", "grid_points = 9\nrel_tol = 0"),
             ("run", "grid_points = 9", "grid_points = 9\nrel_tol = 1e-17"),
+            # an infinite tolerance would accept every step
+            ("run", "grid_points = 9", "grid_points = 9\nrel_tol = inf"),
+            ("run", "grid_points = 9", "grid_points = 9\nabs_tol = inf"),
+            # an infinite tanh width or center makes the ramp a constant
+            ("run", CONSTANT_DRIVE, TANH_DRIVE.replace("width = 0.5", "width = inf")),
+            ("run", CONSTANT_DRIVE, TANH_DRIVE.replace("center = 1.0", "center = inf")),
             ("run", "substeps_per_unit = 200", "substeps_per_unit = 0"),
             ("run", "substeps_per_unit = 200", "substeps_per_unit = nan"),
             ("run", "t_f = 2.0", "t_f = -1.0"),
@@ -800,7 +833,8 @@ class TestCliMain:
             ("verify", "n_levels = 32", "n_levels = 32\ntail_abort = 1e-6"),
         ],
         ids=[
-            "unknown_key", "beta_inf", "hbar_inf", "grid_points_1", "rel_tol_0", "rel_tol_below_floor", "substeps_0",
+            "unknown_key", "beta_inf", "hbar_inf", "grid_points_1", "rel_tol_0", "rel_tol_below_floor",
+            "rel_tol_inf", "abs_tol_inf", "tanh_width_inf", "tanh_center_inf", "substeps_0",
             "substeps_nan", "empty_window", "n_levels_1",
             "n_levels_300", "boson_omega0_omitted",
             "fermion_omega0_zero_oracle_on", "coupling_at_t_i", "beta_1e-20_oracle_off",

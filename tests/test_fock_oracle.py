@@ -18,6 +18,7 @@ import pytest
 from scipy.linalg import expm
 
 import tfdyn.fock_oracle
+from tfdyn import verification
 from tfdyn.protocols import initial_frame
 from tfdyn import (
     BosonProtocol,
@@ -180,11 +181,6 @@ class TestBosonOperators:
         ])
         assert np.allclose(h, expected, atol=1e-15)
 
-    def test_hamiltonian_hbar_scale(self):
-        h1 = build_boson_hamiltonian(1.0, 0.5, 4, hbar=1.0).matrix
-        h2 = build_boson_hamiltonian(1.0, 0.5, 4, hbar=2.0).matrix
-        assert np.allclose(h2, 2.0 * h1, atol=0)
-
     def test_canonical_commutator(self):
         n = 10
         q = position_operator(n, 1.3, 0.7).matrix
@@ -206,7 +202,8 @@ class TestBosonOperators:
 
     def test_oscillator_hamiltonian_matches_ladder_form(self):
         """p^2/2m + m w^2 q^2/2 equals the (w0, w+) ladder Hamiltonian plus
-        the zero-point shift hbar w0 / 2, except at the truncation corner."""
+        the zero-point shift w0 / 2, both in frequency units, except at the
+        truncation corner."""
         n, m, w, m_ref, w_ref = 9, 1.7, 0.9, 1.2, 1.1
         h_osc = build_oscillator_hamiltonian(m, w, n, m_ref, w_ref).matrix
         w0, wp = oscillator_boson_coefficients(m, w, m_ref, w_ref)
@@ -738,14 +735,14 @@ class TestSpectralExponential:
 
     def test_complex_hermitian(self):
         h = self._hermitian(np.random.default_rng(1), 12)
-        got = tfdyn.fock_oracle._expi_neg_hermitian(h, 0.7, 1.0)
+        got = tfdyn.fock_oracle._expi_neg_hermitian(h, 0.7)
         assert np.max(np.abs(got - expm(-0.7j * h))) < 1e-12
 
     def test_real_symmetric_takes_the_real_product(self):
         """The real eigensolver's branch assembles Q diag(phases) Q^T by one
         real product over interleaved (real, imaginary) columns."""
         h = build_boson_hamiltonian(1.0, 0.4, 12).matrix.real
-        got = tfdyn.fock_oracle._expi_neg_hermitian(h, 2.0, 1.0)
+        got = tfdyn.fock_oracle._expi_neg_hermitian(h, 2.0)
         assert got.dtype == complex
         assert np.max(np.abs(got - expm(-2.0j * h))) < 1e-12
 
@@ -753,16 +750,10 @@ class TestSpectralExponential:
     def test_stack_matches_matrix_by_matrix(self, real):
         rng = np.random.default_rng(2)
         h = np.stack([[self._hermitian(rng, 6, real) for _ in range(3)] for _ in range(2)])
-        got = tfdyn.fock_oracle._expi_neg_hermitian(h, 0.3, 1.0)
+        got = tfdyn.fock_oracle._expi_neg_hermitian(h, 0.3)
         assert got.shape == (2, 3, 6, 6)
         for j, k in np.ndindex(2, 3):
             assert np.max(np.abs(got[j, k] - expm(-0.3j * h[j, k]))) < 1e-12
-
-    def test_hbar_slows_the_clock(self):
-        h = build_boson_hamiltonian(1.0, 0.3, 6).matrix
-        expi = tfdyn.fock_oracle._expi_neg_hermitian
-        assert np.max(np.abs(expi(h, 1.0, 2.0) - expi(h, 0.5, 1.0))) < 1e-14
-        assert np.max(np.abs(expi(h, 1.0, 2.0) - expm(-0.5j * h))) < 1e-12
 
     @pytest.mark.parametrize("beta", [0.5, 1.0])
     @pytest.mark.parametrize("basis", [boson_doubled(60), boson_doubled(50), fermion_doubled()],
@@ -774,19 +765,19 @@ class TestSpectralExponential:
         expi = tfdyn.fock_oracle._expi_neg_hermitian
         seen = []
 
-        def recording(h, dt, hbar):
-            seen.append((h, dt, hbar))
-            return expi(h, dt, hbar)
+        def recording(h, dt):
+            seen.append((h, dt))
+            return expi(h, dt)
 
         monkeypatch.setattr(tfdyn.fock_oracle, "_expi_neg_hermitian", recording)
         build_thermal_state_doubled(beta, 1.0, basis=basis)
-        ((h, dt, hbar),) = seen
-        assert (dt, hbar) == (1.0, 1.0)
+        ((h, dt),) = seen
+        assert dt == 1.0
         gen = -1j * h
         assert not gen.imag.any()
         assert np.array_equal(gen.real, -gen.real.T)
         want = expm(gen.real)
-        got = expi(h, dt, hbar)
+        got = expi(h, dt)
         assert np.linalg.norm(got - want, 1) <= 5e-13 * np.linalg.norm(want, 1)
 
 
@@ -1113,7 +1104,7 @@ class TestPropagationKernel:
 
 class TestConstantPieces:
     """A piece whose sampled coefficients are all the same takes one
-    exponential per block, exp(-i H span / hbar), where a varying piece
+    exponential per block, exp(-i h span), where a varying piece
     takes two per CFM4 step."""
 
     @staticmethod
@@ -1122,9 +1113,9 @@ class TestConstantPieces:
         built = []
         expi = tfdyn.fock_oracle._expi_neg_hermitian
 
-        def counting(h, dt, hbar):
+        def counting(h, dt):
             built.append(math.prod(h.shape[:-2]))
-            return expi(h, dt, hbar)
+            return expi(h, dt)
 
         monkeypatch.setattr(tfdyn.fock_oracle, "_expi_neg_hermitian", counting)
         return built
@@ -1176,7 +1167,7 @@ class TestConstantPieces:
 def test_step_rule_invariants():
     """What the march assumes of its step rule, whatever the scheme: one
     weight per node in each of the J rows; weights that sum to 1, so the
-    rule's steps of a constant H multiply to the one exp(-i H span / hbar)
+    rule's steps of a constant h multiply to the one exp(-i h span)
     that a constant piece takes; nodes inside the step, so the cuts at output
     times and declared jumps hold as they are; and a symmetric step, the
     same rule run backwards (rows and nodes reversed, c_k -> 1 - c_k)."""
@@ -1422,6 +1413,47 @@ class TestPooledMarch:
         assert set(pooled) == {threading.get_ident()}
 
 
+HBAR_CASES = {
+    "boson_coupling_ramp": (
+        BosonProtocol(Constant(1.0), make_tanh_ramp(0.0, 0.3, 0.5, 0.1), t_i=0.0, t_f=1.0),
+        OracleConfig(n_levels=30, substeps_per_unit=100.0, grid_points=11),
+    ),
+    "oscillator_tanh_ramp": (
+        OscillatorProtocol(Constant(1.0), make_tanh_ramp(1.0, 1.5, 0.6, 0.2), t_i=0.0, t_f=1.2),
+        OracleConfig(n_levels=30, substeps_per_unit=100.0, grid_points=13),
+    ),
+    "fermion_pulse": (
+        FermionProtocol(Constant(1.0), _pulse, Constant(0.0), t_i=0.0, t_f=1.2),
+        OracleConfig(substeps_per_unit=200.0, grid_points=13),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HBAR_CASES))
+def test_hbar_enters_only_the_thermal_start(case):
+    """The oracle builds and evolves H in frequency units, so hbar reaches
+    an evolution only through beta hbar w of its thermal start.  (1/3) * 3.0
+    rounds to 1.0, so the run at (beta, hbar) = (1/3, 3) is the run at
+    (1, 1) to the bit, and c05c, which exponentiates its Hamiltonians in
+    frequency units too, reads the same value at hbar = 3 as at hbar = 1."""
+    protocol, cfg = HBAR_CASES[case]
+    omega = initial_frame(protocol)[1]
+    assert (1 / 3) * 3.0 * omega == 1.0 * 1.0 * omega
+    scaled = evolve_doubled_thermal(protocol, 1 / 3, cfg, 3.0)
+    unit = evolve_doubled_thermal(protocol, 1.0, cfg, 1.0)
+    assert [psi.vector.tobytes() for psi in scaled.states] == [
+        psi.vector.tobytes() for psi in unit.states
+    ]
+    assert scaled.tail_weight.tobytes() == unit.tail_weight.tobytes()
+    assert scaled.norm_deviation.tobytes() == unit.norm_deviation.tobytes()
+    _, _, c05c = verification._CHECKS["c05c_sudden_production_oracle"]
+    measured = [
+        c05c(SimpleNamespace(n=50, frame_i=(1.0, 1.0), frame_f=(1.0, 4.0), hbar=hbar))[0]
+        for hbar in (3.0, 1.0)
+    ]
+    assert measured[0] == measured[1]
+
+
 def _frozen_generator_stacks(coeffs, bases):
     """The whole-piece generator stacks, one block at a time, as the kernel
     formed them before it streamed steps."""
@@ -1433,7 +1465,7 @@ def _frozen_generator_stacks(coeffs, bases):
         yield np.tensordot(coeffs[..., live], terms, axes=1)
 
 
-def _frozen_propagators(pieces, bases, hbar):
+def _frozen_propagators(pieces, bases):
     """The whole-piece kernel: a piece's generator stack and every one of its
     CFM4 propagators are formed before their ordered product."""
     out = []
@@ -1443,7 +1475,7 @@ def _frozen_propagators(pieces, bases, hbar):
             u = np.empty(h.shape[1:], dtype=complex)
             size = max(1, 2**16 // h[0, 0].size)
             for s in range(0, len(u), size):
-                u[s:s + size] = tfdyn.fock_oracle._step_propagators(h[:, s:s + size], step, hbar)
+                u[s:s + size] = tfdyn.fock_oracle._step_propagators(h[:, s:s + size], step)
             per_block.append(tfdyn.fock_oracle._ordered_product(u))
         out.append(per_block)
     return out
@@ -1505,9 +1537,9 @@ class TestStreamedKernel:
         intervals take 25 or 26 steps, by the round-off of their widths, and
         form 13."""
         calls = self._kernel_calls(*KERNEL_CASES[case], monkeypatch)
-        (per_matrix,) = {basis[0].size for _, bases, _ in calls for basis in bases}
+        (per_matrix,) = {basis[0].size for _, bases in calls for basis in bases}
         if case == "c07c_like_box":
-            assert [exponents.shape[1] for pieces, _, _ in calls for exponents, _ in pieces] == [125]
+            assert [exponents.shape[1] for pieces, _ in calls for exponents, _ in pieces] == [125]
         for room in (1, 3, 26, None):
             sub_batch = 2**40 if room is None else room * per_matrix
             monkeypatch.setattr(tfdyn.fock_oracle, "_SUB_BATCH", sub_batch)
@@ -1517,9 +1549,9 @@ class TestStreamedKernel:
                     for a, b in zip(got_piece, want_piece, strict=True):
                         assert a.tobytes() == b.tobytes(), (case, room)
         if case.startswith("short_"):  # the last room above holds the whole call
-            ((pieces, bases, hbar),) = calls
+            ((pieces, bases),) = calls
             stacks = TestConstantPieces._counting(monkeypatch)
-            tfdyn.fock_oracle._propagators(pieces, bases, hbar)
+            tfdyn.fock_oracle._propagators(pieces, bases)
             runs = 1 if case == "short_boson_pieces" else 13
             assert len(pieces) == 20 and len(stacks) == runs * len(bases)
 

@@ -456,7 +456,10 @@ class TestIntegratorConfig:
         {"rel_tol": 1e-17},
         {"rel_tol": 2.2e-14},
         {"rel_tol": math.nan},
+        {"rel_tol": math.inf},
         {"abs_tol": -1e-12},
+        {"abs_tol": math.inf},
+        {"abs_tol": math.nan},
     ])
     def test_invalid_settings_rejected(self, kwargs):
         with pytest.raises(ValueError):

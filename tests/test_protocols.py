@@ -67,6 +67,19 @@ class TestProfiles:
         with pytest.raises(ValueError):
             make_tanh_ramp(1.0, 2.0, center=0.0, width=-1.0)
 
+    @pytest.mark.parametrize("center, width, named", [
+        (0.0, math.inf, "width = inf"),
+        (0.0, math.nan, "width = nan"),
+        (math.inf, 0.5, "center = inf"),
+        (-math.inf, 0.5, "center = -inf"),
+        (math.nan, 0.5, "center = nan"),
+    ])
+    def test_tanh_ramp_rejects_non_finite_width_and_center(self, center, width, named):
+        """Either would make the ramp a constant, or NaN, throughout."""
+        with pytest.raises(ValueError, match="must be .*finite") as info:
+            make_tanh_ramp(1.0, 2.0, center=center, width=width)
+        assert named in str(info.value)
+
 
 class TestProtocolWindows:
     """Window and jump-time validation shared by all protocol kinds."""

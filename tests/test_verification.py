@@ -128,9 +128,9 @@ class TestSharedRuns:
                 monkeypatch.setattr(module, name, _counting(calls, name, getattr(module, name)))
         expi = fock_oracle._expi_neg_hermitian
 
-        def counted_exponentials(h, dt, hbar):
+        def counted_exponentials(h, dt):
             calls["exponentials"] += math.prod(h.shape[:-2])
-            return expi(h, dt, hbar)
+            return expi(h, dt)
 
         monkeypatch.setattr(fock_oracle, "_expi_neg_hermitian", counted_exponentials)
         run_all(**kwargs)
@@ -188,8 +188,8 @@ class TestComplexBranchFault:
     def test_time_reversed_complex_exponential_fails_c08(self, monkeypatch):
         expi = fock_oracle._expi_neg_hermitian
 
-        def time_reversed(h, dt, hbar):
-            return expi(h, -dt if np.any(np.imag(h)) else dt, hbar)
+        def time_reversed(h, dt):
+            return expi(h, -dt if np.any(np.imag(h)) else dt)
 
         monkeypatch.setattr(fock_oracle, "_expi_neg_hermitian", time_reversed)
         shared = SimpleNamespace(n=50, hbar=1.0)
