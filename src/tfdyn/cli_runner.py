@@ -70,8 +70,8 @@ _SECTION_KEYS = {
 }
 _ALL_SECTIONS = set(_SECTION_KEYS) | {"protocol"}
 
-# Keys a verify run would ignore: the suite pins its own beta and grids.
-_NOT_FOR_VERIFY = (("run", "beta"), ("integrator", "grid_points"))
+# Keys a verify run would ignore: the suite pins its own beta, hbar and grids.
+_NOT_FOR_VERIFY = (("run", "beta"), ("run", "hbar"), ("integrator", "grid_points"))
 
 _TYPE_NAMES = {float: "a number", int: "an integer", bool: "a boolean"}
 
@@ -449,7 +449,8 @@ def run_sweep(config: RunConfig, out_dir: str | Path) -> dict:
     """Run the parameter grid and assemble the summary in grid order.
 
     Every entry's derived config is parsed once, before any work is
-    scheduled, so an invalid grid value fails the sweep with no entry run.
+    scheduled, so an invalid grid value fails the sweep with no entry run
+    and no output directory made.
     Worker count comes from the ``TFDYN_WORKERS`` environment variable
     (default 1, serial), clamped to the number of entries and of CPUs the
     process may run on; each worker process gives the oracle its share of
@@ -459,14 +460,14 @@ def run_sweep(config: RunConfig, out_dir: str | Path) -> dict:
     if config.kind != "sweep":
         raise ValueError(f"run_sweep got a '{config.kind}' config")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
 
     entries = []
     for index, value in enumerate(config.sweep_values):
         text = _entry_text(config.canonical_text, config.sweep_key, value)
-        entry_config = parse_config(text, "quench")  # fail before any work is scheduled
+        entry_config = parse_config(text, "quench")  # fail before anything is written
         entries.append((index, value, entry_config, str(out / f"entry_{index:03d}")))
+    out.mkdir(parents=True, exist_ok=True)
 
     workers_raw = os.environ.get(WORKERS_ENV_VAR, "1")
     try:
@@ -555,7 +556,7 @@ def run_verify(
     skeleton = _manifest_skeleton(config)
 
     timings: dict[str, float] = {}
-    results = verification.run_all(config.integrator, config.oracle, config.hbar, timings)
+    results = verification.run_all(config.integrator, config.oracle, timings=timings)
     skeleton["shared_runs_seconds"] = timings["shared_runs"]
     skeleton["checks"] = [
         {

@@ -447,6 +447,16 @@ def _beta_hbar_omega(beta: float, omega: float, hbar: float) -> float:
     return x
 
 
+def _fermion_beta_hbar_omega(beta: float, omega: float, hbar: float) -> float:
+    """beta hbar w of a fermion Gibbs state, refusing a value that is not
+    positive with a ValueError.  The fermion spaces are exact, so no box
+    tail refuses it, as ``_boltzmann_ratio`` does for bosons."""
+    x = beta * hbar * omega
+    if not x > 0.0:  # refuses a NaN too
+        raise ValueError(f"beta*hbar*omega must be positive and not NaN, got {x}")
+    return x
+
+
 def _boltzmann_ratio(beta: float, omega: float, hbar: float, n_levels: int) -> float:
     """x = e^{-beta hbar w}, after refusing a NaN beta hbar w and a box of
     ``n_levels`` whose geometric tail x^N (the Gibbs weight beyond the box)
@@ -467,21 +477,21 @@ def _boltzmann_ratio(beta: float, omega: float, hbar: float, n_levels: int) -> f
 
 
 def thermal_density(
-    beta: float, omega: float, hbar: float = 1.0, basis: BasisDescriptor | None = None
+    beta: float, omega: float, hbar: float = 1.0, *, basis: BasisDescriptor
 ) -> DensityMatrix:
     """Gibbs state e^{-beta hbar w N}/Z on a single-system basis.
 
     The number operator is a^dag a for bosons and a^dag a - b^dag b for the
     fermion pair (the b mode carries negative energy); weights are shifted by
     the ground energy before exponentiation so large beta never overflows.
-    A boson box whose geometric tail exceeds ``TAIL_REFUSAL`` is refused.
+    A boson box whose geometric tail exceeds ``TAIL_REFUSAL`` is refused,
+    and so is a fermion pair at beta hbar w <= 0.
     """
-    if basis is None:
-        basis = boson_single(DEFAULT_N_LEVELS)
     if basis.kind == "boson_single":
         _boltzmann_ratio(beta, omega, hbar, basis.n_levels)
         energies = np.arange(basis.n_levels, dtype=float)
     elif basis.kind == "fermion_single":
+        _fermion_beta_hbar_omega(beta, omega, hbar)
         ops = build_fermion_space(doubled=False)
         a, b = ops["a"].matrix, ops["b"].matrix
         number = a.conj().T @ a - b.conj().T @ b
@@ -515,9 +525,7 @@ def _thermal_series(
         ops = build_fermion_space(doubled=True)
         a, b = ops["a"].matrix, ops["b"].matrix
         at, bt = ops["a_tilde"].matrix, ops["b_tilde"].matrix
-        x = beta * hbar * omega
-        if not x > 0.0:  # refuses a NaN too
-            raise ValueError(f"beta*hbar*omega must be positive, got {x}")
+        x = _fermion_beta_hbar_omega(beta, omega, hbar)
         amp = math.exp(-0.5 * x) if x <= EXP_ARG_MAX else 0.0
         vac = np.zeros(16, dtype=complex)
         vac[0] = 1.0
@@ -533,7 +541,8 @@ def build_thermal_state_doubled(
     beta: float,
     omega: float,
     hbar: float = 1.0,
-    basis: BasisDescriptor | None = None,
+    *,
+    basis: BasisDescriptor,
 ) -> tuple[StateVector, StateVector]:
     """Thermal vacuum |0(beta)> by two independent routes.
 
@@ -549,8 +558,6 @@ def build_thermal_state_doubled(
     iG at unit step.  They must agree to truncation tolerance
     (bosons) or round-off (fermions); returned as (series, squeezed).
     """
-    if basis is None:
-        basis = boson_doubled(DEFAULT_N_LEVELS)
     series = _thermal_series(beta, omega, hbar, basis)
     if basis.kind == "boson_doubled":
         n = basis.n_levels

@@ -6,8 +6,11 @@ run by ``_shared``, and returns its measured value and a detail line.  A
 check passes when its measured value is strictly below its fixed tolerance
 (and its extra condition holds, where it returns one); nothing here is
 tunable per-check from the outside, so a green suite means the same thing on
-every machine.  ``CHECK_NAMES``, ``ANALYTIC_CHECKS`` and ``ORACLE_CHECKS``
-are read off the registry.
+every machine.  The suite runs at hbar = 1: the thermal vacuum sees the
+temperature only through beta*hbar*omega, which the checks pin, so another
+hbar would only rescale the lengths in q and change what the absolute
+tolerances of criterion 7 mean.  ``CHECK_NAMES``, ``ANALYTIC_CHECKS`` and
+``ORACLE_CHECKS`` are read off the registry.
 
 The checks that need the oracle (``ORACLE_CHECKS``) are skipped (not
 silently passed) when the oracle is disabled.
@@ -252,21 +255,17 @@ def oracle_configs(
 # ---------------------------------------------------------------------------
 
 
-def _shared(integrator, oracle, hbar: float) -> SimpleNamespace:
+def _shared(integrator, oracle) -> SimpleNamespace:
     """The settings and runs that more than one check reads, each built once.
 
     Runs that a single check reads are built inside that check, so no doubled
     trajectory outlives the check that evolved it.
     """
-    s = SimpleNamespace(hbar=hbar)
+    s = SimpleNamespace()
     if oracle is not None:
         s.n = oracle.n_levels
         s.oracle_cfg, s.wide_cfg = oracle_configs(oracle)
     s.mode_cfg = replace(integrator or mode_solver.IntegratorConfig(), grid_points=101)
-    # all pinned temperatures fix the product beta*hbar*omega, so beta scales
-    # with 1/hbar throughout
-    s.beta_ln2 = LN2 / hbar
-    s.beta = 1.0 / hbar
 
     # the 1 -> 2 tanh quench on [0, 10]: criteria 2, 6, 7 and 9
     s.osc_quench = OscillatorProtocol(
@@ -295,7 +294,7 @@ def _shared(integrator, oracle, hbar: float) -> SimpleNamespace:
 
     if oracle is not None:
         # criteria 6 + 7: the 1 -> 2 tanh quench at beta = 1
-        columns = quench_observables(s.osc_traj, s.beta, hbar, s.oracle_cfg)[0]
+        columns = quench_observables(s.osc_traj, 1.0, 1.0, s.oracle_cfg)[0]
         s.q = _unitless(columns)
     return s
 
@@ -317,13 +316,13 @@ def _check(name: str, tolerance: float, oracle: bool = False):
 # -- criterion 1: equilibrium distributions -------------------------------
 @_check("c01a_equilibrium_boson_analytic", 1e-12)
 def _c01a(s):
-    n_eq = thermal_observables.equilibrium_occupation(s.beta_ln2, 1.0, s.hbar, "boson")
+    n_eq = thermal_observables.equilibrium_occupation(LN2, 1.0)
     return abs(n_eq - 1.0), "n(beta*h*w = ln 2) vs 1"
 
 
 @_check("c01b_equilibrium_fermion_analytic", 1e-12)
 def _c01b(s):
-    n_eq = thermal_observables.equilibrium_occupation(s.beta_ln2, 1.0, s.hbar, "fermion")
+    n_eq = thermal_observables.equilibrium_occupation(LN2, 1.0, statistics="fermion")
     return abs(n_eq - 1.0 / 3.0), "n(beta*h*w = ln 2) vs 1/3"
 
 
@@ -332,7 +331,7 @@ def _c01b(s):
 def _c01c(s):
     a_op, ad_op = fock_oracle.build_boson_ladder(s.n)
     num = fock_oracle.OperatorMatrix(ad_op.matrix @ a_op.matrix, fock_oracle.boson_single(s.n))
-    rho = fock_oracle.thermal_density(s.beta_ln2, 1.0, s.hbar, num.basis)
+    rho = fock_oracle.thermal_density(LN2, 1.0, basis=num.basis)
     return abs(fock_oracle.expectation(rho, num).real - 1.0), f"Tr[rho a^dag a] at N = {s.n}"
 
 
@@ -340,7 +339,7 @@ def _c01c(s):
 def _c01d(s):
     a = fock_oracle.build_fermion_space(doubled=False)["a"]
     num = fock_oracle.OperatorMatrix(a.dag.matrix @ a.matrix, fock_oracle.fermion_single())
-    rho = fock_oracle.thermal_density(s.beta_ln2, 1.0, s.hbar, num.basis)
+    rho = fock_oracle.thermal_density(LN2, 1.0, basis=num.basis)
     return abs(fock_oracle.expectation(rho, num).real - 1.0 / 3.0), "exact 4-dim trace"
 
 
@@ -379,8 +378,8 @@ def _c03a(s):
         omega0=Constant(1.0), omega_plus=lambda t: up(t) - down(t), t_i=0.0, t_f=10.0
     )
     pulse_traj = mode_solver.solve_boson_mode(pulse_proto, s.mode_cfg)
-    _, dt = quench_observables(pulse_traj, s.beta, s.hbar, s.oracle_cfg)
-    th = thermal_observables.theta(s.beta, initial_frame(pulse_proto)[1], s.hbar, "boson")
+    _, dt = quench_observables(pulse_traj, 1.0, 1.0, s.oracle_cfg)
+    th = thermal_observables.theta(1.0, initial_frame(pulse_proto)[1])
     worst = float(np.max(condition_residuals(dt, pulse_traj, th)))
     tail = float(dt.tail_weight.max())
     detail = f"coupling pulse 0->0.25->0, N = {s.n}, max tail {tail:.1e}"
@@ -389,7 +388,7 @@ def _c03a(s):
 
 @_check("c03b_thermal_condition_fermion", 1e-10, oracle=True)
 def _c03b(s):
-    columns, _ = quench_observables(s.fp_traj, s.beta, s.hbar, s.oracle_cfg)
+    columns, _ = quench_observables(s.fp_traj, 1.0, 1.0, s.oracle_cfg)
     worst = float(np.max(_unitless(columns)["oracle_condition_residual_max"]))
     return worst, "coupling pulse 0->0.5->0 (jumps), exact 16-dim space"
 
@@ -399,7 +398,7 @@ def _c03b(s):
 def _c04(s):
     const_proto = BosonProtocol(omega0=Constant(1.0), omega_plus=Constant(0.0), t_i=0.0, t_f=10.0)
     const_traj = mode_solver.solve_boson_mode(const_proto, s.mode_cfg)
-    columns, _ = quench_observables(const_traj, s.beta, s.hbar, s.oracle_cfg)
+    columns, _ = quench_observables(const_traj, 1.0, 1.0, s.oracle_cfg)
     occ = _unitless(columns)["oracle_occupation"]
     dev = float(np.max(np.abs(occ - occ[0])))
     return dev, f"occupation stays {occ[0]:.6f} over [0, 10]"
@@ -480,10 +479,10 @@ def _c07b(s):
 @_check("c07c_q_moment_ratio", 1e-10, oracle=True)
 def _c07c(s):
     n_wide = s.wide_cfg.n_levels
-    q_wide = fock_oracle.position_operator(n_wide, 1.0, 1.0, s.hbar)
+    q_wide = fock_oracle.position_operator(n_wide, 1.0, 1.0)
     q2_wide = fock_oracle.OperatorMatrix(q_wide.matrix @ q_wide.matrix, q_wide.basis)
     q4_wide = fock_oracle.OperatorMatrix(q2_wide.matrix @ q2_wide.matrix, q_wide.basis)
-    dt_wide = fock_oracle.evolve_doubled_thermal(s.osc_quench, s.beta, s.wide_cfg, s.hbar)
+    dt_wide = fock_oracle.evolve_doubled_thermal(s.osc_quench, 1.0, s.wide_cfg)
     traced = fock_oracle.expectation_single_factor(dt_wide.states, [q2_wide, q4_wide])
     m2, m4 = traced.real.tolist()
     ratio_dev = 0.0
@@ -498,7 +497,7 @@ def _c08a(s):
     dist = 0.0
     for bw in (0.5, 1.0):
         psi_a, psi_b = fock_oracle.build_thermal_state_doubled(
-            bw / s.hbar, 1.0, s.hbar, fock_oracle.boson_doubled(s.n)
+            bw, 1.0, basis=fock_oracle.boson_doubled(s.n)
         )
         dist = max(dist, float(np.linalg.norm(psi_a.vector - psi_b.vector)))
     return dist, f"series vs squeeze exponential, beta*h*w in (0.5, 1), N = {s.n}"
@@ -507,7 +506,7 @@ def _c08a(s):
 @_check("c08b_thermal_constructions_fermion", 1e-12, oracle=True)
 def _c08b(s):
     fa, fb = fock_oracle.build_thermal_state_doubled(
-        1.0 / s.hbar, 1.0, s.hbar, fock_oracle.fermion_doubled()
+        1.0, 1.0, basis=fock_oracle.fermion_doubled()
     )
     return float(np.linalg.norm(fa.vector - fb.vector)), "exact 16-dim space"
 
@@ -562,15 +561,16 @@ ORACLE_CHECKS = tuple(name for name in CHECK_NAMES if _CHECKS[name][1])
 def run_all(
     integrator: mode_solver.IntegratorConfig | None = None,
     oracle: fock_oracle.OracleConfig | None = fock_oracle.OracleConfig(),
-    hbar: float = 1.0,
+    *,
     timings: dict[str, float] | None = None,
 ) -> list[CheckResult]:
     """Execute the full acceptance suite and return one result per check.
 
     The suite reads the integrator's tolerances and the oracle's ``n_levels``
-    and ``substeps_per_unit``; it pins its own grids and temperatures, its
-    oracle runs abort at the fixed ``fock_oracle.TAIL_ABORT`` like every
-    other, and c07c's wide box runs at ``WIDE_BOX_SUBSTEPS_PER_UNIT``.
+    and ``substeps_per_unit``; it pins its own grids, its temperatures and
+    hbar = 1, its oracle runs abort at the fixed ``fock_oracle.TAIL_ABORT``
+    like every other, and c07c's wide box runs at
+    ``WIDE_BOX_SUBSTEPS_PER_UNIT``.
     ``oracle=None`` skips the oracle checks; an oracle whose runs cannot be
     built (``oracle_configs``) is refused with ``ValueError`` before any
     run.  Each result carries the wall time of its check; the runs that
@@ -578,7 +578,7 @@ def run_all(
     stored in ``timings["shared_runs"]`` when a ``timings`` dict is passed.
     """
     started = time.perf_counter()
-    shared = _shared(integrator, oracle, hbar)
+    shared = _shared(integrator, oracle)
     if timings is not None:
         timings["shared_runs"] = time.perf_counter() - started
     results = []

@@ -825,6 +825,8 @@ class TestCliMain:
             # c07c would run 2 * 129 levels, past the 256-level cap
             ("verify", "n_levels = 32", "n_levels = 129"),
             ("verify", "kind = verify", "kind = verify\nhbar = inf"),
+            # a refused entry stops the sweep before its --out directory is made
+            ("sweep", "values = 1.0, 2.0", "values = 1.0, -2.0"),
             # the integrator takes no step cap
             ("run", "grid_points = 9", "grid_points = 9\nmax_step = 0.1"),
             ("verify", "n_levels = 32", "n_levels = 32\n\n[integrator]\nmax_step = 0.1"),
@@ -838,7 +840,8 @@ class TestCliMain:
             "substeps_nan", "empty_window", "n_levels_1",
             "n_levels_300", "boson_omega0_omitted",
             "fermion_omega0_zero_oracle_on", "coupling_at_t_i", "beta_1e-20_oracle_off",
-            "verify_wide_box_over_cap", "verify_hbar_inf", "max_step", "verify_max_step",
+            "verify_wide_box_over_cap", "verify_hbar_inf", "sweep_negative_width",
+            "max_step", "verify_max_step",
             "tail_abort", "verify_tail_abort",
         ],
     )
@@ -859,8 +862,8 @@ class TestCliMain:
 
     @pytest.mark.parametrize(
         "section, line",
-        [("run", "beta = 1.0"), ("integrator", "grid_points = 11")],
-        ids=["beta", "grid_points"],
+        [("run", "beta = 1.0"), ("run", "hbar = 2.0"), ("integrator", "grid_points = 11")],
+        ids=["beta", "hbar", "grid_points"],
     )
     def test_verify_refuses_keys_it_would_ignore(self, tmp_path, capsys, section, line):
         sections = {"run": "kind = verify", "integrator": "rel_tol = 1e-10", "oracle": "enabled = false"}

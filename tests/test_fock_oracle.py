@@ -18,7 +18,6 @@ import pytest
 from scipy.linalg import expm
 
 import tfdyn.fock_oracle
-from tfdyn import verification
 from tfdyn.protocols import initial_frame
 from tfdyn import (
     BosonProtocol,
@@ -385,6 +384,14 @@ class TestThermalStates:
     def test_box_refused_without_hint_when_no_box_suffices(self, beta):
         with pytest.raises(TruncationError, match="no finite box holds this state"):
             thermal_density(beta, 1.0, basis=boson_single(10))
+
+    @pytest.mark.parametrize("beta", [0.0, -1.0])
+    def test_fermion_gibbs_state_refuses_a_non_positive_temperature_exponent(self, beta):
+        """The exact pair has no box to refuse beta*hbar*omega <= 0, which
+        would give the uniform state or weight the excited levels above the
+        ground one: it is refused as the fermion thermal vacuum refuses it."""
+        with pytest.raises(ValueError, match="must be positive"):
+            thermal_density(beta, 1.0, basis=fermion_single())
 
     def test_thermal_vacuum_routes_agree_boson(self):
         series, squeezed = build_thermal_state_doubled(1.0, 1.0, basis=boson_doubled(60))
@@ -1434,8 +1441,7 @@ def test_hbar_enters_only_the_thermal_start(case):
     """The oracle builds and evolves H in frequency units, so hbar reaches
     an evolution only through beta hbar w of its thermal start.  (1/3) * 3.0
     rounds to 1.0, so the run at (beta, hbar) = (1/3, 3) is the run at
-    (1, 1) to the bit, and c05c, which exponentiates its Hamiltonians in
-    frequency units too, reads the same value at hbar = 3 as at hbar = 1."""
+    (1, 1) to the bit."""
     protocol, cfg = HBAR_CASES[case]
     omega = initial_frame(protocol)[1]
     assert (1 / 3) * 3.0 * omega == 1.0 * 1.0 * omega
@@ -1446,12 +1452,6 @@ def test_hbar_enters_only_the_thermal_start(case):
     ]
     assert scaled.tail_weight.tobytes() == unit.tail_weight.tobytes()
     assert scaled.norm_deviation.tobytes() == unit.norm_deviation.tobytes()
-    _, _, c05c = verification._CHECKS["c05c_sudden_production_oracle"]
-    measured = [
-        c05c(SimpleNamespace(n=50, frame_i=(1.0, 1.0), frame_f=(1.0, 4.0), hbar=hbar))[0]
-        for hbar in (3.0, 1.0)
-    ]
-    assert measured[0] == measured[1]
 
 
 def _frozen_generator_stacks(coeffs, bases):

@@ -192,7 +192,7 @@ class TestComplexBranchFault:
             return expi(h, -dt if np.any(np.imag(h)) else dt)
 
         monkeypatch.setattr(fock_oracle, "_expi_neg_hermitian", time_reversed)
-        shared = SimpleNamespace(n=50, hbar=1.0)
+        shared = SimpleNamespace(n=50)
         for name in ("c08a_thermal_constructions_boson", "c08b_thermal_constructions_fermion"):
             tolerance, _, measure = _CHECKS[name]
             measured, _ = measure(shared)
