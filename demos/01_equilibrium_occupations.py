@@ -25,10 +25,10 @@ BETAS = (0.5, math.log(2.0), 1.0, 2.0, 4.0)
 
 # Number operators on the oracle bases.
 a_op, ad_op = build_boson_ladder(N_LEVELS)
-n_boson = OperatorMatrix(ad_op.matrix @ a_op.matrix, a_op.basis, "a^dag a")
+n_boson = OperatorMatrix(ad_op.matrix @ a_op.matrix, a_op.basis)
 fermion_ops = build_fermion_space()
 a_f = fermion_ops["a"]
-n_fermion = OperatorMatrix(a_f.dag.matrix @ a_f.matrix, a_f.basis, "a^dag a")
+n_fermion = OperatorMatrix(a_f.dag.matrix @ a_f.matrix, a_f.basis)
 
 print("Equilibrium occupations at omega = 1 (closed form vs Gibbs trace)")
 print(f"{'beta':>8} | {'n_boson':>12} {'sinh^2(th)':>12} {'trace':>12} "

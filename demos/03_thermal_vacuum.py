@@ -51,7 +51,7 @@ for n in range(5):
 
 # One-sided averages equal the Gibbs values, on either factor.
 a_op, ad_op = build_boson_ladder(basis.n_levels)
-n_op = OperatorMatrix(ad_op.matrix @ a_op.matrix, a_op.basis, "a^dag a")
+n_op = OperatorMatrix(ad_op.matrix @ a_op.matrix, a_op.basis)
 n_sys = expectation_single_factor(squeeze, n_op).real
 n_mirror = expectation_single_factor(squeeze, n_op, tilde=True).real
 print(f"  <a^dag a> = {n_sys:.12f}, mirror copy {n_mirror:.12f}, "
@@ -76,7 +76,7 @@ print(f"fermion thermal vacuum at beta = ln 2 (theta = {th_f:.6f})")
 print(f"  max |series - squeeze|      : {np.max(np.abs(series_f.vector - squeeze_f.vector)):.3e}")
 ops = build_fermion_space(doubled=True)
 a_d = ops["a"]
-n_a = OperatorMatrix(a_d.dag.matrix @ a_d.matrix, a_d.basis, "a^dag a")
+n_a = OperatorMatrix(a_d.dag.matrix @ a_d.matrix, a_d.basis)
 print(f"  <a^dag a> = {expectation(squeeze_f, n_a).real:.12f} "
       f"(Gibbs value {equilibrium_occupation(BETA_F, OMEGA, statistics='fermion'):.12f}, exact 1/3)")
 # The static invariant operators a(t) = a, b(t) = b: fa- = gb- = 1, the rest 0.

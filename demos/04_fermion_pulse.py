@@ -50,7 +50,7 @@ ORACLE = OracleConfig(grid_points=2)
 AGREEMENT = 1e-11
 
 a_d = build_fermion_space(doubled=True)["a"]
-n_a = OperatorMatrix(a_d.dag.matrix @ a_d.matrix, a_d.basis, "a^dag a")
+n_a = OperatorMatrix(a_d.dag.matrix @ a_d.matrix, a_d.basis)
 
 
 def pulse_production(amplitude: float) -> tuple[float, float]:

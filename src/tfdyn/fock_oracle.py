@@ -5,17 +5,17 @@ ladder operators become dense matrices on a truncated (boson) or exact
 (fermion) Fock space, Hamiltonians and thermal states become concrete arrays,
 and time evolution is an ordered product of matrix exponentials.  The two
 routes share no formulas, which is the point -- agreement is evidence, not
-tautology.  Evolutions start from the vacuum summed with e^{-beta hbar w/2}
+tautology.  Evolutions start from the vacuum summed with e^{-beta w/2}
 per pair; only ``build_thermal_state_doubled``'s squeeze route reads theta.
 
 Hamiltonians are built, and evolved, in frequency units: the builders
 return H/hbar, the generator of the Liouville-von Neumann equation
 i hbar drho/dt + [rho, H] = 0, and each exponential is exp(-i h dt) of such
-an h, as ``mode_solver`` integrates the same equation.  hbar enters this
-module in two places only: beta hbar w of the thermal start
-(``thermal_density``, ``build_thermal_state_doubled`` and
-``evolve_doubled_thermal`` keep their ``hbar``) and the sqrt(hbar) length
-and momentum scales of ``position_operator`` and ``momentum_operator``.
+an h, as ``mode_solver`` integrates the same equation.  beta is in the same
+units: the thermal builders and ``evolve_doubled_thermal`` weigh h with
+e^{-beta h}, so a caller at another hbar passes beta hbar.  hbar enters
+this module in one place only, the sqrt(hbar) length scale of
+``position_operator``.
 
 Bosons live on ``n_levels`` retained number states (default 60); the price is
 a truncation tail, which is measured and reported rather than hidden.  The
@@ -185,11 +185,10 @@ def fermion_doubled() -> BasisDescriptor:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense operator with its basis and a human-readable label."""
+    """Dense operator with its basis."""
 
     matrix: np.ndarray
     basis: BasisDescriptor
-    label: str = ""
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=complex)
@@ -203,7 +202,7 @@ class OperatorMatrix:
 
     @property
     def dag(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.matrix.conj().T, self.basis, self.label + "^dag")
+        return OperatorMatrix(self.matrix.conj().T, self.basis)
 
 
 @dataclass(frozen=True)
@@ -271,7 +270,7 @@ def build_boson_ladder(n_levels: int) -> tuple[OperatorMatrix, OperatorMatrix]:
     a = np.zeros((n_levels, n_levels), dtype=complex)
     for n in range(1, n_levels):
         a[n - 1, n] = math.sqrt(n)
-    return OperatorMatrix(a, basis, "a"), OperatorMatrix(a.conj().T, basis, "a^dag")
+    return OperatorMatrix(a, basis), OperatorMatrix(a.conj().T, basis)
 
 
 def build_boson_hamiltonian(omega0: float, omega_plus: complex, n_levels: int) -> OperatorMatrix:
@@ -281,25 +280,25 @@ def build_boson_hamiltonian(omega0: float, omega_plus: complex, n_levels: int) -
     a, ad = a_op.matrix, ad_op.matrix
     wp = complex(omega_plus)
     h = omega0 * (ad @ a) + 0.5 * wp * (ad @ ad) + 0.5 * np.conj(wp) * (a @ a)
-    return OperatorMatrix(h, a_op.basis, "H")
+    return OperatorMatrix(h, a_op.basis)
 
 
 def position_operator(
     n_levels: int, m_ref: float, omega_ref: float, hbar: float = 1.0
 ) -> OperatorMatrix:
-    """q = sqrt(hbar/(2 m_ref w_ref)) (a + a^dag) in the reference frame."""
+    """q = sqrt(hbar/(2 m_ref w_ref)) (a + a^dag) in the reference frame: the
+    one place hbar enters this module."""
     a_op, ad_op = build_boson_ladder(n_levels)
     scale = math.sqrt(hbar / (2.0 * m_ref * omega_ref))
-    return OperatorMatrix(scale * (a_op.matrix + ad_op.matrix), a_op.basis, "q")
+    return OperatorMatrix(scale * (a_op.matrix + ad_op.matrix), a_op.basis)
 
 
-def momentum_operator(
-    n_levels: int, m_ref: float, omega_ref: float, hbar: float = 1.0
-) -> OperatorMatrix:
-    """p = i sqrt(hbar m_ref w_ref / 2) (a^dag - a) in the reference frame."""
+def momentum_operator(n_levels: int, m_ref: float, omega_ref: float) -> OperatorMatrix:
+    """p/sqrt(hbar) = i sqrt(m_ref w_ref / 2) (a^dag - a) in the reference
+    frame: p at a unit reduced Planck constant."""
     a_op, ad_op = build_boson_ladder(n_levels)
-    scale = math.sqrt(hbar * m_ref * omega_ref / 2.0)
-    return OperatorMatrix(1j * scale * (ad_op.matrix - a_op.matrix), a_op.basis, "p")
+    scale = math.sqrt(m_ref * omega_ref / 2.0)
+    return OperatorMatrix(1j * scale * (ad_op.matrix - a_op.matrix), a_op.basis)
 
 
 def oscillator_boson_coefficients(
@@ -318,11 +317,12 @@ def build_oscillator_hamiltonian(
     """p^2/(2m) + m w^2 q^2 / 2 with q and p fixed in the reference frame and
     taken at a unit reduced Planck constant: H in frequency units, since q
     and p each scale as the square root of that constant and H as the
-    constant itself."""
+    constant itself.  So no hbar enters H; only ``position_operator`` reads
+    one."""
     q = position_operator(n_levels, m_ref, omega_ref).matrix
     p = momentum_operator(n_levels, m_ref, omega_ref).matrix
     h = (p @ p) / (2.0 * mass) + 0.5 * mass * omega**2 * (q @ q)
-    return OperatorMatrix(h, boson_single(n_levels), "H_osc")
+    return OperatorMatrix(h, boson_single(n_levels))
 
 
 def frame_annihilation(
@@ -330,11 +330,12 @@ def frame_annihilation(
 ) -> OperatorMatrix:
     """Annihilation operator of the static (mass, omega) frame, expressed on
     the reference-frame basis: a_frame = (m w q + i p)/sqrt(2 m w) with q and
-    p taken at a unit reduced Planck constant, which cancels from a_frame."""
+    p taken at a unit reduced Planck constant, which cancels from a_frame, so
+    no hbar enters it; only ``position_operator`` reads one."""
     q = position_operator(n_levels, m_ref, omega_ref).matrix
     p = momentum_operator(n_levels, m_ref, omega_ref).matrix
     mat = (mass * omega * q + 1j * p) / math.sqrt(2.0 * mass * omega)
-    return OperatorMatrix(mat, boson_single(n_levels), "a_frame")
+    return OperatorMatrix(mat, boson_single(n_levels))
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +378,7 @@ def build_fermion_space(doubled: bool = False) -> Mapping[str, OperatorMatrix]:
         names = ("a", "b")
     mats = _jw_annihilators(len(names))
     return MappingProxyType(
-        {name: OperatorMatrix(m, basis, name) for name, m in zip(names, mats)}
+        {name: OperatorMatrix(m, basis) for name, m in zip(names, mats)}
     )
 
 
@@ -422,16 +423,16 @@ def build_fermion_hamiltonian(
     ops = build_fermion_space(doubled)
     h = _fermion_h(ops, "a", "b", omega0, omega_plus, omega_minus)
     if not doubled:
-        return OperatorMatrix(h, fermion_single(), "H_F")
+        return OperatorMatrix(h, fermion_single())
     basis = fermion_doubled()
     h_t = _fermion_h(
         ops, "a_tilde", "b_tilde",
         omega0, np.conj(complex(omega_plus)), np.conj(complex(omega_minus)),
     )
     return FermionDoubledHamiltonians(
-        OperatorMatrix(h, basis, "H_F"),
-        OperatorMatrix(h_t, basis, "H_F~"),
-        OperatorMatrix(h - h_t, basis, "H_F_hat"),
+        OperatorMatrix(h, basis),
+        OperatorMatrix(h_t, basis),
+        OperatorMatrix(h - h_t, basis),
     )
 
 
@@ -439,29 +440,30 @@ def build_fermion_hamiltonian(
 # thermal states
 # ---------------------------------------------------------------------------
 
-def _beta_hbar_omega(beta: float, omega: float, hbar: float) -> float:
-    """beta hbar w, refusing a NaN with a ValueError."""
-    x = beta * hbar * omega
+def _beta_hbar_omega(beta: float, omega: float) -> float:
+    """beta w, the Gibbs exponent beta hbar w with beta in frequency units,
+    refusing a NaN with a ValueError."""
+    x = beta * omega
     if math.isnan(x):
-        raise ValueError(f"beta*hbar*omega is NaN (beta = {beta}, omega = {omega}, hbar = {hbar})")
+        raise ValueError(f"beta*hbar*omega is NaN (beta = {beta}, omega = {omega})")
     return x
 
 
-def _fermion_beta_hbar_omega(beta: float, omega: float, hbar: float) -> float:
-    """beta hbar w of a fermion Gibbs state, refusing a value that is not
-    positive with a ValueError.  The fermion spaces are exact, so no box
-    tail refuses it, as ``_boltzmann_ratio`` does for bosons."""
-    x = beta * hbar * omega
+def _fermion_beta_hbar_omega(beta: float, omega: float) -> float:
+    """beta w of a fermion Gibbs state, beta in frequency units, refusing a
+    value that is not positive with a ValueError.  The fermion spaces are
+    exact, so no box tail refuses it, as ``_boltzmann_ratio`` does for bosons."""
+    x = beta * omega
     if not x > 0.0:  # refuses a NaN too
         raise ValueError(f"beta*hbar*omega must be positive and not NaN, got {x}")
     return x
 
 
-def _boltzmann_ratio(beta: float, omega: float, hbar: float, n_levels: int) -> float:
-    """x = e^{-beta hbar w}, after refusing a NaN beta hbar w and a box of
+def _boltzmann_ratio(beta: float, omega: float, n_levels: int) -> float:
+    """x = e^{-beta w}, after refusing a NaN beta w and a box of
     ``n_levels`` whose geometric tail x^N (the Gibbs weight beyond the box)
     exceeds ``TAIL_REFUSAL``."""
-    x = math.exp(-min(_beta_hbar_omega(beta, omega, hbar), EXP_ARG_MAX))
+    x = math.exp(-min(_beta_hbar_omega(beta, omega), EXP_ARG_MAX))
     if x > 0.0 and x**n_levels > TAIL_REFUSAL:
         hint = "no finite box holds this state"
         if x < 1.0:
@@ -471,50 +473,49 @@ def _boltzmann_ratio(beta: float, omega: float, hbar: float, n_levels: int) -> f
             hint = f"use at least {required} levels"
         raise TruncationError(
             f"geometric tail x^N = {x**n_levels:.3e} exceeds {TAIL_REFUSAL:.0e} at "
-            f"N = {n_levels}; {hint} for beta*hbar*omega = {beta * hbar * omega:.4g}"
+            f"N = {n_levels}; {hint} for beta*hbar*omega = {beta * omega:.4g}"
         )
     return x
 
 
-def thermal_density(
-    beta: float, omega: float, hbar: float = 1.0, *, basis: BasisDescriptor
-) -> DensityMatrix:
-    """Gibbs state e^{-beta hbar w N}/Z on a single-system basis.
+def thermal_density(beta: float, omega: float, *, basis: BasisDescriptor) -> DensityMatrix:
+    """Gibbs state e^{-beta w N}/Z on a single-system basis.
+
+    beta weighs h = H/hbar, so it is in frequency units: a caller at another
+    hbar passes beta hbar.
 
     The number operator is a^dag a for bosons and a^dag a - b^dag b for the
     fermion pair (the b mode carries negative energy); weights are shifted by
     the ground energy before exponentiation so large beta never overflows.
     A boson box whose geometric tail exceeds ``TAIL_REFUSAL`` is refused,
-    and so is a fermion pair at beta hbar w <= 0.
+    and so is a fermion pair at beta w <= 0.
     """
     if basis.kind == "boson_single":
-        _boltzmann_ratio(beta, omega, hbar, basis.n_levels)
+        _boltzmann_ratio(beta, omega, basis.n_levels)
         energies = np.arange(basis.n_levels, dtype=float)
     elif basis.kind == "fermion_single":
-        _fermion_beta_hbar_omega(beta, omega, hbar)
+        _fermion_beta_hbar_omega(beta, omega)
         ops = build_fermion_space(doubled=False)
         a, b = ops["a"].matrix, ops["b"].matrix
         number = a.conj().T @ a - b.conj().T @ b
         energies = np.real(np.diag(number))
     else:
         raise ValueError(f"thermal_density needs a single-system basis, got {basis.kind}")
-    # an excited weight is 0 once beta hbar w passes EXP_ARG_MAX; clipping it at
+    # an excited weight is 0 once beta w passes EXP_ARG_MAX; clipping it at
     # twice that keeps x finite (no overflow at 1e308, no inf * 0 at inf)
-    x = min(_beta_hbar_omega(beta, omega, hbar), 2 * EXP_ARG_MAX) * (energies - energies.min())
+    x = min(_beta_hbar_omega(beta, omega), 2 * EXP_ARG_MAX) * (energies - energies.min())
     weights = np.exp(-np.minimum(x, EXP_ARG_MAX))
     weights[x > EXP_ARG_MAX] = 0.0
     weights /= weights.sum()
     return DensityMatrix(np.diag(weights).astype(complex), basis)
 
 
-def _thermal_series(
-    beta: float, omega: float, hbar: float, basis: BasisDescriptor
-) -> StateVector:
+def _thermal_series(beta: float, omega: float, basis: BasisDescriptor) -> StateVector:
     """Route one of ``build_thermal_state_doubled``: |0(beta)> summed as its
-    series, e^{-beta hbar w/2} per pair, normalised; it reads no theta."""
+    series, e^{-beta w/2} per pair, normalised; it reads no theta."""
     if basis.kind == "boson_doubled":
         n = basis.n_levels
-        x = _boltzmann_ratio(beta, omega, hbar, n)
+        x = _boltzmann_ratio(beta, omega, n)
         levels = np.arange(n)
         amps = x ** (0.5 * levels)
         amps /= np.linalg.norm(amps)
@@ -525,7 +526,7 @@ def _thermal_series(
         ops = build_fermion_space(doubled=True)
         a, b = ops["a"].matrix, ops["b"].matrix
         at, bt = ops["a_tilde"].matrix, ops["b_tilde"].matrix
-        x = _fermion_beta_hbar_omega(beta, omega, hbar)
+        x = _fermion_beta_hbar_omega(beta, omega)
         amp = math.exp(-0.5 * x) if x <= EXP_ARG_MAX else 0.0
         vac = np.zeros(16, dtype=complex)
         vac[0] = 1.0
@@ -538,15 +539,13 @@ def _thermal_series(
 
 
 def build_thermal_state_doubled(
-    beta: float,
-    omega: float,
-    hbar: float = 1.0,
-    *,
-    basis: BasisDescriptor,
+    beta: float, omega: float, *, basis: BasisDescriptor
 ) -> tuple[StateVector, StateVector]:
-    """Thermal vacuum |0(beta)> by two independent routes.
+    """Thermal vacuum |0(beta)> by two independent routes.  beta weighs
+    h = H/hbar, so it is in frequency units: a caller at another hbar passes
+    beta hbar.
 
-    Route one sums the series directly, with x = e^{-beta hbar w}: amplitudes
+    Route one sums the series directly, with x = e^{-beta w}: amplitudes
     x^{n/2} on the pair states |n, n~> (bosons) or the expanded product
     (1 + x^{1/2} a^dag a~^dag)(1 + x^{1/2} b^dag b~^dag)|0> (fermions),
     normalised.  It is the definition of the thermal vacuum, and
@@ -558,11 +557,11 @@ def build_thermal_state_doubled(
     iG at unit step.  They must agree to truncation tolerance
     (bosons) or round-off (fermions); returned as (series, squeezed).
     """
-    series = _thermal_series(beta, omega, hbar, basis)
+    series = _thermal_series(beta, omega, basis)
     if basis.kind == "boson_doubled":
         n = basis.n_levels
-        x = _boltzmann_ratio(beta, omega, hbar, n)
-        th = thermal_theta(beta, omega, hbar, "boson")
+        x = _boltzmann_ratio(beta, omega, n)
+        th = thermal_theta(beta, omega, statistics="boson")
         # The squeeze exponential is evaluated on a padded pair ladder and
         # projected back: exponentiating the generator truncated hard at n
         # reflects amplitude off the boundary and would contaminate the top
@@ -582,7 +581,7 @@ def build_thermal_state_doubled(
     ops = build_fermion_space(doubled=True)
     a, b = ops["a"].matrix, ops["b"].matrix
     at, bt = ops["a_tilde"].matrix, ops["b_tilde"].matrix
-    th = thermal_theta(beta, omega, hbar, "fermion")
+    th = thermal_theta(beta, omega, statistics="fermion")
     gen = th * (a.conj().T @ at.conj().T - at @ a + b.conj().T @ bt.conj().T - bt @ b)
     return series, StateVector(_expi_neg_hermitian(1j * gen, 1.0)[:, 0], basis)  # on |0>
 
@@ -771,14 +770,10 @@ def invariant_operator_matrix(
         raise ValueError(f"channel must be 'a' or 'b', got {channel!r}")
     names, operators = _factor_operators(basis, tilde, channel)
     factor = _readers.combination(_named_coefficients(coeffs, names, basis), operators, tilde)
-    if basis.kind == "boson_single":
-        return OperatorMatrix(factor, basis, "a(t)")
     if basis.kind == "boson_doubled":
         eye = np.eye(basis.n_levels, dtype=complex)
-        mat = np.kron(eye, factor) if tilde else np.kron(factor, eye)
-        return OperatorMatrix(mat, basis, "a~(t)" if tilde else "a(t)")
-    label = f"{channel}~(t)" if tilde else f"{channel}(t)"
-    return OperatorMatrix(factor, basis, label)
+        factor = np.kron(eye, factor) if tilde else np.kron(factor, eye)
+    return OperatorMatrix(factor, basis)
 
 
 def thermal_state_condition_residual(
@@ -846,10 +841,10 @@ def truncation_report(psi: StateVector) -> float:
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Resolution settings for brute-force evolution, and only those: hbar,
-    like beta, is an argument of ``evolve_doubled_thermal``, which reads it
-    only for the thermal start's beta hbar w; the march works in frequencies,
-    h = H/hbar.
+    """Resolution settings for brute-force evolution, and only those.  No
+    hbar enters evolution: the march works in frequencies, h = H/hbar, and
+    ``evolve_doubled_thermal`` takes beta in the same units, so a caller at
+    another hbar passes beta hbar (``verification.quench_observables``).
 
     ``substeps_per_unit`` counts matrix exponentials per unit time where H
     varies; a step spends J of them (``_STEP_RULE``).  A piece of the march
@@ -1045,7 +1040,7 @@ def _sector_bases(n_levels: int | None) -> tuple[tuple[np.ndarray, ...], tuple[n
 
 
 def evolve_doubled_thermal(
-    protocol: Protocol, beta: float, config: OracleConfig | None = None, hbar: float = 1.0
+    protocol: Protocol, beta: float, config: OracleConfig | None = None
 ) -> DoubledTrajectory:
     """Evolve the thermal vacuum under H_hat(t) = H(t) - H~(t).
 
@@ -1056,7 +1051,9 @@ def evolve_doubled_thermal(
     (J per step), restarting cleanly at every output time and declared jump.
     The march works in frequencies: its generators are h = H/hbar, built
     from the protocol's coefficients as they are, and its exponentials
-    exp(-i h dt), so ``hbar`` enters only the thermal start's beta hbar w.
+    exp(-i h dt).  beta weighs the same h, e^{-beta h}, so it is in
+    frequency units too: a caller at another hbar passes beta hbar, and no
+    hbar enters the evolution.
     A piece of the march (at most 512 exponentials of one cut interval)
     whose sampled coefficients are all the same is advanced by one
     exponential per block, exp(-i h span): in exact arithmetic the
@@ -1106,7 +1103,7 @@ def evolve_doubled_thermal(
     else:
         basis, shape = fermion_doubled(), (16,)
         index = sectors
-    psi0 = _thermal_series(beta, frame[1], hbar, basis)
+    psi0 = _thermal_series(beta, frame[1], basis)
     blocks = [psi0.vector.reshape(shape)[idx] for idx in index]
 
     def assemble() -> np.ndarray:

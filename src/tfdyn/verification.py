@@ -209,7 +209,9 @@ def quench_observables(
     trajectory is returned; with one, whose ``grid_points`` must be the
     trajectory's sample count, the doubled thermal state is evolved at
     inverse temperature ``beta`` and each analytic quantity gets its traced
-    counterpart, followed by the oracle's tail weight.
+    counterpart, followed by the oracle's tail weight.  The oracle takes
+    beta in frequency units, so it is handed beta * hbar; ``hbar`` reaches
+    the oracle otherwise only as the length scale of q.
     """
     protocol = traj.protocol
     doubled = None
@@ -219,7 +221,7 @@ def quench_observables(
                 f"the oracle samples {oracle.grid_points} points but the trajectory "
                 f"has {len(traj.t)}; they must share one grid"
             )
-        doubled = fock_oracle.evolve_doubled_thermal(protocol, beta, oracle, hbar)
+        doubled = fock_oracle.evolve_doubled_thermal(protocol, beta * hbar, oracle)
     build = _fermion_columns if protocol.kind == "fermion" else _boson_columns
     columns = build(traj, beta, hbar, doubled)
     if doubled is not None:

@@ -7,6 +7,7 @@ before it is allowed to referee the analytic modules.
 
 import ast
 import cmath
+import inspect
 import math
 import threading
 import warnings
@@ -187,6 +188,24 @@ class TestBosonOperators:
         comm = q @ p - p @ q
         assert np.allclose(comm[: n - 1, : n - 1], 1j * np.eye(n - 1), atol=1e-14)
 
+    def test_only_position_operator_takes_hbar(self):
+        """The oracle takes beta in frequency units and returns p at a unit
+        hbar, so its one hbar is the length scale of q: an old hbar passed
+        to a thermal builder or an evolution fails with ``TypeError``."""
+        oracle = tfdyn.fock_oracle
+        takes_hbar = {
+            name for name, fn in vars(oracle).items()
+            if callable(fn) and getattr(fn, "__module__", None) == oracle.__name__
+            and "hbar" in inspect.signature(fn).parameters
+        }
+        assert takes_hbar == {"position_operator"}
+        with pytest.raises(TypeError):
+            thermal_density(1.0, 1.0, 2.0, basis=boson_single(10))
+        with pytest.raises(TypeError):
+            evolve_doubled_thermal(
+                BosonProtocol(Constant(1.0), Constant(0.0), t_i=0.0, t_f=1.0), 1.0, hbar=2.0
+            )
+
     def test_oscillator_coefficients_in_own_frame(self):
         w0, wp = oscillator_boson_coefficients(1.5, 2.0, 1.5, 2.0)
         assert w0 == pytest.approx(2.0, rel=1e-15)
@@ -315,7 +334,7 @@ class TestThermalStates:
     def test_boson_gibbs_occupation(self):
         rho = thermal_density(1.0, 1.0, basis=boson_single(60))
         a_op, ad_op = build_boson_ladder(60)
-        number = OperatorMatrix(ad_op.matrix @ a_op.matrix, rho.basis, "n")
+        number = OperatorMatrix(ad_op.matrix @ a_op.matrix, rho.basis)
         got = expectation(rho, number).real
         assert got == pytest.approx(equilibrium_occupation(1.0, 1.0), rel=1e-12)
 
@@ -323,7 +342,7 @@ class TestThermalStates:
         rho = thermal_density(LN2, 1.0, basis=fermion_single())
         ops = build_fermion_space()
         a = ops["a"].matrix
-        number = OperatorMatrix(a.conj().T @ a, rho.basis, "n_a")
+        number = OperatorMatrix(a.conj().T @ a, rho.basis)
         got = expectation(rho, number).real
         assert got == pytest.approx(1.0 / 3.0, rel=1e-14)
 
@@ -419,7 +438,7 @@ class TestThermalStates:
         beta = 1.0
         _, psi = build_thermal_state_doubled(beta, 1.0, basis=boson_doubled(60))
         a_op, ad_op = build_boson_ladder(60)
-        number = OperatorMatrix(ad_op.matrix @ a_op.matrix, boson_single(60), "n")
+        number = OperatorMatrix(ad_op.matrix @ a_op.matrix, boson_single(60))
         got = expectation_single_factor(psi, number).real
         assert got == pytest.approx(equilibrium_occupation(beta, 1.0), rel=1e-12)
 
@@ -427,7 +446,7 @@ class TestThermalStates:
         _, psi = build_thermal_state_doubled(LN2, 1.0, basis=fermion_doubled())
         ops = build_fermion_space(doubled=True)
         a = ops["a"].matrix
-        n_a = OperatorMatrix(a.conj().T @ a, fermion_doubled(), "n_a")
+        n_a = OperatorMatrix(a.conj().T @ a, fermion_doubled())
         got = expectation(psi, n_a).real
         assert got == pytest.approx(1.0 / 3.0, rel=1e-14)
 
@@ -441,10 +460,8 @@ class TestExpectations:
         n = 10
         _, psi = build_thermal_state_doubled(2.0, 1.2, basis=boson_doubled(n))
         a_op, ad_op = build_boson_ladder(n)
-        number = OperatorMatrix(ad_op.matrix @ a_op.matrix, boson_single(n), "n")
-        embedded = OperatorMatrix(
-            np.kron(number.matrix, np.eye(n)), boson_doubled(n), "n x 1"
-        )
+        number = OperatorMatrix(ad_op.matrix @ a_op.matrix, boson_single(n))
+        embedded = OperatorMatrix(np.kron(number.matrix, np.eye(n)), boson_doubled(n))
         lhs = expectation_single_factor(psi, number)
         rhs = expectation(psi, embedded)
         assert lhs == pytest.approx(rhs, rel=1e-13)
@@ -453,10 +470,8 @@ class TestExpectations:
         n = 10
         _, psi = build_thermal_state_doubled(2.0, 1.2, basis=boson_doubled(n))
         a_op, ad_op = build_boson_ladder(n)
-        number = OperatorMatrix(ad_op.matrix @ a_op.matrix, boson_single(n), "n")
-        embedded = OperatorMatrix(
-            np.kron(np.eye(n), number.matrix.conj()), boson_doubled(n), "1 x n~"
-        )
+        number = OperatorMatrix(ad_op.matrix @ a_op.matrix, boson_single(n))
+        embedded = OperatorMatrix(np.kron(np.eye(n), number.matrix.conj()), boson_doubled(n))
         lhs = expectation_single_factor(psi, number, tilde=True)
         rhs = expectation(psi, embedded)
         assert lhs == pytest.approx(rhs, rel=1e-13)
@@ -466,7 +481,7 @@ class TestExpectations:
         n = 40
         _, psi = build_thermal_state_doubled(1.0, 1.0, basis=boson_doubled(n))
         a_op, ad_op = build_boson_ladder(n)
-        number = OperatorMatrix(ad_op.matrix @ a_op.matrix, boson_single(n), "n")
+        number = OperatorMatrix(ad_op.matrix @ a_op.matrix, boson_single(n))
         assert expectation_single_factor(psi, number).real == pytest.approx(
             expectation_single_factor(psi, number, tilde=True).real, rel=1e-12
         )
@@ -949,7 +964,7 @@ class TestDoubledEvolution:
         cfg = OracleConfig(n_levels=40, substeps_per_unit=200.0, grid_points=5)
         traj = evolve_doubled_thermal(p, 1.0, cfg)
         a_op, ad_op = build_boson_ladder(40)
-        number = OperatorMatrix(ad_op.matrix @ a_op.matrix, boson_single(40), "n")
+        number = OperatorMatrix(ad_op.matrix @ a_op.matrix, boson_single(40))
         n_eq = equilibrium_occupation(1.0, 1.0)
         for psi in traj.states:
             got = expectation_single_factor(psi, number).real
@@ -1420,38 +1435,41 @@ class TestPooledMarch:
         assert set(pooled) == {threading.get_ident()}
 
 
-HBAR_CASES = {
-    "boson_coupling_ramp": (
-        BosonProtocol(Constant(1.0), make_tanh_ramp(0.0, 0.3, 0.5, 0.1), t_i=0.0, t_f=1.0),
-        OracleConfig(n_levels=30, substeps_per_unit=100.0, grid_points=11),
-    ),
-    "oscillator_tanh_ramp": (
-        OscillatorProtocol(Constant(1.0), make_tanh_ramp(1.0, 1.5, 0.6, 0.2), t_i=0.0, t_f=1.2),
-        OracleConfig(n_levels=30, substeps_per_unit=100.0, grid_points=13),
-    ),
-    "fermion_pulse": (
-        FermionProtocol(Constant(1.0), _pulse, Constant(0.0), t_i=0.0, t_f=1.2),
-        OracleConfig(substeps_per_unit=200.0, grid_points=13),
-    ),
-}
+@pytest.mark.parametrize("case", sorted(POOLED_CASES))
+def test_numpy_without_openblas_marches_on_the_calling_thread(case, monkeypatch):
+    """Where numpy carries no OpenBLAS of its own, the march cannot hold
+    BLAS at one thread, so it builds every task's propagators on the calling
+    thread, whatever the CPU count, with the bits of a one-thread march."""
+    oracle = tfdyn.fock_oracle
+    protocol, beta, cfg = POOLED_CASES[case]
+    with monkeypatch.context() as one_thread:
+        one_thread.setattr(oracle, "_thread_share", 1)
+        serial = evolve_doubled_thermal(protocol, beta, cfg)
+    builders = []
+    build = oracle._propagators
+
+    def recording(*args):
+        builders.append(threading.get_ident())
+        return build(*args)
+
+    monkeypatch.setattr(oracle, "_available_cpus", lambda: 3)
+    monkeypatch.setattr(oracle, "_TASK_ELEMENTS", 2**12)
+    monkeypatch.setattr(oracle, "_openblas_threads", lambda: None)
+    monkeypatch.setattr(oracle, "_propagators", recording)
+    got = evolve_doubled_thermal(protocol, beta, cfg)
+    assert len(builders) > 1, "the march formed one task, which never needs a pool"
+    assert set(builders) == {threading.get_ident()}
+    for a, b in zip(got.states, serial.states, strict=True):
+        assert np.array_equal(a.vector, b.vector)
+    assert np.array_equal(got.tail_weight, serial.tail_weight)
+    assert np.array_equal(got.norm_deviation, serial.norm_deviation)
 
 
-@pytest.mark.parametrize("case", sorted(HBAR_CASES))
-def test_hbar_enters_only_the_thermal_start(case):
-    """The oracle builds and evolves H in frequency units, so hbar reaches
-    an evolution only through beta hbar w of its thermal start.  (1/3) * 3.0
-    rounds to 1.0, so the run at (beta, hbar) = (1/3, 3) is the run at
-    (1, 1) to the bit."""
-    protocol, cfg = HBAR_CASES[case]
-    omega = initial_frame(protocol)[1]
-    assert (1 / 3) * 3.0 * omega == 1.0 * 1.0 * omega
-    scaled = evolve_doubled_thermal(protocol, 1 / 3, cfg, 3.0)
-    unit = evolve_doubled_thermal(protocol, 1.0, cfg, 1.0)
-    assert [psi.vector.tobytes() for psi in scaled.states] == [
-        psi.vector.tobytes() for psi in unit.states
-    ]
-    assert scaled.tail_weight.tobytes() == unit.tail_weight.tobytes()
-    assert scaled.norm_deviation.tobytes() == unit.norm_deviation.tobytes()
+def test_openblas_lookup_finds_none_beside_a_numpy_without_it(monkeypatch, tmp_path):
+    """A numpy whose directory has no bundled OpenBLAS beside it yields no
+    thread-count getter and setter."""
+    monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+    assert tfdyn.fock_oracle._openblas_threads.__wrapped__() is None
 
 
 def _frozen_generator_stacks(coeffs, bases):

@@ -698,6 +698,20 @@ class TestSampler:
                 else:
                     assert got == want
 
+    def test_real_channel_takes_a_complex_with_zero_imaginary_part(self):
+        """A real channel's callable may return a complex whose imaginary
+        part is exactly zero: it samples as the float real part, and
+        ``validate`` finds nothing.  The smallest imaginary part is refused."""
+        p = BosonProtocol(lambda t: complex(1.5, 0.0), Constant(0.0), t_i=0.0, t_f=1.0)
+        values = sampler(p)(0.5)
+        assert values == (1.5, 0j)
+        assert [type(v) for v in values] == [float, complex]
+        assert validate(p).findings == ()
+        p = BosonProtocol(lambda t: complex(1.5, 1e-300), Constant(0.0), t_i=0.0, t_f=1.0)
+        with pytest.raises(ValueError, match=r"^omega0\(0\.5\) = \(1\.5\+1e-300j\) must be real$"):
+            sampler(p)(0.5)
+        assert validate(p).messages() == ["error: omega0(0.0) = (1.5+1e-300j) must be real"]
+
     def test_numpy_and_int_values_are_coerced(self):
         p = FermionProtocol(
             lambda t: np.float64(1.5), lambda t: 2, lambda t: np.complex128(0.5j),

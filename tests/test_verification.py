@@ -223,6 +223,30 @@ class TestOracleConfigs:
             run_all(oracle=OracleConfig(n_levels=129))
 
 
+def _pulse(t):
+    return 0.3 * math.exp(-(((t - 0.6) / 0.15) ** 2))
+
+
+HBAR_CASES = {
+    "boson_coupling_ramp": (
+        # width 0.05 keeps w+(t_i) = 6e-10 below the mode solvers' 1e-6
+        BosonProtocol(Constant(1.0), make_tanh_ramp(0.0, 0.3, 0.5, 0.05), t_i=0.0, t_f=1.0),
+        solve_boson_mode,
+        OracleConfig(n_levels=30, substeps_per_unit=100.0, grid_points=11),
+    ),
+    "oscillator_tanh_ramp": (
+        OscillatorProtocol(Constant(1.0), make_tanh_ramp(1.0, 1.5, 0.6, 0.2), t_i=0.0, t_f=1.2),
+        solve_oscillator_mode,
+        OracleConfig(n_levels=30, substeps_per_unit=100.0, grid_points=13),
+    ),
+    "fermion_pulse": (
+        FermionProtocol(Constant(1.0), _pulse, Constant(0.0), t_i=0.0, t_f=1.2),
+        solve_fermion_modes,
+        OracleConfig(substeps_per_unit=200.0, grid_points=13),
+    ),
+}
+
+
 class TestQuenchObservables:
     def test_hbar_reaches_the_oracle(self):
         """The analytic columns and the oracle's evolution read the same
@@ -238,6 +262,37 @@ class TestQuenchObservables:
         diffs = {name.split(" [")[0]: values for name, values in columns}
         for name in ("occupation_abs_diff", "q2_abs_diff", "q4_abs_diff"):
             assert np.max(diffs[name]) < 1e-6, name
+
+    @pytest.mark.parametrize("case", sorted(HBAR_CASES))
+    def test_hbar_reaches_the_oracle_as_beta_hbar(self, case):
+        """The oracle evolves h = H/hbar from a thermal start weighed by
+        beta hbar, so hbar reaches its states only through that product, and
+        its traced q only through the length scale sqrt(hbar).  (1/3) * 3.0
+        rounds to 1.0, so at (beta, hbar) = (1/3, 3) every oracle column but
+        q^2 and q^4 has the bits of (1, 1), and those two are 3 and 9 times
+        their values there."""
+        protocol, solve, cfg = HBAR_CASES[case]
+        assert (1 / 3) * 3.0 == 1.0
+        traj = solve(protocol, IntegratorConfig(grid_points=cfg.grid_points))
+        scaled_columns, scaled = quench_observables(traj, 1 / 3, 3.0, cfg)
+        unit_columns, unit = quench_observables(traj, 1.0, 1.0, cfg)
+        assert [psi.vector.tobytes() for psi in scaled.states] == [
+            psi.vector.tobytes() for psi in unit.states
+        ]
+        assert scaled.tail_weight.tobytes() == unit.tail_weight.tobytes()
+        assert scaled.norm_deviation.tobytes() == unit.norm_deviation.tobytes()
+        scaled_columns, unit_columns = dict(scaled_columns), dict(unit_columns)
+        assert scaled_columns.keys() == unit_columns.keys()
+        oracle_columns = [name for name in unit_columns if name.startswith("oracle_")]
+        assert any(name.startswith("oracle_occupation") for name in oracle_columns)
+        for name in oracle_columns:
+            if name.startswith(("oracle_q2 ", "oracle_q4 ")):
+                factor = 3.0 if name.startswith("oracle_q2 ") else 9.0
+                assert scaled_columns[name] == pytest.approx(
+                    factor * unit_columns[name], rel=1e-14, abs=0.0
+                ), name
+            else:
+                assert scaled_columns[name].tobytes() == unit_columns[name].tobytes(), name
 
     @pytest.mark.parametrize(
         "protocol, solve",
