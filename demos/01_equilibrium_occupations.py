@@ -2,7 +2,7 @@
 
 A thermal state of a single mode is summarised by one angle theta: the mean
 occupation is sinh^2(theta) for bosons and sin^2(theta) for fermions, with
-tanh(theta) resp. tan(theta) equal to the Boltzmann factor exp(-beta*hbar*w/2).
+tanh(theta) resp. tan(theta) equal to the Boltzmann factor exp(-beta*w/2).
 This script tabulates occupations against inverse temperature and re-derives
 every row by a brute-force Gibbs trace on the matrix oracle's Fock spaces.
 """
@@ -45,8 +45,8 @@ for beta in BETAS:
     print(f"{beta:8.4f} | {nb:12.8f} {math.sinh(th_b)**2:12.8f} {trace_b:12.8f} "
           f"| {nf:12.8f} {math.sin(th_f)**2:12.8f} {trace_f:12.8f}")
 
-# Two landmark temperatures: beta*hbar*w = ln 2 makes the fermion occupation
-# exactly 1/3, and beta*hbar*w = 1 gives the boson value 1/(e - 1).
+# Two landmark temperatures: beta*w = ln 2 makes the fermion occupation
+# exactly 1/3, and beta*w = 1 gives the boson value 1/(e - 1).
 print()
 print(f"fermion occupation at beta = ln 2 : {equilibrium_occupation(math.log(2.0), OMEGA, statistics='fermion'):.15f} (exact 1/3)")
 print(f"boson   occupation at beta = 1    : {equilibrium_occupation(1.0, OMEGA):.15f} (exact 1/(e-1) = {1.0 / math.expm1(1.0):.15f})")

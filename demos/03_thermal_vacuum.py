@@ -2,7 +2,7 @@
 
 Doubling the system with a fictitious mirror copy turns a Gibbs density
 matrix into a pure state |0(beta)>: entangling each level n with its mirror
-partner at amplitude exp(-n*beta*hbar*w/2) reproduces every thermal average
+partner at amplitude exp(-n*beta*w/2) reproduces every thermal average
 of one-sided operators.  The same state is also the two-mode squeezed state
 exp(theta (a^dag a~^dag - a a~)) |0, 0~>.  This script builds both, compares
 them entry by entry, and verifies the eigenvalue condition that defines the

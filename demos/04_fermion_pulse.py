@@ -37,7 +37,7 @@ from tfdyn.thermal_observables import EXP_ARG_MAX
 OMEGA0 = 1.0
 T_ON, T_OFF, T_END = 3.0, 7.0, 10.0
 TIGHT = IntegratorConfig(1e-12, 1e-14)
-# Past beta * hbar * omega0 = EXP_ARG_MAX the thermal angle is exactly 0, so
+# Past beta * omega0 = EXP_ARG_MAX the thermal angle is exactly 0, so
 # the evolved thermal vacuum starts as the exact vacuum.
 BETA = 2.0 * EXP_ARG_MAX / OMEGA0
 # Grid points at t_i and t_f only: each constant stretch between the jumps

@@ -63,15 +63,15 @@ _RUN_KINDS = ("quench", "sweep", "verify")
 # Sections with a fixed key vocabulary, each key with its type ([protocol] is
 # validated by protocols.from_config, which also rejects unknown keys).
 _SECTION_KEYS = {
-    "run": {"kind": str, "hbar": float, "beta": float},
+    "run": {"kind": str, "beta": float},
     "integrator": {"rel_tol": float, "abs_tol": float, "grid_points": int},
     "oracle": {"enabled": bool, "n_levels": int, "substeps_per_unit": float},
     "sweep": {"key": str, "values": str},
 }
 _ALL_SECTIONS = set(_SECTION_KEYS) | {"protocol"}
 
-# Keys a verify run would ignore: the suite pins its own beta, hbar and grids.
-_NOT_FOR_VERIFY = (("run", "beta"), ("run", "hbar"), ("integrator", "grid_points"))
+# Keys a verify run would ignore: the suite pins its own beta and grids.
+_NOT_FOR_VERIFY = (("run", "beta"), ("integrator", "grid_points"))
 
 _TYPE_NAMES = {float: "a number", int: "an integer", bool: "a boolean"}
 
@@ -82,7 +82,6 @@ class RunConfig:
 
     kind: str
     beta: float | None
-    hbar: float
     protocol: Protocol | None
     integrator: IntegratorConfig
     oracle: fock_oracle.OracleConfig | None  # None: the oracle is off
@@ -179,10 +178,6 @@ def parse_config(text: str, kind: str) -> RunConfig:
             f"config declares kind '{declared}' but was invoked as '{kind}'"
         )
 
-    hbar = run.get("hbar", 1.0)
-    if not (hbar > 0.0 and math.isfinite(hbar)):
-        raise ConfigError(f"[run] hbar must be positive and finite, got {hbar}")
-
     needs_protocol = kind in ("quench", "sweep")
     beta = run.get("beta")
     if needs_protocol:
@@ -234,7 +229,7 @@ def parse_config(text: str, kind: str) -> RunConfig:
     if protocol is not None and (oracle is not None or protocol.kind != "fermion"):
         omega_i = initial_frame(protocol)[1]
         try:
-            thermal_observables.theta(beta, omega_i, hbar, statistics_of(protocol))
+            thermal_observables.theta(beta, omega_i, statistics=statistics_of(protocol))
         except ValueError as exc:
             raise ConfigError(f"no thermal state at t_i: {exc}") from exc
 
@@ -272,7 +267,6 @@ def parse_config(text: str, kind: str) -> RunConfig:
     return RunConfig(
         kind=kind,
         beta=beta,
-        hbar=hbar,
         protocol=protocol,
         integrator=integrator,
         oracle=oracle,
@@ -378,7 +372,7 @@ def run_quench(config: RunConfig, out_dir: str | Path) -> dict:
     }[config.protocol.kind]
     traj = solve(config.protocol, config.integrator)
     observables, doubled = verification.quench_observables(
-        traj, config.beta, config.hbar, config.oracle
+        traj, config.beta, oracle=config.oracle
     )
 
     manifest = _manifest_skeleton(config)
@@ -386,7 +380,6 @@ def run_quench(config: RunConfig, out_dir: str | Path) -> dict:
         {
             "statistics": statistics_of(config.protocol),
             "beta": config.beta,
-            "hbar": config.hbar,
             "protocol_warnings": list(config.protocol_warnings),
             "integrator_stats": asdict(traj.stats),
             "drift": {k: float(v) for k, v in traj.drift.items()},

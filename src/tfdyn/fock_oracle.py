@@ -8,14 +8,11 @@ routes share no formulas, which is the point -- agreement is evidence, not
 tautology.  Evolutions start from the vacuum summed with e^{-beta w/2}
 per pair; only ``build_thermal_state_doubled``'s squeeze route reads theta.
 
-Hamiltonians are built, and evolved, in frequency units: the builders
-return H/hbar, the generator of the Liouville-von Neumann equation
-i hbar drho/dt + [rho, H] = 0, and each exponential is exp(-i h dt) of such
-an h, as ``mode_solver`` integrates the same equation.  beta is in the same
-units: the thermal builders and ``evolve_doubled_thermal`` weigh h with
-e^{-beta h}, so a caller at another hbar passes beta hbar.  hbar enters
-this module in one place only, the sqrt(hbar) length scale of
-``position_operator``.
+Everything here is in units with hbar = 1, as in the rest of tfdyn.  H is
+a frequency, the generator of the Liouville-von Neumann equation
+i drho/dt + [rho, H] = 0 that ``mode_solver`` integrates too; each
+exponential is exp(-i H dt), and the thermal builders and
+``evolve_doubled_thermal`` weigh H with e^{-beta H}.
 
 Bosons live on ``n_levels`` retained number states (default 60); the price is
 a truncation tail, which is measured and reported rather than hidden.  The
@@ -33,7 +30,7 @@ Time evolution uses a commutator-free Magnus scheme, which one record,
 and applies J exponentials of fixed combinations of the samples, one per
 row of its weights (Alvermann & Fehske, J. Comput. Phys. 230, 5930
 (2011)).  It is exact for constant H, so a stretch of constant H takes one
-exponential, exp(-i h span).  Quadratic Hamiltonians conserve
+exponential, exp(-i H span).  Quadratic Hamiltonians conserve
 parity, and the doubled evolution uses it: boson H couples |n> only to
 |n +- 2>, so C stays block-diagonal in (even, odd) number states,
 and the doubled fermion generator keeps the thermal vacuum in two
@@ -130,7 +127,7 @@ _SUB_BATCH = 2**14
 # of ``weights``, in the order they apply) has the exponent
 # sum_k weights[j, k] H(c_k).  J, the number of exponentials per step, is the
 # number of rows, and the march's step counts derive from it.  The weights
-# sum to 1, so a step of constant h = H/hbar is exp(-i h step); every node lies
+# sum to 1, so a step of constant H is exp(-i H step); every node lies
 # in the step, so steps may restart at any cut.  This is the fourth-order
 # commutator-free Magnus scheme CFM4, J = 2, at the two Gauss-Legendre nodes
 # (Blanes & Moan, Appl. Numer. Math. 56, 1519 (2006)).
@@ -274,8 +271,7 @@ def build_boson_ladder(n_levels: int) -> tuple[OperatorMatrix, OperatorMatrix]:
 
 
 def build_boson_hamiltonian(omega0: float, omega_plus: complex, n_levels: int) -> OperatorMatrix:
-    """w0 a^dag a + (w+/2) a^dag^2 + (w+*/2) a^2 on the retained levels: H in
-    frequency units, over the reduced Planck constant."""
+    """w0 a^dag a + (w+/2) a^dag^2 + (w+*/2) a^2 on the retained levels."""
     a_op, ad_op = build_boson_ladder(n_levels)
     a, ad = a_op.matrix, ad_op.matrix
     wp = complex(omega_plus)
@@ -283,19 +279,15 @@ def build_boson_hamiltonian(omega0: float, omega_plus: complex, n_levels: int) -
     return OperatorMatrix(h, a_op.basis)
 
 
-def position_operator(
-    n_levels: int, m_ref: float, omega_ref: float, hbar: float = 1.0
-) -> OperatorMatrix:
-    """q = sqrt(hbar/(2 m_ref w_ref)) (a + a^dag) in the reference frame: the
-    one place hbar enters this module."""
+def position_operator(n_levels: int, m_ref: float, omega_ref: float) -> OperatorMatrix:
+    """q = sqrt(1/(2 m_ref w_ref)) (a + a^dag) in the reference frame."""
     a_op, ad_op = build_boson_ladder(n_levels)
-    scale = math.sqrt(hbar / (2.0 * m_ref * omega_ref))
+    scale = math.sqrt(1.0 / (2.0 * m_ref * omega_ref))
     return OperatorMatrix(scale * (a_op.matrix + ad_op.matrix), a_op.basis)
 
 
 def momentum_operator(n_levels: int, m_ref: float, omega_ref: float) -> OperatorMatrix:
-    """p/sqrt(hbar) = i sqrt(m_ref w_ref / 2) (a^dag - a) in the reference
-    frame: p at a unit reduced Planck constant."""
+    """p = i sqrt(m_ref w_ref / 2) (a^dag - a) in the reference frame."""
     a_op, ad_op = build_boson_ladder(n_levels)
     scale = math.sqrt(m_ref * omega_ref / 2.0)
     return OperatorMatrix(1j * scale * (ad_op.matrix - a_op.matrix), a_op.basis)
@@ -314,11 +306,7 @@ def oscillator_boson_coefficients(
 def build_oscillator_hamiltonian(
     mass: float, omega: float, n_levels: int, m_ref: float, omega_ref: float
 ) -> OperatorMatrix:
-    """p^2/(2m) + m w^2 q^2 / 2 with q and p fixed in the reference frame and
-    taken at a unit reduced Planck constant: H in frequency units, since q
-    and p each scale as the square root of that constant and H as the
-    constant itself.  So no hbar enters H; only ``position_operator`` reads
-    one."""
+    """p^2/(2m) + m w^2 q^2 / 2 with q and p fixed in the reference frame."""
     q = position_operator(n_levels, m_ref, omega_ref).matrix
     p = momentum_operator(n_levels, m_ref, omega_ref).matrix
     h = (p @ p) / (2.0 * mass) + 0.5 * mass * omega**2 * (q @ q)
@@ -329,9 +317,7 @@ def frame_annihilation(
     mass: float, omega: float, n_levels: int, m_ref: float, omega_ref: float
 ) -> OperatorMatrix:
     """Annihilation operator of the static (mass, omega) frame, expressed on
-    the reference-frame basis: a_frame = (m w q + i p)/sqrt(2 m w) with q and
-    p taken at a unit reduced Planck constant, which cancels from a_frame, so
-    no hbar enters it; only ``position_operator`` reads one."""
+    the reference-frame basis: a_frame = (m w q + i p)/sqrt(2 m w)."""
     q = position_operator(n_levels, m_ref, omega_ref).matrix
     p = momentum_operator(n_levels, m_ref, omega_ref).matrix
     mat = (mass * omega * q + 1j * p) / math.sqrt(2.0 * mass * omega)
@@ -413,8 +399,7 @@ def build_fermion_hamiltonian(
     omega_minus: complex,
     doubled: bool = False,
 ) -> OperatorMatrix | FermionDoubledHamiltonians:
-    """w0 (a^dag a - b^dag b) + w+ a^dag b^dag - w+* a b + w- a b^dag - w-* a^dag b:
-    H in frequency units, over the reduced Planck constant.
+    """w0 (a^dag a - b^dag b) + w+ a^dag b^dag - w+* a b + w- a b^dag - w-* a^dag b.
 
     With ``doubled`` the fictitious copy H~ is built by the tilde conjugation
     rule -- conjugated coefficients on the tilde operators -- and the triple
@@ -440,22 +425,21 @@ def build_fermion_hamiltonian(
 # thermal states
 # ---------------------------------------------------------------------------
 
-def _beta_hbar_omega(beta: float, omega: float) -> float:
-    """beta w, the Gibbs exponent beta hbar w with beta in frequency units,
-    refusing a NaN with a ValueError."""
+def _beta_omega(beta: float, omega: float) -> float:
+    """beta w, the Gibbs exponent, refusing a NaN with a ValueError."""
     x = beta * omega
     if math.isnan(x):
-        raise ValueError(f"beta*hbar*omega is NaN (beta = {beta}, omega = {omega})")
+        raise ValueError(f"beta*omega is NaN (beta = {beta}, omega = {omega})")
     return x
 
 
-def _fermion_beta_hbar_omega(beta: float, omega: float) -> float:
-    """beta w of a fermion Gibbs state, beta in frequency units, refusing a
-    value that is not positive with a ValueError.  The fermion spaces are
-    exact, so no box tail refuses it, as ``_boltzmann_ratio`` does for bosons."""
+def _fermion_beta_omega(beta: float, omega: float) -> float:
+    """beta w of a fermion Gibbs state, refusing a value that is not positive
+    with a ValueError.  The fermion spaces are exact, so no box tail refuses
+    it, as ``_boltzmann_ratio`` does for bosons."""
     x = beta * omega
     if not x > 0.0:  # refuses a NaN too
-        raise ValueError(f"beta*hbar*omega must be positive and not NaN, got {x}")
+        raise ValueError(f"beta*omega must be positive and not NaN, got {x}")
     return x
 
 
@@ -463,7 +447,7 @@ def _boltzmann_ratio(beta: float, omega: float, n_levels: int) -> float:
     """x = e^{-beta w}, after refusing a NaN beta w and a box of
     ``n_levels`` whose geometric tail x^N (the Gibbs weight beyond the box)
     exceeds ``TAIL_REFUSAL``."""
-    x = math.exp(-min(_beta_hbar_omega(beta, omega), EXP_ARG_MAX))
+    x = math.exp(-min(_beta_omega(beta, omega), EXP_ARG_MAX))
     if x > 0.0 and x**n_levels > TAIL_REFUSAL:
         hint = "no finite box holds this state"
         if x < 1.0:
@@ -473,16 +457,13 @@ def _boltzmann_ratio(beta: float, omega: float, n_levels: int) -> float:
             hint = f"use at least {required} levels"
         raise TruncationError(
             f"geometric tail x^N = {x**n_levels:.3e} exceeds {TAIL_REFUSAL:.0e} at "
-            f"N = {n_levels}; {hint} for beta*hbar*omega = {beta * omega:.4g}"
+            f"N = {n_levels}; {hint} for beta*omega = {beta * omega:.4g}"
         )
     return x
 
 
 def thermal_density(beta: float, omega: float, *, basis: BasisDescriptor) -> DensityMatrix:
     """Gibbs state e^{-beta w N}/Z on a single-system basis.
-
-    beta weighs h = H/hbar, so it is in frequency units: a caller at another
-    hbar passes beta hbar.
 
     The number operator is a^dag a for bosons and a^dag a - b^dag b for the
     fermion pair (the b mode carries negative energy); weights are shifted by
@@ -494,7 +475,7 @@ def thermal_density(beta: float, omega: float, *, basis: BasisDescriptor) -> Den
         _boltzmann_ratio(beta, omega, basis.n_levels)
         energies = np.arange(basis.n_levels, dtype=float)
     elif basis.kind == "fermion_single":
-        _fermion_beta_hbar_omega(beta, omega)
+        _fermion_beta_omega(beta, omega)
         ops = build_fermion_space(doubled=False)
         a, b = ops["a"].matrix, ops["b"].matrix
         number = a.conj().T @ a - b.conj().T @ b
@@ -503,7 +484,7 @@ def thermal_density(beta: float, omega: float, *, basis: BasisDescriptor) -> Den
         raise ValueError(f"thermal_density needs a single-system basis, got {basis.kind}")
     # an excited weight is 0 once beta w passes EXP_ARG_MAX; clipping it at
     # twice that keeps x finite (no overflow at 1e308, no inf * 0 at inf)
-    x = min(_beta_hbar_omega(beta, omega), 2 * EXP_ARG_MAX) * (energies - energies.min())
+    x = min(_beta_omega(beta, omega), 2 * EXP_ARG_MAX) * (energies - energies.min())
     weights = np.exp(-np.minimum(x, EXP_ARG_MAX))
     weights[x > EXP_ARG_MAX] = 0.0
     weights /= weights.sum()
@@ -526,7 +507,7 @@ def _thermal_series(beta: float, omega: float, basis: BasisDescriptor) -> StateV
         ops = build_fermion_space(doubled=True)
         a, b = ops["a"].matrix, ops["b"].matrix
         at, bt = ops["a_tilde"].matrix, ops["b_tilde"].matrix
-        x = _fermion_beta_hbar_omega(beta, omega)
+        x = _fermion_beta_omega(beta, omega)
         amp = math.exp(-0.5 * x) if x <= EXP_ARG_MAX else 0.0
         vac = np.zeros(16, dtype=complex)
         vac[0] = 1.0
@@ -541,9 +522,7 @@ def _thermal_series(beta: float, omega: float, basis: BasisDescriptor) -> StateV
 def build_thermal_state_doubled(
     beta: float, omega: float, *, basis: BasisDescriptor
 ) -> tuple[StateVector, StateVector]:
-    """Thermal vacuum |0(beta)> by two independent routes.  beta weighs
-    h = H/hbar, so it is in frequency units: a caller at another hbar passes
-    beta hbar.
+    """Thermal vacuum |0(beta)> by two independent routes.
 
     Route one sums the series directly, with x = e^{-beta w}: amplitudes
     x^{n/2} on the pair states |n, n~> (bosons) or the expanded product
@@ -667,11 +646,11 @@ def expectation_single_factor(
 
 def _expi_neg_hermitian(h: np.ndarray, dt: float | np.ndarray) -> np.ndarray:
     """exp(-i h dt) for a Hermitian h, or a stack of them, via spectral
-    decomposition.  h is a frequency, H over the reduced Planck constant as
-    the builders return it, so the phases are w dt.  ``dt`` is one step for
-    the whole stack or one per matrix (an array that broadcasts to the
-    stack's shape).  A real symmetric h takes the real eigensolver, and its
-    exponential Q diag(phases) Q^T is then assembled by a real product."""
+    decomposition.  h is a frequency, as the builders return it, so the
+    phases are w dt.  ``dt`` is one step for the whole stack or one per
+    matrix (an array that broadcasts to the stack's shape).  A real
+    symmetric h takes the real eigensolver, and its exponential
+    Q diag(phases) Q^T is then assembled by a real product."""
     w, q = np.linalg.eigh(h)
     phases = np.exp(-1j * w * np.asarray(dt)[..., None])
     if np.isrealobj(q):
@@ -841,10 +820,7 @@ def truncation_report(psi: StateVector) -> float:
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Resolution settings for brute-force evolution, and only those.  No
-    hbar enters evolution: the march works in frequencies, h = H/hbar, and
-    ``evolve_doubled_thermal`` takes beta in the same units, so a caller at
-    another hbar passes beta hbar (``verification.quench_observables``).
+    """Resolution settings for brute-force evolution, and only those.
 
     ``substeps_per_unit`` counts matrix exponentials per unit time where H
     varies; a step spends J of them (``_STEP_RULE``).  A piece of the march
@@ -1044,19 +1020,19 @@ def evolve_doubled_thermal(
 ) -> DoubledTrajectory:
     """Evolve the thermal vacuum under H_hat(t) = H(t) - H~(t).
 
-    Starts from the series construction of |0(beta)> at the initial
-    frequency (route one of ``build_thermal_state_doubled``, so no evolution
-    depends on the squeeze exponential) and marches steps of
+    Starts from the series construction of |0(beta)> (route one of
+    ``build_thermal_state_doubled``, so no evolution depends on the squeeze
+    exponential): the Gibbs state at the initial frame's frequency.  That
+    is the Gibbs state of H(t_i) only when every coupling vanishes at t_i,
+    which ``protocols.check_initial_state`` requires of the mode solvers;
+    the oracle evolves a coupled start as given.  It marches steps of
     ``_STEP_RULE``, ``config.substeps_per_unit`` exponentials per unit time
-    (J per step), restarting cleanly at every output time and declared jump.
-    The march works in frequencies: its generators are h = H/hbar, built
-    from the protocol's coefficients as they are, and its exponentials
-    exp(-i h dt).  beta weighs the same h, e^{-beta h}, so it is in
-    frequency units too: a caller at another hbar passes beta hbar, and no
-    hbar enters the evolution.
+    (J per step), restarting cleanly at every output time and declared
+    jump; its generators are H(t), built from the protocol's coefficients
+    as they are, and its exponentials exp(-i H dt).
     A piece of the march (at most 512 exponentials of one cut interval)
     whose sampled coefficients are all the same is advanced by one
-    exponential per block, exp(-i h span): in exact arithmetic the
+    exponential per block, exp(-i H span): in exact arithmetic the
     product the configured steps form from the same samples, without their
     round-off and at one exponential instead of J per step.  Boson states are
     advanced on the even and the odd block of their coefficient matrix

@@ -1,14 +1,14 @@
 """Mode equations for invariant annihilation operators.
 
-For a quadratic Hamiltonian H(t), an invariant operator a(t) satisfies the
-Liouville-von Neumann equation  i*hbar*da/dt + [a(t), H(t)] = 0  and carries
-exact solutions of the Schroedinger equation through arbitrary parameter
-sweeps.  Expanding a(t) on the static ladder operators turns this into small
+For a quadratic Hamiltonian H(t), in units with hbar = 1, an invariant
+operator a(t) satisfies the Liouville-von Neumann equation
+i*da/dt + [a(t), H(t)] = 0  and carries exact solutions of the Schroedinger
+equation through arbitrary parameter sweeps.  Expanding a(t) on the static ladder operators turns this into small
 linear ODE systems:
 
 * boson:      a(t) = f-(t) a + f+(t) a^dag, with  i dV/dt + M V = 0,
               V = (f-, f+),  M = [[w0, -w+*], [w+, -w0]];
-* oscillator: a(t) = (i/sqrt(hbar)) [v* p - m v'* q], where the mode function
+* oscillator: a(t) = i [v* p - m v'* q], where the mode function
               and its momentum pi = m v' solve  v' = pi/m,  pi' = -m w^2 v
               with unit Wronskian  pi* v - pi v* = i; v and pi, not v', stay
               continuous across a sudden jump of m or w;
@@ -155,7 +155,7 @@ def build_fermion_generator(
     The blocks are A = [[-w0*s1, N], [N^dag, +w0*s1]] with
     N = [[i Im(w+ + w-), Re(w+ + w-)], [Re(w- - w+), i Im(w- - w+)]].
     The opposite signs of the w0*s1 blocks reflect that the g-coefficients
-    rotate against the f-coefficients (the b mode carries energy -hbar*w0).
+    rotate against the f-coefficients (the b mode carries energy -w0).
     """
     wp = complex(omega_plus)
     wm = complex(omega_minus)

@@ -1,15 +1,16 @@
 """Time-dependent quadratic Hamiltonian protocols.
 
 A protocol bundles the coefficient functions of a quadratic Hamiltonian with
-the time window on which they are defined.  Three kinds are supported:
+the time window on which they are defined, in units with hbar = 1.  Three
+kinds are supported:
 
 * :class:`BosonProtocol` --
-  ``H(t) = hbar*[w0(t) a^dag a + (w+(t)/2) a^dag^2 + (w+(t)*/2) a^2]``
+  ``H(t) = w0(t) a^dag a + (w+(t)/2) a^dag^2 + (w+(t)*/2) a^2``
 * :class:`OscillatorProtocol` --
   ``H(t) = p^2 / 2 m(t) + m(t) w(t)^2 q^2 / 2``
 * :class:`FermionProtocol` --
-  ``H(t) = hbar*[w0 (a^dag a - b^dag b) + w+ a^dag b^dag - w+* a b
-  + w- a b^dag - w-* a^dag b]``
+  ``H(t) = w0 (a^dag a - b^dag b) + w+ a^dag b^dag - w+* a b
+  + w- a b^dag - w-* a^dag b``
 
 Each kind is stated once, on its class: ``kind``, the coefficient
 ``channels`` and the channel a config's profile family ``drive``s by default.

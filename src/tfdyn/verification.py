@@ -6,11 +6,9 @@ run by ``_shared``, and returns its measured value and a detail line.  A
 check passes when its measured value is strictly below its fixed tolerance
 (and its extra condition holds, where it returns one); nothing here is
 tunable per-check from the outside, so a green suite means the same thing on
-every machine.  The suite runs at hbar = 1: the thermal vacuum sees the
-temperature only through beta*hbar*omega, which the checks pin, so another
-hbar would only rescale the lengths in q and change what the absolute
-tolerances of criterion 7 mean.  ``CHECK_NAMES``, ``ANALYTIC_CHECKS`` and
-``ORACLE_CHECKS`` are read off the registry.
+every machine.  Like the rest of tfdyn, the suite works in units with
+hbar = 1.  ``CHECK_NAMES``, ``ANALYTIC_CHECKS`` and ``ORACLE_CHECKS`` are
+read off the registry.
 
 The checks that need the oracle (``ORACLE_CHECKS``) are skipped (not
 silently passed) when the oracle is disabled.
@@ -96,7 +94,7 @@ class CheckResult:
 Columns = list[tuple[str, np.ndarray]]
 
 
-def _boson_columns(traj, beta: float, hbar: float, doubled) -> Columns:
+def _boson_columns(traj, beta: float, doubled) -> Columns:
     """Occupation and position moments of a boson or oscillator run.
 
     The occupation refers to the protocol's final static frame: for
@@ -108,8 +106,8 @@ def _boson_columns(traj, beta: float, hbar: float, doubled) -> Columns:
     """
     protocol = traj.protocol
     m_i, omega_i = initial_frame(protocol)
-    theta = thermal_observables.theta(beta, omega_i, hbar, "boson")
-    n_eq = thermal_observables.equilibrium_occupation(beta, omega_i, hbar, "boson")
+    theta = thermal_observables.theta(beta, omega_i)
+    n_eq = thermal_observables.equilibrium_occupation(beta, omega_i)
     frame = (m_i, omega_i)
     if protocol.kind == "oscillator":
         frame = sampler(protocol)(protocol.t_f)
@@ -122,9 +120,9 @@ def _boson_columns(traj, beta: float, hbar: float, doubled) -> Columns:
         scale = 1.0 / math.sqrt(2.0 * m_i * omega_i)
         diffs = (traj.f_minus - traj.f_plus).tolist()
         v = [complex(d.real * scale, d.imag * scale) for d in diffs]
-    q2 = np.array(thermal_observables.q_moment(1, v, theta, hbar))
-    q4 = np.array(thermal_observables.q_moment(2, v, theta, hbar))
-    occupation = thermal_observables.evolved_occupation_boson(nu_sq, beta, omega_i, hbar)
+    q2 = np.array(thermal_observables.q_moment(1, v, theta))
+    q4 = np.array(thermal_observables.q_moment(2, v, theta))
+    occupation = thermal_observables.evolved_occupation_boson(nu_sq, beta, omega_i)
     analytic = {"occupation": occupation, "q2": q2, "q4": q4}
     columns = [
         ("t [time]", traj.t),
@@ -139,7 +137,7 @@ def _boson_columns(traj, beta: float, hbar: float, doubled) -> Columns:
 
     n = doubled.states[0].basis.n_levels
     a_f = fock_oracle.frame_annihilation(*frame, n, m_i, omega_i).matrix
-    q_op = fock_oracle.position_operator(n, m_i, omega_i, hbar)
+    q_op = fock_oracle.position_operator(n, m_i, omega_i)
     q2_op = q_op.matrix @ q_op.matrix
     ops = [
         fock_oracle.OperatorMatrix(m, q_op.basis)
@@ -156,7 +154,7 @@ def _boson_columns(traj, beta: float, hbar: float, doubled) -> Columns:
     return columns
 
 
-def _fermion_columns(traj, beta: float, hbar: float, doubled) -> Columns:
+def _fermion_columns(traj, beta: float, doubled) -> Columns:
     """Pair production |f+|^2 + |g+|^2 of each channel; with a doubled
     trajectory, also the traced occupation of each channel and the worst
     thermal-vacuum condition residual of the mode solution on each row."""
@@ -176,7 +174,9 @@ def _fermion_columns(traj, beta: float, hbar: float, doubled) -> Columns:
     traced = fock_oracle.expectation(doubled.states, numbers).real
     for channel, values in zip(("a", "b"), traced):
         columns.append((f"oracle_occupation_{channel} [1]", values))
-    theta = thermal_observables.theta(beta, initial_frame(traj.protocol)[1], hbar, "fermion")
+    theta = thermal_observables.theta(
+        beta, initial_frame(traj.protocol)[1], statistics="fermion"
+    )
     columns.append(
         ("oracle_condition_residual_max [1]", condition_residuals(doubled, traj, theta))
     )
@@ -199,7 +199,7 @@ def _unitless(columns: Columns) -> dict[str, np.ndarray]:
 def quench_observables(
     traj,
     beta: float,
-    hbar: float,
+    *,
     oracle: fock_oracle.OracleConfig | None = None,
 ) -> tuple[Columns, fock_oracle.DoubledTrajectory | None]:
     """The ``observables.csv`` columns of one quench, and the oracle's run.
@@ -209,9 +209,7 @@ def quench_observables(
     trajectory is returned; with one, whose ``grid_points`` must be the
     trajectory's sample count, the doubled thermal state is evolved at
     inverse temperature ``beta`` and each analytic quantity gets its traced
-    counterpart, followed by the oracle's tail weight.  The oracle takes
-    beta in frequency units, so it is handed beta * hbar; ``hbar`` reaches
-    the oracle otherwise only as the length scale of q.
+    counterpart, followed by the oracle's tail weight.
     """
     protocol = traj.protocol
     doubled = None
@@ -221,9 +219,9 @@ def quench_observables(
                 f"the oracle samples {oracle.grid_points} points but the trajectory "
                 f"has {len(traj.t)}; they must share one grid"
             )
-        doubled = fock_oracle.evolve_doubled_thermal(protocol, beta * hbar, oracle)
+        doubled = fock_oracle.evolve_doubled_thermal(protocol, beta, oracle)
     build = _fermion_columns if protocol.kind == "fermion" else _boson_columns
-    columns = build(traj, beta, hbar, doubled)
+    columns = build(traj, beta, doubled)
     if doubled is not None:
         columns.append(("oracle_tail_weight [1]", doubled.tail_weight))
     return columns, doubled
@@ -296,7 +294,7 @@ def _shared(integrator, oracle) -> SimpleNamespace:
 
     if oracle is not None:
         # criteria 6 + 7: the 1 -> 2 tanh quench at beta = 1
-        columns = quench_observables(s.osc_traj, 1.0, 1.0, s.oracle_cfg)[0]
+        columns = quench_observables(s.osc_traj, 1.0, oracle=s.oracle_cfg)[0]
         s.q = _unitless(columns)
     return s
 
@@ -380,7 +378,7 @@ def _c03a(s):
         omega0=Constant(1.0), omega_plus=lambda t: up(t) - down(t), t_i=0.0, t_f=10.0
     )
     pulse_traj = mode_solver.solve_boson_mode(pulse_proto, s.mode_cfg)
-    _, dt = quench_observables(pulse_traj, 1.0, 1.0, s.oracle_cfg)
+    _, dt = quench_observables(pulse_traj, 1.0, oracle=s.oracle_cfg)
     th = thermal_observables.theta(1.0, initial_frame(pulse_proto)[1])
     worst = float(np.max(condition_residuals(dt, pulse_traj, th)))
     tail = float(dt.tail_weight.max())
@@ -390,7 +388,7 @@ def _c03a(s):
 
 @_check("c03b_thermal_condition_fermion", 1e-10, oracle=True)
 def _c03b(s):
-    columns, _ = quench_observables(s.fp_traj, 1.0, 1.0, s.oracle_cfg)
+    columns, _ = quench_observables(s.fp_traj, 1.0, oracle=s.oracle_cfg)
     worst = float(np.max(_unitless(columns)["oracle_condition_residual_max"]))
     return worst, "coupling pulse 0->0.5->0 (jumps), exact 16-dim space"
 
@@ -400,7 +398,7 @@ def _c03b(s):
 def _c04(s):
     const_proto = BosonProtocol(omega0=Constant(1.0), omega_plus=Constant(0.0), t_i=0.0, t_f=10.0)
     const_traj = mode_solver.solve_boson_mode(const_proto, s.mode_cfg)
-    columns, _ = quench_observables(const_traj, 1.0, 1.0, s.oracle_cfg)
+    columns, _ = quench_observables(const_traj, 1.0, oracle=s.oracle_cfg)
     occ = _unitless(columns)["oracle_occupation"]
     dev = float(np.max(np.abs(occ - occ[0])))
     return dev, f"occupation stays {occ[0]:.6f} over [0, 10]"
@@ -569,9 +567,9 @@ def run_all(
     """Execute the full acceptance suite and return one result per check.
 
     The suite reads the integrator's tolerances and the oracle's ``n_levels``
-    and ``substeps_per_unit``; it pins its own grids, its temperatures and
-    hbar = 1, its oracle runs abort at the fixed ``fock_oracle.TAIL_ABORT``
-    like every other, and c07c's wide box runs at
+    and ``substeps_per_unit``; it pins its own grids and temperatures, its
+    oracle runs abort at the fixed ``fock_oracle.TAIL_ABORT`` like every
+    other, and c07c's wide box runs at
     ``WIDE_BOX_SUBSTEPS_PER_UNIT``.
     ``oracle=None`` skips the oracle checks; an oracle whose runs cannot be
     built (``oracle_configs``) is refused with ``ValueError`` before any

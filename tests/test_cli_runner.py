@@ -204,7 +204,7 @@ class TestParseConfig:
             parse_config(text, "quench")
 
     def test_sweep_key_must_be_dotted_and_known(self):
-        for bad in ("width", "protocol.width.extra", "nosection.width", "run.nokey"):
+        for bad in ("width", "protocol.width.extra", "nosection.width", "run.nokey", "run.hbar"):
             text = SWEEP_TEXT.replace("key = protocol.width", f"key = {bad}")
             with pytest.raises(ConfigError):
                 parse_config(text, "sweep")
@@ -217,7 +217,7 @@ class TestParseConfig:
     @pytest.mark.parametrize(
         "section, key, expected",
         [
-            ("run", "hbar", "a number"),
+            ("run", "beta", "a number"),
             ("integrator", "rel_tol", "a number"),
             ("integrator", "abs_tol", "a number"),
             ("integrator", "grid_points", "an integer"),
@@ -393,7 +393,7 @@ class TestRunQuench:
         assert manifest["outputs"] == ["modes.csv", "observables.csv"]
 
     def test_constant_protocol_distribution_static(self, quench_out):
-        """At beta*hbar*omega = ln 2 the equilibrium occupation is exactly 1
+        """At beta*omega = ln 2 the equilibrium occupation is exactly 1
         and must stay there for a constant Hamiltonian."""
         out, _ = quench_out
         rows = _read_csv(out / "observables.csv")
@@ -411,6 +411,7 @@ class TestRunQuench:
     def test_manifest_bookkeeping(self, quench_out):
         out, manifest = quench_out
         assert manifest["kind"] == "quench"
+        assert manifest["beta"] == math.log(2.0) and "hbar" not in manifest
         assert manifest["checks"] == []  # populated only by verify runs
         assert manifest["oracle"]["enabled"] is True
         assert set(manifest["oracle"]) == {
@@ -799,7 +800,9 @@ class TestCliMain:
         [
             ("run", "beta", "betta"),
             ("run", "beta = 1.0", "beta = inf"),
-            ("run", "beta = 1.0", "beta = 1.0\nhbar = inf"),
+            # no config takes hbar: tfdyn works in units with hbar = 1
+            ("run", "beta = 1.0", "beta = 1.0\nhbar = 2.0"),
+            ("sweep", "beta = 1.0", "beta = 1.0\nhbar = 2.0"),
             ("run", "grid_points = 9", "grid_points = 1"),
             ("run", "grid_points = 9", "grid_points = 9\nrel_tol = 0"),
             ("run", "grid_points = 9", "grid_points = 9\nrel_tol = 1e-17"),
@@ -820,11 +823,11 @@ class TestCliMain:
              "kind = fermion\nfamily = constant\nvalue = 0.0\nomega0 = 0"),
             # coupling above INITIAL_DIAGONAL_TOL at t_i
             ("run", "value = 1.0", "value = 1.0\nomega_plus = 1e-4"),
-            # e^(-b*h*w/2) rounds to 1: no oscillator thermal state, oracle off
+            # e^(-b*w/2) rounds to 1: no oscillator thermal state, oracle off
             ("sweep", "beta = 1.0", "beta = 1e-20"),
             # c07c would run 2 * 129 levels, past the 256-level cap
             ("verify", "n_levels = 32", "n_levels = 129"),
-            ("verify", "kind = verify", "kind = verify\nhbar = inf"),
+            ("verify", "kind = verify", "kind = verify\nhbar = 2.0"),
             # a refused entry stops the sweep before its --out directory is made
             ("sweep", "values = 1.0, 2.0", "values = 1.0, -2.0"),
             # the integrator takes no step cap
@@ -835,12 +838,13 @@ class TestCliMain:
             ("verify", "n_levels = 32", "n_levels = 32\ntail_abort = 1e-6"),
         ],
         ids=[
-            "unknown_key", "beta_inf", "hbar_inf", "grid_points_1", "rel_tol_0", "rel_tol_below_floor",
+            "unknown_key", "beta_inf", "hbar", "sweep_hbar", "grid_points_1", "rel_tol_0",
+            "rel_tol_below_floor",
             "rel_tol_inf", "abs_tol_inf", "tanh_width_inf", "tanh_center_inf", "substeps_0",
             "substeps_nan", "empty_window", "n_levels_1",
             "n_levels_300", "boson_omega0_omitted",
             "fermion_omega0_zero_oracle_on", "coupling_at_t_i", "beta_1e-20_oracle_off",
-            "verify_wide_box_over_cap", "verify_hbar_inf", "sweep_negative_width",
+            "verify_wide_box_over_cap", "verify_hbar", "sweep_negative_width",
             "max_step", "verify_max_step",
             "tail_abort", "verify_tail_abort",
         ],
@@ -854,7 +858,8 @@ class TestCliMain:
         assert code == 2
         captured = capsys.readouterr()
         assert "config error" in captured.err
-        for section, key in (("integrator", "max_step"), ("oracle", "tail_abort")):
+        refused = (("run", "hbar"), ("integrator", "max_step"), ("oracle", "tail_abort"))
+        for section, key in refused:
             if key in new:
                 assert f"unknown key(s) in [{section}]: {key}" in captured.err
         assert captured.out == ""
@@ -862,8 +867,8 @@ class TestCliMain:
 
     @pytest.mark.parametrize(
         "section, line",
-        [("run", "beta = 1.0"), ("run", "hbar = 2.0"), ("integrator", "grid_points = 11")],
-        ids=["beta", "hbar", "grid_points"],
+        [("run", "beta = 1.0"), ("integrator", "grid_points = 11")],
+        ids=["beta", "grid_points"],
     )
     def test_verify_refuses_keys_it_would_ignore(self, tmp_path, capsys, section, line):
         sections = {"run": "kind = verify", "integrator": "rel_tol = 1e-10", "oracle": "enabled = false"}

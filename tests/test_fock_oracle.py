@@ -7,8 +7,10 @@ before it is allowed to referee the analytic modules.
 
 import ast
 import cmath
+import importlib
 import inspect
 import math
+import pkgutil
 import threading
 import warnings
 from pathlib import Path
@@ -188,17 +190,27 @@ class TestBosonOperators:
         comm = q @ p - p @ q
         assert np.allclose(comm[: n - 1, : n - 1], 1j * np.eye(n - 1), atol=1e-14)
 
-    def test_only_position_operator_takes_hbar(self):
-        """The oracle takes beta in frequency units and returns p at a unit
-        hbar, so its one hbar is the length scale of q: an old hbar passed
-        to a thermal builder or an evolution fails with ``TypeError``."""
-        oracle = tfdyn.fock_oracle
-        takes_hbar = {
-            name for name, fn in vars(oracle).items()
-            if callable(fn) and getattr(fn, "__module__", None) == oracle.__name__
-            and "hbar" in inspect.signature(fn).parameters
-        }
-        assert takes_hbar == {"position_operator"}
+    def test_no_public_callable_takes_hbar(self):
+        """tfdyn works in units with hbar = 1, so no public function or class
+        of any of its modules takes an hbar, and an old hbar passed to q, a
+        thermal builder or an evolution fails with ``TypeError``."""
+        takes_hbar = set()
+        for info in pkgutil.iter_modules(tfdyn.__path__):
+            if info.name == "__main__":  # importing it runs the CLI
+                continue
+            module = importlib.import_module(f"tfdyn.{info.name}")
+            for name, fn in vars(module).items():
+                if (
+                    not name.startswith("_") and callable(fn)
+                    and getattr(fn, "__module__", None) == module.__name__
+                    # an exception class has no signature of its own
+                    and not (inspect.isclass(fn) and issubclass(fn, BaseException))
+                    and "hbar" in inspect.signature(fn).parameters
+                ):
+                    takes_hbar.add(f"{module.__name__}.{name}")
+        assert takes_hbar == set()
+        with pytest.raises(TypeError):
+            position_operator(4, 1.0, 1.0, 2.0)
         with pytest.raises(TypeError):
             thermal_density(1.0, 1.0, 2.0, basis=boson_single(10))
         with pytest.raises(TypeError):
@@ -347,7 +359,7 @@ class TestThermalStates:
         assert got == pytest.approx(1.0 / 3.0, rel=1e-14)
 
     def test_hot_truncated_box_refused(self):
-        """At beta*hbar*omega = 0.05 a 10-level box would keep 7.9 % of the
+        """At beta*omega = 0.05 a 10-level box would keep 7.9 % of the
         population in its top level and report Tr rho a^dag a = 4.09, not
         19.5: the single-system builder refuses it like the doubled one."""
         with pytest.raises(TruncationError, match="use at least 369 levels"):
@@ -368,14 +380,14 @@ class TestThermalStates:
             build_thermal_state_doubled(1.0, 1.0, basis=basis)
 
     @pytest.mark.parametrize(
-        "beta_hbar_omega, required", [(LN2, 27), (0.05, 369), (0.5, 37), (1.0, 19), (3.0, 7)]
+        "beta_omega, required", [(LN2, 27), (0.05, 369), (0.5, 37), (1.0, 19), (3.0, 7)]
     )
-    def test_truncation_hint_is_the_smallest_accepted_box(self, beta_hbar_omega, required):
+    def test_truncation_hint_is_the_smallest_accepted_box(self, beta_omega, required):
         with pytest.raises(TruncationError, match=f"use at least {required} levels"):
-            thermal_density(beta_hbar_omega, 1.0, basis=boson_single(2))
-        thermal_density(beta_hbar_omega, 1.0, basis=boson_single(required))
+            thermal_density(beta_omega, 1.0, basis=boson_single(2))
+        thermal_density(beta_omega, 1.0, basis=boson_single(required))
         with pytest.raises(TruncationError, match=f"use at least {required} levels"):
-            thermal_density(beta_hbar_omega, 1.0, basis=boson_single(required - 1))
+            thermal_density(beta_omega, 1.0, basis=boson_single(required - 1))
 
     @pytest.mark.parametrize(
         "basis", [boson_single(10), fermion_single()], ids=["boson", "fermion"]
@@ -406,7 +418,7 @@ class TestThermalStates:
 
     @pytest.mark.parametrize("beta", [0.0, -1.0])
     def test_fermion_gibbs_state_refuses_a_non_positive_temperature_exponent(self, beta):
-        """The exact pair has no box to refuse beta*hbar*omega <= 0, which
+        """The exact pair has no box to refuse beta*omega <= 0, which
         would give the uniform state or weight the excited levels above the
         ground one: it is refused as the fermion thermal vacuum refuses it."""
         with pytest.raises(ValueError, match="must be positive"):
@@ -527,8 +539,8 @@ class TestSingleProductTrace:
     def test_series_start_keeps_the_two_product_bits(self, tilde):
         """On the diagonal start every level term is one product, so the
         value is the two-product trace's to the bit (c07a reads it)."""
-        for n, beta_hbar_omega in ((20, 2.0), (41, 1.0), (60, 1.3)):
-            series, _ = build_thermal_state_doubled(beta_hbar_omega, 1.0, basis=boson_doubled(n))
+        for n, beta_omega in ((20, 2.0), (41, 1.0), (60, 1.3)):
+            series, _ = build_thermal_state_doubled(beta_omega, 1.0, basis=boson_doubled(n))
             for op in self._operators(n):
                 got = np.complex128(expectation_single_factor(series, op, tilde))
                 want = np.complex128(self._two_products(series, op, tilde))
@@ -830,7 +842,7 @@ class TestInvariantOperatorsAndResiduals:
         beta = 1.0
         _, psi = build_thermal_state_doubled(beta, 1.0, basis=boson_doubled(60))
         coeffs = SimpleNamespace(t=0.0, f_minus=1.0 + 0j, f_plus=0.0j)
-        th = theta(beta, 1.0, 1.0, "boson")
+        th = theta(beta, 1.0, statistics="boson")
         residual = thermal_state_condition_residual(psi, coeffs, th)
         assert residual["a"] < 1e-9
         assert residual["a_tilde"] < 1e-9
@@ -838,7 +850,7 @@ class TestInvariantOperatorsAndResiduals:
     def test_static_thermal_state_satisfies_conditions_fermion(self):
         _, psi = build_thermal_state_doubled(LN2, 1.0, basis=fermion_doubled())
         coeffs = STATIC_FERMION
-        th = theta(LN2, 1.0, 1.0, "fermion")
+        th = theta(LN2, 1.0, statistics="fermion")
         residual = thermal_state_condition_residual(psi, coeffs, th)
         for key, value in residual.items():
             assert value < 1e-14, key
@@ -901,7 +913,7 @@ class TestInvariantOperatorsAndResiduals:
             SimpleNamespace(t=0.0, **dict(zip(names, rng.standard_normal(8) + 1j * rng.standard_normal(8))))
             for _ in range(3)
         ]
-        th = theta(LN2, 1.0, 1.0, "fermion")
+        th = theta(LN2, 1.0, statistics="fermion")
         for psi in states:
             for coeffs in samples:
                 got = thermal_state_condition_residual(psi, coeffs, th)

@@ -223,77 +223,7 @@ class TestOracleConfigs:
             run_all(oracle=OracleConfig(n_levels=129))
 
 
-def _pulse(t):
-    return 0.3 * math.exp(-(((t - 0.6) / 0.15) ** 2))
-
-
-HBAR_CASES = {
-    "boson_coupling_ramp": (
-        # width 0.05 keeps w+(t_i) = 6e-10 below the mode solvers' 1e-6
-        BosonProtocol(Constant(1.0), make_tanh_ramp(0.0, 0.3, 0.5, 0.05), t_i=0.0, t_f=1.0),
-        solve_boson_mode,
-        OracleConfig(n_levels=30, substeps_per_unit=100.0, grid_points=11),
-    ),
-    "oscillator_tanh_ramp": (
-        OscillatorProtocol(Constant(1.0), make_tanh_ramp(1.0, 1.5, 0.6, 0.2), t_i=0.0, t_f=1.2),
-        solve_oscillator_mode,
-        OracleConfig(n_levels=30, substeps_per_unit=100.0, grid_points=13),
-    ),
-    "fermion_pulse": (
-        FermionProtocol(Constant(1.0), _pulse, Constant(0.0), t_i=0.0, t_f=1.2),
-        solve_fermion_modes,
-        OracleConfig(substeps_per_unit=200.0, grid_points=13),
-    ),
-}
-
-
 class TestQuenchObservables:
-    def test_hbar_reaches_the_oracle(self):
-        """The analytic columns and the oracle's evolution read the same
-        hbar.  The thermal angle depends on beta*hbar*omega, so an oracle
-        left at hbar = 1 would miss by O(1) at hbar = 2."""
-        protocol = BosonProtocol(
-            omega0=Constant(1.0), omega_plus=make_tanh_ramp(0.0, 0.3, 1.0, 0.1),
-            t_i=0.0, t_f=2.0,
-        )
-        traj = solve_boson_mode(protocol, IntegratorConfig(grid_points=11))
-        oracle = OracleConfig(n_levels=40, substeps_per_unit=100.0, grid_points=11)
-        columns, _ = quench_observables(traj, 1.0, 2.0, oracle)
-        diffs = {name.split(" [")[0]: values for name, values in columns}
-        for name in ("occupation_abs_diff", "q2_abs_diff", "q4_abs_diff"):
-            assert np.max(diffs[name]) < 1e-6, name
-
-    @pytest.mark.parametrize("case", sorted(HBAR_CASES))
-    def test_hbar_reaches_the_oracle_as_beta_hbar(self, case):
-        """The oracle evolves h = H/hbar from a thermal start weighed by
-        beta hbar, so hbar reaches its states only through that product, and
-        its traced q only through the length scale sqrt(hbar).  (1/3) * 3.0
-        rounds to 1.0, so at (beta, hbar) = (1/3, 3) every oracle column but
-        q^2 and q^4 has the bits of (1, 1), and those two are 3 and 9 times
-        their values there."""
-        protocol, solve, cfg = HBAR_CASES[case]
-        assert (1 / 3) * 3.0 == 1.0
-        traj = solve(protocol, IntegratorConfig(grid_points=cfg.grid_points))
-        scaled_columns, scaled = quench_observables(traj, 1 / 3, 3.0, cfg)
-        unit_columns, unit = quench_observables(traj, 1.0, 1.0, cfg)
-        assert [psi.vector.tobytes() for psi in scaled.states] == [
-            psi.vector.tobytes() for psi in unit.states
-        ]
-        assert scaled.tail_weight.tobytes() == unit.tail_weight.tobytes()
-        assert scaled.norm_deviation.tobytes() == unit.norm_deviation.tobytes()
-        scaled_columns, unit_columns = dict(scaled_columns), dict(unit_columns)
-        assert scaled_columns.keys() == unit_columns.keys()
-        oracle_columns = [name for name in unit_columns if name.startswith("oracle_")]
-        assert any(name.startswith("oracle_occupation") for name in oracle_columns)
-        for name in oracle_columns:
-            if name.startswith(("oracle_q2 ", "oracle_q4 ")):
-                factor = 3.0 if name.startswith("oracle_q2 ") else 9.0
-                assert scaled_columns[name] == pytest.approx(
-                    factor * unit_columns[name], rel=1e-14, abs=0.0
-                ), name
-            else:
-                assert scaled_columns[name].tobytes() == unit_columns[name].tobytes(), name
-
     @pytest.mark.parametrize(
         "protocol, solve",
         [
@@ -311,11 +241,14 @@ class TestQuenchObservables:
     )
     def test_oracle_grid_must_be_the_trajectorys(self, protocol, solve, monkeypatch):
         """An oracle sampling another grid than the trajectory's is refused
-        before it evolves anything."""
+        before it evolves anything, and so is the old call that passed an
+        hbar before the oracle configuration."""
         traj = solve(protocol, IntegratorConfig(grid_points=11))
         monkeypatch.setattr(fock_oracle, "evolve_doubled_thermal", _fail)
         with pytest.raises(ValueError, match="samples 21 points but the trajectory has 11"):
-            quench_observables(traj, 1.0, 1.0, OracleConfig(n_levels=20, grid_points=21))
+            quench_observables(traj, 1.0, oracle=OracleConfig(n_levels=20, grid_points=21))
+        with pytest.raises(TypeError):
+            quench_observables(traj, 1.0, 1.0, OracleConfig(n_levels=20, grid_points=11))
 
     def test_the_oracle_runs_the_trajectorys_protocol(self):
         """The doubled run covers the trajectory's own window, [0, 2] here,
@@ -325,7 +258,7 @@ class TestQuenchObservables:
         )
         traj = solve_oscillator_mode(protocol, IntegratorConfig(grid_points=11))
         oracle = OracleConfig(substeps_per_unit=100.0, grid_points=11)
-        columns, doubled = quench_observables(traj, 1.0, 1.0, oracle)
+        columns, doubled = quench_observables(traj, 1.0, oracle=oracle)
         assert doubled.t.tobytes() == traj.t.tobytes()
         assert columns[0][1] is traj.t
 
@@ -345,7 +278,7 @@ class TestQuenchObservables:
         traj = solve_oscillator_mode(protocol, IntegratorConfig(rel_tol=1e-12, grid_points=21))
         assert np.max(traj.deviation("wronskian")) <= 1e-10
         oracle = OracleConfig(n_levels=60, grid_points=21)
-        columns, _ = quench_observables(traj, 1.0, 1.0, oracle)
+        columns, _ = quench_observables(traj, 1.0, oracle=oracle)
         diffs = {name.split(" [")[0]: values for name, values in columns}
         for name in ("occupation_abs_diff", "q2_abs_diff", "q4_abs_diff"):
             assert np.max(diffs[name]) <= 1e-9, name
@@ -386,18 +319,18 @@ def _frozen_boson_overlap(mode, ref):
     return complex(mu), complex(nu)
 
 
-def _frozen_q_moment(n, v, theta, hbar=1.0):
+def _frozen_q_moment(n, v, theta):
     prefactor = math.factorial(2 * n) / (2**n * math.factorial(n))
-    width = hbar * abs(v) ** 2 * (1.0 + 2.0 * math.sinh(theta) ** 2)
+    width = abs(v) ** 2 * (1.0 + 2.0 * math.sinh(theta) ** 2)
     return prefactor * width**n
 
 
-def _frozen_analytic_columns(protocol, traj, beta, hbar):
+def _frozen_analytic_columns(protocol, traj, beta):
     """_boson_columns' oracle-free columns as they were: one SimpleNamespace
     per row, numpy scalars in the overlap and the boson's v."""
     m_i, omega_i = initial_frame(protocol)
-    theta = thermal_observables.theta(beta, omega_i, hbar, "boson")
-    n_eq = thermal_observables.equilibrium_occupation(beta, omega_i, hbar, "boson")
+    theta = thermal_observables.theta(beta, omega_i)
+    n_eq = thermal_observables.equilibrium_occupation(beta, omega_i)
     if protocol.kind == "oscillator":
         s_f = evaluate(protocol, protocol.t_f)
         ref = ReferenceMode(s_f.mass, s_f.omega, protocol.t_f)
@@ -412,8 +345,8 @@ def _frozen_analytic_columns(protocol, traj, beta, hbar):
         else:
             nu_sq[k] = abs(mode.f_plus) ** 2
             v = np.conj(mode.f_minus - mode.f_plus) * scale
-        q2[k] = _frozen_q_moment(1, v, theta, hbar)
-        q4[k] = _frozen_q_moment(2, v, theta, hbar)
+        q2[k] = _frozen_q_moment(1, v, theta)
+        q4[k] = _frozen_q_moment(2, v, theta)
     return [
         ("t [time]", traj.t),
         ("occupation_equilibrium [1]", np.full(n_pts, n_eq)),
@@ -473,9 +406,9 @@ class TestFrozenObservables:
         rng = np.random.default_rng(20260816)
         values = [complex(_signed(rng), _signed(rng)) for _ in range(500)]
         for n in (1, 2, 3):
-            for theta, hbar in ((0.0, 1.0), (0.37, 1.0), (1.2, 0.25)):
-                got = thermal_observables.q_moment(n, values, theta, hbar)
-                want = [_frozen_q_moment(n, v, theta, hbar) for v in values]
+            for theta in (0.0, 0.37, 1.2):
+                got = thermal_observables.q_moment(n, values, theta)
+                want = [_frozen_q_moment(n, v, theta) for v in values]
                 assert np.array(got).tobytes() == np.array(want).tobytes()
 
     @pytest.mark.parametrize("run", sorted(_OBSERVABLE_RUNS))
@@ -483,9 +416,9 @@ class TestFrozenObservables:
         protocol = _OBSERVABLE_RUNS[run]
         solve = solve_oscillator_mode if protocol.kind == "oscillator" else solve_boson_mode
         traj = solve(protocol, IntegratorConfig(grid_points=301))
-        for beta, hbar in ((1.0, 1.0), (0.3, 2.0)):
-            got = _boson_columns(traj, beta, hbar, None)
-            want = _frozen_analytic_columns(protocol, traj, beta, hbar)
+        for beta in (1.0, 0.3):
+            got = _boson_columns(traj, beta, None)
+            want = _frozen_analytic_columns(protocol, traj, beta)
             assert [name for name, _ in got] == [name for name, _ in want]
             for (name, values), (_, frozen) in zip(got, want):
                 assert values.dtype == frozen.dtype == float, name
