@@ -27,6 +27,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 import time
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
@@ -43,7 +44,7 @@ from .mode_solver import (
     solve_fermion_modes,
     solve_oscillator_mode,
 )
-from .protocols import Protocol, from_config, initial_frame, statistics_of, validate
+from .protocols import Protocol, evaluate, from_config, initial_frame, statistics_of, validate
 
 __all__ = [
     "RunConfig",
@@ -209,6 +210,14 @@ def parse_config(text: str, kind: str) -> RunConfig:
         integrator = IntegratorConfig(**integrator_values)
     except ValueError as exc:
         raise ConfigError(f"[integrator] {exc}") from exc
+    # the mode solver and the oracle sample the window on this grid
+    if protocol is not None:
+        t_i, t_f, points = protocol.t_i, protocol.t_f, integrator.grid_points
+        if not np.all(np.diff(np.linspace(t_i, t_f, points)) > 0.0):
+            raise ConfigError(
+                f"the window [{t_i}, {t_f}] is too narrow for {points} grid points: "
+                "their times would repeat"
+            )
 
     oracle_values = _section(parser, "oracle")
     enabled = oracle_values.pop("enabled", True)
@@ -232,6 +241,13 @@ def parse_config(text: str, kind: str) -> RunConfig:
             thermal_observables.theta(beta, omega_i, statistics=statistics_of(protocol))
         except ValueError as exc:
             raise ConfigError(f"no thermal state at t_i: {exc}") from exc
+    if protocol is not None and protocol.kind == "oscillator":
+        omega_f = evaluate(protocol, protocol.t_f).omega
+        if not omega_f >= sys.float_info.min:
+            raise ConfigError(
+                f"omega(t_f) = {omega_f} must be a positive normal float: the "
+                "occupation is counted in the final static frame"
+            )
 
     sweep_key: str | None = None
     sweep_values: tuple[float, ...] = ()
@@ -538,7 +554,7 @@ def run_verify(
 
     Each check record carries its wall time (``duration_seconds``), and
     ``shared_runs_seconds`` is the time of the runs that several checks read,
-    built before any check.  ``config=None`` runs the empty verify config,
+    each built on first read.  ``config=None`` runs the empty verify config,
     i.e. the default settings.
     """
     if config is None:

@@ -205,6 +205,8 @@ def _check_window(t_i: float, t_f: float, jump_times: tuple[float, ...]) -> tupl
         raise ValueError("protocol window must be finite")
     if not t_f > t_i:
         raise ValueError(f"protocol window is empty: t_i={t_i}, t_f={t_f}")
+    if not math.isfinite(t_f - t_i):
+        raise ValueError(f"protocol window is too wide: t_f - t_i overflows for [{t_i}, {t_f}]")
     jumps = tuple(sorted(float(t) for t in jump_times))
     for t in jumps:
         if not (t_i < t < t_f):

@@ -1,9 +1,9 @@
 """The acceptance suite: every analytic claim checked against brute force.
 
 Each check is one function registered with ``_check(name, tolerance,
-oracle)``: it reads the runs that several checks share, built once per suite
-run by ``_shared``, and returns its measured value and a detail line.  A
-check passes when its measured value is strictly below its fixed tolerance
+oracle)``: it reads the runs that several checks share from ``_Runs``, which
+builds each on first read, and returns its measured value and a detail line.
+A check passes when its measured value is strictly below its fixed tolerance
 (and its extra condition holds, where it returns one); nothing here is
 tunable per-check from the outside, so a green suite means the same thing on
 every machine.  Like the rest of tfdyn, the suite works in units with
@@ -26,7 +26,7 @@ import math
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
-from types import SimpleNamespace
+from functools import cached_property
 
 import numpy as np
 
@@ -255,54 +255,70 @@ def oracle_configs(
 # ---------------------------------------------------------------------------
 
 
-def _shared(integrator, oracle) -> SimpleNamespace:
-    """The settings and runs that more than one check reads, each built once.
-
-    Runs that a single check reads are built inside that check, so no doubled
-    trajectory outlives the check that evolved it.
-    """
-    s = SimpleNamespace()
-    if oracle is not None:
-        s.n = oracle.n_levels
-        s.oracle_cfg, s.wide_cfg = oracle_configs(oracle)
-    s.mode_cfg = replace(integrator or mode_solver.IntegratorConfig(), grid_points=101)
-
-    # the 1 -> 2 tanh quench on [0, 10]: criteria 2, 6, 7 and 9
-    s.osc_quench = OscillatorProtocol(
-        mass=Constant(1.0), omega=make_tanh_ramp(1.0, 2.0, 5.0, 0.5), t_i=0.0, t_f=10.0
-    )
-    s.osc_traj = mode_solver.solve_oscillator_mode(s.osc_quench, s.mode_cfg)
-
-    # the sudden 1 -> 4 quench of criterion 5, as a formula, as a narrow
-    # ramp and (in the ramp's frames) as a jump
-    s.sudden = bogoliubov.sudden_coeffs(1.0, 4.0)
-    s.narrow = OscillatorProtocol(
-        mass=Constant(1.0), omega=make_tanh_ramp(1.0, 4.0, 5.0, 1e-4), t_i=0.0, t_f=10.0
-    )
-    s_f = evaluate(s.narrow, s.narrow.t_f)
-    s.frame_i, s.frame_f = initial_frame(s.narrow), (s_f.mass, s_f.omega)
-
-    # piecewise-constant drive: the oracle takes one exact exponential per
-    # output interval, so the c03b residual floor is set by the mode
-    # integration, run tight here
-    s.fermion_pulse = FermionProtocol(
-        omega0=Constant(1.0), omega_plus=lambda t: 0.5 if 3.0 <= t < 7.0 else 0.0,
-        omega_minus=Constant(0.0), t_i=0.0, t_f=10.0, jump_times=(3.0, 7.0),
-    )
-    tight = mode_solver.IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14, grid_points=101)
-    s.fp_traj = mode_solver.solve_fermion_modes(s.fermion_pulse, tight)
-
-    if oracle is not None:
-        # criteria 6 + 7: the 1 -> 2 tanh quench at beta = 1
-        columns = quench_observables(s.osc_traj, 1.0, oracle=s.oracle_cfg)[0]
-        s.q = _unitless(columns)
-    return s
+def _timed(build):
+    """A shared run, built on first read and kept; its build time is added
+    to ``seconds`` once, also when another run's build reads it."""
+    def timed(self):
+        before, started = self.seconds, time.perf_counter()
+        run = build(self)
+        self.seconds = before + time.perf_counter() - started
+        return run
+    return cached_property(timed)
 
 
-# name -> (tolerance, needs the oracle, measure).  A measure takes the shared
-# runs and returns (measured, detail), or (measured, detail, extra) for a
+class _Runs:
+    """The suite's settings, made at once, and the runs that several checks
+    read, each built on first read.  Runs that a single check reads are built
+    inside it, so no doubled trajectory outlives the check that evolved it."""
+
+    def __init__(self, integrator, oracle):
+        self.seconds = 0.0
+        if oracle is not None:
+            self.n = oracle.n_levels
+            self.oracle_cfg, self.wide_cfg = oracle_configs(oracle)
+        self.mode_cfg = replace(integrator or mode_solver.IntegratorConfig(), grid_points=101)
+
+        # the 1 -> 2 tanh quench on [0, 10]: criteria 2, 6, 7 and 9
+        self.osc_quench = OscillatorProtocol(
+            mass=Constant(1.0), omega=make_tanh_ramp(1.0, 2.0, 5.0, 0.5), t_i=0.0, t_f=10.0
+        )
+
+        # the sudden 1 -> 4 quench of criterion 5, as a formula, as a narrow
+        # ramp and (in the ramp's frames) as a jump
+        self.sudden = bogoliubov.sudden_coeffs(1.0, 4.0)
+        self.narrow = OscillatorProtocol(
+            mass=Constant(1.0), omega=make_tanh_ramp(1.0, 4.0, 5.0, 1e-4), t_i=0.0, t_f=10.0
+        )
+        s_f = evaluate(self.narrow, self.narrow.t_f)
+        self.frame_i, self.frame_f = initial_frame(self.narrow), (s_f.mass, s_f.omega)
+
+        # piecewise-constant drive: the oracle takes one exact exponential per
+        # output interval, so the c03b residual floor is set by the mode
+        # integration, run tight here (and in c10)
+        self.fermion_pulse = FermionProtocol(
+            omega0=Constant(1.0), omega_plus=lambda t: 0.5 if 3.0 <= t < 7.0 else 0.0,
+            omega_minus=Constant(0.0), t_i=0.0, t_f=10.0, jump_times=(3.0, 7.0),
+        )
+        self.tight_cfg = mode_solver.IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14, grid_points=101)
+
+    @_timed
+    def osc_traj(self):
+        return mode_solver.solve_oscillator_mode(self.osc_quench, self.mode_cfg)
+
+    @_timed
+    def fp_traj(self):
+        return mode_solver.solve_fermion_modes(self.fermion_pulse, self.tight_cfg)
+
+    @_timed
+    def q(self):
+        """The columns of criteria 6 + 7: the 1 -> 2 tanh quench at beta = 1."""
+        return _unitless(quench_observables(self.osc_traj, 1.0, oracle=self.oracle_cfg)[0])
+
+
+# name -> (tolerance, needs the oracle, measure).  A measure takes a ``_Runs``
+# and returns (measured, detail), or (measured, detail, extra) for a
 # check that also requires the condition ``extra``.
-_CHECKS: dict[str, tuple[float, bool, Callable[[SimpleNamespace], tuple]]] = {}
+_CHECKS: dict[str, tuple[float, bool, Callable[[_Runs], tuple]]] = {}
 
 
 def _check(name: str, tolerance: float, oracle: bool = False):
@@ -537,7 +553,7 @@ def _c09b(s):
 # nan, which fails.
 @_check("c10_adiabatic_trend", 1.0)
 def _c10(s):
-    cfg = mode_solver.IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14, grid_points=11)
+    cfg = replace(s.tight_cfg, grid_points=11)
     productions = []
     for w in (1.0, 2.0, 4.0, 8.0):
         proto = OscillatorProtocol(
@@ -573,26 +589,25 @@ def run_all(
     ``WIDE_BOX_SUBSTEPS_PER_UNIT``.
     ``oracle=None`` skips the oracle checks; an oracle whose runs cannot be
     built (``oracle_configs``) is refused with ``ValueError`` before any
-    run.  Each result carries the wall time of its check; the runs that
-    several checks share are built before any check, and their wall time is
-    stored in ``timings["shared_runs"]`` when a ``timings`` dict is passed.
+    run.  The runs that several checks share are built on first read; their
+    wall time is stored in ``timings["shared_runs"]`` when a ``timings`` dict
+    is passed, and each result carries the wall time of its check without it.
     """
-    started = time.perf_counter()
-    shared = _shared(integrator, oracle)
-    if timings is not None:
-        timings["shared_runs"] = time.perf_counter() - started
+    runs = _Runs(integrator, oracle)
     results = []
     for name in CHECK_NAMES:
         tolerance, needs_oracle, measure = _CHECKS[name]
         if needs_oracle and oracle is None:
             result = CheckResult(name, True, math.nan, math.nan, "oracle disabled", skipped=True)
         else:
-            started = time.perf_counter()
-            measured, detail, *extra = measure(shared)
+            started, shared = time.perf_counter(), runs.seconds
+            measured, detail, *extra = measure(runs)
             passed = measured < tolerance and all(extra)
             result = CheckResult(
                 name, passed, measured, tolerance, detail,
-                duration_seconds=time.perf_counter() - started,
+                duration_seconds=time.perf_counter() - started - (runs.seconds - shared),
             )
         results.append(result)
+    if timings is not None:
+        timings["shared_runs"] = runs.seconds
     return results

@@ -47,6 +47,9 @@ TANH_DRIVE = (
     "center = 1.0\nwidth = 0.5"
 )
 
+# an oscillator whose omega ramps linearly from 1 to ``final`` over QUENCH_CONSTANT's window
+OMEGA_RAMP = "kind = oscillator\nfamily = linear\nvalue_initial = 1.0\nvalue_final = {final}"
+
 SWEEP_TEXT = """
 [run]
 kind = sweep
@@ -72,6 +75,7 @@ enabled = false
 key = protocol.width
 values = 1.0, 2.0
 """
+SWEEP_WIDTHS = "key = protocol.width\nvalues = 1.0, 2.0"
 
 MODES_HEADERS = {
     "boson": (
@@ -296,6 +300,43 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as info:
             parse_config(text.replace(old, new), kind)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            (CONSTANT_DRIVE, OMEGA_RAMP.format(final="-1.0"),
+             "omega(t_f) = -1.0 must be a positive normal float: the occupation is "
+             "counted in the final static frame"),
+            (CONSTANT_DRIVE, OMEGA_RAMP.format(final="1e-320"),
+             "omega(t_f) = 1e-320 must be a positive normal float: the occupation is "
+             "counted in the final static frame"),
+            ("t_f = 2.0", "t_f = 5e-324",
+             "the window [0.0, 5e-324] is too narrow for 9 grid points: their times would repeat"),
+            ("t_i = 0.0\nt_f = 2.0", "t_i = -1e308\nt_f = 1e308",
+             "protocol window is too wide: t_f - t_i overflows for [-1e+308, 1e+308]"),
+        ],
+        ids=["omega_final_negative", "omega_final_subnormal", "narrow_window", "wide_window"],
+    )
+    def test_unusable_window_or_final_frame_refused(self, old, new, message):
+        """An oscillator's occupation is counted in its final static frame,
+        and the mode solver and the oracle sample the window on the grid."""
+        text = QUENCH_CONSTANT.format(beta=1.0).replace(old, new)
+        for oracle in ("n_levels = 32", "enabled = false"):
+            with pytest.raises(ConfigError) as info:
+                parse_config(text.replace("n_levels = 32", oracle), "quench")
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize("final", ["2.2250738585072014e-308", "1e-305"])
+    def test_omega_ending_at_a_tiny_normal_float_runs(self, tmp_path, final):
+        """The smallest normal omega(t_f) is a frame the occupation can be
+        counted in: the run writes finite values."""
+        drive = OMEGA_RAMP.format(final=final)
+        text = QUENCH_CONSTANT.format(beta=1.0).replace(CONSTANT_DRIVE, drive)
+        text = text.replace("n_levels = 32\nsubsteps_per_unit = 200", "enabled = false")
+        run_quench(parse_config(text, "quench"), tmp_path)
+        for name in ("modes.csv", "observables.csv"):
+            for values in _read_csv(tmp_path / name).values():
+                assert np.all(np.isfinite(values)), name
 
     def test_verify_refuses_an_oracle_whose_wide_box_cannot_be_built(self):
         """The suite derives c07c's box from n_levels and refuses it at parse
@@ -718,7 +759,7 @@ class TestRunVerify:
 
     def test_manifest_times_each_check_and_the_shared_runs(self, tmp_path):
         """Each check's wall time (zero for a skipped one), and that of the
-        runs built before any check, which is not part of any check's time."""
+        shared runs, built on first read, which is not part of any check's time."""
         manifest, results = run_verify(parse_config(VERIFY_FAST, "verify"), tmp_path)
         durations = [c["duration_seconds"] for c in manifest["checks"]]
         assert durations == [r.duration_seconds for r in results]
@@ -836,6 +877,14 @@ class TestCliMain:
             # the running-tail abort is a constant
             ("run", "n_levels = 32", "n_levels = 32\ntail_abort = 1e-6"),
             ("verify", "n_levels = 32", "n_levels = 32\ntail_abort = 1e-6"),
+            # no final static frame to count the occupation in
+            ("run", CONSTANT_DRIVE, OMEGA_RAMP.format(final="0.0")),
+            ("run", CONSTANT_DRIVE, OMEGA_RAMP.format(final="5e-324")),
+            ("sweep", SWEEP_WIDTHS, "key = protocol.value_final\nvalues = 2.0, 0.0"),
+            # a window too narrow for its grid, with the oracle on
+            ("run", "t_f = 2.0", "t_f = 5e-324"),
+            # finite ends whose width overflows
+            ("run", "t_i = 0.0\nt_f = 2.0", "t_i = -1e308\nt_f = 1e308"),
         ],
         ids=[
             "unknown_key", "beta_inf", "hbar", "sweep_hbar", "grid_points_1", "rel_tol_0",
@@ -847,6 +896,8 @@ class TestCliMain:
             "verify_wide_box_over_cap", "verify_hbar", "sweep_negative_width",
             "max_step", "verify_max_step",
             "tail_abort", "verify_tail_abort",
+            "omega_final_0", "omega_final_subnormal", "sweep_omega_final_0",
+            "window_narrower_than_grid", "window_width_overflows",
         ],
     )
     def test_config_error_exit_code(self, tmp_path, capsys, verb, old, new):

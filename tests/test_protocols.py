@@ -93,6 +93,13 @@ class TestProtocolWindows:
         with pytest.raises(ValueError, match="window must be finite"):
             BosonProtocol(Constant(1.0), Constant(0.0), t_i=t_i, t_f=t_f)
 
+    def test_window_whose_width_overflows_rejected(self):
+        """Each end is finite but t_f - t_i is not: every grid on the window
+        would read NaN."""
+        with pytest.raises(ValueError, match="too wide: t_f - t_i overflows"):
+            BosonProtocol(Constant(1.0), Constant(0.0), t_i=-1e308, t_f=1e308)
+        BosonProtocol(Constant(1.0), Constant(0.0), t_i=-8e307, t_f=8e307)
+
     def test_jump_outside_window_rejected(self):
         with pytest.raises(ValueError):
             BosonProtocol(Constant(1.0), Constant(0.0), t_i=0.0, t_f=1.0, jump_times=(2.0,))

@@ -6,6 +6,7 @@ cheaply by disabling the brute-force oracle.
 """
 
 import math
+import time
 from collections import Counter
 from types import SimpleNamespace
 
@@ -36,9 +37,11 @@ from tfdyn import (
 from tfdyn.protocols import _OffsetImag, evaluate, initial_frame
 from tfdyn.verification import (
     _CHECKS,
+    ANALYTIC_CHECKS,
     CHECK_NAMES,
     WIDE_BOX_SUBSTEPS_PER_UNIT,
     _boson_columns,
+    _Runs,
     oracle_configs,
     quench_observables,
 )
@@ -111,14 +114,19 @@ def _counting(calls: Counter, name: str, real):
     return counted
 
 
+# small enough that the shared oracle run takes a fraction of a second
+CHEAP_ORACLE = OracleConfig(n_levels=40, substeps_per_unit=20.0)
+
+
 class TestSharedRuns:
-    """The runs several checks read are built once per suite run: the suite
-    makes as many mode solves and oracle evolutions as it has distinct runs."""
+    """The runs several checks read are built once per suite run, each on
+    first read: the suite makes as many mode solves and oracle evolutions as
+    it has distinct runs, and a check pays only for the runs it reads."""
 
     @staticmethod
-    def _calls(monkeypatch, **kwargs) -> dict[str, int]:
+    def _counted(monkeypatch) -> Counter:
         """Calls of each solver and evolution, and the matrices passed to the
-        oracle's spectral exponential (under ``"exponentials"``)."""
+        oracle's spectral exponential (under ``"exponentials"``), from now on."""
         calls = Counter()
         for module, names in (
             (mode_solver, ("solve_boson_mode", "solve_oscillator_mode", "solve_fermion_modes")),
@@ -133,6 +141,12 @@ class TestSharedRuns:
             return expi(h, dt)
 
         monkeypatch.setattr(fock_oracle, "_expi_neg_hermitian", counted_exponentials)
+        return calls
+
+    @classmethod
+    def _calls(cls, monkeypatch, **kwargs) -> dict[str, int]:
+        """The counts of one ``run_all(**kwargs)``."""
+        calls = cls._counted(monkeypatch)
         run_all(**kwargs)
         return dict(calls)
 
@@ -163,6 +177,41 @@ class TestSharedRuns:
             "exponentials": 1957,
         }
 
+    def test_settings_and_run_free_checks_build_no_run(self, monkeypatch):
+        calls = self._counted(monkeypatch)
+        runs = _Runs(None, OracleConfig(n_levels=50))
+        assert not calls
+        for name in ("c01a_equilibrium_boson_analytic", "c08a_thermal_constructions_boson"):
+            _CHECKS[name][2](runs)
+        assert dict(calls) == {"exponentials": 2}  # c08a's two squeeze exponentials
+
+    def test_criteria_6_and_7_share_one_solve_and_one_evolution(self, monkeypatch):
+        calls = self._counted(monkeypatch)
+        runs = _Runs(None, CHEAP_ORACLE)
+        for name in ("c06_evolved_distribution", "c07a_q_moments_equilibrium",
+                     "c07b_q_moments_midquench"):
+            _CHECKS[name][2](runs)
+        assert calls["solve_oscillator_mode"] == 1
+        assert calls["evolve_doubled_thermal"] == 1
+        assert sum(calls[name] for name in ("solve_boson_mode", "solve_fermion_modes")) == 0
+
+    def test_a_run_built_inside_another_is_timed_once(self):
+        """``q`` builds ``osc_traj`` on its way: their time counts once."""
+        runs = _Runs(None, CHEAP_ORACLE)
+        started = time.perf_counter()
+        runs.q
+        elapsed = time.perf_counter() - started
+        assert 0.0 < runs.seconds <= elapsed
+
+    def test_a_check_reads_the_same_values_on_its_own(self, fast_results):
+        """A value does not depend on which runs other checks built first."""
+        suite = {r.name: r for r in fast_results}
+        for name in ANALYTIC_CHECKS:
+            measured, detail, *_ = _CHECKS[name][2](_Runs(None, None))
+            expected = suite[name]
+            assert float(measured).hex() == expected.measured.hex(), name
+            assert detail == expected.detail, name
+
 
 class TestHonestFailure:
     """A degraded integrator must turn checks red, not silently pass."""
@@ -192,10 +241,10 @@ class TestComplexBranchFault:
             return expi(h, -dt if np.any(np.imag(h)) else dt)
 
         monkeypatch.setattr(fock_oracle, "_expi_neg_hermitian", time_reversed)
-        shared = SimpleNamespace(n=50)
+        runs = _Runs(None, OracleConfig(n_levels=50))
         for name in ("c08a_thermal_constructions_boson", "c08b_thermal_constructions_fermion"):
             tolerance, _, measure = _CHECKS[name]
-            measured, _ = measure(shared)
+            measured, _ = measure(runs)
             assert measured >= tolerance, name
 
 
