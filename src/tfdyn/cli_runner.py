@@ -248,6 +248,12 @@ def parse_config(text: str, kind: str) -> RunConfig:
                 f"omega(t_f) = {omega_f} must be a positive normal float: the "
                 "occupation is counted in the final static frame"
             )
+    # the oracle's march: a bounded step count and finite generators
+    if protocol is not None and oracle is not None:
+        try:
+            fock_oracle._check_march(protocol, oracle)
+        except ValueError as exc:
+            raise ConfigError(f"[oracle] {exc}") from exc
 
     sweep_key: str | None = None
     sweep_values: tuple[float, ...] = ()
@@ -415,6 +421,7 @@ def run_quench(config: RunConfig, out_dir: str | Path) -> dict:
             "enabled": True,
             **levels,
             "substeps_per_unit": config.oracle.substeps_per_unit,
+            "exponentials": doubled.exponentials,
             "max_tail_weight": float(np.max(doubled.tail_weight)),
             "max_norm_deviation": float(np.max(doubled.norm_deviation)),
         }

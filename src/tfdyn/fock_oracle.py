@@ -30,11 +30,16 @@ Time evolution uses a commutator-free Magnus scheme, which one record,
 and applies J exponentials of fixed combinations of the samples, one per
 row of its weights (Alvermann & Fehske, J. Comput. Phys. 230, 5930
 (2011)).  It is exact for constant H, so a stretch of constant H takes one
-exponential, exp(-i H span).  Quadratic Hamiltonians conserve
-parity, and the doubled evolution uses it: boson H couples |n> only to
-|n +- 2>, so C stays block-diagonal in (even, odd) number states,
-and the doubled fermion generator keeps the thermal vacuum in two
-4-dimensional sectors of the 16-dimensional space.
+exponential, exp(-i H span); and where H varies along a single unit
+generator B on a parity block, its exponentials there commute, and a
+stretch takes one, exp(-i theta B), with theta the rule's quadrature of
+the coefficient (a fermion pairing or hopping drive, a boson frequency
+drive).  A march is capped at ``_MAX_MARCH_STEPS`` steps, and refuses a
+coefficient of H so large that a generator would not be finite.  Quadratic
+Hamiltonians conserve parity, and the doubled evolution uses it: boson H
+couples |n> only to |n +- 2>, so C stays block-diagonal in (even, odd)
+number states, and the doubled fermion generator keeps the thermal vacuum
+in two 4-dimensional sectors of the 16-dimensional space.
 
 The march's fixed costs are paid per stack, not per piece: consecutive
 short pieces of one shape share one generator contraction, one batched
@@ -114,6 +119,14 @@ _MAX_DOUBLED_LEVELS = 256
 # A piece of the doubled march spans at most this many exponentials of one
 # cut interval; its propagator is one ordered product, applied at once.
 _CHUNK = 512
+# A march takes at most this many steps, counted from its cut intervals
+# before any piece is built.  The largest march of the suite, the bench, the
+# demos and the tests takes 7,500 steps (a 60-unit fermion pulse at 250
+# exponentials per unit), so the cap sits 133 times above it.  At the cap
+# the march holds J = 2 node times of 8 bytes a step, 16 MB, and runs for
+# about 5 minutes on one core at N = 60 (0.28 ms a step of two 30 x 30
+# blocks) and 11 s for a fermion.
+_MAX_MARCH_STEPS = 10**6
 # The doubled march hands propagator construction to threads in tasks of
 # about this many generator matrix elements: fewer leave the threads idle on
 # Python overhead.  _SUB_BATCH is the one budget of what a thread builds at
@@ -823,11 +836,13 @@ class OracleConfig:
     """Resolution settings for brute-force evolution, and only those.
 
     ``substeps_per_unit`` counts matrix exponentials per unit time where H
-    varies; a step spends J of them (``_STEP_RULE``).  A piece of the march
-    (at most 512 configured exponentials) over which every sampled
-    coefficient is the same takes one exponential, so a constant stretch
-    takes one per 512 (``evolve_doubled_thermal``).  The running-tail abort
-    is the fixed ``TAIL_ABORT``.
+    varies; a step spends J of them (``_STEP_RULE``), and a march takes at
+    most ``_MAX_MARCH_STEPS`` steps.  A piece of the march (at most 512
+    configured exponentials) takes one exponential per parity block where
+    every sampled coefficient is the same, or where H varies along a single
+    unit generator on the block, so a constant stretch takes one per 512
+    (``evolve_doubled_thermal``).  The running-tail abort is the fixed
+    ``TAIL_ABORT``.
     """
 
     n_levels: int = DEFAULT_N_LEVELS
@@ -850,6 +865,7 @@ class DoubledTrajectory:
     states: list[StateVector]
     norm_deviation: np.ndarray
     tail_weight: np.ndarray
+    exponentials: int  # matrices exponentiated by the march, over its blocks
 
 
 def _coefficients(
@@ -874,59 +890,89 @@ def _coefficients(
 
 
 def _propagators(
-    pieces: list[tuple[np.ndarray, float]], bases: Sequence[np.ndarray]
-) -> list[list[np.ndarray]]:
-    """Each piece's propagator on each block: the ordered product of its
-    steps, from the piece's (exponent coefficients, step) pair.  The
-    coefficients have shape (J, steps, coefficients), J exponents per step:
-    the rows of ``_STEP_RULE.weights``, or J = 1 for a constant piece
+    pieces: list[tuple[np.ndarray, float]],
+    bases: Sequence[np.ndarray],
+    masks: Sequence[np.ndarray],
+) -> tuple[list[list[np.ndarray]], int]:
+    """Each piece's propagator on each block, the ordered product of its
+    steps, from the piece's (exponent coefficients, step) pair; and the
+    number of matrices exponentiated.  The coefficients have shape (J,
+    steps, coefficients), J exponents per step: the rows of
+    ``_STEP_RULE.weights``, or J = 1 for a constant piece
     (``_step_propagators``).
 
     A generator is sum_j c_j B_j over a block's stack of operators B, less
     the terms whose coefficient vanishes throughout the piece; when the rest
     are real it is real symmetric and takes the real eigensolver (always for
-    oscillators, and for real couplings).  A block holds room for R =
-    _SUB_BATCH // n^2 steps.  Consecutive pieces of one shape (J, steps) and
-    the same live terms, at most S steps each, with S the largest power of
-    two up to R, are built as one stack of at most R steps: one generator
-    contraction, one batched exponential with a step per piece, and one
-    batched ordered product of each piece's steps.  A longer piece is taken
-    in aligned blocks of S steps, each block's generators, exponentials and
-    ordered product in turn, then the product of the block products.  So a
-    thread holds one stack or block whatever the pieces' lengths, and every
-    bit is the piece's alone: eigh, tensordot and matmul work matrix by
-    matrix, and ``_ordered_product`` pairs the same factors, for a
-    power-of-two S across blocks too.  Pure numpy, so it may run on any
-    thread.
+    oscillators, and for real couplings).  ``masks`` mark, per block, the
+    B_j that are not zero on it.  A varying piece with at most one live term
+    B_m on a block is collapsed there: each of its exponents is a multiple
+    of B_m, so they commute, and their ordered product is exp(-i theta B_m)
+    with theta = step sum_{j,s} exponents[j, s, m], exact in exact
+    arithmetic.  It is built as a constant piece is, one exponent of the
+    summed coefficient at the piece's step.  A piece with no live term left
+    on a block is the identity there, which no exponential builds.
+
+    A block holds room for R = _SUB_BATCH // n^2 steps.  Consecutive pieces
+    of one shape (J, steps) and the same live terms on a block, at most S
+    steps each, with S the largest power of two up to R, are built as one
+    stack of at most R steps: one generator contraction, one batched
+    exponential with a step per piece, and one batched ordered product of
+    each piece's steps; collapsed and constant pieces have one step each.
+    A longer piece is taken in aligned blocks of S steps, each block's
+    generators, exponentials and ordered product in turn, then the product
+    of the block products.  So a thread holds one stack or block whatever
+    the pieces' lengths, and every bit is the piece's alone: eigh,
+    tensordot and matmul work matrix by matrix, and ``_ordered_product``
+    pairs the same factors, for a power-of-two S across blocks too.  Pure
+    numpy, so it may run on any thread.
     """
     live = [np.any(exponents != 0.0, axis=(0, 1)) for exponents, _ in pieces]
-    kinds = [(exponents.shape, mask.tobytes()) for (exponents, _), mask in zip(pieces, live)]
     out: list[list[np.ndarray]] = [[] for _ in pieces]
-    for basis in bases:
+    built = 0
+    for basis, mask in zip(bases, masks):
+        # each piece's exponents of its live terms on this block, its step
+        # and those terms
+        work = []
+        for (exponents, step), terms in zip(pieces, live):
+            if exponents.shape[:2] != (1, 1) and np.count_nonzero(terms & mask) <= 1:
+                terms = terms & mask
+                exponents = exponents[..., terms].sum(axis=(0, 1), keepdims=True)
+            else:
+                exponents = exponents[..., terms]
+            work.append((exponents, step, terms))
+        kinds = [(exponents.shape, terms.tobytes()) for exponents, _, terms in work]
         room = max(1, _SUB_BATCH // basis[0].size)
         size = 1 << (room.bit_length() - 1)
         first = 0
-        while first < len(pieces):
-            steps = pieces[first][0].shape[1]
+        while first < len(work):
+            steps = work[first][0].shape[1]
             last = first + 1
             if steps <= size:
-                end = min(len(pieces), first + room // steps)
+                end = min(len(work), first + room // steps)
                 while last < end and kinds[last] == kinds[first]:
                     last += 1
-            terms = basis[live[first]]
+            stack = work[first:last]
+            terms = basis[stack[0][2]]
+            if not len(terms):
+                identity = np.eye(len(basis[0]), dtype=complex)
+                for k in range(first, last):
+                    out[k].append(identity)
+                first = last
+                continue
             if not np.any(terms.imag):
                 terms = terms.real
-            stack = pieces[first:last]
-            coeffs = np.stack([exponents for exponents, _ in stack], axis=1)[..., live[first]]
-            dt = np.array([step for _, step in stack])[:, None]
+            coeffs = np.stack([exponents for exponents, _, _ in stack], axis=1)
+            dt = np.array([step for _, step, _ in stack])[:, None]
             products = []
             for s in range(0, steps, size):
                 h = np.tensordot(coeffs[:, :, s:s + size], terms, axes=1)
+                built += h[..., 0, 0].size
                 products.append(_ordered_product(_step_propagators(h, dt)))
             for k, u in enumerate(_ordered_product(np.stack(products, axis=1)), first):
                 out[k].append(u)
             first = last
-    return out
+    return out, built
 
 
 def _available_cpus() -> int:
@@ -991,13 +1037,17 @@ def _one_blas_thread() -> Iterator[None]:
 
 
 @functools.lru_cache(maxsize=8)
-def _sector_bases(n_levels: int | None) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """The parity sectors of a march and each sector's stack of unit
+def _sector_bases(
+    n_levels: int | None,
+) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """The parity sectors of a march, each sector's stack of unit
     generators B_j: H (boson, ``n_levels``) or H_hat (fermion, None) at the
-    j-th unit real coefficient, restricted to the sector.  A boson sector is
-    the even or the odd number states of either factor; a fermion sector is
-    a set of indices of the 16-dimensional space.  Built once per level
-    count; read-only, so marches share them."""
+    j-th unit real coefficient, restricted to the sector, and each stack's
+    mask of the B_j that are not zero there.  A boson sector is the even or
+    the odd number states of either factor, and every B_j acts on both; a
+    fermion sector is a set of indices of the 16-dimensional space, and
+    holds the pairing w+ (sector 0) or w0 and the hopping w- (sector 1).
+    Built once per level count; read-only, so marches share them."""
     if n_levels is None:
         sectors = _FERMION_SECTORS
         unit_generators = [
@@ -1010,9 +1060,73 @@ def _sector_bases(n_levels: int | None) -> tuple[tuple[np.ndarray, ...], tuple[n
             build_boson_hamiltonian(*w, n_levels).matrix for w in ((1, 0), (0, 1), (0, 1j))
         ]
     bases = tuple(np.stack(unit_generators)[:, idx[:, None], idx] for idx in sectors)
-    for array in (*sectors, *bases):
+    masks = tuple(np.any(basis != 0.0, axis=(1, 2)) for basis in bases)
+    for array in (*sectors, *bases, *masks):
         array.setflags(write=False)
-    return sectors, bases
+    return sectors, bases, masks
+
+
+@functools.lru_cache(maxsize=8)
+def _coefficient_limit(n_levels: int | None) -> float:
+    """The largest magnitude a real coefficient of H may take in a march on
+    ``_sector_bases(n_levels)``.  A generator sums the C unit generators,
+    whose entries are at most A, each weighted by at most _CHUNK times the
+    largest coefficient (a collapsed piece sums the exponents of up to
+    _CHUNK / J steps, and a step's weights have magnitudes that sum to less
+    than J), so below this limit every generator entry is finite."""
+    bases = _sector_bases(n_levels)[1]
+    largest = max(float(np.max(np.abs(basis))) for basis in bases)
+    return float(np.finfo(float).max) / (_CHUNK * len(bases[0]) * largest)
+
+
+def _check_coefficients(coeffs: np.ndarray, times: np.ndarray, limit: float) -> None:
+    """Raise ``ValueError`` naming the earliest of ``times`` at which a
+    coefficient of H (``coeffs``, one row per time) passes ``limit``."""
+    over = np.any(np.abs(coeffs) > limit, axis=-1)
+    if np.any(over):
+        raise ValueError(
+            f"H at t = {float(np.min(times[over])):.6g} has a coefficient above "
+            f"{limit:.3g}, at which the oracle's generators would not be finite"
+        )
+
+
+def _march_steps(
+    t_i: float, t_f: float, jump_times: Sequence[float], config: OracleConfig
+) -> tuple[np.ndarray, list[float], list[int]]:
+    """A march's output grid, its cuts (the grid and the declared jumps) and
+    its step count on each cut interval, ceil(substeps_per_unit * width / J)
+    and at least one.  Raises ``ValueError`` when the steps would number
+    more than ``_MAX_MARCH_STEPS``, before any piece is built, and before
+    the grid is when its output intervals alone pass the cap."""
+    J = len(_STEP_RULE.weights)
+    wanted: float = config.grid_points - 1  # each output interval takes a step
+    if wanted <= _MAX_MARCH_STEPS:
+        grid = np.linspace(t_i, t_f, config.grid_points)
+        cuts = sorted(set(grid.tolist()) | set(jump_times))
+        # rounded up only below the cap: a float count may be inf
+        counts = [config.substeps_per_unit * (b - a) / J for a, b in zip(cuts[:-1], cuts[1:])]
+        steps = [max(1, math.ceil(x)) if x <= _MAX_MARCH_STEPS else x for x in counts]
+        wanted = sum(steps)
+    if wanted > _MAX_MARCH_STEPS:
+        raise ValueError(
+            f"the march on [{t_i:.6g}, {t_f:.6g}] at substeps_per_unit = "
+            f"{config.substeps_per_unit:.6g} would take {wanted:.7g} steps, more than "
+            f"the cap of {_MAX_MARCH_STEPS:.7g}"
+        )
+    return grid, cuts, steps
+
+
+def _check_march(protocol: Protocol, config: OracleConfig) -> None:
+    """Raise ``ValueError`` where ``evolve_doubled_thermal`` would refuse the
+    march of ``protocol`` at ``config``, before it runs: past the step cap,
+    or with a coefficient of H at t_i or t_f past ``_coefficient_limit``.
+    A config's profiles are monotone between their ends, so H's largest
+    coefficients lie there; the march itself checks every sample."""
+    _march_steps(protocol.t_i, protocol.t_f, protocol.jump_times, config)
+    ends = np.array([protocol.t_i, protocol.t_f])
+    n = config.n_levels if statistics_of(protocol) != "fermion" else None
+    coeffs = _coefficients(protocol, ends, initial_frame(protocol))
+    _check_coefficients(coeffs, ends, _coefficient_limit(n))
 
 
 def evolve_doubled_thermal(
@@ -1034,7 +1148,13 @@ def evolve_doubled_thermal(
     whose sampled coefficients are all the same is advanced by one
     exponential per block, exp(-i H span): in exact arithmetic the
     product the configured steps form from the same samples, without their
-    round-off and at one exponential instead of J per step.  Boson states are
+    round-off and at one exponential instead of J per step.  So is a piece
+    whose H varies, on a block where its live terms leave a single unit
+    generator B, exp(-i theta B) with theta the step times the sum of the
+    piece's exponents (``_propagators``): a fermion pairing drive (w- = 0),
+    a hopping drive, a boson frequency drive (w+ = 0); on a block where
+    they leave none the piece is the identity.  ``exponentials`` counts
+    the matrices exponentiated.  Boson states are
     advanced on the even and the odd block of their coefficient matrix
     (C_b -> U_b C_b U_b^dag); fermion states on the two 4-dimensional parity
     sectors that hold the thermal vacuum.  The full state is assembled only
@@ -1060,19 +1180,24 @@ def evolve_doubled_thermal(
     the pool has threads with it.  When a protocol call raises, the pieces
     sampled before it are applied first, so a truncation abort at an earlier
     output time is raised in its place.
+
+    A march of more than ``_MAX_MARCH_STEPS`` steps is refused with
+    ``ValueError`` before any piece is built, and a sample of H with a
+    coefficient past ``_coefficient_limit`` raises ``ValueError`` naming its
+    time, as a protocol call that raises does, before any exponential of a
+    generator that would not be finite.
     """
     config = config or OracleConfig()
+    grid, cuts, counts = _march_steps(protocol.t_i, protocol.t_f, protocol.jump_times, config)
     frame = initial_frame(protocol)
-
-    grid = np.linspace(protocol.t_i, protocol.t_f, config.grid_points)
-    cuts = sorted(set(grid.tolist()) | set(protocol.jump_times))
 
     # H (boson) and H_hat (fermion) are linear in the real coefficients, so
     # each block's generator is sum_j c_j B_j, with B_j the generator at the
     # j-th unit coefficient restricted to the block.
     boson = statistics_of(protocol) != "fermion"
     n = config.n_levels if boson else None
-    sectors, bases = _sector_bases(n)
+    sectors, bases, masks = _sector_bases(n)
+    limit = _coefficient_limit(n)
     if boson:
         basis, shape = boson_doubled(n), (n, n)
         index = [np.ix_(idx, idx) for idx in sectors]
@@ -1118,8 +1243,7 @@ def evolve_doubled_thermal(
     per_step = J * sum(b[0].size for b in bases)
     tasks: list[list[tuple[np.ndarray, float, float, float | None]]] = [[]]
     size = 0
-    for left, right in zip(cuts[:-1], cuts[1:]):
-        steps = max(1, math.ceil(config.substeps_per_unit * (right - left) / J))
+    for left, right, steps in zip(cuts[:-1], cuts[1:], counts):
         step = (right - left) / steps
         for first in range(0, steps, _CHUNK // J):
             if size >= _TASK_ELEMENTS:
@@ -1141,6 +1265,7 @@ def evolve_doubled_thermal(
         for times, step, span, _ in task:
             try:
                 coeffs = _coefficients(protocol, times, frame)
+                _check_coefficients(coeffs, times, limit)
             except Exception as exc:
                 return work, exc
             if np.all(coeffs == coeffs[0, 0]):  # constant H: one exponential spans the piece
@@ -1149,7 +1274,12 @@ def evolve_doubled_thermal(
                 work.append((np.tensordot(_STEP_RULE.weights, coeffs, axes=1), step))
         return work, None
 
-    def apply(task, propagators: list[list[np.ndarray]]) -> None:
+    exponentials = 0
+
+    def apply(task, built: tuple[list[list[np.ndarray]], int]) -> None:
+        nonlocal exponentials
+        propagators, count = built
+        exponentials += count
         for (*_, end), per_block in zip(task, propagators):
             for b, u in enumerate(per_block):
                 blocks[b] = u @ blocks[b] @ u.conj().T if boson else u @ blocks[b]
@@ -1167,7 +1297,7 @@ def evolve_doubled_thermal(
         if threads == 1 or _openblas_threads() is None:
             for task in tasks:
                 work, error = exponents(task)
-                apply(task[:len(work)], _propagators(work, bases))
+                apply(task[:len(work)], _propagators(work, bases, masks))
                 if error is not None:
                     break
         else:
@@ -1178,7 +1308,8 @@ def evolve_doubled_thermal(
             try:
                 for task in tasks:
                     work, error = exponents(task)
-                    in_flight.append((task[:len(work)], pool.submit(_propagators, work, bases)))
+                    future = pool.submit(_propagators, work, bases, masks)
+                    in_flight.append((task[:len(work)], future))
                     if error is not None:
                         break
                     if len(in_flight) > threads:
@@ -1196,4 +1327,5 @@ def evolve_doubled_thermal(
         states=states,
         norm_deviation=np.array(norm_dev),
         tail_weight=np.array(tails),
+        exponentials=exponentials,
     )

@@ -234,10 +234,13 @@ def oracle_configs(
     ``substeps_per_unit``: the settings of the shared runs, on their
     101-point grid, and c07c's box, ``WIDE_BOX_FACTOR`` times as many
     levels at ``WIDE_BOX_SUBSTEPS_PER_UNIT`` on 5 points.  Raises
-    ``ValueError`` when either cannot be built."""
+    ``ValueError`` when either cannot be built, or when the shared settings
+    would march past ``fock_oracle._MAX_MARCH_STEPS`` on the suite's
+    window [0, 10]."""
     shared = fock_oracle.OracleConfig(
         n_levels=oracle.n_levels, substeps_per_unit=oracle.substeps_per_unit, grid_points=101
     )
+    fock_oracle._march_steps(0.0, 10.0, (), shared)
     n_wide = WIDE_BOX_FACTOR * oracle.n_levels
     try:
         wide = fock_oracle.OracleConfig(

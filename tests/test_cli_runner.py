@@ -50,6 +50,13 @@ TANH_DRIVE = (
 # an oscillator whose omega ramps linearly from 1 to ``final`` over QUENCH_CONSTANT's window
 OMEGA_RAMP = "kind = oscillator\nfamily = linear\nvalue_initial = 1.0\nvalue_final = {final}"
 
+# an oscillator whose mass drops from 1e308 to 2 at t = 1: in the initial
+# mass's frame the oracle's generator after the drop would overflow
+MASS_DROP = (
+    "kind = oscillator\nfamily = sudden\ndrive = mass\nvalue_initial = 1e308\n"
+    "value_final = 2.0\nt_jump = 1.0\nomega = 1.0"
+)
+
 SWEEP_TEXT = """
 [run]
 kind = sweep
@@ -326,6 +333,36 @@ class TestParseConfig:
                 parse_config(text.replace("n_levels = 32", oracle), "quench")
             assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("substeps_per_unit = 200", "substeps_per_unit = 1e308",
+             "[oracle] the march on [0, 2] at substeps_per_unit = 1e+308 would take 1e+308 "
+             "steps, more than the cap of 1000000"),
+            (CONSTANT_DRIVE, MASS_DROP,
+             "[oracle] H at t = 2 has a coefficient above 3.78e+303, at which the oracle's "
+             "generators would not be finite"),
+        ],
+        ids=["substeps_1e308", "mass_1e308"],
+    )
+    def test_unbounded_oracle_march_refused(self, old, new, message):
+        """With the oracle on, a march past the step cap or whose generators
+        would not be finite is refused, before any march allocates; with it
+        off the same config parses."""
+        import tracemalloc
+
+        text = QUENCH_CONSTANT.format(beta=1.0).replace(old, new)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError) as info:
+                parse_config(text, "quench")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == message
+        assert peak < 1e6
+        assert parse_config(text.replace("n_levels = 32", "enabled = false"), "quench").oracle is None
+
     @pytest.mark.parametrize("final", ["2.2250738585072014e-308", "1e-305"])
     def test_omega_ending_at_a_tiny_normal_float_runs(self, tmp_path, final):
         """The smallest normal omega(t_f) is a frame the occupation can be
@@ -456,8 +493,11 @@ class TestRunQuench:
         assert manifest["checks"] == []  # populated only by verify runs
         assert manifest["oracle"]["enabled"] is True
         assert set(manifest["oracle"]) == {
-            "enabled", "n_levels", "substeps_per_unit", "max_tail_weight", "max_norm_deviation"
+            "enabled", "n_levels", "substeps_per_unit", "exponentials", "max_tail_weight",
+            "max_norm_deviation",
         }
+        # one exponential per parity block on each of the 8 constant intervals
+        assert manifest["oracle"]["exponentials"] == 8 * 2
         rows = _read_csv(out / "observables.csv")
         assert manifest["oracle"]["max_tail_weight"] == max(rows["oracle_tail_weight [1]"])
         assert manifest["drift"]["commutator"] < 1e-9
@@ -528,6 +568,19 @@ class TestRunQuench:
             assert "n_levels" not in manifest["oracle"]
         else:
             assert manifest["oracle"]["n_levels"] == 40
+        assert _read_manifest(tmp_path)["oracle"] == manifest["oracle"]
+
+    def test_manifest_counts_the_oracles_exponentials(self, tmp_path):
+        """A fermion pairing ramp like the bench's: each of its 20 output
+        intervals is one piece, which varies along one unit generator on
+        each parity sector and takes one exponential there."""
+        text = (
+            "[run]\nkind = quench\nbeta = 1.0\n[protocol]\nkind = fermion\nfamily = tanh\n"
+            "value_initial = 0\nvalue_final = 0.3\ncenter = 1.0\nwidth = 0.1\nomega0 = 1.0\n"
+            "t_i = 0\nt_f = 2.0\n[integrator]\ngrid_points = 21\n"
+        )
+        manifest = run_quench(parse_config(text, "quench"), tmp_path)
+        assert manifest["oracle"]["exponentials"] == 20 * 2
         assert _read_manifest(tmp_path)["oracle"] == manifest["oracle"]
 
     def test_the_mode_solver_is_read_when_called(self, tmp_path, monkeypatch):
@@ -885,6 +938,12 @@ class TestCliMain:
             ("run", "t_f = 2.0", "t_f = 5e-324"),
             # finite ends whose width overflows
             ("run", "t_i = 0.0\nt_f = 2.0", "t_i = -1e308\nt_f = 1e308"),
+            # an oracle march past the step cap, or with generators that
+            # would not be finite
+            ("run", "substeps_per_unit = 200", "substeps_per_unit = 1e308"),
+            ("sweep", "enabled = false", "substeps_per_unit = 1e308"),
+            ("verify", "n_levels = 32", "n_levels = 32\nsubsteps_per_unit = 1e308"),
+            ("run", CONSTANT_DRIVE, MASS_DROP),
         ],
         ids=[
             "unknown_key", "beta_inf", "hbar", "sweep_hbar", "grid_points_1", "rel_tol_0",
@@ -898,6 +957,8 @@ class TestCliMain:
             "tail_abort", "verify_tail_abort",
             "omega_final_0", "omega_final_subnormal", "sweep_omega_final_0",
             "window_narrower_than_grid", "window_width_overflows",
+            "substeps_past_march_cap", "sweep_substeps_past_march_cap",
+            "verify_substeps_past_march_cap", "mass_1e308_oracle_on",
         ],
     )
     def test_config_error_exit_code(self, tmp_path, capsys, verb, old, new):

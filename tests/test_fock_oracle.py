@@ -1020,24 +1020,29 @@ class TestChirpedPairing:
     is the oracle's exact check through the complex branch of its
     exponential.  w0 drops out, because [a^dag a - b^dag b, a^dag b^dag] = 0,
     and the Rosen-Zener result (Rosen & Zener, Phys. Rev. 40, 502 (1932))
-    gives <a^dag a> = n_eq + (1 - 2 n_eq) sin^2(pi Omega T) sech^2(pi kappa T/2)."""
+    gives <a^dag a> = n_eq + (1 - 2 n_eq) sin^2(pi Omega T) sech^2(pi kappa T/2),
+    with n_eq at w0(t_i).  At kappa = 0 the march collapses every piece to
+    one exponential per sector, and the same gate holds it."""
 
     @pytest.mark.parametrize("amplitude, width, chirp, omega0, beta, half_window", [
-        (0.3, 0.5, 0.8, 1.0, 1.0, 15.0), (0.6, 1.0, 0.5, 0.7, 0.5, 30.0),
-    ])
+        (0.3, 0.5, 0.8, Constant(1.0), 1.0, 15.0), (0.6, 1.0, 0.5, Constant(0.7), 0.5, 30.0),
+        # w+ real: each parity sector varies along one unit generator (w+ on
+        # one, w0 on the other), so every piece is one exponential per sector
+        (0.3, 0.5, 0.0, Constant(1.0), 1.0, 15.0),
+        # w0 ramps too, which leaves sector 1 a single varying term
+        (0.4, 0.8, 0.0, make_tanh_ramp(0.8, 1.3, 0.0, 2.0), 1.0, 20.0),
+    ], ids=["chirped", "chirped_wide", "real_sech", "real_sech_omega0_ramp"])
     def test_occupation_matches_rosen_zener(
         self, amplitude, width, chirp, omega0, beta, half_window
     ):
         def pulse(t):
             return amplitude / math.cosh(t / width) * cmath.exp(1j * chirp * t)
 
-        p = FermionProtocol(
-            Constant(omega0), pulse, Constant(0.0), t_i=-half_window, t_f=half_window
-        )
+        p = FermionProtocol(omega0, pulse, Constant(0.0), t_i=-half_window, t_f=half_window)
         traj = evolve_doubled_thermal(p, beta, OracleConfig(substeps_per_unit=250, grid_points=2))
         a = build_fermion_space(doubled=True)["a"].matrix
         got = expectation(traj.states[-1], OperatorMatrix(a.conj().T @ a, fermion_doubled())).real
-        n_eq = 1.0 / (math.exp(beta * omega0) + 1.0)
+        n_eq = 1.0 / (math.exp(beta * omega0(-half_window)) + 1.0)
         flip = (math.sin(math.pi * amplitude * width) / math.cosh(0.5 * math.pi * chirp * width)) ** 2
         assert abs(got - (n_eq + (1.0 - 2.0 * n_eq) * flip)) < 1e-10
 
@@ -1447,6 +1452,137 @@ class TestPooledMarch:
         assert set(pooled) == {threading.get_ident()}
 
 
+# The bench's kinds of oracle quench at its sizes (N = 60, 21 output points,
+# the default 500 exponentials per unit), with the exponentials each march
+# builds.  The pairing ramp varies along one unit generator per fermion
+# sector and the frequency ramp along N on both boson blocks, so each piece
+# takes one exponential per block; the coupling and oscillator ramps take
+# J = 2 per step, 2 steps per interval.
+COUNTED_CASES = {
+    "fermion_pairing_ramp": (
+        FermionProtocol(
+            Constant(1.0), make_tanh_ramp(0.0, 0.3, 1.0, 0.1), Constant(0.0), t_i=0.0, t_f=2.0,
+        ),
+        OracleConfig(grid_points=21), 20 * 2,
+    ),
+    "boson_frequency_ramp": (
+        BosonProtocol(make_tanh_ramp(1.0, 1.5, 0.06, 0.012), Constant(0.0), t_i=0.0, t_f=0.12),
+        OracleConfig(grid_points=21), 20 * 2,
+    ),
+    "boson_coupling_ramp": (
+        BosonProtocol(Constant(1.0), make_tanh_ramp(0.0, 0.3, 0.06, 0.006), t_i=0.0, t_f=0.12),
+        OracleConfig(grid_points=21), 20 * 2 * 2 * 2,
+    ),
+    "oscillator_ramp": (
+        OscillatorProtocol(Constant(1.0), make_tanh_ramp(1.0, 1.5, 0.075, 0.015), t_i=0.0, t_f=0.15),
+        OracleConfig(grid_points=21), 20 * 2 * 2 * 2,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COUNTED_CASES))
+def test_trajectory_counts_the_exponentials_it_built(case, pooled, monkeypatch):
+    """``exponentials`` is the number of matrices the spectral kernel was
+    handed, counted by wrapping it, on the pool and on one thread."""
+    oracle = tfdyn.fock_oracle
+    protocol, cfg, count = COUNTED_CASES[case]
+    built = TestConstantPieces._counting(monkeypatch)
+    traj = evolve_doubled_thermal(protocol, 1.0, cfg)
+    assert set(pooled) - {threading.get_ident()}, "the march never left the calling thread"
+    assert traj.exponentials == sum(built) == count
+    monkeypatch.setattr(oracle, "_thread_share", oracle._thread_share)
+    oracle._set_thread_share(1)
+    built.clear()
+    pooled.clear()
+    traj = evolve_doubled_thermal(protocol, 1.0, cfg)
+    assert set(pooled) == {threading.get_ident()}
+    assert traj.exponentials == sum(built) == count
+
+
+class TestMarchBounds:
+    """A march past the step cap is refused before anything is built, and
+    a coefficient of H too large for finite generators before any
+    exponential of one.  No test runs a march past the cap."""
+
+    @staticmethod
+    def _traced_peak(call):
+        """The peak memory traced while ``call`` runs, beyond what was held
+        before it."""
+        import tracemalloc
+
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            call()
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+
+    @pytest.mark.parametrize("substeps, grid_points, wanted", [
+        (1e308, 11, "5e\\+307 steps"),
+        (2.0 * tfdyn.fock_oracle._MAX_MARCH_STEPS + 2.0, 2, "1000001 steps"),
+        (1.0, tfdyn.fock_oracle._MAX_MARCH_STEPS + 2, "1000001 steps"),
+    ], ids=["substeps_1e308", "one_step_past_the_cap", "grid_past_the_cap"])
+    def test_a_march_past_the_cap_is_refused_before_any_allocation(
+        self, substeps, grid_points, wanted, monkeypatch
+    ):
+        """On a one-unit window: at 1e308 exponentials per unit, one step
+        past the cap, and with more output intervals than the cap (each
+        takes a step), which is refused before its grid is made.  Nothing
+        is sampled and at most 64 kB is traced."""
+        calls = []
+        p = BosonProtocol(lambda t: calls.append(t) or 1.0, Constant(0.0), t_i=0.0, t_f=1.0)
+        cfg = OracleConfig(n_levels=20, substeps_per_unit=substeps, grid_points=grid_points)
+        monkeypatch.setattr(tfdyn.fock_oracle, "_thread_share", 1)
+
+        def refused():
+            with pytest.raises(ValueError, match=f"would take {wanted}, more than the cap of 1000000$"):
+                evolve_doubled_thermal(p, 1.0, cfg)
+
+        assert self._traced_peak(refused) < 64e3
+        assert calls == []
+
+    def test_the_cap_admits_a_march_at_it(self):
+        """Steps are counted per cut interval from its width, and a march of
+        exactly the cap's steps passes the count."""
+        cap = tfdyn.fock_oracle._MAX_MARCH_STEPS
+        cfg = OracleConfig(substeps_per_unit=2.0 * cap, grid_points=2)
+        grid, cuts, steps = tfdyn.fock_oracle._march_steps(0.0, 1.0, (), cfg)
+        assert grid.tolist() == cuts == [0.0, 1.0] and steps == [cap]
+        cfg = OracleConfig(substeps_per_unit=4.0, grid_points=3)
+        assert tfdyn.fock_oracle._march_steps(0.0, 1.0, (0.2,), cfg)[2] == [1, 1, 1]
+
+    def test_a_generator_that_would_overflow_is_refused_before_its_exponential(self, monkeypatch):
+        """An oscillator whose mass drops from 1e306 to 2 at t = 0.5: in the
+        frame of the initial mass the kinetic coefficient after the jump is
+        2.5e305, past the limit, and the march stops at the first sample
+        there, with no exponential of it built.  Before the jump H is N, one
+        exponential per block on each of the 5 intervals."""
+        built = TestConstantPieces._counting(monkeypatch)
+        monkeypatch.setattr(tfdyn.fock_oracle, "_thread_share", 1)
+        p = OscillatorProtocol(Step(1e306, 2.0, 0.5), Constant(1.0), t_i=0.0, t_f=1.0, jump_times=(0.5,))
+        limit = tfdyn.fock_oracle._coefficient_limit(20)
+        with pytest.raises(ValueError, match="H at t = 0.50") as info:
+            evolve_doubled_thermal(p, 1.0, OracleConfig(n_levels=20, grid_points=11))
+        assert f"above {limit:.3g}, at which the oracle's generators would not be finite" in str(info.value)
+        assert sum(built) == 5 * 2
+
+    def test_the_coefficient_limit_keeps_every_generator_finite(self):
+        """At the limit, a collapsed piece's summed exponent of a chunk of
+        steps times the largest unit generator entry, over every term, is
+        finite; at N = 256 and for a fermion."""
+        for n in (256, None):
+            limit = tfdyn.fock_oracle._coefficient_limit(n)
+            bases = tfdyn.fock_oracle._sector_bases(n)[1]
+            for basis in bases:
+                terms = np.full(len(basis), tfdyn.fock_oracle._CHUNK * limit)
+                assert np.all(np.isfinite(np.tensordot(terms, np.abs(basis), axes=1)))
+
+
 @pytest.mark.parametrize("case", sorted(POOLED_CASES))
 def test_numpy_without_openblas_marches_on_the_calling_thread(case, monkeypatch):
     """Where numpy carries no OpenBLAS of its own, the march cannot hold
@@ -1482,6 +1618,14 @@ def test_openblas_lookup_finds_none_beside_a_numpy_without_it(monkeypatch, tmp_p
     thread-count getter and setter."""
     monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
     assert tfdyn.fock_oracle._openblas_threads.__wrapped__() is None
+
+
+def _collapses(exponents, mask):
+    """Whether the kernel builds a piece on a block from its summed
+    exponents, as one exponential or the identity: a varying piece whose
+    live terms leave at most one unit generator on the block."""
+    live = np.any(exponents != 0.0, axis=(0, 1)) & mask
+    return exponents.shape[:2] != (1, 1) and np.count_nonzero(live) <= 1
 
 
 def _frozen_generator_stacks(coeffs, bases):
@@ -1533,6 +1677,11 @@ KERNEL_CASES = {
         ),
         1.0, OracleConfig(grid_points=21),
     ),
+    # w+ = 0: both parity blocks vary along the number operator alone
+    "boson_frequency_ramp": (
+        BosonProtocol(make_tanh_ramp(1.0, 1.5, 0.6, 0.2), Constant(0.0), t_i=0.0, t_f=1.2),
+        1.0, OracleConfig(n_levels=24, substeps_per_unit=200.0, grid_points=13),
+    ),
 }
 
 
@@ -1540,7 +1689,10 @@ class TestStreamedKernel:
     """Runs of short pieces are built as stacks and each longer piece in
     aligned power-of-two blocks of steps, which leaves every bit of their
     propagators as the whole-piece kernel gave them, piece by piece, and
-    bounds what a thread holds by one stack or block."""
+    bounds what a thread holds by one stack or block.  On a block where a
+    piece collapses (``_collapses``), the whole-piece kernel is the kernel
+    itself on that piece alone, one exponential of its summed exponents;
+    elsewhere it is ``_frozen_propagators``' CFM4 product."""
 
     @staticmethod
     def _kernel_calls(protocol, beta, cfg, monkeypatch):
@@ -1562,28 +1714,49 @@ class TestStreamedKernel:
         bytes also pin that a block's generator stack is the same rows of the
         piece's, and that a stack gives each of its pieces the bytes it has
         alone.  With room for a whole call, the short-piece cases build one
-        stack per block for each run of pieces of one shape: the boson ramp's
-        20 pieces of 2 steps form one run, while the fermion ramp's 0.1 wide
-        intervals take 25 or 26 steps, by the round-off of their widths, and
-        form 13."""
+        stack per block: the boson ramp's 20 pieces of 2 steps form one run,
+        and the fermion ramp's 20 pieces, of 25 or 26 steps by the round-off
+        of their 0.1 wide intervals, each collapse to one exponent of one
+        shape on each sector."""
+        propagators = tfdyn.fock_oracle._propagators
         calls = self._kernel_calls(*KERNEL_CASES[case], monkeypatch)
-        (per_matrix,) = {basis[0].size for _, bases in calls for basis in bases}
+        (per_matrix,) = {basis[0].size for _, bases, _ in calls for basis in bases}
         if case == "c07c_like_box":
-            assert [exponents.shape[1] for pieces, _ in calls for exponents, _ in pieces] == [125]
+            assert [exponents.shape[1] for pieces, _, _ in calls for exponents, _ in pieces] == [125]
         for room in (1, 3, 26, None):
             sub_batch = 2**40 if room is None else room * per_matrix
             monkeypatch.setattr(tfdyn.fock_oracle, "_SUB_BATCH", sub_batch)
-            for args in calls:
-                got, want = tfdyn.fock_oracle._propagators(*args), _frozen_propagators(*args)
-                for got_piece, want_piece in zip(got, want, strict=True):
-                    for a, b in zip(got_piece, want_piece, strict=True):
-                        assert a.tobytes() == b.tobytes(), (case, room)
+            for pieces, bases, masks in calls:
+                got, _ = propagators(pieces, bases, masks)
+                frozen = _frozen_propagators(pieces, bases)
+                for piece, got_piece, frozen_piece in zip(pieces, got, frozen, strict=True):
+                    alone, _ = propagators([piece], bases, masks)
+                    for b, mask in enumerate(masks):
+                        want = alone[0][b] if _collapses(piece[0], mask) else frozen_piece[b]
+                        assert got_piece[b].tobytes() == want.tobytes(), (case, room)
         if case.startswith("short_"):  # the last room above holds the whole call
-            ((pieces, bases),) = calls
+            ((pieces, bases, masks),) = calls
             stacks = TestConstantPieces._counting(monkeypatch)
-            tfdyn.fock_oracle._propagators(pieces, bases)
-            runs = 1 if case == "short_boson_pieces" else 13
-            assert len(pieces) == 20 and len(stacks) == runs * len(bases)
+            propagators(pieces, bases, masks)
+            assert len(pieces) == 20 and len(stacks) == len(bases)
+
+    @pytest.mark.parametrize("case", ["short_fermion_pieces", "boson_frequency_ramp"])
+    def test_collapsed_pieces_match_the_cfm4_product(self, case, monkeypatch):
+        """Every piece of the bench-like fermion pairing ramp and of a boson
+        frequency ramp collapses on every block, and its one exponential
+        agrees with the whole-piece kernel's product of its CFM4 steps to
+        1e-13; the count is one per piece and block."""
+        calls = self._kernel_calls(*KERNEL_CASES[case], monkeypatch)
+        for pieces, bases, masks in calls:
+            got, built = tfdyn.fock_oracle._propagators(pieces, bases, masks)
+            assert built == len(pieces) * len(bases)
+            for piece, got_piece, want_piece in zip(
+                pieces, got, _frozen_propagators(pieces, bases), strict=True
+            ):
+                assert piece[0].shape[:2] != (1, 1)
+                for mask, a, b in zip(masks, got_piece, want_piece, strict=True):
+                    assert _collapses(piece[0], mask)
+                    assert np.max(np.abs(a - b)) < 1e-13
 
     def test_power_of_two_blocks_pair_as_the_whole_product(self):
         """The ordered product of the block products of aligned blocks of
