@@ -2,16 +2,18 @@
 
 ``fock_oracle.expectation``, ``expectation_single_factor`` and
 ``thermal_state_condition_residual`` check their states and operators, then
-hand plain arrays to these functions, which read a whole stack of states in
+hand plain arrays, or functions that stack a batch of rows, to these
+functions, which read a whole stack of states in
 row batches whose temporaries hold about ``budget`` elements together.  Boson
 traces work on the (even, odd) parity sub-blocks of the coefficient
-matrices, and multiply only the sub-blocks that are not exactly zero.  Every
+matrices, taken from the states or from the blocks an evolution kept, and
+multiply only the sub-blocks that are not exactly zero.  Every
 state of a stack gets the bits it gets alone.  Pure numpy.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -79,14 +81,26 @@ def vdots(vectors: list[np.ndarray], mats: list[np.ndarray], budget: int) -> np.
     return values
 
 
-def _parity_stacks(mats: list[np.ndarray], rows: list[int]) -> dict:
+def present(stacks: dict) -> dict:
+    """Stacks of parity blocks keyed (r, p), less those that are exactly
+    zero for every row.  A row whose block is zero where another row's is
+    not gets exact zeros from the products of that block, which leave every
+    value of its own as it is."""
+    return {key: stack for key, stack in stacks.items() if stack.any()}
+
+
+def parity_stacks(mats: list[np.ndarray], rows: list[int]) -> dict:
     """The (row parity, column parity) sub-blocks of ``mats[k]`` for k in
     ``rows``, stride-2 views stacked and keyed (r, p), less those that are
-    exactly zero for every row.  A row whose block is zero where another
-    row's is not gets exact zeros from the products of that block, which
-    leave every value of its own as it is."""
-    stacks = {(r, p): np.stack([mats[k][r::2, p::2] for k in rows]) for r, p in PARITIES}
-    return {key: stack for key, stack in stacks.items() if stack.any()}
+    exactly zero for every row (``present``)."""
+    return present({(r, p): np.stack([mats[k][r::2, p::2] for k in rows]) for r, p in PARITIES})
+
+
+def row_stacks(blocks: dict, rows: list[int]) -> dict:
+    """The parity blocks of the states ``rows``, stacked as
+    ``parity_stacks`` gives them, from per-state sequences of blocks keyed
+    (r, p)."""
+    return present({key: np.stack([states[k] for k in rows]) for key, states in blocks.items()})
 
 
 def _block_product(x: dict, y: dict) -> dict:
@@ -117,23 +131,25 @@ def _level_traces(x: dict, y: dict, shape: tuple[int, ...], n: int) -> np.ndarra
 
 
 def single_factor_traces(
-    cs: list[np.ndarray], mats: list[np.ndarray], tilde: bool, budget: int
+    c_rows: Callable[[list[int]], dict], count: int, n: int,
+    mats: list[np.ndarray], tilde: bool, budget: int,
 ) -> np.ndarray:
     """tr(C^dag A C), or with ``tilde`` tr(A C^T C*), for each operator A
-    and coefficient matrix C, as a (K, R) array.  Each trace reads one
+    and each of ``count`` n x n coefficient matrices C, as a (K, R) array.
+    ``c_rows(rows)`` gives the C of the states ``rows`` as their parity
+    blocks (``parity_stacks`` or ``row_stacks``).  Each trace reads one
     product, A C or G = C^T C*, on parity blocks: the k-th level term is the
     dot of column k of C* and of A C, or of column k of A^T and of G."""
-    n = cs[0].shape[0]
     if tilde:
         mats = [m.T for m in mats]
-    a = _parity_stacks(mats, list(range(len(mats))))
+    a = parity_stacks(mats, list(range(len(mats))))
     a = {key: block[:, None] for key, block in a.items()}  # operators by rows
-    values = np.empty((len(mats), len(cs)), dtype=complex)
+    values = np.empty((len(mats), count), dtype=complex)
     half = (n + 1) // 2
     # a row's temporaries: its four C blocks, their conjugates and two
     # (n/2) x (n/2) products per operator, as evolved states have
-    for rows in row_batches(len(cs), (len(mats) + 3) * 2 * half * half, budget):
-        c = _parity_stacks(cs, rows)
+    for rows in row_batches(count, (len(mats) + 3) * 2 * half * half, budget):
+        c = c_rows(rows)
         c_conj = {key: block.conj() for key, block in c.items()}
         if tilde:  # sum_i A[j, i] G[i, j]: x = A^T, y = G = C^T C*
             c_t = {(p, r): block.swapaxes(-1, -2) for (r, p), block in c.items()}
@@ -145,16 +161,18 @@ def single_factor_traces(
 
 
 def boson_residuals(
-    cs: list[np.ndarray], ladder: list[np.ndarray], columns: list[np.ndarray],
-    tan: float, budget: int,
+    c_rows: Callable[[list[int]], np.ndarray], count: int, ladder: list[np.ndarray],
+    columns: list[np.ndarray], tan: float, budget: int,
 ) -> dict[str, np.ndarray]:
     """|| (a(t) - tan a~^dag(t)) psi || and || (a~(t) - tan a^dag(t)) psi ||
-    for each coefficient matrix C, with a(t) = f- a + f+ a^dag from the
-    coefficient columns (f-, f+) and ``ladder`` = (a, a^dag)."""
-    n = cs[0].shape[0]
-    out = {"a": np.empty(len(cs)), "a_tilde": np.empty(len(cs))}
-    for rows in row_batches(len(cs), 8 * n * n, budget):  # about eight n x n a row
-        c = np.stack([cs[k] for k in rows])
+    for each of ``count`` coefficient matrices C, with a(t) = f- a + f+
+    a^dag from the coefficient columns (f-, f+) and ``ladder`` = (a,
+    a^dag).  ``c_rows(rows)`` stacks the C, or the state vectors, of the
+    states ``rows``."""
+    n = ladder[0].shape[0]
+    out = {"a": np.empty(count), "a_tilde": np.empty(count)}
+    for rows in row_batches(count, 8 * n * n, budget):  # about eight n x n a row
+        c = c_rows(rows).reshape(len(rows), n, n)
         coefficients = [column[rows][:, None, None] for column in columns]
         a_t = combination(coefficients, ladder, False)
         at_t = combination(coefficients, ladder, True)

@@ -242,6 +242,20 @@ def parse_config(text: str, kind: str) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"no thermal state at t_i: {exc}") from exc
     if protocol is not None and protocol.kind == "oscillator":
+        # the mode equations, the oracle's H and the frames at t_i (the
+        # oracle's) and t_f divide by or scale with these; the profiles are
+        # monotone between their ends, so the ends bound them
+        for t in (protocol.t_i, protocol.t_f):
+            end = evaluate(protocol, t)
+            mass, omega = end.mass, end.omega
+            for name, value in (
+                ("2 m", 2.0 * mass), ("2 m omega", 2.0 * mass * omega), ("m omega^2", mass * omega * omega),
+            ):
+                if not math.isfinite(value):
+                    raise ConfigError(
+                        f"the oscillator's {name} = {value} at t = {t:.6g} is not finite "
+                        f"(m = {mass:.6g}, omega = {omega:.6g})"
+                    )
         omega_f = evaluate(protocol, protocol.t_f).omega
         if not omega_f >= sys.float_info.min:
             raise ConfigError(
@@ -422,6 +436,7 @@ def run_quench(config: RunConfig, out_dir: str | Path) -> dict:
             **levels,
             "substeps_per_unit": config.oracle.substeps_per_unit,
             "exponentials": doubled.exponentials,
+            "decompositions": doubled.decompositions,
             "max_tail_weight": float(np.max(doubled.tail_weight)),
             "max_norm_deviation": float(np.max(doubled.norm_deviation)),
         }

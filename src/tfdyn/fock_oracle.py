@@ -45,10 +45,13 @@ The march's fixed costs are paid per stack, not per piece: consecutive
 short pieces of one shape share one generator contraction, one batched
 eigensolve and one batched product of their steps, within one budget of
 elements (``_SUB_BATCH``) that also bounds the blocks of a long piece.
-Every propagator keeps the bits it has when built alone.
+Pieces of a stack whose generators are equal share one eigendecomposition,
+and a task's pieces are sampled and checked in one pass.  Every propagator
+keeps the bits it has when built alone.
 
-A trajectory's observables are read in one pass over its parity blocks as
-well: ``expectation_single_factor``, ``thermal_state_condition_residual``
+A trajectory keeps its states as the march does, as parity blocks, and
+its observables are read in one pass over them: ``expectation_single_factor``
+reads a trajectory's blocks, and it, ``thermal_state_condition_residual``
 and ``expectation`` take a stack of states, check it, and hand its arrays
 to the kernels of ``tfdyn._readers``, which work in row batches within the
 same budget, multiply only the parity sub-blocks that are not exactly
@@ -310,9 +313,18 @@ def oscillator_boson_coefficients(
     mass: float, omega: float, m_ref: float, omega_ref: float
 ) -> tuple[float, float]:
     """(w0, w+) such that p^2/2m + m w^2 q^2/2 equals the quadratic form in
-    the reference-frame ladder operators.  w+ comes out real."""
-    kinetic = m_ref * omega_ref / (2.0 * mass)
-    potential = mass * omega**2 / (2.0 * m_ref * omega_ref)
+    the reference-frame ladder operators.  w+ comes out real.  Raises
+    ``ValueError`` where a denominator, 2 m or 2 m_ref w_ref, is not
+    finite: a quotient by it would collapse H towards 0."""
+    two_m, two_m_ref_omega_ref = 2.0 * mass, 2.0 * m_ref * omega_ref
+    if not (math.isfinite(two_m) and math.isfinite(two_m_ref_omega_ref)):
+        raise ValueError(
+            f"2 m = {two_m} or 2 m_ref omega_ref = {two_m_ref_omega_ref} is not finite at "
+            f"m = {mass:.6g} in the frame ({m_ref:.6g}, {omega_ref:.6g}): the oscillator's "
+            "H would collapse"
+        )
+    kinetic = m_ref * omega_ref / two_m
+    potential = mass * omega**2 / two_m_ref_omega_ref
     return kinetic + potential, potential - kinetic
 
 
@@ -623,13 +635,15 @@ def expectation(
 
 
 def expectation_single_factor(
-    psi: StateVector | Sequence[StateVector],
+    psi: StateVector | Sequence[StateVector] | DoubledTrajectory,
     op: OperatorMatrix | Sequence[OperatorMatrix],
     tilde: bool = False,
 ) -> complex | np.ndarray:
     """<psi| A (x) I |psi> (or I (x) A with ``tilde``) on the doubled boson
     basis, for a state or each of a stack and an operator or each of a stack
-    (shaped as ``expectation``).
+    (shaped as ``expectation``).  A ``DoubledTrajectory`` is read as the
+    stack of its states, from the parity blocks it keeps, without
+    assembling them; its values are the same to the bit.
 
     Works on the (n x n) coefficient matrix directly -- no n^2-dimensional
     Kronecker product: <A (x) I> = tr(C^dag A C), <I (x) A> = tr(A C^T C*).
@@ -644,15 +658,24 @@ def expectation_single_factor(
     that ``verification`` traces keep the bits of the full n x n products
     they replace.
     """
-    states, one_state = _stack(psi, StateVector)
+    trajectory = isinstance(psi, DoubledTrajectory)
+    if trajectory:
+        basis, count, one_state = psi.basis, len(psi.t), False
+    else:
+        states, one_state = _stack(psi, StateVector)
+        basis, count = states[0].basis, len(states)
     ops, one_op = _stack(op, OperatorMatrix)
-    if states[0].basis.kind != "boson_doubled":
+    if basis.kind != "boson_doubled":
         raise ValueError("expectation_single_factor needs the doubled boson basis")
-    n = states[0].basis.n_levels
+    n = basis.n_levels
     if ops[0].basis.kind != "boson_single" or ops[0].basis.n_levels != n:
         raise ValueError("operator must live on the matching single boson basis")
+    if trajectory:  # its even and odd blocks are C's (0, 0) and (1, 1) parity blocks
+        c_rows = functools.partial(_readers.row_stacks, dict(zip(((0, 0), (1, 1)), psi.blocks)))
+    else:
+        c_rows = functools.partial(_readers.parity_stacks, [st.c_matrix() for st in states])
     values = _readers.single_factor_traces(
-        [st.c_matrix() for st in states], [o.matrix for o in ops], tilde, _SUB_BATCH
+        c_rows, count, n, [o.matrix for o in ops], tilde, _SUB_BATCH
     )
     return _readers.shaped(values, one_op, one_state)
 
@@ -664,7 +687,13 @@ def _expi_neg_hermitian(h: np.ndarray, dt: float | np.ndarray) -> np.ndarray:
     matrix (an array that broadcasts to the stack's shape).  A real
     symmetric h takes the real eigensolver, and its exponential
     Q diag(phases) Q^T is then assembled by a real product."""
-    w, q = np.linalg.eigh(h)
+    return _spectral_exponential(*np.linalg.eigh(h), dt)
+
+
+def _spectral_exponential(w: np.ndarray, q: np.ndarray, dt: float | np.ndarray) -> np.ndarray:
+    """Q diag(exp(-i w dt)) Q^dag from the eigenvalues w and eigenvectors Q
+    of a Hermitian matrix, or of a stack of them: the one exponential
+    formula of the oracle (``_expi_neg_hermitian``)."""
     phases = np.exp(-1j * w * np.asarray(dt)[..., None])
     if np.isrealobj(q):
         # Q times the interleaved (real, imaginary) columns of diag(phases) Q^T
@@ -673,7 +702,30 @@ def _expi_neg_hermitian(h: np.ndarray, dt: float | np.ndarray) -> np.ndarray:
     return (q * phases[..., None, :]) @ q.conj().swapaxes(-1, -2)
 
 
-def _step_propagators(exponent_h: np.ndarray, step: float | np.ndarray) -> np.ndarray:
+def _distinct_generators(
+    rows: np.ndarray, h: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The generators of a stack that differ from every earlier one, bit
+    for bit, and each generator's position among them; None when all
+    differ.  ``rows[k]`` holds the coefficients that built ``h[k]``: equal
+    rows are found by their bytes, and their generators confirmed equal."""
+    first: dict[bytes, int] = {}
+    distinct: list[int] = []
+    position = []
+    for k, row in enumerate(rows):
+        j = first.setdefault(row.tobytes(), len(distinct))
+        if j == len(distinct) or h[distinct[j]].tobytes() != h[k].tobytes():
+            j = len(distinct)
+            distinct.append(k)
+        position.append(j)
+    return None if len(distinct) == len(rows) else (np.array(distinct), np.array(position))
+
+
+def _step_propagators(
+    exponent_h: np.ndarray,
+    step: float | np.ndarray,
+    shared: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
     """Propagators of a stack of steps, each the product of its J
     exponentials in the order they apply.
 
@@ -683,9 +735,18 @@ def _step_propagators(exponent_h: np.ndarray, step: float | np.ndarray) -> np.nd
     march has J rows of ``_STEP_RULE.weights``: the node generators h
     weighted by row j.  A step of constant h has J = 1 and the exponent h
     itself, since the rule's exponentials then commute and, with weights
-    that sum to 1, multiply to exp(-i h step).
+    that sum to 1, multiply to exp(-i h step).  With ``shared``, the
+    exponents in C order are decomposed only where they first appear
+    (``_distinct_generators``), and each keeps its own phases at its own
+    step; eigh works matrix by matrix, so every exponential keeps its bits.
     """
-    e = _expi_neg_hermitian(exponent_h, step)
+    if shared is None:
+        w, q = np.linalg.eigh(exponent_h)
+    else:
+        distinct, position = shared
+        w, q = np.linalg.eigh(exponent_h.reshape((-1,) + exponent_h.shape[-2:])[distinct])
+        w, q = w[position].reshape(exponent_h.shape[:-1]), q[position].reshape(exponent_h.shape)
+    e = _spectral_exponential(w, q, step)
     u = e[0]
     for later in e[1:]:
         u = later @ u
@@ -769,7 +830,7 @@ def invariant_operator_matrix(
 
 
 def thermal_state_condition_residual(
-    psi: StateVector | Sequence[StateVector],
+    psi: StateVector | Sequence[StateVector] | DoubledTrajectory,
     coeffs: SimpleNamespace,
     theta: float,
 ) -> dict[str, float] | dict[str, np.ndarray]:
@@ -783,13 +844,20 @@ def thermal_state_condition_residual(
     same for the b channel.  All vanish identically for the exact evolved
     thermal vacuum.
 
-    ``psi`` may be a stack of states of one basis, and then each
-    coefficient is a scalar or one value per state (a mode trajectory's
-    columns), and each residual an array with one norm per state.  A stack
-    gives every state the bits it gets alone.
+    ``psi`` may be a stack of states of one basis, or a
+    ``DoubledTrajectory``, whose states are assembled from its blocks a row
+    batch at a time; then each coefficient is a scalar or one value per
+    state (a mode trajectory's columns), and each residual an array with one
+    norm per state.  A stack gives every state the bits it gets alone.
     """
-    states, one_state = _stack(psi, StateVector)
-    basis = states[0].basis
+    if isinstance(psi, DoubledTrajectory):
+        basis, count, one_state, stacked = psi.basis, len(psi.t), False, psi._assembled
+    else:
+        states, one_state = _stack(psi, StateVector)
+        basis, count = states[0].basis, len(states)
+
+        def stacked(rows: list[int]) -> np.ndarray:
+            return np.stack([states[k].vector for k in rows])
     if basis.kind not in ("boson_doubled", "fermion_doubled"):
         raise ValueError(f"thermal-state residuals need a doubled basis, got {basis.kind}")
     operators, columns = {}, {}
@@ -797,33 +865,41 @@ def thermal_state_condition_residual(
         names, ops = _factor_operators(basis, False, channel)
         operators[channel] = (ops, _factor_operators(basis, True, channel)[1])
         columns[channel] = [
-            _readers.per_state(value, len(states), name)
+            _readers.per_state(value, count, name)
             for value, name in zip(_named_coefficients(coeffs, names, basis), names)
         ]
     if basis.kind == "boson_doubled":
         out = _readers.boson_residuals(
-            [st.c_matrix() for st in states], operators["a"][0], columns["a"],
-            math.tanh(theta), _SUB_BATCH,
+            stacked, count, operators["a"][0], columns["a"], math.tanh(theta), _SUB_BATCH
         )
     else:
         out = _readers.fermion_residuals(
-            np.stack([st.vector for st in states]), operators, columns, math.tan(theta), _SUB_BATCH
+            stacked(list(range(count))), operators, columns, math.tan(theta), _SUB_BATCH
         )
     return {key: float(values[0]) for key, values in out.items()} if one_state else out
 
 
-def truncation_report(psi: StateVector) -> float:
+def truncation_report(psi: StateVector | Sequence[np.ndarray]) -> float:
     """Tail weight: the population a boson state keeps on the top tenth of
     its levels, n >= floor(0.9 N), counting a doubled pair |n, m~> once when
     either level lies there.  Zero for a fermion state, which is not
-    truncated."""
-    kind = psi.basis.kind
-    if kind in ("fermion_single", "fermion_doubled"):
-        return 0.0
-    cutoff = int(math.floor(0.9 * psi.basis.n_levels))
-    if kind == "boson_single":
-        return float(np.sum(np.abs(psi.vector[cutoff:]) ** 2))
-    weight = np.abs(psi.c_matrix()) ** 2
+    truncated.  ``psi`` may also be a doubled boson state as the march
+    keeps it: the even and the odd block of its coefficient matrix C, which
+    is zero off them; its weight matrix |C|^2 is then laid out from the
+    blocks and summed as a state's is."""
+    if isinstance(psi, StateVector):
+        if psi.basis.kind in ("fermion_single", "fermion_doubled"):
+            return 0.0
+        n = psi.basis.n_levels
+        weight = np.abs(psi.vector if psi.basis.kind == "boson_single" else psi.c_matrix()) ** 2
+    else:
+        n = sum(len(block) for block in psi)
+        weight = np.zeros((n, n))
+        for p, block in enumerate(psi):
+            weight[p::2, p::2] = np.abs(block) ** 2
+    cutoff = int(math.floor(0.9 * n))
+    if weight.ndim == 1:
+        return float(weight[cutoff:].sum())
     return float(weight[cutoff:, :].sum() + weight[:cutoff, cutoff:].sum())
 
 
@@ -857,47 +933,96 @@ class OracleConfig:
             raise ValueError("substeps_per_unit must be positive and finite")
 
 
+def _layout(basis: BasisDescriptor) -> tuple[tuple[int, ...], list]:
+    """Where the march's parity blocks sit in a state of the doubled
+    ``basis``: the shape its vector takes, and each block's index there
+    (``_sector_bases``)."""
+    if basis.kind == "boson_doubled":
+        sectors = _sector_bases(basis.n_levels)[0]
+        return (basis.n_levels, basis.n_levels), [np.ix_(idx, idx) for idx in sectors]
+    return (16,), [(idx,) for idx in _FERMION_SECTORS]
+
+
 @dataclass
 class DoubledTrajectory:
-    """Sampled doubled-space states with their bookkeeping."""
+    """Sampled doubled-space states with their bookkeeping.
+
+    The states are kept as the march keeps them: ``blocks[b][k]`` is state
+    k on parity block b of ``basis`` (a boson's even or odd block of C, a
+    fermion sector's four amplitudes), normalised, and every state is zero
+    off its blocks.  The readers stack the rows they read a batch at a time,
+    and ``states`` assembles them as ``StateVector``s on first read.
+    """
 
     t: np.ndarray
-    states: list[StateVector]
+    basis: BasisDescriptor
+    blocks: tuple[list[np.ndarray], ...]
     norm_deviation: np.ndarray
     tail_weight: np.ndarray
     exponentials: int  # matrices exponentiated by the march, over its blocks
+    decompositions: int  # matrices it decomposed by eigh, at most one per exponential
+
+    @functools.cached_property
+    def states(self) -> list[StateVector]:
+        """The output states, assembled from ``blocks`` on first read."""
+        full = self._assembled(list(range(len(self.t))))
+        return [StateVector(vector, self.basis) for vector in full.reshape(len(full), -1)]
+
+    def _assembled(self, rows: list[int]) -> np.ndarray:
+        """The states ``rows``, assembled from ``blocks`` and stacked: as
+        coefficient matrices C on the doubled boson basis, as vectors on
+        the fermion one."""
+        shape, index = _layout(self.basis)
+        full = np.zeros((len(rows),) + shape, dtype=complex)
+        for idx, stack in zip(index, self.blocks):
+            full[(slice(None),) + idx] = np.stack([stack[k] for k in rows])
+        return full
 
 
-def _coefficients(
+def _sampled_coefficients(
     protocol: Protocol, times: np.ndarray, frame: tuple[float, float]
-) -> np.ndarray:
-    """The real coefficients of H at each of ``times``: ``omega0``, then the
-    real and imaginary part of each coupling channel.  An oscillator gives
-    (w0, w+, 0) in the static ``frame`` (mass, omega)."""
+) -> tuple[np.ndarray, Exception | None]:
+    """The real coefficients of H at each of ``times``, one row per time in
+    the order of ``times.ravel()``: ``omega0``, then the real and imaginary
+    part of each coupling channel.  An oscillator gives (w0, w+, 0) in the
+    static ``frame`` (mass, omega).  The rows stop before the first time
+    whose sample raises, and that exception comes with them (None when every
+    time was sampled)."""
     sample = sampler(protocol)
-    samples = [sample(t) for t in times.ravel().tolist()]
-    if protocol.kind == "oscillator":
-        w = np.array(
-            [oscillator_boson_coefficients(mass, omega, *frame) + (0.0,) for mass, omega in samples]
-        )
+    oscillator = protocol.kind == "oscillator"
+    if oscillator:
+        def row(t: float) -> tuple:
+            return oscillator_boson_coefficients(*sample(t), *frame) + (0.0,)
     else:
-        # (w0, c1, c2, ...) as complex pairs; w0 is real, so its imaginary
-        # slot takes w0 and the row from there on is (w0, c1.re, c1.im, ...)
-        pairs = np.array(samples, dtype=complex).view(float)
-        pairs[:, 1] = pairs[:, 0]
-        w = pairs[:, 1:]
-    return w.reshape(times.shape + (-1,))
+        row = sample
+    samples: list[tuple] = []
+    error = None
+    try:
+        for t in times.ravel().tolist():
+            samples.append(row(t))
+    except Exception as exc:
+        error = exc
+    width = 3 if oscillator else 2 * len(protocol.channels) - 1
+    if not samples:
+        return np.empty((0, width)), error
+    if oscillator:
+        return np.array(samples), error
+    # (w0, c1, c2, ...) as complex pairs; w0 is real, so its imaginary slot
+    # takes w0 and the row from there on is (w0, c1.re, c1.im, ...)
+    pairs = np.array(samples, dtype=complex).view(float)
+    pairs[:, 1] = pairs[:, 0]
+    return pairs[:, 1:], error
 
 
 def _propagators(
     pieces: list[tuple[np.ndarray, float]],
     bases: Sequence[np.ndarray],
     masks: Sequence[np.ndarray],
-) -> tuple[list[list[np.ndarray]], int]:
+) -> tuple[list[list[np.ndarray]], tuple[int, int]]:
     """Each piece's propagator on each block, the ordered product of its
     steps, from the piece's (exponent coefficients, step) pair; and the
-    number of matrices exponentiated.  The coefficients have shape (J,
-    steps, coefficients), J exponents per step: the rows of
+    numbers of matrices exponentiated and decomposed.  The coefficients
+    have shape (J, steps, coefficients), J exponents per step: the rows of
     ``_STEP_RULE.weights``, or J = 1 for a constant piece
     (``_step_propagators``).
 
@@ -919,6 +1044,9 @@ def _propagators(
     stack of at most R steps: one generator contraction, one batched
     exponential with a step per piece, and one batched ordered product of
     each piece's steps; collapsed and constant pieces have one step each.
+    In a stack of one-step pieces, those whose generators are equal (the
+    constant pieces of a sudden or piecewise-constant drive) share one
+    eigendecomposition, and each keeps its own phases at its own step.
     A longer piece is taken in aligned blocks of S steps, each block's
     generators, exponentials and ordered product in turn, then the product
     of the block products.  So a thread holds one stack or block whatever
@@ -929,7 +1057,7 @@ def _propagators(
     """
     live = [np.any(exponents != 0.0, axis=(0, 1)) for exponents, _ in pieces]
     out: list[list[np.ndarray]] = [[] for _ in pieces]
-    built = 0
+    built = decomposed = 0
     for basis, mask in zip(bases, masks):
         # each piece's exponents of its live terms on this block, its step
         # and those terms
@@ -967,12 +1095,17 @@ def _propagators(
             products = []
             for s in range(0, steps, size):
                 h = np.tensordot(coeffs[:, :, s:s + size], terms, axes=1)
+                shared = None
+                if steps == 1:  # one step a piece: equal generators share one eigh
+                    matrices = h.reshape((-1,) + h.shape[-2:])
+                    shared = _distinct_generators(coeffs.reshape(len(matrices), -1), matrices)
                 built += h[..., 0, 0].size
-                products.append(_ordered_product(_step_propagators(h, dt)))
+                decomposed += h[..., 0, 0].size if shared is None else len(shared[0])
+                products.append(_ordered_product(_step_propagators(h, dt, shared)))
             for k, u in enumerate(_ordered_product(np.stack(products, axis=1)), first):
                 out[k].append(u)
             first = last
-    return out, built
+    return out, (built, decomposed)
 
 
 def _available_cpus() -> int:
@@ -1125,7 +1258,9 @@ def _check_march(protocol: Protocol, config: OracleConfig) -> None:
     _march_steps(protocol.t_i, protocol.t_f, protocol.jump_times, config)
     ends = np.array([protocol.t_i, protocol.t_f])
     n = config.n_levels if statistics_of(protocol) != "fermion" else None
-    coeffs = _coefficients(protocol, ends, initial_frame(protocol))
+    coeffs, error = _sampled_coefficients(protocol, ends, initial_frame(protocol))
+    if error is not None:
+        raise error
     _check_coefficients(coeffs, ends, _coefficient_limit(n))
 
 
@@ -1154,15 +1289,19 @@ def evolve_doubled_thermal(
     piece's exponents (``_propagators``): a fermion pairing drive (w- = 0),
     a hopping drive, a boson frequency drive (w+ = 0); on a block where
     they leave none the piece is the identity.  ``exponentials`` counts
-    the matrices exponentiated.  Boson states are
-    advanced on the even and the odd block of their coefficient matrix
-    (C_b -> U_b C_b U_b^dag); fermion states on the two 4-dimensional parity
-    sectors that hold the thermal vacuum.  The full state is assembled only
-    at output times, where it is validated and its truncation tail
-    measured: the weight on pairs with a level in the top tenth
-    (``truncation_report``), one float per output time in ``tail_weight``.
-    The evolution aborts with a diagnostic if the tail passes
-    ``TAIL_ABORT``.
+    the matrices exponentiated, and ``decompositions`` the matrices
+    decomposed by eigh: equal generators of one stack share one.  Boson
+    states are advanced on the even and the odd block of their coefficient
+    matrix (C_b -> U_b C_b U_b^dag); fermion states on the two
+    4-dimensional parity sectors that hold the thermal vacuum.  At output
+    times the blocks are normed once, normalised when the norm is off 1 by
+    more than 1e-10, and kept as the trajectory's ``blocks``; a boson
+    state's truncation tail is measured on them: the weight on pairs with
+    a level in the top tenth (``truncation_report``), one float per output
+    time in ``tail_weight``.  The evolution aborts with a diagnostic if the
+    tail passes ``TAIL_ABORT``, and with ``ValueError`` at a norm that is
+    not finite and positive.  The full states are assembled only when
+    ``states`` is read.
 
     The calling thread samples the protocol, in time order, and applies the
     propagators and records the states, also in order.  When the march
@@ -1177,9 +1316,10 @@ def evolve_doubled_thermal(
     Every piece keeps the arithmetic of the one-thread march, so the states
     are the same to the bit.  The protocol is therefore sampled ahead of the
     output times: up to a task ahead on one thread, up to one more task than
-    the pool has threads with it.  When a protocol call raises, the pieces
-    sampled before it are applied first, so a truncation abort at an earlier
-    output time is raised in its place.
+    the pool has threads with it.  A task's pieces are sampled and checked
+    in one pass; when a protocol call raises, the pieces sampled before it
+    are applied first, so a truncation abort at an earlier output time is
+    raised in its place.
 
     A march of more than ``_MAX_MARCH_STEPS`` steps is refused with
     ``ValueError`` before any piece is built, and a sample of H with a
@@ -1196,39 +1336,35 @@ def evolve_doubled_thermal(
     # j-th unit coefficient restricted to the block.
     boson = statistics_of(protocol) != "fermion"
     n = config.n_levels if boson else None
-    sectors, bases, masks = _sector_bases(n)
+    _, bases, masks = _sector_bases(n)
     limit = _coefficient_limit(n)
-    if boson:
-        basis, shape = boson_doubled(n), (n, n)
-        index = [np.ix_(idx, idx) for idx in sectors]
-    else:
-        basis, shape = fermion_doubled(), (16,)
-        index = sectors
+    basis = boson_doubled(n) if boson else fermion_doubled()
+    shape, index = _layout(basis)
     psi0 = _thermal_series(beta, frame[1], basis)
     blocks = [psi0.vector.reshape(shape)[idx] for idx in index]
 
-    def assemble() -> np.ndarray:
-        full = np.zeros(shape, dtype=complex)
-        for idx, block in zip(index, blocks):
-            full[idx] = block
-        return full.reshape(-1)
-
-    states: list[StateVector] = []
+    # each output state as its parity blocks, normalised; the march replaces
+    # its blocks rather than writing to them, so they are kept as they are,
+    # and never copied into one array, which would raise the process's peak
+    # memory by their size
+    kept: list[list[np.ndarray]] = [[] for _ in blocks]
     norm_dev: list[float] = []
     tails: list[float] = []
 
     def record(time: float) -> None:
-        vec = assemble()
-        norm = float(np.linalg.norm(vec))
-        psi = StateVector(vec / norm if abs(norm - 1.0) > 1e-10 else vec, basis)
-        tail = truncation_report(psi)
+        norm = math.sqrt(sum(np.vdot(block, block).real for block in blocks))
+        if not 0.0 < norm < math.inf:
+            raise ValueError(f"the state at t = {time:.6g} has norm {norm}")
+        rows = [block / norm for block in blocks] if abs(norm - 1.0) > 1e-10 else blocks
+        tail = truncation_report(rows) if boson else 0.0
         if not tail <= TAIL_ABORT:  # a NaN tail aborts too
             raise TruncationError(
                 f"truncation tail {tail:.3e} exceeds "
                 f"{TAIL_ABORT:.0e} at t = {time:.6g}; increase n_levels "
                 f"beyond {config.n_levels}"
             )
-        states.append(psi)
+        for rows_kept, row in zip(kept, rows):
+            rows_kept.append(row)
         norm_dev.append(abs(norm - 1.0))
         tails.append(tail)
 
@@ -1258,28 +1394,35 @@ def evolve_doubled_thermal(
 
     def exponents(task) -> tuple[list[tuple[np.ndarray, float]], Exception | None]:
         """The task's pieces' (exponents, step), up to the first piece whose
-        protocol sampling raises, and that exception.  The march applies the
-        pieces sampled before it raises it, so that a truncation abort that
-        comes first in time wins."""
+        protocol sampling raises or whose coefficients pass ``limit``, and
+        that exception.  The whole task is sampled and checked in one pass.
+        The march applies the pieces before that piece, then raises, so that
+        a truncation abort that comes first in time wins."""
+        ends = np.cumsum([piece[0].size for piece in task])
+        times = np.concatenate([piece[0].ravel() for piece in task])
+        coeffs, error = _sampled_coefficients(protocol, times, frame)
+        complete = int(np.searchsorted(ends, len(coeffs), side="right"))
+        sampled = int(ends[complete - 1]) if complete else 0
+        try:
+            _check_coefficients(coeffs[:sampled], times[:sampled], limit)
+        except ValueError as exc:  # the pieces are in time order
+            over = np.any(np.abs(coeffs[:sampled]) > limit, axis=-1)
+            complete, error = int(np.searchsorted(ends, np.argmax(over), side="right")), exc
         work = []
-        for times, step, span, _ in task:
-            try:
-                coeffs = _coefficients(protocol, times, frame)
-                _check_coefficients(coeffs, times, limit)
-            except Exception as exc:
-                return work, exc
-            if np.all(coeffs == coeffs[0, 0]):  # constant H: one exponential spans the piece
-                work.append((coeffs[:1, :1], span))
+        for (piece_times, step, span, _), end in zip(task[:complete], ends):
+            piece = coeffs[end - piece_times.size:end].reshape(piece_times.shape + (-1,))
+            if np.all(piece == piece[0, 0]):  # constant H: one exponential spans the piece
+                work.append((piece[:1, :1], span))
             else:
-                work.append((np.tensordot(_STEP_RULE.weights, coeffs, axes=1), step))
-        return work, None
+                work.append((np.tensordot(_STEP_RULE.weights, piece, axes=1), step))
+        return work, error
 
-    exponentials = 0
+    counts = [0, 0]  # matrices exponentiated and decomposed
 
-    def apply(task, built: tuple[list[list[np.ndarray]], int]) -> None:
-        nonlocal exponentials
-        propagators, count = built
-        exponentials += count
+    def apply(task, built: tuple[list[list[np.ndarray]], tuple[int, int]]) -> None:
+        propagators, (exponentiated, decomposed) = built
+        counts[0] += exponentiated
+        counts[1] += decomposed
         for (*_, end), per_block in zip(task, propagators):
             for b, u in enumerate(per_block):
                 blocks[b] = u @ blocks[b] @ u.conj().T if boson else u @ blocks[b]
@@ -1324,8 +1467,10 @@ def evolve_doubled_thermal(
 
     return DoubledTrajectory(
         t=grid,
-        states=states,
+        basis=basis,
+        blocks=tuple(kept),
         norm_deviation=np.array(norm_dev),
         tail_weight=np.array(tails),
-        exponentials=exponentials,
+        exponentials=counts[0],
+        decompositions=counts[1],
     )

@@ -135,7 +135,7 @@ def _boson_columns(traj, beta: float, doubled) -> Columns:
     if doubled is None:
         return columns
 
-    n = doubled.states[0].basis.n_levels
+    n = doubled.basis.n_levels
     a_f = fock_oracle.frame_annihilation(*frame, n, m_i, omega_i).matrix
     q_op = fock_oracle.position_operator(n, m_i, omega_i)
     q2_op = q_op.matrix @ q_op.matrix
@@ -143,7 +143,7 @@ def _boson_columns(traj, beta: float, doubled) -> Columns:
         fock_oracle.OperatorMatrix(m, q_op.basis)
         for m in (a_f.conj().T @ a_f, q2_op, q2_op @ q2_op)
     ]
-    traced = fock_oracle.expectation_single_factor(doubled.states, ops).real
+    traced = fock_oracle.expectation_single_factor(doubled, ops).real
     for (name, unit), values in zip(
         (("occupation", "1"), ("q2", "length^2"), ("q4", "length^4")), traced
     ):
@@ -187,7 +187,7 @@ def condition_residuals(doubled: fock_oracle.DoubledTrajectory, traj, theta: flo
     """Worst thermal-vacuum condition residual on each row: the oracle's
     evolved state against the invariant operators of the mode solution,
     read from its coefficient columns."""
-    residuals = fock_oracle.thermal_state_condition_residual(doubled.states, traj, theta)
+    residuals = fock_oracle.thermal_state_condition_residual(doubled, traj, theta)
     return np.max(list(residuals.values()), axis=0)
 
 
@@ -502,7 +502,7 @@ def _c07c(s):
     q2_wide = fock_oracle.OperatorMatrix(q_wide.matrix @ q_wide.matrix, q_wide.basis)
     q4_wide = fock_oracle.OperatorMatrix(q2_wide.matrix @ q2_wide.matrix, q_wide.basis)
     dt_wide = fock_oracle.evolve_doubled_thermal(s.osc_quench, 1.0, s.wide_cfg)
-    traced = fock_oracle.expectation_single_factor(dt_wide.states, [q2_wide, q4_wide])
+    traced = fock_oracle.expectation_single_factor(dt_wide, [q2_wide, q4_wide])
     m2, m4 = traced.real.tolist()
     ratio_dev = 0.0
     for m2_k, m4_k in zip(m2, m4):

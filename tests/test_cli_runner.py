@@ -50,12 +50,15 @@ TANH_DRIVE = (
 # an oscillator whose omega ramps linearly from 1 to ``final`` over QUENCH_CONSTANT's window
 OMEGA_RAMP = "kind = oscillator\nfamily = linear\nvalue_initial = 1.0\nvalue_final = {final}"
 
-# an oscillator whose mass drops from 1e308 to 2 at t = 1: in the initial
+# an oscillator whose mass drops from 1e306 to 2 at t = 1: in the initial
 # mass's frame the oracle's generator after the drop would overflow
 MASS_DROP = (
-    "kind = oscillator\nfamily = sudden\ndrive = mass\nvalue_initial = 1e308\n"
+    "kind = oscillator\nfamily = sudden\ndrive = mass\nvalue_initial = 1e306\n"
     "value_final = 2.0\nt_jump = 1.0\nomega = 1.0"
 )
+# an oscillator at mass 1e308, whose 2 m overflows: the frame (1e308, 1)
+# would read H = 0 off the oracle's ladder operators
+MASS_1E308 = "kind = oscillator\nfamily = constant\nvalue = 1.0\nmass = 1e308"
 
 SWEEP_TEXT = """
 [run]
@@ -343,7 +346,7 @@ class TestParseConfig:
              "[oracle] H at t = 2 has a coefficient above 3.78e+303, at which the oracle's "
              "generators would not be finite"),
         ],
-        ids=["substeps_1e308", "mass_1e308"],
+        ids=["substeps_1e308", "mass_drop_1e306"],
     )
     def test_unbounded_oracle_march_refused(self, old, new, message):
         """With the oracle on, a march past the step cap or whose generators
@@ -362,6 +365,43 @@ class TestParseConfig:
         assert str(info.value) == message
         assert peak < 1e6
         assert parse_config(text.replace("n_levels = 32", "enabled = false"), "quench").oracle is None
+
+    @pytest.mark.parametrize(
+        "drive, message",
+        [
+            (MASS_1E308,
+             "the oscillator's 2 m = inf at t = 0 is not finite (m = 1e+308, omega = 1)"),
+            ("kind = oscillator\nfamily = sudden\ndrive = mass\nvalue_initial = 1.0\n"
+             "value_final = 1e308\nt_jump = 1.0\nomega = 1.0",
+             "the oscillator's 2 m = inf at t = 2 is not finite (m = 1e+308, omega = 1)"),
+            ("kind = oscillator\nfamily = constant\nvalue = 1e200\nmass = 0.5",
+             "the oscillator's 2 m omega = 1e+200 at t = 0 is finite"),
+            ("kind = oscillator\nfamily = constant\nvalue = 1e200\nmass = 1.0",
+             "the oscillator's m omega^2 = inf at t = 0 is not finite (m = 1, omega = 1e+200)"),
+            ("kind = oscillator\nfamily = linear\nvalue_initial = 1.0\nvalue_final = 1e160",
+             "the oscillator's m omega^2 = inf at t = 2 is not finite (m = 1, omega = 1e+160)"),
+            ("kind = oscillator\nfamily = constant\nvalue = 1e300\nmass = 1e10",
+             "the oscillator's 2 m omega = inf at t = 0 is not finite (m = 1e+10, omega = 1e+300)"),
+        ],
+        ids=["mass_1e308", "mass_rising_to_1e308", "omega_1e200_at_mass_half", "omega_1e200",
+             "omega_ramp_to_1e160", "mass_omega_overflows"],
+    )
+    def test_oscillator_past_float_max_refused(self, drive, message):
+        """An oscillator whose 2 m, 2 m omega or m omega^2 at t_i or t_f is
+        not finite is refused with the oracle on or off: its frame would
+        read H = 0 off the oracle's ladder operators, and the mode
+        equations overflow.  (At mass 0.5, omega = 1e200 gives a finite m
+        omega^2 as 2 m omega, but the oracle's H overflows its generators.)"""
+        text = QUENCH_CONSTANT.format(beta=1.0).replace(CONSTANT_DRIVE, drive)
+        for oracle in ("n_levels = 32", "enabled = false"):
+            config = text.replace("n_levels = 32", oracle)
+            if message.endswith(" is finite"):
+                with pytest.raises(ConfigError, match="m omega\\^2 = inf"):
+                    parse_config(config, "quench")
+                continue
+            with pytest.raises(ConfigError) as info:
+                parse_config(config, "quench")
+            assert str(info.value) == message
 
     @pytest.mark.parametrize("final", ["2.2250738585072014e-308", "1e-305"])
     def test_omega_ending_at_a_tiny_normal_float_runs(self, tmp_path, final):
@@ -493,11 +533,13 @@ class TestRunQuench:
         assert manifest["checks"] == []  # populated only by verify runs
         assert manifest["oracle"]["enabled"] is True
         assert set(manifest["oracle"]) == {
-            "enabled", "n_levels", "substeps_per_unit", "exponentials", "max_tail_weight",
-            "max_norm_deviation",
+            "enabled", "n_levels", "substeps_per_unit", "exponentials", "decompositions",
+            "max_tail_weight", "max_norm_deviation",
         }
-        # one exponential per parity block on each of the 8 constant intervals
+        # one exponential per parity block on each of the 8 constant intervals,
+        # all of one generator, which each block decomposes once
         assert manifest["oracle"]["exponentials"] == 8 * 2
+        assert manifest["oracle"]["decompositions"] == 2
         rows = _read_csv(out / "observables.csv")
         assert manifest["oracle"]["max_tail_weight"] == max(rows["oracle_tail_weight [1]"])
         assert manifest["drift"]["commutator"] < 1e-9
@@ -573,7 +615,10 @@ class TestRunQuench:
     def test_manifest_counts_the_oracles_exponentials(self, tmp_path):
         """A fermion pairing ramp like the bench's: each of its 20 output
         intervals is one piece, which varies along one unit generator on
-        each parity sector and takes one exponential there."""
+        each parity sector and takes one exponential there.  On sector 0
+        that generator is the pairing w+, different in every piece; on
+        sector 1 it is w0, constant, whose pieces of 25 and of 26 steps give
+        two generators, so 22 are decomposed."""
         text = (
             "[run]\nkind = quench\nbeta = 1.0\n[protocol]\nkind = fermion\nfamily = tanh\n"
             "value_initial = 0\nvalue_final = 0.3\ncenter = 1.0\nwidth = 0.1\nomega0 = 1.0\n"
@@ -581,6 +626,7 @@ class TestRunQuench:
         )
         manifest = run_quench(parse_config(text, "quench"), tmp_path)
         assert manifest["oracle"]["exponentials"] == 20 * 2
+        assert manifest["oracle"]["decompositions"] == 20 + 2
         assert _read_manifest(tmp_path)["oracle"] == manifest["oracle"]
 
     def test_the_mode_solver_is_read_when_called(self, tmp_path, monkeypatch):
@@ -943,7 +989,10 @@ class TestCliMain:
             ("run", "substeps_per_unit = 200", "substeps_per_unit = 1e308"),
             ("sweep", "enabled = false", "substeps_per_unit = 1e308"),
             ("verify", "n_levels = 32", "n_levels = 32\nsubsteps_per_unit = 1e308"),
+            ("run", CONSTANT_DRIVE, MASS_1E308),
             ("run", CONSTANT_DRIVE, MASS_DROP),
+            # an oscillator whose 2 m overflows, with the oracle off
+            ("sweep", "kind = oscillator\n", "kind = oscillator\nmass = 1e308\n"),
         ],
         ids=[
             "unknown_key", "beta_inf", "hbar", "sweep_hbar", "grid_points_1", "rel_tol_0",
@@ -958,7 +1007,8 @@ class TestCliMain:
             "omega_final_0", "omega_final_subnormal", "sweep_omega_final_0",
             "window_narrower_than_grid", "window_width_overflows",
             "substeps_past_march_cap", "sweep_substeps_past_march_cap",
-            "verify_substeps_past_march_cap", "mass_1e308_oracle_on",
+            "verify_substeps_past_march_cap", "mass_1e308_oracle_on", "mass_drop_1e306_oracle_on",
+            "sweep_mass_1e308_oracle_off",
         ],
     )
     def test_config_error_exit_code(self, tmp_path, capsys, verb, old, new):
@@ -1013,6 +1063,8 @@ class TestCliMain:
         assert code == 2
 
     def test_integration_failure_exit_code(self, tmp_path, capsys):
+        """omega ramps to 1e50, where m omega^2 is still finite: the solve
+        stalls on the stiff ramp and stops at its evaluation cap."""
         stiff = """
 [run]
 kind = quench
@@ -1022,7 +1074,7 @@ beta = 1.0
 kind = oscillator
 family = linear
 value_initial = 1.0
-value_final = 1e200
+value_final = 1e50
 t_i = 0.0
 t_f = 1.0
 
@@ -1032,7 +1084,7 @@ enabled = false
         cfg = self._write(tmp_path, stiff)
         code = main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
         assert code == 3
-        assert "integration failure" in capsys.readouterr().err
+        assert "right-hand-side evaluations" in capsys.readouterr().err
 
     def test_truncation_refusal_exit_code(self, tmp_path, capsys):
         cfg = self._write(tmp_path, QUENCH_CONSTANT.format(beta=0.05))

@@ -230,6 +230,27 @@ class TestBosonOperators:
         assert w0 == pytest.approx(2.5, rel=1e-15)
         assert wp == pytest.approx(1.5, rel=1e-15)
 
+    @pytest.mark.parametrize("args, message", [
+        ((1e308, 1.0, 1e308, 1.0), "2 m = inf or 2 m_ref omega_ref = inf is not finite at m = 1e+308 "
+         "in the frame (1e+308, 1): the oscillator's H would collapse"),
+        ((2.0, 1.0, 1e308, 1.0), "2 m = 4.0 or 2 m_ref omega_ref = inf is not finite at m = 2 "
+         "in the frame (1e+308, 1): the oscillator's H would collapse"),
+        ((1e308, 2.0, 1.0, 1.0), "2 m = inf or 2 m_ref omega_ref = 2.0 is not finite at m = 1e+308 "
+         "in the frame (1, 1): the oscillator's H would collapse"),
+    ], ids=["own_frame", "frame", "mass"])
+    def test_oscillator_coefficients_refuse_a_denominator_past_float_max(self, args, message):
+        """In its own frame a 1e308 mass gave (w0, w+) = (0, 0), not (1, 0):
+        2 m overflowed and the march ran under H = 0 without a word.  The
+        march now stops at its first sample in such a frame."""
+        with pytest.raises(ValueError) as info:
+            oscillator_boson_coefficients(*args)
+        assert str(info.value) == message
+        if args[0] == args[2]:
+            p = OscillatorProtocol(Constant(args[0]), Constant(args[1]), t_i=0.0, t_f=0.5)
+            with pytest.raises(ValueError) as info:
+                evolve_doubled_thermal(p, 1.0, OracleConfig(n_levels=20, grid_points=3))
+            assert str(info.value) == message
+
     def test_oscillator_hamiltonian_matches_ladder_form(self):
         """p^2/2m + m w^2 q^2/2 equals the (w0, w+) ladder Hamiltonian plus
         the zero-point shift w0 / 2, both in frequency units, except at the
@@ -1002,6 +1023,21 @@ class TestDoubledEvolution:
         with pytest.raises(TruncationError, match="nan"):
             evolve_doubled_thermal(p, 1.0, OracleConfig(n_levels=20, grid_points=3))
 
+    @pytest.mark.parametrize("protocol", [
+        BosonProtocol(Constant(1.0), Constant(0.0), t_i=0.0, t_f=1.0),
+        FermionProtocol(Constant(1.0), Constant(0.2), Constant(0.0), t_i=0.0, t_f=1.0),
+    ], ids=["boson", "fermion"])
+    def test_a_state_without_a_finite_norm_stops_the_march(self, protocol, monkeypatch):
+        """A march whose state loses its norm (here every propagator is NaN)
+        stops at the first output time, as its assembled state would be
+        refused, whether or not a tail is measured."""
+        assemble = tfdyn.fock_oracle._spectral_exponential
+        monkeypatch.setattr(
+            tfdyn.fock_oracle, "_spectral_exponential", lambda *args: assemble(*args) * math.nan
+        )
+        with pytest.raises(ValueError, match="the state at t = 0.5 has norm nan"):
+            evolve_doubled_thermal(protocol, 1.0, OracleConfig(n_levels=20, grid_points=3))
+
     def test_oscillator_protocol_accepted(self):
         p = OscillatorProtocol(Constant(1.0), Constant(1.0), t_i=0.0, t_f=0.5)
         cfg = OracleConfig(n_levels=30, substeps_per_unit=100.0, grid_points=3)
@@ -1148,16 +1184,30 @@ class TestConstantPieces:
 
     @staticmethod
     def _counting(monkeypatch):
-        """Records how many exponentials each call of the spectral kernel builds."""
+        """Records how many exponentials each call of the spectral kernel
+        assembles."""
         built = []
-        expi = tfdyn.fock_oracle._expi_neg_hermitian
+        assemble = tfdyn.fock_oracle._spectral_exponential
 
-        def counting(h, dt):
-            built.append(math.prod(h.shape[:-2]))
-            return expi(h, dt)
+        def counting(w, q, dt):
+            built.append(math.prod(w.shape[:-1]))
+            return assemble(w, q, dt)
 
-        monkeypatch.setattr(tfdyn.fock_oracle, "_expi_neg_hermitian", counting)
+        monkeypatch.setattr(tfdyn.fock_oracle, "_spectral_exponential", counting)
         return built
+
+    @staticmethod
+    def _decomposing(monkeypatch):
+        """Records how many matrices each call of numpy's eigh decomposes."""
+        decomposed = []
+        eigh = np.linalg.eigh
+
+        def counting(h):
+            decomposed.append(math.prod(h.shape[:-2]))
+            return eigh(h)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        return decomposed
 
     def test_step_protocol_builds_one_step_per_cut_and_matches_expm(self, monkeypatch):
         n = 30
@@ -1165,12 +1215,16 @@ class TestConstantPieces:
             Constant(1.0), Step(1.0, 1.5, 0.37), t_i=0.0, t_f=1.2, jump_times=(0.37,)
         )
         built = self._counting(monkeypatch)
+        decomposed = self._decomposing(monkeypatch)
         traj = evolve_doubled_thermal(
             p, 2.0, OracleConfig(n_levels=n, substeps_per_unit=200.0, grid_points=13)
         )
         cuts = sorted({*traj.t.tolist(), 0.37})
-        # one exponential per cut interval on each of the two parity blocks
-        assert sum(built) == 2 * (len(cuts) - 1)
+        # one exponential per cut interval on each of the two parity blocks,
+        # of two generators, before and after the jump, each decomposed once
+        # per block
+        assert sum(built) == traj.exponentials == 2 * (len(cuts) - 1)
+        assert sum(decomposed) == traj.decompositions == 2 * 2
 
         def h(omega):
             return build_boson_hamiltonian(*oscillator_boson_coefficients(1.0, omega, 1.0, 1.0), n).matrix
@@ -1454,49 +1508,135 @@ class TestPooledMarch:
 
 # The bench's kinds of oracle quench at its sizes (N = 60, 21 output points,
 # the default 500 exponentials per unit), with the exponentials each march
-# builds.  The pairing ramp varies along one unit generator per fermion
-# sector and the frequency ramp along N on both boson blocks, so each piece
-# takes one exponential per block; the coupling and oscillator ramps take
-# J = 2 per step, 2 steps per interval.
+# builds and the matrices it decomposes, at the default budgets and in the
+# small tasks and stacks of the forced pool.  The pairing ramp varies along
+# one unit generator per fermion sector and the frequency ramp along N on
+# both boson blocks, so each piece takes one exponential per block; the
+# coupling and oscillator ramps take J = 2 per step, 2 steps per interval.
+# Equal generators of one stack share a decomposition: the sudden jump's 21
+# constant pieces hold two generators per block, and the pairing ramp's
+# sector 1 holds two (w0 over pieces of 25 and of 26 steps) beside the 20 of
+# sector 0; smaller stacks share less.
 COUNTED_CASES = {
     "fermion_pairing_ramp": (
         FermionProtocol(
             Constant(1.0), make_tanh_ramp(0.0, 0.3, 1.0, 0.1), Constant(0.0), t_i=0.0, t_f=2.0,
         ),
-        OracleConfig(grid_points=21), 20 * 2,
+        OracleConfig(grid_points=21), 20 * 2, 20 + 2, 33,
     ),
     "boson_frequency_ramp": (
         BosonProtocol(make_tanh_ramp(1.0, 1.5, 0.06, 0.012), Constant(0.0), t_i=0.0, t_f=0.12),
-        OracleConfig(grid_points=21), 20 * 2,
+        OracleConfig(grid_points=21), 20 * 2, 20 * 2, 20 * 2,
     ),
     "boson_coupling_ramp": (
         BosonProtocol(Constant(1.0), make_tanh_ramp(0.0, 0.3, 0.06, 0.006), t_i=0.0, t_f=0.12),
-        OracleConfig(grid_points=21), 20 * 2 * 2 * 2,
+        OracleConfig(grid_points=21), 20 * 2 * 2 * 2, 20 * 2 * 2 * 2, 20 * 2 * 2 * 2,
     ),
     "oscillator_ramp": (
         OscillatorProtocol(Constant(1.0), make_tanh_ramp(1.0, 1.5, 0.075, 0.015), t_i=0.0, t_f=0.15),
-        OracleConfig(grid_points=21), 20 * 2 * 2 * 2,
+        OracleConfig(grid_points=21), 20 * 2 * 2 * 2, 20 * 2 * 2 * 2, 20 * 2 * 2 * 2,
     ),
+    "oscillator_sudden": (
+        OscillatorProtocol(Constant(1.0), Step(1.0, 1.5, 0.083), t_i=0.0, t_f=0.2, jump_times=(0.083,)),
+        OracleConfig(grid_points=21), 21 * 2, 2 * 2, 21 * 2,
+    ),
+}
+# the budgets the module ships with, before any test patches them
+DEFAULT_BUDGETS = {
+    "_SUB_BATCH": tfdyn.fock_oracle._SUB_BATCH, "_TASK_ELEMENTS": tfdyn.fock_oracle._TASK_ELEMENTS,
 }
 
 
 @pytest.mark.parametrize("case", sorted(COUNTED_CASES))
 def test_trajectory_counts_the_exponentials_it_built(case, pooled, monkeypatch):
-    """``exponentials`` is the number of matrices the spectral kernel was
-    handed, counted by wrapping it, on the pool and on one thread."""
+    """``exponentials`` and ``decompositions`` are the numbers of matrices
+    the spectral kernel assembled and numpy's eigh decomposed, counted by
+    wrapping them, on the pool and after ``_set_thread_share(1)`` in the
+    forced pool's small tasks and stacks, and on one thread at the default
+    budgets, where a march of the bench's sizes is one task."""
     oracle = tfdyn.fock_oracle
-    protocol, cfg, count = COUNTED_CASES[case]
+    protocol, cfg, exponentials, decompositions, pooled_decompositions = COUNTED_CASES[case]
     built = TestConstantPieces._counting(monkeypatch)
-    traj = evolve_doubled_thermal(protocol, 1.0, cfg)
+    decomposed = TestConstantPieces._decomposing(monkeypatch)
+
+    def counted():
+        built.clear()
+        decomposed.clear()
+        traj = evolve_doubled_thermal(protocol, 1.0, cfg)
+        assert (traj.exponentials, traj.decompositions) == (sum(built), sum(decomposed))
+        return traj.exponentials, traj.decompositions
+
+    assert counted() == (exponentials, pooled_decompositions)
     assert set(pooled) - {threading.get_ident()}, "the march never left the calling thread"
-    assert traj.exponentials == sum(built) == count
     monkeypatch.setattr(oracle, "_thread_share", oracle._thread_share)
     oracle._set_thread_share(1)
-    built.clear()
     pooled.clear()
-    traj = evolve_doubled_thermal(protocol, 1.0, cfg)
+    assert counted() == (exponentials, pooled_decompositions)
     assert set(pooled) == {threading.get_ident()}
-    assert traj.exponentials == sum(built) == count
+    for name, budget in DEFAULT_BUDGETS.items():
+        monkeypatch.setattr(oracle, name, budget)
+    pooled.clear()
+    assert counted() == (exponentials, decompositions)
+    assert len(pooled) == 1  # one task
+
+
+@pytest.mark.parametrize("case", ["boson_coupling_ramp", "oscillator_ramp", "oscillator_sudden"])
+def test_trajectory_reads_its_blocks_as_its_states(case):
+    """The bench's boson, tanh-oscillator and sudden-oscillator quenches:
+    the occupation in the final frame and q^2 and q^4 in the initial one,
+    as ``verification`` traces them, read from the parity blocks the
+    trajectory keeps, on either factor, equal ``expectation_single_factor``
+    on its assembled states bit for bit, and so do the thermal-state
+    residuals; and each recorded tail equals ``truncation_report`` on the
+    same state bit for bit."""
+    protocol, cfg = COUNTED_CASES[case][:2]
+    traj = evolve_doubled_thermal(protocol, 1.0, cfg)
+    n = cfg.n_levels
+    m_i, omega_i = initial_frame(protocol)
+    frame = (m_i, omega_i)
+    if protocol.kind == "oscillator":
+        final = evaluate(protocol, protocol.t_f)
+        frame = (final.mass, final.omega)
+    a_f = frame_annihilation(*frame, n, m_i, omega_i).matrix
+    q2 = np.linalg.matrix_power(position_operator(n, m_i, omega_i).matrix, 2)
+    ops = [OperatorMatrix(m, boson_single(n)) for m in (a_f.conj().T @ a_f, q2, q2 @ q2)]
+    for tilde in (False, True):
+        from_blocks = expectation_single_factor(traj, ops, tilde=tilde)
+        from_states = expectation_single_factor(traj.states, ops, tilde=tilde)
+        assert from_blocks.shape == (3, cfg.grid_points)
+        assert from_blocks.tobytes() == from_states.tobytes()
+    tails = np.array([truncation_report(psi) for psi in traj.states])
+    assert tails.tobytes() == traj.tail_weight.tobytes()
+    assert np.max(traj.tail_weight) > 0.0
+    # the thermal-state residuals, with invariant-operator coefficients
+    # that vary by row as a mode trajectory's columns do
+    coeffs = SimpleNamespace(f_minus=1.0 + 0.3j * traj.t, f_plus=0.2 - 0.1j * traj.t)
+    from_blocks = thermal_state_condition_residual(traj, coeffs, 0.4)
+    from_states = thermal_state_condition_residual(traj.states, coeffs, 0.4)
+    for key in ("a", "a_tilde"):
+        assert from_blocks[key].tobytes() == from_states[key].tobytes()
+
+
+def test_fermion_trajectory_reads_its_blocks_as_its_states():
+    """The bench's fermion ramp: its thermal-state residuals, read from the
+    sectors the trajectory keeps, equal those of its assembled states bit
+    for bit, and its states are zero off the two sectors."""
+    protocol, cfg = COUNTED_CASES["fermion_pairing_ramp"][:2]
+    traj = evolve_doubled_thermal(protocol, 1.0, cfg)
+    names = [f"{c}_{ch}_{s}" for ch in "ab" for c in "fg" for s in ("minus", "plus")]
+    coeffs = SimpleNamespace(**{
+        name: 0.1 * (k + 1) + 0.05j * (k - 3) * traj.t for k, name in enumerate(names)
+    })
+    from_blocks = thermal_state_condition_residual(traj, coeffs, 0.3)
+    from_states = thermal_state_condition_residual(traj.states, coeffs, 0.3)
+    assert set(from_blocks) == {"a", "a_tilde", "b", "b_tilde"}
+    for key, values in from_blocks.items():
+        assert values.tobytes() == from_states[key].tobytes()
+    sectors = np.concatenate(tfdyn.fock_oracle._FERMION_SECTORS)
+    outside = np.setdiff1d(np.arange(16), sectors)
+    for psi, even, odd in zip(traj.states, *traj.blocks, strict=True):
+        assert np.all(psi.vector[outside] == 0.0)
+        assert np.array_equal(psi.vector[sectors], np.concatenate([even, odd]))
 
 
 class TestMarchBounds:
@@ -1677,6 +1817,10 @@ KERNEL_CASES = {
         ),
         1.0, OracleConfig(grid_points=21),
     ),
+    # the bench's sudden jump: 21 constant pieces of two generators per block
+    "oscillator_sudden": (
+        COUNTED_CASES["oscillator_sudden"][0], 1.0, COUNTED_CASES["oscillator_sudden"][1],
+    ),
     # w+ = 0: both parity blocks vary along the number operator alone
     "boson_frequency_ramp": (
         BosonProtocol(make_tanh_ramp(1.0, 1.5, 0.6, 0.2), Constant(0.0), t_i=0.0, t_f=1.2),
@@ -1748,7 +1892,7 @@ class TestStreamedKernel:
         1e-13; the count is one per piece and block."""
         calls = self._kernel_calls(*KERNEL_CASES[case], monkeypatch)
         for pieces, bases, masks in calls:
-            got, built = tfdyn.fock_oracle._propagators(pieces, bases, masks)
+            got, (built, _) = tfdyn.fock_oracle._propagators(pieces, bases, masks)
             assert built == len(pieces) * len(bases)
             for piece, got_piece, want_piece in zip(
                 pieces, got, _frozen_propagators(pieces, bases), strict=True
@@ -1757,6 +1901,30 @@ class TestStreamedKernel:
                 for mask, a, b in zip(masks, got_piece, want_piece, strict=True):
                     assert _collapses(piece[0], mask)
                     assert np.max(np.abs(a - b)) < 1e-13
+
+    def test_equal_generators_share_a_decomposition_bit_for_bit(self, monkeypatch):
+        """A stack of constant pieces whose generators repeat, each at a
+        step of its own: built with one eigh per distinct generator, every
+        propagator has the bits of the kernel with one eigh per piece, and of
+        the piece alone.  Three generators, so three decompositions per
+        block; the real couplings take the real eigensolver, the complex ones
+        the complex."""
+        oracle = tfdyn.fock_oracle
+        _, bases, masks = oracle._sector_bases(24)
+        for imag in (0.0, -0.15):
+            a, b, c = (1.0, 0.2, imag), (1.3, -0.1, imag), (0.8, 0.3, imag)
+            rows = [a, b, a, a, c, b, a]
+            pieces = [(np.array([[row]]), 0.01 * (1 + k % 3)) for k, row in enumerate(rows)]
+            got, (built, decomposed) = oracle._propagators(pieces, bases, masks)
+            assert (built, decomposed) == (len(rows) * 2, 3 * 2)
+            with monkeypatch.context() as unshared:
+                unshared.setattr(oracle, "_distinct_generators", lambda rows, h: None)
+                want, (_, each) = oracle._propagators(pieces, bases, masks)
+            assert each == len(rows) * 2
+            for piece, got_piece, want_piece in zip(pieces, got, want, strict=True):
+                alone, _ = oracle._propagators([piece], bases, masks)
+                for u, v, w in zip(got_piece, want_piece, alone[0], strict=True):
+                    assert u.tobytes() == v.tobytes() == w.tobytes()
 
     def test_power_of_two_blocks_pair_as_the_whole_product(self):
         """The ordered product of the block products of aligned blocks of
@@ -1911,13 +2079,16 @@ def _evaluate_coefficients(protocol, times, frame):
     ids=["boson", "oscillator", "fermion", "chirped_boson", "fermion_both_couplings"],
 )
 def test_sampler_coefficients_match_evaluate_reference(protocol):
-    """_coefficients reads protocols.sampler and flattens the samples with
-    one complex array; its rows are the bits the evaluate-based builder gave
-    by flattening each sample's tuple, at CFM4 nodes of a run of steps."""
+    """_sampled_coefficients reads protocols.sampler and flattens the
+    samples with one complex array; its rows are the bits the evaluate-based
+    reference gives by flattening each sample's tuple, at CFM4 nodes of a run
+    of steps."""
     steps = np.arange(25)
     times = protocol.t_i + (steps + np.array(CFM4_NODES)[:, None]) * 0.04
     frame = (1.3, 0.8) if protocol.kind == "oscillator" else initial_frame(protocol)
-    got = tfdyn.fock_oracle._coefficients(protocol, times, frame)
+    got, error = tfdyn.fock_oracle._sampled_coefficients(protocol, times, frame)
+    assert error is None
+    got = got.reshape(times.shape + (-1,))
     want = _evaluate_coefficients(protocol, times, frame)
     assert got.shape == want.shape == times.shape + (1 + 2 * (len(protocol.channels) - 1),)
     assert got.tobytes() == want.tobytes()

@@ -125,21 +125,30 @@ class TestSharedRuns:
 
     @staticmethod
     def _counted(monkeypatch) -> Counter:
-        """Calls of each solver and evolution, and the matrices passed to the
-        oracle's spectral exponential (under ``"exponentials"``), from now on."""
+        """Calls of each solver and evolution, from now on, and the oracle's
+        matrices exponentiated and decomposed (under ``"exponentials"`` and
+        ``"decompositions"``): those the trajectories that the evolutions
+        return count, and those the suite exponentiates directly through
+        ``_expi_neg_hermitian`` (c05c's segments and c08's squeezes), one
+        decomposition each."""
         calls = Counter()
-        for module, names in (
-            (mode_solver, ("solve_boson_mode", "solve_oscillator_mode", "solve_fermion_modes")),
-            (fock_oracle, ("evolve_doubled_thermal",)),
-        ):
-            for name in names:
-                monkeypatch.setattr(module, name, _counting(calls, name, getattr(module, name)))
-        expi = fock_oracle._expi_neg_hermitian
+        for name in ("solve_boson_mode", "solve_oscillator_mode", "solve_fermion_modes"):
+            monkeypatch.setattr(mode_solver, name, _counting(calls, name, getattr(mode_solver, name)))
+        evolve, expi = fock_oracle.evolve_doubled_thermal, fock_oracle._expi_neg_hermitian
+
+        def counted_evolution(*args, **kwargs):
+            calls["evolve_doubled_thermal"] += 1
+            traj = evolve(*args, **kwargs)
+            calls["exponentials"] += traj.exponentials
+            calls["decompositions"] += traj.decompositions
+            return traj
 
         def counted_exponentials(h, dt):
             calls["exponentials"] += math.prod(h.shape[:-2])
+            calls["decompositions"] += math.prod(h.shape[:-2])
             return expi(h, dt)
 
+        monkeypatch.setattr(fock_oracle, "evolve_doubled_thermal", counted_evolution)
         monkeypatch.setattr(fock_oracle, "_expi_neg_hermitian", counted_exponentials)
         return calls
 
@@ -167,7 +176,13 @@ class TestSharedRuns:
         # c07c's N = 80 box builds 400 at its fixed 20 per unit.  The
         # exponentials pin the oracle's step count: a suite that ran its
         # shared oracle config at half the configured substeps builds 1,605,
-        # and one that ran c07c's box at 100 per unit 3,557.
+        # and one that ran c07c's box at 100 per unit 3,557.  Of the 1,957,
+        # the evolutions build 1,952.  Equal generators of one stack share a
+        # decomposition: c04's constant run and c03b's pulse each decompose
+        # 6 matrices for their 200 exponentials, one per stack and block
+        # (c04's stacks hold at most 40 pieces at N = 40, c03b's one constant
+        # stretch each); the varying runs of c03a, c06 and c07c decompose
+        # every one.
         oracle = OracleConfig(n_levels=40, substeps_per_unit=20.0)
         assert self._calls(monkeypatch, oracle=oracle) == {
             "solve_boson_mode": 3,
@@ -175,6 +190,7 @@ class TestSharedRuns:
             "solve_fermion_modes": 2,
             "evolve_doubled_thermal": 5,
             "exponentials": 1957,
+            "decompositions": 576 + 6 + 6 + 576 + 400 + 5,
         }
 
     def test_settings_and_run_free_checks_build_no_run(self, monkeypatch):
@@ -183,7 +199,8 @@ class TestSharedRuns:
         assert not calls
         for name in ("c01a_equilibrium_boson_analytic", "c08a_thermal_constructions_boson"):
             _CHECKS[name][2](runs)
-        assert dict(calls) == {"exponentials": 2}  # c08a's two squeeze exponentials
+        # c08a's two squeeze exponentials
+        assert dict(calls) == {"exponentials": 2, "decompositions": 2}
 
     def test_criteria_6_and_7_share_one_solve_and_one_evolution(self, monkeypatch):
         calls = self._counted(monkeypatch)
