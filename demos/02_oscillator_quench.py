@@ -21,7 +21,7 @@ from tfdyn import (
 )
 
 OMEGA_I, OMEGA_F = 1.0, 4.0
-TIGHT = IntegratorConfig(1e-12, 1e-14)
+TIGHT = IntegratorConfig(rel_tol=1e-12)
 
 # Closed-form sudden quench: the benchmark every ramp is compared against.
 sudden = sudden_coeffs(OMEGA_I, OMEGA_F)

@@ -36,7 +36,7 @@ from tfdyn.thermal_observables import EXP_ARG_MAX
 
 OMEGA0 = 1.0
 T_ON, T_OFF, T_END = 3.0, 7.0, 10.0
-TIGHT = IntegratorConfig(1e-12, 1e-14)
+TIGHT = IntegratorConfig(rel_tol=1e-12)
 # Past beta * omega0 = EXP_ARG_MAX the thermal angle is exactly 0, so
 # the evolved thermal vacuum starts as the exact vacuum.
 BETA = 2.0 * EXP_ARG_MAX / OMEGA0

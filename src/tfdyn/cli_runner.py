@@ -65,7 +65,7 @@ _RUN_KINDS = ("quench", "sweep", "verify")
 # validated by protocols.from_config, which also rejects unknown keys).
 _SECTION_KEYS = {
     "run": {"kind": str, "beta": float},
-    "integrator": {"rel_tol": float, "abs_tol": float, "grid_points": int},
+    "integrator": {"rel_tol": float, "grid_points": int},
     "oracle": {"enabled": bool, "n_levels": int, "substeps_per_unit": float},
     "sweep": {"key": str, "values": str},
 }

@@ -87,10 +87,10 @@ REL_TOL_FLOOR = 100 * sys.float_info.epsilon
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Tolerances and sampling of the adaptive integrator."""
+    """Tolerance and sampling of the adaptive integrator: DOP853 scales each
+    component's error by ``rel_tol / 100 + rel_tol * |y|``."""
 
     rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
     grid_points: int = 1001
 
     def __post_init__(self) -> None:
@@ -103,11 +103,8 @@ class IntegratorConfig:
             )
         # an infinite tolerance passes the bound above and would accept
         # every step
-        if not (0.0 < self.abs_tol < math.inf and self.rel_tol < math.inf):
-            raise ValueError(
-                f"rel_tol and abs_tol must be finite and abs_tol positive, "
-                f"got rel_tol = {self.rel_tol!r}, abs_tol = {self.abs_tol!r}"
-            )
+        if not self.rel_tol < math.inf:
+            raise ValueError(f"rel_tol must be finite, got {self.rel_tol!r}")
 
 
 @dataclass(frozen=True)
@@ -209,26 +206,27 @@ def _integrate(
             seg_rhs = lambda t, yv, _b=b, _d=delta: rhs(min(t, _b - _d), yv)
         else:
             seg_rhs = rhs
-        # A collapsing step size and arithmetic blow-ups inside the RHS
-        # (overflowing coefficients, runtime-invalid protocol values) are
-        # integration failures, not programming errors; the config itself was
-        # validated before entry.
+        # A collapsing step size and arithmetic blow-ups (overflowing
+        # coefficients or error norms, invalid values: numpy raises on the
+        # first) are integration failures, not programming errors; the config
+        # itself was validated before entry.
         t_new = a
         try:
-            solver = Dop853(seg_rhs, a, y, b, config.rel_tol, config.abs_tol)
-            while solver.t < b:
-                solver.step()
-                t_new = solver.t
-                tol = 1e-12 * (abs(t_new) + 1.0)
-                if filled < grid.size and times[filled] <= t_new + tol:
-                    dense = solver.dense_output()
-                    while filled < grid.size and times[filled] <= t_new + tol:
-                        out[filled] = dense(min(times[filled], t_new))
-                        filled += 1
-                if nfev + solver.nfev > MAX_RHS_EVALUATIONS:
-                    raise IntegrationError(
-                        f"the solve exceeded {MAX_RHS_EVALUATIONS} right-hand-side evaluations"
-                    )
+            with np.errstate(over="raise", invalid="raise"):
+                solver = Dop853(seg_rhs, a, y, b, config.rel_tol, config.rel_tol / 100)
+                while solver.t < b:
+                    solver.step()
+                    t_new = solver.t
+                    tol = 1e-12 * (abs(t_new) + 1.0)
+                    if filled < grid.size and times[filled] <= t_new + tol:
+                        dense = solver.dense_output()
+                        while filled < grid.size and times[filled] <= t_new + tol:
+                            out[filled] = dense(min(times[filled], t_new))
+                            filled += 1
+                    if nfev + solver.nfev > MAX_RHS_EVALUATIONS:
+                        raise IntegrationError(
+                            f"the solve exceeded {MAX_RHS_EVALUATIONS} right-hand-side evaluations"
+                        )
         except (
             IntegrationError, OverflowError, FloatingPointError, ZeroDivisionError, ValueError
         ) as exc:

@@ -302,7 +302,7 @@ class _Runs:
             omega0=Constant(1.0), omega_plus=lambda t: 0.5 if 3.0 <= t < 7.0 else 0.0,
             omega_minus=Constant(0.0), t_i=0.0, t_f=10.0, jump_times=(3.0, 7.0),
         )
-        self.tight_cfg = mode_solver.IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14, grid_points=101)
+        self.tight_cfg = mode_solver.IntegratorConfig(rel_tol=1e-12, grid_points=101)
 
     @_timed
     def osc_traj(self):
@@ -585,7 +585,7 @@ def run_all(
 ) -> list[CheckResult]:
     """Execute the full acceptance suite and return one result per check.
 
-    The suite reads the integrator's tolerances and the oracle's ``n_levels``
+    The suite reads the integrator's ``rel_tol`` and the oracle's ``n_levels``
     and ``substeps_per_unit``; it pins its own grids and temperatures, its
     oracle runs abort at the fixed ``fock_oracle.TAIL_ABORT`` like every
     other, and c07c's wide box runs at

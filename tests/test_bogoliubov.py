@@ -20,7 +20,7 @@ from tfdyn import (
     sudden_coeffs,
 )
 
-TIGHT = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14, grid_points=101)
+TIGHT = IntegratorConfig(rel_tol=1e-12, grid_points=101)
 
 # Frozen sudden-quench reference: a 1 -> 4 frequency jump gives
 # mu = 5/4, nu = 3/4, so the out-vacuum occupation is exactly 9/16.

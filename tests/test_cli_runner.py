@@ -233,7 +233,6 @@ class TestParseConfig:
         [
             ("run", "beta", "a number"),
             ("integrator", "rel_tol", "a number"),
-            ("integrator", "abs_tol", "a number"),
             ("integrator", "grid_points", "an integer"),
             ("oracle", "n_levels", "an integer"),
             ("oracle", "substeps_per_unit", "a number"),
@@ -262,13 +261,13 @@ class TestParseConfig:
     @pytest.mark.parametrize(
         "old, new, named",
         [
-            ("grid_points = 9", "grid_points = 9\nrel_tol = inf", "rel_tol = inf"),
-            ("grid_points = 9", "grid_points = 9\nabs_tol = inf", "abs_tol = inf"),
+            ("grid_points = 9", "grid_points = 9\nrel_tol = inf",
+             "[integrator] rel_tol must be finite, got inf"),
             ("width = 0.5", "width = inf", "width = inf"),
             ("center = 1.0", "center = inf", "center = inf"),
             ("center = 1.0", "center = -inf", "center = -inf"),
         ],
-        ids=["rel_tol", "abs_tol", "width", "center", "center_negative"],
+        ids=["rel_tol", "width", "center", "center_negative"],
     )
     def test_non_finite_setting_refused_by_name(self, old, new, named):
         """An infinite tolerance passes a lower bound and would accept every
@@ -948,7 +947,6 @@ class TestCliMain:
             ("run", "grid_points = 9", "grid_points = 9\nrel_tol = 1e-17"),
             # an infinite tolerance would accept every step
             ("run", "grid_points = 9", "grid_points = 9\nrel_tol = inf"),
-            ("run", "grid_points = 9", "grid_points = 9\nabs_tol = inf"),
             # an infinite tanh width or center makes the ramp a constant
             ("run", CONSTANT_DRIVE, TANH_DRIVE.replace("width = 0.5", "width = inf")),
             ("run", CONSTANT_DRIVE, TANH_DRIVE.replace("center = 1.0", "center = inf")),
@@ -997,7 +995,7 @@ class TestCliMain:
         ids=[
             "unknown_key", "beta_inf", "hbar", "sweep_hbar", "grid_points_1", "rel_tol_0",
             "rel_tol_below_floor",
-            "rel_tol_inf", "abs_tol_inf", "tanh_width_inf", "tanh_center_inf", "substeps_0",
+            "rel_tol_inf", "tanh_width_inf", "tanh_center_inf", "substeps_0",
             "substeps_nan", "empty_window", "n_levels_1",
             "n_levels_300", "boson_omega0_omitted",
             "fermion_omega0_zero_oracle_on", "coupling_at_t_i", "beta_1e-20_oracle_off",
@@ -1062,6 +1060,32 @@ class TestCliMain:
         code = main(["run", "--config", str(tmp_path / "absent.ini"), "--out", str(tmp_path / "out")])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "verb, old, new, message",
+        [
+            ("run", "grid_points = 9", "grid_points = 9\nabs_tol = 1e-12",
+             "unknown key(s) in [integrator]: abs_tol"),
+            ("sweep", "grid_points = 11", "grid_points = 11\nabs_tol = 1e-12",
+             "unknown key(s) in [integrator]: abs_tol"),
+            ("verify", "enabled = false", "enabled = false\n\n[integrator]\nabs_tol = 1e-14",
+             "unknown key(s) in [integrator]: abs_tol"),
+            ("sweep", SWEEP_WIDTHS, "key = integrator.abs_tol\nvalues = 1e-12, 1e-14",
+             "[sweep] key targets unknown key 'abs_tol' in [integrator]"),
+        ],
+        ids=["quench", "sweep", "verify", "sweep_key"],
+    )
+    def test_abs_tol_refused_as_unknown_key(self, tmp_path, capsys, verb, old, new, message):
+        """The absolute tolerance is rel_tol / 100, not a setting."""
+        texts = {"run": QUENCH_CONSTANT.format(beta=1.0), "sweep": SWEEP_TEXT, "verify": VERIFY_FAST}
+        assert old in texts[verb]
+        cfg = self._write(tmp_path, texts[verb].replace(old, new))
+        code = main([verb, "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: {message}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
     def test_integration_failure_exit_code(self, tmp_path, capsys):
         """omega ramps to 1e50, where m omega^2 is still finite: the solve
         stalls on the stiff ramp and stops at its evaluation cap."""
@@ -1086,6 +1110,30 @@ enabled = false
         assert code == 3
         assert "right-hand-side evaluations" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "drive",
+        [
+            "kind = oscillator\nvalue_initial = 1.0\nvalue_final = 1e100",
+            "kind = boson\ndrive = omega_plus\nomega0 = 1.0\nvalue_initial = 0.0\nvalue_final = 1e200",
+            "kind = fermion\ndrive = omega_plus\nvalue_initial = 0.0\nvalue_final = 1e300",
+        ],
+        ids=["oscillator", "boson", "fermion"],
+    )
+    def test_overflow_in_mode_solve_exit_code(self, tmp_path, capsys, drive):
+        """Linear ramps to 1e100 (omega), 1e200 and 1e300 (w+) pass the
+        config checks, but the error norm of the first step overflows: the
+        solve stops there instead of warning and stepping on."""
+        text = (
+            "[run]\nkind = quench\nbeta = 1.0\n\n"
+            f"[protocol]\n{drive}\nfamily = linear\nt_i = 0.0\nt_f = 1.0\n\n"
+            "[integrator]\ngrid_points = 11\n\n[oracle]\nenabled = false\n"
+        )
+        code = main(["run", "--config", self._write(tmp_path, text), "--out", str(tmp_path / "out")])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("integration failure: integration failed at t ~ 0 ")
+        assert "overflow" in captured.err
+
     def test_truncation_refusal_exit_code(self, tmp_path, capsys):
         cfg = self._write(tmp_path, QUENCH_CONSTANT.format(beta=0.05))
         code = main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
@@ -1093,7 +1141,7 @@ enabled = false
         assert "truncation refusal" in capsys.readouterr().err
 
     def test_verify_failure_exit_code(self, tmp_path, capsys):
-        loose = VERIFY_FAST + "\n[integrator]\nrel_tol = 1e-3\nabs_tol = 1e-6\n"
+        loose = VERIFY_FAST + "\n[integrator]\nrel_tol = 1e-3\n"
         cfg = self._write(tmp_path, loose)
         code = main(["verify", "--config", cfg])
         captured = capsys.readouterr()

@@ -43,7 +43,7 @@ from tfdyn import _dop853, mode_solver
 from tfdyn.mode_solver import build_boson_generator, build_fermion_generator
 from tfdyn.protocols import sampler
 
-TIGHT = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14, grid_points=101)
+TIGHT = IntegratorConfig(rel_tol=1e-12, grid_points=101)
 
 RNG_SEED = 20260814
 
@@ -339,7 +339,7 @@ def _sech_pulse(amplitude, width, chirp):
     return lambda t: amplitude / math.cosh(t / width) * cmath.exp(1j * chirp * t)
 
 
-ROSEN_ZENER = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14, grid_points=3)
+ROSEN_ZENER = IntegratorConfig(rel_tol=1e-12, grid_points=3)
 
 
 class TestRosenZener:
@@ -457,13 +457,30 @@ class TestIntegratorConfig:
         {"rel_tol": 2.2e-14},
         {"rel_tol": math.nan},
         {"rel_tol": math.inf},
-        {"abs_tol": -1e-12},
-        {"abs_tol": math.inf},
-        {"abs_tol": math.nan},
     ])
     def test_invalid_settings_rejected(self, kwargs):
         with pytest.raises(ValueError):
             IntegratorConfig(**kwargs)
+
+    def test_rel_tol_is_the_only_tolerance(self):
+        with pytest.raises(TypeError, match="abs_tol"):
+            IntegratorConfig(abs_tol=1e-12)
+
+    @pytest.mark.parametrize("rel_tol", [1e-3, 1e-10, 1e-12])
+    def test_absolute_tolerance_is_a_hundredth_of_rel_tol(self, monkeypatch, rel_tol):
+        tolerances = []
+
+        class Recording(_dop853.Dop853):
+            def __init__(self, fun, t0, y0, t_bound, rtol, atol):
+                tolerances.append((rtol, atol))
+                super().__init__(fun, t0, y0, t_bound, rtol, atol)
+
+        monkeypatch.setattr(mode_solver, "Dop853", Recording)
+        p = FermionProtocol(
+            Constant(1.0), Step(0.0, 0.5, 3.0), Constant(0.0), t_i=0.0, t_f=5.0, jump_times=(3.0,),
+        )
+        solve_fermion_modes(p, IntegratorConfig(rel_tol=rel_tol, grid_points=11))
+        assert tolerances == [(rel_tol, rel_tol / 100)] * 2
 
     def test_stats_reported(self):
         p = BosonProtocol(Constant(1.0), Constant(0.0), t_i=0.0, t_f=1.0)

@@ -54,7 +54,7 @@ def fast_results():
 
 @pytest.fixture(scope="module")
 def loose_results():
-    return run_all(IntegratorConfig(rel_tol=1e-3, abs_tol=1e-6), oracle=None)
+    return run_all(IntegratorConfig(rel_tol=1e-3), oracle=None)
 
 
 class TestSuiteContract:
