@@ -8,6 +8,15 @@ II.10, and of their Fortran code DOP853.  Every operation is written in the
 order that ``scipy.integrate.DOP853`` performs it, so a solve here reproduces
 scipy's bit for bit; the tests run the two side by side.
 
+A stage point y + (k[:s]^T A_s)(h + 0j) takes one BLAS dot for the tableau's
+weighted sum; the product by h + 0j and the sum with y are Python complex
+arithmetic on its ``tolist()``, whose ``*`` and ``+`` are numpy's operation
+for operation.  They part in one corner only: a product that underflows to
+zero, where numpy's fused multiply-add keeps the sign of the exact product,
+and that sign shows only where the state holds -0.0.  A mode solve never
+does: its zeros start as +0.0, and a sum with a +0.0 or a nonzero part never
+gives -0.0.
+
 Only what the mode solver needs is kept: forward integration of a complex
 state between two times with scalar tolerances; the embedded error estimate
 alone sets each step.  The caller has validated the tolerances.
@@ -16,6 +25,8 @@ alone sets each step.  The caller has validated the tolerances.
 from __future__ import annotations
 
 import math
+from cmath import isfinite
+from operator import add
 from typing import Callable, Sequence
 
 import numpy as np
@@ -202,28 +213,31 @@ def _rms(x: np.ndarray) -> float:
 class Dop853:
     """Forward DOP853 integration of y' = fun(t, y) from ``t0`` to ``t_bound``.
 
-    ``fun(t, y)`` returns any sequence of y's size: an ndarray, or a tuple
-    or list of numbers, which costs no array build.  The evaluations the
-    stepper keeps (the first, and f(t + h, y_new) of each attempt) are made
-    complex ndarrays; the others are written straight into the complex stage
-    array.  ``step`` makes one accepted step (``t``, ``y`` move
-    to its end) and ``dense_output`` returns the interpolant over the last
-    one.  ``nfev``, ``steps`` and ``rejected`` count right-hand-side
-    evaluations, accepted steps and rejected attempts.  A step size that
-    falls below ten ulps of ``t`` raises ``IntegrationError``; exceptions
-    from ``fun`` propagate.
+    ``fun(t, y)`` receives y as a list of Python complex numbers and returns
+    any sequence of y's size: an ndarray, or a tuple or list of numbers,
+    which costs no array build.  The evaluations the stepper keeps (the
+    first, and f(t + h, y_new) of each attempt) are made complex ndarrays;
+    the others are written straight into the complex stage array.  ``step``
+    makes one accepted step (``t``, ``y`` move to its end) and
+    ``dense_output`` returns the interpolant over the last one.  ``nfev``,
+    ``steps`` and ``rejected`` count right-hand-side evaluations, accepted
+    steps and rejected attempts.  A step size that falls below ten ulps of
+    ``t`` raises ``IntegrationError``, and so does a new state or a
+    dense-output stage that is not finite (a stage sum that overflowed);
+    exceptions from ``fun`` propagate.
 
-    The stage sums and the error estimate's weighted sums and norms are
-    numpy and BLAS calls.  A stage sum is scaled by the complex scalar
-    h + 0j, the value numpy would cast a float step to, so no call casts it.
-    The step-size control, the interpolant's first three coefficients and its
-    Horner loop run on Python floats, as the real operations of numpy's
-    complex arithmetic, so the bits stay scipy's.
+    Each stage sum is a BLAS dot of the stages with the tableau's weights,
+    then Python complex arithmetic: the product by h + 0j, the value numpy
+    would cast a float step to, and the sum with y.  The error estimate's
+    weighted sums and norms stay numpy and BLAS calls.  The step-size
+    control, the interpolant's first three coefficients and its Horner loop
+    run on Python floats, as the real operations of numpy's complex
+    arithmetic, so the bits stay scipy's.
     """
 
     def __init__(
         self,
-        fun: Callable[[float, np.ndarray], Sequence[complex]],
+        fun: Callable[[float, list[complex]], Sequence[complex]],
         t0: float,
         y0: np.ndarray,
         t_bound: float,
@@ -239,14 +253,14 @@ class Dop853:
         self.t_old = self.y_old = None
         self.t, self.y = t0, y0
         self._abs_y = np.abs(y0)  # |y| of the last accepted step, for the error scale
-        self.f = self._rhs(t0, y0)
+        self.f = self._rhs(t0, y0.tolist())
         self.h_abs = self._initial_step()
         # stages of the last attempt; rows 13-15 are filled by dense_output.
         # _kt[s] is the view k[:s].T that stage s combines.
         self._k = np.empty((N_STAGES_EXTENDED, y0.size), dtype=complex)
         self._kt = [self._k[:s].T for s in range(N_STAGES_EXTENDED)]
 
-    def _rhs(self, t: float, y: np.ndarray) -> np.ndarray:
+    def _rhs(self, t: float, y: list[complex]) -> np.ndarray:
         self.nfev += 1
         f = self._fun(t, y)
         if type(f) is np.ndarray and f.dtype == complex:
@@ -262,7 +276,7 @@ class Dop853:
         d1 = _rms(f0 / scale)
         h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
         h0 = min(h0, interval_length)
-        f1 = self._rhs(t0 + h0, y0 + h0 * f0)
+        f1 = self._rhs(t0 + h0, (y0 + h0 * f0).tolist())
         d2 = _rms((f1 - f0) / scale) / h0
         if d1 <= 1e-15 and d2 <= 1e-15:
             h1 = max(1e-6, h0 * 1e-3)
@@ -272,15 +286,24 @@ class Dop853:
 
     def _attempt(self, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
         """One 12-stage step of size h: the new state, f and |y| there, the error norm."""
-        t, y, k, kt, fun = self.t, self.y, self._k, self._kt, self._fun
-        hc = complex(h)
+        t, y, k, kt, fun = self.t, self.y.tolist(), self._k, self._kt, self._fun
+        scaled = complex(h).__mul__
         k[0] = self.f
         for s in range(1, N_STAGES):
-            k[s] = fun(t + _C[s] * h, y + kt[s].dot(_A_ROWS[s]) * hc)
+            dy = kt[s].dot(_A_ROWS[s]).tolist()
+            k[s] = fun(t + _C[s] * h, list(map(add, y, map(scaled, dy))))
         self.nfev += N_STAGES - 1
-        y_new = y + hc * kt[N_STAGES].dot(B)
+        y_new = list(map(add, y, map(scaled, kt[N_STAGES].dot(B).tolist())))
+        # Python arithmetic overflows to inf where numpy would raise.  For a
+        # right-hand side that reads y, as the mode equations' do, a
+        # non-finite stage point makes its stage non-finite, and through the
+        # weights every later one and y_new, so one check of y_new ends the
+        # attempt at any overflowing stage sum.
+        if not all(map(isfinite, y_new)):
+            raise IntegrationError("overflow in a stage sum: the new state is not finite")
         f_new = self._rhs(t + h, y_new)
         k[N_STAGES] = f_new
+        y_new = np.array(y_new)
 
         # the scale is made complex once, which each division would do
         abs_y_new = np.abs(y_new)
@@ -291,7 +314,7 @@ class Dop853:
         if err5_norm_2 == 0 and err3_norm_2 == 0:
             return y_new, f_new, abs_y_new, 0.0
         denom = err5_norm_2 + 0.01 * err3_norm_2
-        return y_new, f_new, abs_y_new, abs(h) * err5_norm_2 / math.sqrt(denom * y.size)
+        return y_new, f_new, abs_y_new, abs(h) * err5_norm_2 / math.sqrt(denom * len(y))
 
     def step(self) -> None:
         """Advance by one accepted step, shrinking the step until one passes."""
@@ -326,11 +349,17 @@ class Dop853:
 
     def dense_output(self) -> Callable[[float], np.ndarray]:
         """The 7th-degree interpolant over the last accepted step."""
-        k, kt, fun, t_old, y_old = self._k, self._kt, self._fun, self.t_old, self.y_old
+        k, kt, fun, t_old = self._k, self._kt, self._fun, self.t_old
+        y_old = self.y_old.tolist()
         h = self.t - t_old
         hc = complex(h)
+        scaled = hc.__mul__
         for s in range(N_STAGES + 1, N_STAGES_EXTENDED):
-            k[s] = fun(t_old + _C[s] * h, y_old + kt[s].dot(_A_ROWS[s]) * hc)
+            dy = kt[s].dot(_A_ROWS[s]).tolist()
+            point = list(map(add, y_old, map(scaled, dy)))
+            if not all(map(isfinite, point)):
+                raise IntegrationError("overflow in a stage sum: a dense-output stage is not finite")
+            k[s] = fun(t_old + _C[s] * h, point)
         self.nfev += N_STAGES_EXTENDED - N_STAGES - 1
 
         # F3..F6 = h * (D k) stay a BLAS product.  F0 = y - y_old,
@@ -340,7 +369,7 @@ class Dop853:
         components = []
         for f6_f3_re, f6_f3_im, y1, y0, f0, f1 in zip(
             high.real[::-1].T.tolist(), high.imag[::-1].T.tolist(),
-            self.y.tolist(), y_old.tolist(), k[0].tolist(), self.f.tolist(),
+            self.y.tolist(), y_old, k[0].tolist(), self.f.tolist(),
         ):
             d_re, d_im = y1.real - y0.real, y1.imag - y0.imag
             s_re, s_im = f1.real + f0.real, f1.imag + f0.imag

@@ -390,13 +390,13 @@ def run_quench(config: RunConfig, out_dir: str | Path) -> dict:
 
     Returns the manifest (also written to ``manifest.json``); its ``finals``
     block holds the last row of the final-value observables.  May raise
-    ``IntegrationError`` or ``TruncationError``; nothing is written in that
-    case beyond the output directory itself.
+    ``IntegrationError`` or ``TruncationError``; the output directory is
+    made only once the solve and the observables are done, so in that case
+    nothing is written and no directory is made.
     """
     if config.kind != "quench":
         raise ValueError(f"run_quench got a '{config.kind}' config")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
 
     # built on each call, so that it reads the module's solvers as they are
@@ -443,6 +443,7 @@ def run_quench(config: RunConfig, out_dir: str | Path) -> dict:
     else:
         manifest["oracle"] = {"enabled": False}
 
+    out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "modes.csv", _mode_columns(traj))
     _write_csv(out / "observables.csv", observables)
     manifest["duration_seconds"] = time.perf_counter() - started

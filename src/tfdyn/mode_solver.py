@@ -173,7 +173,7 @@ def build_fermion_generator(
 # ---------------------------------------------------------------------------
 
 def _integrate(
-    rhs: Callable[[float, np.ndarray], np.ndarray],
+    rhs: Callable[[float, list[complex]], np.ndarray],
     protocol: Protocol,
     y0: np.ndarray,
     config: IntegratorConfig | None,
@@ -366,9 +366,9 @@ def solve_boson_mode(
     _require(protocol, "boson")
     sample = sampler(protocol)
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
+    def rhs(t: float, y: list[complex]) -> np.ndarray:
         m = build_boson_generator(*sample(t))
-        return 1j * (m @ y)
+        return 1j * (m @ np.asarray(y))
 
     grid, out, stats = _integrate(rhs, protocol, np.array([1.0, 0.0], dtype=complex), config)
     return ModeTrajectory(grid, {"f_minus": out[:, 0], "f_plus": out[:, 1]}, stats, protocol)
@@ -392,12 +392,12 @@ def solve_oscillator_mode(
     # Python 3.14 gave it
     y0 = np.array([v0, complex(0.0, mass0 * (-omega0 * v0))])
 
-    def rhs(t: float, y: np.ndarray) -> tuple[complex, complex]:
+    def rhs(t: float, y: list[complex]) -> tuple[complex, complex]:
         # (pi / m, -m w^2 v) on Python scalars, in numpy's complex arithmetic:
         # its division by m + 0j (Smith's formula, ratio 0) and its product
         # with -m w^2 + 0j, written out in real operations
         mass, omega = sample(t)
-        v, pi = y.tolist()
+        v, pi = y
         scl = 1.0 / mass
         c = -mass * omega**2
         return (
@@ -430,9 +430,9 @@ def solve_fermion_modes(
 
     sample = sampler(protocol)
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
+    def rhs(t: float, y: list[complex]) -> np.ndarray:
         gen = build_fermion_generator(*sample(t))
-        return (-1j * np.matmul(gen, y.reshape(2, 4, 1))).reshape(8)
+        return (-1j * np.matmul(gen, np.asarray(y).reshape(2, 4, 1))).reshape(8)
 
     grid, out, stats = _integrate(rhs, protocol, y0, config)
     # each pair (w1, w2) of y holds (c- + c+, c- - c+)/sqrt(2) for the next

@@ -316,14 +316,25 @@ def sampler(protocol: Protocol) -> Callable[[float], tuple]:
     rule refuses raises ``ValueError``.  :func:`evaluate` is the same sample
     as a record.  Solvers and the oracle sample through it in their inner
     loops.
+
+    The function keeps its last successful sample and returns it again for a
+    time equal to that one bit for bit (same type, and -0.0 apart from 0.0),
+    so a DOP853 step's last stage and f at its end, which share a time,
+    sample the protocol once.  A sample that raises is not kept.
     """
     t_i, t_f = protocol.t_i, protocol.t_f
     channels = tuple(
         (name, getattr(protocol, name), name in _COMPLEX_CHANNELS) for name in protocol.channels
     )
     positive_first = protocol.kind == "oscillator"  # its first channel is the mass
+    last_t = last = None
 
     def sample(t: float) -> tuple:
+        nonlocal last_t, last
+        if t == last_t and type(t) is type(last_t) and (
+            t or math.copysign(1.0, t) == math.copysign(1.0, last_t)
+        ):
+            return last
         if not (t_i <= t <= t_f):
             raise ValueError(f"time {t} outside protocol domain [{t_i}, {t_f}]")
         values = []
@@ -335,7 +346,8 @@ def sampler(protocol: Protocol) -> Callable[[float], tuple]:
                 values.append(_coefficient(name, value, t))
         if positive_first and values[0] <= 0.0:
             raise ValueError(f"mass({t}) = {values[0]} must be positive")
-        return tuple(values)
+        last_t, last = t, tuple(values)
+        return last
 
     return sample
 

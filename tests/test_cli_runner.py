@@ -1109,6 +1109,7 @@ enabled = false
         code = main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
         assert code == 3
         assert "right-hand-side evaluations" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "drive",
@@ -1122,7 +1123,8 @@ enabled = false
     def test_overflow_in_mode_solve_exit_code(self, tmp_path, capsys, drive):
         """Linear ramps to 1e100 (omega), 1e200 and 1e300 (w+) pass the
         config checks, but the error norm of the first step overflows: the
-        solve stops there instead of warning and stepping on."""
+        solve stops there instead of warning and stepping on, and leaves no
+        --out directory."""
         text = (
             "[run]\nkind = quench\nbeta = 1.0\n\n"
             f"[protocol]\n{drive}\nfamily = linear\nt_i = 0.0\nt_f = 1.0\n\n"
@@ -1133,12 +1135,16 @@ enabled = false
         captured = capsys.readouterr()
         assert captured.err.startswith("integration failure: integration failed at t ~ 0 ")
         assert "overflow" in captured.err
+        assert not (tmp_path / "out").exists()
 
     def test_truncation_refusal_exit_code(self, tmp_path, capsys):
+        """beta = 0.05 puts the thermal state past the oracle's box: the run
+        is refused after the mode solve and leaves no --out directory."""
         cfg = self._write(tmp_path, QUENCH_CONSTANT.format(beta=0.05))
         code = main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
         assert code == 4
         assert "truncation refusal" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_verify_failure_exit_code(self, tmp_path, capsys):
         loose = VERIFY_FAST + "\n[integrator]\nrel_tol = 1e-3\n"

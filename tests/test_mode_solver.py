@@ -8,8 +8,10 @@ identity directly where the dimension permits.
 """
 
 import cmath
+import dataclasses
 import hashlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -673,6 +675,44 @@ class TestPrivateDop853:
         assert runs[0] == runs[1]
         assert runs[0][3] > 0 and len(runs[0][0]) > 20
 
+    @pytest.mark.parametrize(
+        "y0",
+        [
+            [0.5 - 0.25j],
+            [1.0, 0.5j, -0.25],
+            [complex(-0.0, -0.0), complex(-0.0, 1.0), complex(0.75, -0.0)],
+        ],
+        ids=["one_component", "three_components", "negative_zeros"],
+    )
+    def test_same_bytes_as_scipy_at_every_size_and_sign(self, y0):
+        """The stage sums on Python scalars against scipy's numpy sums, step
+        by step: every state, f and interpolated value, byte for byte (the
+        CSVs print -0.0 and 0.0 apart), and the same work, rejections
+        included."""
+        rate = np.array([0.3 - 1.1j, -0.0 + 0.7j, 1.5j])[: len(y0)]
+
+        def fun(t, y):  # scipy hands it an ndarray, the stepper a list
+            return np.asarray(y) * rate * math.cos(3.0 * t)
+
+        y0 = np.array(y0)
+        ours = _dop853.Dop853(fun, 0.0, y0, 6.0, 1e-9, 1e-11)
+        ref = scipy.integrate.DOP853(fun, 0.0, y0, 6.0, rtol=1e-9, atol=1e-11)
+        assert ours.f.tobytes() == ref.f.tobytes()
+        steps = 0
+        while ours.t < 6.0:
+            ours.step()
+            ref.step()
+            steps += 1
+            assert ours.t == ref.t
+            assert ours.y.tobytes() == ref.y.tobytes()
+            assert ours.f.tobytes() == ref.f.tobytes()
+            dense, dense_ref = ours.dense_output(), ref.dense_output()
+            for x in (0.0, 0.3, 0.8, 1.0):
+                t = ours.t_old + x * (ours.t - ours.t_old)
+                assert dense(t).tobytes() == dense_ref(t).tobytes(), (steps, x)
+        assert ref.status == "finished" and ours.nfev == ref.nfev
+        assert ours.steps == steps > 20 and ours.rejected > 0
+
     def test_step_size_collapse_raises(self, monkeypatch):
         """An undeclared frequency jump from 1 to 1e9: no step above the
         ten-ulp floor passes the error test across it."""
@@ -685,6 +725,71 @@ class TestPrivateDop853:
         monkeypatch.setattr(mode_solver, "Dop853", ScipyDop853)
         with pytest.raises(IntegrationError, match=where):
             solve_oscillator_mode(p)
+
+
+class TestStageSumOverflow:
+    """Python arithmetic overflows to inf where numpy under ``np.errstate``
+    raises: a stage sum past the largest float still ends the solve at that
+    step, as an overflow."""
+
+    @pytest.mark.parametrize("y0", [1.7e308, -1.7e308, 1.7e308j])
+    def test_state_past_the_largest_float_ends_the_solve(self, y0):
+        """A constant drift of 1e305 from 1.7e308: the stages stay finite,
+        and the step from t ~ 92.97 pushes the state past 1.8e308.  The
+        solve stops there, not by a step collapse or the evaluation cap and
+        not steps later."""
+        drift = 1e305 * (y0 / abs(y0))
+        protocol = SimpleNamespace(t_i=0.0, t_f=1000.0, jump_times=())
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            return drift, 0j
+
+        where = r"^integration failed at t ~ 92\.9682 \(segment \[0\.0, 1000\.0\]\): overflow"
+        with pytest.raises(IntegrationError, match=where):
+            mode_solver._integrate(
+                rhs, protocol, np.array([y0, 1.0 + 0j]), IntegratorConfig(grid_points=3)
+            )
+        assert len(calls) < 100
+
+    def test_dense_output_stage_past_the_largest_float_raises(self):
+        """A dense-output stage whose sum overflows while the step's ends
+        are finite: stage 15 weighs k6 and k7 by 7.68 and 4.07."""
+        solver = _dop853.Dop853(lambda t, y: y, 0.0, np.ones(1, dtype=complex), 1.0, 1e-6, 1e-8)
+        solver.step()
+        k = solver._k
+        k[:] = 0.0
+        k[6] = k[7] = 1e307
+        solver.y_old, solver.y = np.array([1e308 + 0j]), np.array([1.5e308 + 0j])
+        solver.t_old, solver.t = 0.0, 1.0
+        handed = []
+        solver._fun = lambda t, y: handed.append(y) or [0j]
+        with pytest.raises(IntegrationError, match="overflow in a stage sum"):
+            solver.dense_output()
+        assert len(handed) == 2 and all(cmath.isfinite(c) for y in handed for c in y)
+
+
+@pytest.mark.parametrize(
+    "case, samples",
+    [("oscillator_long_window", 4701), ("boson_ramp", 668), ("fermion_complex_couplings", 1319)],
+)
+def test_one_protocol_sample_per_time(case, samples):
+    """A step's last stage (node 1.0) and f at its end share a time, which
+    the sampler samples once, so every attempt saves a sample; the
+    evaluation count still counts right-hand-side calls.  Beyond those, each
+    kind samples t_i once to check its initial state, and the oscillator its
+    initial data (which the first call shares) and the mass column."""
+    solve, protocol, config = REFERENCE_CASES[case]
+    name = "omega" if protocol.kind == "oscillator" else "omega0"
+    fn, times = getattr(protocol, name), []
+    counted = dataclasses.replace(protocol, **{name: lambda t: times.append(t) or fn(t)})
+    times.clear()  # building the protocol may sample it
+    stats = solve(counted, config).stats
+    assert stats == solve(protocol, config).stats
+    attempts = stats.steps + stats.rejected_steps
+    mass_column = config.grid_points if protocol.kind == "oscillator" else 0
+    assert len(times) == stats.function_evaluations - attempts + 1 + mass_column == samples
 
 
 def _column_digest(traj) -> str:

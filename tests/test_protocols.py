@@ -727,3 +727,41 @@ class TestSampler:
         values = sampler(p)(0.5)
         assert values == (1.5, 2 + 0j, 0.5j)
         assert [type(v) for v in values] == [float, complex, complex]
+
+    def test_a_repeated_time_is_sampled_once(self):
+        """The last successful sample is kept for a time equal to it bit for
+        bit: a repeat calls no coefficient, while -0.0 after 0.0, the int 0
+        after 0.0 and any other time call them again."""
+        seen = []
+
+        def omega0(t):
+            seen.append(t)
+            return 1.5 + math.copysign(0.5, t)  # pure, and tells the zeros apart
+
+        sample = sampler(BosonProtocol(omega0, Constant(0.0), t_i=-1.0, t_f=1.0))
+        assert sample(0.0) == (2.0, 0j) and sample(0.0) == (2.0, 0j)
+        assert sample(-0.0) == (1.0, 0j) and sample(-0.0) == (1.0, 0j)
+        assert sample(0.0) == (2.0, 0j) and sample(0) == (2.0, 0j)
+        assert sample(0.5) == (2.0, 0j) and sample(0.25) == (2.0, 0j)
+        assert sample(0.5) == (2.0, 0j) and sample(0.5) == (2.0, 0j)
+        assert [repr(t) for t in seen] == ["0.0", "-0.0", "0.0", "0", "0.5", "0.25", "0.5"]
+
+    def test_a_sample_that_raises_is_not_kept(self):
+        """A time whose sample raises keeps nothing: it raises again, and the
+        sample kept before it still serves its own time."""
+        seen = []
+
+        def omega0(t):
+            seen.append(t)
+            return math.inf if t > 0.5 else 1.0
+
+        sample = sampler(BosonProtocol(omega0, Constant(0.0), t_i=0.0, t_f=1.0))
+        assert sample(0.25) == (1.0, 0j)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"^omega0\(0\.75\) = inf is not finite$"):
+                sample(0.75)
+        assert sample(0.25) == (1.0, 0j)
+        assert seen == [0.25, 0.75, 0.75]
+        with pytest.raises(ValueError, match="outside protocol domain"):
+            sample(2.0)
+        assert sample(0.25) == (1.0, 0j) and seen == [0.25, 0.75, 0.75]
